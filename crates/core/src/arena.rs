@@ -74,20 +74,17 @@
 //! the engine sits idle in between — the oracle's levels rely on this
 //! across rounds.
 //!
-//! The oracle variant ([`oracle_run_arena_with_schedule`]) runs its
-//! `Λ + 1` level contributions over one shared arena scratch — a pool
-//! lane and span table per level inside a single structure, `O(Λ)`
-//! buffers total instead of the owned path's `Θ(Λ·n)` per-vertex maps —
-//! with the same frontier-sized carry-over diff as
-//! [`crate::oracle::oracle_run_with_schedule`].
+//! [`oracle_run_arena_with_schedule`] is the oracle's level loop over
+//! arena lanes: one store per level, `O(Λ)` buffers total instead of
+//! the owned lane's `Θ(Λ·n)` per-vertex maps.
 
 use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfRun};
 use crate::error::{RunError, RunReport};
-use crate::oracle::OracleRun;
+use crate::oracle::{run_lanes, Lane, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::store::{DistanceSlice, EpochStore, SpanOut, StoreStats};
-use mte_algebra::{Dist, DistanceMap, MinPlus, NodeId};
+use mte_algebra::{Dist, DistanceMap, MinPlus, NodeId, Semimodule};
 use mte_graph::Graph;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -810,44 +807,109 @@ pub fn try_run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
 }
 
 // ---------------------------------------------------------------------
-// The arena oracle: Λ+1 level contributions over one shared arena
-// scratch.
+// The arena oracle lane.
 // ---------------------------------------------------------------------
 
-/// One level's slice of the shared oracle arena: a pool lane + span
-/// table (its `y_λ` vector), the engine driving it, and the carry-over
-/// bookkeeping mirroring `oracle::LevelScratch`.
-struct ArenaLevel {
+/// The arena lane of the oracle's level loop: `y_λ` as an
+/// [`EpochStore`] hopped by an [`ArenaEngine`] — no per-vertex maps.
+struct ArenaLane {
     engine: ArenaEngine,
     store: EpochStore,
-    primed: bool,
-    moved: Vec<NodeId>,
-    moved_all: bool,
-    seeds: Vec<NodeId>,
+    /// The store's counters at creation, the baseline
+    /// `Lane::finish` books the lane's storage traffic against.
+    created: StoreStats,
 }
 
-impl ArenaLevel {
-    fn new(strategy: EngineStrategy, n: usize, ranked: bool) -> Self {
-        let mut engine = ArenaEngine::new(strategy);
-        engine.enable_change_log();
-        ArenaLevel {
-            engine,
-            store: EpochStore::with_rank_column(n, ranked),
-            primed: false,
-            moved: Vec::new(),
-            moved_all: true,
-            seeds: Vec::new(),
+impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLane {
+    type X = Vec<DistanceMap>;
+    type Folded = DistanceMap;
+
+    fn project(&mut self, alg: &A, x: &Vec<DistanceMap>, v: NodeId, keep: bool) -> bool {
+        let want: &[(NodeId, Dist)] = if keep { x[v as usize].entries() } else { &[] };
+        let rewrite = self.store.get(v).entries != want;
+        if rewrite {
+            self.store.assign(v, want, |u| alg.entry_aux(u));
         }
+        rewrite
+    }
+
+    fn mark_all_dirty(&mut self, g: &Graph) {
+        self.engine.mark_all_dirty(g);
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
+        self.engine.mark_dirty(g, vs.iter().copied());
+    }
+
+    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.store, scale)
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
+
+    fn fold<'a>(
+        alg: &A,
+        lanes: impl Iterator<Item = &'a Self>,
+        x: &Vec<DistanceMap>,
+        v: NodeId,
+    ) -> Option<DistanceMap>
+    where
+        Self: 'a,
+    {
+        // Folds into this thread's reused accumulator; only a fold that
+        // differs from `x_v` is copied out into a map.
+        with_arena_acc(|acc| {
+            acc.assign_from_entries(&[]);
+            for lane in lanes {
+                acc.merge_min_entries(lane.store.get(v).entries);
+            }
+            alg.filter(acc);
+            (*acc != x[v as usize]).then(|| acc.clone())
+        })
+    }
+
+    fn commit(x: &mut Vec<DistanceMap>, v: NodeId, folded: DistanceMap) {
+        x[v as usize] = folded;
+    }
+
+    fn poison(&mut self, alg: &A) {
+        if !self.store.is_empty() {
+            let mut slot = DistanceMap::from_entries(self.store.get(0).entries.to_vec());
+            slot.poison();
+            self.store.assign(0, slot.entries(), |u| alg.entry_aux(u));
+        }
+    }
+
+    fn finish<'a>(lanes: impl Iterator<Item = &'a Self>, work: &mut WorkStats)
+    where
+        Self: 'a,
+    {
+        // The stores saw every byte the run copied — the hops tallied
+        // only theirs, not the projection rewrites — so their totals
+        // replace the hop tallies. The Λ+1 level pools are live
+        // *simultaneously*: the run's arena high-water mark is the sum
+        // of the per-level peaks.
+        (work.bytes_copied, work.alloc_count, work.arena_bytes) = (0, 0, 0);
+        for lane in lanes {
+            let now = lane.store.stats();
+            work.bytes_copied += now.bytes_copied - lane.created.bytes_copied;
+            work.alloc_count += now.alloc_count - lane.created.alloc_count;
+            work.arena_bytes += now.arena_bytes;
+        }
+    }
+
+    fn export(x: Vec<DistanceMap>) -> Vec<DistanceMap> {
+        x
     }
 }
 
 /// [`crate::oracle::oracle_run_with_schedule`] on the arena backend:
-/// each of the `Λ + 1` level contributions `P_λ (r^V A_λ)^d P_λ x`
-/// lives in a lane of one shared arena scratch (`O(Λ)` buffers total —
-/// no per-vertex maps), with the same frontier-sized carry-over diff
-/// and frontier-sized aggregation as the owned oracle. Bit-identical
-/// states, iteration counts, and fixpoint flags; only the storage
-/// counters differ.
+/// each level vector `y_λ` is an epoch-arena store (`O(Λ)` buffers
+/// total — no per-vertex maps). Bit-identical states, iteration counts,
+/// fixpoint flags, hops and touched vertices; the other counters are
+/// the arena engine's own.
 pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -856,200 +918,18 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     carry_over: bool,
 ) -> OracleRun<DistanceMap> {
     let n = sim.augmented().n();
-    let mut states: Vec<DistanceMap> = initial_states(alg, n);
-    let lambda_max = sim.levels().lambda() as usize;
-    let mut levels: Vec<ArenaLevel> = (0..=lambda_max)
-        .map(|_| ArenaLevel::new(strategy, n, A::USES_RANK_COLUMN))
-        .collect();
-    let mut work = WorkStats::new();
-    let mut executed = 0;
-    let mut fixpoint = false;
-    let mut prev_changed: Option<Vec<NodeId>> = None;
-
-    while executed < h {
-        let x: &[DistanceMap] = &states;
-        let x_changed = if carry_over {
-            prev_changed.as_deref()
-        } else {
-            None
-        };
-        // Level phase: independent contributions, one parallel task per
-        // level, all writing their own arena lane.
-        work += levels
-            .par_iter_mut()
-            .with_min_len(1)
-            .enumerate()
-            .map(|(lambda, level)| {
-                let lambda = lambda as u32;
-                let scale = sim.level_scale(lambda);
-                let wholesale = !level.primed || !carry_over;
-                let full_diff = level.moved_all || x_changed.is_none();
-                let before = level.store.stats();
-                level.seeds.clear();
-                let aug = sim.augmented();
-                if wholesale || full_diff {
-                    // Compare-and-assign every slot against the fresh
-                    // projection P_λ x (writing an identical state is a
-                    // no-op, so the compare is sound for the wholesale
-                    // reference too).
-                    for v in 0..n as NodeId {
-                        let want: &[(NodeId, Dist)] = if sim.levels().level(v) >= lambda {
-                            x[v as usize].entries()
-                        } else {
-                            &[]
-                        };
-                        if level.store.get(v).entries != want {
-                            level.store.assign(v, want, |u| alg.entry_aux(u));
-                            level.seeds.push(v);
-                        }
-                    }
-                    if wholesale {
-                        level.engine.mark_all_dirty(aug);
-                        level.primed = true;
-                    } else {
-                        level.engine.mark_dirty(aug, level.seeds.iter().copied());
-                    }
-                } else {
-                    // Frontier-sized diff: walk the sorted union of the
-                    // slots this level moved last round and the x-slots
-                    // the aggregation changed (see the oracle module
-                    // docs for why nothing else can disagree).
-                    let changed = x_changed.unwrap_or(&[]);
-                    let ArenaLevel {
-                        store,
-                        moved,
-                        seeds,
-                        ..
-                    } = level;
-                    crate::oracle::for_each_sorted_union(moved, changed, |v| {
-                        let want: &[(NodeId, Dist)] = if sim.levels().level(v) >= lambda {
-                            x[v as usize].entries()
-                        } else {
-                            &[]
-                        };
-                        if store.get(v).entries != want {
-                            store.assign(v, want, |u| alg.entry_aux(u));
-                            seeds.push(v);
-                        }
-                    });
-                    level.engine.mark_dirty(aug, level.seeds.iter().copied());
-                }
-                // Rewrite copy traffic (the hops account themselves).
-                let mut work = storage_delta(before, level.store.stats());
-                for _ in 0..sim.d() {
-                    let (w, changed) = level.engine.step(alg, aug, &mut level.store, scale);
-                    work += w;
-                    if !changed {
-                        break;
-                    }
-                }
-                level.moved.clear();
-                level.engine.drain_change_log(&mut level.moved);
-                if wholesale {
-                    level.moved_all = true;
-                    level.moved.clear();
-                } else {
-                    level.moved_all = false;
-                    level.moved.extend_from_slice(&level.seeds);
-                    level.moved.sort_unstable();
-                    level.moved.dedup();
-                }
-                work
-            })
-            .reduce(WorkStats::new, |mut a, b| {
-                a += b;
-                a
-            });
-        executed += 1;
-
-        // Frontier-sized aggregation, folding spans in ascending-λ
-        // order (identical combination order and kernels as the owned
-        // oracle's fold).
-        let recompute: Option<Vec<NodeId>> = if levels.iter().any(|l| l.moved_all) {
-            None
-        } else {
-            let mut union: Vec<NodeId> = Vec::new();
-            for level in &levels {
-                union.extend_from_slice(&level.moved);
-            }
-            union.sort_unstable();
-            union.dedup();
-            Some(union)
-        };
-        let levels_ref: &[ArenaLevel] = &levels;
-        let x_ref: &[DistanceMap] = &states;
-        // Each vertex folds into this thread's reused accumulator; only
-        // a fold that differs from `x_v` is copied out into a map.
-        let fold_changed = |v: NodeId| -> Option<(NodeId, DistanceMap)> {
-            with_arena_acc(|acc| {
-                let node_level = sim.levels().level(v);
-                acc.assign_from_entries(&[]);
-                for (lambda, level) in levels_ref.iter().enumerate() {
-                    if node_level >= lambda as u32 {
-                        acc.merge_min_entries(level.store.get(v).entries);
-                    }
-                }
-                alg.filter(acc);
-                (*acc != x_ref[v as usize]).then(|| (v, acc.clone()))
-            })
-        };
-        let changed: Vec<(NodeId, DistanceMap)> = match recompute.as_deref() {
-            None => (0..n as NodeId)
-                .into_par_iter()
-                .flat_map_iter(fold_changed)
-                .collect(),
-            Some(list) => list
-                .par_iter()
-                .flat_map_iter(|&v| fold_changed(v))
-                .collect(),
-        };
-        if changed.is_empty() {
-            fixpoint = true;
-            break;
+    let lane = || {
+        let mut engine = ArenaEngine::new(strategy);
+        engine.enable_change_log();
+        let store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
+        let created = store.stats();
+        ArenaLane {
+            engine,
+            store,
+            created,
         }
-        let mut ids: Vec<NodeId> = Vec::with_capacity(changed.len());
-        for (v, m) in changed {
-            ids.push(v);
-            states[v as usize] = m;
-        }
-        prev_changed = Some(ids);
-    }
-
-    // The Λ+1 level pools are live *simultaneously*: the run's true
-    // arena high-water mark is the sum of the per-level peaks, not the
-    // max the per-hop tallies fold to.
-    work.arena_bytes = levels.iter().map(|l| l.store.stats().arena_bytes).sum();
-
-    OracleRun {
-        states,
-        h_iterations: executed,
-        fixpoint,
-        converged: fixpoint,
-        hops: work.iterations,
-        work,
-    }
-}
-
-/// Arena oracle with the production carry-over schedule.
-pub fn oracle_run_arena_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<DistanceMap> {
-    oracle_run_arena_with_schedule(alg, sim, h, strategy, true)
-}
-
-/// Iterates the arena oracle to a fixpoint, capped at `cap` simulated
-/// iterations (the capped run *is* the run-to-fixpoint — the fixpoint
-/// check stops early).
-pub fn oracle_run_arena_to_fixpoint_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<DistanceMap> {
-    oracle_run_arena_with(alg, sim, cap, strategy)
+    };
+    run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
 }
 
 #[cfg(test)]

@@ -32,7 +32,7 @@ use crate::dense::{
 };
 use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfEngine, MbfRun};
 use crate::error::{check_states, run_guarded, RunError, RunReport};
-use crate::oracle::OracleRun;
+use crate::oracle::{level_loop, OracleRun, OwnedLane};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use crate::ArenaEngine;
@@ -591,8 +591,9 @@ where
     A: MbfAlgorithm<S = MinPlus>,
 {
     let run = run_guarded(|| {
-        let states = initial_states(alg, sim.augmented().n());
-        crate::oracle::oracle_loop(alg, sim, h, strategy, true, states, 0, |round, states| {
+        let n = sim.augmented().n();
+        let lane = || OwnedLane::new(strategy, n);
+        let capture = |round: usize, states: &Vec<A::M>| {
             if policy.level_due(round as u64) {
                 sink(&Checkpoint {
                     hop: round as u64,
@@ -601,7 +602,8 @@ where
                 })?;
             }
             Ok(())
-        })
+        };
+        level_loop(alg, sim, h, true, lane, initial_states(alg, n), 0, capture)
     })??;
     check_states::<A::S, A::M>(&run.states)?;
     let report = oracle_report(&run);
@@ -624,16 +626,9 @@ where
 {
     validate_checkpoint(ckpt, sim.augmented().n())?;
     let run = run_guarded(|| {
-        crate::oracle::oracle_loop(
-            alg,
-            sim,
-            h,
-            strategy,
-            true,
-            ckpt.states.clone(),
-            ckpt.hop as usize,
-            |_, _| Ok(()),
-        )
+        let lane = || OwnedLane::new(strategy, sim.augmented().n());
+        let (states, round) = (ckpt.states.clone(), ckpt.hop as usize);
+        level_loop(alg, sim, h, true, lane, states, round, |_, _| Ok(()))
     })??;
     check_states::<A::S, A::M>(&run.states)?;
     let report = oracle_report(&run);

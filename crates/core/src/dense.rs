@@ -53,28 +53,26 @@
 //!
 //! # Oracle routing
 //!
-//! [`oracle_run_dense_with_schedule`] mirrors the owned/arena oracles —
-//! `Λ + 1` level contributions `P_λ (r^V A_λ)^d P_λ x` with the
-//! frontier-sized carry-over diff — but keeps every level vector `y_λ`
-//! and the aggregate `x` as dense blocks: projections compare and copy
-//! rows, the aggregation folds level rows in ascending-λ order through
-//! [`fold_row_into`]. `approximate_metric_on` (Theorem 6.1 — the APSP
-//! query, whose output *is* an `n × n` matrix) routes through it.
+//! [`oracle_run_dense_with_schedule`] is the oracle's level loop over
+//! dense lanes: every level vector `y_λ` and the aggregate `x` are
+//! dense blocks. `approximate_metric_on` (Theorem 6.1 — the APSP query,
+//! whose output *is* an `n × n` matrix) routes through it.
 
 use crate::engine::{
     initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, MbfRun, SyncPtr,
 };
 use crate::error::{Degradation, RunError, RunReport};
-use crate::oracle::OracleRun;
+use crate::oracle::{run_lanes, Lane, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::dense::{
     fold_row_into, relax_rows_into, relax_rows_tracked, rows_equal, DenseBlock, DenseKernel,
     DenseState,
 };
-use mte_algebra::{NodeId, Semimodule, Semiring};
+use mte_algebra::{MinPlus, NodeId, Semimodule, Semiring};
 use mte_graph::Graph;
 use rayon::prelude::*;
+use std::cell::RefCell;
 
 /// An MBF-like algorithm whose states admit the dense row
 /// representation: `M ≅ S^V` with coordinate `u` at column `u`. See the
@@ -954,33 +952,111 @@ where
 }
 
 // ---------------------------------------------------------------------
-// The dense oracle: Λ+1 level contributions as dense blocks.
+// The dense oracle lane.
 // ---------------------------------------------------------------------
 
-/// One level's slice of the dense oracle: its `y_λ` block, the engine
-/// driving it, and the carry-over bookkeeping mirroring
-/// `oracle::LevelScratch`.
-struct DenseLevel<A: DenseMbfAlgorithm>
+thread_local! {
+    /// Per-thread row the dense lane folds a vertex's level rows into.
+    static FOLD_ROW: RefCell<Vec<MinPlus>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` with this thread's fold row, or a fresh one on re-entrant
+/// use.
+fn with_fold_row<R>(f: impl FnOnce(&mut Vec<MinPlus>) -> R) -> R {
+    FOLD_ROW.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut row) => f(&mut row),
+        Err(_) => f(&mut Vec::new()),
+    })
+}
+
+/// The dense lane of the oracle's level loop: `y_λ` as a
+/// [`DenseBlock`] hopped by a [`DenseEngine`]; the aggregate `x` is a
+/// dense block too.
+struct DenseLane<A: DenseMbfAlgorithm<S = MinPlus>>
 where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
+    A::M: DenseState<MinPlus>,
 {
     engine: DenseEngine<A>,
-    y: DenseBlock<A::S>,
-    primed: bool,
-    moved: Vec<NodeId>,
-    moved_all: bool,
-    seeds: Vec<NodeId>,
+    y: DenseBlock<MinPlus>,
+    /// The `⊥` row projections compare against.
+    zero_row: Vec<MinPlus>,
+}
+
+impl<A: DenseMbfAlgorithm<S = MinPlus>> Lane<A> for DenseLane<A>
+where
+    A::M: DenseState<MinPlus>,
+{
+    type X = DenseBlock<MinPlus>;
+    type Folded = Vec<MinPlus>;
+
+    fn project(&mut self, _alg: &A, x: &DenseBlock<MinPlus>, v: NodeId, keep: bool) -> bool {
+        let want = if keep { x.row(v) } else { &self.zero_row };
+        let rewrite = !rows_equal(self.y.row(v), want);
+        if rewrite {
+            self.y.row_mut(v).copy_from_slice(want);
+        }
+        rewrite
+    }
+
+    fn mark_all_dirty(&mut self, g: &Graph) {
+        self.engine.mark_all_dirty(g);
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
+        self.engine.mark_dirty(g, vs.iter().copied());
+    }
+
+    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.y, scale)
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
+
+    fn fold<'a>(
+        alg: &A,
+        lanes: impl Iterator<Item = &'a Self>,
+        x: &DenseBlock<MinPlus>,
+        v: NodeId,
+    ) -> Option<Vec<MinPlus>>
+    where
+        Self: 'a,
+    {
+        with_fold_row(|row| {
+            row.clear();
+            row.resize(x.cols(), <MinPlus as Semiring>::zero());
+            for lane in lanes {
+                fold_row_into(row, lane.y.row(v));
+            }
+            alg.dense_filter(v, row);
+            // Only a changed row is copied out of the scratch.
+            (!rows_equal(row, x.row(v))).then(|| row.clone())
+        })
+    }
+
+    fn commit(x: &mut DenseBlock<MinPlus>, v: NodeId, folded: Vec<MinPlus>) {
+        x.row_mut(v).copy_from_slice(&folded);
+    }
+
+    fn poison(&mut self, _alg: &A) {
+        if let Some(s) = self.y.values_mut().first_mut() {
+            Semiring::poison(s);
+        }
+    }
+
+    fn export(x: DenseBlock<MinPlus>) -> Vec<A::M> {
+        x.export()
+    }
 }
 
 /// [`crate::oracle::oracle_run_with_schedule`] on the dense backend:
-/// every level vector `y_λ` and the aggregate `x` live as
-/// [`DenseBlock`]s, the projection diff compares rows, and the
-/// aggregation folds level rows in ascending-λ order through
-/// [`fold_row_into`] with the filter fused in — the same frontier-sized
-/// carry-over structure as the owned/arena oracles, bit-identical
-/// states, iteration counts, and fixpoint flags (only the work
-/// counters' currency differs; see [`DenseEngine::step`]).
+/// every level vector `y_λ` and the aggregate `x` are [`DenseBlock`]s,
+/// projections compare and copy rows, and the aggregation folds level
+/// rows through [`fold_row_into`]. Bit-identical states, iteration
+/// counts, fixpoint flags, hops and touched vertices; the other
+/// counters are in the dense engine's currency (see
+/// [`DenseEngine::step`]).
 pub fn oracle_run_dense_with_schedule<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -989,7 +1065,7 @@ pub fn oracle_run_dense_with_schedule<A>(
     carry_over: bool,
 ) -> OracleRun<A::M>
 where
-    A: DenseMbfAlgorithm<S = mte_algebra::MinPlus>,
+    A: DenseMbfAlgorithm<S = MinPlus>,
     A::M: DenseState<A::S>,
 {
     assert!(
@@ -997,210 +1073,16 @@ where
         "algorithm instance does not advertise dense states"
     );
     let n = sim.augmented().n();
-    let k = n;
-    let mut x = DenseBlock::<A::S>::from_states(&initial_states(alg, n), k);
-    let zero_row = vec![<A::S as Semiring>::zero(); k];
-    let lambda_max = sim.levels().lambda() as usize;
-    let mut levels: Vec<DenseLevel<A>> = (0..=lambda_max)
-        .map(|_| {
-            let mut engine = DenseEngine::new(strategy);
-            engine.enable_change_log();
-            DenseLevel {
-                engine,
-                y: DenseBlock::new(n, k),
-                primed: false,
-                moved: Vec::new(),
-                moved_all: true,
-                seeds: Vec::new(),
-            }
-        })
-        .collect();
-    // Aggregation scratch: one shadow matrix reused across rounds.
-    let mut agg: Vec<A::S> = vec![<A::S as Semiring>::zero(); n * k];
-    let mut work = WorkStats::new();
-    let mut executed = 0;
-    let mut fixpoint = false;
-    let mut prev_changed: Option<Vec<NodeId>> = None;
-
-    while executed < h {
-        let x_ref = &x;
-        let zero_row_ref: &[A::S] = &zero_row;
-        let x_changed = if carry_over {
-            prev_changed.as_deref()
-        } else {
-            None
-        };
-        // Level phase: independent contributions, one parallel task per
-        // level, each rewriting its projection baseline row-wise and
-        // running d filtered hops on its own engine.
-        work += levels
-            .par_iter_mut()
-            .with_min_len(1)
-            .enumerate()
-            .map(|(lambda, level)| {
-                let lambda = lambda as u32;
-                let scale = sim.level_scale(lambda);
-                let aug = sim.augmented();
-                let wholesale = !level.primed || !carry_over;
-                let full_diff = level.moved_all || x_changed.is_none();
-                level.seeds.clear();
-                if wholesale || full_diff {
-                    for v in 0..n as NodeId {
-                        let want: &[A::S] = if sim.levels().level(v) >= lambda {
-                            x_ref.row(v)
-                        } else {
-                            zero_row_ref
-                        };
-                        if !rows_equal(level.y.row(v), want) {
-                            level.y.row_mut(v).copy_from_slice(want);
-                            level.seeds.push(v);
-                        }
-                    }
-                    if wholesale {
-                        level.engine.mark_all_dirty(aug);
-                        level.primed = true;
-                    } else {
-                        level.engine.mark_dirty(aug, level.seeds.iter().copied());
-                    }
-                } else {
-                    // Frontier-sized diff: only `moved_λ ∪ C` can
-                    // disagree with the fresh projection (see the
-                    // oracle module docs).
-                    let changed = x_changed.unwrap_or(&[]);
-                    let DenseLevel {
-                        y, moved, seeds, ..
-                    } = level;
-                    crate::oracle::for_each_sorted_union(moved, changed, |v| {
-                        let want: &[A::S] = if sim.levels().level(v) >= lambda {
-                            x_ref.row(v)
-                        } else {
-                            zero_row_ref
-                        };
-                        if !rows_equal(y.row(v), want) {
-                            y.row_mut(v).copy_from_slice(want);
-                            seeds.push(v);
-                        }
-                    });
-                    level.engine.mark_dirty(aug, level.seeds.iter().copied());
-                }
-                let mut work = WorkStats::new();
-                for _ in 0..sim.d() {
-                    let (w, changed) = level.engine.step(alg, aug, &mut level.y, scale);
-                    work += w;
-                    if !changed {
-                        break;
-                    }
-                }
-                level.moved.clear();
-                level.engine.drain_change_log(&mut level.moved);
-                if wholesale {
-                    level.moved_all = true;
-                    level.moved.clear();
-                } else {
-                    level.moved_all = false;
-                    level.moved.extend_from_slice(&level.seeds);
-                    level.moved.sort_unstable();
-                    level.moved.dedup();
-                }
-                work
-            })
-            .reduce(WorkStats::new, |mut a, b| {
-                a += b;
-                a
-            });
-        executed += 1;
-
-        // Frontier-sized aggregation: fold level rows in ascending-λ
-        // order into the scratch matrix, filter, and compare — only
-        // vertices some level moved can aggregate to a new value.
-        let recompute: Option<Vec<NodeId>> = if levels.iter().any(|l| l.moved_all) {
-            None
-        } else {
-            let mut union: Vec<NodeId> = Vec::new();
-            for level in &levels {
-                union.extend_from_slice(&level.moved);
-            }
-            union.sort_unstable();
-            union.dedup();
-            Some(union)
-        };
-        let levels_ref: &[DenseLevel<A>] = &levels;
-        let x_imm = &x;
-        let agg_base = SyncPtr(agg.as_mut_ptr());
-        let fold = |v: NodeId| -> bool {
-            // SAFETY: callers iterate distinct vertices (a range or a
-            // deduplicated list), so row windows are disjoint.
-            let dst: &mut [A::S] =
-                unsafe { std::slice::from_raw_parts_mut(agg_base.slot(v as usize * k), k) };
-            dst.fill(<A::S as Semiring>::zero());
-            let node_level = sim.levels().level(v);
-            for (lambda, level) in levels_ref.iter().enumerate() {
-                if node_level >= lambda as u32 {
-                    fold_row_into(dst, level.y.row(v));
-                }
-            }
-            alg.dense_filter(v, dst);
-            !rows_equal(&*dst, x_imm.row(v))
-        };
-        let changed_list: Vec<NodeId> = match recompute.as_deref() {
-            None => (0..n as NodeId)
-                .into_par_iter()
-                .flat_map_iter(|v| if fold(v) { Some(v) } else { None })
-                .collect(),
-            Some(list) => list
-                .par_iter()
-                .flat_map_iter(|&v| if fold(v) { Some(v) } else { None })
-                .collect(),
-        };
-        if changed_list.is_empty() {
-            fixpoint = true;
-            break;
+    let lane = || {
+        let mut engine = DenseEngine::new(strategy);
+        engine.enable_change_log();
+        DenseLane {
+            engine,
+            y: DenseBlock::new(n, n),
+            zero_row: vec![<MinPlus as Semiring>::zero(); n],
         }
-        for &v in &changed_list {
-            let a = v as usize * k;
-            x.row_mut(v).copy_from_slice(&agg[a..a + k]);
-        }
-        prev_changed = Some(changed_list);
-    }
-
-    OracleRun {
-        states: x.export(),
-        h_iterations: executed,
-        fixpoint,
-        converged: fixpoint,
-        hops: work.iterations,
-        work,
-    }
-}
-
-/// Dense oracle with the production carry-over schedule.
-pub fn oracle_run_dense_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<A::M>
-where
-    A: DenseMbfAlgorithm<S = mte_algebra::MinPlus>,
-    A::M: DenseState<A::S>,
-{
-    oracle_run_dense_with_schedule(alg, sim, h, strategy, true)
-}
-
-/// Iterates the dense oracle to a fixpoint, capped at `cap` simulated
-/// iterations (the capped run *is* the run-to-fixpoint — the fixpoint
-/// check stops early).
-pub fn oracle_run_dense_to_fixpoint_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<A::M>
-where
-    A: DenseMbfAlgorithm<S = mte_algebra::MinPlus>,
-    A::M: DenseState<A::S>,
-{
-    oracle_run_dense_with(alg, sim, cap, strategy)
+    };
+    run_lanes(alg, sim, h, carry_over, lane, initial_block(alg, n))
 }
 
 #[cfg(test)]

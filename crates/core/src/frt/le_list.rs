@@ -25,8 +25,8 @@
 //! differential-tested by the equivalence suite.
 
 use crate::arena::{
-    oracle_run_arena_to_fixpoint_with, run_to_fixpoint_arena_with, with_arena_acc,
-    ArenaMbfAlgorithm, RecomputeCtx, SpanRecompute,
+    oracle_run_arena_with_schedule, run_to_fixpoint_arena_with, with_arena_acc, ArenaMbfAlgorithm,
+    RecomputeCtx, SpanRecompute,
 };
 use crate::engine::{EngineStrategy, MbfAlgorithm};
 use crate::oracle::default_iteration_cap;
@@ -628,9 +628,9 @@ pub fn le_lists_approx_eq(a: &[LeList], b: &[LeList], rel: f64) -> bool {
 
 /// LE lists via the **oracle on `H`** — the paper's main pipeline
 /// (Section 7.3/7.4) — with the given inner-engine strategy. Runs on
-/// the arena backend (span-backed level states, one shared scratch
-/// across the `Λ+1` levels); bit-identical to the owned oracle,
-/// asserted by `tests/schedule_equivalence.rs`.
+/// the arena lane of the oracle's level loop (one epoch-arena store
+/// per level); bit-identical to the owned oracle, asserted by
+/// `tests/schedule_equivalence.rs`.
 pub fn le_lists_oracle_with(
     sim: &SimulatedGraph,
     ranks: &Arc<Ranks>,
@@ -639,7 +639,7 @@ pub fn le_lists_oracle_with(
 ) -> (Vec<LeList>, usize, WorkStats) {
     let alg = LeListAlgorithm::new(Arc::clone(ranks));
     let cap = cap.unwrap_or_else(|| default_iteration_cap(sim.base().n()));
-    let run = oracle_run_arena_to_fixpoint_with(&alg, sim, cap, strategy);
+    let run = oracle_run_arena_with_schedule(&alg, sim, cap, strategy, true);
     let lists = run
         .states
         .iter()

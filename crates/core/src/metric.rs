@@ -8,9 +8,9 @@
 //!   near-`n²` work on dense graphs.
 
 use crate::catalog::SourceDetection;
-use crate::dense::oracle_run_dense_to_fixpoint_with;
+use crate::dense::oracle_run_dense_with_schedule;
 use crate::engine::EngineStrategy;
-use crate::oracle::{default_iteration_cap, oracle_run_to_fixpoint};
+use crate::oracle::{default_iteration_cap, oracle_run};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::{Dist, NodeId};
@@ -94,9 +94,10 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
     // (bit-identical to the owned oracle, differential-tested by
     // `tests/schedule_equivalence.rs`). The dense oracle keeps ~2(Λ+2)
     // full n×n blocks live (per-level vector + engine shadow, the
-    // aggregate, and its scratch) — a Λ× footprint over the sparse
-    // oracle's per-level state lists — so large instances stay on the
-    // owned sparse route instead of trading speed for an OOM.
+    // aggregate, and the changed rows staged for it) — a Λ× footprint
+    // over the sparse oracle's per-level state lists — so large
+    // instances stay on the owned sparse route instead of trading
+    // speed for an OOM.
     const DENSE_ORACLE_BYTE_BUDGET: usize = 4 << 30; // 4 GiB
     let lambda = sim.levels().lambda() as usize;
     let dense_bytes = (2 * lambda + 4)
@@ -104,9 +105,9 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
         .saturating_mul(n)
         .saturating_mul(std::mem::size_of::<f64>());
     let run = if dense_bytes <= DENSE_ORACLE_BYTE_BUDGET {
-        oracle_run_dense_to_fixpoint_with(&alg, sim, cap, EngineStrategy::default())
+        oracle_run_dense_with_schedule(&alg, sim, cap, EngineStrategy::default(), true)
     } else {
-        oracle_run_to_fixpoint(&alg, sim, cap)
+        oracle_run(&alg, sim, cap)
     };
     let mut dist = vec![vec![Dist::INF; n]; n];
     for (v, state) in run.states.iter().enumerate() {

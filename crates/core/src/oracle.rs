@@ -14,7 +14,40 @@
 //! using only `G'`'s `O(m)` edges — `Λ·d ∈ polylog n` cheap iterations
 //! instead of one `Ω(n²)` dense product (Theorem 5.2).
 //!
-//! The inner `(r^V A_λ)^d` loops run on persistent [`MbfEngine`]s with
+//! # One level loop, three lanes
+//!
+//! The simulation is written once, as the level loop of this module,
+//! over a small `Lane` trait. A lane holds one level's vector `y_λ`
+//! and the engine hopping over it; the loop owns everything else. Three
+//! lanes instantiate it, one per state backend, each behind its own
+//! public entry point:
+//!
+//! * owned (`Vec<A::M>` + [`MbfEngine`]) — [`oracle_run_with_schedule`],
+//!   the semantics reference,
+//! * arena (`EpochStore` + `ArenaEngine`) —
+//!   [`crate::arena::oracle_run_arena_with_schedule`], the production
+//!   path of the LE lists,
+//! * dense (`DenseBlock` + `DenseEngine`) —
+//!   [`crate::dense::oracle_run_dense_with_schedule`], the APSP route.
+//!
+//! The lane contract: `Lane::project` compare-and-assigns one slot of
+//! the projection `y_λ[v] ← P_λ x[v]` and reports whether it rewrote,
+//! and `Lane::project_all` does so for every slot (the owned lane in
+//! parallel); `mark_all_dirty` / `mark_dirty` / `step` / `drain_change_log` forward
+//! to the lane's engine (whose change log is on); `Lane::fold`
+//! aggregates one vertex over the lanes of levels `0..=level(v)` in
+//! ascending-`λ` order, filter fused in, and `Lane::commit` writes a
+//! changed fold back into `x`; `Lane::poison` corrupts a slot for the
+//! `oracle_level_loop` fault site; `Lane::finish` books lane-held
+//! counters once the run ends. Every lane computes the same states, so
+//! the three entry points are bit-identical in states, iteration counts
+//! and fixpoint flags, and in `work.iterations` and
+//! `work.touched_vertices` (the hop schedule is shared); the other
+//! counters are in each backend's own currency.
+//!
+//! # Carry-over
+//!
+//! The inner `(r^V A_λ)^d` loops run on persistent engines with
 //! **frontier carry-over across simulated `H`-iterations**: instead of
 //! rewriting `y ← P_λ x` wholesale and restarting all-dirty, each level
 //! diffs the projection against its own buffer from the previous round,
@@ -52,18 +85,21 @@
 //! The `Λ + 1` level contributions `P_λ (r^V A_λ)^d P_λ x` are mutually
 //! independent — they all read the same input vector `x` — so the level
 //! loop runs **in parallel** (one task per level, each with its own
-//! engine and level buffer `y_λ`, all reused across simulated
-//! `H`-iterations). The aggregation `⊕_λ P_λ y_λ` then runs parallel
-//! over *vertices*, each folding its level contributions in ascending-`λ`
-//! order — a fixed combination order independent of the thread count, so
-//! oracle outputs are bit-identical for every `MTE_THREADS` (asserted by
-//! the determinism suite). Per-level `WorkStats` merge through the same
-//! fixed-shape reduction tree.
+//! lane, reused across simulated `H`-iterations). The aggregation
+//! `⊕_λ P_λ y_λ` then runs parallel over *vertices*, each folding its
+//! level contributions in ascending-`λ` order — a fixed combination
+//! order independent of the thread count, so oracle outputs are
+//! bit-identical for every `MTE_THREADS` (asserted by the determinism
+//! suite). Per-level `WorkStats` merge through the same fixed-shape
+//! reduction tree.
 
 use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfEngine};
+use crate::error::RunError;
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::{MinPlus, NodeId, Semimodule};
+use mte_faults::{FaultKind, FaultSite};
+use mte_graph::Graph;
 use rayon::prelude::*;
 
 /// Result of an oracle computation: the states `A^h(H)` and the cost of
@@ -87,14 +123,74 @@ pub struct OracleRun<M> {
     pub work: WorkStats,
 }
 
-/// Reusable per-level buffers: one engine (shadow vectors, frontier
-/// marks) and one projected state vector per level task. `primed` flips
-/// once the level has run its first round — from then on `y` holds the
+/// One level's vector `y_λ` and the engine hopping over it, in one
+/// state backend. See the module docs for the contract.
+pub(crate) trait Lane<A: MbfAlgorithm<S = MinPlus>>: Send + Sync {
+    /// The aggregate state vector `x` the levels project from.
+    type X: Sync;
+    /// One vertex's new aggregate, staged between [`Lane::fold`] and
+    /// [`Lane::commit`].
+    type Folded: Send;
+
+    /// Compare-and-assign `y[v] ← keep ? x[v] : ⊥`; returns whether the
+    /// slot was rewritten.
+    fn project(&mut self, alg: &A, x: &Self::X, v: NodeId, keep: bool) -> bool;
+    /// [`Lane::project`] over every slot `0..n`, appending the rewritten
+    /// ones to `seeds` in ascending order. A lane may override it to
+    /// rewrite its slots in parallel.
+    fn project_all(
+        &mut self,
+        alg: &A,
+        x: &Self::X,
+        n: usize,
+        keep: impl Fn(NodeId) -> bool + Sync,
+        seeds: &mut Vec<NodeId>,
+    ) {
+        for v in 0..n as NodeId {
+            if self.project(alg, x, v, keep(v)) {
+                seeds.push(v);
+            }
+        }
+    }
+    /// The engine's `mark_all_dirty`.
+    fn mark_all_dirty(&mut self, g: &Graph);
+    /// The engine's `mark_dirty`.
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]);
+    /// One engine hop over `y`, edge weights scaled by `scale`.
+    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool);
+    /// The engine's `drain_change_log`.
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>);
+    /// `r(⊕ y_λ[v])` over `lanes` (levels `0..=level(v)`, ascending),
+    /// or `None` if it equals `x[v]`.
+    fn fold<'a>(
+        alg: &A,
+        lanes: impl Iterator<Item = &'a Self>,
+        x: &Self::X,
+        v: NodeId,
+    ) -> Option<Self::Folded>
+    where
+        Self: 'a;
+    /// Writes a fold that differed into `x[v]`.
+    fn commit(x: &mut Self::X, v: NodeId, folded: Self::Folded);
+    /// Corrupts one slot of `y` (the `oracle_level_loop` fault site).
+    fn poison(&mut self, alg: &A);
+    /// Books counters the lanes hold rather than their hops, once the
+    /// run ends.
+    fn finish<'a>(_lanes: impl Iterator<Item = &'a Self>, _work: &mut WorkStats)
+    where
+        Self: 'a,
+    {
+    }
+    /// The aggregate as owned states.
+    fn export(x: Self::X) -> Vec<A::M>;
+}
+
+/// A lane plus its carry-over bookkeeping. `primed` flips once the level
+/// has run its first round — from then on the lane's `y` holds the
 /// level's own `(r^V A_λ)^d P_λ x` from the previous simulated
 /// iteration, the baseline the next projection is diffed against.
-struct LevelScratch<A: MbfAlgorithm> {
-    engine: MbfEngine<A>,
-    y: Vec<A::M>,
+struct Level<L> {
+    lane: L,
     primed: bool,
     /// `y`-slots this level changed during its last round — projection
     /// rewrites plus the engine's inner-hop change log — sorted
@@ -109,60 +205,99 @@ struct LevelScratch<A: MbfAlgorithm> {
     seeds: Vec<NodeId>,
 }
 
-/// Reusable buffers for repeated oracle iterations: one [`LevelScratch`]
-/// per level, so the independent level tasks can run in parallel while
-/// still reusing their heap buffers across simulated `H`-iterations.
-struct OracleScratch<A: MbfAlgorithm> {
-    strategy: EngineStrategy,
-    /// `false` forces the all-dirty wholesale rewrite every round — the
-    /// PR 2 reference schedule, kept for ablation/differential testing.
-    carry_over: bool,
-    levels: Vec<LevelScratch<A>>,
-}
-
-impl<A: MbfAlgorithm> OracleScratch<A> {
-    fn new(strategy: EngineStrategy, carry_over: bool) -> Self {
-        OracleScratch {
-            strategy,
-            carry_over,
-            levels: Vec::new(),
+impl<L> Level<L> {
+    /// One level's share of a simulated `H`-iteration: rewrite the
+    /// projection baseline, run `(r^V A_λ)^d` on the lane, and record
+    /// the moved `y`-slots. `x_changed` is the set of `x`-slots the
+    /// previous aggregation changed (`None` = unknown, diff everything).
+    fn round<A>(
+        &mut self,
+        alg: &A,
+        sim: &SimulatedGraph,
+        lambda: u32,
+        carry_over: bool,
+        x: &L::X,
+        x_changed: Option<&[NodeId]>,
+    ) -> WorkStats
+    where
+        A: MbfAlgorithm<S = MinPlus>,
+        L: Lane<A>,
+    {
+        // Fault-injection site: one level task fails (`panic`) or
+        // corrupts its level state (`poison_nan`) while the sibling
+        // levels keep running.
+        let site = FaultSite::OracleLevelLoop;
+        match mte_faults::check_for(site, &[FaultKind::Panic, FaultKind::PoisonNan]) {
+            Some(FaultKind::Panic) => mte_faults::trigger_panic(site),
+            Some(FaultKind::PoisonNan) => self.lane.poison(alg),
+            _ => {}
         }
-    }
-
-    /// Sizes the per-level buffers for `num_levels` levels of `n` nodes.
-    fn ensure(&mut self, num_levels: usize, n: usize) {
-        while self.levels.len() < num_levels {
-            let mut engine = MbfEngine::new(self.strategy);
-            // The change log feeds the frontier-sized diff of the next
-            // round: which y-slots did this level's hops move?
-            engine.enable_change_log();
-            self.levels.push(LevelScratch {
-                engine,
-                y: Vec::new(),
-                primed: false,
-                moved: Vec::new(),
-                moved_all: true,
-                seeds: Vec::new(),
+        let aug = sim.augmented();
+        let wholesale = !self.primed || !carry_over;
+        // The previous round left `moved` (or `moved_all`); this round's
+        // diff may only skip slots both unmoved and outside `x_changed`.
+        // A wholesale previous round (or an unknown `x_changed`) forces
+        // one full diff.
+        let full_diff = self.moved_all || x_changed.is_none();
+        let Level {
+            lane, moved, seeds, ..
+        } = self;
+        seeds.clear();
+        let keep = |v: NodeId| sim.levels().level(v) >= lambda;
+        if wholesale || full_diff {
+            lane.project_all(alg, x, aug.n(), keep, seeds);
+        } else {
+            // Frontier-sized diff: a slot can disagree with the fresh
+            // projection only if this level moved it last round or the
+            // aggregation changed its `x` source — everything else
+            // still equals `P_λ x` and is skipped without being read.
+            for_each_sorted_union(moved, x_changed.unwrap_or(&[]), |v| {
+                if lane.project(alg, x, v, keep(v)) {
+                    seeds.push(v);
+                }
             });
         }
-        self.levels.truncate(num_levels);
-        for level in &mut self.levels {
-            if level.y.len() != n {
-                level.y.clear();
-                level.y.extend((0..n).map(|_| A::M::zero()));
-                level.primed = false;
-                level.moved_all = true;
+        if wholesale {
+            // First round (or carry-over disabled): the frontier
+            // restarts full.
+            lane.mark_all_dirty(aug);
+            self.primed = true;
+        } else {
+            lane.mark_dirty(aug, seeds);
+        }
+        // y ← (r^V A_λ)^d y : d filtered hops on the scaled G'; once a
+        // hop changes nothing the level is at its fixpoint and the
+        // remaining hops are identity.
+        let scale = sim.level_scale(lambda);
+        let mut work = WorkStats::new();
+        for _ in 0..sim.d() {
+            let (w, changed) = lane.step(alg, aug, scale);
+            work += w;
+            if !changed {
+                break;
             }
         }
+        // Record what this round moved, for the next round's diff and
+        // this round's aggregation: rewrites plus hop changes.
+        moved.clear();
+        lane.drain_change_log(moved);
+        self.moved_all = wholesale;
+        if wholesale {
+            moved.clear();
+        } else {
+            moved.extend_from_slice(seeds);
+            moved.sort_unstable();
+            moved.dedup();
+        }
+        work
     }
 }
 
 /// Visits the sorted union of two ascending, duplicate-free vertex
-/// lists exactly once per vertex, in ascending order. The shared
-/// co-walk under both oracles' frontier-sized carry-over diffs (owned
-/// and arena), kept in one place because its boundary behavior is
-/// correctness-critical.
-pub(crate) fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) {
+/// lists exactly once per vertex, in ascending order. The co-walk under
+/// the frontier-sized carry-over diff, kept in one place because its
+/// boundary behavior is correctness-critical.
+fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) {
     debug_assert!(a.windows(2).all(|w| w[0] < w[1]));
     debug_assert!(b.windows(2).all(|w| w[0] < w[1]));
     let (mut i, mut j) = (0usize, 0usize);
@@ -194,228 +329,253 @@ pub(crate) fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMu
     }
 }
 
-/// The level phase of one simulated `H`-iteration: every level rewrites
-/// its projection baseline and runs `(r^V A_λ)^d` on its own engine,
-/// leaving the result in `level.y` and the set of moved `y`-slots in
-/// `level.moved`. `x_changed` is the set of `x`-slots the previous
-/// aggregation changed (`None` = unknown, diff everything).
-fn level_phase<A>(
+/// The oracle's level loop, shared by every lane and by the
+/// checkpoint-resume drivers: builds one lane per level with
+/// `new_lane`, iterates from `x` (already past `executed` simulated
+/// iterations) up to `h` total, and calls `on_round(round, x)` after
+/// every round that changed something. The iteration map is
+/// deterministic, so a round that changes nothing proves every later
+/// round is the identity: the loop stops there and reports the
+/// fixpoint. Resuming from a recorded `(x, executed)` pair with fresh
+/// lanes is bit-identical to the uninterrupted run: an unprimed level
+/// rewrites wholesale on its first round, which the carry-over schedule
+/// already proves equivalent to the diffing restart.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn level_loop<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
-    x: &[A::M],
-    scratch: &mut OracleScratch<A>,
-    x_changed: Option<&[NodeId]>,
-) -> WorkStats
+    h: usize,
+    carry_over: bool,
+    new_lane: impl FnMut() -> L,
+    mut x: L::X,
+    mut executed: usize,
+    mut on_round: impl FnMut(usize, &L::X) -> Result<(), RunError>,
+) -> Result<OracleRun<A::M>, RunError>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
     let n = sim.augmented().n();
-    debug_assert_eq!(n, x.len());
-    let lambda_max = sim.levels().lambda();
-    scratch.ensure(lambda_max as usize + 1, n);
-    let carry_over = scratch.carry_over;
-    let zero = A::M::zero();
+    let mut levels: Vec<Level<L>> = std::iter::repeat_with(new_lane)
+        .take(sim.levels().lambda() as usize + 1)
+        .map(|lane| Level {
+            lane,
+            primed: false,
+            moved: Vec::new(),
+            moved_all: true,
+            seeds: Vec::new(),
+        })
+        .collect();
+    let mut work = WorkStats::new();
+    let mut fixpoint = false;
+    // `x`-slots the previous aggregation changed; `None` = unknown (no
+    // previous round), forcing full diffs.
+    let mut prev_changed: Option<Vec<NodeId>> = None;
+    while executed < h {
+        // The Λ+1 level contributions are independent: one parallel
+        // task per level (`with_min_len(1)`: Λ is small but each task
+        // is heavy). Per-level work tallies merge through the
+        // fixed-shape reduction tree.
+        let x_ref = &x;
+        let x_changed = prev_changed.as_deref();
+        work += levels
+            .par_iter_mut()
+            .with_min_len(1)
+            .enumerate()
+            .map(|(lambda, level)| {
+                level.round(alg, sim, lambda as u32, carry_over, x_ref, x_changed)
+            })
+            .reduce(WorkStats::new, |mut a, b| {
+                a += b;
+                a
+            });
+        executed += 1;
 
-    // The Λ+1 level contributions are independent: one parallel task per
-    // level (`with_min_len(1)`: Λ is small but each task is heavy), each
-    // leaving `(r^V A_λ)^d P_λ x` in its own `y` buffer. Per-level work
-    // tallies merge through the fixed-shape reduction tree.
-    scratch
-        .levels
-        .par_iter_mut()
-        .with_min_len(1)
-        .enumerate()
-        .map(|(lambda, level)| {
-            let lambda = lambda as u32;
-            // Fault-injection site: one level task fails (`panic`) or
-            // corrupts its level state (`poison_nan`) while the sibling
-            // levels keep running.
-            match mte_faults::check_for(
-                mte_faults::FaultSite::OracleLevelLoop,
-                &[
-                    mte_faults::FaultKind::Panic,
-                    mte_faults::FaultKind::PoisonNan,
-                ],
-            ) {
-                Some(mte_faults::FaultKind::Panic) => {
-                    mte_faults::trigger_panic(mte_faults::FaultSite::OracleLevelLoop)
-                }
-                Some(mte_faults::FaultKind::PoisonNan) => {
-                    if let Some(slot) = level.y.first_mut() {
-                        slot.poison();
-                    }
-                }
-                _ => {}
-            }
-            let scale = sim.level_scale(lambda);
-            let wholesale = !level.primed || !carry_over;
-            // The previous round left `moved` (or `moved_all`); this
-            // round's diff may only skip slots both unmoved and outside
-            // `x_changed`. A wholesale previous round (or an unknown
-            // `x_changed`) forces one full diff.
-            let full_diff = level.moved_all || x_changed.is_none();
-            level.seeds.clear();
-            if wholesale {
-                // First round (or carry-over disabled): y ← P_λ x
-                // wholesale, frontier restarts full. `clone_from` reuses
-                // each slot's heap buffer across iterations.
-                level.y.par_iter_mut().enumerate().for_each(|(v, slot)| {
-                    if sim.levels().level(v as NodeId) >= lambda {
-                        slot.clone_from(&x[v]);
-                    } else {
-                        slot.clone_from(&zero);
-                    }
-                });
-                level.engine.mark_all_dirty(sim.augmented());
-                level.primed = true;
-            } else if full_diff {
-                // Carry-over after a wholesale round: y still holds this
-                // level's previous result, but there is no moved set to
-                // bound the diff — compare every slot once, rewrite and
-                // seed exactly the differing ones. The changed list
-                // collects in ascending vertex order (chunk-order
-                // concatenation), independent of the thread count.
-                level.seeds = level
-                    .y
-                    .par_iter_mut()
-                    .enumerate()
-                    .flat_map_iter(|(v, slot)| {
-                        let want = if sim.levels().level(v as NodeId) >= lambda {
-                            &x[v]
-                        } else {
-                            &zero
-                        };
-                        if slot != want {
-                            slot.clone_from(want);
-                            Some(v as NodeId)
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                level
-                    .engine
-                    .mark_dirty(sim.augmented(), level.seeds.iter().copied());
-            } else {
-                // Frontier-sized diff: a slot can disagree with the
-                // fresh projection only if this level moved it last
-                // round (`moved`) or the aggregation changed its `x`
-                // source (`x_changed`) — everything else still equals
-                // `P_λ x` and is skipped without being read. Walk the
-                // sorted union of the two lists.
-                let changed = x_changed.unwrap_or(&[]);
-                let LevelScratch {
-                    y, moved, seeds, ..
-                } = level;
-                for_each_sorted_union(moved, changed, |v| {
-                    let want = if sim.levels().level(v) >= lambda {
-                        &x[v as usize]
-                    } else {
-                        &zero
-                    };
-                    let slot = &mut y[v as usize];
-                    if slot != want {
-                        slot.clone_from(want);
-                        seeds.push(v);
-                    }
-                });
-                level
-                    .engine
-                    .mark_dirty(sim.augmented(), level.seeds.iter().copied());
-            }
-            // y ← (r^V A_λ)^d y : d filtered hops on the scaled G'; once
-            // a hop changes nothing the level is at its fixpoint and the
-            // remaining hops are identity.
-            let mut work = WorkStats::new();
-            for _ in 0..sim.d() {
-                let (w, changed) = level.engine.step(alg, sim.augmented(), &mut level.y, scale);
-                work += w;
-                if !changed {
-                    break;
-                }
-            }
-            // Record what this round moved, for the next round's diff
-            // and this round's aggregation: rewrites plus hop changes.
-            level.moved.clear();
-            level.engine.drain_change_log(&mut level.moved);
-            if wholesale {
-                level.moved_all = true;
-                level.moved.clear();
-            } else {
-                level.moved_all = false;
-                level.moved.extend_from_slice(&level.seeds);
-                level.moved.sort_unstable();
-                level.moved.dedup();
-            }
-            work
-        })
-        .reduce(WorkStats::new, |mut a, b| {
-            a += b;
-            a
-        })
+        // Aggregation `x_v ← r(⊕_λ [level(v) ≥ λ] y_λ[v])` can skip
+        // every vertex no level moved this round (its fold inputs are
+        // unchanged, so recomputation would reproduce the current value
+        // bit for bit) — unless some level rewrote wholesale and has no
+        // moved set.
+        let recompute: Option<Vec<NodeId>> = if levels.iter().any(|l| l.moved_all) {
+            None
+        } else {
+            let mut union: Vec<NodeId> = levels
+                .iter()
+                .flat_map(|l| l.moved.iter().copied())
+                .collect();
+            union.sort_unstable();
+            union.dedup();
+            Some(union)
+        };
+        let levels_ref: &[Level<L>] = &levels;
+        let fold = |v: NodeId| {
+            let lanes = levels_ref.iter().take(sim.levels().level(v) as usize + 1);
+            L::fold(alg, lanes.map(|l| &l.lane), x_ref, v).map(|f| (v, f))
+        };
+        // Both paths collect `(v, new value)` pairs in ascending vertex
+        // order (chunk-order concatenation over an ascending input
+        // list), independent of the thread count.
+        let changed: Vec<(NodeId, L::Folded)> = match recompute.as_deref() {
+            None => (0..n as NodeId)
+                .into_par_iter()
+                .flat_map_iter(fold)
+                .collect(),
+            Some(list) => list.par_iter().flat_map_iter(|&v| fold(v)).collect(),
+        };
+        if changed.is_empty() {
+            fixpoint = true;
+            break;
+        }
+        let ids: Vec<NodeId> = changed.iter().map(|&(v, _)| v).collect();
+        for (v, folded) in changed {
+            L::commit(&mut x, v, folded);
+        }
+        prev_changed = Some(ids);
+        on_round(executed, &x)?;
+    }
+    L::finish(levels.iter().map(|l| &l.lane), &mut work);
+    Ok(OracleRun {
+        states: L::export(x),
+        h_iterations: executed,
+        fixpoint,
+        converged: fixpoint,
+        hops: work.iterations,
+        work,
+    })
 }
 
-/// The aggregation phase: `x_v ← r(⊕_λ [level(v) ≥ λ] y_λ[v])` for every
-/// vertex in `recompute` (`None` = all of `V`), writing only the slots
-/// that actually changed and returning them, sorted ascending. The
-/// per-vertex fold runs in ascending-λ order — a fixed combination
-/// order independent of the thread count — with the final filter `r^V`
-/// fused in. Skipped vertices provably re-aggregate to their current
-/// value: `x_v = r(⊕_λ P_λ y_λ[v])` held at the end of the previous
-/// round and none of their `y`-inputs moved.
-fn aggregate<A>(
+/// [`level_loop`] from `x` with no round hook (which cannot fail).
+pub(crate) fn run_lanes<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
-    levels: &[LevelScratch<A>],
-    x: &mut [A::M],
-    recompute: Option<&[NodeId]>,
-) -> Vec<NodeId>
+    h: usize,
+    carry_over: bool,
+    new_lane: impl FnMut() -> L,
+    x: L::X,
+) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
-    let fold = |v: NodeId| -> A::M {
-        let node_level = sim.levels().level(v);
+    match level_loop(alg, sim, h, carry_over, new_lane, x, 0, |_, _| Ok(())) {
+        Ok(run) => run,
+        Err(e) => unreachable!("no-op round hook cannot fail: {e}"),
+    }
+}
+
+/// The owned lane: `y_λ` as a `Vec<A::M>` hopped by an [`MbfEngine`].
+pub(crate) struct OwnedLane<A: MbfAlgorithm> {
+    engine: MbfEngine<A>,
+    y: Vec<A::M>,
+}
+
+impl<A: MbfAlgorithm> OwnedLane<A> {
+    /// A lane of `n` slots, all `⊥`, with the engine's change log on.
+    pub(crate) fn new(strategy: EngineStrategy, n: usize) -> Self {
+        let mut engine = MbfEngine::new(strategy);
+        engine.enable_change_log();
+        OwnedLane {
+            engine,
+            y: vec![A::M::zero(); n],
+        }
+    }
+}
+
+impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedLane<A> {
+    type X = Vec<A::M>;
+    type Folded = A::M;
+
+    fn project(&mut self, _alg: &A, x: &Vec<A::M>, v: NodeId, keep: bool) -> bool {
+        let zero;
+        let want = if keep {
+            &x[v as usize]
+        } else {
+            zero = A::M::zero();
+            &zero
+        };
+        assign(&mut self.y[v as usize], want)
+    }
+
+    fn project_all(
+        &mut self,
+        _alg: &A,
+        x: &Vec<A::M>,
+        _n: usize,
+        keep: impl Fn(NodeId) -> bool + Sync,
+        seeds: &mut Vec<NodeId>,
+    ) {
+        // Slots are independent heap values: rewrite them in parallel.
+        // The rewritten list collects in ascending vertex order
+        // (chunk-order concatenation), independent of the thread count.
+        let zero = A::M::zero();
+        let rewritten: Vec<NodeId> = self
+            .y
+            .par_iter_mut()
+            .enumerate()
+            .flat_map_iter(|(v, slot)| {
+                let want = if keep(v as NodeId) { &x[v] } else { &zero };
+                assign(slot, want).then_some(v as NodeId)
+            })
+            .collect();
+        seeds.extend(rewritten);
+    }
+
+    fn mark_all_dirty(&mut self, g: &Graph) {
+        self.engine.mark_all_dirty(g);
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
+        self.engine.mark_dirty(g, vs.iter().copied());
+    }
+
+    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.y, scale)
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
+
+    fn fold<'a>(
+        alg: &A,
+        lanes: impl Iterator<Item = &'a Self>,
+        x: &Vec<A::M>,
+        v: NodeId,
+    ) -> Option<A::M>
+    where
+        Self: 'a,
+    {
         let mut acc = A::M::zero();
-        for (lambda, level) in levels.iter().enumerate() {
-            if node_level >= lambda as u32 {
-                acc.add_assign(&level.y[v as usize]);
-            }
+        for lane in lanes {
+            acc.add_assign(&lane.y[v as usize]);
         }
         alg.filter(&mut acc);
-        acc
-    };
-    let x_ref: &[A::M] = x;
-    // Both paths collect `(v, new value)` pairs in ascending vertex
-    // order (chunk-order concatenation over an ascending input list).
-    let changed: Vec<(NodeId, A::M)> = match recompute {
-        None => (0..x.len() as NodeId)
-            .into_par_iter()
-            .flat_map_iter(|v| {
-                let acc = fold(v);
-                if acc != x_ref[v as usize] {
-                    Some((v, acc))
-                } else {
-                    None
-                }
-            })
-            .collect(),
-        Some(list) => list
-            .par_iter()
-            .flat_map_iter(|&v| {
-                let acc = fold(v);
-                if acc != x_ref[v as usize] {
-                    Some((v, acc))
-                } else {
-                    None
-                }
-            })
-            .collect(),
-    };
-    let ids: Vec<NodeId> = changed.iter().map(|&(v, _)| v).collect();
-    for (v, m) in changed {
-        x[v as usize] = m;
+        (acc != x[v as usize]).then_some(acc)
     }
-    ids
+
+    fn commit(x: &mut Vec<A::M>, v: NodeId, folded: A::M) {
+        x[v as usize] = folded;
+    }
+
+    fn poison(&mut self, _alg: &A) {
+        if let Some(slot) = self.y.first_mut() {
+            slot.poison();
+        }
+    }
+
+    fn export(x: Vec<A::M>) -> Vec<A::M> {
+        x
+    }
+}
+
+/// Compare-and-assign `slot ← want`; `clone_from` reuses the slot's heap
+/// buffer. Returns whether the slot was rewritten.
+fn assign<M: Clone + PartialEq>(slot: &mut M, want: &M) -> bool {
+    let rewrite = slot != want;
+    if rewrite {
+        slot.clone_from(want);
+    }
+    rewrite
 }
 
 /// Simulates **one** iteration of `alg` on `H`:
@@ -424,11 +584,11 @@ pub fn oracle_iteration<A>(alg: &A, sim: &SimulatedGraph, x: &[A::M]) -> (Vec<A:
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
-    let mut scratch = OracleScratch::new(EngineStrategy::default(), true);
-    let work = level_phase(alg, sim, x, &mut scratch, None);
-    let mut next = x.to_vec();
-    aggregate(alg, sim, &scratch.levels, &mut next, None);
-    (next, work)
+    let n = sim.augmented().n();
+    debug_assert_eq!(n, x.len());
+    let lane = || OwnedLane::new(EngineStrategy::default(), n);
+    let run = run_lanes(alg, sim, 1, true, lane, x.to_vec());
+    (run.states, run.work)
 }
 
 /// Runs up to `h` iterations of `alg` on `H` starting from `r^V x⁽⁰⁾`
@@ -439,7 +599,9 @@ where
 /// stops there, reports `fixpoint: true`, and `h_iterations` counts the
 /// iterations actually executed (including the confirming one) — it may
 /// be less than `h`. The returned states are bit-identical to burning
-/// all `h` iterations.
+/// all `h` iterations, so a capped run *is* the run to the fixpoint.
+/// W.h.p. the fixpoint arrives after `SPD(H) ∈ O(log² n)` iterations
+/// (Theorems 4.5 and 5.2 (2)); see [`default_iteration_cap`].
 pub fn oracle_run_with<A>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -469,75 +631,9 @@ pub fn oracle_run_with_schedule<A>(
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
-    let states = initial_states(alg, sim.augmented().n());
-    match oracle_loop(alg, sim, h, strategy, carry_over, states, 0, |_, _| Ok(())) {
-        Ok(run) => run,
-        Err(e) => unreachable!("no-op round hook cannot fail: {e}"),
-    }
-}
-
-/// The oracle's fixpoint loop, shared by [`oracle_run_with_schedule`]
-/// and the checkpoint-resume drivers: iterates from `states` (already
-/// past `executed` simulated iterations) up to `h` total, calling
-/// `on_round(round, states)` after every round that changed something.
-/// Resuming from a recorded `(states, executed)` pair with fresh
-/// scratch is bit-identical to the uninterrupted run: an unprimed level
-/// rewrites wholesale on its first round, which the carry-over schedule
-/// already proves equivalent to the diffing restart.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn oracle_loop<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-    carry_over: bool,
-    mut states: Vec<A::M>,
-    mut executed: usize,
-    mut on_round: impl FnMut(usize, &[A::M]) -> Result<(), crate::error::RunError>,
-) -> Result<OracleRun<A::M>, crate::error::RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    let mut scratch = OracleScratch::new(strategy, carry_over);
-    let mut work = WorkStats::new();
-    let mut fixpoint = false;
-    // `x`-slots the previous aggregation changed; `None` = unknown (no
-    // previous round), forcing full diffs.
-    let mut prev_changed: Option<Vec<NodeId>> = None;
-    while executed < h {
-        work += level_phase(alg, sim, &states, &mut scratch, prev_changed.as_deref());
-        executed += 1;
-        // Aggregation can skip every vertex no level moved this round
-        // (their fold inputs are unchanged, so recomputation would
-        // reproduce the current value bit for bit) — unless some level
-        // rewrote wholesale and has no moved set.
-        let recompute: Option<Vec<NodeId>> = if scratch.levels.iter().any(|l| l.moved_all) {
-            None
-        } else {
-            let mut union: Vec<NodeId> = Vec::new();
-            for level in &scratch.levels {
-                union.extend_from_slice(&level.moved);
-            }
-            union.sort_unstable();
-            union.dedup();
-            Some(union)
-        };
-        let changed = aggregate(alg, sim, &scratch.levels, &mut states, recompute.as_deref());
-        if changed.is_empty() {
-            fixpoint = true;
-            break;
-        }
-        prev_changed = Some(changed);
-        on_round(executed, &states)?;
-    }
-    Ok(OracleRun {
-        states,
-        h_iterations: executed,
-        fixpoint,
-        converged: fixpoint,
-        hops: work.iterations,
-        work,
-    })
+    let n = sim.augmented().n();
+    let lane = || OwnedLane::new(strategy, n);
+    run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
 }
 
 /// Runs `h` iterations of `alg` on `H` under the default hybrid engine.
@@ -548,33 +644,6 @@ where
     oracle_run_with(alg, sim, h, EngineStrategy::default())
 }
 
-/// Iterates `alg` on `H` until a fixpoint, capped at `cap` iterations,
-/// with the given inner-engine strategy. W.h.p. the fixpoint arrives
-/// after `SPD(H) ∈ O(log² n)` iterations (Theorems 4.5 and 5.2 (2)).
-pub fn oracle_run_to_fixpoint_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<A::M>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-    A::M: PartialEq,
-{
-    // `oracle_run_with` detects the fixpoint and stops early, so the
-    // capped run *is* the run-to-fixpoint.
-    oracle_run_with(alg, sim, cap, strategy)
-}
-
-/// Iterates `alg` on `H` to a fixpoint under the default hybrid engine.
-pub fn oracle_run_to_fixpoint<A>(alg: &A, sim: &SimulatedGraph, cap: usize) -> OracleRun<A::M>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-    A::M: PartialEq,
-{
-    oracle_run_to_fixpoint_with(alg, sim, cap, EngineStrategy::default())
-}
-
 /// Guarded [`oracle_run_with`]: panics become typed errors, injected
 /// faults are audited, final states are sanity-scanned. An exhausted
 /// iteration budget is reported as `converged: false`, not an error.
@@ -583,7 +652,7 @@ pub fn try_oracle_run_with<A>(
     sim: &SimulatedGraph,
     h: usize,
     strategy: EngineStrategy,
-) -> Result<(OracleRun<A::M>, crate::error::RunReport), crate::error::RunError>
+) -> Result<(OracleRun<A::M>, crate::error::RunReport), RunError>
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
@@ -595,20 +664,6 @@ where
         degradations: Vec::new(),
     };
     Ok((run, report))
-}
-
-/// Guarded [`oracle_run_to_fixpoint_with`] (see [`try_oracle_run_with`]).
-pub fn try_oracle_run_to_fixpoint_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> Result<(OracleRun<A::M>, crate::error::RunReport), crate::error::RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-    A::M: PartialEq,
-{
-    try_oracle_run_with(alg, sim, cap, strategy)
 }
 
 /// Default iteration cap: `SPD(H) ∈ O(log² n)` w.h.p. (Theorem 4.5), with
@@ -639,7 +694,7 @@ mod tests {
         let h_explicit = sim.explicit_h();
 
         let alg = SourceDetection::apsp(g.n());
-        let via_oracle = oracle_run_to_fixpoint(&alg, &sim, 4 * g.n());
+        let via_oracle = oracle_run(&alg, &sim, 4 * g.n());
         assert!(via_oracle.fixpoint);
         // The run metadata mirrors the flags it summarizes.
         assert!(via_oracle.converged);
@@ -655,6 +710,20 @@ mod tests {
                 via_h.states[v]
             );
         }
+    }
+
+    #[test]
+    fn sorted_union_visits_every_vertex_once_in_order() {
+        let union = |a: &[NodeId], b: &[NodeId]| {
+            let mut seen = Vec::new();
+            for_each_sorted_union(a, b, |v| seen.push(v));
+            seen
+        };
+        assert_eq!(union(&[1, 4, 6], &[0, 4, 5, 9, 12]), [0, 1, 4, 5, 6, 9, 12]);
+        assert_eq!(union(&[2, 7, 8], &[2]), [2, 7, 8]);
+        assert_eq!(union(&[], &[3, 5]), [3, 5]);
+        assert_eq!(union(&[3, 5], &[]), [3, 5]);
+        assert!(union(&[], &[]).is_empty());
     }
 
     #[test]
@@ -684,7 +753,7 @@ mod tests {
         let g = path_graph(64, 1.0);
         let sim = SimulatedGraph::without_hopset(&g, 63, 0.1, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
-        let run = oracle_run_to_fixpoint(&alg, &sim, default_iteration_cap(g.n()));
+        let run = oracle_run(&alg, &sim, default_iteration_cap(g.n()));
         assert!(
             run.fixpoint,
             "no fixpoint within {} iterations",
@@ -720,7 +789,7 @@ mod tests {
             run.h_iterations < budget,
             "burned all {budget} iterations past the fixpoint"
         );
-        let fix = oracle_run_to_fixpoint(&alg, &sim, budget);
+        let fix = oracle_run(&alg, &sim, 2 * budget);
         assert_eq!(run.states, fix.states);
         assert_eq!(run.h_iterations, fix.h_iterations);
         assert!(run.converged);
@@ -741,8 +810,8 @@ mod tests {
         let spd = shortest_path_diameter(&g) as usize;
         let sim = SimulatedGraph::without_hopset(&g, spd.max(1), 0.15, &mut rng);
         let alg = SourceDetection::apsp(g.n());
-        let dense = oracle_run_to_fixpoint_with(&alg, &sim, 4 * g.n(), EngineStrategy::Dense);
-        let frontier = oracle_run_to_fixpoint_with(&alg, &sim, 4 * g.n(), EngineStrategy::Frontier);
+        let dense = oracle_run_with(&alg, &sim, 4 * g.n(), EngineStrategy::Dense);
+        let frontier = oracle_run_with(&alg, &sim, 4 * g.n(), EngineStrategy::Frontier);
         assert_eq!(dense.states, frontier.states);
         assert_eq!(dense.h_iterations, frontier.h_iterations);
         assert!(frontier.work.edge_relaxations <= dense.work.edge_relaxations);

@@ -19,7 +19,7 @@ use metric_tree_embedding::core::checkpoint::{
 use metric_tree_embedding::core::dense::SwitchThresholds;
 use metric_tree_embedding::core::engine::{run_to_fixpoint_with, EngineStrategy};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::oracle::oracle_run_to_fixpoint_with;
+use metric_tree_embedding::core::oracle::oracle_run_with;
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
 use metric_tree_embedding::prelude::*;
@@ -277,7 +277,7 @@ fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
     for threads in THREADS {
         let (sim, alg) = (&sim, &alg);
         with_threads(threads, move || {
-            let reference = oracle_run_to_fixpoint_with(alg, sim, cap, strategy);
+            let reference = oracle_run_with(alg, sim, cap, strategy);
             let (_, checkpoints) = capture_all(|sink| {
                 try_oracle_run_checkpointed_with(
                     alg,

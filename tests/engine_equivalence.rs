@@ -196,19 +196,15 @@ fn engine_outputs_bit_identical_across_thread_counts() {
 
 #[test]
 fn oracle_outputs_bit_identical_across_thread_counts() {
-    use metric_tree_embedding::core::oracle::oracle_run_to_fixpoint_with;
+    use metric_tree_embedding::core::oracle::oracle_run_with;
     use metric_tree_embedding::core::simgraph::SimulatedGraph;
     let mut rng = StdRng::seed_from_u64(0xD372);
     let g = gnm_graph(160, 420, 1.0..6.0, &mut rng);
     let sim = SimulatedGraph::without_hopset(&g, 24, 0.15, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 5);
     for strategy in [EngineStrategy::Dense, EngineStrategy::Frontier] {
-        let r1 = with_threads(1, || {
-            oracle_run_to_fixpoint_with(&alg, &sim, 4 * g.n(), strategy)
-        });
-        let r4 = with_threads(4, || {
-            oracle_run_to_fixpoint_with(&alg, &sim, 4 * g.n(), strategy)
-        });
+        let r1 = with_threads(1, || oracle_run_with(&alg, &sim, 4 * g.n(), strategy));
+        let r4 = with_threads(4, || oracle_run_with(&alg, &sim, 4 * g.n(), strategy));
         assert_eq!(r1.states, r4.states, "states differ under {strategy:?}");
         assert_eq!(r1.work, r4.work, "work counters differ under {strategy:?}");
         assert_eq!(r1.h_iterations, r4.h_iterations);

@@ -2,12 +2,14 @@
 //! proptest-generated graphs (sizes kept small so shrinking stays fast).
 
 use metric_tree_embedding::algebra::NodeId;
+use metric_tree_embedding::core::arena::oracle_run_arena_with_schedule;
 use metric_tree_embedding::core::catalog::SourceDetection;
-use metric_tree_embedding::core::engine::run_to_fixpoint;
+use metric_tree_embedding::core::dense::oracle_run_dense_with_schedule;
+use metric_tree_embedding::core::engine::{run_to_fixpoint, EngineStrategy};
 use metric_tree_embedding::core::frt::le_list::{
     le_lists_approx_eq, le_lists_direct, le_lists_oracle, Ranks,
 };
-use metric_tree_embedding::core::oracle::oracle_run_to_fixpoint;
+use metric_tree_embedding::core::oracle::oracle_run;
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::graph::algorithms::{apsp_by_squaring, shortest_path_diameter, sssp};
 use metric_tree_embedding::prelude::*;
@@ -27,18 +29,33 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Theorem 5.2 on random graphs: oracle APSP ≡ explicit-H APSP.
+    /// Theorem 5.2 on random graphs, through every lane of the oracle's
+    /// level loop: owned and dense APSP, and arena k-SSP (a truncating
+    /// filter), each ≡ the same algorithm run on the explicit H.
     #[test]
     fn oracle_equals_explicit_h(g in arb_graph(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let spd = shortest_path_diameter(&g) as usize;
         let sim = SimulatedGraph::without_hopset(&g, spd.max(1), 0.1, &mut rng);
-        let alg = SourceDetection::apsp(g.n());
-        let via_oracle = oracle_run_to_fixpoint(&alg, &sim, 4 * g.n());
-        let h = sim.explicit_h();
-        let via_h = run_to_fixpoint(&alg, &h, 4 * g.n());
-        for v in 0..g.n() {
-            prop_assert!(via_oracle.states[v].approx_eq(&via_h.states[v], 1e-9));
+        let (h, cap, strategy) = (sim.explicit_h(), 4 * g.n(), EngineStrategy::default());
+        let apsp = SourceDetection::apsp(g.n());
+        let kssp = SourceDetection::k_ssp(g.n(), 3);
+        let lanes = [
+            (oracle_run(&apsp, &sim, cap), run_to_fixpoint(&apsp, &h, cap)),
+            (
+                oracle_run_dense_with_schedule(&apsp, &sim, cap, strategy, true),
+                run_to_fixpoint(&apsp, &h, cap),
+            ),
+            (
+                oracle_run_arena_with_schedule(&kssp, &sim, cap, strategy, true),
+                run_to_fixpoint(&kssp, &h, cap),
+            ),
+        ];
+        for (via_oracle, via_h) in lanes {
+            prop_assert!(via_oracle.fixpoint);
+            for v in 0..g.n() {
+                prop_assert!(via_oracle.states[v].approx_eq(&via_h.states[v], 1e-9));
+            }
         }
     }
 

@@ -11,13 +11,17 @@
 //! releasing it. Expected injected panics are silenced with a no-op
 //! panic hook for the duration of the sweep.
 
-use metric_tree_embedding::core::arena::try_run_to_fixpoint_arena_with;
+use metric_tree_embedding::core::arena::{
+    oracle_run_arena_with_schedule, try_run_to_fixpoint_arena_with,
+};
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::{
-    try_run_to_fixpoint_dense_with, try_run_to_fixpoint_switching_with, SwitchThresholds,
+    oracle_run_dense_with_schedule, try_run_to_fixpoint_dense_with,
+    try_run_to_fixpoint_switching_with, SwitchThresholds,
 };
 use metric_tree_embedding::core::engine::{try_run_to_fixpoint_with, EngineStrategy};
-use metric_tree_embedding::core::oracle::try_oracle_run_to_fixpoint_with;
+use metric_tree_embedding::core::error::{check_states, run_guarded};
+use metric_tree_embedding::core::oracle::{try_oracle_run_with, OracleRun};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::{Degradation, RunError, RunReport};
 use metric_tree_embedding::faults::{self, FaultKind, FaultPlan, FaultSite};
@@ -93,6 +97,8 @@ enum Pipeline {
     Dense,
     Switching,
     Oracle,
+    ArenaOracle,
+    DenseOracle,
 }
 
 impl Pipeline {
@@ -117,7 +123,7 @@ impl Pipeline {
                 (FaultSite::DenseRowKernel, FaultKind::PoisonNan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
             ],
-            Pipeline::Oracle => vec![
+            Pipeline::Oracle | Pipeline::ArenaOracle | Pipeline::DenseOracle => vec![
                 (FaultSite::OracleLevelLoop, FaultKind::Panic),
                 (FaultSite::OracleLevelLoop, FaultKind::PoisonNan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
@@ -164,19 +170,48 @@ impl Pipeline {
             }
             Pipeline::Oracle => {
                 let alg = SourceDetection::apsp(g.n());
-                try_oracle_run_to_fixpoint_with(&alg, sim, 4 * g.n(), strategy)
+                try_oracle_run_with(&alg, sim, 4 * g.n(), strategy)
                     .map(|(run, report)| (run.states, report))
+            }
+            Pipeline::ArenaOracle => {
+                let alg = SourceDetection::k_ssp(g.n(), 4);
+                guarded_oracle(|| {
+                    oracle_run_arena_with_schedule(&alg, sim, 4 * g.n(), strategy, true)
+                })
+            }
+            Pipeline::DenseOracle => {
+                let alg = SourceDetection::apsp(g.n());
+                guarded_oracle(|| {
+                    oracle_run_dense_with_schedule(&alg, sim, 4 * g.n(), strategy, true)
+                })
             }
         }
     }
 }
 
-const PIPELINES: [Pipeline; 5] = [
+/// A plain oracle run behind the library's run guard and state scan —
+/// the same funnel `try_oracle_run_with` puts the owned lane through.
+fn guarded_oracle(
+    run: impl FnOnce() -> OracleRun<DistanceMap>,
+) -> Result<(Vec<DistanceMap>, RunReport), RunError> {
+    let run = run_guarded(run)?;
+    check_states::<MinPlus, DistanceMap>(&run.states)?;
+    let report = RunReport {
+        converged: run.converged,
+        hops: run.hops,
+        degradations: Vec::new(),
+    };
+    Ok((run.states, report))
+}
+
+const PIPELINES: [Pipeline; 7] = [
     Pipeline::Owned,
     Pipeline::Arena,
     Pipeline::Dense,
     Pipeline::Switching,
     Pipeline::Oracle,
+    Pipeline::ArenaOracle,
+    Pipeline::DenseOracle,
 ];
 
 /// The tentpole sweep: every pipeline × wired (site, kind) × arrival
@@ -228,6 +263,33 @@ fn every_injected_fault_errors_typed_or_leaves_output_bit_identical() {
                     }
                 }
             }
+        }
+    }
+}
+
+/// The level-loop site sits in the loop every oracle lane shares: a
+/// first-arrival panic stops the owned, arena and dense oracles alike.
+#[test]
+fn oracle_level_loop_site_fires_on_every_lane() {
+    let _guard = FaultGuard::acquire();
+    let (g, sim) = oracle_fixture();
+    for pipeline in [
+        Pipeline::Oracle,
+        Pipeline::ArenaOracle,
+        Pipeline::DenseOracle,
+    ] {
+        faults::install(FaultPlan::single(
+            FaultSite::OracleLevelLoop,
+            FaultKind::Panic,
+            0,
+        ));
+        let out = pipeline.run(&g, &sim);
+        faults::clear();
+        match out {
+            Err(RunError::InjectedFault { site, .. }) => {
+                assert_eq!(site, FaultSite::OracleLevelLoop, "{pipeline:?}")
+            }
+            other => panic!("{pipeline:?}: expected InjectedFault, got {other:?}"),
         }
     }
 }

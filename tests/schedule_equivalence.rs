@@ -440,41 +440,73 @@ fn arena_engine_bit_identical_across_thread_counts() {
     assert_eq!(r1.iterations, r4.iterations);
 }
 
+/// Two lanes of the oracle's level loop ran the same schedule: equal
+/// states, round counts and fixpoint flags, and — since every lane hops
+/// the same frontier — equal hop and touched-vertex counts. The other
+/// counters are in each backend's own currency.
+fn assert_lanes_agree<M: PartialEq + std::fmt::Debug>(
+    a: &OracleRun<M>,
+    b: &OracleRun<M>,
+    label: &str,
+) {
+    assert_eq!(a.states, b.states, "{label}: lanes diverged");
+    assert_eq!(a.h_iterations, b.h_iterations, "{label}");
+    assert_eq!(a.fixpoint, b.fixpoint, "{label}");
+    assert_eq!(a.work.iterations, b.work.iterations, "{label}: hops");
+    assert_eq!(
+        a.work.touched_vertices, b.work.touched_vertices,
+        "{label}: touched_vertices"
+    );
+}
+
+/// Runs `f` under pools of 1 and 4 threads and asserts the two runs are
+/// identical down to every work counter.
+fn thread_invariant<M: PartialEq + std::fmt::Debug + Send>(
+    label: &str,
+    f: impl Fn() -> OracleRun<M> + Send + Copy,
+) -> OracleRun<M> {
+    let r1 = with_threads(1, f);
+    let r4 = with_threads(4, f);
+    assert_eq!(r1.states, r4.states, "{label}: thread divergence");
+    assert_eq!(r1.h_iterations, r4.h_iterations, "{label}");
+    assert_eq!(r1.work, r4.work, "{label}: work differs across threads");
+    r1
+}
+
 #[test]
 fn arena_oracle_bit_identical_to_owned_oracle() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53EB)));
     let le = LeListAlgorithm::new(Arc::clone(&ranks));
+    let kssp = SourceDetection::k_ssp(g.n(), 5);
+    let (le, kssp, sim) = (&le, &kssp, &sim);
     for strategy in STRATEGIES {
         for carry_over in [true, false] {
-            for threads in [1, 4] {
-                let (le, sim) = (&le, &sim);
-                let (owned, arena) = with_threads(threads, move || {
-                    (
-                        oracle_run_with_schedule(le, sim, cap, strategy, carry_over),
-                        oracle_run_arena_with_schedule(le, sim, cap, strategy, carry_over),
-                    )
-                });
-                let label = format!("oracle/{strategy:?}/carry={carry_over}/t={threads}");
-                assert_eq!(owned.states, arena.states, "{label}: arena diverged");
-                assert_eq!(owned.h_iterations, arena.h_iterations, "{label}");
-                assert_eq!(owned.fixpoint, arena.fixpoint, "{label}");
-                // The semi-naive handover reads deltas, never a
-                // different admitted set: the paper's work counter
-                // must match the owned oracle exactly.
-                assert_eq!(
-                    owned.work.entries_processed, arena.work.entries_processed,
-                    "{label}: entries_processed"
-                );
-            }
+            let label = format!("oracle/{strategy:?}/carry={carry_over}");
+            let owned = thread_invariant(&format!("{label}/owned"), || {
+                oracle_run_with_schedule(le, sim, cap, strategy, carry_over)
+            });
+            let arena = thread_invariant(&format!("{label}/arena"), || {
+                oracle_run_arena_with_schedule(le, sim, cap, strategy, carry_over)
+            });
+            assert_lanes_agree(&owned, &arena, &label);
+            // The semi-naive handover reads deltas, never a different
+            // admitted set: the paper's work counter must match the
+            // owned oracle exactly.
+            assert_eq!(
+                owned.work.entries_processed, arena.work.entries_processed,
+                "{label}: entries_processed"
+            );
 
-            let kssp = SourceDetection::k_ssp(g.n(), 5);
-            let owned = oracle_run_with_schedule(&kssp, &sim, cap, strategy, carry_over);
-            let arena = oracle_run_arena_with_schedule(&kssp, &sim, cap, strategy, carry_over);
-            assert_eq!(owned.states, arena.states);
-            assert_eq!(owned.h_iterations, arena.h_iterations);
-            assert_eq!(owned.fixpoint, arena.fixpoint);
+            let label = format!("{label}/kssp");
+            let owned = thread_invariant(&format!("{label}/owned"), || {
+                oracle_run_with_schedule(kssp, sim, cap, strategy, carry_over)
+            });
+            let arena = thread_invariant(&format!("{label}/arena"), || {
+                oracle_run_arena_with_schedule(kssp, sim, cap, strategy, carry_over)
+            });
+            assert_lanes_agree(&owned, &arena, &label);
         }
     }
 }
@@ -737,20 +769,27 @@ fn dense_oracle_bit_identical_to_owned_oracle_across_threads() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let alg = SourceDetection::apsp(g.n());
-    let reference = oracle_run_with_schedule(&alg, &sim, cap, EngineStrategy::Frontier, true);
-    let sim = &sim;
-    let alg = &alg;
-    for threads in [1, 4] {
+    let (alg, sim) = (&alg, &sim);
+    // One production-schedule reference for every run pins APSP
+    // carry-over ≡ all-dirty restart as well as lane agreement.
+    let reference = oracle_run_with_schedule(alg, sim, cap, EngineStrategy::Frontier, true);
+    assert!(reference.fixpoint);
+    for strategy in STRATEGIES {
         for carry_over in [true, false] {
-            let dense = with_threads(threads, move || {
-                oracle_run_dense_with_schedule(alg, sim, cap, EngineStrategy::Frontier, carry_over)
+            let label = format!("apsp/{strategy:?}/carry={carry_over}");
+            let owned = thread_invariant(&format!("{label}/owned"), || {
+                oracle_run_with_schedule(alg, sim, cap, strategy, carry_over)
             });
+            let dense = thread_invariant(&format!("{label}/dense"), || {
+                oracle_run_dense_with_schedule(alg, sim, cap, strategy, carry_over)
+            });
+            assert_lanes_agree(&owned, &dense, &label);
             assert_eq!(
                 dense.states, reference.states,
-                "{threads} threads, carry={carry_over}: dense oracle diverged"
+                "{label}: diverged from the carry-over reference"
             );
-            assert_eq!(dense.h_iterations, reference.h_iterations);
-            assert_eq!(dense.fixpoint, reference.fixpoint);
+            assert_eq!(dense.h_iterations, reference.h_iterations, "{label}");
+            assert_eq!(dense.fixpoint, reference.fixpoint, "{label}");
         }
     }
 }
