@@ -8,10 +8,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mte_algebra::dense::{relax_row_into, relax_rows_into};
 use mte_algebra::MinPlus;
 use mte_core::catalog::SourceDetection;
-use mte_core::dense::{
-    run_to_fixpoint_dense_with, run_to_fixpoint_switching_with, SwitchThresholds,
-};
-use mte_core::engine::{run_to_fixpoint_with, EngineStrategy};
+use mte_core::dense::{DenseBackend, SwitchThresholds, SwitchingEngine};
+use mte_core::engine::{EngineStrategy, OwnedBackend};
+use mte_core::run::run_to_fixpoint_on;
 use mte_graph::generators::{gnm_graph, grid_graph};
 use mte_graph::Graph;
 use rand::rngs::StdRng;
@@ -57,34 +56,33 @@ fn bench_dense(c: &mut Criterion) {
         let apsp = SourceDetection::apsp(g.n());
         group.bench_function(format!("apsp/{graph_name}/owned"), |b| {
             b.iter(|| {
-                black_box(run_to_fixpoint_with(
+                black_box(run_to_fixpoint_on(
+                    OwnedBackend::new(EngineStrategy::Dense),
                     &apsp,
                     &g,
                     g.n() + 1,
-                    EngineStrategy::Dense,
                 ))
                 .iterations
             })
         });
         group.bench_function(format!("apsp/{graph_name}/dense-block"), |b| {
             b.iter(|| {
-                black_box(run_to_fixpoint_dense_with(
+                black_box(run_to_fixpoint_on(
+                    DenseBackend::new(EngineStrategy::Dense, None),
                     &apsp,
                     &g,
                     g.n() + 1,
-                    EngineStrategy::Dense,
                 ))
                 .iterations
             })
         });
         group.bench_function(format!("apsp/{graph_name}/switching"), |b| {
             b.iter(|| {
-                black_box(run_to_fixpoint_switching_with(
+                black_box(run_to_fixpoint_on(
+                    SwitchingEngine::new(EngineStrategy::default(), SwitchThresholds::default()),
                     &apsp,
                     &g,
                     g.n() + 1,
-                    EngineStrategy::default(),
-                    SwitchThresholds::default(),
                 ))
                 .iterations
             })

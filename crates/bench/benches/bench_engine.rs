@@ -4,8 +4,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mte_core::catalog::SourceDetection;
-use mte_core::engine::{run_to_fixpoint_with, EngineStrategy};
+use mte_core::engine::{EngineStrategy, OwnedBackend};
 use mte_core::frt::le_list::{LeListAlgorithm, Ranks};
+use mte_core::run::run_to_fixpoint_on;
 use mte_graph::generators::{gnm_graph, grid_graph};
 use mte_graph::Graph;
 use rand::rngs::StdRng;
@@ -43,9 +44,14 @@ fn bench_engine(c: &mut Criterion) {
         for (strat_name, strategy) in strategies() {
             group.bench_function(format!("sssp/{graph_name}/{strat_name}"), |b| {
                 b.iter(|| {
-                    black_box(run_to_fixpoint_with(&sssp, &g, g.n() + 1, strategy))
-                        .work
-                        .edge_relaxations
+                    black_box(run_to_fixpoint_on(
+                        OwnedBackend::new(strategy),
+                        &sssp,
+                        &g,
+                        g.n() + 1,
+                    ))
+                    .work
+                    .edge_relaxations
                 })
             });
         }
@@ -56,9 +62,14 @@ fn bench_engine(c: &mut Criterion) {
         for (strat_name, strategy) in strategies() {
             group.bench_function(format!("le_lists/{graph_name}/{strat_name}"), |b| {
                 b.iter(|| {
-                    black_box(run_to_fixpoint_with(&le, &g, g.n() + 1, strategy))
-                        .work
-                        .edge_relaxations
+                    black_box(run_to_fixpoint_on(
+                        OwnedBackend::new(strategy),
+                        &le,
+                        &g,
+                        g.n() + 1,
+                    ))
+                    .work
+                    .edge_relaxations
                 })
             });
         }

@@ -12,14 +12,11 @@
 
 use crate::engine_suite::json_escape;
 use crate::tables::{f, Table};
-use mte_core::arena::{run_to_fixpoint_arena_with, ArenaMbfAlgorithm};
+use mte_core::arena::{ArenaBackend, ArenaMbfAlgorithm};
 use mte_core::catalog::SourceDetection;
-use mte_core::checkpoint::{
-    try_resume_run_to_fixpoint_arena_with, try_resume_run_to_fixpoint_with,
-    try_run_checkpointed_arena_with, try_run_checkpointed_with, CheckpointPolicy,
-};
-use mte_core::engine::{run_to_fixpoint_with, EngineStrategy, MbfAlgorithm};
+use mte_core::engine::{EngineStrategy, MbfAlgorithm, OwnedBackend};
 use mte_core::frt::le_list::{LeListAlgorithm, Ranks};
+use mte_core::run::{run_to_fixpoint_on, try_resume_on, try_run_on, CheckpointPolicy};
 use mte_graph::generators::{gnm_graph, grid_graph};
 use mte_graph::Graph;
 use mte_persist::{SnapshotReader, SnapshotWriter};
@@ -75,14 +72,14 @@ where
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
     let t0 = Instant::now();
-    let reference = run_to_fixpoint_with(alg, g, cap, strategy);
+    let reference = run_to_fixpoint_on(OwnedBackend::new(strategy), alg, g, cap);
     let run_wall_ms = ms(t0);
 
     let policy = CheckpointPolicy::every_hops(cadence(reference.iterations));
     let mut encode_ms = 0.0;
     let mut images: Vec<Vec<u8>> = Vec::new();
     let t0 = Instant::now();
-    let (run, _) = try_run_checkpointed_with(alg, g, cap, strategy, policy, |c| {
+    let (run, _) = try_run_on(OwnedBackend::new(strategy), alg, g, cap, policy, |c| {
         let te = Instant::now();
         let image = SnapshotWriter::new().put_checkpoint(c).encode();
         encode_ms += ms(te);
@@ -102,7 +99,7 @@ where
         .expect("checkpoint section present");
     let decode_ms = ms(td);
     let tr = Instant::now();
-    let (resumed, _) = try_resume_run_to_fixpoint_with(alg, g, cap, strategy, &ckpt)
+    let (resumed, _) = try_resume_on(OwnedBackend::new(strategy), alg, g, cap, &ckpt)
         .expect("resume from own snapshot cannot fail");
     let resume_wall_ms = ms(tr);
     assert_eq!(
@@ -134,14 +131,14 @@ where
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
     let t0 = Instant::now();
-    let reference = run_to_fixpoint_arena_with(alg, g, cap, strategy);
+    let reference = run_to_fixpoint_on(ArenaBackend::new(strategy), alg, g, cap);
     let run_wall_ms = ms(t0);
 
     let policy = CheckpointPolicy::every_hops(cadence(reference.iterations));
     let mut encode_ms = 0.0;
     let mut images: Vec<Vec<u8>> = Vec::new();
     let t0 = Instant::now();
-    let (run, _) = try_run_checkpointed_arena_with(alg, g, cap, strategy, policy, |c| {
+    let (run, _) = try_run_on(ArenaBackend::new(strategy), alg, g, cap, policy, |c| {
         let te = Instant::now();
         let image = SnapshotWriter::new().put_checkpoint(c).encode();
         encode_ms += ms(te);
@@ -161,7 +158,7 @@ where
         .expect("checkpoint section present");
     let decode_ms = ms(td);
     let tr = Instant::now();
-    let (resumed, _) = try_resume_run_to_fixpoint_arena_with(alg, g, cap, strategy, &ckpt)
+    let (resumed, _) = try_resume_on(ArenaBackend::new(strategy), alg, g, cap, &ckpt)
         .expect("resume from own snapshot cannot fail");
     let resume_wall_ms = ms(tr);
     assert_eq!(

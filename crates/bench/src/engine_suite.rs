@@ -25,13 +25,12 @@
 
 use crate::tables::{f, Table};
 use mte_algebra::DistanceMap;
-use mte_core::arena::{run_to_fixpoint_arena_with, ArenaMbfAlgorithm};
+use mte_core::arena::{ArenaBackend, ArenaMbfAlgorithm};
 use mte_core::catalog::SourceDetection;
-use mte_core::dense::{
-    run_to_fixpoint_dense_with, run_to_fixpoint_switching_with, SwitchThresholds,
-};
-use mte_core::engine::{run_to_fixpoint_with, EngineStrategy, MbfAlgorithm, MbfRun};
+use mte_core::dense::{DenseBackend, SwitchThresholds, SwitchingEngine};
+use mte_core::engine::{EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
 use mte_core::frt::le_list::{LeListAlgorithm, Ranks};
+use mte_core::run::run_to_fixpoint_on;
 use mte_core::work::WorkStats;
 use mte_graph::generators::{gnm_graph, grid_graph, path_graph};
 use mte_graph::Graph;
@@ -178,7 +177,7 @@ fn measure_owned<A>(
             continue;
         }
         let t0 = Instant::now();
-        let run = run_to_fixpoint_with(alg, g, cap, strategy);
+        let run = run_to_fixpoint_on(OwnedBackend::new(strategy), alg, g, cap);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let label = format!("{}{suffix}", strategy_label(strategy));
         record(
@@ -212,7 +211,7 @@ fn measure_arena<A>(
     let cap = g.n() + 1;
     for strategy in [EngineStrategy::Frontier, EngineStrategy::default()] {
         let t0 = Instant::now();
-        let run = run_to_fixpoint_arena_with(alg, g, cap, strategy);
+        let run = run_to_fixpoint_on(ArenaBackend::new(strategy), alg, g, cap);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         let label = format!("{}{suffix}", strategy_label(strategy));
         record(
@@ -244,7 +243,8 @@ pub fn engine_suite() -> Vec<EngineCase> {
         // `dense` row.
         let sssp = SourceDetection::sssp(g.n(), 0);
         let t0 = Instant::now();
-        let reference = run_to_fixpoint_with(&sssp, &g, cap, EngineStrategy::Dense);
+        let reference =
+            run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &sssp, &g, cap);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         record(
             &label,
@@ -264,7 +264,7 @@ pub fn engine_suite() -> Vec<EngineCase> {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
         let le = LeListAlgorithm::new(ranks);
         let t0 = Instant::now();
-        let reference = run_to_fixpoint_with(&le, &g, cap, EngineStrategy::Dense);
+        let reference = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &le, &g, cap);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         record(
             &label,
@@ -289,7 +289,8 @@ pub fn engine_suite() -> Vec<EngineCase> {
         let cap = g.n() + 1;
         let apsp = SourceDetection::apsp(g.n());
         let t0 = Instant::now();
-        let reference = run_to_fixpoint_with(&apsp, &g, cap, EngineStrategy::Dense);
+        let reference =
+            run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &apsp, &g, cap);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         record(
             &label,
@@ -303,7 +304,12 @@ pub fn engine_suite() -> Vec<EngineCase> {
             &mut cases,
         );
         let t0 = Instant::now();
-        let run = run_to_fixpoint_dense_with(&apsp, &g, cap, EngineStrategy::Dense);
+        let run = run_to_fixpoint_on(
+            DenseBackend::new(EngineStrategy::Dense, None),
+            &apsp,
+            &g,
+            cap,
+        );
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         record(
             &label,
@@ -317,12 +323,11 @@ pub fn engine_suite() -> Vec<EngineCase> {
             &mut cases,
         );
         let t0 = Instant::now();
-        let run = run_to_fixpoint_switching_with(
+        let run = run_to_fixpoint_on(
+            SwitchingEngine::new(EngineStrategy::default(), SwitchThresholds::default()),
             &apsp,
             &g,
             cap,
-            EngineStrategy::default(),
-            SwitchThresholds::default(),
         );
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         record(
@@ -449,7 +454,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let g = gnm_graph(40, 90, 1.0..9.0, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
-        let reference = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Dense);
+        let reference = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::Dense),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
         let mut cases = Vec::new();
         measure_owned("mini", &g, "sssp", &alg, "", false, &reference, &mut cases);
         measure_arena("mini", &g, "sssp", &alg, "+arena", &reference, &mut cases);

@@ -29,10 +29,9 @@ use crate::tables::{f, Table};
 use mte_algebra::DistanceMap;
 use mte_congest::CongestCost;
 use mte_core::catalog::SourceDetection;
-use mte_core::dense::{
-    run_to_fixpoint_dense_with, run_to_fixpoint_switching_with, SwitchThresholds,
-};
-use mte_core::engine::{run_to_fixpoint_with, EngineStrategy, MbfRun};
+use mte_core::dense::{DenseBackend, SwitchThresholds, SwitchingEngine};
+use mte_core::engine::{EngineStrategy, MbfRun, OwnedBackend};
+use mte_core::run::run_to_fixpoint_on;
 use mte_core::shard::try_run_sharded_to_fixpoint_with;
 use mte_graph::generators::{gnm_graph, grid_graph};
 use mte_graph::Graph;
@@ -235,7 +234,7 @@ pub fn measure_thread_sweep(
         counts,
         "apsp dense",
         None,
-        || run_to_fixpoint_with(&alg, g, cap, EngineStrategy::Dense),
+        || run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, g, cap),
         out,
     )
 }
@@ -260,7 +259,14 @@ pub fn parallel_suite() -> Vec<ParallelCase> {
             &counts,
             "apsp dense-block",
             Some(&reference),
-            || run_to_fixpoint_dense_with(&alg, &g, cap, EngineStrategy::Frontier),
+            || {
+                run_to_fixpoint_on(
+                    DenseBackend::new(EngineStrategy::Frontier, None),
+                    &alg,
+                    &g,
+                    cap,
+                )
+            },
             &mut cases,
         );
         measure_thread_sweep_with(
@@ -270,12 +276,11 @@ pub fn parallel_suite() -> Vec<ParallelCase> {
             "apsp switching",
             Some(&reference),
             || {
-                run_to_fixpoint_switching_with(
+                run_to_fixpoint_on(
+                    SwitchingEngine::new(EngineStrategy::default(), SwitchThresholds::default()),
                     &alg,
                     &g,
                     cap,
-                    EngineStrategy::default(),
-                    SwitchThresholds::default(),
                 )
             },
             &mut cases,
@@ -370,7 +375,14 @@ mod tests {
             &[1, 2],
             "apsp dense-block",
             Some(&reference),
-            || run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, EngineStrategy::Dense),
+            || {
+                run_to_fixpoint_on(
+                    DenseBackend::new(EngineStrategy::Dense, None),
+                    &alg,
+                    &g,
+                    g.n() + 1,
+                )
+            },
             &mut cases,
         );
         measure_thread_sweep_with(
@@ -380,12 +392,11 @@ mod tests {
             "apsp switching",
             Some(&reference),
             || {
-                run_to_fixpoint_switching_with(
+                run_to_fixpoint_on(
+                    SwitchingEngine::new(EngineStrategy::default(), SwitchThresholds::default()),
                     &alg,
                     &g,
                     g.n() + 1,
-                    EngineStrategy::default(),
-                    SwitchThresholds::default(),
                 )
             },
             &mut cases,

@@ -78,9 +78,10 @@
 //! arena lanes: one store per level, `O(Λ)` buffers total instead of
 //! the owned lane's `Θ(Λ·n)` per-vertex maps.
 
-use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfRun};
-use crate::error::{RunError, RunReport};
+use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm};
+use crate::error::RunError;
 use crate::oracle::{run_lanes, Lane, OracleRun};
+use crate::run::{Checkpoint, StateBackend};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::store::{DistanceSlice, EpochStore, SpanOut, StoreStats};
@@ -402,7 +403,7 @@ pub fn default_recompute_span<A: ArenaMbfAlgorithm + ?Sized>(
 
 /// Storage counters of a [`StoreStats`] snapshot folded into the
 /// work-accounting shape.
-pub(crate) fn storage_work(stats: StoreStats) -> WorkStats {
+fn storage_work(stats: StoreStats) -> WorkStats {
     WorkStats {
         bytes_copied: stats.bytes_copied,
         alloc_count: stats.alloc_count,
@@ -720,117 +721,70 @@ pub fn initial_store<A: ArenaMbfAlgorithm>(alg: &A, n: usize) -> EpochStore {
     store
 }
 
-/// Runs exactly `h` iterations on the arena backend (cf.
-/// [`crate::engine::run_with`]); bit-identical states, exported as
-/// owned maps.
-pub fn run_arena_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> MbfRun<DistanceMap> {
-    let mut store = initial_store(alg, g.n());
-    let mut work = storage_work(store.stats());
-    let mut engine = ArenaEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    for _ in 0..h {
-        let (w, _) = engine.step(alg, g, &mut store, 1.0);
-        work += w;
-    }
-    MbfRun {
-        states: store.export(),
-        iterations: h,
-        fixpoint: false,
-        work,
-    }
-}
-
-/// Iterates the arena backend to the fixpoint, capped at `cap` hops
-/// (cf. [`crate::engine::run_to_fixpoint_with`]: the confirming hop is
-/// counted).
-pub fn run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> MbfRun<DistanceMap> {
-    let mut store = initial_store(alg, g.n());
-    let mut work = storage_work(store.stats());
-    let mut engine = ArenaEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    let mut iterations = 0;
-    let mut fixpoint = false;
-    while iterations < cap {
-        let (w, changed) = engine.step(alg, g, &mut store, 1.0);
-        work += w;
-        iterations += 1;
-        if !changed {
-            fixpoint = true;
-            break;
-        }
-    }
-    MbfRun {
-        states: store.export(),
-        iterations,
-        fixpoint,
-        work,
-    }
-}
-
-/// Iterates the arena backend to the fixpoint under the default hybrid
-/// strategy.
-pub fn run_to_fixpoint_arena<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-) -> MbfRun<DistanceMap> {
-    run_to_fixpoint_arena_with(alg, g, cap, EngineStrategy::default())
-}
-
-/// Guarded [`run_to_fixpoint_arena_with`] (cf.
-/// [`crate::engine::try_run_to_fixpoint_with`]): panics become typed
-/// errors, injected faults are audited, exported states are scanned.
-pub fn try_run_to_fixpoint_arena_with<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> Result<(MbfRun<DistanceMap>, RunReport), RunError> {
-    let run = crate::error::run_guarded(|| run_to_fixpoint_arena_with(alg, g, cap, strategy))?;
-    crate::error::check_states::<MinPlus, DistanceMap>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
-}
-
-// ---------------------------------------------------------------------
-// The arena oracle lane.
-// ---------------------------------------------------------------------
-
-/// The arena lane of the oracle's level loop: `y_λ` as an
-/// [`EpochStore`] hopped by an [`ArenaEngine`] — no per-vertex maps.
-struct ArenaLane {
+/// The arena backend of [`StateBackend`]: an [`EpochStore`] hopped by
+/// an [`ArenaEngine`]. Its states export as owned maps, bit-identical to
+/// the owned backend's; storage counters include the initial load.
+#[derive(Clone, Debug)]
+pub struct ArenaBackend {
     engine: ArenaEngine,
     store: EpochStore,
-    /// The store's counters at creation, the baseline
-    /// `Lane::finish` books the lane's storage traffic against.
+    /// The store's counters when the oracle built the lane, the
+    /// baseline `Lane::finish` books the lane's storage traffic against.
     created: StoreStats,
 }
 
-impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLane {
-    type X = Vec<DistanceMap>;
-    type Folded = DistanceMap;
-
-    fn project(&mut self, alg: &A, x: &Vec<DistanceMap>, v: NodeId, keep: bool) -> bool {
-        let want: &[(NodeId, Dist)] = if keep { x[v as usize].entries() } else { &[] };
-        let rewrite = self.store.get(v).entries != want;
-        if rewrite {
-            self.store.assign(v, want, |u| alg.entry_aux(u));
+impl ArenaBackend {
+    /// An empty backend whose engine runs `strategy`.
+    pub fn new(strategy: EngineStrategy) -> Self {
+        ArenaBackend {
+            engine: ArenaEngine::new(strategy),
+            store: EpochStore::default(),
+            created: StoreStats::default(),
         }
-        rewrite
+    }
+
+    /// An oracle lane: `n` empty spans, with the engine's change log on.
+    fn lane<A: ArenaMbfAlgorithm>(strategy: EngineStrategy, n: usize) -> Self {
+        let mut engine = ArenaEngine::new(strategy);
+        engine.enable_change_log();
+        let store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
+        let created = store.stats();
+        ArenaBackend {
+            engine,
+            store,
+            created,
+        }
+    }
+}
+
+impl<A: ArenaMbfAlgorithm> StateBackend<A> for ArenaBackend {
+    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
+        self.store = initial_store(alg, g.n());
+        self.engine.mark_all_dirty(g);
+        Ok(storage_work(self.store.stats()))
+    }
+
+    /// The states bulk-load into a fresh epoch pool and the recorded
+    /// frontier seeds the schedule. The seeded vertices are tainted
+    /// (their pool spans were written externally), which forces full
+    /// merges but never changes states — resumed **states** are
+    /// bit-identical to the uninterrupted run's; work counters may
+    /// differ by the taint-forced merges.
+    fn resume(
+        &mut self,
+        alg: &A,
+        g: &Graph,
+        ckpt: &Checkpoint<DistanceMap>,
+    ) -> Result<WorkStats, RunError> {
+        self.store = EpochStore::with_rank_column(g.n(), A::USES_RANK_COLUMN);
+        self.store.import(&ckpt.states, |u| alg.entry_aux(u));
+        self.engine.prime(g);
+        self.engine.mark_dirty(g, ckpt.frontier.iter().copied());
+        Ok(storage_work(self.store.stats()))
+    }
+
+    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.store, scale)
     }
 
     fn mark_all_dirty(&mut self, g: &Graph) {
@@ -841,12 +795,43 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaLane {
         self.engine.mark_dirty(g, vs.iter().copied());
     }
 
-    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.store, scale)
-    }
-
     fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
         self.engine.drain_change_log(out);
+    }
+
+    fn frontier(&self) -> &[NodeId] {
+        self.engine.frontier()
+    }
+
+    /// Reads the pool through the raw span accessor, so a capture
+    /// records the true epoch state without consuming `arena_span_read`
+    /// fault arrivals.
+    fn export_states(&self) -> Vec<DistanceMap> {
+        self.store.export_raw()
+    }
+
+    fn into_states(self) -> Vec<DistanceMap> {
+        self.store.export()
+    }
+}
+
+// ---------------------------------------------------------------------
+// The arena oracle lane.
+// ---------------------------------------------------------------------
+
+/// The arena lane of the oracle's level loop: `y_λ` as an
+/// [`EpochStore`] — no per-vertex maps.
+impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
+    type X = Vec<DistanceMap>;
+    type Folded = DistanceMap;
+
+    fn project(&mut self, alg: &A, x: &Vec<DistanceMap>, v: NodeId, keep: bool) -> bool {
+        let want: &[(NodeId, Dist)] = if keep { x[v as usize].entries() } else { &[] };
+        let rewrite = self.store.get(v).entries != want;
+        if rewrite {
+            self.store.assign(v, want, |u| alg.entry_aux(u));
+        }
+        rewrite
     }
 
     fn fold<'a>(
@@ -918,17 +903,7 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     carry_over: bool,
 ) -> OracleRun<DistanceMap> {
     let n = sim.augmented().n();
-    let lane = || {
-        let mut engine = ArenaEngine::new(strategy);
-        engine.enable_change_log();
-        let store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
-        let created = store.stats();
-        ArenaLane {
-            engine,
-            store,
-            created,
-        }
-    };
+    let lane = || ArenaBackend::lane::<A>(strategy, n);
     run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
 }
 
@@ -936,7 +911,8 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
 mod tests {
     use super::*;
     use crate::catalog::SourceDetection;
-    use crate::engine::{run_to_fixpoint_with, MbfEngine};
+    use crate::engine::{MbfEngine, OwnedBackend};
+    use crate::run::run_to_fixpoint_on;
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -951,8 +927,8 @@ mod tests {
             EngineStrategy::Frontier,
             EngineStrategy::default(),
         ] {
-            let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, strategy);
-            let arena = run_to_fixpoint_arena_with(&alg, &g, g.n() + 1, strategy);
+            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
+            let arena = run_to_fixpoint_on(ArenaBackend::new(strategy), &alg, &g, g.n() + 1);
             assert_eq!(owned.states, arena.states, "{strategy:?}");
             assert_eq!(owned.iterations, arena.iterations);
             assert_eq!(owned.fixpoint, arena.fixpoint);
@@ -974,8 +950,18 @@ mod tests {
         // appends only the wave.
         let g = path_graph(256, 1.0);
         let alg = SourceDetection::sssp(g.n(), 0);
-        let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
-        let arena = run_to_fixpoint_arena_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
+        let owned = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::Frontier),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
+        let arena = run_to_fixpoint_on(
+            ArenaBackend::new(EngineStrategy::Frontier),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
         assert_eq!(owned.states, arena.states);
         assert!(
             arena.work.bytes_copied * 2 < owned.work.bytes_copied,
@@ -1004,8 +990,18 @@ mod tests {
         let store = initial_store(&sssp, g.n());
         assert!(!store.is_ranked());
         assert_eq!(store.entry_bytes(), ENTRY_BYTES_UNRANKED);
-        let run = run_to_fixpoint_arena_with(&sssp, &g, g.n() + 1, EngineStrategy::Frontier);
-        let owned = run_to_fixpoint_with(&sssp, &g, g.n() + 1, EngineStrategy::Frontier);
+        let run = run_to_fixpoint_on(
+            ArenaBackend::new(EngineStrategy::Frontier),
+            &sssp,
+            &g,
+            g.n() + 1,
+        );
+        let owned = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::Frontier),
+            &sssp,
+            &g,
+            g.n() + 1,
+        );
         assert_eq!(run.states, owned.states);
 
         // The LE lists opt in; their probe needs the pool ranks.

@@ -59,10 +59,11 @@
 //! whose output *is* an `n × n` matrix) routes through it.
 
 use crate::engine::{
-    initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, MbfRun, SyncPtr,
+    initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, SyncPtr,
 };
-use crate::error::{Degradation, RunError, RunReport};
+use crate::error::{Degradation, RunError};
 use crate::oracle::{run_lanes, Lane, OracleRun};
+use crate::run::{Checkpoint, StateBackend};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::dense::{
@@ -418,84 +419,118 @@ where
     }
 }
 
-/// Builds the initial dense state matrix `r^V x⁽⁰⁾` (`n` columns: the
-/// coordinates of APSP-class states are node ids).
-pub fn initial_block<A>(alg: &A, n: usize) -> DenseBlock<A::S>
+/// The dense backend of [`StateBackend`]: a [`DenseBlock`] hopped by a
+/// [`DenseEngine`], states exported as sparse maps. Unlike the
+/// [`SwitchingEngine`] — which *degrades* to sparse — a dense-only run
+/// that cannot afford its `n × n` block has no fallback: start and
+/// resume check the memory budget before allocating and fail with
+/// [`RunError::DenseBudgetExceeded`].
+#[derive(Clone, Debug)]
+pub struct DenseBackend<A: DenseMbfAlgorithm>
 where
-    A: DenseMbfAlgorithm,
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    DenseBlock::from_states(&initial_states(alg, n), n)
+    engine: DenseEngine<A>,
+    block: DenseBlock<A::S>,
+    /// Memory budget for the block, in bytes; `None` = unlimited.
+    budget_bytes: Option<u64>,
 }
 
-/// Runs exactly `h` iterations on the dense backend (cf.
-/// [`crate::engine::run_with`]); bit-identical states, exported as
-/// sparse maps.
-pub fn run_dense_with<A>(alg: &A, g: &Graph, h: usize, strategy: EngineStrategy) -> MbfRun<A::M>
+impl<A: DenseMbfAlgorithm> DenseBackend<A>
 where
-    A: DenseMbfAlgorithm,
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    assert!(
-        alg.advertises_dense(),
-        "algorithm instance does not advertise dense states"
-    );
-    let mut block = initial_block(alg, g.n());
-    let mut engine = DenseEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    let mut work = WorkStats::new();
-    for _ in 0..h {
-        let (w, _) = engine.step(alg, g, &mut block, 1.0);
-        work += w;
-    }
-    MbfRun {
-        states: block.export(),
-        iterations: h,
-        fixpoint: false,
-        work,
-    }
-}
-
-/// Iterates the dense backend to the fixpoint, capped at `cap` hops
-/// (cf. [`crate::engine::run_to_fixpoint_with`]: the confirming hop is
-/// counted).
-pub fn run_to_fixpoint_dense_with<A>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> MbfRun<A::M>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    assert!(
-        alg.advertises_dense(),
-        "algorithm instance does not advertise dense states"
-    );
-    let mut block = initial_block(alg, g.n());
-    let mut engine = DenseEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    let mut work = WorkStats::new();
-    let mut iterations = 0;
-    let mut fixpoint = false;
-    while iterations < cap {
-        let (w, changed) = engine.step(alg, g, &mut block, 1.0);
-        work += w;
-        iterations += 1;
-        if !changed {
-            fixpoint = true;
-            break;
+    /// An empty backend whose engine runs `strategy`, allocating its
+    /// block only within `budget_bytes` (`None` = unlimited).
+    pub fn new(strategy: EngineStrategy, budget_bytes: Option<u64>) -> Self {
+        DenseBackend {
+            engine: DenseEngine::new(strategy),
+            block: DenseBlock::new(0, 0),
+            budget_bytes,
         }
     }
-    MbfRun {
-        states: block.export(),
-        iterations,
-        fixpoint,
-        work,
+
+    /// An oracle lane: an `n × n` block of `⊥`, with the engine's change
+    /// log on.
+    fn lane(strategy: EngineStrategy, n: usize) -> Self {
+        let mut engine = DenseEngine::new(strategy);
+        engine.enable_change_log();
+        DenseBackend {
+            engine,
+            block: DenseBlock::new(n, n),
+            budget_bytes: None,
+        }
+    }
+
+    /// Loads `states` into a fresh `n × n` block, after the budget and
+    /// dense-advertisement checks.
+    fn load(&mut self, alg: &A, states: &[A::M]) -> Result<(), RunError> {
+        let n = states.len();
+        let requested = DenseBlock::<A::S>::bytes_for(n, n);
+        if let Some(budget) = self.budget_bytes.filter(|&budget| requested > budget) {
+            return Err(RunError::DenseBudgetExceeded {
+                requested_bytes: requested,
+                budget_bytes: budget,
+            });
+        }
+        assert!(
+            alg.advertises_dense(),
+            "algorithm instance does not advertise dense states"
+        );
+        self.block = DenseBlock::from_states(states, n);
+        Ok(())
+    }
+}
+
+impl<A: DenseMbfAlgorithm> StateBackend<A> for DenseBackend<A>
+where
+    A::S: DenseKernel,
+    A::M: DenseState<A::S>,
+{
+    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
+        self.load(alg, &initial_states(alg, g.n()))?;
+        self.engine.mark_all_dirty(g);
+        Ok(WorkStats::new())
+    }
+
+    /// The states convert into a fresh block and the recorded frontier
+    /// seeds the schedule.
+    fn resume(
+        &mut self,
+        alg: &A,
+        g: &Graph,
+        ckpt: &Checkpoint<A::M>,
+    ) -> Result<WorkStats, RunError> {
+        self.load(alg, &ckpt.states)?;
+        self.engine.ensure_sized(g);
+        self.engine.mark_dirty(g, ckpt.frontier.iter().copied());
+        Ok(WorkStats::new())
+    }
+
+    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.block, scale)
+    }
+
+    fn mark_all_dirty(&mut self, g: &Graph) {
+        self.engine.mark_all_dirty(g);
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
+        self.engine.mark_dirty(g, vs.iter().copied());
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
+
+    fn frontier(&self) -> &[NodeId] {
+        self.engine.frontier()
+    }
+
+    fn export_states(&self) -> Vec<A::M> {
+        self.block.export()
     }
 }
 
@@ -562,7 +597,7 @@ enum ReprMode {
 /// back and forth at the thresholds — with states, iteration counts,
 /// and fixpoint flags bit-identical to either single-representation
 /// run (see the module docs for why). The engine owns the states; read
-/// them out with [`SwitchingEngine::export_states`].
+/// them out with [`StateBackend::export_states`].
 pub struct SwitchingEngine<A: DenseMbfAlgorithm>
 where
     A::S: DenseKernel,
@@ -605,52 +640,29 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    /// A fresh engine holding `r^V x⁽⁰⁾` in the sparse store, all
-    /// vertices dirty.
-    pub fn new(alg: &A, g: &Graph, strategy: EngineStrategy, thresholds: SwitchThresholds) -> Self {
-        assert!(
-            alg.advertises_dense(),
-            "algorithm instance does not advertise dense states"
-        );
-        let n = g.n();
-        let states = initial_states(alg, n);
-        let row_len: Vec<usize> = states.iter().map(|x| alg.state_size(x)).collect();
-        let total_live = row_len.iter().sum();
-        let mut is_dense_row = vec![false; n];
-        let mut dense_rows = 0;
-        let mut pending_flips = 0;
-        for (v, &len) in row_len.iter().enumerate() {
-            if (len as f64) >= thresholds.row_density * n as f64 {
-                is_dense_row[v] = true;
-                dense_rows += 1;
-                pending_flips += 1;
-            }
-        }
+    /// An empty engine; [`StateBackend::start`] loads `r^V x⁽⁰⁾` into
+    /// the sparse store, all vertices dirty.
+    pub fn new(strategy: EngineStrategy, thresholds: SwitchThresholds) -> Self {
         let mut sparse_engine = MbfEngine::new(strategy);
         sparse_engine.enable_change_log();
-        sparse_engine.mark_all_dirty(g);
         // The matrix-mode engine always runs the frontier-list
         // schedule: a Ligra-style dense fallback would only re-relax
         // quiescent full rows (states are bit-identical either way —
         // the strategies differ only in work).
         let mut dense_engine = DenseEngine::new(EngineStrategy::Frontier);
-        // Pre-size it so the first flip's `mark_dirty` hand-over seeds
-        // exactly the sparse frontier instead of falling back to an
-        // all-dirty restart.
-        dense_engine.ensure_sized(g);
         dense_engine.enable_change_log();
         SwitchingEngine {
             thresholds,
             mode: ReprMode::Sparse,
             sparse_engine,
             dense_engine,
-            states,
+            states: Vec::new(),
             block: DenseBlock::new(0, 0),
-            row_len,
-            total_live,
-            is_dense_row,
-            dense_rows,
-            pending_flips,
+            row_len: Vec::new(),
+            total_live: 0,
+            is_dense_row: Vec::new(),
+            dense_rows: 0,
+            pending_flips: 0,
             dense_allowed: true,
             pending_declined: 0,
             degradations: Vec::new(),
@@ -659,34 +671,10 @@ where
         }
     }
 
-    /// Degradations this engine took so far (declined dense flips).
-    pub fn degradations(&self) -> &[Degradation] {
-        &self.degradations
-    }
-
     /// `true` iff the engine currently holds the states as a dense
     /// block (matrix mode).
     pub fn in_matrix_mode(&self) -> bool {
         self.mode == ReprMode::Matrix
-    }
-
-    /// The active store's frontier list (ascending, no duplicates) —
-    /// whichever representation currently holds the states. The
-    /// checkpoint driver records this as the resume seed.
-    pub fn frontier(&self) -> &[NodeId] {
-        match self.mode {
-            ReprMode::Sparse => self.sparse_engine.frontier(),
-            ReprMode::Matrix => self.dense_engine.frontier(),
-        }
-    }
-
-    /// Exports the current states as sparse maps (bit-identical in
-    /// either mode).
-    pub fn export_states(&self) -> Vec<A::M> {
-        match self.mode {
-            ReprMode::Sparse => self.states.clone(),
-            ReprMode::Matrix => self.block.export(),
-        }
     }
 
     /// Updates the density bookkeeping for `v`'s new size, counting
@@ -780,12 +768,57 @@ where
             .mark_dirty(g, self.frontier_scratch.iter().copied());
         self.mode = ReprMode::Sparse;
     }
+}
+
+impl<A: DenseMbfAlgorithm> StateBackend<A> for SwitchingEngine<A>
+where
+    A::S: DenseKernel,
+    A::M: DenseState<A::S>,
+{
+    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
+        assert!(
+            alg.advertises_dense(),
+            "algorithm instance does not advertise dense states"
+        );
+        let n = g.n();
+        self.states = initial_states(alg, n);
+        (self.row_len, self.is_dense_row) = (vec![0; n], vec![false; n]);
+        for v in 0..n {
+            self.note_row_len(v as NodeId, alg.state_size(&self.states[v]));
+        }
+        self.sparse_engine.mark_all_dirty(g);
+        // Pre-size the matrix engine so the first flip's `mark_dirty`
+        // hand-over seeds exactly the sparse frontier instead of falling
+        // back to an all-dirty restart.
+        self.dense_engine.ensure_sized(g);
+        Ok(WorkStats::new())
+    }
+
+    /// Starts with every vertex dirty — a sound *superset* of the
+    /// recorded frontier, so the resumed states stay bit-identical
+    /// (extra recomputations are provable identities) — and assigns in
+    /// the checkpoint states that differ from the fresh initial states
+    /// before the first hop.
+    fn resume(
+        &mut self,
+        alg: &A,
+        g: &Graph,
+        ckpt: &Checkpoint<A::M>,
+    ) -> Result<WorkStats, RunError> {
+        let work = self.start(alg, g)?;
+        for (v, state) in ckpt.states.iter().enumerate() {
+            if *state != self.states[v] {
+                self.assign_dirty(alg, g, v as NodeId, state);
+            }
+        }
+        Ok(work)
+    }
 
     /// One hop `x ← r^V A x` on whichever store is active, followed by
     /// the switching decision. Returns the work spent (including
     /// `dense_flips`/`dense_hops` switching counters) and whether any
     /// state changed.
-    pub fn step(&mut self, alg: &A, g: &Graph, weight_scale: f64) -> (WorkStats, bool) {
+    fn step(&mut self, alg: &A, g: &Graph, weight_scale: f64) -> (WorkStats, bool) {
         let n = g.n();
         let (mut work, changed) = match self.mode {
             ReprMode::Sparse => {
@@ -829,126 +862,47 @@ where
         work.dense_declined += std::mem::take(&mut self.pending_declined);
         (work, changed)
     }
-}
 
-/// Iterates the representation-switching engine to the fixpoint, capped
-/// at `cap` hops; bit-identical states/iterations/fixpoint to the
-/// single-representation runs.
-pub fn run_to_fixpoint_switching_with<A>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    thresholds: SwitchThresholds,
-) -> MbfRun<A::M>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    let mut engine = SwitchingEngine::new(alg, g, strategy, thresholds);
-    let mut work = WorkStats::new();
-    let mut iterations = 0;
-    let mut fixpoint = false;
-    while iterations < cap {
-        let (w, changed) = engine.step(alg, g, 1.0);
-        work += w;
-        iterations += 1;
-        if !changed {
-            fixpoint = true;
-            break;
+    fn mark_all_dirty(&mut self, g: &Graph) {
+        match self.mode {
+            ReprMode::Sparse => self.sparse_engine.mark_all_dirty(g),
+            ReprMode::Matrix => self.dense_engine.mark_all_dirty(g),
         }
     }
-    MbfRun {
-        states: engine.export_states(),
-        iterations,
-        fixpoint,
-        work,
-    }
-}
 
-/// Guarded [`run_to_fixpoint_switching_with`]: panics become typed
-/// errors, injected faults are audited, exported states are scanned —
-/// and degradations the engine took (declined dense flips) surface in
-/// the [`RunReport`] instead of failing the run.
-pub fn try_run_to_fixpoint_switching_with<A>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    thresholds: SwitchThresholds,
-) -> Result<(MbfRun<A::M>, RunReport), RunError>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    let (run, degradations) = crate::error::run_guarded(|| {
-        let mut engine = SwitchingEngine::new(alg, g, strategy, thresholds);
-        let mut work = WorkStats::new();
-        let mut iterations = 0;
-        let mut fixpoint = false;
-        while iterations < cap {
-            let (w, changed) = engine.step(alg, g, 1.0);
-            work += w;
-            iterations += 1;
-            if !changed {
-                fixpoint = true;
-                break;
-            }
-        }
-        let run = MbfRun {
-            states: engine.export_states(),
-            iterations,
-            fixpoint,
-            work,
-        };
-        (run, engine.degradations().to_vec())
-    })?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations,
-    };
-    Ok((run, report))
-}
-
-/// Guarded [`run_to_fixpoint_dense_with`] with an explicit memory
-/// budget. Unlike the switching engine — which *degrades* to sparse —
-/// a dense-only run that cannot afford its `n × n` block has no
-/// fallback: the budget violation is a typed
-/// [`RunError::DenseBudgetExceeded`], checked before any allocation.
-pub fn try_run_to_fixpoint_dense_with<A>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-    budget_bytes: Option<u64>,
-) -> Result<(MbfRun<A::M>, RunReport), RunError>
-where
-    A: DenseMbfAlgorithm,
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    let n = g.n();
-    let requested = DenseBlock::<A::S>::bytes_for(n, n);
-    if let Some(budget) = budget_bytes {
-        if requested > budget {
-            return Err(RunError::DenseBudgetExceeded {
-                requested_bytes: requested,
-                budget_bytes: budget,
-            });
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
+        match self.mode {
+            ReprMode::Sparse => self.sparse_engine.mark_dirty(g, vs.iter().copied()),
+            ReprMode::Matrix => self.dense_engine.mark_dirty(g, vs.iter().copied()),
         }
     }
-    let run = crate::error::run_guarded(|| run_to_fixpoint_dense_with(alg, g, cap, strategy))?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
+
+    /// The inner engines' logs feed the density bookkeeping every hop,
+    /// so this log covers the last hop only.
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        out.extend_from_slice(&self.changed_scratch);
+    }
+
+    /// Whichever representation currently holds the states.
+    fn frontier(&self) -> &[NodeId] {
+        match self.mode {
+            ReprMode::Sparse => self.sparse_engine.frontier(),
+            ReprMode::Matrix => self.dense_engine.frontier(),
+        }
+    }
+
+    /// Bit-identical in either mode.
+    fn export_states(&self) -> Vec<A::M> {
+        match self.mode {
+            ReprMode::Sparse => self.states.clone(),
+            ReprMode::Matrix => self.block.export(),
+        }
+    }
+
+    /// Declined dense flips.
+    fn degradations(&self) -> &[Degradation] {
+        &self.degradations
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -970,19 +924,8 @@ fn with_fold_row<R>(f: impl FnOnce(&mut Vec<MinPlus>) -> R) -> R {
 }
 
 /// The dense lane of the oracle's level loop: `y_λ` as a
-/// [`DenseBlock`] hopped by a [`DenseEngine`]; the aggregate `x` is a
-/// dense block too.
-struct DenseLane<A: DenseMbfAlgorithm<S = MinPlus>>
-where
-    A::M: DenseState<MinPlus>,
-{
-    engine: DenseEngine<A>,
-    y: DenseBlock<MinPlus>,
-    /// The `⊥` row projections compare against.
-    zero_row: Vec<MinPlus>,
-}
-
-impl<A: DenseMbfAlgorithm<S = MinPlus>> Lane<A> for DenseLane<A>
+/// [`DenseBlock`]; the aggregate `x` is a dense block too.
+impl<A: DenseMbfAlgorithm<S = MinPlus>> Lane<A> for DenseBackend<A>
 where
     A::M: DenseState<MinPlus>,
 {
@@ -990,28 +933,22 @@ where
     type Folded = Vec<MinPlus>;
 
     fn project(&mut self, _alg: &A, x: &DenseBlock<MinPlus>, v: NodeId, keep: bool) -> bool {
-        let want = if keep { x.row(v) } else { &self.zero_row };
-        let rewrite = !rows_equal(self.y.row(v), want);
-        if rewrite {
-            self.y.row_mut(v).copy_from_slice(want);
+        let y = self.block.row_mut(v);
+        if keep {
+            let want = x.row(v);
+            let rewrite = !rows_equal(y, want);
+            if rewrite {
+                y.copy_from_slice(want);
+            }
+            rewrite
+        } else {
+            let zero = <MinPlus as Semiring>::zero();
+            let rewrite = y.iter().any(|s| *s != zero);
+            if rewrite {
+                y.fill(zero);
+            }
+            rewrite
         }
-        rewrite
-    }
-
-    fn mark_all_dirty(&mut self, g: &Graph) {
-        self.engine.mark_all_dirty(g);
-    }
-
-    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
-        self.engine.mark_dirty(g, vs.iter().copied());
-    }
-
-    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.y, scale)
-    }
-
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.engine.drain_change_log(out);
     }
 
     fn fold<'a>(
@@ -1027,7 +964,7 @@ where
             row.clear();
             row.resize(x.cols(), <MinPlus as Semiring>::zero());
             for lane in lanes {
-                fold_row_into(row, lane.y.row(v));
+                fold_row_into(row, lane.block.row(v));
             }
             alg.dense_filter(v, row);
             // Only a changed row is copied out of the scratch.
@@ -1040,7 +977,7 @@ where
     }
 
     fn poison(&mut self, _alg: &A) {
-        if let Some(s) = self.y.values_mut().first_mut() {
+        if let Some(s) = self.block.values_mut().first_mut() {
             Semiring::poison(s);
         }
     }
@@ -1073,23 +1010,17 @@ where
         "algorithm instance does not advertise dense states"
     );
     let n = sim.augmented().n();
-    let lane = || {
-        let mut engine = DenseEngine::new(strategy);
-        engine.enable_change_log();
-        DenseLane {
-            engine,
-            y: DenseBlock::new(n, n),
-            zero_row: vec![<MinPlus as Semiring>::zero(); n],
-        }
-    };
-    run_lanes(alg, sim, h, carry_over, lane, initial_block(alg, n))
+    let lane = || DenseBackend::lane(strategy, n);
+    let x = DenseBlock::from_states(&initial_states(alg, n), n);
+    run_lanes(alg, sim, h, carry_over, lane, x)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::{Connectivity, SourceDetection, WidestPaths};
-    use crate::engine::{run_to_fixpoint_with, EngineStrategy};
+    use crate::engine::{EngineStrategy, OwnedBackend};
+    use crate::run::run_to_fixpoint_on;
     use mte_graph::generators::{gnm_graph, grid_graph, path_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -1104,8 +1035,8 @@ mod tests {
             EngineStrategy::Frontier,
             EngineStrategy::default(),
         ] {
-            let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, strategy);
-            let dense = run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, strategy);
+            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
+            let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
             assert_eq!(owned.states, dense.states, "{strategy:?}");
             assert_eq!(owned.iterations, dense.iterations, "{strategy:?}");
             assert_eq!(owned.fixpoint, dense.fixpoint, "{strategy:?}");
@@ -1125,11 +1056,16 @@ mod tests {
         // on a never-primed engine read past the empty taint table.
         let g = path_graph(6, 1.0);
         let alg = SourceDetection::apsp(g.n());
-        let mut block = initial_block(&alg, g.n());
+        let mut block = DenseBlock::from_states(&initial_states(&alg, g.n()), g.n());
         let mut engine = DenseEngine::new(EngineStrategy::Frontier);
         let (_, changed) = engine.step(&alg, &g, &mut block, 1.0);
         assert!(changed);
-        let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
+        let owned = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::Frontier),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
         loop {
             let (_, changed) = engine.step(&alg, &g, &mut block, 1.0);
             if !changed {
@@ -1146,8 +1082,18 @@ mod tests {
             vec![(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)],
         );
         let alg = Connectivity::all_pairs(g.n());
-        let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
-        let dense = run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
+        let owned = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::Frontier),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
+        let dense = run_to_fixpoint_on(
+            DenseBackend::new(EngineStrategy::Frontier, None),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
         assert_eq!(owned.states, dense.states);
         assert_eq!(owned.iterations, dense.iterations);
     }
@@ -1157,8 +1103,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(82);
         let g = gnm_graph(40, 110, 1.0..10.0, &mut rng);
         let alg = WidestPaths::apwp(g.n());
-        let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default());
-        let dense = run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, EngineStrategy::default());
+        let owned = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::default()),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
+        let dense = run_to_fixpoint_on(
+            DenseBackend::new(EngineStrategy::default(), None),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
         assert_eq!(owned.states, dense.states);
         assert_eq!(owned.iterations, dense.iterations);
         assert_eq!(owned.fixpoint, dense.fixpoint);
@@ -1170,8 +1126,18 @@ mod tests {
         let g = path_graph(6, 1.0);
         let alg = SourceDetection::new(g.n(), &[0, 5], 2, mte_algebra::Dist::new(3.0));
         assert!(alg.advertises_dense());
-        let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
-        let dense = run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
+        let owned = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::Frontier),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
+        let dense = run_to_fixpoint_on(
+            DenseBackend::new(EngineStrategy::Frontier, None),
+            &alg,
+            &g,
+            g.n() + 1,
+        );
         assert_eq!(owned.states, dense.states);
     }
 
@@ -1188,19 +1154,26 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(83);
         let g = gnm_graph(60, 170, 1.0..8.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
-        let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default());
-        // Aggressive thresholds so the flip happens early in the run.
-        let switching = run_to_fixpoint_switching_with(
+        let owned = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::default()),
             &alg,
             &g,
             g.n() + 1,
-            EngineStrategy::default(),
-            SwitchThresholds {
-                row_density: 0.2,
-                saturation: 0.2,
-                revert: 0.01,
-                budget_bytes: None,
-            },
+        );
+        // Aggressive thresholds so the flip happens early in the run.
+        let switching = run_to_fixpoint_on(
+            SwitchingEngine::new(
+                EngineStrategy::default(),
+                SwitchThresholds {
+                    row_density: 0.2,
+                    saturation: 0.2,
+                    revert: 0.01,
+                    budget_bytes: None,
+                },
+            ),
+            &alg,
+            &g,
+            g.n() + 1,
         );
         assert_eq!(owned.states, switching.states);
         assert_eq!(owned.iterations, switching.iterations);
@@ -1214,18 +1187,25 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(84);
         let g = grid_graph(6, 6, 1.0..4.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
-        let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
-        let switching = run_to_fixpoint_switching_with(
+        let owned = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::Frontier),
             &alg,
             &g,
             g.n() + 1,
-            EngineStrategy::Frontier,
-            SwitchThresholds {
-                row_density: 2.0, // unreachable: never a candidate
-                saturation: 2.0,
-                revert: 0.0,
-                budget_bytes: None,
-            },
+        );
+        let switching = run_to_fixpoint_on(
+            SwitchingEngine::new(
+                EngineStrategy::Frontier,
+                SwitchThresholds {
+                    row_density: 2.0, // unreachable: never a candidate
+                    saturation: 2.0,
+                    revert: 0.0,
+                    budget_bytes: None,
+                },
+            ),
+            &alg,
+            &g,
+            g.n() + 1,
         );
         assert_eq!(owned.states, switching.states);
         assert_eq!(owned.iterations, switching.iterations);
@@ -1244,7 +1224,8 @@ mod tests {
             revert: 0.3, // high: shrinink edits drop below this quickly
             budget_bytes: None,
         };
-        let mut engine = SwitchingEngine::new(&alg, &g, EngineStrategy::default(), thresholds);
+        let mut engine = SwitchingEngine::new(EngineStrategy::default(), thresholds);
+        engine.start(&alg, &g).unwrap();
         for _ in 0..g.n() {
             let (_, changed) = engine.step(&alg, &g, 1.0);
             if !changed {
@@ -1261,15 +1242,8 @@ mod tests {
         let (_, _) = engine.step(&alg, &g, 1.0);
         assert!(!engine.in_matrix_mode(), "revert threshold ignored");
         // And the run still converges to the owned reference.
-        let mut owned_states = initial_states(&alg, g.n());
-        let mut owned_engine = MbfEngine::new(EngineStrategy::default());
-        owned_engine.mark_all_dirty(&g);
-        loop {
-            let (_, c) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
-            if !c {
-                break;
-            }
-        }
+        let owned = OwnedBackend::new(EngineStrategy::default());
+        let owned_states = run_to_fixpoint_on(owned, &alg, &g, 2 * g.n()).states;
         for _ in 0..2 * g.n() {
             let (_, c) = engine.step(&alg, &g, 1.0);
             if !c {

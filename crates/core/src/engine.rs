@@ -87,7 +87,8 @@
 //! merge-everything-then-filter reference (differential-tested by
 //! `tests/schedule_equivalence.rs`).
 
-use crate::error::{RunError, RunReport};
+use crate::error::RunError;
+use crate::run::{run_to_fixpoint_on, Checkpoint, StateBackend};
 use crate::work::WorkStats;
 use mte_algebra::{Filter, NodeId, Semimodule, Semiring};
 use mte_graph::Graph;
@@ -870,16 +871,92 @@ pub fn iterate<A: MbfAlgorithm>(alg: &A, g: &Graph, x: &[A::M]) -> (Vec<A::M>, W
     iterate_scaled(alg, g, x, 1.0)
 }
 
-/// Runs exactly `h` iterations under the given strategy:
-/// `A^h(G) = r^V A^h x⁽⁰⁾` (Equation (2.17)).
-pub fn run_with<A: MbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> MbfRun<A::M> {
+/// The owned backend of [`crate::run::StateBackend`]: a `Vec<A::M>`
+/// hopped by an [`MbfEngine`] — the literal `r^V A x` and the semantics
+/// reference the other backends are asserted against.
+#[derive(Clone, Debug)]
+pub struct OwnedBackend<A: MbfAlgorithm> {
+    pub(crate) engine: MbfEngine<A>,
+    pub(crate) states: Vec<A::M>,
+}
+
+impl<A: MbfAlgorithm> OwnedBackend<A> {
+    /// An empty backend whose engine runs `strategy`.
+    pub fn new(strategy: EngineStrategy) -> Self {
+        OwnedBackend {
+            engine: MbfEngine::new(strategy),
+            states: Vec::new(),
+        }
+    }
+
+    /// An oracle lane: `n` slots, all `⊥`, with the engine's change log
+    /// on.
+    pub(crate) fn lane(strategy: EngineStrategy, n: usize) -> Self {
+        let mut engine = MbfEngine::new(strategy);
+        engine.enable_change_log();
+        OwnedBackend {
+            engine,
+            states: vec![A::M::zero(); n],
+        }
+    }
+}
+
+impl<A: MbfAlgorithm> StateBackend<A> for OwnedBackend<A> {
+    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
+        self.states = initial_states(alg, g.n());
+        self.engine.mark_all_dirty(g);
+        Ok(WorkStats::new())
+    }
+
+    /// Re-enters with exactly the recorded residual frontier (empty
+    /// schedule priming + `mark_dirty`).
+    fn resume(
+        &mut self,
+        _alg: &A,
+        g: &Graph,
+        ckpt: &Checkpoint<A::M>,
+    ) -> Result<WorkStats, RunError> {
+        self.states = ckpt.states.clone();
+        self.engine.prime(g);
+        self.engine.mark_dirty(g, ckpt.frontier.iter().copied());
+        Ok(WorkStats::new())
+    }
+
+    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        self.engine.step(alg, g, &mut self.states, scale)
+    }
+
+    fn mark_all_dirty(&mut self, g: &Graph) {
+        self.engine.mark_all_dirty(g);
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
+        self.engine.mark_dirty(g, vs.iter().copied());
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
+
+    fn frontier(&self) -> &[NodeId] {
+        self.engine.frontier()
+    }
+
+    fn export_states(&self) -> Vec<A::M> {
+        self.states.clone()
+    }
+
+    fn into_states(self) -> Vec<A::M> {
+        self.states
+    }
+}
+
+/// Runs exactly `h` iterations under the default hybrid strategy:
+/// `A^h(G) = r^V A^h x⁽⁰⁾` (Equation (2.17)), the literal reference —
+/// no fixpoint shortcut, `fixpoint: false`.
+pub fn run<A: MbfAlgorithm>(alg: &A, g: &Graph, h: usize) -> MbfRun<A::M> {
     let mut states = initial_states(alg, g.n());
-    let mut engine = MbfEngine::new(strategy);
+    let mut engine = MbfEngine::new(EngineStrategy::default());
     engine.mark_all_dirty(g);
     let mut work = WorkStats::new();
     for _ in 0..h {
@@ -894,88 +971,10 @@ pub fn run_with<A: MbfAlgorithm>(
     }
 }
 
-/// Runs exactly `h` iterations under the default hybrid strategy.
-pub fn run<A: MbfAlgorithm>(alg: &A, g: &Graph, h: usize) -> MbfRun<A::M> {
-    run_with(alg, g, h, EngineStrategy::default())
-}
-
-/// Iterates until the fixpoint `x⁽ⁱ⁺¹⁾ = x⁽ⁱ⁾` under the given strategy,
-/// reached after at most `SPD(G) < n` iterations (Definition 2.11), or
-/// until `cap` iterations. The confirming hop (the one that changes
-/// nothing) is counted, matching the dense reference semantics.
-pub fn run_to_fixpoint_with<A: MbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> MbfRun<A::M> {
-    let mut states = initial_states(alg, g.n());
-    let mut engine = MbfEngine::new(strategy);
-    engine.mark_all_dirty(g);
-    let mut work = WorkStats::new();
-    let mut iterations = 0;
-    let mut fixpoint = false;
-    while iterations < cap {
-        let (w, changed) = engine.step(alg, g, &mut states, 1.0);
-        work += w;
-        iterations += 1;
-        if !changed {
-            fixpoint = true;
-            break;
-        }
-    }
-    MbfRun {
-        states,
-        iterations,
-        fixpoint,
-        work,
-    }
-}
-
-/// Iterates to the fixpoint under the default hybrid strategy.
-pub fn run_to_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRun<A::M>
-where
-    A::M: PartialEq,
-{
-    run_to_fixpoint_with(alg, g, cap, EngineStrategy::default())
-}
-
-/// Guarded [`run_with`]: panics become typed errors, injected faults
-/// are audited, final states are sanity-scanned. On success the
-/// [`RunReport`] carries convergence and hop metadata.
-pub fn try_run_with<A: MbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> Result<(MbfRun<A::M>, RunReport), RunError> {
-    let run = crate::error::run_guarded(|| run_with(alg, g, h, strategy))?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
-}
-
-/// Guarded [`run_to_fixpoint_with`] (see [`try_run_with`]). A run that
-/// exhausts `cap` without reaching the fixpoint is *not* an error; it
-/// returns `converged: false`.
-pub fn try_run_to_fixpoint_with<A: MbfAlgorithm>(
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-    strategy: EngineStrategy,
-) -> Result<(MbfRun<A::M>, RunReport), RunError> {
-    let run = crate::error::run_guarded(|| run_to_fixpoint_with(alg, g, cap, strategy))?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.iterations as u64,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
+/// Iterates to the fixpoint under the default hybrid strategy on the
+/// owned backend (see [`run_to_fixpoint_on`]).
+pub fn run_to_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRun<A::M> {
+    run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::default()), alg, g, cap)
 }
 
 /// Applies a [`Filter`] component-wise to a state vector: the paper's
@@ -1039,7 +1038,7 @@ mod tests {
     fn dense_work_is_counted() {
         let g = path_graph(4, 1.0);
         let alg = PlainSssp { source: 0 };
-        let r = run_with(&alg, &g, 3, EngineStrategy::Dense);
+        let r = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, &g, 3);
         assert_eq!(r.work.iterations, 3);
         // 2m relaxations per dense iteration.
         assert_eq!(r.work.edge_relaxations, 3 * 2 * g.m() as u64);
@@ -1051,8 +1050,9 @@ mod tests {
         let g = path_graph(64, 1.0);
         let alg = PlainSssp { source: 0 };
         let cap = g.n() + 1;
-        let dense = run_to_fixpoint_with(&alg, &g, cap, EngineStrategy::Dense);
-        let frontier = run_to_fixpoint_with(&alg, &g, cap, EngineStrategy::Frontier);
+        let dense = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, &g, cap);
+        let frontier =
+            run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Frontier), &alg, &g, cap);
         assert!(dense.fixpoint && frontier.fixpoint);
         assert_eq!(dense.states, frontier.states);
         assert_eq!(dense.iterations, frontier.iterations);
@@ -1073,15 +1073,15 @@ mod tests {
         let g = path_graph(16, 1.0);
         let alg = PlainSssp { source: 0 };
         let cap = g.n() + 1;
-        let always_dense = run_to_fixpoint_with(
+        let always_dense = run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::Hybrid {
+                dense_threshold: 0.0,
+            }),
             &alg,
             &g,
             cap,
-            EngineStrategy::Hybrid {
-                dense_threshold: 0.0,
-            },
         );
-        let dense = run_to_fixpoint_with(&alg, &g, cap, EngineStrategy::Dense);
+        let dense = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, &g, cap);
         assert_eq!(always_dense.work, dense.work);
         assert_eq!(always_dense.states, dense.states);
     }
@@ -1090,13 +1090,21 @@ mod tests {
     fn steps_after_fixpoint_are_free() {
         let g = path_graph(8, 1.0);
         let alg = PlainSssp { source: 0 };
-        let r = run_with(&alg, &g, 50, EngineStrategy::Frontier);
+        let hops = |strategy| {
+            let mut backend = OwnedBackend::new(strategy);
+            let mut work = backend.start(&alg, &g).unwrap();
+            for _ in 0..50 {
+                work += backend.step(&alg, &g, 1.0).0;
+            }
+            (backend.into_states(), work)
+        };
         // Fixpoint after 7 productive + 1 confirming hop; the remaining
         // 42 hops have an empty frontier and cost only the O(n)
         // bookkeeping scan.
-        let dense = run_with(&alg, &g, 50, EngineStrategy::Dense);
-        assert_eq!(r.states, dense.states);
-        assert!(r.work.edge_relaxations < dense.work.edge_relaxations / 4);
+        let (states, work) = hops(EngineStrategy::Frontier);
+        let (dense_states, dense_work) = hops(EngineStrategy::Dense);
+        assert_eq!(states, dense_states);
+        assert!(work.edge_relaxations < dense_work.edge_relaxations / 4);
     }
 
     #[test]

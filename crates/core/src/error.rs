@@ -301,7 +301,7 @@ pub enum RecoveryAttempt {
     Primary,
     /// Retry `attempt` (1-based) from the last good checkpoint. The
     /// entry closure decides what "last good checkpoint" means — resume
-    /// from an in-memory [`crate::checkpoint::Checkpoint`], reload a
+    /// from an in-memory [`crate::run::Checkpoint`], reload a
     /// snapshot file, or re-enter with a fresh sink.
     RetryFromCheckpoint { attempt: u32 },
     /// The final rung: recompute from scratch, using no checkpoint.

@@ -25,11 +25,12 @@
 //! differential-tested by the equivalence suite.
 
 use crate::arena::{
-    oracle_run_arena_with_schedule, run_to_fixpoint_arena_with, with_arena_acc, ArenaMbfAlgorithm,
-    RecomputeCtx, SpanRecompute,
+    oracle_run_arena_with_schedule, with_arena_acc, ArenaBackend, ArenaMbfAlgorithm, RecomputeCtx,
+    SpanRecompute,
 };
 use crate::engine::{EngineStrategy, MbfAlgorithm};
 use crate::oracle::default_iteration_cap;
+use crate::run::run_to_fixpoint_on;
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::store::{EpochStore, SpanOut};
@@ -668,9 +669,9 @@ pub fn le_lists_direct_with(
     strategy: EngineStrategy,
 ) -> (Vec<LeList>, usize, WorkStats) {
     let alg = LeListAlgorithm::new(Arc::clone(ranks));
-    // Arena backend: bit-identical to `run_to_fixpoint_with`
+    // Arena backend: bit-identical to the owned backend
     // (differential-tested), with copy-on-write state storage.
-    let run = run_to_fixpoint_arena_with(&alg, g, g.n() + 1, strategy);
+    let run = run_to_fixpoint_on(ArenaBackend::new(strategy), &alg, g, g.n() + 1);
     let lists = run
         .states
         .iter()

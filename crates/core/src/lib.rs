@@ -35,28 +35,29 @@
 //!   a supervisor that re-executes failed hops deterministically and
 //!   quarantines repeatedly-failing shards,
 //! * [`work`] — work/depth accounting used by the experiments,
-//! * [`checkpoint`] — checkpointed, resumable fixpoint runs across all
-//!   backends (bit-identical resume), with the deterministic recovery
-//!   supervisor in [`error`].
+//! * [`run`] — the one fixpoint driver: the [`StateBackend`] trait
+//!   (owned, arena, dense and switching backends), plain, guarded and
+//!   checkpointed runs, and bit-identical resume, with the
+//!   deterministic recovery supervisor in [`error`].
 
 pub mod arena;
 pub mod catalog;
-pub mod checkpoint;
 pub mod dense;
 pub mod engine;
 pub mod error;
 pub mod frt;
 pub mod metric;
 pub mod oracle;
+pub mod run;
 pub mod shard;
 pub mod simgraph;
 pub mod work;
 
-pub use arena::{ArenaEngine, ArenaMbfAlgorithm};
-pub use checkpoint::{Checkpoint, CheckpointPolicy};
-pub use dense::{DenseEngine, DenseMbfAlgorithm, SwitchThresholds, SwitchingEngine};
-pub use engine::{EngineStrategy, MbfAlgorithm, MbfEngine, MbfRun};
+pub use arena::{ArenaBackend, ArenaEngine, ArenaMbfAlgorithm};
+pub use dense::{DenseBackend, DenseEngine, DenseMbfAlgorithm, SwitchThresholds, SwitchingEngine};
+pub use engine::{EngineStrategy, MbfAlgorithm, MbfEngine, MbfRun, OwnedBackend};
 pub use error::{Degradation, RecoveryAttempt, RecoveryPolicy, RunError, RunReport, Supervisor};
+pub use run::{Checkpoint, CheckpointPolicy, StateBackend};
 pub use shard::{
     try_run_sharded_to_fixpoint_with, ExchangeEntry, ExchangeMsg, ShardPolicy, ShardSpec,
     ShardSupervisor, ShardedEngine, ShardedRun,

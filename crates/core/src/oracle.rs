@@ -17,33 +17,32 @@
 //! # One level loop, three lanes
 //!
 //! The simulation is written once, as the level loop of this module,
-//! over a small `Lane` trait. A lane holds one level's vector `y_λ`
-//! and the engine hopping over it; the loop owns everything else. Three
-//! lanes instantiate it, one per state backend, each behind its own
-//! public entry point:
+//! over a small `Lane` trait. A lane is a [`StateBackend`] — one level's
+//! vector `y_λ` and the engine hopping over it — plus the projection
+//! and aggregation hooks; the loop owns everything else. Three backends
+//! are lanes, each behind its own public entry point:
 //!
-//! * owned (`Vec<A::M>` + [`MbfEngine`]) — [`oracle_run_with_schedule`],
-//!   the semantics reference,
-//! * arena (`EpochStore` + `ArenaEngine`) —
+//! * owned ([`OwnedBackend`]) — [`oracle_run_with_schedule`], the
+//!   semantics reference,
+//! * arena ([`crate::arena::ArenaBackend`]) —
 //!   [`crate::arena::oracle_run_arena_with_schedule`], the production
 //!   path of the LE lists,
-//! * dense (`DenseBlock` + `DenseEngine`) —
+//! * dense ([`crate::dense::DenseBackend`]) —
 //!   [`crate::dense::oracle_run_dense_with_schedule`], the APSP route.
 //!
 //! The lane contract: `Lane::project` compare-and-assigns one slot of
 //! the projection `y_λ[v] ← P_λ x[v]` and reports whether it rewrote,
 //! and `Lane::project_all` does so for every slot (the owned lane in
-//! parallel); `mark_all_dirty` / `mark_dirty` / `step` / `drain_change_log` forward
-//! to the lane's engine (whose change log is on); `Lane::fold`
-//! aggregates one vertex over the lanes of levels `0..=level(v)` in
-//! ascending-`λ` order, filter fused in, and `Lane::commit` writes a
-//! changed fold back into `x`; `Lane::poison` corrupts a slot for the
-//! `oracle_level_loop` fault site; `Lane::finish` books lane-held
-//! counters once the run ends. Every lane computes the same states, so
-//! the three entry points are bit-identical in states, iteration counts
-//! and fixpoint flags, and in `work.iterations` and
-//! `work.touched_vertices` (the hop schedule is shared); the other
-//! counters are in each backend's own currency.
+//! parallel); the hops go through the backend (whose change log is on);
+//! `Lane::fold` aggregates one vertex over the lanes of levels
+//! `0..=level(v)` in ascending-`λ` order, filter fused in, and
+//! `Lane::commit` writes a changed fold back into `x`; `Lane::poison`
+//! corrupts a slot for the `oracle_level_loop` fault site;
+//! `Lane::finish` books lane-held counters once the run ends. Every
+//! lane computes the same states, so the three entry points are
+//! bit-identical in states, iteration counts and fixpoint flags, and in
+//! `work.iterations` and `work.touched_vertices` (the hop schedule is
+//! shared); the other counters are in each backend's own currency.
 //!
 //! # Carry-over
 //!
@@ -93,13 +92,13 @@
 //! suite). Per-level `WorkStats` merge through the same fixed-shape
 //! reduction tree.
 
-use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfEngine};
+use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, OwnedBackend};
 use crate::error::RunError;
+use crate::run::{try_oracle_run_checkpointed_with, CheckpointPolicy, StateBackend};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::{MinPlus, NodeId, Semimodule};
 use mte_faults::{FaultKind, FaultSite};
-use mte_graph::Graph;
 use rayon::prelude::*;
 
 /// Result of an oracle computation: the states `A^h(H)` and the cost of
@@ -123,9 +122,10 @@ pub struct OracleRun<M> {
     pub work: WorkStats,
 }
 
-/// One level's vector `y_λ` and the engine hopping over it, in one
-/// state backend. See the module docs for the contract.
-pub(crate) trait Lane<A: MbfAlgorithm<S = MinPlus>>: Send + Sync {
+/// One level's vector `y_λ`: a state backend plus the projection and
+/// aggregation the level loop needs. See the module docs for the
+/// contract.
+pub(crate) trait Lane<A: MbfAlgorithm<S = MinPlus>>: StateBackend<A> + Send + Sync {
     /// The aggregate state vector `x` the levels project from.
     type X: Sync;
     /// One vertex's new aggregate, staged between [`Lane::fold`] and
@@ -152,14 +152,6 @@ pub(crate) trait Lane<A: MbfAlgorithm<S = MinPlus>>: Send + Sync {
             }
         }
     }
-    /// The engine's `mark_all_dirty`.
-    fn mark_all_dirty(&mut self, g: &Graph);
-    /// The engine's `mark_dirty`.
-    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]);
-    /// One engine hop over `y`, edge weights scaled by `scale`.
-    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool);
-    /// The engine's `drain_change_log`.
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>);
     /// `r(⊕ y_λ[v])` over `lanes` (levels `0..=level(v)`, ascending),
     /// or `None` if it equals `x[v]`.
     fn fold<'a>(
@@ -463,25 +455,8 @@ where
     }
 }
 
-/// The owned lane: `y_λ` as a `Vec<A::M>` hopped by an [`MbfEngine`].
-pub(crate) struct OwnedLane<A: MbfAlgorithm> {
-    engine: MbfEngine<A>,
-    y: Vec<A::M>,
-}
-
-impl<A: MbfAlgorithm> OwnedLane<A> {
-    /// A lane of `n` slots, all `⊥`, with the engine's change log on.
-    pub(crate) fn new(strategy: EngineStrategy, n: usize) -> Self {
-        let mut engine = MbfEngine::new(strategy);
-        engine.enable_change_log();
-        OwnedLane {
-            engine,
-            y: vec![A::M::zero(); n],
-        }
-    }
-}
-
-impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedLane<A> {
+/// The owned lane: `y_λ` as a `Vec<A::M>`.
+impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedBackend<A> {
     type X = Vec<A::M>;
     type Folded = A::M;
 
@@ -493,7 +468,7 @@ impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedLane<A> {
             zero = A::M::zero();
             &zero
         };
-        assign(&mut self.y[v as usize], want)
+        assign(&mut self.states[v as usize], want)
     }
 
     fn project_all(
@@ -509,7 +484,7 @@ impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedLane<A> {
         // (chunk-order concatenation), independent of the thread count.
         let zero = A::M::zero();
         let rewritten: Vec<NodeId> = self
-            .y
+            .states
             .par_iter_mut()
             .enumerate()
             .flat_map_iter(|(v, slot)| {
@@ -518,22 +493,6 @@ impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedLane<A> {
             })
             .collect();
         seeds.extend(rewritten);
-    }
-
-    fn mark_all_dirty(&mut self, g: &Graph) {
-        self.engine.mark_all_dirty(g);
-    }
-
-    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
-        self.engine.mark_dirty(g, vs.iter().copied());
-    }
-
-    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.y, scale)
-    }
-
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.engine.drain_change_log(out);
     }
 
     fn fold<'a>(
@@ -547,7 +506,7 @@ impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedLane<A> {
     {
         let mut acc = A::M::zero();
         for lane in lanes {
-            acc.add_assign(&lane.y[v as usize]);
+            acc.add_assign(&lane.states[v as usize]);
         }
         alg.filter(&mut acc);
         (acc != x[v as usize]).then_some(acc)
@@ -558,7 +517,7 @@ impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedLane<A> {
     }
 
     fn poison(&mut self, _alg: &A) {
-        if let Some(slot) = self.y.first_mut() {
+        if let Some(slot) = self.states.first_mut() {
             slot.poison();
         }
     }
@@ -586,7 +545,7 @@ where
 {
     let n = sim.augmented().n();
     debug_assert_eq!(n, x.len());
-    let lane = || OwnedLane::new(EngineStrategy::default(), n);
+    let lane = || OwnedBackend::lane(EngineStrategy::default(), n);
     let run = run_lanes(alg, sim, 1, true, lane, x.to_vec());
     (run.states, run.work)
 }
@@ -632,7 +591,7 @@ where
     A: MbfAlgorithm<S = MinPlus>,
 {
     let n = sim.augmented().n();
-    let lane = || OwnedLane::new(strategy, n);
+    let lane = || OwnedBackend::lane(strategy, n);
     run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
 }
 
@@ -656,14 +615,8 @@ pub fn try_oracle_run_with<A>(
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
-    let run = crate::error::run_guarded(|| oracle_run_with(alg, sim, h, strategy))?;
-    crate::error::check_states::<A::S, A::M>(&run.states)?;
-    let report = crate::error::RunReport {
-        converged: run.converged,
-        hops: run.hops,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
+    let never = CheckpointPolicy::disabled();
+    try_oracle_run_checkpointed_with(alg, sim, h, strategy, never, |_| Ok(()))
 }
 
 /// Default iteration cap: `SPD(H) ∈ O(log² n)` w.h.p. (Theorem 4.5), with

@@ -15,7 +15,8 @@
 //! `H` explicitly for testing and for the SPD/stretch experiments on
 //! small inputs.
 
-use crate::engine::{run_to_fixpoint_with, EngineStrategy, MbfAlgorithm};
+use crate::engine::{EngineStrategy, MbfAlgorithm, OwnedBackend};
+use crate::run::run_to_fixpoint_on;
 use mte_algebra::{Dist, MinPlus, NodeId};
 use mte_graph::hopset::{Hopset, HopsetConfig};
 use mte_graph::Graph;
@@ -211,7 +212,8 @@ impl SimulatedGraph {
             .into_par_iter()
             .map(|s| {
                 let alg = HopSssp { source: s };
-                let run = run_to_fixpoint_with(&alg, &self.aug, self.d, EngineStrategy::Frontier);
+                let backend = OwnedBackend::new(EngineStrategy::Frontier);
+                let run = run_to_fixpoint_on(backend, &alg, &self.aug, self.d);
                 run.states.into_iter().map(|x| x.0).collect()
             })
             .collect();

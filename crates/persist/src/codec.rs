@@ -11,8 +11,8 @@ use crate::wire::{put_f64, put_u32, put_u64, Cursor};
 use mte_algebra::maxmin::Width;
 use mte_algebra::store::EpochStore;
 use mte_algebra::{Dist, DistanceMap, NodeId, WidthMap};
-use mte_core::checkpoint::Checkpoint;
 use mte_core::frt::{FrtNode, FrtTree, LeList, Ranks};
+use mte_core::run::Checkpoint;
 
 fn finish(c: &Cursor<'_>, context: &'static str) -> Result<(), SnapshotError> {
     if c.is_done() {

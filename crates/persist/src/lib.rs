@@ -6,7 +6,7 @@
 //! ([`mte_algebra::EpochStore`]), LE lists and their random order
 //! ([`mte_core::frt::LeList`], [`mte_core::frt::Ranks`]), sampled FRT
 //! trees ([`mte_core::frt::FrtTree`]), and mid-run checkpoints
-//! ([`mte_core::checkpoint::Checkpoint`]) — in a versioned,
+//! ([`mte_core::run::Checkpoint`]) — in a versioned,
 //! length-prefixed, checksummed little-endian binary format:
 //!
 //! ```text
@@ -45,8 +45,8 @@ pub use error::SnapshotError;
 use crc::crc32;
 use mte_algebra::store::EpochStore;
 use mte_algebra::{DistanceMap, WidthMap};
-use mte_core::checkpoint::Checkpoint;
 use mte_core::frt::{FrtTree, LeList, Ranks};
+use mte_core::run::Checkpoint;
 use mte_faults::{check_for, check_handled, trigger_panic, FaultKind, FaultSite};
 use std::fs;
 use std::io::Write;

@@ -20,8 +20,8 @@
 //! * [`apps`] — k-median (§9) and buy-at-bulk network design (§10),
 //! * [`persist`] — crash-safe snapshot store: checksummed binary
 //!   snapshots of engine/oracle state, LE lists and FRT trees, with
-//!   atomic writes and typed load errors; pairs with
-//!   [`core::checkpoint`] (resumable runs) and the recovery supervisor
+//!   atomic writes and typed load errors; pairs with [`core::run`]
+//!   (the fixpoint driver, resumable runs) and the recovery supervisor
 //!   in [`core::error`],
 //! * [`serving`] — resilient query-serving layer: a deadline-governed,
 //!   load-shedding distance oracle ([`serving::Oracle`]) over frozen,

@@ -7,19 +7,16 @@
 //! snapshot store. The recovery-ladder variants of these assertions
 //! (resume after an injected fault) live in `tests/fault_harness.rs`.
 
-use metric_tree_embedding::core::arena::run_to_fixpoint_arena_with;
+use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
-use metric_tree_embedding::core::checkpoint::{
-    try_oracle_run_checkpointed_with, try_resume_oracle_run_with,
-    try_resume_run_to_fixpoint_arena_with, try_resume_run_to_fixpoint_dense_with,
-    try_resume_run_to_fixpoint_switching_with, try_resume_run_to_fixpoint_with,
-    try_run_checkpointed_arena_with, try_run_checkpointed_dense_with,
-    try_run_checkpointed_switching_with, try_run_checkpointed_with, Checkpoint, CheckpointPolicy,
-};
-use metric_tree_embedding::core::dense::SwitchThresholds;
-use metric_tree_embedding::core::engine::{run_to_fixpoint_with, EngineStrategy};
+use metric_tree_embedding::core::dense::{DenseBackend, SwitchThresholds, SwitchingEngine};
+use metric_tree_embedding::core::engine::{EngineStrategy, MbfAlgorithm, OwnedBackend};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::oracle::oracle_run_with;
+use metric_tree_embedding::core::run::{
+    run_to_fixpoint_on, try_oracle_run_checkpointed_with, try_resume_on,
+    try_resume_oracle_run_with, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
+};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
 use metric_tree_embedding::prelude::*;
@@ -53,166 +50,80 @@ fn capture_all<M, R>(run: impl FnOnce(&Mutex<Vec<Checkpoint<M>>>) -> R) -> (R, V
     (result, checkpoints.into_inner().unwrap())
 }
 
-// ---------------------------------------------------------------------
-// Owned backend.
-// ---------------------------------------------------------------------
-
-#[test]
-fn owned_every_checkpoint_resumes_bit_identically_across_threads() {
-    let g = fixture_graph();
-    let alg = SourceDetection::k_ssp(g.n(), 4);
+/// The backend-generic resume check, at every thread count: the run
+/// from `backend()` to the fixpoint is the reference; a checkpointed run
+/// capturing every `every`-th hop reproduces it, and resuming a fresh
+/// `backend()` from each capture reproduces its states, iteration count
+/// and fixpoint flag. Returns the reference states per thread count
+/// after asserting they agree.
+fn assert_every_checkpoint_resumes<A, B>(
+    backend: impl Fn() -> B + Sync,
+    alg: &A,
+    g: &Graph,
+    every: u64,
+) where
+    A: MbfAlgorithm,
+    A::M: Send,
+    B: StateBackend<A>,
+{
     let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
-    let mut per_thread_states = Vec::new();
-    for threads in THREADS {
-        let (g, alg) = (&g, &alg);
-        let states = with_threads(threads, move || {
-            let reference = run_to_fixpoint_with(alg, g, cap, strategy);
-            let ((run, _), checkpoints) = capture_all(|sink| {
-                try_run_checkpointed_with(
-                    alg,
-                    g,
-                    cap,
-                    strategy,
-                    CheckpointPolicy::every_hops(1),
-                    |c| {
+    let per_thread_states: Vec<Vec<A::M>> = THREADS
+        .iter()
+        .map(|&threads| {
+            with_threads(threads, || {
+                let reference = run_to_fixpoint_on(backend(), alg, g, cap);
+                let policy = CheckpointPolicy::every_hops(every);
+                let ((run, _), checkpoints) = capture_all(|sink| {
+                    try_run_on(backend(), alg, g, cap, policy, |c| {
                         sink.lock().unwrap().push(c.clone());
                         Ok(())
-                    },
-                )
-                .unwrap()
-            });
-            assert_eq!(run.states, reference.states);
-            assert!(!checkpoints.is_empty(), "run too short to checkpoint");
-            for ckpt in &checkpoints {
-                let (resumed, report) =
-                    try_resume_run_to_fixpoint_with(alg, g, cap, strategy, ckpt).unwrap();
-                assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
-                assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
-                assert_eq!(resumed.fixpoint, reference.fixpoint, "hop {}", ckpt.hop);
-                assert!(report.converged);
-            }
-            reference.states
-        });
-        per_thread_states.push(states);
-    }
+                    })
+                    .unwrap()
+                });
+                assert_eq!(run.states, reference.states);
+                assert!(!checkpoints.is_empty(), "run too short to checkpoint");
+                for ckpt in &checkpoints {
+                    let (resumed, report) = try_resume_on(backend(), alg, g, cap, ckpt).unwrap();
+                    assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
+                    assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
+                    assert_eq!(resumed.fixpoint, reference.fixpoint, "hop {}", ckpt.hop);
+                    assert!(report.converged);
+                }
+                reference.states
+            })
+        })
+        .collect();
     assert_eq!(
         per_thread_states[0], per_thread_states[1],
         "thread counts disagree"
     );
 }
 
-// ---------------------------------------------------------------------
-// Arena backend (ranked and unranked stores).
-// ---------------------------------------------------------------------
+#[test]
+fn owned_every_checkpoint_resumes_bit_identically_across_threads() {
+    let g = fixture_graph();
+    let alg = SourceDetection::k_ssp(g.n(), 4);
+    let backend = || OwnedBackend::new(EngineStrategy::default());
+    assert_every_checkpoint_resumes(backend, &alg, &g, 1);
+}
 
 #[test]
 fn arena_every_checkpoint_resumes_bit_identically_across_threads() {
     let g = fixture_graph();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xC4E1)));
-    let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
+    let backend = || ArenaBackend::new(EngineStrategy::default());
     // k-SSP exercises the unranked pool, the LE lists the rank column.
-    let kssp = SourceDetection::k_ssp(g.n(), 4);
-    let lelist = LeListAlgorithm::new(Arc::clone(&ranks));
-    for threads in THREADS {
-        let (g, kssp, lelist) = (&g, &kssp, &lelist);
-        with_threads(threads, move || {
-            {
-                let reference = run_to_fixpoint_arena_with(kssp, g, cap, strategy);
-                let (_, checkpoints) = capture_all(|sink| {
-                    try_run_checkpointed_arena_with(
-                        kssp,
-                        g,
-                        cap,
-                        strategy,
-                        CheckpointPolicy::every_hops(1),
-                        |c| {
-                            sink.lock().unwrap().push(c.clone());
-                            Ok(())
-                        },
-                    )
-                    .unwrap()
-                });
-                assert!(!checkpoints.is_empty());
-                for ckpt in &checkpoints {
-                    let (resumed, _) =
-                        try_resume_run_to_fixpoint_arena_with(kssp, g, cap, strategy, ckpt)
-                            .unwrap();
-                    assert_eq!(resumed.states, reference.states, "k-SSP hop {}", ckpt.hop);
-                    assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
-                    assert_eq!(resumed.fixpoint, reference.fixpoint);
-                }
-            }
-            {
-                let reference = run_to_fixpoint_arena_with(lelist, g, cap, strategy);
-                let (_, checkpoints) = capture_all(|sink| {
-                    try_run_checkpointed_arena_with(
-                        lelist,
-                        g,
-                        cap,
-                        strategy,
-                        CheckpointPolicy::every_hops(2),
-                        |c| {
-                            sink.lock().unwrap().push(c.clone());
-                            Ok(())
-                        },
-                    )
-                    .unwrap()
-                });
-                assert!(!checkpoints.is_empty());
-                for ckpt in &checkpoints {
-                    let (resumed, _) =
-                        try_resume_run_to_fixpoint_arena_with(lelist, g, cap, strategy, ckpt)
-                            .unwrap();
-                    assert_eq!(resumed.states, reference.states, "LE hop {}", ckpt.hop);
-                    assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
-                    assert_eq!(resumed.fixpoint, reference.fixpoint);
-                }
-            }
-        });
-    }
+    assert_every_checkpoint_resumes(backend, &SourceDetection::k_ssp(g.n(), 4), &g, 1);
+    assert_every_checkpoint_resumes(backend, &LeListAlgorithm::new(ranks), &g, 2);
 }
-
-// ---------------------------------------------------------------------
-// Dense and switching backends.
-// ---------------------------------------------------------------------
 
 #[test]
 fn dense_every_checkpoint_resumes_bit_identically_across_threads() {
     let mut rng = StdRng::seed_from_u64(0xC4E2);
     let g = gnm_graph(40, 100, 1.0..7.0, &mut rng);
     let alg = SourceDetection::apsp(g.n());
-    let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
-    for threads in THREADS {
-        let (g, alg) = (&g, &alg);
-        with_threads(threads, move || {
-            let ((reference, _), checkpoints) = capture_all(|sink| {
-                try_run_checkpointed_dense_with(
-                    alg,
-                    g,
-                    cap,
-                    strategy,
-                    None,
-                    CheckpointPolicy::every_hops(1),
-                    |c| {
-                        sink.lock().unwrap().push(c.clone());
-                        Ok(())
-                    },
-                )
-                .unwrap()
-            });
-            assert!(!checkpoints.is_empty());
-            for ckpt in &checkpoints {
-                let (resumed, _) =
-                    try_resume_run_to_fixpoint_dense_with(alg, g, cap, strategy, ckpt).unwrap();
-                assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
-                assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
-                assert_eq!(resumed.fixpoint, reference.fixpoint);
-            }
-        });
-    }
+    let backend = || DenseBackend::new(EngineStrategy::default(), None);
+    assert_every_checkpoint_resumes(backend, &alg, &g, 1);
 }
 
 #[test]
@@ -220,8 +131,6 @@ fn switching_every_checkpoint_resumes_bit_identically_across_threads() {
     let mut rng = StdRng::seed_from_u64(0xC4E3);
     let g = gnm_graph(40, 100, 1.0..7.0, &mut rng);
     let alg = SourceDetection::apsp(g.n());
-    let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
     // Aggressive thresholds so the run actually flips representation
     // mid-flight — checkpoints land on both sides of the switch.
     let thresholds = SwitchThresholds {
@@ -230,36 +139,8 @@ fn switching_every_checkpoint_resumes_bit_identically_across_threads() {
         revert: 0.01,
         budget_bytes: None,
     };
-    for threads in THREADS {
-        let (g, alg) = (&g, &alg);
-        with_threads(threads, move || {
-            let ((reference, _), checkpoints) = capture_all(|sink| {
-                try_run_checkpointed_switching_with(
-                    alg,
-                    g,
-                    cap,
-                    strategy,
-                    thresholds,
-                    CheckpointPolicy::every_hops(1),
-                    |c| {
-                        sink.lock().unwrap().push(c.clone());
-                        Ok(())
-                    },
-                )
-                .unwrap()
-            });
-            assert!(!checkpoints.is_empty());
-            for ckpt in &checkpoints {
-                let (resumed, _) = try_resume_run_to_fixpoint_switching_with(
-                    alg, g, cap, strategy, thresholds, ckpt,
-                )
-                .unwrap();
-                assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
-                assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
-                assert_eq!(resumed.fixpoint, reference.fixpoint);
-            }
-        });
-    }
+    let backend = || SwitchingEngine::new(EngineStrategy::default(), thresholds);
+    assert_every_checkpoint_resumes(backend, &alg, &g, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -323,13 +204,13 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
-    let reference = run_to_fixpoint_with(&alg, &g, cap, strategy);
+    let reference = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, cap);
     let (_, checkpoints) = capture_all(|sink| {
-        try_run_checkpointed_with(
+        try_run_on(
+            OwnedBackend::new(strategy),
             &alg,
             &g,
             cap,
-            strategy,
             CheckpointPolicy::every_hops(1),
             |c| {
                 sink.lock().unwrap().push(c.clone());
@@ -347,7 +228,7 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
             .expect("checkpoint section decodes");
         assert_eq!(&decoded, ckpt, "roundtrip changed the checkpoint");
         let (resumed, _) =
-            try_resume_run_to_fixpoint_with(&alg, &g, cap, strategy, &decoded).unwrap();
+            try_resume_on(OwnedBackend::new(strategy), &alg, &g, cap, &decoded).unwrap();
         assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
         assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
         assert_eq!(resumed.fixpoint, reference.fixpoint);
@@ -362,7 +243,7 @@ fn resume_from_disk_after_simulated_crash() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
-    let reference = run_to_fixpoint_with(&alg, &g, cap, strategy);
+    let reference = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, cap);
 
     let dir = std::env::temp_dir().join(format!("mte_resume_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -371,11 +252,11 @@ fn resume_from_disk_after_simulated_crash() {
     // The "crashing" process: checkpoint to disk every hop, abandon the
     // run by erroring out of the sink after the second capture.
     let mut captures = 0;
-    let aborted = try_run_checkpointed_with(
+    let aborted = try_run_on(
+        OwnedBackend::new(strategy),
         &alg,
         &g,
         cap,
-        strategy,
         CheckpointPolicy::every_hops(1),
         |c| {
             SnapshotWriter::new()
@@ -401,7 +282,7 @@ fn resume_from_disk_after_simulated_crash() {
         .checkpoint()
         .expect("checkpoint section intact");
     assert_eq!(ckpt.hop, 2);
-    let (resumed, _) = try_resume_run_to_fixpoint_with(&alg, &g, cap, strategy, &ckpt).unwrap();
+    let (resumed, _) = try_resume_on(OwnedBackend::new(strategy), &alg, &g, cap, &ckpt).unwrap();
     assert_eq!(resumed.states, reference.states);
     assert_eq!(resumed.iterations, reference.iterations);
     assert_eq!(resumed.fixpoint, reference.fixpoint);

@@ -8,9 +8,10 @@
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
 use metric_tree_embedding::core::engine::{
-    run_to_fixpoint_with, run_with, EngineStrategy, MbfAlgorithm, MbfRun,
+    run, EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend,
 };
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
+use metric_tree_embedding::core::run::run_to_fixpoint_on;
 use metric_tree_embedding::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -44,10 +45,10 @@ where
     A: MbfAlgorithm,
     A::M: PartialEq + std::fmt::Debug,
 {
-    let dense = run_to_fixpoint_with(alg, g, cap, EngineStrategy::Dense);
+    let dense = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), alg, g, cap);
     let mut frontier_run = None;
     for strategy in STRATEGIES {
-        let run = run_to_fixpoint_with(alg, g, cap, strategy);
+        let run = run_to_fixpoint_on(OwnedBackend::new(strategy), alg, g, cap);
         assert_eq!(
             run.states, dense.states,
             "strategy {strategy:?} diverged from the dense engine"
@@ -147,15 +148,19 @@ fn widest_paths_and_connectivity_strategies_agree() {
 
 #[test]
 fn fixed_iteration_runs_agree_before_convergence() {
-    // run_with (exact h hops, no fixpoint shortcut for the result) must
-    // also match hop for hop, including h far beyond convergence.
+    // Runs capped at h hops must match the literal exact-h `run` (no
+    // fixpoint shortcut) hop for hop, including h far beyond
+    // convergence.
     let g = grid_graph(6, 6, 1.0..4.0, &mut StdRng::seed_from_u64(0xEF13));
     let alg = SourceDetection::apsp(g.n());
     for h in [0, 1, 2, 5, 40] {
-        let dense = run_with(&alg, &g, h, EngineStrategy::Dense);
+        let exact = run(&alg, &g, h);
         for strategy in STRATEGIES {
-            let run = run_with(&alg, &g, h, strategy);
-            assert_eq!(run.states, dense.states, "h = {h}, strategy {strategy:?}");
+            let capped = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, h);
+            assert_eq!(
+                capped.states, exact.states,
+                "h = {h}, strategy {strategy:?}"
+            );
         }
     }
 }
@@ -185,8 +190,12 @@ fn engine_outputs_bit_identical_across_thread_counts() {
     let g = gnm_graph(400, 1200, 1.0..9.0, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 6);
     for strategy in STRATEGIES {
-        let r1 = with_threads(1, || run_to_fixpoint_with(&alg, &g, g.n() + 1, strategy));
-        let r4 = with_threads(4, || run_to_fixpoint_with(&alg, &g, g.n() + 1, strategy));
+        let r1 = with_threads(1, || {
+            run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1)
+        });
+        let r4 = with_threads(4, || {
+            run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1)
+        });
         assert_eq!(r1.states, r4.states, "states differ under {strategy:?}");
         assert_eq!(r1.work, r4.work, "work counters differ under {strategy:?}");
         assert_eq!(r1.iterations, r4.iterations);
@@ -299,8 +308,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gnm_graph(n, (n - 1 + extra).min(n * (n - 1) / 2), 1.0..9.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
-        let dense = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Dense);
-        let frontier = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::Frontier);
+        let dense = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, &g, g.n() + 1);
+        let frontier = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Frontier), &alg, &g, g.n() + 1);
         prop_assert!(frontier.work.edge_relaxations <= dense.work.edge_relaxations);
         prop_assert!(frontier.work.touched_vertices <= dense.work.touched_vertices);
     }

@@ -11,17 +11,17 @@
 //! releasing it. Expected injected panics are silenced with a no-op
 //! panic hook for the duration of the sweep.
 
-use metric_tree_embedding::core::arena::{
-    oracle_run_arena_with_schedule, try_run_to_fixpoint_arena_with,
-};
+use metric_tree_embedding::core::arena::{oracle_run_arena_with_schedule, ArenaBackend};
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::{
-    oracle_run_dense_with_schedule, try_run_to_fixpoint_dense_with,
-    try_run_to_fixpoint_switching_with, SwitchThresholds,
+    oracle_run_dense_with_schedule, DenseBackend, SwitchThresholds, SwitchingEngine,
 };
-use metric_tree_embedding::core::engine::{try_run_to_fixpoint_with, EngineStrategy};
+use metric_tree_embedding::core::engine::{EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
 use metric_tree_embedding::core::error::{check_states, run_guarded};
 use metric_tree_embedding::core::oracle::{try_oracle_run_with, OracleRun};
+use metric_tree_embedding::core::run::{
+    try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
+};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::{Degradation, RunError, RunReport};
 use metric_tree_embedding::faults::{self, FaultKind, FaultPlan, FaultSite};
@@ -70,6 +70,18 @@ fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         .build()
         .expect("pool build cannot fail")
         .install(f)
+}
+
+/// A guarded run of `backend` to the fixpoint that captures nothing.
+fn try_run<A: MbfAlgorithm, B: StateBackend<A>>(
+    backend: B,
+    alg: &A,
+    g: &Graph,
+    cap: usize,
+) -> Result<(MbfRun<A::M>, RunReport), RunError> {
+    try_run_on(backend, alg, g, cap, CheckpointPolicy::disabled(), |_| {
+        Ok(())
+    })
 }
 
 /// Large enough (`n > 2 × min_chunk_len`) that per-vertex parallel
@@ -144,17 +156,17 @@ impl Pipeline {
         match self {
             Pipeline::Owned => {
                 let alg = SourceDetection::k_ssp(g.n(), 4);
-                try_run_to_fixpoint_with(&alg, g, cap, strategy)
+                try_run(OwnedBackend::new(strategy), &alg, g, cap)
                     .map(|(run, report)| (run.states, report))
             }
             Pipeline::Arena => {
                 let alg = metric_tree_embedding::core::catalog::SourceDetection::k_ssp(g.n(), 4);
-                try_run_to_fixpoint_arena_with(&alg, g, cap, strategy)
+                try_run(ArenaBackend::new(strategy), &alg, g, cap)
                     .map(|(run, report)| (run.states, report))
             }
             Pipeline::Dense => {
                 let alg = SourceDetection::apsp(g.n());
-                try_run_to_fixpoint_dense_with(&alg, g, cap, strategy, None)
+                try_run(DenseBackend::new(strategy, None), &alg, g, cap)
                     .map(|(run, report)| (run.states, report))
             }
             Pipeline::Switching => {
@@ -165,7 +177,7 @@ impl Pipeline {
                     revert: 0.01,
                     budget_bytes: None,
                 };
-                try_run_to_fixpoint_switching_with(&alg, g, cap, strategy, thresholds)
+                try_run(SwitchingEngine::new(strategy, thresholds), &alg, g, cap)
                     .map(|(run, report)| (run.states, report))
             }
             Pipeline::Oracle => {
@@ -306,7 +318,12 @@ fn injected_panics_carry_their_site_in_the_typed_error() {
         FaultKind::Panic,
         0,
     ));
-    let out = try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default());
+    let out = try_run(
+        OwnedBackend::new(EngineStrategy::default()),
+        &alg,
+        &g,
+        g.n() + 1,
+    );
     faults::clear();
     match out {
         Err(RunError::InjectedFault { site, kind }) => {
@@ -326,19 +343,34 @@ fn worker_pool_survives_a_chunk_panic() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let (g, alg) = (&g, &alg);
     with_threads(4, move || {
-        let clean = try_run_to_fixpoint_with(alg, g, g.n() + 1, EngineStrategy::default())
-            .expect("clean run");
+        let clean = try_run(
+            OwnedBackend::new(EngineStrategy::default()),
+            alg,
+            g,
+            g.n() + 1,
+        )
+        .expect("clean run");
         faults::install(FaultPlan::single(
             FaultSite::WorkerChunk,
             FaultKind::Panic,
             0,
         ));
-        let faulted = try_run_to_fixpoint_with(alg, g, g.n() + 1, EngineStrategy::default());
+        let faulted = try_run(
+            OwnedBackend::new(EngineStrategy::default()),
+            alg,
+            g,
+            g.n() + 1,
+        );
         faults::clear();
         assert!(faulted.is_err(), "chunk panic must surface as an error");
         // Same pool, same workers: the panic did not wedge or kill them.
-        let after = try_run_to_fixpoint_with(alg, g, g.n() + 1, EngineStrategy::default())
-            .expect("post-fault run on the surviving pool");
+        let after = try_run(
+            OwnedBackend::new(EngineStrategy::default()),
+            alg,
+            g,
+            g.n() + 1,
+        )
+        .expect("post-fault run on the surviving pool");
         assert_eq!(after.0.states, clean.0.states);
         assert_eq!(after.1, clean.1);
     });
@@ -353,8 +385,13 @@ fn dense_budget_exhaustion_degrades_to_sparse_bit_identically() {
     let _guard = FaultGuard::acquire();
     let g = fixture_graph();
     let alg = SourceDetection::apsp(g.n());
-    let reference = try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default())
-        .expect("owned reference");
+    let reference = try_run(
+        OwnedBackend::new(EngineStrategy::default()),
+        &alg,
+        &g,
+        g.n() + 1,
+    )
+    .expect("owned reference");
     // Aggressive flip thresholds + an 8-byte budget: the flip is
     // attempted early and must be declined every time.
     let thresholds = SwitchThresholds {
@@ -363,12 +400,13 @@ fn dense_budget_exhaustion_degrades_to_sparse_bit_identically() {
         revert: 0.01,
         budget_bytes: Some(8),
     };
-    let (run, report) = try_run_to_fixpoint_switching_with(
+    let (run, report) = try_run_on(
+        SwitchingEngine::new(EngineStrategy::default(), thresholds),
         &alg,
         &g,
         g.n() + 1,
-        EngineStrategy::default(),
-        thresholds,
+        CheckpointPolicy::disabled(),
+        |_| Ok(()),
     )
     .expect("budget exhaustion must degrade, not fail");
     assert_eq!(run.states, reference.0.states, "degraded run diverged");
@@ -396,8 +434,13 @@ fn injected_alloc_failure_at_the_flip_is_absorbed() {
     let _guard = FaultGuard::acquire();
     let g = fixture_graph();
     let alg = SourceDetection::apsp(g.n());
-    let reference = try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default())
-        .expect("owned reference");
+    let reference = try_run(
+        OwnedBackend::new(EngineStrategy::default()),
+        &alg,
+        &g,
+        g.n() + 1,
+    )
+    .expect("owned reference");
     let thresholds = SwitchThresholds {
         row_density: 0.1,
         saturation: 0.1,
@@ -409,12 +452,13 @@ fn injected_alloc_failure_at_the_flip_is_absorbed() {
         FaultKind::AllocFail,
         0,
     ));
-    let out = try_run_to_fixpoint_switching_with(
+    let out = try_run_on(
+        SwitchingEngine::new(EngineStrategy::default(), thresholds),
         &alg,
         &g,
         g.n() + 1,
-        EngineStrategy::default(),
-        thresholds,
+        CheckpointPolicy::disabled(),
+        |_| Ok(()),
     );
     faults::clear();
     let (run, report) = out.expect("a handled alloc failure is a degradation, not an error");
@@ -424,26 +468,43 @@ fn injected_alloc_failure_at_the_flip_is_absorbed() {
 }
 
 /// A dense-only run has no sparse fallback: the budget violation is the
-/// typed `DenseBudgetExceeded` error, raised before any allocation.
+/// typed `DenseBudgetExceeded` error, raised before any allocation — on
+/// resume too, so a supervisor retry rung cannot bypass the budget the
+/// primary rung enforced.
 #[test]
 fn dense_only_budget_violation_is_a_typed_error() {
     let _guard = FaultGuard::acquire();
     let g = fixture_graph();
     let alg = SourceDetection::apsp(g.n());
-    let out =
-        try_run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, EngineStrategy::default(), Some(8));
-    match out {
-        Err(RunError::DenseBudgetExceeded {
-            requested_bytes,
-            budget_bytes,
-        }) => {
-            assert!(requested_bytes > budget_bytes);
-            assert_eq!(budget_bytes, 8);
+    let cap = g.n() + 1;
+    let budgeted = || DenseBackend::new(EngineStrategy::default(), Some(8));
+    let mut checkpoints = Vec::new();
+    try_run_on(
+        DenseBackend::new(EngineStrategy::default(), None),
+        &alg,
+        &g,
+        cap,
+        CheckpointPolicy::every_hops(1),
+        |c| {
+            checkpoints.push(c.clone());
+            Ok(())
+        },
+    )
+    .expect("unbudgeted run");
+    let ckpt = checkpoints.first().expect("run too short to checkpoint");
+    let run = try_run(budgeted(), &alg, &g, cap);
+    let resume = try_resume_on(budgeted(), &alg, &g, cap, ckpt);
+    for out in [run.map(|_| ()), resume.map(|_| ())] {
+        match out {
+            Err(RunError::DenseBudgetExceeded {
+                requested_bytes,
+                budget_bytes,
+            }) => {
+                assert!(requested_bytes > budget_bytes);
+                assert_eq!(budget_bytes, 8);
+            }
+            other => panic!("expected DenseBudgetExceeded, got {other:?}"),
         }
-        other => panic!(
-            "expected DenseBudgetExceeded, got Ok/err {:?}",
-            other.map(|_| ())
-        ),
     }
 }
 
@@ -454,14 +515,19 @@ fn cap_exhaustion_reports_converged_false() {
     let _guard = FaultGuard::acquire();
     let g = path_graph(40, 1.0);
     let alg = SourceDetection::sssp(g.n(), 0);
-    let (run, report) = try_run_to_fixpoint_with(&alg, &g, 3, EngineStrategy::default())
+    let (run, report) = try_run(OwnedBackend::new(EngineStrategy::default()), &alg, &g, 3)
         .expect("cap exhaustion is not an error");
     assert!(!report.converged);
     assert_eq!(report.hops, 3);
     assert!(!run.fixpoint);
     // The full run converges and says so.
-    let (_, full) =
-        try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default()).expect("full run");
+    let (_, full) = try_run(
+        OwnedBackend::new(EngineStrategy::default()),
+        &alg,
+        &g,
+        g.n() + 1,
+    )
+    .expect("full run");
     assert!(full.converged);
     assert!(full.hops > 3);
 }
@@ -483,8 +549,13 @@ fn injected_parser_io_failure_is_a_typed_parse_error() {
     // The fire was handled: a fresh guarded run sees a clean audit.
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
-    try_run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default())
-        .expect("stale handled fire must not fail a later run");
+    try_run(
+        OwnedBackend::new(EngineStrategy::default()),
+        &alg,
+        &g,
+        g.n() + 1,
+    )
+    .expect("stale handled fire must not fail a later run");
 }
 
 /// `MTE_FAULT_PLAN`-style specs parse into the same plans the builder
@@ -513,9 +584,6 @@ fn fault_plan_spec_round_trip() {
 // ladder must absorb them within its budget.
 // ---------------------------------------------------------------------
 
-use metric_tree_embedding::core::checkpoint::{
-    try_resume_run_to_fixpoint_with, try_run_checkpointed_with, Checkpoint, CheckpointPolicy,
-};
 use metric_tree_embedding::core::{RecoveryPolicy, Supervisor};
 use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
 use std::cell::RefCell;
@@ -528,11 +596,11 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
     let last_good: RefCell<Option<Checkpoint<DistanceMap>>> = RefCell::new(None);
-    let (run, report) = try_run_checkpointed_with(
+    let (run, report) = try_run_on(
+        OwnedBackend::new(strategy),
         &alg,
         g,
         cap,
-        strategy,
         CheckpointPolicy::every_hops(1),
         |ckpt| {
             let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
@@ -546,7 +614,7 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
         },
     )?;
     if let Some(ckpt) = last_good.into_inner() {
-        let (resumed, _) = try_resume_run_to_fixpoint_with(&alg, g, cap, strategy, &ckpt)?;
+        let (resumed, _) = try_resume_on(OwnedBackend::new(strategy), &alg, g, cap, &ckpt)?;
         assert_eq!(
             resumed.states, run.states,
             "resume from a decoded checkpoint diverged"
@@ -615,7 +683,7 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
-    let clean = try_run_to_fixpoint_with(&alg, &g, cap, strategy).expect("clean run");
+    let clean = try_run(OwnedBackend::new(strategy), &alg, &g, cap).expect("clean run");
 
     for threads in [1usize, 4] {
         // One-shot fault on the 4th hop commit: the primary attempt has
@@ -631,11 +699,11 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
             Supervisor::new(RecoveryPolicy::default()).run(|attempt| {
                 use metric_tree_embedding::core::RecoveryAttempt;
                 match attempt {
-                    RecoveryAttempt::Primary => try_run_checkpointed_with(
+                    RecoveryAttempt::Primary => try_run_on(
+                        OwnedBackend::new(strategy),
                         alg,
                         g,
                         cap,
-                        strategy,
                         CheckpointPolicy::every_hops(1),
                         |ckpt| {
                             let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
@@ -652,10 +720,10 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
                     RecoveryAttempt::RetryFromCheckpoint { .. } => {
                         let ckpt = last_good.lock().unwrap();
                         let ckpt = ckpt.as_ref().expect("primary captured checkpoints");
-                        try_resume_run_to_fixpoint_with(alg, g, cap, strategy, ckpt)
+                        try_resume_on(OwnedBackend::new(strategy), alg, g, cap, ckpt)
                             .map(|(run, report)| (run.states, report))
                     }
-                    RecoveryAttempt::Scratch => try_run_to_fixpoint_with(alg, g, cap, strategy)
+                    RecoveryAttempt::Scratch => try_run(OwnedBackend::new(strategy), alg, g, cap)
                         .map(|(run, report)| (run.states, report)),
                 }
             })
@@ -683,7 +751,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
     let strategy = EngineStrategy::default();
-    let clean = try_run_to_fixpoint_with(&alg, &g, cap, strategy).expect("clean run");
+    let clean = try_run(OwnedBackend::new(strategy), &alg, &g, cap).expect("clean run");
 
     // Every snapshot decode fails: checkpoints are unusable for the
     // whole test.
@@ -691,11 +759,11 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
     let result = Supervisor::new(RecoveryPolicy::default()).run(|attempt| {
         use metric_tree_embedding::core::RecoveryAttempt;
         match attempt {
-            RecoveryAttempt::Primary => try_run_checkpointed_with(
+            RecoveryAttempt::Primary => try_run_on(
+                OwnedBackend::new(strategy),
                 &alg,
                 &g,
                 cap,
-                strategy,
                 CheckpointPolicy::every_hops(1),
                 |ckpt| {
                     let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
@@ -713,7 +781,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
             }
             // Scratch runs without checkpoint sinks, so the armed
             // snapshot_read plan is never consulted again.
-            RecoveryAttempt::Scratch => try_run_to_fixpoint_with(&alg, &g, cap, strategy)
+            RecoveryAttempt::Scratch => try_run(OwnedBackend::new(strategy), &alg, &g, cap)
                 .map(|(run, report)| (run.states, report)),
         }
     });

@@ -1,8 +1,14 @@
 //! Malformed-input coverage (PR 6 satellite): every corrupt `.gr`
 //! document and every invalid edge list maps to the *right* typed error
 //! — [`GraphParseError`] / [`GraphBuildError`] — and nothing in the
-//! parsing or construction path panics, whatever the input.
+//! parsing or construction path panics, whatever the input. The guarded
+//! run drivers hold the same line for algorithms a backend cannot run.
 
+use metric_tree_embedding::core::catalog::SourceDetection;
+use metric_tree_embedding::core::dense::DenseBackend;
+use metric_tree_embedding::core::engine::{initial_states, EngineStrategy};
+use metric_tree_embedding::core::run::{try_resume_on, try_run_on, Checkpoint, CheckpointPolicy};
+use metric_tree_embedding::core::RunError;
 use metric_tree_embedding::graph::io::{read_gr, GraphParseError};
 use metric_tree_embedding::graph::{Graph, GraphBuildError};
 use proptest::prelude::*;
@@ -179,6 +185,45 @@ fn out_of_range_endpoint_names_the_node_and_bound() {
             n: 3
         }
     );
+}
+
+// ---------------------------------------------------------------------
+// Guarded runs: an algorithm the backend cannot represent is a typed
+// error from the `try_` drivers, never an unwind into the caller.
+// ---------------------------------------------------------------------
+
+#[test]
+fn dense_backend_refuses_non_dense_algorithms_without_unwinding() {
+    let g = metric_tree_embedding::graph::generators::path_graph(12, 1.0);
+    // k-SSP with k below the source count truncates: no dense rows.
+    let alg = SourceDetection::k_ssp(g.n(), 4);
+    let backend = || DenseBackend::new(EngineStrategy::Frontier, None);
+    let ckpt = Checkpoint {
+        hop: 1,
+        frontier: vec![0],
+        states: initial_states(&alg, g.n()),
+    };
+    let outcomes = std::panic::catch_unwind(|| {
+        let run = try_run_on(
+            backend(),
+            &alg,
+            &g,
+            13,
+            CheckpointPolicy::disabled(),
+            |_| Ok(()),
+        );
+        let resume = try_resume_on(backend(), &alg, &g, 13, &ckpt);
+        [run.map(|_| ()), resume.map(|_| ())]
+    })
+    .expect("a try_ driver unwound");
+    for outcome in outcomes {
+        match outcome {
+            Err(RunError::Panicked { message }) => {
+                assert!(message.contains("dense"), "unexpected message: {message}")
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -11,21 +11,22 @@
 use metric_tree_embedding::algebra::store::{EpochStore, SpanOut};
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::{
-    initial_store, oracle_run_arena_with_schedule, run_to_fixpoint_arena_with, ArenaEngine,
-    ArenaMbfAlgorithm, RecomputeCtx, SpanRecompute,
+    initial_store, oracle_run_arena_with_schedule, ArenaBackend, ArenaEngine, ArenaMbfAlgorithm,
+    RecomputeCtx, SpanRecompute,
 };
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
-use metric_tree_embedding::core::checkpoint::{try_resume_run_to_fixpoint_arena_with, Checkpoint};
 use metric_tree_embedding::core::dense::{
-    oracle_run_dense_with_schedule, run_to_fixpoint_dense_with, run_to_fixpoint_switching_with,
-    SwitchThresholds, SwitchingEngine,
+    oracle_run_dense_with_schedule, DenseBackend, SwitchThresholds, SwitchingEngine,
 };
 use metric_tree_embedding::core::engine::{
-    initial_states, run_to_fixpoint_with, EngineStrategy, MbfAlgorithm, MbfEngine,
+    initial_states, EngineStrategy, MbfAlgorithm, MbfEngine, OwnedBackend,
 };
 use metric_tree_embedding::core::frt::le_list::{le_lists_oracle_with, LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::frt::LeList;
 use metric_tree_embedding::core::oracle::{oracle_run_with_schedule, OracleRun};
+use metric_tree_embedding::core::run::{
+    run_to_fixpoint_on, try_resume_on, Checkpoint, StateBackend,
+};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::work::WorkStats;
 use metric_tree_embedding::prelude::*;
@@ -103,8 +104,10 @@ fn pruned_le_merge_bit_identical_to_reference_and_cheaper() {
         let pruned_alg = LeListAlgorithm::new(Arc::clone(&ranks));
         let reference_alg = UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks)));
         for strategy in STRATEGIES {
-            let pruned = run_to_fixpoint_with(&pruned_alg, &g, g.n() + 1, strategy);
-            let reference = run_to_fixpoint_with(&reference_alg, &g, g.n() + 1, strategy);
+            let pruned =
+                run_to_fixpoint_on(OwnedBackend::new(strategy), &pruned_alg, &g, g.n() + 1);
+            let reference =
+                run_to_fixpoint_on(OwnedBackend::new(strategy), &reference_alg, &g, g.n() + 1);
             assert_eq!(
                 pruned.states, reference.states,
                 "{name}/{strategy:?}: pruned merge diverged from merge-then-filter"
@@ -145,18 +148,18 @@ fn pruned_le_merge_bit_identical_across_thread_counts() {
         let ranks = Arc::clone(&ranks);
         with_threads(threads, move || {
             if pruned {
-                run_to_fixpoint_with(
+                run_to_fixpoint_on(
+                    OwnedBackend::new(EngineStrategy::Frontier),
                     &LeListAlgorithm::new(ranks),
                     g,
                     g.n() + 1,
-                    EngineStrategy::Frontier,
                 )
             } else {
-                run_to_fixpoint_with(
+                run_to_fixpoint_on(
+                    OwnedBackend::new(EngineStrategy::Frontier),
                     &UnprunedLeList(LeListAlgorithm::new(ranks)),
                     g,
                     g.n() + 1,
-                    EngineStrategy::Frontier,
                 )
             }
         })
@@ -278,6 +281,30 @@ fn oracle_carry_over_bit_identical_to_all_dirty_restart() {
     }
 }
 
+/// With a level budget `d` below `SPD(G)` every level stops mid-wave,
+/// so the aggregation keeps changing `x`-slots that a level itself did
+/// not move last round. The carry-over diff must re-project those slots
+/// too (its `x_changed` half); diffing only the level's own moved set
+/// leaves stale projections and changes the LE lists these fixtures
+/// produce.
+#[test]
+fn oracle_carry_over_reprojects_slots_the_aggregation_changed() {
+    for seed in [12u64, 30, 39] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = 6 + seed as usize % 18;
+        let g = gnm_graph(n, n - 1 + (seed as usize * 7) % 30, 1.0..10.0, &mut rng);
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xABC);
+        let sim = SimulatedGraph::without_hopset(&g, 1, 0.2, &mut rng);
+        let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
+        let cap = 4 * g.n();
+        let restart = oracle_run_with_schedule(&le, &sim, cap, EngineStrategy::Frontier, false);
+        let owned = oracle_run_with_schedule(&le, &sim, cap, EngineStrategy::Frontier, true);
+        assert_oracle_runs_agree(&owned, &restart, &format!("owned seed {seed}"));
+        let arena = oracle_run_arena_with_schedule(&le, &sim, cap, EngineStrategy::Frontier, true);
+        assert_oracle_runs_agree(&arena, &restart, &format!("arena seed {seed}"));
+    }
+}
+
 #[test]
 fn oracle_carry_over_bit_identical_across_thread_counts() {
     let (g, sim) = oracle_fixture();
@@ -366,8 +393,8 @@ where
 {
     let cap = g.n() + 1;
     for strategy in STRATEGIES {
-        let owned = run_to_fixpoint_with(alg, g, cap, strategy);
-        let arena = run_to_fixpoint_arena_with(alg, g, cap, strategy);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), alg, g, cap);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(strategy), alg, g, cap);
         assert_eq!(
             owned.states, arena.states,
             "{label}/{strategy:?}: arena backend diverged from owned"
@@ -420,11 +447,11 @@ fn arena_engine_bit_identical_across_thread_counts() {
     let run = |threads: usize| {
         let ranks = Arc::clone(&ranks);
         with_threads(threads, move || {
-            run_to_fixpoint_arena_with(
+            run_to_fixpoint_on(
+                ArenaBackend::new(EngineStrategy::Frontier),
                 &LeListAlgorithm::new(ranks),
                 g,
                 g.n() + 1,
-                EngineStrategy::Frontier,
             )
         })
     };
@@ -596,8 +623,13 @@ fn semi_naive_handover_admits_exactly_what_the_full_handover_admits() {
                 let (semi, full) = with_threads(threads, move || {
                     let cap = g.n() + 1;
                     (
-                        run_to_fixpoint_arena_with(le, g, cap, strategy),
-                        run_to_fixpoint_arena_with(&FullHandover(le.clone()), g, cap, strategy),
+                        run_to_fixpoint_on(ArenaBackend::new(strategy), le, g, cap),
+                        run_to_fixpoint_on(
+                            ArenaBackend::new(strategy),
+                            &FullHandover(le.clone()),
+                            g,
+                            cap,
+                        ),
                     )
                 });
                 assert_same_but_smaller_handover(
@@ -648,8 +680,8 @@ fn dense_block_backend_bit_identical_to_owned() {
         for strategy in STRATEGIES {
             // APSP: the headline dense workload.
             let alg = SourceDetection::apsp(g.n());
-            let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, strategy);
-            let dense = run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, strategy);
+            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
+            let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
             assert_eq!(
                 owned.states, dense.states,
                 "{name}/{strategy:?}: dense apsp diverged from owned"
@@ -666,8 +698,8 @@ fn dense_block_backend_bit_identical_to_owned() {
 
             // Boolean semiring: all-pairs connectivity.
             let alg = Connectivity::all_pairs(g.n());
-            let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, strategy);
-            let dense = run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, strategy);
+            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
+            let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
             assert_eq!(
                 owned.states, dense.states,
                 "{name}/{strategy:?}/connectivity"
@@ -676,8 +708,8 @@ fn dense_block_backend_bit_identical_to_owned() {
 
             // Max-min semiring: all-pairs widest paths.
             let alg = WidestPaths::apwp(g.n());
-            let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, strategy);
-            let dense = run_to_fixpoint_dense_with(&alg, &g, g.n() + 1, strategy);
+            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
+            let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
             assert_eq!(owned.states, dense.states, "{name}/{strategy:?}/widest");
             assert_eq!(owned.iterations, dense.iterations);
         }
@@ -693,11 +725,21 @@ fn dense_block_bit_identical_across_thread_counts() {
     let alg = &alg;
     let run = |threads: usize| {
         with_threads(threads, move || {
-            run_to_fixpoint_dense_with(alg, g, g.n() + 1, EngineStrategy::default())
+            run_to_fixpoint_on(
+                DenseBackend::new(EngineStrategy::default(), None),
+                alg,
+                g,
+                g.n() + 1,
+            )
         })
     };
     let reference = with_threads(1, move || {
-        run_to_fixpoint_with(alg, g, g.n() + 1, EngineStrategy::default())
+        run_to_fixpoint_on(
+            OwnedBackend::new(EngineStrategy::default()),
+            alg,
+            g,
+            g.n() + 1,
+        )
     });
     for threads in [1, 4] {
         let dense = run(threads);
@@ -718,7 +760,12 @@ fn switching_engine_bit_identical_across_thread_counts_and_thresholds() {
     let mut rng = StdRng::seed_from_u64(0x53ED);
     let g = gnm_graph(120, 340, 1.0..8.0, &mut rng);
     let alg = SourceDetection::apsp(g.n());
-    let owned = run_to_fixpoint_with(&alg, &g, g.n() + 1, EngineStrategy::default());
+    let owned = run_to_fixpoint_on(
+        OwnedBackend::new(EngineStrategy::default()),
+        &alg,
+        &g,
+        g.n() + 1,
+    );
     let g = &g;
     let alg = &alg;
     for thresholds in [
@@ -740,12 +787,11 @@ fn switching_engine_bit_identical_across_thread_counts_and_thresholds() {
     ] {
         let run = |threads: usize| {
             with_threads(threads, move || {
-                run_to_fixpoint_switching_with(
+                run_to_fixpoint_on(
+                    SwitchingEngine::new(EngineStrategy::default(), thresholds),
                     alg,
                     g,
                     g.n() + 1,
-                    EngineStrategy::default(),
-                    thresholds,
                 )
             })
         };
@@ -829,13 +875,8 @@ proptest! {
         // Engine: pruned vs merge-then-filter, all strategies.
         for strategy in STRATEGIES {
             let pruned =
-                run_to_fixpoint_with(&LeListAlgorithm::new(Arc::clone(&ranks)), &g, g.n() + 1, strategy);
-            let reference = run_to_fixpoint_with(
-                &UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks))),
-                &g,
-                g.n() + 1,
-                strategy,
-            );
+                run_to_fixpoint_on(OwnedBackend::new(strategy), &LeListAlgorithm::new(Arc::clone(&ranks)), &g, g.n() + 1);
+            let reference = run_to_fixpoint_on(OwnedBackend::new(strategy), &UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks))), &g, g.n() + 1);
             prop_assert_eq!(&pruned.states, &reference.states);
             prop_assert_eq!(pruned.iterations, reference.iterations);
             prop_assert!(pruned.work.entries_processed <= reference.work.entries_processed);
@@ -852,8 +893,8 @@ proptest! {
         prop_assert!(carry.work.touched_vertices <= restart.work.touched_vertices);
 
         // Storage backends: arena engine and oracle vs the owned paths.
-        let arena = run_to_fixpoint_arena_with(&le, &g, g.n() + 1, EngineStrategy::Frontier);
-        let owned = run_to_fixpoint_with(&le, &g, g.n() + 1, EngineStrategy::Frontier);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(EngineStrategy::Frontier), &le, &g, g.n() + 1);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Frontier), &le, &g, g.n() + 1);
         prop_assert_eq!(&arena.states, &owned.states);
         prop_assert_eq!(arena.iterations, owned.iterations);
         let arena_oracle =
@@ -923,7 +964,7 @@ proptest! {
             states: store.export(),
         };
         let (resumed, _) =
-            try_resume_run_to_fixpoint_arena_with(&alg, &g, cap, EngineStrategy::Frontier, &ckpt)
+            try_resume_on(ArenaBackend::new(EngineStrategy::Frontier), &alg, &g, cap, &ckpt)
                 .expect("resume from a consistent capture cannot fail");
         // Drive both to the fixpoint and compare once more.
         for _ in 0..cap {
@@ -963,7 +1004,8 @@ proptest! {
         let mut owned_states = initial_states(&alg, g.n());
         let mut owned_engine = MbfEngine::new(EngineStrategy::default());
         owned_engine.mark_all_dirty(&g);
-        let mut switching = SwitchingEngine::new(&alg, &g, EngineStrategy::default(), thresholds);
+        let mut switching = SwitchingEngine::new(EngineStrategy::default(), thresholds);
+        switching.start(&alg, &g).unwrap();
 
         let mut salt = seed | 1;
         let mut saw_matrix = false;

@@ -5,8 +5,8 @@
 //! whatever the input. Companion to `tests/malformed_inputs.rs`, which
 //! makes the same promise for the `.gr` parser.
 
-use metric_tree_embedding::core::checkpoint::Checkpoint;
 use metric_tree_embedding::core::frt::{le_lists_direct, FrtTree, Ranks};
+use metric_tree_embedding::core::run::Checkpoint;
 use metric_tree_embedding::persist::{
     SectionTag, SnapshotError, SnapshotReader, SnapshotWriter, MAGIC, VERSION,
 };
