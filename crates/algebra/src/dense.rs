@@ -820,12 +820,6 @@ pub trait DenseState<S: Semiring + Copy>: Semimodule<S> {
     /// Gathers the non-zero coordinates of `row` back into the sparse
     /// representation.
     fn read_dense(row: &[S]) -> Self;
-
-    /// Number of non-zero coordinates of `row` (the paper's `|x|` read
-    /// off the dense representation).
-    fn dense_len(row: &[S]) -> usize {
-        row.iter().filter(|v| !Semiring::is_zero(*v)).count()
-    }
 }
 
 impl DenseState<MinPlus> for DistanceMap {
@@ -885,8 +879,8 @@ impl DenseState<Bool> for NodeSet {
 
 /// A dense-block allocation was refused: the requested matrix exceeds
 /// the configured memory budget, or a simulated allocation failure was
-/// injected. Recoverable — the switching engine declines the flip and
-/// completes on the sparse representation.
+/// injected. Recoverable — `mte_core`'s dense backend reports it as a
+/// typed budget error instead of allocating.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DenseAllocError {
     /// Bytes the refused block would have occupied.
@@ -943,12 +937,12 @@ impl<S: Semiring + Copy> DenseBlock<S> {
     }
 
     /// Like [`DenseBlock::new`], but refuses to allocate past
-    /// `budget_bytes` — the graceful-degradation hook the switching
-    /// engine uses to decline a dense flip instead of overcommitting
-    /// memory. An armed `alloc_fail` fault at the `dense_row_kernel`
-    /// site simulates exhaustion even under no (or a large) budget; it
-    /// is logged as **handled** because the caller answers with a typed
-    /// error or a recorded degradation, never silent corruption.
+    /// `budget_bytes` — the check `mte_core`'s dense backend runs before
+    /// every block it loads, so an unaffordable run fails typed instead
+    /// of overcommitting memory. An armed `alloc_fail` fault at the
+    /// `dense_row_kernel` site simulates exhaustion even under no (or a
+    /// large) budget; it is logged as **handled** because the caller
+    /// answers with a typed error, never silent corruption.
     pub fn try_new(
         rows: usize,
         cols: usize,
@@ -1045,15 +1039,6 @@ impl<S: Semiring + Copy> DenseBlock<S> {
         &mut self.values
     }
 
-    /// Non-zero coordinates across all rows (`Σ_v |x_v|`) — the
-    /// density statistic the representation-switching engine reads.
-    pub fn live_entries(&self) -> usize {
-        self.values
-            .iter()
-            .filter(|v| !Semiring::is_zero(*v))
-            .count()
-    }
-
     /// Bytes held by the block's value storage.
     pub fn bytes(&self) -> u64 {
         (self.values.len() * std::mem::size_of::<S>()) as u64
@@ -1077,7 +1062,6 @@ mod tests {
         assert_eq!(row[3], MinPlus::new(2.5));
         assert_eq!(row[1], <MinPlus as Semiring>::zero());
         assert_eq!(DistanceMap::read_dense(&row), x);
-        assert_eq!(<DistanceMap as DenseState<MinPlus>>::dense_len(&row), 3);
     }
 
     #[test]
@@ -1205,7 +1189,6 @@ mod tests {
         assert_eq!(block.rows(), 3);
         assert_eq!(block.cols(), 3);
         assert_eq!(block.row(0)[2], MinPlus::new(3.0));
-        assert_eq!(block.live_entries(), 3);
         assert_eq!(block.bytes(), (9 * std::mem::size_of::<MinPlus>()) as u64);
         let back: Vec<DistanceMap> = block.export();
         assert_eq!(back, states);

@@ -1,14 +1,13 @@
 //! Dense-block backend timings: the flat matrix kernels
 //! (`mte_algebra::dense`) against the owned sparse engine on APSP-class
 //! workloads, plus the raw row-kernel microbenchmarks — the wall-time
-//! counterpart to the `apsp dense-block`/`apsp switching` rows of
-//! `exp_baseline`.
+//! counterpart to the `apsp dense-block` rows of `exp_baseline`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mte_algebra::dense::{relax_row_into, relax_rows_into};
 use mte_algebra::MinPlus;
 use mte_core::catalog::SourceDetection;
-use mte_core::dense::{DenseBackend, SwitchThresholds, SwitchingEngine};
+use mte_core::dense::DenseBackend;
 use mte_core::engine::{EngineStrategy, OwnedBackend};
 use mte_core::run::run_to_fixpoint_on;
 use mte_graph::generators::{gnm_graph, grid_graph};
@@ -51,7 +50,7 @@ fn bench_dense(c: &mut Criterion) {
         })
     });
 
-    // Whole-run comparisons: owned sparse vs dense-block vs switching.
+    // Whole-run comparisons: owned sparse vs dense-block.
     for (graph_name, g) in workloads() {
         let apsp = SourceDetection::apsp(g.n());
         group.bench_function(format!("apsp/{graph_name}/owned"), |b| {
@@ -69,17 +68,6 @@ fn bench_dense(c: &mut Criterion) {
             b.iter(|| {
                 black_box(run_to_fixpoint_on(
                     DenseBackend::new(EngineStrategy::Dense, None),
-                    &apsp,
-                    &g,
-                    g.n() + 1,
-                ))
-                .iterations
-            })
-        });
-        group.bench_function(format!("apsp/{graph_name}/switching"), |b| {
-            b.iter(|| {
-                black_box(run_to_fixpoint_on(
-                    SwitchingEngine::new(EngineStrategy::default(), SwitchThresholds::default()),
                     &apsp,
                     &g,
                     g.n() + 1,

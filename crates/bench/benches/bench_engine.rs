@@ -1,4 +1,4 @@
-//! Dense vs frontier vs hybrid engine scheduling on the
+//! Dense vs frontier engine scheduling on the
 //! sparse-convergence workloads (gnm n=2000 m=6000, grid 50×50): the
 //! wall-time counterpart to `exp_baseline`'s work counters.
 
@@ -25,11 +25,10 @@ fn workloads() -> Vec<(&'static str, Graph)> {
     ]
 }
 
-fn strategies() -> [(&'static str, EngineStrategy); 3] {
+fn strategies() -> [(&'static str, EngineStrategy); 2] {
     [
         ("dense", EngineStrategy::Dense),
         ("frontier", EngineStrategy::Frontier),
-        ("hybrid", EngineStrategy::default()),
     ]
 }
 

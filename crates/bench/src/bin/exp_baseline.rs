@@ -1,7 +1,7 @@
 //! Experiment driver. See DESIGN.md §4 and EXPERIMENTS.md.
 //!
 //! Runs the Section 1.1 sampler comparison (E16), the engine suite
-//! (dense vs frontier vs hybrid scheduling on the standard catalog),
+//! (dense vs frontier scheduling on the standard catalog),
 //! the checkpoint-overhead suite (snapshot write/load cost as a
 //! fraction of run wall time), and the thread-scaling sweep (the same
 //! dense workload across `MTE_THREADS`-style pool sizes

@@ -1,5 +1,5 @@
-//! The engine benchmark suite: dense vs frontier vs hybrid scheduling on
-//! the standard graph catalog, with machine-readable output.
+//! The engine benchmark suite: dense vs frontier scheduling on the
+//! standard graph catalog, with machine-readable output.
 //!
 //! Run via `exp_baseline` (or `cargo bench --bench bench_engine` for the
 //! criterion timings); emits `BENCH_engine.json` so successive PRs can
@@ -11,23 +11,22 @@
 //! Rows measure the **production path** of each workload: for the LE
 //! lists that is the epoch-arena backend (`le_lists_direct` routes
 //! through [`mte_core::arena::ArenaEngine`] since the arena rework), so
-//! the `frontier`/`hybrid` rows time the arena engine and the
-//! `…+owned` rows keep the owned `Vec<DistanceMap>` backend visible for
-//! comparison. SSSP keeps its owned rows (the generic engine is its
-//! production path) plus `…+arena` rows. APSP rows on the dense catalog
-//! measure the flat-matrix backend (`dense-block`) and the
-//! representation-switching hybrid (`switching`) against the owned
-//! sparse reference. Every row carries the storage counters
-//! (`bytes_copied`, `alloc_count`, `arena_bytes`) and the switching
-//! counters (`dense_flips`, `dense_hops`) so the copy-on-write and
-//! matrix-mode wins show up in the trajectory, not just wall time; arena
-//! rows also carry the semi-naive handover volume (`handover_entries`).
+//! the `frontier` rows time the arena engine and the `…+owned` rows
+//! keep the owned `Vec<DistanceMap>` backend visible for comparison.
+//! SSSP keeps its owned rows (the generic engine is its production
+//! path) plus `…+arena` rows. APSP rows on the dense catalog measure
+//! the flat-matrix backend (`dense-block`) against the owned sparse
+//! reference. Every row carries the storage counters (`bytes_copied`,
+//! `alloc_count`, `arena_bytes`) and the matrix-mode hop count
+//! (`dense_hops`) so the copy-on-write and matrix-mode wins show up in
+//! the trajectory, not just wall time; arena rows also carry the
+//! semi-naive handover volume (`handover_entries`).
 
 use crate::tables::{f, Table};
 use mte_algebra::DistanceMap;
 use mte_core::arena::{ArenaBackend, ArenaMbfAlgorithm};
 use mte_core::catalog::SourceDetection;
-use mte_core::dense::{DenseBackend, SwitchThresholds, SwitchingEngine};
+use mte_core::dense::DenseBackend;
 use mte_core::engine::{EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
 use mte_core::frt::le_list::{LeListAlgorithm, Ranks};
 use mte_core::run::run_to_fixpoint_on;
@@ -82,8 +81,8 @@ pub fn engine_catalog() -> Vec<(String, Graph)> {
 }
 
 /// The APSP-class dense catalog: smaller graphs (the workload's state
-/// volume is Θ(n²)) on which the dense-block and representation-
-/// switching backends are measured against the owned sparse reference.
+/// volume is Θ(n²)) on which the dense-block backend is measured
+/// against the owned sparse reference.
 pub fn dense_catalog() -> Vec<(String, Graph)> {
     let mut rng = StdRng::seed_from_u64(0xDE45);
     vec![
@@ -99,17 +98,12 @@ fn strategy_label(s: EngineStrategy) -> String {
     match s {
         EngineStrategy::Dense => "dense".into(),
         EngineStrategy::Frontier => "frontier".into(),
-        EngineStrategy::Hybrid { dense_threshold } => format!("hybrid({dense_threshold})"),
     }
 }
 
 /// The strategies each workload is measured under.
-pub fn measured_strategies() -> [EngineStrategy; 3] {
-    [
-        EngineStrategy::Dense,
-        EngineStrategy::Frontier,
-        EngineStrategy::default(),
-    ]
+pub fn measured_strategies() -> [EngineStrategy; 2] {
+    [EngineStrategy::Dense, EngineStrategy::Frontier]
 }
 
 /// Records one timed fixpoint run as a case row, after cross-checking
@@ -194,7 +188,7 @@ fn measure_owned<A>(
     }
 }
 
-/// Measures the epoch-arena backend under the sparse strategies (a
+/// Measures the epoch-arena backend under the frontier strategy (a
 /// dense+arena row would time pool churn the production paths never
 /// exhibit), with the given label suffix.
 fn measure_arena<A>(
@@ -208,29 +202,27 @@ fn measure_arena<A>(
 ) where
     A: ArenaMbfAlgorithm,
 {
-    let cap = g.n() + 1;
-    for strategy in [EngineStrategy::Frontier, EngineStrategy::default()] {
-        let t0 = Instant::now();
-        let run = run_to_fixpoint_on(ArenaBackend::new(strategy), alg, g, cap);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let label = format!("{}{suffix}", strategy_label(strategy));
-        record(
-            graph_label,
-            g,
-            alg_label,
-            alg,
-            label,
-            run,
-            wall_ms,
-            reference,
-            out,
-        );
-    }
+    let strategy = EngineStrategy::Frontier;
+    let t0 = Instant::now();
+    let run = run_to_fixpoint_on(ArenaBackend::new(strategy), alg, g, g.n() + 1);
+    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let label = format!("{}{suffix}", strategy_label(strategy));
+    record(
+        graph_label,
+        g,
+        alg_label,
+        alg,
+        label,
+        run,
+        wall_ms,
+        reference,
+        out,
+    );
 }
 
 /// Runs the suite: SSSP and LE lists to fixpoint on every catalog graph
 /// under every strategy and both storage backends. For LE lists the
-/// plain `frontier`/`hybrid` rows time the arena backend (the
+/// plain `frontier` row times the arena backend (the
 /// production path of `le_lists_direct`); `…+owned` rows keep the owned
 /// backend in the trajectory. For SSSP the plain rows stay owned (its
 /// production path) and `…+arena` rows ride along.
@@ -284,7 +276,7 @@ pub fn engine_suite() -> Vec<EngineCase> {
     }
 
     // APSP-class rows: owned sparse reference vs the dense-block matrix
-    // backend vs representation switching, on the dense catalog.
+    // backend, on the dense catalog.
     for (label, g) in dense_catalog() {
         let cap = g.n() + 1;
         let apsp = SourceDetection::apsp(g.n());
@@ -322,25 +314,6 @@ pub fn engine_suite() -> Vec<EngineCase> {
             &reference,
             &mut cases,
         );
-        let t0 = Instant::now();
-        let run = run_to_fixpoint_on(
-            SwitchingEngine::new(EngineStrategy::default(), SwitchThresholds::default()),
-            &apsp,
-            &g,
-            cap,
-        );
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        record(
-            &label,
-            &g,
-            "apsp",
-            &apsp,
-            "switching".into(),
-            run,
-            wall_ms,
-            &reference,
-            &mut cases,
-        );
     }
     cases
 }
@@ -349,7 +322,7 @@ pub fn engine_suite() -> Vec<EngineCase> {
 /// relaxation ratio (the headline number of the engine rework).
 pub fn engine_suite_table(cases: &[EngineCase]) -> Table {
     let mut t = Table::new(
-        "Engine suite: dense vs frontier vs hybrid, owned vs arena (fixpoint runs, states cross-checked)",
+        "Engine suite: dense vs frontier, owned vs arena (fixpoint runs, states cross-checked)",
         &[
             "graph",
             "algorithm",
@@ -412,7 +385,7 @@ pub fn engine_suite_json(cases: &[EngineCase]) -> String {
                 "\"entries_processed\": {}, \"edge_relaxations\": {}, ",
                 "\"handover_entries\": {}, \"touched_vertices\": {}, ",
                 "\"bytes_copied\": {}, \"alloc_count\": {}, \"arena_bytes\": {}, ",
-                "\"dense_flips\": {}, \"dense_hops\": {}, ",
+                "\"dense_hops\": {}, ",
                 "\"shard_msgs\": {}, \"shard_msg_bytes\": {}, ",
                 "\"max_list_len\": {}, \"mean_list_len\": {:.3}}}{}\n"
             ),
@@ -430,7 +403,6 @@ pub fn engine_suite_json(cases: &[EngineCase]) -> String {
             c.work.bytes_copied,
             c.work.alloc_count,
             c.work.arena_bytes,
-            c.work.dense_flips,
             c.work.dense_hops,
             c.work.shard_msgs,
             c.work.shard_msg_bytes,
@@ -463,7 +435,7 @@ mod tests {
         let mut cases = Vec::new();
         measure_owned("mini", &g, "sssp", &alg, "", false, &reference, &mut cases);
         measure_arena("mini", &g, "sssp", &alg, "+arena", &reference, &mut cases);
-        assert_eq!(cases.len(), measured_strategies().len() + 2);
+        assert_eq!(cases.len(), measured_strategies().len() + 1);
         let dense = &cases[0];
         let frontier = &cases[1];
         assert_eq!(dense.strategy, "dense");
@@ -487,8 +459,7 @@ mod tests {
         assert_eq!(json.matches("\"bytes_copied\"").count(), cases.len());
         assert_eq!(json.matches("\"alloc_count\"").count(), cases.len());
         assert_eq!(json.matches("\"arena_bytes\"").count(), cases.len());
-        // Representation-switching counters too.
-        assert_eq!(json.matches("\"dense_flips\"").count(), cases.len());
+        // The matrix-mode hop count too.
         assert_eq!(json.matches("\"dense_hops\"").count(), cases.len());
         // Exchange-volume counters (0 for unsharded rows, but present so
         // the schema is uniform with the sharded parallel-suite rows).

@@ -10,14 +10,12 @@
 //! thread-count-dependent) answer is worthless.
 //!
 //! The workload is the APSP fixpoint sweep on the standard catalog,
-//! measured on three backends per graph: the owned sparse store under
-//! the dense schedule (`apsp dense` — the historical rows), the flat
-//! matrix backend (`apsp dense-block` — `mte_core::dense`, the row
-//! kernels the dense-state issue targets), and the
-//! representation-switching hybrid (`apsp switching` — sparse start,
-//! matrix-mode finish). The dense-block and switching rows are
-//! additionally cross-checked bit-identical against the owned rows, so
-//! the trajectory never compares different answers. Speedups saturate
+//! measured on two backends per graph, plus the sharded engine: the
+//! owned sparse store under the dense schedule (`apsp dense` — the
+//! historical rows) and the flat matrix backend (`apsp dense-block` —
+//! `mte_core::dense`, the contiguous row kernels). The dense-block rows
+//! are additionally cross-checked bit-identical against the owned rows,
+//! so the trajectory never compares different answers. Speedups saturate
 //! at the machine's physical parallelism — on a single-core host every
 //! thread count measures ≈ 1×, which the JSON flags via `host_threads`
 //! and `speedups_valid: false` (plus an explanatory `note`) so
@@ -29,7 +27,7 @@ use crate::tables::{f, Table};
 use mte_algebra::DistanceMap;
 use mte_congest::CongestCost;
 use mte_core::catalog::SourceDetection;
-use mte_core::dense::{DenseBackend, SwitchThresholds, SwitchingEngine};
+use mte_core::dense::DenseBackend;
 use mte_core::engine::{EngineStrategy, MbfRun, OwnedBackend};
 use mte_core::run::run_to_fixpoint_on;
 use mte_core::shard::try_run_sharded_to_fixpoint_with;
@@ -240,9 +238,9 @@ pub fn measure_thread_sweep(
 }
 
 /// Runs the sweep on the full catalog: the owned `apsp dense` rows
-/// (the trajectory baseline), the flat-matrix `apsp dense-block` rows,
-/// and the representation-switching `apsp switching` rows, every
-/// backend cross-checked bit-identical against the owned states.
+/// (the trajectory baseline), the flat-matrix `apsp dense-block` rows
+/// and the sharded rows, every backend cross-checked bit-identical
+/// against the owned states.
 pub fn parallel_suite() -> Vec<ParallelCase> {
     let counts = thread_counts();
     let mut cases = Vec::new();
@@ -269,22 +267,6 @@ pub fn parallel_suite() -> Vec<ParallelCase> {
             },
             &mut cases,
         );
-        measure_thread_sweep_with(
-            &label,
-            &g,
-            &counts,
-            "apsp switching",
-            Some(&reference),
-            || {
-                run_to_fixpoint_on(
-                    SwitchingEngine::new(EngineStrategy::default(), SwitchThresholds::default()),
-                    &alg,
-                    &g,
-                    cap,
-                )
-            },
-            &mut cases,
-        );
         measure_shard_sweep(&label, &g, &counts, &[2, 4], &reference, &mut cases);
     }
     cases
@@ -293,7 +275,7 @@ pub fn parallel_suite() -> Vec<ParallelCase> {
 /// Renders the sweep as a table.
 pub fn parallel_suite_table(cases: &[ParallelCase]) -> Table {
     let mut t = Table::new(
-        "Thread sweep: APSP fixpoint runs, owned/dense-block/switching backends (states cross-checked bit-identical)",
+        "Thread sweep: APSP fixpoint runs, owned/dense-block/sharded backends (states cross-checked bit-identical)",
         &["graph", "algorithm", "threads", "wall ms", "speedup vs 1"],
     );
     for case in cases {
@@ -366,8 +348,8 @@ mod tests {
         assert_eq!(cases[0].threads, 1);
         assert!((cases[0].speedup - 1.0).abs() < 1e-12);
 
-        // The dense-block and switching sweeps ride the same harness
-        // and are cross-checked against the owned states.
+        // The dense-block sweep rides the same harness and is
+        // cross-checked against the owned states.
         let alg = SourceDetection::apsp(g.n());
         measure_thread_sweep_with(
             "mini",
@@ -385,30 +367,13 @@ mod tests {
             },
             &mut cases,
         );
-        measure_thread_sweep_with(
-            "mini",
-            &g,
-            &[1, 2],
-            "apsp switching",
-            Some(&reference),
-            || {
-                run_to_fixpoint_on(
-                    SwitchingEngine::new(EngineStrategy::default(), SwitchThresholds::default()),
-                    &alg,
-                    &g,
-                    g.n() + 1,
-                )
-            },
-            &mut cases,
-        );
-        assert_eq!(cases.len(), 6);
+        assert_eq!(cases.len(), 4);
         assert!(cases.iter().any(|c| c.algorithm == "apsp dense-block"));
-        assert!(cases.iter().any(|c| c.algorithm == "apsp switching"));
 
         // The shard sweep cross-checks sharded states bit-identical
         // against the owned reference and records exchange volume.
         measure_shard_sweep("mini", &g, &[1, 2], &[2], &reference, &mut cases);
-        assert_eq!(cases.len(), 8);
+        assert_eq!(cases.len(), 6);
         let sharded: Vec<_> = cases.iter().filter(|c| c.shards > 1).collect();
         assert_eq!(sharded.len(), 2);
         assert!(sharded.iter().all(|c| c.algorithm == "apsp sharded(2)"));

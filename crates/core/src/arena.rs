@@ -695,7 +695,7 @@ impl ArenaEngine {
 
         let touched_vertices = touched.len() as u64;
         let changed: &[bool] = &self.changed;
-        self.sched.refresh(g, |p| changed[p]);
+        self.sched.refresh(|p| changed[p]);
 
         let mut work = WorkStats {
             iterations: 1,

@@ -1,6 +1,5 @@
 //! The dense-block engine backend: MBF-like iteration over flat
-//! row-major state matrices ([`mte_algebra::dense`]), plus Ligra-style
-//! **representation switching** between the sparse and dense stores.
+//! row-major state matrices ([`mte_algebra::dense`]).
 //!
 //! # Why a third backend
 //!
@@ -32,24 +31,16 @@
 //! reports whether the instance's filter is dense-representable at all
 //! (e.g. source detection with `k` below the source count is not).
 //!
-//! # Representation switching
+//! # Memory budget
 //!
-//! [`SwitchingEngine`] is the hybrid store (Ligra-style direction
-//! switching lifted to the *representation*): a run starts sparse
-//! (owned maps, frontier hops), tracks per-vertex state sizes, and
-//! marks a vertex a **dense-row candidate** once `|x_v|` crosses
-//! [`SwitchThresholds::row_density`]`·k` ([`WorkStats::dense_flips`]
-//! counts the upward crossings). Once candidates saturate
-//! ([`SwitchThresholds::saturation`]`·n`), the whole hop flips to
-//! **matrix mode**: states convert into a [`DenseBlock`] once and
-//! subsequent hops run the row kernels ([`WorkStats::dense_hops`]
-//! counts them). If external edits ([`SwitchingEngine::assign_dirty`])
-//! shrink the live density below [`SwitchThresholds::revert`], the
-//! engine converts back to the sparse store. Every conversion preserves
-//! states bit-for-bit (both representations are canonical), and the
-//! frontier carries over across the switch, so a switching run's
-//! states, iteration counts, and fixpoint flags match the
-//! single-representation runs exactly.
+//! A dense run holds an `n × n` block. [`DenseBackend`] allocates it
+//! through [`DenseBlock::try_from_states`] under its memory budget, so
+//! an unaffordable block — or an injected `alloc_fail` at the
+//! `dense_row_kernel` site — is the typed
+//! [`RunError::DenseBudgetExceeded`], raised before any allocation,
+//! never an abort. There is no silent sparse fallback: the one
+//! production caller, `approximate_metric_on`, already routes inputs
+//! too large for a dense block to the sparse oracle.
 //!
 //! # Oracle routing
 //!
@@ -58,10 +49,10 @@
 //! dense blocks. `approximate_metric_on` (Theorem 6.1 — the APSP query,
 //! whose output *is* an `n × n` matrix) routes through it.
 
-use crate::engine::{
-    initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, MbfEngine, SyncPtr,
-};
-use crate::error::{Degradation, RunError};
+#[cfg(doc)]
+use crate::engine::MbfEngine;
+use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, SyncPtr};
+use crate::error::RunError;
 use crate::oracle::{run_lanes, Lane, OracleRun};
 use crate::run::{Checkpoint, StateBackend};
 use crate::simgraph::SimulatedGraph;
@@ -70,7 +61,7 @@ use mte_algebra::dense::{
     fold_row_into, relax_rows_into, relax_rows_tracked, rows_equal, DenseBlock, DenseKernel,
     DenseState,
 };
-use mte_algebra::{MinPlus, NodeId, Semimodule, Semiring};
+use mte_algebra::{MinPlus, NodeId, Semiring};
 use mte_graph::Graph;
 use rayon::prelude::*;
 use std::cell::RefCell;
@@ -172,9 +163,8 @@ where
     /// Sizes the schedule and taint table for `g` with an **empty**
     /// frontier, so a later [`DenseEngine::mark_dirty`] seeds exactly
     /// its vertices instead of falling back to the all-dirty restart
-    /// (the [`SwitchingEngine`] primes its matrix engine with this at
-    /// construction, keeping the flip's frontier hand-over
-    /// frontier-sized from the very first conversion).
+    /// (the checkpoint-resume path seeds the recorded frontier this
+    /// way).
     pub fn ensure_sized(&mut self, g: &Graph) {
         self.sched.ensure_sized(g);
         self.taint.ensure_sized(g.n());
@@ -382,7 +372,7 @@ where
         // the same model-level accounting as the owned backend.
         let bytes_copied = touched_vertices * (k * std::mem::size_of::<A::S>()) as u64;
         let per_vertex: &[(u64, u64, bool)] = &self.per_vertex;
-        self.sched.refresh(g, |p| per_vertex[p].2);
+        self.sched.refresh(|p| per_vertex[p].2);
 
         // Fault-injection site: the hop's commit just completed; a
         // `panic` unwinds mid-run, a `poison_nan` corrupts one matrix
@@ -420,11 +410,10 @@ where
 }
 
 /// The dense backend of [`StateBackend`]: a [`DenseBlock`] hopped by a
-/// [`DenseEngine`], states exported as sparse maps. Unlike the
-/// [`SwitchingEngine`] — which *degrades* to sparse — a dense-only run
-/// that cannot afford its `n × n` block has no fallback: start and
-/// resume check the memory budget before allocating and fail with
-/// [`RunError::DenseBudgetExceeded`].
+/// [`DenseEngine`], states exported as sparse maps. A run that cannot
+/// afford its `n × n` block has no fallback: start and resume allocate
+/// it under the memory budget and fail with
+/// [`RunError::DenseBudgetExceeded`] (see the module docs).
 #[derive(Clone, Debug)]
 pub struct DenseBackend<A: DenseMbfAlgorithm>
 where
@@ -464,22 +453,21 @@ where
         }
     }
 
-    /// Loads `states` into a fresh `n × n` block, after the budget and
-    /// dense-advertisement checks.
+    /// Loads `states` into a fresh `n × n` block allocated under the
+    /// memory budget, then checks the dense advertisement.
     fn load(&mut self, alg: &A, states: &[A::M]) -> Result<(), RunError> {
         let n = states.len();
-        let requested = DenseBlock::<A::S>::bytes_for(n, n);
-        if let Some(budget) = self.budget_bytes.filter(|&budget| requested > budget) {
-            return Err(RunError::DenseBudgetExceeded {
-                requested_bytes: requested,
-                budget_bytes: budget,
-            });
-        }
+        let block = DenseBlock::try_from_states(states, n, self.budget_bytes).map_err(|e| {
+            RunError::DenseBudgetExceeded {
+                requested_bytes: e.requested_bytes,
+                budget_bytes: e.budget_bytes,
+            }
+        })?;
         assert!(
             alg.advertises_dense(),
             "algorithm instance does not advertise dense states"
         );
-        self.block = DenseBlock::from_states(states, n);
+        self.block = block;
         Ok(())
     }
 }
@@ -531,377 +519,6 @@ where
 
     fn export_states(&self) -> Vec<A::M> {
         self.block.export()
-    }
-}
-
-// ---------------------------------------------------------------------
-// Representation switching: the sparse↔dense hybrid store.
-// ---------------------------------------------------------------------
-
-/// Thresholds of the representation-switching policy (fractions; see
-/// the module docs).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SwitchThresholds {
-    /// A vertex becomes a dense-row candidate once `|x_v| ≥
-    /// row_density · k` (and stops being one if an edit shrinks it back
-    /// below).
-    pub row_density: f64,
-    /// The engine flips to matrix mode once candidates reach
-    /// `saturation · n`.
-    pub saturation: f64,
-    /// Matrix mode reverts to the sparse store once the live density
-    /// `Σ_v |x_v|` drops below `revert · n · k`. Keep `revert` well
-    /// below `row_density · saturation` so the two switches have
-    /// hysteresis.
-    pub revert: f64,
-    /// Memory budget for the dense block, in bytes. A flip whose
-    /// `n × k` allocation would exceed it is **declined**: the engine
-    /// stays sparse (bit-identical output, recorded in
-    /// `WorkStats::dense_declined` and the run report's degradations).
-    /// `None` = unlimited.
-    pub budget_bytes: Option<u64>,
-}
-
-impl Default for SwitchThresholds {
-    /// Flip a row at half density, the hop at a quarter of the vertices
-    /// dense, revert below 5% live density. The memory budget comes
-    /// from `MTE_DENSE_BUDGET_BYTES` (unlimited when unset).
-    fn default() -> Self {
-        SwitchThresholds {
-            row_density: 0.5,
-            saturation: 0.25,
-            revert: 0.05,
-            budget_bytes: dense_budget_from_env(),
-        }
-    }
-}
-
-/// Dense-block memory budget requested by the environment:
-/// `MTE_DENSE_BUDGET_BYTES` parsed as bytes, `None` when unset or
-/// unparsable (unlimited).
-pub fn dense_budget_from_env() -> Option<u64> {
-    std::env::var("MTE_DENSE_BUDGET_BYTES")
-        .ok()
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-}
-
-/// Which store currently holds the states.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ReprMode {
-    Sparse,
-    Matrix,
-}
-
-/// The representation-switching engine: owned sparse maps while states
-/// are small, one flat [`DenseBlock`] once they saturate, converting
-/// back and forth at the thresholds — with states, iteration counts,
-/// and fixpoint flags bit-identical to either single-representation
-/// run (see the module docs for why). The engine owns the states; read
-/// them out with [`StateBackend::export_states`].
-pub struct SwitchingEngine<A: DenseMbfAlgorithm>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    thresholds: SwitchThresholds,
-    mode: ReprMode,
-    sparse_engine: MbfEngine<A>,
-    dense_engine: DenseEngine<A>,
-    /// The sparse store (authoritative in [`ReprMode::Sparse`]; zeroed
-    /// in matrix mode so its heap buffers are released).
-    states: Vec<A::M>,
-    /// The dense store (authoritative in [`ReprMode::Matrix`]).
-    block: DenseBlock<A::S>,
-    /// Per-vertex state size (`state_size`, so ⊥ counts as 1 like the
-    /// work accounting does) and its sum — the density statistics the
-    /// switching policy reads.
-    row_len: Vec<usize>,
-    total_live: usize,
-    is_dense_row: Vec<bool>,
-    dense_rows: usize,
-    /// Upward row-density crossings since the last step (external edits
-    /// included), drained into the next step's `WorkStats`.
-    pending_flips: u64,
-    /// `false` once a flip was declined for exceeding the memory
-    /// budget: the engine then completes sparse without re-attempting
-    /// the allocation every hop.
-    dense_allowed: bool,
-    /// Declined flips since the last step, drained into the next step's
-    /// `WorkStats::dense_declined`.
-    pending_declined: u64,
-    /// Degradations taken so far (for the run report).
-    degradations: Vec<Degradation>,
-    changed_scratch: Vec<NodeId>,
-    frontier_scratch: Vec<NodeId>,
-}
-
-impl<A: DenseMbfAlgorithm> SwitchingEngine<A>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    /// An empty engine; [`StateBackend::start`] loads `r^V x⁽⁰⁾` into
-    /// the sparse store, all vertices dirty.
-    pub fn new(strategy: EngineStrategy, thresholds: SwitchThresholds) -> Self {
-        let mut sparse_engine = MbfEngine::new(strategy);
-        sparse_engine.enable_change_log();
-        // The matrix-mode engine always runs the frontier-list
-        // schedule: a Ligra-style dense fallback would only re-relax
-        // quiescent full rows (states are bit-identical either way —
-        // the strategies differ only in work).
-        let mut dense_engine = DenseEngine::new(EngineStrategy::Frontier);
-        dense_engine.enable_change_log();
-        SwitchingEngine {
-            thresholds,
-            mode: ReprMode::Sparse,
-            sparse_engine,
-            dense_engine,
-            states: Vec::new(),
-            block: DenseBlock::new(0, 0),
-            row_len: Vec::new(),
-            total_live: 0,
-            is_dense_row: Vec::new(),
-            dense_rows: 0,
-            pending_flips: 0,
-            dense_allowed: true,
-            pending_declined: 0,
-            degradations: Vec::new(),
-            changed_scratch: Vec::new(),
-            frontier_scratch: Vec::new(),
-        }
-    }
-
-    /// `true` iff the engine currently holds the states as a dense
-    /// block (matrix mode).
-    pub fn in_matrix_mode(&self) -> bool {
-        self.mode == ReprMode::Matrix
-    }
-
-    /// Updates the density bookkeeping for `v`'s new size, counting
-    /// upward row-density crossings into `pending_flips`.
-    fn note_row_len(&mut self, v: NodeId, new_len: usize) {
-        let k = self.row_len.len();
-        let old = std::mem::replace(&mut self.row_len[v as usize], new_len);
-        self.total_live = self.total_live - old + new_len;
-        let dense_now = (new_len as f64) >= self.thresholds.row_density * k as f64;
-        let was = self.is_dense_row[v as usize];
-        if dense_now && !was {
-            self.is_dense_row[v as usize] = true;
-            self.dense_rows += 1;
-            self.pending_flips += 1;
-        } else if !dense_now && was {
-            self.is_dense_row[v as usize] = false;
-            self.dense_rows -= 1;
-        }
-    }
-
-    /// External copy-on-edit assignment: overwrites `v`'s state (in
-    /// whichever store is active), updates the density bookkeeping, and
-    /// seeds `v` into the active schedule — the switching counterpart
-    /// of rewriting `states[v]` + [`MbfEngine::mark_dirty`].
-    pub fn assign_dirty(&mut self, alg: &A, g: &Graph, v: NodeId, state: &A::M) {
-        match self.mode {
-            ReprMode::Sparse => {
-                self.states[v as usize] = state.clone();
-                self.sparse_engine.mark_dirty(g, [v]);
-            }
-            ReprMode::Matrix => {
-                self.block.set_row(v, state);
-                self.dense_engine.mark_dirty(g, [v]);
-            }
-        }
-        self.note_row_len(v, alg.state_size(state));
-    }
-
-    /// Converts the sparse store into the dense block and hands the
-    /// frontier over (states bit-identical; only the representation
-    /// changes). If the block allocation exceeds the memory budget the
-    /// flip is **declined**: the engine records the degradation, stops
-    /// attempting further flips, and completes on the sparse store —
-    /// the output stays bit-identical, only the performance profile
-    /// changes.
-    fn flip_to_matrix(&mut self, g: &Graph) {
-        let n = g.n();
-        if self.block.rows() == n && self.block.cols() == n {
-            // The block is already allocated (an earlier flip/revert
-            // cycle): reuse is free, no budget decision to make.
-            for (v, x) in self.states.iter().enumerate() {
-                self.block.set_row(v as NodeId, x);
-            }
-        } else {
-            match DenseBlock::try_from_states(&self.states, n, self.thresholds.budget_bytes) {
-                Ok(block) => self.block = block,
-                Err(e) => {
-                    self.dense_allowed = false;
-                    self.pending_declined += 1;
-                    self.degradations.push(Degradation::DenseFlipDeclined {
-                        requested_bytes: e.requested_bytes,
-                        budget_bytes: e.budget_bytes,
-                    });
-                    return;
-                }
-            }
-        }
-        // Release the sparse heap buffers; the vector itself is kept
-        // for the reverse conversion.
-        for s in self.states.iter_mut() {
-            *s = A::M::zero();
-        }
-        self.frontier_scratch.clear();
-        self.frontier_scratch
-            .extend_from_slice(self.sparse_engine.frontier());
-        self.dense_engine
-            .mark_dirty(g, self.frontier_scratch.iter().copied());
-        self.mode = ReprMode::Matrix;
-    }
-
-    /// Converts the dense block back into the sparse store and hands
-    /// the frontier over.
-    fn flip_to_sparse(&mut self, g: &Graph) {
-        for (v, s) in self.states.iter_mut().enumerate() {
-            *s = A::M::read_dense(self.block.row(v as NodeId));
-        }
-        self.frontier_scratch.clear();
-        self.frontier_scratch
-            .extend_from_slice(self.dense_engine.frontier());
-        self.sparse_engine
-            .mark_dirty(g, self.frontier_scratch.iter().copied());
-        self.mode = ReprMode::Sparse;
-    }
-}
-
-impl<A: DenseMbfAlgorithm> StateBackend<A> for SwitchingEngine<A>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
-        assert!(
-            alg.advertises_dense(),
-            "algorithm instance does not advertise dense states"
-        );
-        let n = g.n();
-        self.states = initial_states(alg, n);
-        (self.row_len, self.is_dense_row) = (vec![0; n], vec![false; n]);
-        for v in 0..n {
-            self.note_row_len(v as NodeId, alg.state_size(&self.states[v]));
-        }
-        self.sparse_engine.mark_all_dirty(g);
-        // Pre-size the matrix engine so the first flip's `mark_dirty`
-        // hand-over seeds exactly the sparse frontier instead of falling
-        // back to an all-dirty restart.
-        self.dense_engine.ensure_sized(g);
-        Ok(WorkStats::new())
-    }
-
-    /// Starts with every vertex dirty — a sound *superset* of the
-    /// recorded frontier, so the resumed states stay bit-identical
-    /// (extra recomputations are provable identities) — and assigns in
-    /// the checkpoint states that differ from the fresh initial states
-    /// before the first hop.
-    fn resume(
-        &mut self,
-        alg: &A,
-        g: &Graph,
-        ckpt: &Checkpoint<A::M>,
-    ) -> Result<WorkStats, RunError> {
-        let work = self.start(alg, g)?;
-        for (v, state) in ckpt.states.iter().enumerate() {
-            if *state != self.states[v] {
-                self.assign_dirty(alg, g, v as NodeId, state);
-            }
-        }
-        Ok(work)
-    }
-
-    /// One hop `x ← r^V A x` on whichever store is active, followed by
-    /// the switching decision. Returns the work spent (including
-    /// `dense_flips`/`dense_hops` switching counters) and whether any
-    /// state changed.
-    fn step(&mut self, alg: &A, g: &Graph, weight_scale: f64) -> (WorkStats, bool) {
-        let n = g.n();
-        let (mut work, changed) = match self.mode {
-            ReprMode::Sparse => {
-                let (work, changed) =
-                    self.sparse_engine
-                        .step(alg, g, &mut self.states, weight_scale);
-                self.changed_scratch.clear();
-                self.sparse_engine
-                    .drain_change_log(&mut self.changed_scratch);
-                for i in 0..self.changed_scratch.len() {
-                    let v = self.changed_scratch[i];
-                    self.note_row_len(v, alg.state_size(&self.states[v as usize]));
-                }
-                if self.dense_allowed
-                    && (self.dense_rows as f64) >= self.thresholds.saturation * n as f64
-                {
-                    self.flip_to_matrix(g);
-                }
-                (work, changed)
-            }
-            ReprMode::Matrix => {
-                let (work, changed) = self
-                    .dense_engine
-                    .step(alg, g, &mut self.block, weight_scale);
-                self.changed_scratch.clear();
-                self.dense_engine
-                    .drain_change_log(&mut self.changed_scratch);
-                for i in 0..self.changed_scratch.len() {
-                    let v = self.changed_scratch[i];
-                    let len = A::M::dense_len(self.block.row(v)).max(1);
-                    self.note_row_len(v, len);
-                }
-                let k = self.block.cols();
-                if (self.total_live as f64) < self.thresholds.revert * (n * k) as f64 {
-                    self.flip_to_sparse(g);
-                }
-                (work, changed)
-            }
-        };
-        work.dense_flips += std::mem::take(&mut self.pending_flips);
-        work.dense_declined += std::mem::take(&mut self.pending_declined);
-        (work, changed)
-    }
-
-    fn mark_all_dirty(&mut self, g: &Graph) {
-        match self.mode {
-            ReprMode::Sparse => self.sparse_engine.mark_all_dirty(g),
-            ReprMode::Matrix => self.dense_engine.mark_all_dirty(g),
-        }
-    }
-
-    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
-        match self.mode {
-            ReprMode::Sparse => self.sparse_engine.mark_dirty(g, vs.iter().copied()),
-            ReprMode::Matrix => self.dense_engine.mark_dirty(g, vs.iter().copied()),
-        }
-    }
-
-    /// The inner engines' logs feed the density bookkeeping every hop,
-    /// so this log covers the last hop only.
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        out.extend_from_slice(&self.changed_scratch);
-    }
-
-    /// Whichever representation currently holds the states.
-    fn frontier(&self) -> &[NodeId] {
-        match self.mode {
-            ReprMode::Sparse => self.sparse_engine.frontier(),
-            ReprMode::Matrix => self.dense_engine.frontier(),
-        }
-    }
-
-    /// Bit-identical in either mode.
-    fn export_states(&self) -> Vec<A::M> {
-        match self.mode {
-            ReprMode::Sparse => self.states.clone(),
-            ReprMode::Matrix => self.block.export(),
-        }
-    }
-
-    /// Declined dense flips.
-    fn degradations(&self) -> &[Degradation] {
-        &self.degradations
     }
 }
 
@@ -1021,7 +638,7 @@ mod tests {
     use crate::catalog::{Connectivity, SourceDetection, WidestPaths};
     use crate::engine::{EngineStrategy, OwnedBackend};
     use crate::run::run_to_fixpoint_on;
-    use mte_graph::generators::{gnm_graph, grid_graph, path_graph};
+    use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -1030,11 +647,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(81);
         let g = gnm_graph(50, 130, 1.0..9.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
-        for strategy in [
-            EngineStrategy::Dense,
-            EngineStrategy::Frontier,
-            EngineStrategy::default(),
-        ] {
+        for strategy in [EngineStrategy::Dense, EngineStrategy::Frontier] {
             let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
             let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
             assert_eq!(owned.states, dense.states, "{strategy:?}");
@@ -1147,110 +760,6 @@ mod tests {
         assert!(!alg.advertises_dense());
         let apsp = SourceDetection::apsp(10);
         assert!(apsp.advertises_dense());
-    }
-
-    #[test]
-    fn switching_engine_flips_and_stays_bit_identical() {
-        let mut rng = StdRng::seed_from_u64(83);
-        let g = gnm_graph(60, 170, 1.0..8.0, &mut rng);
-        let alg = SourceDetection::apsp(g.n());
-        let owned = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::default()),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        // Aggressive thresholds so the flip happens early in the run.
-        let switching = run_to_fixpoint_on(
-            SwitchingEngine::new(
-                EngineStrategy::default(),
-                SwitchThresholds {
-                    row_density: 0.2,
-                    saturation: 0.2,
-                    revert: 0.01,
-                    budget_bytes: None,
-                },
-            ),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        assert_eq!(owned.states, switching.states);
-        assert_eq!(owned.iterations, switching.iterations);
-        assert_eq!(owned.fixpoint, switching.fixpoint);
-        assert!(switching.work.dense_flips > 0, "no rows ever flipped");
-        assert!(switching.work.dense_hops > 0, "matrix mode never entered");
-    }
-
-    #[test]
-    fn switching_engine_never_flipping_matches_sparse() {
-        let mut rng = StdRng::seed_from_u64(84);
-        let g = grid_graph(6, 6, 1.0..4.0, &mut rng);
-        let alg = SourceDetection::apsp(g.n());
-        let owned = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::Frontier),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        let switching = run_to_fixpoint_on(
-            SwitchingEngine::new(
-                EngineStrategy::Frontier,
-                SwitchThresholds {
-                    row_density: 2.0, // unreachable: never a candidate
-                    saturation: 2.0,
-                    revert: 0.0,
-                    budget_bytes: None,
-                },
-            ),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        assert_eq!(owned.states, switching.states);
-        assert_eq!(owned.iterations, switching.iterations);
-        assert_eq!(switching.work.dense_hops, 0);
-        assert_eq!(switching.work.dense_flips, 0);
-    }
-
-    #[test]
-    fn switching_engine_reverts_to_sparse_on_shrinking_edits() {
-        let mut rng = StdRng::seed_from_u64(85);
-        let g = gnm_graph(24, 70, 1.0..6.0, &mut rng);
-        let alg = SourceDetection::apsp(g.n());
-        let thresholds = SwitchThresholds {
-            row_density: 0.2,
-            saturation: 0.2,
-            revert: 0.3, // high: shrinink edits drop below this quickly
-            budget_bytes: None,
-        };
-        let mut engine = SwitchingEngine::new(EngineStrategy::default(), thresholds);
-        engine.start(&alg, &g).unwrap();
-        for _ in 0..g.n() {
-            let (_, changed) = engine.step(&alg, &g, 1.0);
-            if !changed {
-                break;
-            }
-        }
-        assert!(engine.in_matrix_mode(), "run never saturated");
-        // Shrink every state back to its singleton init: live density
-        // collapses and the engine must revert to the sparse store.
-        for v in 0..g.n() as NodeId {
-            let init = alg.init(v);
-            engine.assign_dirty(&alg, &g, v, &init);
-        }
-        let (_, _) = engine.step(&alg, &g, 1.0);
-        assert!(!engine.in_matrix_mode(), "revert threshold ignored");
-        // And the run still converges to the owned reference.
-        let owned = OwnedBackend::new(EngineStrategy::default());
-        let owned_states = run_to_fixpoint_on(owned, &alg, &g, 2 * g.n()).states;
-        for _ in 0..2 * g.n() {
-            let (_, c) = engine.step(&alg, &g, 1.0);
-            if !c {
-                break;
-            }
-        }
-        assert_eq!(engine.export_states(), owned_states);
     }
 
     #[test]

@@ -12,33 +12,31 @@
 //! Corollary 2.17 the interleaved filtering never changes the output
 //! class, so `h` iterations compute `r^V A^h x⁽⁰⁾`.
 //!
-//! # Frontier/dense hybrid
+//! # Frontier schedule
 //!
 //! The paper's efficiency argument (Lemmas 7.6–7.8) charges each
-//! iteration `O(Σ_v |x_v|)` work because filtered states stay small — but
-//! it also observes that iterations *converge*: after a few hops most
-//! vertices are quiescent. [`MbfEngine`] exploits this. It tracks the
-//! **frontier** — the set of vertices whose state changed in the previous
-//! hop — and recomputes only vertices with a frontier vertex in their
-//! closed neighborhood. Everything else provably cannot change:
+//! iteration `O(Σ_v |x_v|)` work over the vertices it recomputes, and
+//! iterations *converge*: after a few hops most vertices are quiescent.
+//! [`MbfEngine`] exploits this. It tracks the **frontier** — the set of
+//! vertices whose state changed in the previous hop — and recomputes
+//! only vertices with a frontier vertex in their closed neighborhood.
+//! Everything else provably cannot change:
 //! `x⁽ⁱ⁺¹⁾_v = r(x⁽ⁱ⁾_v ⊕ ⊕_w a_vw x⁽ⁱ⁾_w)` depends only on `v`'s closed
 //! in-neighborhood, and if none of those states moved since the hop that
 //! produced `x⁽ⁱ⁾_v`, recomputation would reproduce `x⁽ⁱ⁾_v` verbatim.
 //! The skip is therefore **bit-identical** to the dense sweep — no
 //! approximation is involved — which the equivalence suite asserts
-//! state-for-state.
+//! state-for-state. Because the skip is exact, sweeping quiescent
+//! vertices only adds work: [`EngineStrategy::Frontier`] (the default)
+//! goes dense only when the frontier is all of `V`, and
+//! [`EngineStrategy::Dense`] remains as the literal reference sweep.
 //!
 //! Recomputed vertices re-aggregate their whole neighborhood (a *pull*);
 //! incremental *push*-style accumulation is unsound here because a filter
 //! may shrink a neighbor's state, and `⊕` has no inverse to retract the
 //! stale contribution. (For absorption-stable filters the arena backend
 //! narrows the pull to the entries each neighbor's last change added:
-//! the semi-naive handover of [`crate::arena`].) When the frontier's
-//! incident-edge count exceeds a density threshold,
-//! [`EngineStrategy::Hybrid`] falls back to the dense
-//! sweep for that hop (Ligra-style direction switching): scanning the
-//! whole CSR row block is cheaper than chasing a frontier that covers
-//! most of the graph.
+//! the semi-naive handover of [`crate::arena`].)
 //!
 //! States are **double-buffered**: the engine owns a shadow vector and
 //! writes hop `i+1` into it via `clone_from` (which reuses each state's
@@ -164,35 +162,16 @@ pub trait MbfAlgorithm: Send + Sync {
 }
 
 /// How the engine schedules one hop's relaxations.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum EngineStrategy {
     /// Re-relax every vertex's full neighborhood each hop — the paper's
     /// literal `r^V A x` and the reference the sparse paths are
     /// differential-tested against.
     Dense,
-    /// Always recompute only the closed neighborhood of the frontier,
-    /// however large it is.
+    /// Recompute only the closed neighborhood of the frontier, however
+    /// large it is (a hop whose frontier is all of `V` is a full sweep).
+    #[default]
     Frontier,
-    /// Frontier-driven, but fall back to the dense sweep for hops whose
-    /// frontier touches more than `dense_threshold · 2m` directed edges
-    /// (Ligra-style push/pull direction switching).
-    Hybrid {
-        /// Fraction of the graph's directed edges above which a hop goes
-        /// dense. `0.0` is effectively [`EngineStrategy::Dense`] after
-        /// the first change, `1.0`-plus effectively
-        /// [`EngineStrategy::Frontier`].
-        dense_threshold: f64,
-    },
-}
-
-impl Default for EngineStrategy {
-    /// Hybrid with a 25% density threshold: sparse once convergence sets
-    /// in, dense while the wave still covers most of the graph.
-    fn default() -> Self {
-        EngineStrategy::Hybrid {
-            dense_threshold: 0.25,
-        }
-    }
 }
 
 /// Result of running an MBF-like algorithm: final states and work tally.
@@ -368,8 +347,6 @@ pub(crate) struct FrontierSchedule {
     touched_gen: u32,
     /// Degree-balanced chunk boundaries (position ranges into `touched`).
     chunks: Vec<std::ops::Range<usize>>,
-    /// `Σ deg(v)` over frontier vertices, the hybrid switch statistic.
-    frontier_degree: usize,
     /// Change log: every vertex whose state the engine changed since the
     /// last [`FrontierSchedule::drain_change_log`], deduplicated by
     /// generation stamps. Only maintained when enabled.
@@ -390,7 +367,6 @@ impl FrontierSchedule {
             touched_mark: Vec::new(),
             touched_gen: 0,
             chunks: Vec::new(),
-            frontier_degree: 0,
             log: Vec::new(),
             log_mark: Vec::new(),
             log_gen: 0,
@@ -450,7 +426,6 @@ impl FrontierSchedule {
             // vertex reads as a frontier member.
             self.frontier_gen = 1;
             self.frontier.clear();
-            self.frontier_degree = 0;
             self.touched_mark.clear();
             self.touched_mark.resize(n, 0);
             self.touched_gen = 0;
@@ -479,7 +454,6 @@ impl FrontierSchedule {
         self.frontier.clear();
         self.frontier.extend(0..n as NodeId);
         self.frontier_mark.iter_mut().for_each(|m| *m = gen);
-        self.frontier_degree = 2 * g.m();
     }
 
     pub(crate) fn mark_dirty(&mut self, g: &Graph, vs: impl IntoIterator<Item = NodeId>) {
@@ -497,7 +471,6 @@ impl FrontierSchedule {
             if *mark != gen {
                 *mark = gen;
                 self.frontier.push(v);
-                self.frontier_degree += g.degree(v);
                 added = true;
             }
         }
@@ -506,21 +479,13 @@ impl FrontierSchedule {
         }
     }
 
-    /// Decides this hop's density (the Ligra-style switch) and gathers
-    /// the recompute list (the closed neighborhood of the frontier, or
-    /// all of `V` for a dense hop) into `self.touched`, sorted
-    /// ascending, cut into degree-balanced chunks. Returns whether the
-    /// hop went dense.
-    pub(crate) fn plan_hop(&mut self, g: &Graph) -> bool {
+    /// Gathers the recompute list — all of `V` under
+    /// [`EngineStrategy::Dense`] or when the frontier is all of `V`,
+    /// else the closed neighborhood of the frontier — into
+    /// `self.touched`, sorted ascending, cut into degree-balanced chunks.
+    pub(crate) fn plan_hop(&mut self, g: &Graph) {
         let n = g.n();
-        let go_dense = match self.strategy {
-            EngineStrategy::Dense => true,
-            EngineStrategy::Frontier => self.frontier.len() == n,
-            EngineStrategy::Hybrid { dense_threshold } => {
-                self.frontier.len() == n
-                    || (self.frontier_degree as f64) > dense_threshold * (2 * g.m()) as f64
-            }
-        };
+        let go_dense = self.strategy == EngineStrategy::Dense || self.frontier.len() == n;
         self.touched.clear();
         if go_dense {
             self.touched.extend(0..n as NodeId);
@@ -552,7 +517,7 @@ impl FrontierSchedule {
         self.chunks.clear();
         if k <= 1 {
             self.chunks.push(0..self.touched.len());
-            return go_dense;
+            return;
         }
         let mut start = 0usize;
         let mut acc = 0usize;
@@ -565,7 +530,6 @@ impl FrontierSchedule {
             }
         }
         self.chunks.push(start..self.touched.len());
-        go_dense
     }
 
     pub(crate) fn touched(&self) -> &[NodeId] {
@@ -581,22 +545,19 @@ impl FrontierSchedule {
     /// changed subsequence of the (sorted) touched list is already
     /// ascending and duplicate-free; the scan is proportional to the
     /// recompute list, not `n`. Feeds the change log when enabled.
-    pub(crate) fn refresh(&mut self, g: &Graph, changed: impl Fn(usize) -> bool) {
+    pub(crate) fn refresh(&mut self, changed: impl Fn(usize) -> bool) {
         let gen = bump_generation(&mut self.frontier_gen, &mut self.frontier_mark);
         self.frontier.clear();
-        let mut frontier_degree = 0usize;
         for (p, &v) in self.touched.iter().enumerate() {
             if changed(p) {
                 self.frontier.push(v);
                 self.frontier_mark[v as usize] = gen;
-                frontier_degree += g.degree(v);
                 if self.log_enabled && self.log_mark[v as usize] != self.log_gen {
                     self.log_mark[v as usize] = self.log_gen;
                     self.log.push(v);
                 }
             }
         }
-        self.frontier_degree = frontier_degree;
     }
 }
 
@@ -786,7 +747,7 @@ impl<A: MbfAlgorithm> MbfEngine<A> {
 
         let touched_vertices = touched.len() as u64;
         let per_vertex: &[(u64, u64, u64, bool)] = &self.per_vertex;
-        self.sched.refresh(g, |p| per_vertex[p].3);
+        self.sched.refresh(|p| per_vertex[p].3);
 
         // Fault-injection site: the hop's commit just completed; a
         // `panic` unwinds mid-run, a `poison_nan` corrupts one committed
@@ -951,7 +912,7 @@ impl<A: MbfAlgorithm> StateBackend<A> for OwnedBackend<A> {
     }
 }
 
-/// Runs exactly `h` iterations under the default hybrid strategy:
+/// Runs exactly `h` iterations under the default frontier strategy:
 /// `A^h(G) = r^V A^h x⁽⁰⁾` (Equation (2.17)), the literal reference —
 /// no fixpoint shortcut, `fixpoint: false`.
 pub fn run<A: MbfAlgorithm>(alg: &A, g: &Graph, h: usize) -> MbfRun<A::M> {
@@ -971,7 +932,7 @@ pub fn run<A: MbfAlgorithm>(alg: &A, g: &Graph, h: usize) -> MbfRun<A::M> {
     }
 }
 
-/// Iterates to the fixpoint under the default hybrid strategy on the
+/// Iterates to the fixpoint under the default frontier strategy on the
 /// owned backend (see [`run_to_fixpoint_on`]).
 pub fn run_to_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRun<A::M> {
     run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::default()), alg, g, cap)
@@ -1064,26 +1025,6 @@ mod tests {
             frontier.work.edge_relaxations,
             dense.work.edge_relaxations
         );
-    }
-
-    #[test]
-    fn hybrid_switches_to_dense_on_wide_frontiers() {
-        // Threshold 0 forces dense sweeps whenever anything is dirty, so
-        // the work matches the dense engine exactly.
-        let g = path_graph(16, 1.0);
-        let alg = PlainSssp { source: 0 };
-        let cap = g.n() + 1;
-        let always_dense = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::Hybrid {
-                dense_threshold: 0.0,
-            }),
-            &alg,
-            &g,
-            cap,
-        );
-        let dense = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, &g, cap);
-        assert_eq!(always_dense.work, dense.work);
-        assert_eq!(always_dense.states, dense.states);
     }
 
     #[test]

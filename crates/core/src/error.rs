@@ -14,7 +14,7 @@
 //! plausible but wrong finite value, so scanning the final states
 //! ([`check_states`]) is only defense in depth — the log never forgets
 //! that a fault fired. Faults a layer handles by design (an `alloc_fail`
-//! absorbed by the switching engine's sparse fallback, an `io` fault
+//! answered by the dense backend's typed budget error, an `io` fault
 //! answered by the parser's typed error) are logged as *handled* and do
 //! not fail the audit.
 
@@ -35,12 +35,13 @@ pub enum RunError {
     /// The final states contain a value no semiring operation can
     /// produce (NaN poison that survived to the end).
     CorruptState { vertex: NodeId },
-    /// A dense-only run could not allocate its matrix within the budget
-    /// (the switching engine degrades instead; see
-    /// [`Degradation::DenseFlipDeclined`]).
+    /// A dense run could not allocate its matrix: the block exceeds the
+    /// budget, or an injected allocation failure fired. `budget_bytes`
+    /// is the budget in force, `None` if unlimited (an injected failure
+    /// needs none).
     DenseBudgetExceeded {
         requested_bytes: u64,
-        budget_bytes: u64,
+        budget_bytes: Option<u64>,
     },
     /// A snapshot failed to encode, write, or decode — the persistence
     /// layer's typed `SnapshotError` mapped into the run vocabulary
@@ -75,11 +76,15 @@ impl std::fmt::Display for RunError {
             }
             RunError::DenseBudgetExceeded {
                 requested_bytes,
-                budget_bytes,
+                budget_bytes: Some(b),
             } => write!(
                 f,
-                "dense run needs {requested_bytes} bytes, budget is {budget_bytes} bytes"
+                "dense run needs {requested_bytes} bytes, budget is {b} bytes"
             ),
+            RunError::DenseBudgetExceeded {
+                requested_bytes,
+                budget_bytes: None,
+            } => write!(f, "dense run could not allocate {requested_bytes} bytes"),
             RunError::SnapshotCorrupt { detail } => {
                 write!(f, "snapshot corrupt: {detail}")
             }
@@ -107,14 +112,6 @@ impl std::error::Error for RunError {}
 /// A degradation a run took to complete instead of failing.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Degradation {
-    /// The switching engine declined (or could not take) a dense flip
-    /// because the block allocation exceeded the memory budget, and
-    /// completed on the sparse representation instead — bit-identical
-    /// output, different performance.
-    DenseFlipDeclined {
-        requested_bytes: u64,
-        budget_bytes: Option<u64>,
-    },
     /// One checkpoint-retry rung of the recovery ladder failed; the
     /// supervisor moved on to the next rung. Recorded per failed
     /// attempt so the report shows the full ladder taken.
@@ -152,19 +149,6 @@ pub enum Degradation {
 impl std::fmt::Display for Degradation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Degradation::DenseFlipDeclined {
-                requested_bytes,
-                budget_bytes,
-            } => match budget_bytes {
-                Some(b) => write!(
-                    f,
-                    "dense flip declined: {requested_bytes} bytes over budget {b}"
-                ),
-                None => write!(
-                    f,
-                    "dense flip declined: allocation of {requested_bytes} bytes failed"
-                ),
-            },
             Degradation::CheckpointRetryFailed { attempt, cause } => {
                 write!(f, "checkpoint retry {attempt} failed: {cause}")
             }

@@ -649,7 +649,7 @@ pub fn le_lists_oracle_with(
     (lists, run.h_iterations, run.work)
 }
 
-/// LE lists via the oracle under the default hybrid engine. Returns the
+/// LE lists via the oracle under the default frontier engine. Returns the
 /// lists, the number of simulated `H`-iterations, and the work.
 pub fn le_lists_oracle(
     sim: &SimulatedGraph,
@@ -680,7 +680,7 @@ pub fn le_lists_direct_with(
     (lists, run.iterations, run.work)
 }
 
-/// LE lists by direct iteration under the default hybrid engine.
+/// LE lists by direct iteration under the default frontier engine.
 pub fn le_lists_direct(g: &Graph, ranks: &Arc<Ranks>) -> (Vec<LeList>, usize, WorkStats) {
     le_lists_direct_with(g, ranks, EngineStrategy::default())
 }

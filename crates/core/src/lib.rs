@@ -12,9 +12,7 @@
 //! * [`dense`] — the **dense-block backend** for APSP-class workloads:
 //!   state vectors as flat row-major semiring matrices
 //!   ([`mte_algebra::dense`]) relaxed by contiguous cache-tiled row
-//!   kernels, plus the Ligra-style representation-switching hybrid
-//!   store (sparse maps → dense rows → matrix-mode hops) and the
-//!   dense oracle routing,
+//!   kernels, and the dense oracle routing,
 //! * [`catalog`] — every example MBF-like algorithm of Section 3
 //!   (source detection, SSSP, k-SSP, APSP, MSSP, forest fire, widest
 //!   paths, k-SDP, k-DSDP, connectivity),
@@ -36,7 +34,7 @@
 //!   quarantines repeatedly-failing shards,
 //! * [`work`] — work/depth accounting used by the experiments,
 //! * [`run`] — the one fixpoint driver: the [`StateBackend`] trait
-//!   (owned, arena, dense and switching backends), plain, guarded and
+//!   (owned, arena and dense backends), plain, guarded and
 //!   checkpointed runs, and bit-identical resume, with the
 //!   deterministic recovery supervisor in [`error`].
 
@@ -54,7 +52,7 @@ pub mod simgraph;
 pub mod work;
 
 pub use arena::{ArenaBackend, ArenaEngine, ArenaMbfAlgorithm};
-pub use dense::{DenseBackend, DenseEngine, DenseMbfAlgorithm, SwitchThresholds, SwitchingEngine};
+pub use dense::{DenseBackend, DenseEngine, DenseMbfAlgorithm};
 pub use engine::{EngineStrategy, MbfAlgorithm, MbfEngine, MbfRun, OwnedBackend};
 pub use error::{Degradation, RecoveryAttempt, RecoveryPolicy, RunError, RunReport, Supervisor};
 pub use run::{Checkpoint, CheckpointPolicy, StateBackend};

@@ -595,7 +595,7 @@ where
     run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
 }
 
-/// Runs `h` iterations of `alg` on `H` under the default hybrid engine.
+/// Runs `h` iterations of `alg` on `H` under the default frontier engine.
 pub fn oracle_run<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,

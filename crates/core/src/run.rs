@@ -4,12 +4,12 @@
 //! iterated until `x⁽ⁱ⁺¹⁾ = x⁽ⁱ⁾` (Definition 2.11, Eq. (2.17)); how
 //! the state vector `x ∈ M^V` is stored does not enter the definition.
 //! [`StateBackend`] is that storage question: a state vector paired with
-//! the engine that hops over it. Four backends implement it —
+//! the engine that hops over it. Three backends implement it —
 //! [`crate::engine::OwnedBackend`] (`Vec<A::M>` + `MbfEngine`),
-//! [`crate::arena::ArenaBackend`] (epoch-arena pool + `ArenaEngine`),
+//! [`crate::arena::ArenaBackend`] (epoch-arena pool + `ArenaEngine`) and
 //! [`crate::dense::DenseBackend`] (dense block + `DenseEngine`, with its
-//! memory budget) and [`crate::dense::SwitchingEngine`] — and the
-//! hop-until-fixpoint loop is written once, here, over the trait:
+//! memory budget) — and the hop-until-fixpoint loop is written once,
+//! here, over the trait:
 //!
 //! * [`run_to_fixpoint_on`] — the plain run,
 //! * [`try_run_on`] — guarded, capturing [`Checkpoint`]s whenever the
@@ -51,7 +51,7 @@
 //! over its level loop.
 
 use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfRun};
-use crate::error::{check_states, run_guarded, Degradation, RunError, RunReport};
+use crate::error::{check_states, run_guarded, RunError, RunReport};
 use crate::oracle::{level_loop, OracleRun};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
@@ -97,10 +97,6 @@ pub trait StateBackend<A: MbfAlgorithm> {
         Self: Sized,
     {
         self.export_states()
-    }
-    /// Degradations taken so far (declined dense flips).
-    fn degradations(&self) -> &[Degradation] {
-        &[]
     }
 }
 
@@ -207,7 +203,7 @@ fn fixpoint_loop<A, B>(
     mut iterations: usize,
     mut work: WorkStats,
     mut on_hop: impl FnMut(usize, &B) -> Result<(), RunError>,
-) -> Result<(MbfRun<A::M>, Vec<Degradation>), RunError>
+) -> Result<MbfRun<A::M>, RunError>
 where
     A: MbfAlgorithm,
     B: StateBackend<A>,
@@ -223,14 +219,12 @@ where
         }
         on_hop(iterations, &backend)?;
     }
-    let degradations = backend.degradations().to_vec();
-    let run = MbfRun {
+    Ok(MbfRun {
         states: backend.into_states(),
         iterations,
         fixpoint,
         work,
-    };
-    Ok((run, degradations))
+    })
 }
 
 /// Iterates `backend` from `r^V x⁽⁰⁾` to the fixpoint `x⁽ⁱ⁺¹⁾ = x⁽ⁱ⁾`,
@@ -246,14 +240,13 @@ where
         .start(alg, g)
         .and_then(|work| fixpoint_loop(backend, alg, g, cap, 0, work, |_, _| Ok(())));
     match run {
-        Ok((run, _)) => run,
+        Ok(run) => run,
         Err(e) => panic!("backend refused the run: {e}"),
     }
 }
 
 /// Guarded [`run_to_fixpoint_on`]: panics become typed errors, injected
-/// faults are audited, final states are scanned, and degradations the
-/// backend took surface in the [`RunReport`]. `sink` receives a
+/// faults are audited, and final states are scanned. `sink` receives a
 /// [`Checkpoint`] after every hop [`CheckpointPolicy::hop_due`] marks; a
 /// sink failure (e.g. a snapshot write that could not complete) aborts
 /// the run with its error. A run that exhausts `cap` without reaching
@@ -311,14 +304,14 @@ where
 /// Runs `f` under [`run_guarded`], scans the final states, and builds
 /// the report.
 fn guarded<A: MbfAlgorithm>(
-    f: impl FnOnce() -> Result<(MbfRun<A::M>, Vec<Degradation>), RunError>,
+    f: impl FnOnce() -> Result<MbfRun<A::M>, RunError>,
 ) -> Result<(MbfRun<A::M>, RunReport), RunError> {
-    let (run, degradations) = run_guarded(f)??;
+    let run = run_guarded(f)??;
     check_states::<A::S, A::M>(&run.states)?;
     let report = RunReport {
         converged: run.fixpoint,
         hops: run.iterations as u64,
-        degradations,
+        degradations: Vec::new(),
     };
     Ok((run, report))
 }

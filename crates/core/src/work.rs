@@ -64,18 +64,10 @@ pub struct WorkStats {
     /// backend). **Max-combined**, not summed, by [`AddAssign`]: the
     /// high-water mark of a run is the max over its hops.
     pub arena_bytes: u64,
-    /// Representation-switching activity: vertices whose state crossed
-    /// the row-density threshold and flipped to a dense row
-    /// (`mte_core::dense`). 0 for the purely sparse and purely dense
-    /// backends.
-    pub dense_flips: u64,
     /// Hops executed in whole-matrix mode (every state a dense row,
-    /// relaxations through the contiguous row kernels).
+    /// relaxations through the contiguous row kernels of
+    /// `mte_core::dense`).
     pub dense_hops: u64,
-    /// Dense flips the switching engine *declined* because the block
-    /// allocation exceeded the memory budget (graceful degradation:
-    /// the run completed sparse with bit-identical output).
-    pub dense_declined: u64,
     /// Cross-shard exchange messages sent by the sharded engine
     /// (`core::shard`): one per ordered shard pair per hop, including
     /// the empty keep-alives the drop-detection barrier requires. 0
@@ -109,9 +101,7 @@ impl AddAssign for WorkStats {
         // A high-water mark, not a flow: combining two tallies keeps the
         // larger footprint.
         self.arena_bytes = self.arena_bytes.max(rhs.arena_bytes);
-        self.dense_flips += rhs.dense_flips;
         self.dense_hops += rhs.dense_hops;
-        self.dense_declined += rhs.dense_declined;
         self.shard_msgs += rhs.shard_msgs;
         self.shard_msg_bytes += rhs.shard_msg_bytes;
     }
@@ -132,9 +122,7 @@ mod tests {
             bytes_copied: 100,
             alloc_count: 3,
             arena_bytes: 64,
-            dense_flips: 2,
             dense_hops: 1,
-            dense_declined: 1,
             shard_msgs: 6,
             shard_msg_bytes: 200,
         };
@@ -147,9 +135,7 @@ mod tests {
             bytes_copied: 20,
             alloc_count: 1,
             arena_bytes: 32,
-            dense_flips: 3,
             dense_hops: 4,
-            dense_declined: 2,
             shard_msgs: 2,
             shard_msg_bytes: 50,
         };
@@ -165,9 +151,7 @@ mod tests {
                 alloc_count: 4,
                 // Max-combined: the peak footprint, not the sum.
                 arena_bytes: 64,
-                dense_flips: 5,
                 dense_hops: 5,
-                dense_declined: 3,
                 shard_msgs: 8,
                 shard_msg_bytes: 250,
             }

@@ -41,16 +41,16 @@
 //!
 //! * **Dense** — re-relax every vertex's full neighborhood, the paper's
 //!   literal iteration and the differential-testing reference;
-//! * **Frontier** — recompute only vertices whose closed neighborhood
-//!   contains a state that changed in the previous hop. The skip is
-//!   *bit-identical*, not approximate: an MBF-like hop is a deterministic
-//!   function of the closed in-neighborhood, so unchanged inputs imply an
-//!   unchanged output. Work per hop shrinks from `Θ(m)` to the size of
-//!   the active wave, complementing the paper's `|x|`-bounded cost per
-//!   relaxation (Lemmas 7.6–7.8) with an `|active|`-bounded number of
-//!   relaxations;
-//! * **Hybrid** (default) — frontier-driven with a Ligra-style fallback
-//!   to the dense sweep while the frontier covers most of the graph.
+//! * **Frontier** (default) — recompute only vertices whose closed
+//!   neighborhood contains a state that changed in the previous hop. The
+//!   skip is *bit-identical*, not approximate: an MBF-like hop is a
+//!   deterministic function of the closed in-neighborhood, so unchanged
+//!   inputs imply an unchanged output. Work per hop shrinks from `Θ(m)`
+//!   to the size of the active wave, complementing the paper's
+//!   `|x|`-bounded cost per relaxation (Lemmas 7.6–7.8) with an
+//!   `|active|`-bounded number of relaxations. Because the skip is
+//!   exact, sweeping quiescent vertices never lowers work or depth, so
+//!   a hop goes dense only when the frontier is all of `V`.
 //!
 //! Hops execute **thread-parallel**: the vendored rayon backend runs a
 //! real worker pool (`MTE_THREADS`, default = available parallelism)
@@ -74,13 +74,11 @@
 //! (`SourceDetection::apsp`, all-pairs connectivity, widest paths) run
 //! on the **dense-block backend** ([`core::dense`]): the state vector
 //! as one flat row-major semiring matrix ([`algebra::dense`]) relaxed
-//! by contiguous cache-tiled row kernels, with a Ligra-style
-//! representation-switching hybrid (sparse maps until rows saturate,
-//! matrix-mode hops after). The owned `Vec` engine remains the
+//! by contiguous cache-tiled row kernels. The owned `Vec` engine remains the
 //! semantics reference; the differential suite asserts all backends
 //! bit-identical under `MTE_THREADS ∈ {1, 4}`.
 //! `cargo run --release -p mte-bench --bin exp_baseline` runs
-//! the engine suite (dense vs frontier vs hybrid on the standard
+//! the engine suite (dense vs frontier on the standard
 //! catalog) and the thread-scaling sweep, writing the
 //! `BENCH_engine.json` / `BENCH_parallel.json` trajectory artifacts;
 //! `cargo bench -p mte-bench --bench bench_engine` times the same

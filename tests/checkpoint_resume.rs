@@ -2,14 +2,14 @@
 //! interrupted at *any* hop and resumed from its checkpoint is
 //! **bit-identical** to the uninterrupted run — same states, same hop
 //! counts, same fixpoint flags — on every backend (owned, arena, dense,
-//! switching, oracle), at every thread count, and whether the
+//! oracle), at every thread count, and whether the
 //! checkpoint stayed in memory or roundtripped through the crash-safe
 //! snapshot store. The recovery-ladder variants of these assertions
 //! (resume after an injected fault) live in `tests/fault_harness.rs`.
 
 use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
-use metric_tree_embedding::core::dense::{DenseBackend, SwitchThresholds, SwitchingEngine};
+use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::{EngineStrategy, MbfAlgorithm, OwnedBackend};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::oracle::oracle_run_with;
@@ -123,23 +123,6 @@ fn dense_every_checkpoint_resumes_bit_identically_across_threads() {
     let g = gnm_graph(40, 100, 1.0..7.0, &mut rng);
     let alg = SourceDetection::apsp(g.n());
     let backend = || DenseBackend::new(EngineStrategy::default(), None);
-    assert_every_checkpoint_resumes(backend, &alg, &g, 1);
-}
-
-#[test]
-fn switching_every_checkpoint_resumes_bit_identically_across_threads() {
-    let mut rng = StdRng::seed_from_u64(0xC4E3);
-    let g = gnm_graph(40, 100, 1.0..7.0, &mut rng);
-    let alg = SourceDetection::apsp(g.n());
-    // Aggressive thresholds so the run actually flips representation
-    // mid-flight — checkpoints land on both sides of the switch.
-    let thresholds = SwitchThresholds {
-        row_density: 0.1,
-        saturation: 0.1,
-        revert: 0.01,
-        budget_bytes: None,
-    };
-    let backend = || SwitchingEngine::new(EngineStrategy::default(), thresholds);
     assert_every_checkpoint_resumes(backend, &alg, &g, 1);
 }
 

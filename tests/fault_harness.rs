@@ -13,9 +13,7 @@
 
 use metric_tree_embedding::core::arena::{oracle_run_arena_with_schedule, ArenaBackend};
 use metric_tree_embedding::core::catalog::SourceDetection;
-use metric_tree_embedding::core::dense::{
-    oracle_run_dense_with_schedule, DenseBackend, SwitchThresholds, SwitchingEngine,
-};
+use metric_tree_embedding::core::dense::{oracle_run_dense_with_schedule, DenseBackend};
 use metric_tree_embedding::core::engine::{EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
 use metric_tree_embedding::core::error::{check_states, run_guarded};
 use metric_tree_embedding::core::oracle::{try_oracle_run_with, OracleRun};
@@ -107,7 +105,6 @@ enum Pipeline {
     Owned,
     Arena,
     Dense,
-    Switching,
     Oracle,
     ArenaOracle,
     DenseOracle,
@@ -128,7 +125,7 @@ impl Pipeline {
                 (FaultSite::ArenaSpanRead, FaultKind::TruncateSpan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
             ],
-            Pipeline::Dense | Pipeline::Switching => vec![
+            Pipeline::Dense => vec![
                 (FaultSite::EngineHopCommit, FaultKind::Panic),
                 (FaultSite::EngineHopCommit, FaultKind::PoisonNan),
                 (FaultSite::DenseRowKernel, FaultKind::Panic),
@@ -169,17 +166,6 @@ impl Pipeline {
                 try_run(DenseBackend::new(strategy, None), &alg, g, cap)
                     .map(|(run, report)| (run.states, report))
             }
-            Pipeline::Switching => {
-                let alg = SourceDetection::apsp(g.n());
-                let thresholds = SwitchThresholds {
-                    row_density: 0.1,
-                    saturation: 0.1,
-                    revert: 0.01,
-                    budget_bytes: None,
-                };
-                try_run(SwitchingEngine::new(strategy, thresholds), &alg, g, cap)
-                    .map(|(run, report)| (run.states, report))
-            }
             Pipeline::Oracle => {
                 let alg = SourceDetection::apsp(g.n());
                 try_oracle_run_with(&alg, sim, 4 * g.n(), strategy)
@@ -216,11 +202,10 @@ fn guarded_oracle(
     Ok((run.states, report))
 }
 
-const PIPELINES: [Pipeline; 7] = [
+const PIPELINES: [Pipeline; 6] = [
     Pipeline::Owned,
     Pipeline::Arena,
     Pipeline::Dense,
-    Pipeline::Switching,
     Pipeline::Oracle,
     Pipeline::ArenaOracle,
     Pipeline::DenseOracle,
@@ -376,98 +361,29 @@ fn worker_pool_survives_a_chunk_panic() {
     });
 }
 
-/// Graceful degradation: a dense budget too small for the `n × n` block
-/// makes the switching engine decline the flip and finish sparse —
-/// bit-identical to the owned reference, with the degradation recorded
-/// in both `WorkStats` and the `RunReport`.
-#[test]
-fn dense_budget_exhaustion_degrades_to_sparse_bit_identically() {
-    let _guard = FaultGuard::acquire();
-    let g = fixture_graph();
-    let alg = SourceDetection::apsp(g.n());
-    let reference = try_run(
-        OwnedBackend::new(EngineStrategy::default()),
-        &alg,
-        &g,
-        g.n() + 1,
+/// The first checkpoint of an unbudgeted dense run (the resume input of
+/// the budget tests below).
+fn first_dense_checkpoint(alg: &SourceDetection, g: &Graph, cap: usize) -> Checkpoint<DistanceMap> {
+    let mut checkpoints = Vec::new();
+    try_run_on(
+        DenseBackend::new(EngineStrategy::default(), None),
+        alg,
+        g,
+        cap,
+        CheckpointPolicy::every_hops(1),
+        |c| {
+            checkpoints.push(c.clone());
+            Ok(())
+        },
     )
-    .expect("owned reference");
-    // Aggressive flip thresholds + an 8-byte budget: the flip is
-    // attempted early and must be declined every time.
-    let thresholds = SwitchThresholds {
-        row_density: 0.1,
-        saturation: 0.1,
-        revert: 0.01,
-        budget_bytes: Some(8),
-    };
-    let (run, report) = try_run_on(
-        SwitchingEngine::new(EngineStrategy::default(), thresholds),
-        &alg,
-        &g,
-        g.n() + 1,
-        CheckpointPolicy::disabled(),
-        |_| Ok(()),
-    )
-    .expect("budget exhaustion must degrade, not fail");
-    assert_eq!(run.states, reference.0.states, "degraded run diverged");
-    assert_eq!(run.iterations, reference.0.iterations);
-    assert_eq!(run.fixpoint, reference.0.fixpoint);
-    assert!(run.work.dense_declined >= 1, "decline not counted");
-    assert_eq!(
-        run.work.dense_hops, 0,
-        "no hop may run dense under an 8-byte budget"
-    );
-    assert!(
-        report
-            .degradations
-            .iter()
-            .any(|d| matches!(d, Degradation::DenseFlipDeclined { .. })),
-        "degradation missing from the report: {report:?}"
-    );
+    .expect("unbudgeted run");
+    checkpoints
+        .into_iter()
+        .next()
+        .expect("run too short to checkpoint")
 }
 
-/// The same degradation driven by fault injection instead of a budget:
-/// a simulated allocation failure at the flip is *handled* — the run
-/// completes sparse and the audit does not convert it into an error.
-#[test]
-fn injected_alloc_failure_at_the_flip_is_absorbed() {
-    let _guard = FaultGuard::acquire();
-    let g = fixture_graph();
-    let alg = SourceDetection::apsp(g.n());
-    let reference = try_run(
-        OwnedBackend::new(EngineStrategy::default()),
-        &alg,
-        &g,
-        g.n() + 1,
-    )
-    .expect("owned reference");
-    let thresholds = SwitchThresholds {
-        row_density: 0.1,
-        saturation: 0.1,
-        revert: 0.01,
-        budget_bytes: None,
-    };
-    faults::install(FaultPlan::single(
-        FaultSite::DenseRowKernel,
-        FaultKind::AllocFail,
-        0,
-    ));
-    let out = try_run_on(
-        SwitchingEngine::new(EngineStrategy::default(), thresholds),
-        &alg,
-        &g,
-        g.n() + 1,
-        CheckpointPolicy::disabled(),
-        |_| Ok(()),
-    );
-    faults::clear();
-    let (run, report) = out.expect("a handled alloc failure is a degradation, not an error");
-    assert_eq!(run.states, reference.0.states);
-    assert!(run.work.dense_declined >= 1);
-    assert!(!report.degradations.is_empty());
-}
-
-/// A dense-only run has no sparse fallback: the budget violation is the
+/// A dense run has no sparse fallback: the budget violation is the
 /// typed `DenseBudgetExceeded` error, raised before any allocation — on
 /// resume too, so a supervisor retry rung cannot bypass the budget the
 /// primary rung enforced.
@@ -478,33 +394,59 @@ fn dense_only_budget_violation_is_a_typed_error() {
     let alg = SourceDetection::apsp(g.n());
     let cap = g.n() + 1;
     let budgeted = || DenseBackend::new(EngineStrategy::default(), Some(8));
-    let mut checkpoints = Vec::new();
-    try_run_on(
-        DenseBackend::new(EngineStrategy::default(), None),
-        &alg,
-        &g,
-        cap,
-        CheckpointPolicy::every_hops(1),
-        |c| {
-            checkpoints.push(c.clone());
-            Ok(())
-        },
-    )
-    .expect("unbudgeted run");
-    let ckpt = checkpoints.first().expect("run too short to checkpoint");
+    let ckpt = first_dense_checkpoint(&alg, &g, cap);
     let run = try_run(budgeted(), &alg, &g, cap);
-    let resume = try_resume_on(budgeted(), &alg, &g, cap, ckpt);
+    let resume = try_resume_on(budgeted(), &alg, &g, cap, &ckpt);
     for out in [run.map(|_| ()), resume.map(|_| ())] {
         match out {
             Err(RunError::DenseBudgetExceeded {
                 requested_bytes,
                 budget_bytes,
             }) => {
-                assert!(requested_bytes > budget_bytes);
-                assert_eq!(budget_bytes, 8);
+                assert_eq!(budget_bytes, Some(8));
+                assert!(requested_bytes > 8);
             }
             other => panic!("expected DenseBudgetExceeded, got {other:?}"),
         }
+    }
+}
+
+/// An injected allocation failure at the dense block load is answered
+/// by the same typed error, with no budget in force: `try_run_on` and
+/// `try_resume_on` return `DenseBudgetExceeded { budget_bytes: None }`,
+/// nothing unwinds, and the fire is logged as handled (the audit does
+/// not turn it into `InjectedFault`).
+#[test]
+fn injected_alloc_failure_at_the_dense_load_is_a_typed_error() {
+    let _guard = FaultGuard::acquire();
+    let g = fixture_graph();
+    let alg = SourceDetection::apsp(g.n());
+    let cap = g.n() + 1;
+    let unbudgeted = || DenseBackend::new(EngineStrategy::default(), None);
+    let ckpt = first_dense_checkpoint(&alg, &g, cap);
+    for resume in [false, true] {
+        faults::install(FaultPlan::single(
+            FaultSite::DenseRowKernel,
+            FaultKind::AllocFail,
+            0,
+        ));
+        let since = faults::fired_serial();
+        let out = if resume {
+            try_resume_on(unbudgeted(), &alg, &g, cap, &ckpt).map(|_| ())
+        } else {
+            try_run(unbudgeted(), &alg, &g, cap).map(|_| ())
+        };
+        let fired = faults::fired_since(since);
+        faults::clear();
+        match out {
+            Err(RunError::DenseBudgetExceeded {
+                requested_bytes,
+                budget_bytes: None,
+            }) => assert_eq!(requested_bytes, (g.n() * g.n() * 8) as u64),
+            other => panic!("resume={resume}: expected DenseBudgetExceeded, got {other:?}"),
+        }
+        assert_eq!(fired.len(), 1, "resume={resume}: {fired:?}");
+        assert!(fired[0].handled, "resume={resume}: fire not logged handled");
     }
 }
 

@@ -15,18 +15,14 @@ use metric_tree_embedding::core::arena::{
     RecomputeCtx, SpanRecompute,
 };
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
-use metric_tree_embedding::core::dense::{
-    oracle_run_dense_with_schedule, DenseBackend, SwitchThresholds, SwitchingEngine,
-};
+use metric_tree_embedding::core::dense::{oracle_run_dense_with_schedule, DenseBackend};
 use metric_tree_embedding::core::engine::{
     initial_states, EngineStrategy, MbfAlgorithm, MbfEngine, OwnedBackend,
 };
 use metric_tree_embedding::core::frt::le_list::{le_lists_oracle_with, LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::frt::LeList;
 use metric_tree_embedding::core::oracle::{oracle_run_with_schedule, OracleRun};
-use metric_tree_embedding::core::run::{
-    run_to_fixpoint_on, try_resume_on, Checkpoint, StateBackend,
-};
+use metric_tree_embedding::core::run::{run_to_fixpoint_on, try_resume_on, Checkpoint};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::work::WorkStats;
 use metric_tree_embedding::prelude::*;
@@ -76,13 +72,7 @@ fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
 }
 
 /// The engine strategies under differential test.
-const STRATEGIES: [EngineStrategy; 3] = [
-    EngineStrategy::Dense,
-    EngineStrategy::Frontier,
-    EngineStrategy::Hybrid {
-        dense_threshold: 0.25,
-    },
-];
+const STRATEGIES: [EngineStrategy; 2] = [EngineStrategy::Dense, EngineStrategy::Frontier];
 
 fn workload_graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = StdRng::seed_from_u64(0x53E1);
@@ -756,61 +746,6 @@ fn dense_block_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn switching_engine_bit_identical_across_thread_counts_and_thresholds() {
-    let mut rng = StdRng::seed_from_u64(0x53ED);
-    let g = gnm_graph(120, 340, 1.0..8.0, &mut rng);
-    let alg = SourceDetection::apsp(g.n());
-    let owned = run_to_fixpoint_on(
-        OwnedBackend::new(EngineStrategy::default()),
-        &alg,
-        &g,
-        g.n() + 1,
-    );
-    let g = &g;
-    let alg = &alg;
-    for thresholds in [
-        SwitchThresholds::default(),
-        // Aggressive: flips early in the run.
-        SwitchThresholds {
-            row_density: 0.1,
-            saturation: 0.1,
-            revert: 0.01,
-            budget_bytes: None,
-        },
-        // Unreachable: stays sparse throughout.
-        SwitchThresholds {
-            row_density: 2.0,
-            saturation: 2.0,
-            revert: 0.0,
-            budget_bytes: None,
-        },
-    ] {
-        let run = |threads: usize| {
-            with_threads(threads, move || {
-                run_to_fixpoint_on(
-                    SwitchingEngine::new(EngineStrategy::default(), thresholds),
-                    alg,
-                    g,
-                    g.n() + 1,
-                )
-            })
-        };
-        let r1 = run(1);
-        assert_eq!(
-            r1.states, owned.states,
-            "{thresholds:?}: switching run diverged from owned"
-        );
-        assert_eq!(r1.iterations, owned.iterations, "{thresholds:?}");
-        assert_eq!(r1.fixpoint, owned.fixpoint, "{thresholds:?}");
-        let r4 = run(4);
-        assert_eq!(r1.states, r4.states, "{thresholds:?}: thread divergence");
-        // The switching decisions are driven by deterministic density
-        // statistics: even the switching counters are thread-invariant.
-        assert_eq!(r1.work, r4.work, "{thresholds:?}");
-    }
-}
-
-#[test]
 fn dense_oracle_bit_identical_to_owned_oracle_across_threads() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
@@ -980,72 +915,4 @@ proptest! {
         prop_assert_eq!(resumed.states, owned_states);
     }
 
-    /// The representation-switching engine stays bit-identical to the
-    /// owned engine, hop for hop, on arbitrary random graphs under
-    /// arbitrary switching thresholds, with sparse external edits
-    /// (`assign_dirty`) interleaved — shrinking edits on a grown run
-    /// force dense→sparse reverts, and the run's own growth under
-    /// aggressive thresholds forces sparse→dense flips mid-run.
-    #[test]
-    fn random_graphs_thresholds_and_edits_keep_switching_engine_identical(
-        n in 4usize..24,
-        extra in 0usize..30,
-        seed in any::<u64>(),
-        rounds in 1usize..6,
-        row_density in 0.05f64..1.5,
-        saturation in 0.05f64..1.5,
-        revert in 0.0f64..0.6,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = gnm_graph(n, (n - 1 + extra).min(n * (n - 1) / 2), 1.0..9.0, &mut rng);
-        let alg = SourceDetection::apsp(g.n());
-        let thresholds = SwitchThresholds { row_density, saturation, revert, budget_bytes: None };
-
-        let mut owned_states = initial_states(&alg, g.n());
-        let mut owned_engine = MbfEngine::new(EngineStrategy::default());
-        owned_engine.mark_all_dirty(&g);
-        let mut switching = SwitchingEngine::new(EngineStrategy::default(), thresholds);
-        switching.start(&alg, &g).unwrap();
-
-        let mut salt = seed | 1;
-        let mut saw_matrix = false;
-        for round in 0..rounds {
-            // Sparse external edits applied to both backends: shrinking
-            // a grown state collapses the live density (dense→sparse
-            // pressure); the run regrows it afterwards (sparse→dense).
-            for e in 0..(1 + round % 3) {
-                salt = salt
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let v = ((salt >> 33) as usize % g.n()) as NodeId;
-                let edit = alg.init(((v as usize + e + 1) % g.n()) as NodeId);
-                owned_states[v as usize] = edit.clone();
-                owned_engine.mark_dirty(&g, [v]);
-                switching.assign_dirty(&alg, &g, v, &edit);
-            }
-            for _ in 0..=(salt % 3) as usize {
-                let (_, c_owned) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
-                let (_, c_switch) = switching.step(&alg, &g, 1.0);
-                prop_assert_eq!(c_owned, c_switch);
-                saw_matrix |= switching.in_matrix_mode();
-            }
-            prop_assert_eq!(&switching.export_states(), &owned_states);
-        }
-        // Drive both to the fixpoint and compare once more.
-        for _ in 0..2 * g.n() + 4 {
-            let (_, c_owned) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
-            let (_, c_switch) = switching.step(&alg, &g, 1.0);
-            prop_assert_eq!(c_owned, c_switch);
-            saw_matrix |= switching.in_matrix_mode();
-            if !c_owned {
-                break;
-            }
-        }
-        prop_assert_eq!(switching.export_states(), owned_states);
-        // Aggressive thresholds must actually exercise matrix mode
-        // (APSP states grow to full rows, so saturation is guaranteed).
-        if row_density <= 0.5 && saturation <= 0.5 {
-            prop_assert!(saw_matrix, "thresholds {thresholds:?} never flipped");
-        }
-    }
 }

@@ -1,11 +1,14 @@
 //! Rule family 4: **determinism hygiene**.
 //!
 //! Engine/oracle/kernel code must not read wall clocks, spawn ad-hoc
-//! threads, or draw non-shim randomness: all three smuggle
-//! run-to-run-varying inputs into computations whose outputs the test
-//! suite pins bit-for-bit. Threading goes through the pool shim
-//! (`rayon`), randomness through the seeded `rand` shim, and timing
-//! belongs in `crates/bench` / the criterion shim only.
+//! threads, draw non-shim randomness, or read environment variables:
+//! all four smuggle run-to-run-varying inputs into computations whose
+//! outputs the test suite pins bit-for-bit. Threading goes through the
+//! pool shim (`rayon`), randomness through the seeded `rand` shim,
+//! timing belongs in `crates/bench` / the criterion shim only, and
+//! engine options enter through constructors (the pool size and the
+//! fault plan are read by the shim and `mte_faults`, outside this
+//! scope).
 //!
 //! `Ordering::Relaxed` is flagged *workspace-wide* unless the file is
 //! listed in `xtask/relaxed-allowlist.txt`: relaxed atomics are fine for
@@ -29,7 +32,7 @@ const ENGINE_SCOPE: [&str; 5] = [
     "crates/serving/",
 ];
 
-const BANNED: [(&str, &str); 6] = [
+const BANNED: [(&str, &str); 8] = [
     (
         "thread::spawn",
         "ad-hoc threads bypass the pool shim's deterministic chunking",
@@ -53,6 +56,14 @@ const BANNED: [(&str, &str); 6] = [
     (
         "rand::random",
         "non-shim randomness: use the seeded generators from the rand shim",
+    ),
+    (
+        "env::var",
+        "engine options enter through constructors, not the environment",
+    ),
+    (
+        "env::var_os",
+        "engine options enter through constructors, not the environment",
     ),
 ];
 

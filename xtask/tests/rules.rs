@@ -178,9 +178,18 @@ fn hygiene_fires_on_bad_fixture() {
         .filter(|f| f.msg.contains("Ordering::Relaxed"))
         .count();
     assert_eq!(relaxed, 2, "both Relaxed uses flagged: {findings:?}");
-    for needle in ["Instant::now", "SystemTime", "thread::spawn", "thread_rng"] {
+    for needle in [
+        "Instant::now",
+        "SystemTime",
+        "thread::spawn",
+        "thread_rng",
+        "env::var",
+        "env::var_os",
+    ] {
         assert!(
-            findings.iter().any(|f| f.msg.contains(needle)),
+            findings
+                .iter()
+                .any(|f| f.msg.contains(&format!("`{needle}`"))),
             "missing `{needle}` finding in: {findings:?}"
         );
     }
