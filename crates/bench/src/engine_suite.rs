@@ -386,7 +386,6 @@ pub fn engine_suite_json(cases: &[EngineCase]) -> String {
                 "\"handover_entries\": {}, \"touched_vertices\": {}, ",
                 "\"bytes_copied\": {}, \"alloc_count\": {}, \"arena_bytes\": {}, ",
                 "\"dense_hops\": {}, ",
-                "\"shard_msgs\": {}, \"shard_msg_bytes\": {}, ",
                 "\"max_list_len\": {}, \"mean_list_len\": {:.3}}}{}\n"
             ),
             json_escape(&c.graph),
@@ -404,8 +403,6 @@ pub fn engine_suite_json(cases: &[EngineCase]) -> String {
             c.work.alloc_count,
             c.work.arena_bytes,
             c.work.dense_hops,
-            c.work.shard_msgs,
-            c.work.shard_msg_bytes,
             c.max_list_len,
             c.mean_list_len,
             if i + 1 == cases.len() { "" } else { "," },
@@ -461,10 +458,6 @@ mod tests {
         assert_eq!(json.matches("\"arena_bytes\"").count(), cases.len());
         // The matrix-mode hop count too.
         assert_eq!(json.matches("\"dense_hops\"").count(), cases.len());
-        // Exchange-volume counters (0 for unsharded rows, but present so
-        // the schema is uniform with the sharded parallel-suite rows).
-        assert_eq!(json.matches("\"shard_msgs\"").count(), cases.len());
-        assert_eq!(json.matches("\"shard_msg_bytes\"").count(), cases.len());
         // The Lemma 7.6 list-length statistics ride along in every row.
         assert_eq!(json.matches("\"max_list_len\"").count(), cases.len());
         assert_eq!(json.matches("\"mean_list_len\"").count(), cases.len());

@@ -10,11 +10,10 @@
 //! thread-count-dependent) answer is worthless.
 //!
 //! The workload is the APSP fixpoint sweep on the standard catalog,
-//! measured on two backends per graph, plus the sharded engine: the
-//! owned sparse store under the dense schedule (`apsp dense` — the
-//! historical rows) and the flat matrix backend (`apsp dense-block` —
-//! `mte_core::dense`, the contiguous row kernels). The dense-block rows
-//! are additionally cross-checked bit-identical against the owned rows,
+//! measured on two backends per graph: the owned sparse store under
+//! the dense schedule (`apsp dense` — the historical rows) and the flat
+//! matrix backend (`apsp dense-block` — `mte_core::dense`, the
+//! contiguous row kernels). The dense-block rows are additionally cross-checked bit-identical against the owned rows,
 //! so the trajectory never compares different answers. Speedups saturate
 //! at the machine's physical parallelism — on a single-core host every
 //! thread count measures ≈ 1×, which the JSON flags via `host_threads`
@@ -25,12 +24,10 @@
 use crate::engine_suite::json_escape;
 use crate::tables::{f, Table};
 use mte_algebra::DistanceMap;
-use mte_congest::CongestCost;
 use mte_core::catalog::SourceDetection;
 use mte_core::dense::DenseBackend;
 use mte_core::engine::{EngineStrategy, MbfRun, OwnedBackend};
 use mte_core::run::run_to_fixpoint_on;
-use mte_core::shard::try_run_sharded_to_fixpoint_with;
 use mte_graph::generators::{gnm_graph, grid_graph};
 use mte_graph::Graph;
 use rand::rngs::StdRng;
@@ -55,15 +52,6 @@ pub struct ParallelCase {
     pub wall_ms: f64,
     /// Wall-time speedup over the 1-thread run of the same workload.
     pub speedup: f64,
-    /// Shard count of the sharded-engine rows; 0 for unsharded rows.
-    pub shards: usize,
-    /// Cross-shard exchange messages of the run (the Congest-model
-    /// message count via `CongestCost::from_exchange`); 0 unsharded.
-    /// On the single-core host where `speedups_valid` is false, this —
-    /// not wall clock — is the trackable scaling metric.
-    pub shard_msgs: u64,
-    /// Model-level bytes those messages carried; 0 unsharded.
-    pub shard_msg_bytes: u64,
 }
 
 /// The thread counts the suite sweeps: `{1, 2, 4, max}`, deduplicated
@@ -154,66 +142,9 @@ where
             threads,
             wall_ms,
             speedup: baseline_ms / wall_ms.max(1e-9),
-            shards: 0,
-            shard_msgs: 0,
-            shard_msg_bytes: 0,
         });
     }
     reference.expect("counts is non-empty").0
-}
-
-/// The sharded-engine rows (`apsp sharded(k)`): the same APSP fixpoint
-/// workload driven through `core::shard`'s vertex-range shards at each
-/// count in `shard_counts`, swept across `counts` pool sizes. Every
-/// run is cross-checked bit-identical against `reference` (the owned
-/// 1-thread states) — shard topology must never change the answer —
-/// and the rows carry the exchange volume (`shard_msgs` /
-/// `shard_msg_bytes`, i.e. `congest::CongestCost::from_exchange`), the
-/// metric that stays meaningful on hosts where wall clock does not.
-pub fn measure_shard_sweep(
-    graph_label: &str,
-    g: &Graph,
-    counts: &[usize],
-    shard_counts: &[usize],
-    reference: &[DistanceMap],
-    out: &mut Vec<ParallelCase>,
-) {
-    let alg = SourceDetection::apsp(g.n());
-    let cap = g.n() + 1;
-    for &shards in shard_counts {
-        let mut baseline_ms: Option<f64> = None;
-        for &threads in counts {
-            let pool = ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool build cannot fail");
-            let t0 = Instant::now();
-            let (run, report) = pool.install(|| {
-                try_run_sharded_to_fixpoint_with(&alg, g, cap, shards)
-                    .expect("clean sharded run cannot fail")
-            });
-            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-            assert!(report.degradations.is_empty(), "clean run degraded");
-            assert_eq!(
-                run.states, reference,
-                "{graph_label}: sharding at k={shards} changed the result"
-            );
-            let cost = CongestCost::from_exchange(&run.work);
-            let base = *baseline_ms.get_or_insert(wall_ms);
-            out.push(ParallelCase {
-                graph: graph_label.to_string(),
-                n: g.n(),
-                m: g.m(),
-                algorithm: format!("apsp sharded({shards})"),
-                threads,
-                wall_ms,
-                speedup: base / wall_ms.max(1e-9),
-                shards,
-                shard_msgs: cost.messages,
-                shard_msg_bytes: run.work.shard_msg_bytes,
-            });
-        }
-    }
 }
 
 /// The historical entry point: the owned-backend dense APSP sweep
@@ -238,9 +169,8 @@ pub fn measure_thread_sweep(
 }
 
 /// Runs the sweep on the full catalog: the owned `apsp dense` rows
-/// (the trajectory baseline), the flat-matrix `apsp dense-block` rows
-/// and the sharded rows, every backend cross-checked bit-identical
-/// against the owned states.
+/// (the trajectory baseline) and the flat-matrix `apsp dense-block`
+/// rows, cross-checked bit-identical against the owned states.
 pub fn parallel_suite() -> Vec<ParallelCase> {
     let counts = thread_counts();
     let mut cases = Vec::new();
@@ -267,7 +197,6 @@ pub fn parallel_suite() -> Vec<ParallelCase> {
             },
             &mut cases,
         );
-        measure_shard_sweep(&label, &g, &counts, &[2, 4], &reference, &mut cases);
     }
     cases
 }
@@ -275,7 +204,7 @@ pub fn parallel_suite() -> Vec<ParallelCase> {
 /// Renders the sweep as a table.
 pub fn parallel_suite_table(cases: &[ParallelCase]) -> Table {
     let mut t = Table::new(
-        "Thread sweep: APSP fixpoint runs, owned/dense-block/sharded backends (states cross-checked bit-identical)",
+        "Thread sweep: APSP fixpoint runs, owned/dense-block backends (states cross-checked bit-identical)",
         &["graph", "algorithm", "threads", "wall ms", "speedup vs 1"],
     );
     for case in cases {
@@ -312,8 +241,7 @@ pub fn parallel_suite_json(cases: &[ParallelCase]) -> String {
             concat!(
                 "    {{\"graph\": \"{}\", \"n\": {}, \"m\": {}, ",
                 "\"algorithm\": \"{}\", \"threads\": {}, ",
-                "\"wall_ms\": {:.3}, \"speedup_vs_1\": {:.3}, ",
-                "\"shards\": {}, \"shard_msgs\": {}, \"shard_msg_bytes\": {}}}{}\n"
+                "\"wall_ms\": {:.3}, \"speedup_vs_1\": {:.3}}}{}\n"
             ),
             json_escape(&c.graph),
             c.n,
@@ -322,9 +250,6 @@ pub fn parallel_suite_json(cases: &[ParallelCase]) -> String {
             c.threads,
             c.wall_ms,
             c.speedup,
-            c.shards,
-            c.shard_msgs,
-            c.shard_msg_bytes,
             if i + 1 == cases.len() { "" } else { "," },
         ));
     }
@@ -370,25 +295,6 @@ mod tests {
         assert_eq!(cases.len(), 4);
         assert!(cases.iter().any(|c| c.algorithm == "apsp dense-block"));
 
-        // The shard sweep cross-checks sharded states bit-identical
-        // against the owned reference and records exchange volume.
-        measure_shard_sweep("mini", &g, &[1, 2], &[2], &reference, &mut cases);
-        assert_eq!(cases.len(), 6);
-        let sharded: Vec<_> = cases.iter().filter(|c| c.shards > 1).collect();
-        assert_eq!(sharded.len(), 2);
-        assert!(sharded.iter().all(|c| c.algorithm == "apsp sharded(2)"));
-        // A 2-shard run on a connected G(n, m) graph must cross the cut.
-        assert!(sharded.iter().all(|c| c.shard_msgs > 0));
-        assert!(sharded.iter().all(|c| c.shard_msg_bytes > 0));
-        // Exchange volume is deterministic: identical across thread counts.
-        assert_eq!(sharded[0].shard_msgs, sharded[1].shard_msgs);
-        assert_eq!(sharded[0].shard_msg_bytes, sharded[1].shard_msg_bytes);
-        // Unsharded rows report zero exchange traffic.
-        assert!(cases
-            .iter()
-            .filter(|c| c.shards <= 1)
-            .all(|c| c.shard_msgs == 0 && c.shard_msg_bytes == 0));
-
         let json = parallel_suite_json(&cases);
         assert!(json.contains("\"suite\": \"parallel\""));
         assert!(json.contains("\"host_threads\""));
@@ -402,8 +308,6 @@ mod tests {
         assert!(json.contains(&format!("\"speedups_valid\": {}", !single_core)));
         assert_eq!(json.contains("\"note\""), single_core);
         assert_eq!(json.matches("\"threads\"").count(), cases.len());
-        assert_eq!(json.matches("\"shard_msgs\"").count(), cases.len());
-        assert_eq!(json.matches("\"shard_msg_bytes\"").count(), cases.len());
 
         let table = parallel_suite_table(&cases).render();
         assert!(table.contains("mini") && table.contains("speedup"));

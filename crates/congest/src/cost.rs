@@ -27,20 +27,6 @@ impl CongestCost {
             messages: items * n.saturating_sub(1),
         }
     }
-
-    /// The sharded engine's exchange traffic read as a Congest cost:
-    /// each barriered hop is one synchronous round, and every
-    /// cross-shard [`ExchangeMsg`](mte_core::shard::ExchangeMsg) is one
-    /// message (the `shard_msgs` counter in
-    /// [`WorkStats`](mte_core::WorkStats)). This is the bridge that
-    /// makes exchange volume — rather than wall clock — the trackable
-    /// scaling metric in `BENCH_parallel.json` shard rows.
-    pub fn from_exchange(work: &mte_core::WorkStats) -> Self {
-        CongestCost {
-            rounds: work.iterations,
-            messages: work.shard_msgs,
-        }
-    }
 }
 
 impl AddAssign for CongestCost {
@@ -59,19 +45,6 @@ mod tests {
         let c = CongestCost::broadcast(10, 3, 5);
         assert_eq!(c.rounds, 13);
         assert_eq!(c.messages, 40);
-    }
-
-    #[test]
-    fn exchange_bridge_reads_shard_counters() {
-        let work = mte_core::WorkStats {
-            iterations: 4,
-            shard_msgs: 24,
-            shard_msg_bytes: 1024,
-            ..mte_core::WorkStats::default()
-        };
-        let c = CongestCost::from_exchange(&work);
-        assert_eq!(c.rounds, 4);
-        assert_eq!(c.messages, 24);
     }
 
     #[test]

@@ -51,17 +51,6 @@ pub enum RunError {
     /// (checkpoint retries, then recompute-from-scratch if enabled)
     /// failed. `last` is the final rung's error.
     RetriesExhausted { attempts: u32, last: Box<RunError> },
-    /// A cross-shard exchange message failed sequence/digest/sanity
-    /// validation (`core::shard`): a dropped, duplicated, reordered, or
-    /// bit-flipped message was *detected* at the hop barrier instead of
-    /// silently corrupting the embedding. `from_shard`/`to_shard` name
-    /// the channel, `hop` the 1-based hop the exchange served.
-    ShardExchangeCorrupt {
-        from_shard: u32,
-        to_shard: u32,
-        hop: u64,
-        detail: String,
-    },
 }
 
 impl std::fmt::Display for RunError {
@@ -94,15 +83,6 @@ impl std::fmt::Display for RunError {
                     "recovery ladder exhausted after {attempts} attempts: {last}"
                 )
             }
-            RunError::ShardExchangeCorrupt {
-                from_shard,
-                to_shard,
-                hop,
-                detail,
-            } => write!(
-                f,
-                "shard exchange corrupt on channel {from_shard}->{to_shard} at hop {hop}: {detail}"
-            ),
         }
     }
 }
@@ -125,25 +105,6 @@ pub enum Degradation {
     /// the supervisor fell back to recomputing from scratch, which
     /// succeeded.
     RecomputedFromScratch { cause: String },
-    /// A sharded hop attempt failed (shard panic, staged-state
-    /// corruption, or exchange validation) and the shard supervisor
-    /// re-executed the hop from its hop-entry state — deterministic by
-    /// the commit-after-validate protocol, so the retried hop is
-    /// bit-identical to an unfaulted one. Recorded per re-execution.
-    ShardReExecuted {
-        hop: u64,
-        attempt: u32,
-        cause: String,
-    },
-    /// A shard exhausted its re-execution budget and was quarantined:
-    /// its vertex ranges were handed to `taken_over_by` (state
-    /// transferred from the quarantined shard's hop-entry mirror) and
-    /// the run continued without it.
-    ShardQuarantined {
-        shard: u32,
-        taken_over_by: u32,
-        hop: u64,
-    },
 }
 
 impl std::fmt::Display for Degradation {
@@ -158,24 +119,6 @@ impl std::fmt::Display for Degradation {
             Degradation::RecomputedFromScratch { cause } => {
                 write!(f, "recomputed from scratch ({cause})")
             }
-            Degradation::ShardReExecuted {
-                hop,
-                attempt,
-                cause,
-            } => {
-                write!(
-                    f,
-                    "shard hop {hop} re-executed (attempt {attempt}): {cause}"
-                )
-            }
-            Degradation::ShardQuarantined {
-                shard,
-                taken_over_by,
-                hop,
-            } => write!(
-                f,
-                "shard {shard} quarantined at hop {hop}; ranges taken over by shard {taken_over_by}"
-            ),
         }
     }
 }
@@ -212,9 +155,8 @@ pub fn run_guarded<T>(f: impl FnOnce() -> T) -> Result<T, RunError> {
 }
 
 /// Maps a caught panic payload to a [`RunError`], identifying injected
-/// panics by their typed payload. `pub(crate)` so the sharded engine's
-/// per-shard panic isolation reports with the same vocabulary.
-pub(crate) fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> RunError {
+/// panics by their typed payload.
+fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> RunError {
     if let Some(injected) = payload.downcast_ref::<InjectedPanic>() {
         return RunError::InjectedFault {
             site: injected.site,

@@ -27,11 +27,6 @@
 //!   lists (Section 7, Theorem 7.9 and Corollaries 7.10/7.11), FRT tree
 //!   construction (Lemma 7.2), baselines, and path reconstruction
 //!   (Section 7.5),
-//! * [`shard`] — the **fault-tolerant sharded engine**: contiguous
-//!   degree-balanced vertex-range shards running each hop locally and
-//!   recombining through typed, digest-checked exchange messages, with
-//!   a supervisor that re-executes failed hops deterministically and
-//!   quarantines repeatedly-failing shards,
 //! * [`work`] — work/depth accounting used by the experiments,
 //! * [`run`] — the one fixpoint driver: the [`StateBackend`] trait
 //!   (owned, arena and dense backends), plain, guarded and
@@ -47,7 +42,6 @@ pub mod frt;
 pub mod metric;
 pub mod oracle;
 pub mod run;
-pub mod shard;
 pub mod simgraph;
 pub mod work;
 
@@ -56,9 +50,5 @@ pub use dense::{DenseBackend, DenseEngine, DenseMbfAlgorithm};
 pub use engine::{EngineStrategy, MbfAlgorithm, MbfEngine, MbfRun, OwnedBackend};
 pub use error::{Degradation, RecoveryAttempt, RecoveryPolicy, RunError, RunReport, Supervisor};
 pub use run::{Checkpoint, CheckpointPolicy, StateBackend};
-pub use shard::{
-    try_run_sharded_to_fixpoint_with, ExchangeEntry, ExchangeMsg, ShardPolicy, ShardSpec,
-    ShardSupervisor, ShardedEngine, ShardedRun,
-};
 pub use simgraph::{LevelAssignment, SimulatedGraph};
 pub use work::WorkStats;

@@ -190,8 +190,8 @@ fn validate_checkpoint<M>(ckpt: &Checkpoint<M>, n: usize) -> Result<(), RunError
     Ok(())
 }
 
-/// The hop-until-fixpoint loop, the only one outside the oracle and the
-/// sharded engine: hops from `iterations` already executed up to `cap`
+/// The hop-until-fixpoint loop, the only one outside the oracle's
+/// level loop: hops from `iterations` already executed up to `cap`
 /// total, calling `on_hop(hop, backend)` after every hop that changed
 /// something. The confirming hop (the one that changes nothing) is
 /// counted, matching the dense reference semantics.

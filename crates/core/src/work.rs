@@ -68,18 +68,6 @@ pub struct WorkStats {
     /// relaxations through the contiguous row kernels of
     /// `mte_core::dense`).
     pub dense_hops: u64,
-    /// Cross-shard exchange messages sent by the sharded engine
-    /// (`core::shard`): one per ordered shard pair per hop, including
-    /// the empty keep-alives the drop-detection barrier requires. 0
-    /// for unsharded runs and single-shard specs. This is the Congest
-    /// model's message count (`congest::CongestCost::from_exchange`),
-    /// and the trackable exchange-volume metric on hosts where
-    /// wall-clock speedups are meaningless.
-    pub shard_msgs: u64,
-    /// Model-level bytes of those messages: a fixed per-message header
-    /// plus 16 bytes per cross-shard frontier entry carried (cf.
-    /// `OWNED_ENTRY_BYTES`) — the exchange payload volume.
-    pub shard_msg_bytes: u64,
 }
 
 impl WorkStats {
@@ -102,8 +90,6 @@ impl AddAssign for WorkStats {
         // larger footprint.
         self.arena_bytes = self.arena_bytes.max(rhs.arena_bytes);
         self.dense_hops += rhs.dense_hops;
-        self.shard_msgs += rhs.shard_msgs;
-        self.shard_msg_bytes += rhs.shard_msg_bytes;
     }
 }
 
@@ -123,8 +109,6 @@ mod tests {
             alloc_count: 3,
             arena_bytes: 64,
             dense_hops: 1,
-            shard_msgs: 6,
-            shard_msg_bytes: 200,
         };
         a += WorkStats {
             iterations: 2,
@@ -136,8 +120,6 @@ mod tests {
             alloc_count: 1,
             arena_bytes: 32,
             dense_hops: 4,
-            shard_msgs: 2,
-            shard_msg_bytes: 50,
         };
         assert_eq!(
             a,
@@ -152,8 +134,6 @@ mod tests {
                 // Max-combined: the peak footprint, not the sum.
                 arena_bytes: 64,
                 dense_hops: 5,
-                shard_msgs: 8,
-                shard_msg_bytes: 250,
             }
         );
     }

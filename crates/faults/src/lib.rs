@@ -94,22 +94,6 @@ pub enum FaultSite {
     /// work-unit batch — an injected panic aborts the query mid-ladder
     /// (absorbed into a typed `ServeError` by the guarded front-end).
     ServeQueryBudget,
-    /// `core::shard` per-shard hop task, after the shard's changed
-    /// entries are staged but before they are exchanged — a `panic`
-    /// kills the shard mid-hop, a `poison_nan` corrupts its first
-    /// staged entry; the shard supervisor re-executes the hop from its
-    /// hop-entry state either way.
-    ShardHopExec,
-    /// `core::shard` exchange build, once per outgoing cross-shard
-    /// message — the message-level kinds (`drop_msg`, `dup_msg`,
-    /// `reorder_msg`, `corrupt_msg`) tamper with the message in
-    /// flight; sequence/digest validation on the receive side turns
-    /// every tampering into a typed `RunError::ShardExchangeCorrupt`.
-    ShardExchangeSend,
-    /// `core::shard` exchange delivery, once per incoming cross-shard
-    /// message, before validation — same message-level kinds as
-    /// `shard_exchange_send`, modelling loss on the receive path.
-    ShardExchangeRecv,
 }
 
 /// The **single source of truth** for site spec names: one `(site,
@@ -119,7 +103,7 @@ pub enum FaultSite {
 /// spelling. The `fault-site-registry` rule of `cargo xtask analyze`
 /// parses this table and cross-checks every `FaultSite::…` reference and
 /// every plan-spec string literal in the workspace against it.
-pub const SITE_NAMES: [(FaultSite, &str); 14] = [
+pub const SITE_NAMES: [(FaultSite, &str); 11] = [
     (FaultSite::EngineHopCommit, "engine_hop_commit"),
     (FaultSite::ArenaSpanRead, "arena_span_read"),
     (FaultSite::DenseRowKernel, "dense_row_kernel"),
@@ -131,22 +115,15 @@ pub const SITE_NAMES: [(FaultSite, &str); 14] = [
     (FaultSite::ServeArtifactRead, "serve_artifact_read"),
     (FaultSite::ServeCacheEntry, "serve_cache_entry"),
     (FaultSite::ServeQueryBudget, "serve_query_budget"),
-    (FaultSite::ShardHopExec, "shard_hop_exec"),
-    (FaultSite::ShardExchangeSend, "shard_exchange_send"),
-    (FaultSite::ShardExchangeRecv, "shard_exchange_recv"),
 ];
 
 /// The [`SITE_NAMES`] counterpart for [`FaultKind`] spec names.
-pub const KIND_NAMES: [(FaultKind, &str); 9] = [
+pub const KIND_NAMES: [(FaultKind, &str); 5] = [
     (FaultKind::Panic, "panic"),
     (FaultKind::PoisonNan, "poison_nan"),
     (FaultKind::TruncateSpan, "truncate_span"),
     (FaultKind::AllocFail, "alloc_fail"),
     (FaultKind::Io, "io"),
-    (FaultKind::DropMsg, "drop_msg"),
-    (FaultKind::DupMsg, "dup_msg"),
-    (FaultKind::ReorderMsg, "reorder_msg"),
-    (FaultKind::CorruptMsg, "corrupt_msg"),
 ];
 
 /// Maps `site` to its row in the name table.
@@ -164,7 +141,7 @@ const fn site_row(site: FaultSite, i: usize) -> usize {
 impl FaultSite {
     /// Every site, for exhaustive harness sweeps (derived from
     /// [`SITE_NAMES`]).
-    pub const ALL: [FaultSite; 14] = [
+    pub const ALL: [FaultSite; 11] = [
         SITE_NAMES[0].0,
         SITE_NAMES[1].0,
         SITE_NAMES[2].0,
@@ -176,9 +153,6 @@ impl FaultSite {
         SITE_NAMES[8].0,
         SITE_NAMES[9].0,
         SITE_NAMES[10].0,
-        SITE_NAMES[11].0,
-        SITE_NAMES[12].0,
-        SITE_NAMES[13].0,
     ];
 
     /// The spec name used by [`FaultPlan::parse`], read from
@@ -214,18 +188,6 @@ pub enum FaultKind {
     AllocFail,
     /// Simulated I/O failure (`.gr` parser).
     Io,
-    /// Drop a cross-shard exchange message in flight (the receiver
-    /// detects the missing per-channel message at the hop barrier).
-    DropMsg,
-    /// Deliver a cross-shard exchange message twice (the receiver
-    /// detects the duplicate per-channel message).
-    DupMsg,
-    /// Reorder the entries of a cross-shard exchange message (breaks
-    /// the canonical ascending-node order the digest is computed over).
-    ReorderMsg,
-    /// Flip bits in a cross-shard exchange message (entry node id or
-    /// digest field, chosen deterministically from the payload shape).
-    CorruptMsg,
 }
 
 /// Maps `kind` to its row in the name table (cf. [`site_row`]).
@@ -240,16 +202,12 @@ const fn kind_row(kind: FaultKind, i: usize) -> usize {
 impl FaultKind {
     /// Every kind, for exhaustive harness sweeps (derived from
     /// [`KIND_NAMES`]).
-    pub const ALL: [FaultKind; 9] = [
+    pub const ALL: [FaultKind; 5] = [
         KIND_NAMES[0].0,
         KIND_NAMES[1].0,
         KIND_NAMES[2].0,
         KIND_NAMES[3].0,
         KIND_NAMES[4].0,
-        KIND_NAMES[5].0,
-        KIND_NAMES[6].0,
-        KIND_NAMES[7].0,
-        KIND_NAMES[8].0,
     ];
 
     /// The spec name used by [`FaultPlan::parse`], read from

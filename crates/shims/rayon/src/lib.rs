@@ -54,10 +54,8 @@ pub mod prelude {
     };
 }
 
-use std::any::Any;
 use std::cell::UnsafeCell;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One-shot closure + result cells for [`join`], shared across threads.
 ///
@@ -119,50 +117,6 @@ where
 /// mirroring `rayon::current_num_threads`.
 pub fn current_num_threads() -> usize {
     pool::current().threads()
-}
-
-/// One task's result under [`execute_isolated`]: the task's value, or
-/// the panic payload it died with.
-pub type TaskOutcome<R> = Result<R, Box<dyn Any + Send>>;
-
-/// Drives `total` independent tasks on the current pool with **per-task
-/// panic isolation**: task `i` runs `op(i)` under `catch_unwind`, and
-/// the caller gets every task's outcome in index order — `Ok` with the
-/// task's value, or `Err` with that task's caught panic payload.
-///
-/// This is the shard-aware drive the supervised sharded engine needs:
-/// plain pool execution rethrows the *first* panic on the submitter and
-/// discards the rest, which is right for fail-fast data parallelism but
-/// useless for a supervisor that must know *which* shard died while the
-/// siblings' results stay usable. No `rayon` upstream equivalent; the
-/// shim exposes it because the pool's claim counter already guarantees
-/// each index runs exactly once.
-///
-/// Panics injected *by the pool itself* (the `worker_chunk` fault site
-/// fires before the task body) are outside the isolation boundary and
-/// still propagate to the submitter, exactly like any other pool-level
-/// failure.
-pub fn execute_isolated<R, F>(total: usize, op: F) -> Vec<TaskOutcome<R>>
-where
-    R: Send,
-    F: Fn(usize) -> R + Sync,
-{
-    let slots: Vec<Mutex<Option<TaskOutcome<R>>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    pool::execute(&pool::current(), total, &|i| {
-        let outcome = catch_unwind(AssertUnwindSafe(|| op(i)));
-        // The pool's claim counter hands each index to exactly one
-        // thread, so this lock is never contended; it exists to make the
-        // cross-thread handoff safe without `unsafe`.
-        *slots[i].lock().expect("result slot poisoned") = Some(outcome);
-    });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("pool skipped a task index")
-        })
-        .collect()
 }
 
 /// Error returned by [`ThreadPoolBuilder::build`]. The shim's builder

@@ -738,3 +738,44 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
         "scratch rung not recorded: {report:?}"
     );
 }
+
+/// The operator-armed entry point: when `MTE_FAULT_PLAN` is set, run
+/// the arena backend and the guarded oracle lanes under it, each behind
+/// the recovery supervisor, and require the absorb-or-typed-error
+/// contract. Without the variable this is a no-op (the sweeps above
+/// cover the in-process plans).
+#[test]
+fn pre_armed_env_plan_is_absorbed_or_typed() {
+    let Some(plan) = FaultPlan::from_env() else {
+        return;
+    };
+    let _guard = FaultGuard::acquire();
+    let g = fixture_graph();
+    let (og, sim) = oracle_fixture();
+    let supervisor = Supervisor::new(RecoveryPolicy::default());
+    for (pipeline, g) in [
+        (Pipeline::Arena, &g),
+        (Pipeline::Oracle, &og),
+        (Pipeline::ArenaOracle, &og),
+    ] {
+        let clean = pipeline
+            .run(g, &sim)
+            .unwrap_or_else(|e| panic!("clean {pipeline:?} run failed: {e}"));
+        faults::install(plan.clone());
+        let out = supervisor.run(|_| pipeline.run(g, &sim));
+        faults::clear();
+        match out {
+            Ok((states, _)) => assert_eq!(
+                states, clean.0,
+                "{pipeline:?}: pre-armed run diverged from the clean run"
+            ),
+            Err(
+                RunError::InjectedFault { .. }
+                | RunError::Panicked { .. }
+                | RunError::CorruptState { .. }
+                | RunError::RetriesExhausted { .. },
+            ) => {}
+            Err(other) => panic!("{pipeline:?}: unexpected error class {other:?}"),
+        }
+    }
+}

@@ -11,7 +11,7 @@
 //!    workspace manifests pin the supporting rustc/clippy lints;
 //! 3. **fault-registry** — fault-plan spec literals use registered
 //!    site/kind names, the shared name tables cover every enum variant,
-//!    and no registered site is dead;
+//!    and no registered site or kind is dead;
 //! 4. **hygiene** — no wall-clock, ad-hoc threading, or non-shim
 //!    randomness in engine/oracle/kernel code, and `Ordering::Relaxed`
 //!    only in allowlisted files;
@@ -22,11 +22,7 @@
 //! 6. **serving-no-panic** — no `unwrap()`/`expect()` in
 //!    `crates/serving/src`: the serving layer's contract is typed
 //!    `ServeError`s, never panics (waiver:
-//!    `// analyze: serve-ok(reason)`);
-//! 7. **shard-isolation** — shard mirrors are touched only through the
-//!    commit/quarantine seam in `crates/core/src/shard.rs`; cross-shard
-//!    state moves as validated exchange messages (waiver:
-//!    `// analyze: shard-ok(reason)`).
+//!    `// analyze: serve-ok(reason)`).
 
 pub mod lexer;
 pub mod rules;

@@ -121,7 +121,6 @@ fn analyze() -> i32 {
         rules::hygiene::check(rel, scan, &relaxed_allowlist, &mut findings);
         rules::atomic_write::check(rel, scan, &mut findings);
         rules::serving::check(rel, scan, &mut findings);
-        rules::shard_isolation::check(rel, scan, &mut findings);
     }
 
     // Fault registry: parse the shared name tables, then validate specs

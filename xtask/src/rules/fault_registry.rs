@@ -2,9 +2,9 @@
 //!
 //! The fault-injection harness addresses sites and kinds by *name* in
 //! `MTE_FAULT_PLAN` specs (`site:kind:nth[:hits][;…]`). A misspelled
-//! name in a test or doc silently arms nothing, and a site registered
-//! but never referenced is dead weight that suggests a hook was removed
-//! without cleaning up. This rule parses the shared name tables
+//! name in a test or doc silently arms nothing, and a site or kind
+//! registered but never referenced is dead weight that suggests a hook
+//! was removed without cleaning up. This rule parses the shared name tables
 //! (`SITE_NAMES` / `KIND_NAMES` in `crates/faults/src/lib.rs` — the
 //! single source of truth the runtime `name()`/`parse()` functions also
 //! read) and checks:
@@ -13,8 +13,9 @@
 //! * every string literal shaped like a plan spec uses registered
 //!   site/kind names (waiver: `// analyze: fault-spec-ok(reason)` for
 //!   intentional negative-parse tests);
-//! * every registered site is referenced outside the faults crate
-//!   (as `FaultSite::Variant` or by name in some literal).
+//! * every registered site and kind is referenced outside the faults
+//!   crate (as `FaultSite::Variant` / `FaultKind::Variant`, or by name
+//!   as a `:`-separated field of some literal).
 
 use super::Finding;
 use crate::lexer::{has_word, waived, Scan};
@@ -212,35 +213,46 @@ pub fn check_specs(reg: &Registry, path: &str, scan: &Scan, out: &mut Vec<Findin
     }
 }
 
-/// Global half: every registered site is referenced outside the faults
-/// crate, by variant or by name.
+/// Global half: every registered site and kind is referenced outside
+/// the faults crate, by variant or by name. A name counts only as a
+/// whole `:`/`;`-separated field of a string literal (as in
+/// `"gr_parser:io:1"` or `"{site}:panic:1"`), so a short kind name like
+/// `io` is not found inside `"ratio"`.
 pub fn check_dead_sites(
     reg: &Registry,
     scans: &[(String, Scan)],
     faults_path: &str,
     out: &mut Vec<Finding>,
 ) {
-    for (variant, name) in &reg.sites {
-        let token = format!("FaultSite::{variant}");
-        let referenced = scans.iter().any(|(path, scan)| {
-            if path.starts_with("crates/faults/") {
-                return false;
+    for (enum_name, what, rows) in [
+        ("FaultSite", "site", &reg.sites),
+        ("FaultKind", "kind", &reg.kinds),
+    ] {
+        for (variant, name) in rows {
+            let token = format!("{enum_name}::{variant}");
+            let referenced = scans.iter().any(|(path, scan)| {
+                if path.starts_with("crates/faults/") {
+                    return false;
+                }
+                scan.code
+                    .iter()
+                    .any(|code| code.contains(&token) && has_word(code, variant))
+                    || scan.strings.iter().any(|(_, s)| {
+                        s.split([':', ';'])
+                            .any(|field| field.trim() == name.as_str())
+                    })
+            });
+            if !referenced {
+                out.push(Finding::new(
+                    RULE,
+                    faults_path,
+                    0,
+                    format!(
+                        "registered fault {what} `{name}` ({token}) is never referenced \
+                         outside the registry — dead {what} or missing hook"
+                    ),
+                ));
             }
-            scan.code
-                .iter()
-                .any(|code| code.contains(&token) && has_word(code, variant))
-                || scan.strings.iter().any(|(_, s)| s.contains(name.as_str()))
-        });
-        if !referenced {
-            out.push(Finding::new(
-                RULE,
-                faults_path,
-                0,
-                format!(
-                    "registered fault site `{name}` ({token}) is never referenced \
-                     outside the registry — dead site or missing hook"
-                ),
-            ));
         }
     }
 }

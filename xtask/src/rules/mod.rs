@@ -1,11 +1,10 @@
-//! The seven rule families of `cargo xtask analyze`.
+//! The six rule families of `cargo xtask analyze`.
 
 pub mod atomic_write;
 pub mod fault_registry;
 pub mod hygiene;
 pub mod nondet_iter;
 pub mod serving;
-pub mod shard_isolation;
 pub mod unsafe_safety;
 
 /// One lint violation.

@@ -5,8 +5,7 @@ use std::path::Path;
 
 use xtask::lexer::{self, Scan};
 use xtask::rules::{
-    atomic_write, fault_registry, hygiene, nondet_iter, serving, shard_isolation, unsafe_safety,
-    Finding,
+    atomic_write, fault_registry, hygiene, nondet_iter, serving, unsafe_safety, Finding,
 };
 
 fn fixture(name: &str) -> Scan {
@@ -147,13 +146,28 @@ fn fault_registry_fires_on_bad_specs_and_respects_waiver() {
 #[test]
 fn fault_registry_flags_dead_sites() {
     let reg = toy_registry();
-    // Only gr_parser referenced anywhere outside the registry.
-    let user = lexer::scan("fn f() { trigger(FaultSite::GrParser); }\n");
+    // Only gr_parser referenced anywhere outside the registry; both
+    // kinds are, so only the one dead site fires.
+    let user = lexer::scan(
+        "fn f() { trigger(FaultSite::GrParser, FaultKind::Io); arm(\"gr_parser:panic:1\"); }\n",
+    );
     let scans = vec![("crates/core/src/user.rs".to_owned(), user)];
     let mut findings: Vec<Finding> = Vec::new();
     fault_registry::check_dead_sites(&reg, &scans, "toy.rs", &mut findings);
     assert_eq!(findings.len(), 1, "got: {findings:?}");
     assert!(findings[0].msg.contains("engine_hop_commit"));
+}
+
+#[test]
+fn fault_registry_flags_dead_kinds() {
+    let reg = toy_registry();
+    // The fixture references both sites and the `panic` kind, and
+    // mentions `io` only inside longer words and sentences.
+    let scans = vec![(AS_IF.to_owned(), fixture("fault_kind_dead.rs"))];
+    let mut findings: Vec<Finding> = Vec::new();
+    fault_registry::check_dead_sites(&reg, &scans, "toy.rs", &mut findings);
+    assert_eq!(findings.len(), 1, "got: {findings:?}");
+    assert!(findings[0].msg.contains("fault kind `io` (FaultKind::Io)"));
 }
 
 #[test]
@@ -271,49 +285,6 @@ fn serving_no_panic_scoped_to_serving_library_code() {
     ] {
         let mut findings: Vec<Finding> = Vec::new();
         serving::check(out_of_scope, &scan, &mut findings);
-        assert!(findings.is_empty(), "{out_of_scope} tripped: {findings:?}");
-    }
-}
-
-#[test]
-fn shard_isolation_fires_on_mirror_access_outside_the_seam() {
-    let scan = fixture("shard_isolation_bad.rs");
-    let mut findings: Vec<Finding> = Vec::new();
-    shard_isolation::check(AS_IF, &scan, &mut findings);
-    // Outside the seam every `.mirror` access fires: the local poke and
-    // the cross-shard read; the waived line and the comment-only
-    // mention stay silent.
-    assert_eq!(findings.len(), 2, "got: {findings:?}");
-    assert!(findings
-        .iter()
-        .all(|f| f.msg.contains("outside the shard seam")));
-}
-
-#[test]
-fn shard_isolation_inside_the_seam_flags_only_cross_shard_lines() {
-    let scan = fixture("shard_isolation_bad.rs");
-    let mut findings: Vec<Finding> = Vec::new();
-    shard_isolation::check("crates/core/src/shard.rs", &scan, &mut findings);
-    // Inside the seam a shard may touch its own mirror; only the
-    // unwaived `shards[…].mirror` line is a cross-shard read.
-    assert_eq!(findings.len(), 1, "got: {findings:?}");
-    assert!(findings[0].msg.contains("cross-shard"));
-    let cross_line = scan
-        .lines
-        .iter()
-        .position(|l| l.contains("stolen"))
-        .unwrap()
-        + 1;
-    assert_eq!(findings[0].line, cross_line);
-}
-
-#[test]
-fn shard_isolation_scoped_to_crates() {
-    let scan = fixture("shard_isolation_bad.rs");
-    // Tests and xtask code assert on run results, never live mirrors.
-    for out_of_scope in ["tests/shard_equivalence.rs", "xtask/src/rules/fixture.rs"] {
-        let mut findings: Vec<Finding> = Vec::new();
-        shard_isolation::check(out_of_scope, &scan, &mut findings);
         assert!(findings.is_empty(), "{out_of_scope} tripped: {findings:?}");
     }
 }
