@@ -57,27 +57,46 @@
 //! (residual ∪ changed) provably recomputes to its current value, so the
 //! carry-over schedule is **bit-identical** to the all-dirty restart
 //! (asserted against [`oracle_run_with_schedule`] with `carry_over:
-//! false`) while the per-round work tracks how much of the projection
-//! actually moved. Only a level's very first round (no previous buffer
-//! to diff against) sweeps all-dirty. Hops after the level's fixpoint
-//! are skipped outright — the iteration map is deterministic, so an
+//! false`). Only a level's very first round (no previous buffer to diff
+//! against) sweeps all-dirty. Hops after the level's fixpoint are
+//! skipped outright — the iteration map is deterministic, so an
 //! unchanged state vector can never change again, and the result is
 //! bit-identical to running all `d` hops.
 //!
 //! The **diff itself is frontier-sized**, not `O(n)` per round: the
 //! slots where `y_λ` can disagree with the fresh projection `P_λ x` are
 //! contained in `moved_λ ∪ C`, where `moved_λ` is the set of `y`-slots
-//! the level itself touched last round (projection rewrites plus the
-//! engine's change log of its inner hops) and `C` is the set of
-//! vertices of `x` the previous aggregation changed. Every other slot
-//! satisfies `y_λ[v] = P_λ x_prev[v] = P_λ x[v]` and is skipped without
-//! being read. The aggregation is frontier-sized by the same argument:
-//! `x[v] = r(⊕_λ P_λ y_λ[v])` holds for every vertex at the end of a
-//! round, so only vertices some level moved this round can aggregate to
-//! a new value — the per-round cost of a converging oracle run shrinks
-//! with the wave instead of staying `Θ(Λ·n)`. (Only the round after a
-//! wholesale rewrite pays one full diff: a wholesale round has no moved
-//! set.)
+//! the level itself touched in its last executed round (projection
+//! rewrites plus the engine's change log of its inner hops) and `C` is
+//! the set of vertices of `x` the previous aggregation changed. Every
+//! other slot satisfies `y_λ[v] = P_λ x_prev[v] = P_λ x[v]` and is
+//! skipped without being read. The aggregation is frontier-sized by the
+//! same argument: `x[v] = r(⊕_λ P_λ y_λ[v])` holds for every vertex at
+//! the end of a round, so only vertices some level moved this round can
+//! aggregate to a new value — its per-round cost follows the moved sets
+//! instead of staying `Θ(Λ·n)`. (Only the round after a wholesale
+//! rewrite pays one full diff: a wholesale round has no moved set.)
+//!
+//! An executed round's work does **not** shrink to what the projection
+//! moved, because of relay slots: a vertex `v` with `level(v) < λ`
+//! projects to `⊥`, yet after the hops its `y_λ[v]` holds the non-`⊥`
+//! value it relays. So every executed round rewrites each such slot back
+//! to `⊥` and replays the relay waves, even when `x` changed at only a
+//! handful of vertices.
+//!
+//! **Idle levels** skip that replay. If no vertex of `C` has
+//! `level ≥ λ`, then `P_λ x` equals the projection the level last
+//! executed on, so its output `(r^V A_λ)^d P_λ x` is the `y_λ` it
+//! already holds: the round returns at once and touches nothing — not
+//! `y`, the engine's residual frontier and deltas, nor `moved_λ`. The
+//! next executed round's diff stays exact: the skipped rounds' changes
+//! all lie below `λ` and leave the projection alone, so `moved_λ` of
+//! the last executed round plus the latest `C` still cover every slot
+//! that can disagree. The aggregation ignores idle levels (they moved
+//! nothing). A level never idles unprimed (its first round, also after
+//! a checkpoint resume), without carry-over (the reference stays a true
+//! reference), or in a round its `oracle_level_loop` fault site
+//! poisoned it.
 //!
 //! # Parallel structure
 //!
@@ -184,15 +203,20 @@ pub(crate) trait Lane<A: MbfAlgorithm<S = MinPlus>>: StateBackend<A> + Send + Sy
 struct Level<L> {
     lane: L,
     primed: bool,
-    /// `y`-slots this level changed during its last round — projection
-    /// rewrites plus the engine's inner-hop change log — sorted
-    /// ascending, deduplicated. The frontier-sized diff of the next
-    /// round only examines `moved ∪ C`. Meaningless while `moved_all`.
+    /// `y`-slots this level changed during its last executed round —
+    /// projection rewrites plus the engine's inner-hop change log —
+    /// sorted ascending, deduplicated; an idle round keeps it. The
+    /// frontier-sized diff of the next executed round only examines
+    /// `moved ∪ C`. Meaningless while `moved_all`.
     moved: Vec<NodeId>,
-    /// The last round rewrote `y` wholesale (priming round or carry-over
-    /// disabled): the next diff must examine every slot and the
-    /// aggregation cannot skip anything.
+    /// The last executed round rewrote `y` wholesale (priming round or
+    /// carry-over disabled): the next diff must examine every slot and
+    /// the aggregation cannot skip anything.
     moved_all: bool,
+    /// This round was skipped because the projected input did not
+    /// change: everything above still describes the last executed round,
+    /// and the aggregation ignores the level.
+    idle: bool,
     /// Scratch: this round's projection-rewrite seeds.
     seeds: Vec<NodeId>,
 }
@@ -219,10 +243,22 @@ impl<L> Level<L> {
         // corrupts its level state (`poison_nan`) while the sibling
         // levels keep running.
         let site = FaultSite::OracleLevelLoop;
-        match mte_faults::check_for(site, &[FaultKind::Panic, FaultKind::PoisonNan]) {
+        let fired = mte_faults::check_for(site, &[FaultKind::Panic, FaultKind::PoisonNan]);
+        match fired {
             Some(FaultKind::Panic) => mte_faults::trigger_panic(site),
             Some(FaultKind::PoisonNan) => self.lane.poison(alg),
             _ => {}
+        }
+        let keep = |v: NodeId| sim.levels().level(v) >= lambda;
+        // Idle level (module docs): no vertex of level ≥ λ changed in
+        // `x`, so `y` already holds this round's output. A poisoned
+        // level runs, so the corruption is never parked in `y`.
+        self.idle = self.primed
+            && carry_over
+            && fired.is_none()
+            && x_changed.is_some_and(|c| !c.iter().any(|&v| keep(v)));
+        if self.idle {
+            return WorkStats::new();
         }
         let aug = sim.augmented();
         let wholesale = !self.primed || !carry_over;
@@ -235,7 +271,6 @@ impl<L> Level<L> {
             lane, moved, seeds, ..
         } = self;
         seeds.clear();
-        let keep = |v: NodeId| sim.levels().level(v) >= lambda;
         if wholesale || full_diff {
             lane.project_all(alg, x, aug.n(), keep, seeds);
         } else {
@@ -355,6 +390,7 @@ where
             primed: false,
             moved: Vec::new(),
             moved_all: true,
+            idle: false,
             seeds: Vec::new(),
         })
         .collect();
@@ -387,12 +423,13 @@ where
         // every vertex no level moved this round (its fold inputs are
         // unchanged, so recomputation would reproduce the current value
         // bit for bit) — unless some level rewrote wholesale and has no
-        // moved set.
-        let recompute: Option<Vec<NodeId>> = if levels.iter().any(|l| l.moved_all) {
+        // moved set. Idle levels moved nothing this round and count for
+        // neither.
+        let executed_levels = || levels.iter().filter(|l| !l.idle);
+        let recompute: Option<Vec<NodeId>> = if executed_levels().any(|l| l.moved_all) {
             None
         } else {
-            let mut union: Vec<NodeId> = levels
-                .iter()
+            let mut union: Vec<NodeId> = executed_levels()
                 .flat_map(|l| l.moved.iter().copied())
                 .collect();
             union.sort_unstable();

@@ -327,6 +327,64 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
     }
 }
 
+/// A level whose projected input `P_λ x` did not change since its last
+/// executed round keeps that round's output instead of recomputing it.
+/// Every lane must still equal the all-dirty reference (which never
+/// skips) at 1 and 4 threads, and the arena LE run's work is pinned:
+/// re-running the idle levels raises all three counters.
+#[test]
+fn oracle_idle_levels_skip_bit_identically() {
+    // The benchmark's highway regime in small: with `d` below `SPD(G)`
+    // the spine's waves need a dozen rounds, and the late ones change `x`
+    // only at a few vertices, mostly of low level, so the top levels'
+    // projected inputs stand still.
+    let g = highway_graph(64, 400.0);
+    let sim = SimulatedGraph::without_hopset(&g, 8, 0.15, &mut StdRng::seed_from_u64(0x53EF));
+    assert_eq!(sim.levels().lambda(), 8);
+    let cap = 4 * g.n();
+    let le = LeListAlgorithm::new(Arc::new(Ranks::sample(
+        g.n(),
+        &mut StdRng::seed_from_u64(0x53F0),
+    )));
+    let apsp = SourceDetection::apsp(g.n());
+    let (le, apsp, sim) = (&le, &apsp, &sim);
+    let frontier = EngineStrategy::Frontier;
+
+    let reference = oracle_run_with_schedule(le, sim, cap, frontier, false);
+    assert!(reference.fixpoint);
+    // The reference runs every level in every round.
+    assert_eq!(
+        (reference.hops, reference.work.touched_vertices),
+        (846, 29_261),
+        "le/reference: hops, touched_vertices"
+    );
+    let owned = thread_invariant("le/owned", || {
+        oracle_run_with_schedule(le, sim, cap, frontier, true)
+    });
+    assert_oracle_runs_agree(&owned, &reference, "le/owned");
+    let arena = thread_invariant("le/arena", || {
+        oracle_run_arena_with_schedule(le, sim, cap, frontier, true)
+    });
+    assert_oracle_runs_agree(&arena, &reference, "le/arena");
+    assert_lanes_agree(&owned, &arena, "le");
+    // Without the skip: 846 hops, 29,261 touched, 160,134 entries.
+    assert_eq!(
+        (
+            arena.hops,
+            arena.work.touched_vertices,
+            arena.work.entries_processed
+        ),
+        (566, 20_796, 118_561),
+        "le/arena: hops, touched_vertices, entries_processed"
+    );
+
+    let reference = oracle_run_with_schedule(apsp, sim, cap, frontier, false);
+    let dense = thread_invariant("apsp/dense", || {
+        oracle_run_dense_with_schedule(apsp, sim, cap, frontier, true)
+    });
+    assert_oracle_runs_agree(&dense, &reference, "apsp/dense");
+}
+
 // ---------------------------------------------------------------------
 // Full FRT pipeline: production path (pruned merges + carry-over) vs
 // the unpruned all-dirty reference, across thread counts.
