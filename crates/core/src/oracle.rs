@@ -69,22 +69,52 @@
 //! the level itself touched in its last executed round (projection
 //! rewrites plus the engine's change log of its inner hops) and `C` is
 //! the set of vertices of `x` the previous aggregation changed. Every
-//! other slot satisfies `y_λ[v] = P_λ x_prev[v] = P_λ x[v]` and is
-//! skipped without being read. The aggregation is frontier-sized by the
+//! other slot satisfies `y_λ[v] = P_λ x_prev[v] = P_λ x[v]`, or is a
+//! relay a settled level kept (below), and is skipped without being
+//! read. The aggregation is frontier-sized by the
 //! same argument: `x[v] = r(⊕_λ P_λ y_λ[v])` holds for every vertex at
 //! the end of a round, so only vertices some level moved this round can
 //! aggregate to a new value — its per-round cost follows the moved sets
 //! instead of staying `Θ(Λ·n)`. (Only the round after a wholesale
 //! rewrite pays one full diff: a wholesale round has no moved set.)
 //!
-//! An executed round's work does **not** shrink to what the projection
-//! moved, because of relay slots: a vertex `v` with `level(v) < λ`
-//! projects to `⊥`, yet after the hops its `y_λ[v]` holds the non-`⊥`
-//! value it relays. So every executed round rewrites each such slot back
-//! to `⊥` and replays the relay waves, even when `x` changed at only a
-//! handful of vertices.
+//! **Relay slots** are what keeps a round's work from shrinking to what
+//! the projection moved: a vertex `v` with `level(v) < λ` projects to
+//! `⊥`, yet after the hops its `y_λ[v]` holds the non-`⊥` value it
+//! relays. A round that resets relays rewrites each such slot in the
+//! diff back to `⊥` and replays the relay waves, even when `x` changed
+//! at only a handful of vertices. Only **unsettled** levels still do so.
 //!
-//! **Idle levels** skip that replay. If no vertex of `C` has
+//! **Settled levels** keep their relays. A level is settled when its
+//! last executed round's hop loop stopped on a hop that changed nothing,
+//! not on running out of `d` hops, so its `y` is a fixpoint:
+//! `r^V A_λ y = y`. Its next round rewrites only the projected slots
+//! (`level(v) ≥ λ`) of the diff to `P_λ x'` and leaves every relay slot
+//! as it is; the seeding, the hops and the moved bookkeeping are
+//! unchanged. Wholesale rounds (unprimed, or without carry-over) rewrite
+//! every slot as before. This is exact:
+//!
+//! * the start vector is `s₀ = P_λ x' ⊕ y`: at a projected slot the
+//!   aggregation already folded `y[v]` into `x'[v]`, so
+//!   `x'[v] ~ x'[v] ⊕ y[v]`; at a relay slot `s₀[v] = y[v]`;
+//! * by linearity (Corollary 2.17),
+//!   `(r^V A_λ)^d s₀ ~ (r^V A_λ)^d P_λ x' ⊕ (r^V A_λ)^d y = y' ⊕ y`,
+//!   where `y'` is the reset round's output;
+//! * `y' ⊕ y ~ y'`: `x' ≤ x` (`a_vv = 1`), so every walk behind `y`
+//!   has a walk of the same length behind `y'` that dominates it;
+//! * so `r^V` picks the same representative, and the floats agree too:
+//!   they rest only on `fl(a+s) ≤ fl(b+s)` for `a ≤ b`, which the
+//!   frontier skip already relies on.
+//!
+//! An unsettled `y` must still reset: a kept entry would start up to `d`
+//! hops early and could reach what only hop `d+1` would reach. The reset
+//! diff leaves relays outside `moved_λ ∪ C` alone; such a slot was last
+//! written by a settled round, so the argument above covers it: its
+//! value belongs to a fixpoint that every later output dominates. A
+//! round whose `oracle_level_loop` fault site poisoned it resets and
+//! ends unsettled: the poison wrote into `y` behind the engine's back.
+//!
+//! **Idle levels** skip the round altogether. If no vertex of `C` has
 //! `level ≥ λ`, then `P_λ x` equals the projection the level last
 //! executed on, so its output `(r^V A_λ)^d P_λ x` is the `y_λ` it
 //! already holds: the round returns at once and touches nothing — not
@@ -217,6 +247,11 @@ struct Level<L> {
     /// change: everything above still describes the last executed round,
     /// and the aggregation ignores the level.
     idle: bool,
+    /// The last executed round's hop loop stopped on a hop that changed
+    /// nothing (not on running out of `d` hops) and was not poisoned: `y`
+    /// is a fixpoint of `r^V A_λ`, so the next round may keep its relay
+    /// slots.
+    settled: bool,
     /// Scratch: this round's projection-rewrite seeds.
     seeds: Vec<NodeId>,
 }
@@ -262,6 +297,9 @@ impl<L> Level<L> {
         }
         let aug = sim.augmented();
         let wholesale = !self.primed || !carry_over;
+        // Settled level (module docs): `y` is a fixpoint, so only the
+        // projected slots are rewritten and the relays keep their values.
+        let keep_relays = !wholesale && self.settled && fired.is_none();
         // The previous round left `moved` (or `moved_all`); this round's
         // diff may only skip slots both unmoved and outside `x_changed`.
         // A wholesale previous round (or an unknown `x_changed`) forces
@@ -271,18 +309,25 @@ impl<L> Level<L> {
             lane, moved, seeds, ..
         } = self;
         seeds.clear();
-        if wholesale || full_diff {
+        if wholesale || (full_diff && !keep_relays) {
             lane.project_all(alg, x, aug.n(), keep, seeds);
         } else {
             // Frontier-sized diff: a slot can disagree with the fresh
             // projection only if this level moved it last round or the
             // aggregation changed its `x` source — everything else
-            // still equals `P_λ x` and is skipped without being read.
-            for_each_sorted_union(moved, x_changed.unwrap_or(&[]), |v| {
-                if lane.project(alg, x, v, keep(v)) {
+            // still equals `P_λ x` (or is a relay a settled round kept)
+            // and is skipped without being read.
+            let visit = |v: NodeId| {
+                let projected = keep(v);
+                if (projected || !keep_relays) && lane.project(alg, x, v, projected) {
                     seeds.push(v);
                 }
-            });
+            };
+            if full_diff {
+                (0..aug.n() as NodeId).for_each(visit);
+            } else {
+                for_each_sorted_union(moved, x_changed.unwrap_or(&[]), visit);
+            }
         }
         if wholesale {
             // First round (or carry-over disabled): the frontier
@@ -297,13 +342,13 @@ impl<L> Level<L> {
         // remaining hops are identity.
         let scale = sim.level_scale(lambda);
         let mut work = WorkStats::new();
-        for _ in 0..sim.d() {
+        let settled = (0..sim.d()).any(|_| {
             let (w, changed) = lane.step(alg, aug, scale);
             work += w;
-            if !changed {
-                break;
-            }
-        }
+            !changed
+        });
+        // A poisoned `y` was written behind the engine's back.
+        self.settled = settled && fired.is_none();
         // Record what this round moved, for the next round's diff and
         // this round's aggregation: rewrites plus hop changes.
         moved.clear();
@@ -391,6 +436,7 @@ where
             moved: Vec::new(),
             moved_all: true,
             idle: false,
+            settled: false,
             seeds: Vec::new(),
         })
         .collect();

@@ -327,37 +327,27 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
     }
 }
 
-/// A level whose projected input `P_λ x` did not change since its last
-/// executed round keeps that round's output instead of recomputing it.
-/// Every lane must still equal the all-dirty reference (which never
-/// skips) at 1 and 4 threads, and the arena LE run's work is pinned:
-/// re-running the idle levels raises all three counters.
-#[test]
-fn oracle_idle_levels_skip_bit_identically() {
-    // The benchmark's highway regime in small: with `d` below `SPD(G)`
-    // the spine's waves need a dozen rounds, and the late ones change `x`
-    // only at a few vertices, mostly of low level, so the top levels'
-    // projected inputs stand still.
-    let g = highway_graph(64, 400.0);
-    let sim = SimulatedGraph::without_hopset(&g, 8, 0.15, &mut StdRng::seed_from_u64(0x53EF));
-    assert_eq!(sim.levels().lambda(), 8);
+/// Runs the owned and arena LE lanes and the dense APSP lane with
+/// carry-over under pools of 1 and 4 threads, asserts each equals the
+/// all-dirty reference (which resets every slot of every level every
+/// round), and returns the LE reference and arena runs for the caller's
+/// work pins.
+fn carry_over_lanes_equal_reference(
+    g: &Graph,
+    sim: &SimulatedGraph,
+    rank_seed: u64,
+) -> (OracleRun<DistanceMap>, OracleRun<DistanceMap>) {
     let cap = 4 * g.n();
     let le = LeListAlgorithm::new(Arc::new(Ranks::sample(
         g.n(),
-        &mut StdRng::seed_from_u64(0x53F0),
+        &mut StdRng::seed_from_u64(rank_seed),
     )));
     let apsp = SourceDetection::apsp(g.n());
-    let (le, apsp, sim) = (&le, &apsp, &sim);
+    let (le, apsp) = (&le, &apsp);
     let frontier = EngineStrategy::Frontier;
 
     let reference = oracle_run_with_schedule(le, sim, cap, frontier, false);
     assert!(reference.fixpoint);
-    // The reference runs every level in every round.
-    assert_eq!(
-        (reference.hops, reference.work.touched_vertices),
-        (846, 29_261),
-        "le/reference: hops, touched_vertices"
-    );
     let owned = thread_invariant("le/owned", || {
         oracle_run_with_schedule(le, sim, cap, frontier, true)
     });
@@ -367,22 +357,71 @@ fn oracle_idle_levels_skip_bit_identically() {
     });
     assert_oracle_runs_agree(&arena, &reference, "le/arena");
     assert_lanes_agree(&owned, &arena, "le");
-    // Without the skip: 846 hops, 29,261 touched, 160,134 entries.
-    assert_eq!(
-        (
-            arena.hops,
-            arena.work.touched_vertices,
-            arena.work.entries_processed
-        ),
-        (566, 20_796, 118_561),
-        "le/arena: hops, touched_vertices, entries_processed"
-    );
 
-    let reference = oracle_run_with_schedule(apsp, sim, cap, frontier, false);
+    let apsp_reference = oracle_run_with_schedule(apsp, sim, cap, frontier, false);
     let dense = thread_invariant("apsp/dense", || {
         oracle_run_dense_with_schedule(apsp, sim, cap, frontier, true)
     });
-    assert_oracle_runs_agree(&dense, &reference, "apsp/dense");
+    assert_oracle_runs_agree(&dense, &apsp_reference, "apsp/dense");
+    (reference, arena)
+}
+
+/// `(hops, touched_vertices, entries_processed)` of a run.
+fn work_pin<M>(run: &OracleRun<M>) -> (u64, u64, u64) {
+    (
+        run.hops,
+        run.work.touched_vertices,
+        run.work.entries_processed,
+    )
+}
+
+/// A level whose projected input `P_λ x` did not change since its last
+/// executed round keeps that round's output instead of recomputing it.
+/// Every lane must still equal the all-dirty reference (which never
+/// skips), and the arena LE run's work is pinned: re-running the idle
+/// levels raises all three counters.
+#[test]
+fn oracle_idle_levels_skip_bit_identically() {
+    // The benchmark's highway regime in small: with `d` below `SPD(G)`
+    // the spine's waves need a dozen rounds, and the late ones change `x`
+    // only at a few vertices, mostly of low level, so the top levels'
+    // projected inputs stand still.
+    let g = highway_graph(64, 400.0);
+    let sim = SimulatedGraph::without_hopset(&g, 8, 0.15, &mut StdRng::seed_from_u64(0x53EF));
+    assert_eq!(sim.levels().lambda(), 8);
+    let (reference, arena) = carry_over_lanes_equal_reference(&g, &sim, 0x53F0);
+    // The reference runs every level in every round.
+    assert_eq!(
+        (reference.hops, reference.work.touched_vertices),
+        (846, 29_261),
+        "le/reference: hops, touched_vertices"
+    );
+    // Without the skip: 846 hops, 29,261 touched, 160,134 entries
+    // (566 / 20,796 / 118,561 with the skip but without kept relays).
+    assert_eq!(
+        work_pin(&arena),
+        (557, 20_608, 116_677),
+        "le/arena: hops, touched_vertices, entries_processed"
+    );
+}
+
+/// A settled level (its last round's hops reached the fixpoint within
+/// `d`) keeps its relay slots instead of resetting them to `⊥`. Every
+/// lane must still equal the all-dirty reference, and the arena LE
+/// run's work is pinned: resetting the relays replays their waves and
+/// raises all three counters.
+#[test]
+fn oracle_settled_levels_keep_relays_bit_identically() {
+    // With `d = 24` every level's hops reach their fixpoint within `d`,
+    // so every round after the priming one keeps the relays.
+    let (g, sim) = oracle_fixture();
+    let (_, arena) = carry_over_lanes_equal_reference(&g, &sim, 0x53F1);
+    // Resetting the relays: 305 hops, 28,602 touched, 206,005 entries.
+    assert_eq!(
+        work_pin(&arena),
+        (258, 19_744, 130_683),
+        "le/arena: hops, touched_vertices, entries_processed"
+    );
 }
 
 // ---------------------------------------------------------------------
