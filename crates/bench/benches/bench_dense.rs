@@ -1,14 +1,15 @@
 //! Dense-block backend timings: the flat matrix kernels
 //! (`mte_algebra::dense`) against the owned sparse engine on APSP-class
-//! workloads, plus the raw row-kernel microbenchmarks — the wall-time
-//! counterpart to the `apsp dense-block` rows of `exp_baseline`.
+//! workloads, both on the frontier schedule, plus the raw row-kernel
+//! microbenchmarks — the wall-time counterpart to the `apsp dense-block`
+//! rows of `exp_baseline`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use mte_algebra::dense::{relax_row_into, relax_rows_into};
 use mte_algebra::MinPlus;
 use mte_core::catalog::SourceDetection;
 use mte_core::dense::DenseBackend;
-use mte_core::engine::{EngineStrategy, OwnedBackend};
+use mte_core::engine::OwnedBackend;
 use mte_core::run::run_to_fixpoint_on;
 use mte_graph::generators::{gnm_graph, grid_graph};
 use mte_graph::Graph;
@@ -56,7 +57,7 @@ fn bench_dense(c: &mut Criterion) {
         group.bench_function(format!("apsp/{graph_name}/owned"), |b| {
             b.iter(|| {
                 black_box(run_to_fixpoint_on(
-                    OwnedBackend::new(EngineStrategy::Dense),
+                    OwnedBackend::new(),
                     &apsp,
                     &g,
                     g.n() + 1,
@@ -67,7 +68,7 @@ fn bench_dense(c: &mut Criterion) {
         group.bench_function(format!("apsp/{graph_name}/dense-block"), |b| {
             b.iter(|| {
                 black_box(run_to_fixpoint_on(
-                    DenseBackend::new(EngineStrategy::Dense, None),
+                    DenseBackend::new(None),
                     &apsp,
                     &g,
                     g.n() + 1,

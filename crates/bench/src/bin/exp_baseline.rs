@@ -1,11 +1,12 @@
 //! Experiment driver. See DESIGN.md §4 and EXPERIMENTS.md.
 //!
 //! Runs the Section 1.1 sampler comparison (E16), the engine suite
-//! (dense vs frontier scheduling on the standard catalog),
-//! the checkpoint-overhead suite (snapshot write/load cost as a
-//! fraction of run wall time), and the thread-scaling sweep (the same
-//! dense workload across `MTE_THREADS`-style pool sizes
-//! {1, 2, 4, max}), and writes the
+//! (the frontier schedule on the owned, arena and dense-block backends
+//! over the standard catalog, states cross-checked against the literal
+//! `engine::run`), the checkpoint-overhead suite (snapshot write/load
+//! cost as a fraction of run wall time), and the thread-scaling sweep
+//! (APSP on the owned and dense-block backends across
+//! `MTE_THREADS`-style pool sizes {1, 2, 4, max}), and writes the
 //! machine-readable `BENCH_engine.json` / `BENCH_parallel.json` pair
 //! that tracks the engine's performance trajectory across PRs.
 

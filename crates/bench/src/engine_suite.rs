@@ -1,33 +1,32 @@
-//! The engine benchmark suite: dense vs frontier scheduling on the
-//! standard graph catalog, with machine-readable output.
+//! The engine benchmark suite: the frontier schedule on the standard
+//! graph catalog, per storage backend, with machine-readable output.
 //!
-//! Run via `exp_baseline` (or `cargo bench --bench bench_engine` for the
-//! criterion timings); emits `BENCH_engine.json` so successive PRs can
-//! track the performance trajectory of the iteration core. Every case
-//! cross-checks that the sparse strategies reproduce the dense states
-//! bit-identically before recording numbers — a benchmark of a wrong
-//! answer is worthless.
+//! Run via `exp_baseline`; emits `BENCH_engine.json` so successive PRs
+//! can track the work counters of the iteration core. Every workload
+//! cross-checks each row's states and hop count against the literal
+//! Eq. (2.17) reference (`mte_core::engine::run`, `h` applications of
+//! the one-shot `iterate` kernel; untimed, not a row) before recording
+//! numbers — a benchmark of a wrong answer is worthless.
 //!
 //! Rows measure the **production path** of each workload: for the LE
 //! lists that is the epoch-arena backend (`le_lists_direct` routes
-//! through [`mte_core::arena::ArenaEngine`] since the arena rework), so
-//! the `frontier` rows time the arena engine and the `…+owned` rows
-//! keep the owned `Vec<DistanceMap>` backend visible for comparison.
-//! SSSP keeps its owned rows (the generic engine is its production
-//! path) plus `…+arena` rows. APSP rows on the dense catalog measure
-//! the flat-matrix backend (`dense-block`) against the owned sparse
-//! reference. Every row carries the storage counters (`bytes_copied`,
-//! `alloc_count`, `arena_bytes`) and the matrix-mode hop count
-//! (`dense_hops`) so the copy-on-write and matrix-mode wins show up in
-//! the trajectory, not just wall time; arena rows also carry the
-//! semi-naive handover volume (`handover_entries`).
+//! through [`mte_core::arena::ArenaEngine`]), so the `frontier` rows
+//! time the arena engine and the `…+owned` rows keep the owned
+//! `Vec<DistanceMap>` backend visible for comparison. SSSP keeps its
+//! owned rows (the generic engine is its production path) plus
+//! `…+arena` rows. APSP rows on the dense catalog measure the
+//! flat-matrix backend (`dense-block`). Every row carries the storage
+//! counters (`bytes_copied`, `alloc_count`, `arena_bytes`) and the
+//! matrix-mode hop count (`dense_hops`) so the copy-on-write and
+//! matrix-mode wins show up in the trajectory, not just wall time;
+//! arena rows also carry the semi-naive handover volume
+//! (`handover_entries`).
 
 use crate::tables::{f, Table};
-use mte_algebra::DistanceMap;
-use mte_core::arena::{ArenaBackend, ArenaMbfAlgorithm};
+use mte_core::arena::ArenaBackend;
 use mte_core::catalog::SourceDetection;
 use mte_core::dense::DenseBackend;
-use mte_core::engine::{EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
+use mte_core::engine::{run, MbfAlgorithm, MbfRun, OwnedBackend};
 use mte_core::frt::le_list::{LeListAlgorithm, Ranks};
 use mte_core::run::run_to_fixpoint_on;
 use mte_core::work::WorkStats;
@@ -38,7 +37,7 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One measured (graph, algorithm, strategy) cell.
+/// One measured (graph, algorithm, backend) cell.
 #[derive(Clone, Debug)]
 pub struct EngineCase {
     /// Graph family label.
@@ -49,7 +48,9 @@ pub struct EngineCase {
     pub m: usize,
     /// Algorithm label.
     pub algorithm: String,
-    /// Strategy label.
+    /// Row label: the schedule plus, off the production path, the
+    /// storage backend (`frontier+owned`, `frontier+arena`,
+    /// `dense-block`).
     pub strategy: String,
     /// Wall time of the full fixpoint run, in milliseconds.
     pub wall_ms: f64,
@@ -81,8 +82,7 @@ pub fn engine_catalog() -> Vec<(String, Graph)> {
 }
 
 /// The APSP-class dense catalog: smaller graphs (the workload's state
-/// volume is Θ(n²)) on which the dense-block backend is measured
-/// against the owned sparse reference.
+/// volume is Θ(n²)) on which the dense-block backend is measured.
 pub fn dense_catalog() -> Vec<(String, Graph)> {
     let mut rng = StdRng::seed_from_u64(0xDE45);
     vec![
@@ -94,235 +94,124 @@ pub fn dense_catalog() -> Vec<(String, Graph)> {
     ]
 }
 
-fn strategy_label(s: EngineStrategy) -> String {
-    match s {
-        EngineStrategy::Dense => "dense".into(),
-        EngineStrategy::Frontier => "frontier".into(),
-    }
+/// Times one run, in milliseconds.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t0 = Instant::now();
+    let r = f();
+    (r, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-/// The strategies each workload is measured under.
-pub fn measured_strategies() -> [EngineStrategy; 2] {
-    [EngineStrategy::Dense, EngineStrategy::Frontier]
-}
+/// A labelled row: one fixpoint run and its wall time in milliseconds.
+type Row<'a, M> = (&'a str, (MbfRun<M>, f64));
 
-/// Records one timed fixpoint run as a case row, after cross-checking
-/// its states against the dense reference.
-#[allow(clippy::too_many_arguments)]
+/// Records a workload's timed fixpoint runs as case rows, after
+/// cross-checking each run's states and hop count against the literal
+/// reference: [`run`] over as many hops as the first row ran.
 fn record<A>(
     graph_label: &str,
     g: &Graph,
     alg_label: &str,
     alg: &A,
-    strategy_name: String,
-    run: MbfRun<A::M>,
-    wall_ms: f64,
-    reference: &MbfRun<A::M>,
+    rows: Vec<Row<'_, A::M>>,
     out: &mut Vec<EngineCase>,
 ) where
     A: MbfAlgorithm,
     A::M: PartialEq + std::fmt::Debug,
 {
-    assert_eq!(
-        run.states, reference.states,
-        "{graph_label}/{alg_label}: {strategy_name} diverged from dense"
-    );
-    let max_list_len = run
-        .states
-        .iter()
-        .map(|x| alg.state_size(x))
-        .max()
-        .unwrap_or(0);
-    let total_len: usize = run.states.iter().map(|x| alg.state_size(x)).sum();
-    out.push(EngineCase {
-        graph: graph_label.to_string(),
-        n: g.n(),
-        m: g.m(),
-        algorithm: alg_label.to_string(),
-        strategy: strategy_name,
-        wall_ms,
-        iterations: run.iterations,
-        work: run.work,
-        max_list_len,
-        mean_list_len: total_len as f64 / g.n().max(1) as f64,
-    });
-}
-
-/// Measures the owned (`Vec<M>`) backend under every strategy, with the
-/// given label suffix (`""` when the owned backend is the workload's
-/// production path).
-#[allow(clippy::too_many_arguments)]
-fn measure_owned<A>(
-    graph_label: &str,
-    g: &Graph,
-    alg_label: &str,
-    alg: &A,
-    suffix: &str,
-    skip_dense: bool,
-    reference: &MbfRun<A::M>,
-    out: &mut Vec<EngineCase>,
-) where
-    A: MbfAlgorithm,
-    A::M: PartialEq + std::fmt::Debug,
-{
-    let cap = g.n() + 1;
-    for strategy in measured_strategies() {
-        if skip_dense && strategy == EngineStrategy::Dense {
-            continue;
-        }
-        let t0 = Instant::now();
-        let run = run_to_fixpoint_on(OwnedBackend::new(strategy), alg, g, cap);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let label = format!("{}{suffix}", strategy_label(strategy));
-        record(
-            graph_label,
-            g,
-            alg_label,
-            alg,
-            label,
-            run,
-            wall_ms,
-            reference,
-            out,
+    let hops = rows.first().map_or(0, |(_, (r, _))| r.iterations);
+    let reference = run(alg, g, hops);
+    for (label, (fixpoint, wall_ms)) in rows {
+        assert_eq!(
+            fixpoint.states, reference.states,
+            "{graph_label}/{alg_label}: {label} diverged from the literal reference"
         );
+        assert_eq!(
+            fixpoint.iterations, hops,
+            "{graph_label}/{alg_label}: {label}"
+        );
+        let max_list_len = fixpoint
+            .states
+            .iter()
+            .map(|x| alg.state_size(x))
+            .max()
+            .unwrap_or(0);
+        let total_len: usize = fixpoint.states.iter().map(|x| alg.state_size(x)).sum();
+        out.push(EngineCase {
+            graph: graph_label.to_string(),
+            n: g.n(),
+            m: g.m(),
+            algorithm: alg_label.to_string(),
+            strategy: label.to_string(),
+            wall_ms,
+            iterations: fixpoint.iterations,
+            work: fixpoint.work,
+            max_list_len,
+            mean_list_len: total_len as f64 / g.n().max(1) as f64,
+        });
     }
 }
 
-/// Measures the epoch-arena backend under the frontier strategy (a
-/// dense+arena row would time pool churn the production paths never
-/// exhibit), with the given label suffix.
-fn measure_arena<A>(
-    graph_label: &str,
-    g: &Graph,
-    alg_label: &str,
-    alg: &A,
-    suffix: &str,
-    reference: &MbfRun<DistanceMap>,
-    out: &mut Vec<EngineCase>,
-) where
-    A: ArenaMbfAlgorithm,
-{
-    let strategy = EngineStrategy::Frontier;
-    let t0 = Instant::now();
-    let run = run_to_fixpoint_on(ArenaBackend::new(strategy), alg, g, g.n() + 1);
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let label = format!("{}{suffix}", strategy_label(strategy));
-    record(
-        graph_label,
-        g,
-        alg_label,
-        alg,
-        label,
-        run,
-        wall_ms,
-        reference,
-        out,
-    );
-}
-
 /// Runs the suite: SSSP and LE lists to fixpoint on every catalog graph
-/// under every strategy and both storage backends. For LE lists the
-/// plain `frontier` row times the arena backend (the
-/// production path of `le_lists_direct`); `…+owned` rows keep the owned
-/// backend in the trajectory. For SSSP the plain rows stay owned (its
-/// production path) and `…+arena` rows ride along.
+/// on both sparse storage backends, and APSP on the dense-block backend
+/// over the dense catalog. For LE lists the plain `frontier` row times
+/// the arena backend (the production path of `le_lists_direct`);
+/// `…+owned` rows keep the owned backend in the trajectory. For SSSP
+/// the plain rows stay owned (its production path) and `…+arena` rows
+/// ride along.
 pub fn engine_suite() -> Vec<EngineCase> {
     let mut cases = Vec::new();
     for (label, g) in engine_catalog() {
         let cap = g.n() + 1;
-        // Each workload's dense reference sweep is run (and timed) once
-        // — it is the suite's slowest case — and doubles as its own
-        // `dense` row.
         let sssp = SourceDetection::sssp(g.n(), 0);
-        let t0 = Instant::now();
-        let reference =
-            run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &sssp, &g, cap);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        record(
-            &label,
-            &g,
-            "sssp",
-            &sssp,
-            "dense".into(),
-            reference.clone(),
-            wall_ms,
-            &reference,
-            &mut cases,
-        );
-        measure_owned(&label, &g, "sssp", &sssp, "", true, &reference, &mut cases);
-        measure_arena(&label, &g, "sssp", &sssp, "+arena", &reference, &mut cases);
+        let rows = vec![
+            (
+                "frontier",
+                timed(|| run_to_fixpoint_on(OwnedBackend::new(), &sssp, &g, cap)),
+            ),
+            (
+                "frontier+arena",
+                timed(|| run_to_fixpoint_on(ArenaBackend::new(), &sssp, &g, cap)),
+            ),
+        ];
+        record(&label, &g, "sssp", &sssp, rows, &mut cases);
 
         let mut rng = StdRng::seed_from_u64(0x1E11);
-        let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
-        let le = LeListAlgorithm::new(ranks);
-        let t0 = Instant::now();
-        let reference = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &le, &g, cap);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        record(
-            &label,
-            &g,
-            "le_lists",
-            &le,
-            "dense".into(),
-            reference.clone(),
-            wall_ms,
-            &reference,
-            &mut cases,
-        );
-        measure_arena(&label, &g, "le_lists", &le, "", &reference, &mut cases);
-        measure_owned(
-            &label, &g, "le_lists", &le, "+owned", true, &reference, &mut cases,
-        );
+        let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
+        let rows = vec![
+            (
+                "frontier",
+                timed(|| run_to_fixpoint_on(ArenaBackend::new(), &le, &g, cap)),
+            ),
+            (
+                "frontier+owned",
+                timed(|| run_to_fixpoint_on(OwnedBackend::new(), &le, &g, cap)),
+            ),
+        ];
+        record(&label, &g, "le_lists", &le, rows, &mut cases);
     }
 
-    // APSP-class rows: owned sparse reference vs the dense-block matrix
-    // backend, on the dense catalog.
     for (label, g) in dense_catalog() {
-        let cap = g.n() + 1;
         let apsp = SourceDetection::apsp(g.n());
-        let t0 = Instant::now();
-        let reference =
-            run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &apsp, &g, cap);
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let dense_block =
+            timed(|| run_to_fixpoint_on(DenseBackend::new(None), &apsp, &g, g.n() + 1));
         record(
             &label,
             &g,
             "apsp",
             &apsp,
-            "dense".into(),
-            reference.clone(),
-            wall_ms,
-            &reference,
-            &mut cases,
-        );
-        let t0 = Instant::now();
-        let run = run_to_fixpoint_on(
-            DenseBackend::new(EngineStrategy::Dense, None),
-            &apsp,
-            &g,
-            cap,
-        );
-        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-        record(
-            &label,
-            &g,
-            "apsp",
-            &apsp,
-            "dense-block".into(),
-            run,
-            wall_ms,
-            &reference,
+            vec![("dense-block", dense_block)],
             &mut cases,
         );
     }
     cases
 }
 
-/// Renders the suite as a table, with the per-workload dense/frontier
-/// relaxation ratio (the headline number of the engine rework).
+/// Renders the suite as a table, with each row's relaxation ratio
+/// against the literal reference over the same hops (`2m` relaxations
+/// per hop) — the headline number of the frontier schedule.
 pub fn engine_suite_table(cases: &[EngineCase]) -> Table {
     let mut t = Table::new(
-        "Engine suite: dense vs frontier, owned vs arena (fixpoint runs, states cross-checked)",
+        "Engine suite: frontier schedule, owned vs arena vs dense-block (fixpoint runs, states cross-checked)",
         &[
             "graph",
             "algorithm",
@@ -333,18 +222,12 @@ pub fn engine_suite_table(cases: &[EngineCase]) -> Table {
             "touched",
             "copied KiB",
             "allocs",
-            "vs dense",
+            "vs literal",
         ],
     );
     for case in cases {
-        let dense_relax = cases
-            .iter()
-            .find(|c| {
-                c.graph == case.graph && c.algorithm == case.algorithm && c.strategy == "dense"
-            })
-            .map(|c| c.work.edge_relaxations)
-            .unwrap_or(case.work.edge_relaxations);
-        let ratio = dense_relax as f64 / case.work.edge_relaxations.max(1) as f64;
+        let literal_relax = (case.iterations * 2 * case.m) as f64;
+        let ratio = literal_relax / case.work.edge_relaxations.max(1) as f64;
         t.push(vec![
             case.graph.clone(),
             case.algorithm.clone(),
@@ -416,38 +299,41 @@ pub fn engine_suite_json(cases: &[EngineCase]) -> String {
 mod tests {
     use super::*;
 
-    /// A miniature suite run (small graphs) exercising the measurement,
+    /// A miniature suite run (small graph) exercising the measurement,
     /// table, and JSON paths end to end — both storage backends.
     #[test]
     fn mini_suite_measures_and_serializes() {
         let mut rng = StdRng::seed_from_u64(3);
         let g = gnm_graph(40, 90, 1.0..9.0, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
-        let reference = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::Dense),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
+        let cap = g.n() + 1;
+        let rows = vec![
+            (
+                "frontier",
+                timed(|| run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, cap)),
+            ),
+            (
+                "frontier+arena",
+                timed(|| run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, cap)),
+            ),
+        ];
         let mut cases = Vec::new();
-        measure_owned("mini", &g, "sssp", &alg, "", false, &reference, &mut cases);
-        measure_arena("mini", &g, "sssp", &alg, "+arena", &reference, &mut cases);
-        assert_eq!(cases.len(), measured_strategies().len() + 1);
-        let dense = &cases[0];
-        let frontier = &cases[1];
-        assert_eq!(dense.strategy, "dense");
-        assert!(frontier.work.edge_relaxations < dense.work.edge_relaxations);
-        // The arena rows carry the storage counters the owned rows lack.
-        let arena_frontier = cases
-            .iter()
-            .find(|c| c.strategy == "frontier+arena")
-            .expect("arena row present");
-        assert!(arena_frontier.work.arena_bytes > 0);
+        record("mini", &g, "sssp", &alg, rows, &mut cases);
+        assert_eq!(cases.len(), 2);
+        let (frontier, arena) = (&cases[0], &cases[1]);
+        assert_eq!(frontier.strategy, "frontier");
         assert!(
-            arena_frontier.work.edge_relaxations <= frontier.work.edge_relaxations,
+            (frontier.work.edge_relaxations as usize) < frontier.iterations * 2 * g.m(),
+            "the frontier skip relaxes less than the literal sweep"
+        );
+        // The arena rows carry the storage counters the owned rows lack.
+        assert_eq!(arena.strategy, "frontier+arena");
+        assert!(arena.work.arena_bytes > 0);
+        assert!(
+            arena.work.edge_relaxations <= frontier.work.edge_relaxations,
             "identical schedule; arena may skip absorbed merges"
         );
-        assert!(arena_frontier.work.bytes_copied < frontier.work.bytes_copied);
+        assert!(arena.work.bytes_copied < frontier.work.bytes_copied);
 
         let json = engine_suite_json(&cases);
         assert!(json.contains("\"suite\": \"engine\""));
@@ -464,6 +350,6 @@ mod tests {
         assert_eq!(json.matches("\"graph\"").count(), cases.len());
 
         let table = engine_suite_table(&cases).render();
-        assert!(table.contains("dense") && table.contains("frontier"));
+        assert!(table.contains("frontier+arena") && table.contains("vs literal"));
     }
 }

@@ -10,10 +10,10 @@
 //! thread-count-dependent) answer is worthless.
 //!
 //! The workload is the APSP fixpoint sweep on the standard catalog,
-//! measured on two backends per graph: the owned sparse store under
-//! the dense schedule (`apsp dense` — the historical rows) and the flat
-//! matrix backend (`apsp dense-block` — `mte_core::dense`, the
-//! contiguous row kernels). The dense-block rows are additionally cross-checked bit-identical against the owned rows,
+//! measured on two backends per graph: the owned sparse store
+//! (`apsp owned`) and the flat matrix backend (`apsp dense-block` —
+//! `mte_core::dense`, the contiguous row kernels). The dense-block rows
+//! are additionally cross-checked bit-identical against the owned rows,
 //! so the trajectory never compares different answers. Speedups saturate
 //! at the machine's physical parallelism — on a single-core host every
 //! thread count measures ≈ 1×, which the JSON flags via `host_threads`
@@ -26,7 +26,7 @@ use crate::tables::{f, Table};
 use mte_algebra::DistanceMap;
 use mte_core::catalog::SourceDetection;
 use mte_core::dense::DenseBackend;
-use mte_core::engine::{EngineStrategy, MbfRun, OwnedBackend};
+use mte_core::engine::{MbfRun, OwnedBackend};
 use mte_core::run::run_to_fixpoint_on;
 use mte_graph::generators::{gnm_graph, grid_graph};
 use mte_graph::Graph;
@@ -147,8 +147,8 @@ where
     reference.expect("counts is non-empty").0
 }
 
-/// The historical entry point: the owned-backend dense APSP sweep
-/// (`apsp dense` rows). Returns the 1-thread states.
+/// The owned-backend APSP sweep (`apsp owned` rows). Returns the
+/// 1-thread states.
 pub fn measure_thread_sweep(
     graph_label: &str,
     g: &Graph,
@@ -161,14 +161,14 @@ pub fn measure_thread_sweep(
         graph_label,
         g,
         counts,
-        "apsp dense",
+        "apsp owned",
         None,
-        || run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, g, cap),
+        || run_to_fixpoint_on(OwnedBackend::new(), &alg, g, cap),
         out,
     )
 }
 
-/// Runs the sweep on the full catalog: the owned `apsp dense` rows
+/// Runs the sweep on the full catalog: the owned `apsp owned` rows
 /// (the trajectory baseline) and the flat-matrix `apsp dense-block`
 /// rows, cross-checked bit-identical against the owned states.
 pub fn parallel_suite() -> Vec<ParallelCase> {
@@ -178,23 +178,13 @@ pub fn parallel_suite() -> Vec<ParallelCase> {
         let alg = SourceDetection::apsp(g.n());
         let cap = g.n() + 1;
         let reference = measure_thread_sweep(&label, &g, &counts, &mut cases);
-        // Frontier schedule: for the dense backend a Ligra-style dense
-        // fallback only re-relaxes quiescent full rows, so the frontier
-        // list is its production schedule.
         measure_thread_sweep_with(
             &label,
             &g,
             &counts,
             "apsp dense-block",
             Some(&reference),
-            || {
-                run_to_fixpoint_on(
-                    DenseBackend::new(EngineStrategy::Frontier, None),
-                    &alg,
-                    &g,
-                    cap,
-                )
-            },
+            || run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, cap),
             &mut cases,
         );
     }
@@ -282,14 +272,7 @@ mod tests {
             &[1, 2],
             "apsp dense-block",
             Some(&reference),
-            || {
-                run_to_fixpoint_on(
-                    DenseBackend::new(EngineStrategy::Dense, None),
-                    &alg,
-                    &g,
-                    g.n() + 1,
-                )
-            },
+            || run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1),
             &mut cases,
         );
         assert_eq!(cases.len(), 4);

@@ -78,7 +78,7 @@
 //! arena lanes: one store per level, `O(Λ)` buffers total instead of
 //! the owned lane's `Θ(Λ·n)` per-vertex maps.
 
-use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm};
+use crate::engine::{initial_states, FrontierSchedule, MbfAlgorithm};
 use crate::error::RunError;
 use crate::oracle::{run_lanes, Lane, OracleRun};
 use crate::run::{Checkpoint, StateBackend};
@@ -473,21 +473,22 @@ pub struct ArenaEngine {
     handover: Handover,
 }
 
+impl Default for ArenaEngine {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ArenaEngine {
-    /// A fresh engine with the given scheduling strategy.
-    pub fn new(strategy: EngineStrategy) -> Self {
+    /// A fresh engine.
+    pub fn new() -> Self {
         ArenaEngine {
-            sched: FrontierSchedule::new(strategy),
+            sched: FrontierSchedule::new(),
             chunk_bufs: Vec::new(),
             changed: Vec::new(),
             taint: crate::engine::TaintTable::new(),
             handover: Handover::default(),
         }
-    }
-
-    /// The engine's scheduling strategy.
-    pub fn strategy(&self) -> EngineStrategy {
-        self.sched.strategy()
     }
 
     /// The frontier list: ascending, no duplicates.
@@ -733,19 +734,25 @@ pub struct ArenaBackend {
     created: StoreStats,
 }
 
+impl Default for ArenaBackend {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl ArenaBackend {
-    /// An empty backend whose engine runs `strategy`.
-    pub fn new(strategy: EngineStrategy) -> Self {
+    /// An empty backend.
+    pub fn new() -> Self {
         ArenaBackend {
-            engine: ArenaEngine::new(strategy),
+            engine: ArenaEngine::new(),
             store: EpochStore::default(),
             created: StoreStats::default(),
         }
     }
 
     /// An oracle lane: `n` empty spans, with the engine's change log on.
-    fn lane<A: ArenaMbfAlgorithm>(strategy: EngineStrategy, n: usize) -> Self {
-        let mut engine = ArenaEngine::new(strategy);
+    fn lane<A: ArenaMbfAlgorithm>(n: usize) -> Self {
+        let mut engine = ArenaEngine::new();
         engine.enable_change_log();
         let store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
         let created = store.stats();
@@ -899,11 +906,10 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-    strategy: EngineStrategy,
     carry_over: bool,
 ) -> OracleRun<DistanceMap> {
     let n = sim.augmented().n();
-    let lane = || ArenaBackend::lane::<A>(strategy, n);
+    let lane = || ArenaBackend::lane::<A>(n);
     run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
 }
 
@@ -911,7 +917,7 @@ pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
 mod tests {
     use super::*;
     use crate::catalog::SourceDetection;
-    use crate::engine::{MbfEngine, OwnedBackend};
+    use crate::engine::{literal_fixpoint, MbfEngine, OwnedBackend};
     use crate::run::run_to_fixpoint_on;
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
@@ -922,25 +928,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(71);
         let g = gnm_graph(60, 150, 1.0..9.0, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 3);
-        for strategy in [
-            EngineStrategy::Dense,
-            EngineStrategy::Frontier,
-            EngineStrategy::default(),
-        ] {
-            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
-            let arena = run_to_fixpoint_on(ArenaBackend::new(strategy), &alg, &g, g.n() + 1);
-            assert_eq!(owned.states, arena.states, "{strategy:?}");
-            assert_eq!(owned.iterations, arena.iterations);
-            assert_eq!(owned.fixpoint, arena.fixpoint);
-            // The schedule is shared, so touched counts agree exactly;
-            // the arena may skip provably-absorbed merges, so its
-            // relaxation count can only be lower.
-            assert!(
-                arena.work.edge_relaxations <= owned.work.edge_relaxations,
-                "{strategy:?}"
-            );
-            assert_eq!(owned.work.touched_vertices, arena.work.touched_vertices);
-        }
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, arena.states);
+        assert_eq!(literal.iterations, arena.iterations);
+        assert_eq!(literal.fixpoint, arena.fixpoint);
+        // The schedule is shared, so touched counts agree exactly; the
+        // arena may skip provably-absorbed merges, so its relaxation
+        // count can only be lower.
+        assert!(arena.work.edge_relaxations <= owned.work.edge_relaxations);
+        assert_eq!(owned.work.touched_vertices, arena.work.touched_vertices);
     }
 
     #[test]
@@ -950,18 +948,8 @@ mod tests {
         // appends only the wave.
         let g = path_graph(256, 1.0);
         let alg = SourceDetection::sssp(g.n(), 0);
-        let owned = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::Frontier),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        let arena = run_to_fixpoint_on(
-            ArenaBackend::new(EngineStrategy::Frontier),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
+        let owned = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
         assert_eq!(owned.states, arena.states);
         assert!(
             arena.work.bytes_copied * 2 < owned.work.bytes_copied,
@@ -990,18 +978,8 @@ mod tests {
         let store = initial_store(&sssp, g.n());
         assert!(!store.is_ranked());
         assert_eq!(store.entry_bytes(), ENTRY_BYTES_UNRANKED);
-        let run = run_to_fixpoint_on(
-            ArenaBackend::new(EngineStrategy::Frontier),
-            &sssp,
-            &g,
-            g.n() + 1,
-        );
-        let owned = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::Frontier),
-            &sssp,
-            &g,
-            g.n() + 1,
-        );
+        let run = run_to_fixpoint_on(ArenaBackend::new(), &sssp, &g, g.n() + 1);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(), &sssp, &g, g.n() + 1);
         assert_eq!(run.states, owned.states);
 
         // The LE lists opt in; their probe needs the pool ranks.
@@ -1019,10 +997,10 @@ mod tests {
         let alg = SourceDetection::k_ssp(g.n(), 3);
 
         let mut owned_states = initial_states(&alg, g.n());
-        let mut owned_engine = MbfEngine::new(EngineStrategy::Frontier);
+        let mut owned_engine = MbfEngine::new();
         owned_engine.mark_all_dirty(&g);
         let mut store = initial_store(&alg, g.n());
-        let mut engine = ArenaEngine::new(EngineStrategy::Frontier);
+        let mut engine = ArenaEngine::new();
         engine.mark_all_dirty(&g);
 
         for round in 0..6u64 {
@@ -1090,7 +1068,7 @@ mod tests {
         let g = gnm_graph(40, 100, 1.0..6.0, &mut rng);
         let alg = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
         let mut store = initial_store(&alg, g.n());
-        let mut engine = ArenaEngine::new(EngineStrategy::Frontier);
+        let mut engine = ArenaEngine::new();
 
         // A fresh run hands over whole spans.
         engine.mark_all_dirty(&g);
@@ -1125,7 +1103,7 @@ mod tests {
 
         // A fresh engine resuming from the fixpoint hands over whole
         // spans for its seeded frontier and finds nothing to change.
-        let mut resumed = ArenaEngine::new(EngineStrategy::Frontier);
+        let mut resumed = ArenaEngine::new();
         resumed.prime(&g);
         resumed.mark_dirty(&g, [0, 1, 2]);
         assert!(no_deltas(&resumed, g.n()));

@@ -51,7 +51,7 @@
 
 #[cfg(doc)]
 use crate::engine::MbfEngine;
-use crate::engine::{initial_states, EngineStrategy, FrontierSchedule, MbfAlgorithm, SyncPtr};
+use crate::engine::{initial_states, FrontierSchedule, MbfAlgorithm, SyncPtr};
 use crate::error::RunError;
 use crate::oracle::{run_lanes, Lane, OracleRun};
 use crate::run::{Checkpoint, StateBackend};
@@ -145,15 +145,25 @@ where
     taint: crate::engine::TaintTable,
 }
 
+impl<A: DenseMbfAlgorithm> Default for DenseEngine<A>
+where
+    A::S: DenseKernel,
+    A::M: DenseState<A::S>,
+{
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<A: DenseMbfAlgorithm> DenseEngine<A>
 where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    /// A fresh engine with the given scheduling strategy.
-    pub fn new(strategy: EngineStrategy) -> Self {
+    /// A fresh engine.
+    pub fn new() -> Self {
         DenseEngine {
-            sched: FrontierSchedule::new(strategy),
+            sched: FrontierSchedule::new(),
             next: Vec::new(),
             per_vertex: Vec::new(),
             taint: crate::engine::TaintTable::new(),
@@ -168,11 +178,6 @@ where
     pub fn ensure_sized(&mut self, g: &Graph) {
         self.sched.ensure_sized(g);
         self.taint.ensure_sized(g.n());
-    }
-
-    /// The engine's scheduling strategy.
-    pub fn strategy(&self) -> EngineStrategy {
-        self.sched.strategy()
     }
 
     /// The frontier list: ascending, no duplicates.
@@ -431,11 +436,11 @@ where
     A::S: DenseKernel,
     A::M: DenseState<A::S>,
 {
-    /// An empty backend whose engine runs `strategy`, allocating its
-    /// block only within `budget_bytes` (`None` = unlimited).
-    pub fn new(strategy: EngineStrategy, budget_bytes: Option<u64>) -> Self {
+    /// An empty backend, allocating its block only within
+    /// `budget_bytes` (`None` = unlimited).
+    pub fn new(budget_bytes: Option<u64>) -> Self {
         DenseBackend {
-            engine: DenseEngine::new(strategy),
+            engine: DenseEngine::new(),
             block: DenseBlock::new(0, 0),
             budget_bytes,
         }
@@ -443,8 +448,8 @@ where
 
     /// An oracle lane: an `n × n` block of `⊥`, with the engine's change
     /// log on.
-    fn lane(strategy: EngineStrategy, n: usize) -> Self {
-        let mut engine = DenseEngine::new(strategy);
+    fn lane(n: usize) -> Self {
+        let mut engine = DenseEngine::new();
         engine.enable_change_log();
         DenseBackend {
             engine,
@@ -615,7 +620,6 @@ pub fn oracle_run_dense_with_schedule<A>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-    strategy: EngineStrategy,
     carry_over: bool,
 ) -> OracleRun<A::M>
 where
@@ -627,7 +631,7 @@ where
         "algorithm instance does not advertise dense states"
     );
     let n = sim.augmented().n();
-    let lane = || DenseBackend::lane(strategy, n);
+    let lane = || DenseBackend::lane(n);
     let x = DenseBlock::from_states(&initial_states(alg, n), n);
     run_lanes(alg, sim, h, carry_over, lane, x)
 }
@@ -636,7 +640,7 @@ where
 mod tests {
     use super::*;
     use crate::catalog::{Connectivity, SourceDetection, WidestPaths};
-    use crate::engine::{EngineStrategy, OwnedBackend};
+    use crate::engine::{literal_fixpoint, OwnedBackend};
     use crate::run::run_to_fixpoint_on;
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
@@ -647,19 +651,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(81);
         let g = gnm_graph(50, 130, 1.0..9.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
-        for strategy in [EngineStrategy::Dense, EngineStrategy::Frontier] {
-            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
-            let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
-            assert_eq!(owned.states, dense.states, "{strategy:?}");
-            assert_eq!(owned.iterations, dense.iterations, "{strategy:?}");
-            assert_eq!(owned.fixpoint, dense.fixpoint, "{strategy:?}");
-            // Same schedule, same hops: scheduling counters agree.
-            // The dense backend may skip provably-absorbed merges, so its
-            // relaxation count can only be lower.
-            assert!(dense.work.edge_relaxations <= owned.work.edge_relaxations);
-            assert_eq!(owned.work.touched_vertices, dense.work.touched_vertices);
-            assert!(dense.work.dense_hops > 0);
-        }
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, dense.states);
+        assert_eq!(literal.iterations, dense.iterations);
+        assert_eq!(literal.fixpoint, dense.fixpoint);
+        // Same schedule, same hops: scheduling counters agree. The dense
+        // backend may skip provably-absorbed merges, so its relaxation
+        // count can only be lower.
+        assert!(dense.work.edge_relaxations <= owned.work.edge_relaxations);
+        assert_eq!(owned.work.touched_vertices, dense.work.touched_vertices);
+        assert!(dense.work.dense_hops > 0);
     }
 
     #[test]
@@ -670,22 +673,17 @@ mod tests {
         let g = path_graph(6, 1.0);
         let alg = SourceDetection::apsp(g.n());
         let mut block = DenseBlock::from_states(&initial_states(&alg, g.n()), g.n());
-        let mut engine = DenseEngine::new(EngineStrategy::Frontier);
+        let mut engine = DenseEngine::new();
         let (_, changed) = engine.step(&alg, &g, &mut block, 1.0);
         assert!(changed);
-        let owned = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::Frontier),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
         loop {
             let (_, changed) = engine.step(&alg, &g, &mut block, 1.0);
             if !changed {
                 break;
             }
         }
-        assert_eq!(block.export::<mte_algebra::DistanceMap>(), owned.states);
+        assert_eq!(block.export::<mte_algebra::DistanceMap>(), literal.states);
     }
 
     #[test]
@@ -695,20 +693,10 @@ mod tests {
             vec![(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)],
         );
         let alg = Connectivity::all_pairs(g.n());
-        let owned = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::Frontier),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        let dense = run_to_fixpoint_on(
-            DenseBackend::new(EngineStrategy::Frontier, None),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        assert_eq!(owned.states, dense.states);
-        assert_eq!(owned.iterations, dense.iterations);
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, dense.states);
+        assert_eq!(literal.iterations, dense.iterations);
     }
 
     #[test]
@@ -716,21 +704,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(82);
         let g = gnm_graph(40, 110, 1.0..10.0, &mut rng);
         let alg = WidestPaths::apwp(g.n());
-        let owned = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::default()),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        let dense = run_to_fixpoint_on(
-            DenseBackend::new(EngineStrategy::default(), None),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        assert_eq!(owned.states, dense.states);
-        assert_eq!(owned.iterations, dense.iterations);
-        assert_eq!(owned.fixpoint, dense.fixpoint);
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, dense.states);
+        assert_eq!(literal.iterations, dense.iterations);
+        assert_eq!(literal.fixpoint, dense.fixpoint);
     }
 
     #[test]
@@ -739,19 +717,9 @@ mod tests {
         let g = path_graph(6, 1.0);
         let alg = SourceDetection::new(g.n(), &[0, 5], 2, mte_algebra::Dist::new(3.0));
         assert!(alg.advertises_dense());
-        let owned = run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::Frontier),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        let dense = run_to_fixpoint_on(
-            DenseBackend::new(EngineStrategy::Frontier, None),
-            &alg,
-            &g,
-            g.n() + 1,
-        );
-        assert_eq!(owned.states, dense.states);
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, dense.states);
     }
 
     #[test]
@@ -770,20 +738,8 @@ mod tests {
         let alg = SourceDetection::apsp(g.n());
         let cap = 4 * g.n();
         for carry_over in [true, false] {
-            let owned = crate::oracle::oracle_run_with_schedule(
-                &alg,
-                &sim,
-                cap,
-                EngineStrategy::Frontier,
-                carry_over,
-            );
-            let dense = oracle_run_dense_with_schedule(
-                &alg,
-                &sim,
-                cap,
-                EngineStrategy::Frontier,
-                carry_over,
-            );
+            let owned = crate::oracle::oracle_run_with_schedule(&alg, &sim, cap, carry_over);
+            let dense = oracle_run_dense_with_schedule(&alg, &sim, cap, carry_over);
             assert_eq!(owned.states, dense.states, "carry={carry_over}");
             assert_eq!(owned.h_iterations, dense.h_iterations);
             assert_eq!(owned.fixpoint, dense.fixpoint);

@@ -24,12 +24,13 @@
 //! `x⁽ⁱ⁺¹⁾_v = r(x⁽ⁱ⁾_v ⊕ ⊕_w a_vw x⁽ⁱ⁾_w)` depends only on `v`'s closed
 //! in-neighborhood, and if none of those states moved since the hop that
 //! produced `x⁽ⁱ⁾_v`, recomputation would reproduce `x⁽ⁱ⁾_v` verbatim.
-//! The skip is therefore **bit-identical** to the dense sweep — no
+//! The skip is therefore **bit-identical** to the literal sweep — no
 //! approximation is involved — which the equivalence suite asserts
 //! state-for-state. Because the skip is exact, sweeping quiescent
-//! vertices only adds work: [`EngineStrategy::Frontier`] (the default)
-//! goes dense only when the frontier is all of `V`, and
-//! [`EngineStrategy::Dense`] remains as the literal reference sweep.
+//! vertices only adds work, so there is one hop schedule: a hop sweeps
+//! all of `V` only when the frontier is all of `V`. The literal
+//! reference is [`run`], `h` applications of the one-shot [`iterate`]
+//! kernel, which shares none of the schedule's code.
 //!
 //! Recomputed vertices re-aggregate their whole neighborhood (a *pull*);
 //! incremental *push*-style accumulation is unsound here because a filter
@@ -159,19 +160,6 @@ pub trait MbfAlgorithm: Send + Sync {
         self.filter(out);
         (entries, relaxations)
     }
-}
-
-/// How the engine schedules one hop's relaxations.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum EngineStrategy {
-    /// Re-relax every vertex's full neighborhood each hop — the paper's
-    /// literal `r^V A x` and the reference the sparse paths are
-    /// differential-tested against.
-    Dense,
-    /// Recompute only the closed neighborhood of the frontier, however
-    /// large it is (a hop whose frontier is all of `V` is a full sweep).
-    #[default]
-    Frontier,
 }
 
 /// Result of running an MBF-like algorithm: final states and work tally.
@@ -332,7 +320,6 @@ const OWNED_ENTRY_BYTES: u64 = 16;
 /// storage bug, never a scheduling one.
 #[derive(Clone, Debug)]
 pub(crate) struct FrontierSchedule {
-    strategy: EngineStrategy,
     /// The frontier: vertices whose state changed in the previous hop,
     /// ascending, no duplicates.
     frontier: Vec<NodeId>,
@@ -357,9 +344,8 @@ pub(crate) struct FrontierSchedule {
 }
 
 impl FrontierSchedule {
-    pub(crate) fn new(strategy: EngineStrategy) -> Self {
+    pub(crate) fn new() -> Self {
         FrontierSchedule {
-            strategy,
             frontier: Vec::new(),
             frontier_mark: Vec::new(),
             frontier_gen: 0,
@@ -372,10 +358,6 @@ impl FrontierSchedule {
             log_gen: 0,
             log_enabled: false,
         }
-    }
-
-    pub(crate) fn strategy(&self) -> EngineStrategy {
-        self.strategy
     }
 
     pub(crate) fn frontier(&self) -> &[NodeId] {
@@ -479,15 +461,13 @@ impl FrontierSchedule {
         }
     }
 
-    /// Gathers the recompute list — all of `V` under
-    /// [`EngineStrategy::Dense`] or when the frontier is all of `V`,
-    /// else the closed neighborhood of the frontier — into
+    /// Gathers the recompute list — all of `V` when the frontier is all
+    /// of `V`, else the closed neighborhood of the frontier — into
     /// `self.touched`, sorted ascending, cut into degree-balanced chunks.
     pub(crate) fn plan_hop(&mut self, g: &Graph) {
         let n = g.n();
-        let go_dense = self.strategy == EngineStrategy::Dense || self.frontier.len() == n;
         self.touched.clear();
-        if go_dense {
+        if self.frontier.len() == n {
             self.touched.extend(0..n as NodeId);
         } else {
             let gen = bump_generation(&mut self.touched_gen, &mut self.touched_mark);
@@ -566,12 +546,12 @@ impl FrontierSchedule {
 /// scratch. One engine serves arbitrarily many hops (and state vectors
 /// of the same length) without reallocating.
 ///
-/// This is the **owned-storage** engine (`Vec<A::M>` state vectors) —
-/// fully generic over the semimodule and kept as the semantics
-/// reference. Algorithms whose states are distance maps should prefer
-/// the span-backed [`crate::arena::ArenaEngine`], which schedules the
-/// identical hops (same `FrontierSchedule`) over an epoch-arena pool
-/// with copy-on-write commits.
+/// This is the **owned-storage** engine (`Vec<A::M>` state vectors),
+/// fully generic over the semimodule. Algorithms whose states are
+/// distance maps should prefer the span-backed
+/// [`crate::arena::ArenaEngine`], which schedules the identical hops
+/// (same `FrontierSchedule`) over an epoch-arena pool with
+/// copy-on-write commits.
 #[derive(Clone, Debug)]
 pub struct MbfEngine<A: MbfAlgorithm> {
     sched: FrontierSchedule,
@@ -583,20 +563,20 @@ pub struct MbfEngine<A: MbfAlgorithm> {
     per_vertex: Vec<(u64, u64, u64, bool)>,
 }
 
+impl<A: MbfAlgorithm> Default for MbfEngine<A> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<A: MbfAlgorithm> MbfEngine<A> {
-    /// A fresh engine with the given scheduling strategy. Buffers are
-    /// sized lazily on first use.
-    pub fn new(strategy: EngineStrategy) -> Self {
+    /// A fresh engine. Buffers are sized lazily on first use.
+    pub fn new() -> Self {
         MbfEngine {
-            sched: FrontierSchedule::new(strategy),
+            sched: FrontierSchedule::new(),
             next: Vec::new(),
             per_vertex: Vec::new(),
         }
-    }
-
-    /// The engine's scheduling strategy.
-    pub fn strategy(&self) -> EngineStrategy {
-        self.sched.strategy()
     }
 
     /// Number of vertices currently on the frontier.
@@ -784,9 +764,11 @@ impl<A: MbfAlgorithm> MbfEngine<A> {
 }
 
 /// One MBF-like iteration `x ← r^V A x` on `g`, with all edge weights
-/// multiplied by `weight_scale`. One-shot dense kernel kept as the
-/// differential-testing reference; iterated workloads should hold an
-/// [`MbfEngine`] instead and let it track the frontier across hops.
+/// multiplied by `weight_scale`. One-shot dense kernel and the
+/// differential-testing reference (see [`run`]): it shares no schedule,
+/// chunking or commit code with the engines. Iterated workloads should
+/// hold an [`MbfEngine`] instead and let it track the frontier across
+/// hops.
 pub fn iterate_scaled<A: MbfAlgorithm>(
     alg: &A,
     g: &Graph,
@@ -833,27 +815,33 @@ pub fn iterate<A: MbfAlgorithm>(alg: &A, g: &Graph, x: &[A::M]) -> (Vec<A::M>, W
 }
 
 /// The owned backend of [`crate::run::StateBackend`]: a `Vec<A::M>`
-/// hopped by an [`MbfEngine`] — the literal `r^V A x` and the semantics
-/// reference the other backends are asserted against.
+/// hopped by an [`MbfEngine`] — fully generic over the semimodule, and
+/// the storage the arena and dense backends are asserted against.
 #[derive(Clone, Debug)]
 pub struct OwnedBackend<A: MbfAlgorithm> {
     pub(crate) engine: MbfEngine<A>,
     pub(crate) states: Vec<A::M>,
 }
 
+impl<A: MbfAlgorithm> Default for OwnedBackend<A> {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<A: MbfAlgorithm> OwnedBackend<A> {
-    /// An empty backend whose engine runs `strategy`.
-    pub fn new(strategy: EngineStrategy) -> Self {
+    /// An empty backend.
+    pub fn new() -> Self {
         OwnedBackend {
-            engine: MbfEngine::new(strategy),
+            engine: MbfEngine::new(),
             states: Vec::new(),
         }
     }
 
     /// An oracle lane: `n` slots, all `⊥`, with the engine's change log
     /// on.
-    pub(crate) fn lane(strategy: EngineStrategy, n: usize) -> Self {
-        let mut engine = MbfEngine::new(strategy);
+    pub(crate) fn lane(n: usize) -> Self {
+        let mut engine = MbfEngine::new();
         engine.enable_change_log();
         OwnedBackend {
             engine,
@@ -912,16 +900,15 @@ impl<A: MbfAlgorithm> StateBackend<A> for OwnedBackend<A> {
     }
 }
 
-/// Runs exactly `h` iterations under the default frontier strategy:
+/// Runs exactly `h` applications of [`iterate`]:
 /// `A^h(G) = r^V A^h x⁽⁰⁾` (Equation (2.17)), the literal reference —
-/// no fixpoint shortcut, `fixpoint: false`.
+/// every hop sweeps all of `V`, no fixpoint shortcut, `fixpoint: false`.
 pub fn run<A: MbfAlgorithm>(alg: &A, g: &Graph, h: usize) -> MbfRun<A::M> {
     let mut states = initial_states(alg, g.n());
-    let mut engine = MbfEngine::new(EngineStrategy::default());
-    engine.mark_all_dirty(g);
     let mut work = WorkStats::new();
     for _ in 0..h {
-        let (w, _) = engine.step(alg, g, &mut states, 1.0);
+        let (next, w) = iterate(alg, g, &states);
+        states = next;
         work += w;
     }
     MbfRun {
@@ -932,10 +919,37 @@ pub fn run<A: MbfAlgorithm>(alg: &A, g: &Graph, h: usize) -> MbfRun<A::M> {
     }
 }
 
-/// Iterates to the fixpoint under the default frontier strategy on the
-/// owned backend (see [`run_to_fixpoint_on`]).
+/// Iterates to the fixpoint on the owned backend (see
+/// [`run_to_fixpoint_on`]).
 pub fn run_to_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRun<A::M> {
-    run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::default()), alg, g, cap)
+    run_to_fixpoint_on(OwnedBackend::new(), alg, g, cap)
+}
+
+/// The literal fixpoint loop: [`iterate`] from `r^V x⁽⁰⁾` until the
+/// first hop that changes nothing, or `cap` hops, counted like
+/// [`run_to_fixpoint_on`]. The engines' states, iteration counts and
+/// fixpoint flags are differential-tested against it.
+#[cfg(test)]
+pub(crate) fn literal_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRun<A::M> {
+    let mut states = initial_states(alg, g.n());
+    let mut work = WorkStats::new();
+    let (mut iterations, mut fixpoint) = (0, false);
+    while iterations < cap {
+        let (next, w) = iterate(alg, g, &states);
+        work += w;
+        iterations += 1;
+        if next == states {
+            fixpoint = true;
+            break;
+        }
+        states = next;
+    }
+    MbfRun {
+        states,
+        iterations,
+        fixpoint,
+        work,
+    }
 }
 
 /// Applies a [`Filter`] component-wise to a state vector: the paper's
@@ -999,9 +1013,9 @@ mod tests {
     fn dense_work_is_counted() {
         let g = path_graph(4, 1.0);
         let alg = PlainSssp { source: 0 };
-        let r = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, &g, 3);
+        let r = run(&alg, &g, 3);
         assert_eq!(r.work.iterations, 3);
-        // 2m relaxations per dense iteration.
+        // 2m relaxations per literal iteration.
         assert_eq!(r.work.edge_relaxations, 3 * 2 * g.m() as u64);
         assert_eq!(r.work.touched_vertices, 3 * g.n() as u64);
     }
@@ -1011,19 +1025,18 @@ mod tests {
         let g = path_graph(64, 1.0);
         let alg = PlainSssp { source: 0 };
         let cap = g.n() + 1;
-        let dense = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, &g, cap);
-        let frontier =
-            run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Frontier), &alg, &g, cap);
-        assert!(dense.fixpoint && frontier.fixpoint);
-        assert_eq!(dense.states, frontier.states);
-        assert_eq!(dense.iterations, frontier.iterations);
+        let literal = literal_fixpoint(&alg, &g, cap);
+        let frontier = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, cap);
+        assert!(literal.fixpoint && frontier.fixpoint);
+        assert_eq!(literal.states, frontier.states);
+        assert_eq!(literal.iterations, frontier.iterations);
         // On a path, the SSSP wave touches O(1) vertices per hop while
-        // the dense sweep re-relaxes all 2m edge directions every hop.
+        // the literal sweep re-relaxes all 2m edge directions every hop.
         assert!(
-            frontier.work.edge_relaxations * 4 < dense.work.edge_relaxations,
-            "frontier {} vs dense {}",
+            frontier.work.edge_relaxations * 4 < literal.work.edge_relaxations,
+            "frontier {} vs literal {}",
             frontier.work.edge_relaxations,
-            dense.work.edge_relaxations
+            literal.work.edge_relaxations
         );
     }
 
@@ -1031,21 +1044,17 @@ mod tests {
     fn steps_after_fixpoint_are_free() {
         let g = path_graph(8, 1.0);
         let alg = PlainSssp { source: 0 };
-        let hops = |strategy| {
-            let mut backend = OwnedBackend::new(strategy);
-            let mut work = backend.start(&alg, &g).unwrap();
-            for _ in 0..50 {
-                work += backend.step(&alg, &g, 1.0).0;
-            }
-            (backend.into_states(), work)
-        };
+        let mut backend = OwnedBackend::new();
+        let mut work = backend.start(&alg, &g).unwrap();
+        for _ in 0..50 {
+            work += backend.step(&alg, &g, 1.0).0;
+        }
         // Fixpoint after 7 productive + 1 confirming hop; the remaining
         // 42 hops have an empty frontier and cost only the O(n)
         // bookkeeping scan.
-        let (states, work) = hops(EngineStrategy::Frontier);
-        let (dense_states, dense_work) = hops(EngineStrategy::Dense);
-        assert_eq!(states, dense_states);
-        assert!(work.edge_relaxations < dense_work.edge_relaxations / 4);
+        let literal = run(&alg, &g, 50);
+        assert_eq!(backend.into_states(), literal.states);
+        assert!(work.edge_relaxations < literal.work.edge_relaxations / 4);
     }
 
     #[test]
@@ -1062,7 +1071,7 @@ mod tests {
         let g = path_graph(6, 1.5);
         let alg = PlainSssp { source: 2 };
         let mut states = initial_states(&alg, g.n());
-        let mut engine = MbfEngine::new(EngineStrategy::Frontier);
+        let mut engine = MbfEngine::new();
         engine.mark_all_dirty(&g);
         let (reference, _) = iterate(&alg, &g, &states);
         let (_, changed) = engine.step(&alg, &g, &mut states, 1.0);

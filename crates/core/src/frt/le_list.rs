@@ -28,7 +28,7 @@ use crate::arena::{
     oracle_run_arena_with_schedule, with_arena_acc, ArenaBackend, ArenaMbfAlgorithm, RecomputeCtx,
     SpanRecompute,
 };
-use crate::engine::{EngineStrategy, MbfAlgorithm};
+use crate::engine::MbfAlgorithm;
 use crate::oracle::default_iteration_cap;
 use crate::run::run_to_fixpoint_on;
 use crate::simgraph::SimulatedGraph;
@@ -628,19 +628,18 @@ pub fn le_lists_approx_eq(a: &[LeList], b: &[LeList], rel: f64) -> bool {
 }
 
 /// LE lists via the **oracle on `H`** — the paper's main pipeline
-/// (Section 7.3/7.4) — with the given inner-engine strategy. Runs on
-/// the arena lane of the oracle's level loop (one epoch-arena store
-/// per level); bit-identical to the owned oracle, asserted by
-/// `tests/schedule_equivalence.rs`.
-pub fn le_lists_oracle_with(
+/// (Section 7.3/7.4). Runs on the arena lane of the oracle's level loop
+/// (one epoch-arena store per level); bit-identical to the owned oracle,
+/// asserted by `tests/schedule_equivalence.rs`. Returns the lists, the
+/// number of simulated `H`-iterations, and the work.
+pub fn le_lists_oracle(
     sim: &SimulatedGraph,
     ranks: &Arc<Ranks>,
     cap: Option<usize>,
-    strategy: EngineStrategy,
 ) -> (Vec<LeList>, usize, WorkStats) {
     let alg = LeListAlgorithm::new(Arc::clone(ranks));
     let cap = cap.unwrap_or_else(|| default_iteration_cap(sim.base().n()));
-    let run = oracle_run_arena_with_schedule(&alg, sim, cap, strategy, true);
+    let run = oracle_run_arena_with_schedule(&alg, sim, cap, true);
     let lists = run
         .states
         .iter()
@@ -649,40 +648,21 @@ pub fn le_lists_oracle_with(
     (lists, run.h_iterations, run.work)
 }
 
-/// LE lists via the oracle under the default frontier engine. Returns the
-/// lists, the number of simulated `H`-iterations, and the work.
-pub fn le_lists_oracle(
-    sim: &SimulatedGraph,
-    ranks: &Arc<Ranks>,
-    cap: Option<usize>,
-) -> (Vec<LeList>, usize, WorkStats) {
-    le_lists_oracle_with(sim, ranks, cap, EngineStrategy::default())
-}
-
 /// LE lists by **direct iteration on `G`** (the algorithm of Khan et
-/// al. \[26\], Section 8.1) with the given engine strategy:
-/// `SPD(G) + 1` filtered MBF iterations. Exact w.r.t. `dist(·,·,G)`; the
-/// baseline the oracle is measured against.
-pub fn le_lists_direct_with(
-    g: &Graph,
-    ranks: &Arc<Ranks>,
-    strategy: EngineStrategy,
-) -> (Vec<LeList>, usize, WorkStats) {
+/// al. \[26\], Section 8.1): `SPD(G) + 1` filtered MBF iterations.
+/// Exact w.r.t. `dist(·,·,G)`; the baseline the oracle is measured
+/// against.
+pub fn le_lists_direct(g: &Graph, ranks: &Arc<Ranks>) -> (Vec<LeList>, usize, WorkStats) {
     let alg = LeListAlgorithm::new(Arc::clone(ranks));
     // Arena backend: bit-identical to the owned backend
     // (differential-tested), with copy-on-write state storage.
-    let run = run_to_fixpoint_on(ArenaBackend::new(strategy), &alg, g, g.n() + 1);
+    let run = run_to_fixpoint_on(ArenaBackend::new(), &alg, g, g.n() + 1);
     let lists = run
         .states
         .iter()
         .map(|x| LeList::from_distance_map(x, ranks))
         .collect();
     (lists, run.iterations, run.work)
-}
-
-/// LE lists by direct iteration under the default frontier engine.
-pub fn le_lists_direct(g: &Graph, ranks: &Arc<Ranks>) -> (Vec<LeList>, usize, WorkStats) {
-    le_lists_direct_with(g, ranks, EngineStrategy::default())
 }
 
 /// LE lists from an **explicit metric** (the Blelloch et al. \[10\]

@@ -3,12 +3,14 @@
 //! * [`engine`] — the class of **MBF-like algorithms** (paper Section 2):
 //!   simple linear functions given by semiring adjacency matrices,
 //!   interleaved with representative projections (filters); iterated in
-//!   parallel with rayon,
+//!   parallel with rayon on one frontier hop schedule, with
+//!   [`engine::run`] (`h` applications of the one-shot
+//!   [`engine::iterate`]) as the literal reference every backend is
+//!   tested against,
 //! * [`arena`] — the **epoch-arena backend** of the same engine: state
 //!   vectors `x ∈ D^V` as spans into one copy-on-write pool
 //!   ([`mte_algebra::store`]), bit-identical to the owned `Vec` paths
-//!   (which remain the semantics reference) while paying copy traffic
-//!   only for states that actually changed,
+//!   while paying copy traffic only for states that actually changed,
 //! * [`dense`] — the **dense-block backend** for APSP-class workloads:
 //!   state vectors as flat row-major semiring matrices
 //!   ([`mte_algebra::dense`]) relaxed by contiguous cache-tiled row
@@ -47,7 +49,7 @@ pub mod work;
 
 pub use arena::{ArenaBackend, ArenaEngine, ArenaMbfAlgorithm};
 pub use dense::{DenseBackend, DenseEngine, DenseMbfAlgorithm};
-pub use engine::{EngineStrategy, MbfAlgorithm, MbfEngine, MbfRun, OwnedBackend};
+pub use engine::{MbfAlgorithm, MbfEngine, MbfRun, OwnedBackend};
 pub use error::{Degradation, RecoveryAttempt, RecoveryPolicy, RunError, RunReport, Supervisor};
 pub use run::{Checkpoint, CheckpointPolicy, StateBackend};
 pub use simgraph::{LevelAssignment, SimulatedGraph};

@@ -9,7 +9,6 @@
 
 use crate::catalog::SourceDetection;
 use crate::dense::oracle_run_dense_with_schedule;
-use crate::engine::EngineStrategy;
 use crate::oracle::{default_iteration_cap, oracle_run};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
@@ -105,7 +104,7 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
         .saturating_mul(n)
         .saturating_mul(std::mem::size_of::<f64>());
     let run = if dense_bytes <= DENSE_ORACLE_BYTE_BUDGET {
-        oracle_run_dense_with_schedule(&alg, sim, cap, EngineStrategy::default(), true)
+        oracle_run_dense_with_schedule(&alg, sim, cap, true)
     } else {
         oracle_run(&alg, sim, cap)
     };

@@ -141,7 +141,7 @@
 //! suite). Per-level `WorkStats` merge through the same fixed-shape
 //! reduction tree.
 
-use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, OwnedBackend};
+use crate::engine::{initial_states, MbfAlgorithm, OwnedBackend};
 use crate::error::RunError;
 use crate::run::{try_oracle_run_checkpointed_with, CheckpointPolicy, StateBackend};
 use crate::simgraph::SimulatedGraph;
@@ -628,13 +628,13 @@ where
 {
     let n = sim.augmented().n();
     debug_assert_eq!(n, x.len());
-    let lane = || OwnedBackend::lane(EngineStrategy::default(), n);
+    let lane = || OwnedBackend::lane(n);
     let run = run_lanes(alg, sim, 1, true, lane, x.to_vec());
     (run.states, run.work)
 }
 
 /// Runs up to `h` iterations of `alg` on `H` starting from `r^V x⁽⁰⁾`
-/// (Theorem 5.2 (1)), with the given inner-engine strategy.
+/// (Theorem 5.2 (1)).
 ///
 /// The iteration map is deterministic, so a simulated `H`-iteration that
 /// changes nothing proves every later iteration is the identity: the run
@@ -644,19 +644,14 @@ where
 /// all `h` iterations, so a capped run *is* the run to the fixpoint.
 /// W.h.p. the fixpoint arrives after `SPD(H) ∈ O(log² n)` iterations
 /// (Theorems 4.5 and 5.2 (2)); see [`default_iteration_cap`].
-pub fn oracle_run_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    strategy: EngineStrategy,
-) -> OracleRun<A::M>
+pub fn oracle_run<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
-    oracle_run_with_schedule(alg, sim, h, strategy, true)
+    oracle_run_with_schedule(alg, sim, h, true)
 }
 
-/// [`oracle_run_with`] with the level schedule made explicit:
+/// [`oracle_run`] with the level schedule made explicit:
 /// `carry_over: true` (the default everywhere else) diffs each level's
 /// projection against its previous round and seeds only the changed
 /// vertices; `false` restarts every level all-dirty each round — the
@@ -667,39 +662,29 @@ pub fn oracle_run_with_schedule<A>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-    strategy: EngineStrategy,
     carry_over: bool,
 ) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
     let n = sim.augmented().n();
-    let lane = || OwnedBackend::lane(strategy, n);
+    let lane = || OwnedBackend::lane(n);
     run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
 }
 
-/// Runs `h` iterations of `alg` on `H` under the default frontier engine.
-pub fn oracle_run<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    oracle_run_with(alg, sim, h, EngineStrategy::default())
-}
-
-/// Guarded [`oracle_run_with`]: panics become typed errors, injected
-/// faults are audited, final states are sanity-scanned. An exhausted
-/// iteration budget is reported as `converged: false`, not an error.
+/// Guarded [`oracle_run`]: panics become typed errors, injected faults
+/// are audited, final states are sanity-scanned. An exhausted iteration
+/// budget is reported as `converged: false`, not an error.
 pub fn try_oracle_run_with<A>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-    strategy: EngineStrategy,
 ) -> Result<(OracleRun<A::M>, crate::error::RunReport), RunError>
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
     let never = CheckpointPolicy::disabled();
-    try_oracle_run_checkpointed_with(alg, sim, h, strategy, never, |_| Ok(()))
+    try_oracle_run_checkpointed_with(alg, sim, h, never, |_| Ok(()))
 }
 
 /// Default iteration cap: `SPD(H) ∈ O(log² n)` w.h.p. (Theorem 4.5), with
@@ -810,7 +795,7 @@ mod tests {
 
     #[test]
     fn fixed_iteration_budget_stops_at_fixpoint() {
-        // Regression: `oracle_run_with` used to hardcode `fixpoint: false`
+        // Regression: `oracle_run` used to hardcode `fixpoint: false`
         // and burn the whole budget even after the states stopped
         // changing. It must stop at the confirming iteration, report the
         // fixpoint, and still return the exact `A^h(H)` states.
@@ -835,25 +820,5 @@ mod tests {
         assert!(!short.fixpoint);
         assert!(!short.converged);
         assert_eq!(short.h_iterations, 1);
-    }
-
-    #[test]
-    fn oracle_strategies_agree() {
-        // Dense and frontier inner engines must produce identical oracle
-        // results (the skip is exact, not approximate).
-        let mut rng = StdRng::seed_from_u64(24);
-        let g = gnm_graph(24, 50, 1.0..5.0, &mut rng);
-        let spd = shortest_path_diameter(&g) as usize;
-        let sim = SimulatedGraph::without_hopset(&g, spd.max(1), 0.15, &mut rng);
-        let alg = SourceDetection::apsp(g.n());
-        let dense = oracle_run_with(&alg, &sim, 4 * g.n(), EngineStrategy::Dense);
-        let frontier = oracle_run_with(&alg, &sim, 4 * g.n(), EngineStrategy::Frontier);
-        assert_eq!(dense.states, frontier.states);
-        assert_eq!(dense.h_iterations, frontier.h_iterations);
-        assert!(frontier.work.edge_relaxations <= dense.work.edge_relaxations);
-        // Convergence metadata is strategy-invariant (hop counts are
-        // not: the frontier engine confirms levels with fewer hops).
-        assert_eq!(dense.converged, frontier.converged);
-        assert!(dense.converged);
     }
 }

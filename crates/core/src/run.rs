@@ -50,7 +50,7 @@
 //! ([`try_oracle_run_checkpointed_with`], [`try_resume_oracle_run_with`])
 //! over its level loop.
 
-use crate::engine::{initial_states, EngineStrategy, MbfAlgorithm, MbfRun};
+use crate::engine::{initial_states, MbfAlgorithm, MbfRun};
 use crate::error::{check_states, run_guarded, RunError, RunReport};
 use crate::oracle::{level_loop, OracleRun};
 use crate::simgraph::SimulatedGraph;
@@ -194,7 +194,7 @@ fn validate_checkpoint<M>(ckpt: &Checkpoint<M>, n: usize) -> Result<(), RunError
 /// level loop: hops from `iterations` already executed up to `cap`
 /// total, calling `on_hop(hop, backend)` after every hop that changed
 /// something. The confirming hop (the one that changes nothing) is
-/// counted, matching the dense reference semantics.
+/// counted, matching the literal loop's semantics.
 fn fixpoint_loop<A, B>(
     mut backend: B,
     alg: &A,
@@ -337,7 +337,6 @@ pub fn try_oracle_run_checkpointed_with<A>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-    strategy: EngineStrategy,
     policy: CheckpointPolicy,
     mut sink: impl FnMut(&Checkpoint<A::M>) -> Result<(), RunError>,
 ) -> Result<(OracleRun<A::M>, RunReport), RunError>
@@ -346,7 +345,7 @@ where
 {
     let run = run_guarded(|| {
         let n = sim.augmented().n();
-        let lane = || OwnedBackend::lane(strategy, n);
+        let lane = || OwnedBackend::lane(n);
         let capture = |round: usize, states: &Vec<A::M>| {
             if policy.level_due(round as u64) {
                 sink(&Checkpoint {
@@ -372,7 +371,6 @@ pub fn try_resume_oracle_run_with<A>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-    strategy: EngineStrategy,
     ckpt: &Checkpoint<A::M>,
 ) -> Result<(OracleRun<A::M>, RunReport), RunError>
 where
@@ -380,7 +378,7 @@ where
 {
     validate_checkpoint(ckpt, sim.augmented().n())?;
     let run = run_guarded(|| {
-        let lane = || OwnedBackend::lane(strategy, sim.augmented().n());
+        let lane = || OwnedBackend::lane(sim.augmented().n());
         let (states, round) = (ckpt.states.clone(), ckpt.hop as usize);
         level_loop(alg, sim, h, true, lane, states, round, |_, _| Ok(()))
     })??;
@@ -401,7 +399,7 @@ mod tests {
     }
 
     fn owned() -> OwnedBackend<SourceDetection> {
-        OwnedBackend::new(EngineStrategy::Frontier)
+        OwnedBackend::new()
     }
 
     #[test]

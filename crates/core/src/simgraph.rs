@@ -15,7 +15,7 @@
 //! `H` explicitly for testing and for the SPD/stretch experiments on
 //! small inputs.
 
-use crate::engine::{EngineStrategy, MbfAlgorithm, OwnedBackend};
+use crate::engine::{MbfAlgorithm, OwnedBackend};
 use crate::run::run_to_fixpoint_on;
 use mte_algebra::{Dist, MinPlus, NodeId};
 use mte_graph::hopset::{Hopset, HopsetConfig};
@@ -204,7 +204,7 @@ impl SimulatedGraph {
     /// experiments. Each row is a hop-limited SSSP computed by the
     /// frontier engine, so a source whose ball stops growing before hop
     /// `d` pays only for the hops that actually move (bit-identical to
-    /// the dense sweep, Definition 2.11).
+    /// the literal sweep, Definition 2.11).
     pub fn explicit_h(&self) -> Graph {
         let n = self.aug.n();
         // dist^d from every node on G' via frontier-driven MBF.
@@ -212,7 +212,7 @@ impl SimulatedGraph {
             .into_par_iter()
             .map(|s| {
                 let alg = HopSssp { source: s };
-                let backend = OwnedBackend::new(EngineStrategy::Frontier);
+                let backend = OwnedBackend::new();
                 let run = run_to_fixpoint_on(backend, &alg, &self.aug, self.d);
                 run.states.into_iter().map(|x| x.0).collect()
             })

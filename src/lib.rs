@@ -36,21 +36,20 @@
 //! the `H`-oracle, approximate metrics, FRT sampling, and both
 //! applications — bottoms out in the same iteration core,
 //! [`core::engine`]. One hop computes `x ← r^V A x`: propagate states
-//! over edges (`⊙`), aggregate (`⊕`), filter (`r`). The engine schedules
-//! hops under an [`core::engine::EngineStrategy`]:
-//!
-//! * **Dense** — re-relax every vertex's full neighborhood, the paper's
-//!   literal iteration and the differential-testing reference;
-//! * **Frontier** (default) — recompute only vertices whose closed
-//!   neighborhood contains a state that changed in the previous hop. The
-//!   skip is *bit-identical*, not approximate: an MBF-like hop is a
-//!   deterministic function of the closed in-neighborhood, so unchanged
-//!   inputs imply an unchanged output. Work per hop shrinks from `Θ(m)`
-//!   to the size of the active wave, complementing the paper's
-//!   `|x|`-bounded cost per relaxation (Lemmas 7.6–7.8) with an
-//!   `|active|`-bounded number of relaxations. Because the skip is
-//!   exact, sweeping quiescent vertices never lowers work or depth, so
-//!   a hop goes dense only when the frontier is all of `V`.
+//! over edges (`⊙`), aggregate (`⊕`), filter (`r`). There is one hop
+//! schedule, the **frontier**: a hop recomputes only vertices whose
+//! closed neighborhood contains a state that changed in the previous
+//! hop. The skip is *bit-identical*, not approximate: an MBF-like hop is
+//! a deterministic function of the closed in-neighborhood, so unchanged
+//! inputs imply an unchanged output. Work per hop shrinks from `Θ(m)` to
+//! the size of the active wave, complementing the paper's `|x|`-bounded
+//! cost per relaxation (Lemmas 7.6–7.8) with an `|active|`-bounded
+//! number of relaxations. Because the skip is exact, sweeping quiescent
+//! vertices never lowers work or depth, so a hop sweeps all of `V` only
+//! when the frontier is all of `V`. The literal iteration is
+//! [`core::engine::run`] — `h` applications of the one-shot
+//! [`core::engine::iterate`] kernel, which shares no schedule code with
+//! the engines — and every backend is differential-tested against it.
 //!
 //! Hops execute **thread-parallel**: the vendored rayon backend runs a
 //! real worker pool (`MTE_THREADS`, default = available parallelism)
@@ -74,15 +73,13 @@
 //! (`SourceDetection::apsp`, all-pairs connectivity, widest paths) run
 //! on the **dense-block backend** ([`core::dense`]): the state vector
 //! as one flat row-major semiring matrix ([`algebra::dense`]) relaxed
-//! by contiguous cache-tiled row kernels. The owned `Vec` engine remains the
-//! semantics reference; the differential suite asserts all backends
-//! bit-identical under `MTE_THREADS ∈ {1, 4}`.
-//! `cargo run --release -p mte-bench --bin exp_baseline` runs
-//! the engine suite (dense vs frontier on the standard
-//! catalog) and the thread-scaling sweep, writing the
-//! `BENCH_engine.json` / `BENCH_parallel.json` trajectory artifacts;
-//! `cargo bench -p mte-bench --bench bench_engine` times the same
-//! workloads under criterion.
+//! by contiguous cache-tiled row kernels. The differential suite
+//! asserts every backend bit-identical to the literal iteration under
+//! `MTE_THREADS ∈ {1, 4}`.
+//! `cargo run --release -p mte-bench --bin exp_baseline` runs the engine
+//! suite (every backend on the standard catalog, states cross-checked
+//! against the literal iteration) and the thread-scaling sweep, writing
+//! the `BENCH_engine.json` / `BENCH_parallel.json` trajectory artifacts.
 //!
 //! ## Quickstart
 //!

@@ -10,9 +10,9 @@
 use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
-use metric_tree_embedding::core::engine::{EngineStrategy, MbfAlgorithm, OwnedBackend};
+use metric_tree_embedding::core::engine::{MbfAlgorithm, OwnedBackend};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::oracle::oracle_run_with;
+use metric_tree_embedding::core::oracle::oracle_run;
 use metric_tree_embedding::core::run::{
     run_to_fixpoint_on, try_oracle_run_checkpointed_with, try_resume_on,
     try_resume_oracle_run_with, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
@@ -103,7 +103,7 @@ fn assert_every_checkpoint_resumes<A, B>(
 fn owned_every_checkpoint_resumes_bit_identically_across_threads() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
-    let backend = || OwnedBackend::new(EngineStrategy::default());
+    let backend = || OwnedBackend::new();
     assert_every_checkpoint_resumes(backend, &alg, &g, 1);
 }
 
@@ -111,7 +111,7 @@ fn owned_every_checkpoint_resumes_bit_identically_across_threads() {
 fn arena_every_checkpoint_resumes_bit_identically_across_threads() {
     let g = fixture_graph();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xC4E1)));
-    let backend = || ArenaBackend::new(EngineStrategy::default());
+    let backend = || ArenaBackend::new();
     // k-SSP exercises the unranked pool, the LE lists the rank column.
     assert_every_checkpoint_resumes(backend, &SourceDetection::k_ssp(g.n(), 4), &g, 1);
     assert_every_checkpoint_resumes(backend, &LeListAlgorithm::new(ranks), &g, 2);
@@ -122,7 +122,7 @@ fn dense_every_checkpoint_resumes_bit_identically_across_threads() {
     let mut rng = StdRng::seed_from_u64(0xC4E2);
     let g = gnm_graph(40, 100, 1.0..7.0, &mut rng);
     let alg = SourceDetection::apsp(g.n());
-    let backend = || DenseBackend::new(EngineStrategy::default(), None);
+    let backend = || DenseBackend::new(None);
     assert_every_checkpoint_resumes(backend, &alg, &g, 1);
 }
 
@@ -137,17 +137,15 @@ fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
     let sim = SimulatedGraph::without_hopset(&g, 16, 0.15, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = 4 * g.n();
-    let strategy = EngineStrategy::default();
     for threads in THREADS {
         let (sim, alg) = (&sim, &alg);
         with_threads(threads, move || {
-            let reference = oracle_run_with(alg, sim, cap, strategy);
+            let reference = oracle_run(alg, sim, cap);
             let (_, checkpoints) = capture_all(|sink| {
                 try_oracle_run_checkpointed_with(
                     alg,
                     sim,
                     cap,
-                    strategy,
                     CheckpointPolicy::every_levels(1),
                     |c| {
                         sink.lock().unwrap().push(c.clone());
@@ -161,8 +159,7 @@ fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
                 "oracle run too short to checkpoint"
             );
             for ckpt in &checkpoints {
-                let (resumed, report) =
-                    try_resume_oracle_run_with(alg, sim, cap, strategy, ckpt).unwrap();
+                let (resumed, report) = try_resume_oracle_run_with(alg, sim, cap, ckpt).unwrap();
                 assert_eq!(resumed.states, reference.states, "round {}", ckpt.hop);
                 assert_eq!(
                     resumed.h_iterations, reference.h_iterations,
@@ -186,11 +183,10 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
-    let reference = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, cap);
+    let reference = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, cap);
     let (_, checkpoints) = capture_all(|sink| {
         try_run_on(
-            OwnedBackend::new(strategy),
+            OwnedBackend::new(),
             &alg,
             &g,
             cap,
@@ -210,8 +206,7 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
             .checkpoint()
             .expect("checkpoint section decodes");
         assert_eq!(&decoded, ckpt, "roundtrip changed the checkpoint");
-        let (resumed, _) =
-            try_resume_on(OwnedBackend::new(strategy), &alg, &g, cap, &decoded).unwrap();
+        let (resumed, _) = try_resume_on(OwnedBackend::new(), &alg, &g, cap, &decoded).unwrap();
         assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
         assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
         assert_eq!(resumed.fixpoint, reference.fixpoint);
@@ -225,8 +220,7 @@ fn resume_from_disk_after_simulated_crash() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
-    let reference = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, cap);
+    let reference = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, cap);
 
     let dir = std::env::temp_dir().join(format!("mte_resume_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -236,7 +230,7 @@ fn resume_from_disk_after_simulated_crash() {
     // run by erroring out of the sink after the second capture.
     let mut captures = 0;
     let aborted = try_run_on(
-        OwnedBackend::new(strategy),
+        OwnedBackend::new(),
         &alg,
         &g,
         cap,
@@ -265,7 +259,7 @@ fn resume_from_disk_after_simulated_crash() {
         .checkpoint()
         .expect("checkpoint section intact");
     assert_eq!(ckpt.hop, 2);
-    let (resumed, _) = try_resume_on(OwnedBackend::new(strategy), &alg, &g, cap, &ckpt).unwrap();
+    let (resumed, _) = try_resume_on(OwnedBackend::new(), &alg, &g, cap, &ckpt).unwrap();
     assert_eq!(resumed.states, reference.states);
     assert_eq!(resumed.iterations, reference.iterations);
     assert_eq!(resumed.fixpoint, reference.fixpoint);

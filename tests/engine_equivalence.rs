@@ -1,15 +1,17 @@
-//! Differential tests for the engine strategies: the frontier-driven
-//! sparse engine must be **bit-identical** to the dense reference sweep
-//! on every workload — the skip criterion ("no input of `v` changed, so
-//! `x_v` cannot change") is exact, not approximate — while doing
-//! strictly less relaxation work whenever convergence leaves vertices
-//! quiescent before the run ends.
+//! Differential tests for the engine: the frontier-driven sparse
+//! schedule must be **bit-identical** to the literal Eq. (2.17) loop
+//! (`iterate` until the first unchanged hop) on every workload — the
+//! skip criterion ("no input of `v` changed, so `x_v` cannot change")
+//! is exact, not approximate — while doing strictly less relaxation
+//! work whenever convergence leaves vertices quiescent before the run
+//! ends.
 
+mod common;
+
+use common::literal_fixpoint;
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
-use metric_tree_embedding::core::engine::{
-    run, EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend,
-};
+use metric_tree_embedding::core::engine::{run, MbfAlgorithm, MbfRun, OwnedBackend};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::run::run_to_fixpoint_on;
 use metric_tree_embedding::prelude::*;
@@ -18,13 +20,11 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Strategies under differential test, dense reference first.
-const STRATEGIES: [EngineStrategy; 2] = [EngineStrategy::Dense, EngineStrategy::Frontier];
-
-/// Runs `alg` to the fixpoint under every strategy and asserts exact
-/// state equality (plus identical iteration counts) against the dense
-/// reference. Returns (dense work, frontier work) for work assertions.
-fn assert_all_strategies_agree<A>(
+/// Runs `alg` to the fixpoint on the owned engine and asserts exact
+/// state equality, identical iteration counts and fixpoint flags
+/// against the literal loop. Returns (literal, frontier) runs for work
+/// assertions.
+fn assert_matches_literal<A>(
     alg: &A,
     g: &Graph,
     cap: usize,
@@ -36,30 +36,15 @@ where
     A: MbfAlgorithm,
     A::M: PartialEq + std::fmt::Debug,
 {
-    let dense = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), alg, g, cap);
-    let mut frontier_run = None;
-    for strategy in STRATEGIES {
-        let run = run_to_fixpoint_on(OwnedBackend::new(strategy), alg, g, cap);
-        assert_eq!(
-            run.states, dense.states,
-            "strategy {strategy:?} diverged from the dense engine"
-        );
-        assert_eq!(
-            run.iterations, dense.iterations,
-            "iteration count under {strategy:?}"
-        );
-        assert_eq!(
-            run.fixpoint, dense.fixpoint,
-            "fixpoint flag under {strategy:?}"
-        );
-        if strategy == EngineStrategy::Frontier {
-            frontier_run = Some(run);
-        }
-    }
-    (
-        dense,
-        frontier_run.expect("frontier strategy is in STRATEGIES"),
-    )
+    let literal = literal_fixpoint(alg, g, cap);
+    let frontier = run_to_fixpoint_on(OwnedBackend::new(), alg, g, cap);
+    assert_eq!(
+        frontier.states, literal.states,
+        "the frontier schedule diverged from the literal loop"
+    );
+    assert_eq!(frontier.iterations, literal.iterations, "iteration count");
+    assert_eq!(frontier.fixpoint, literal.fixpoint, "fixpoint flag");
+    (literal, frontier)
 }
 
 /// The workload families named by the engine issue: sparse random
@@ -86,13 +71,13 @@ fn workload_graphs() -> Vec<(&'static str, Graph)> {
 fn sssp_strategies_bit_identical_on_workloads() {
     for (name, g) in workload_graphs() {
         let alg = SourceDetection::sssp(g.n(), 0);
-        let (dense, frontier) = assert_all_strategies_agree(&alg, &g, g.n() + 1);
+        let (literal, frontier) = assert_matches_literal(&alg, &g, g.n() + 1);
         // Convergent instances must see strictly fewer relaxations.
         assert!(
-            frontier.work.edge_relaxations < dense.work.edge_relaxations,
-            "{name}: frontier {} !< dense {}",
+            frontier.work.edge_relaxations < literal.work.edge_relaxations,
+            "{name}: frontier {} !< literal {}",
             frontier.work.edge_relaxations,
-            dense.work.edge_relaxations
+            literal.work.edge_relaxations
         );
     }
 }
@@ -102,12 +87,12 @@ fn apsp_restricted_strategies_bit_identical_on_workloads() {
     for (name, g) in workload_graphs() {
         // k-SSP: APSP restricted to the 4 closest sources per node.
         let alg = SourceDetection::k_ssp(g.n(), 4);
-        let (dense, frontier) = assert_all_strategies_agree(&alg, &g, g.n() + 1);
+        let (literal, frontier) = assert_matches_literal(&alg, &g, g.n() + 1);
         assert!(
-            frontier.work.edge_relaxations < dense.work.edge_relaxations,
-            "{name}: frontier {} !< dense {}",
+            frontier.work.edge_relaxations < literal.work.edge_relaxations,
+            "{name}: frontier {} !< literal {}",
             frontier.work.edge_relaxations,
-            dense.work.edge_relaxations
+            literal.work.edge_relaxations
         );
     }
 }
@@ -118,12 +103,12 @@ fn le_list_strategies_bit_identical_on_workloads() {
     for (name, g) in workload_graphs() {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
         let alg = LeListAlgorithm::new(ranks);
-        let (dense, frontier) = assert_all_strategies_agree(&alg, &g, g.n() + 1);
+        let (literal, frontier) = assert_matches_literal(&alg, &g, g.n() + 1);
         assert!(
-            frontier.work.edge_relaxations < dense.work.edge_relaxations,
-            "{name}: frontier {} !< dense {}",
+            frontier.work.edge_relaxations < literal.work.edge_relaxations,
+            "{name}: frontier {} !< literal {}",
             frontier.work.edge_relaxations,
-            dense.work.edge_relaxations
+            literal.work.edge_relaxations
         );
     }
 }
@@ -132,8 +117,8 @@ fn le_list_strategies_bit_identical_on_workloads() {
 fn widest_paths_and_connectivity_strategies_agree() {
     // Non-min-plus semirings exercise the generic pull-recompute path.
     for (_, g) in workload_graphs() {
-        assert_all_strategies_agree(&WidestPaths::apwp(g.n()), &g, g.n() + 1);
-        assert_all_strategies_agree(&Connectivity::all_pairs(g.n()), &g, g.n() + 1);
+        assert_matches_literal(&WidestPaths::apwp(g.n()), &g, g.n() + 1);
+        assert_matches_literal(&Connectivity::all_pairs(g.n()), &g, g.n() + 1);
     }
 }
 
@@ -146,13 +131,8 @@ fn fixed_iteration_runs_agree_before_convergence() {
     let alg = SourceDetection::apsp(g.n());
     for h in [0, 1, 2, 5, 40] {
         let exact = run(&alg, &g, h);
-        for strategy in STRATEGIES {
-            let capped = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, h);
-            assert_eq!(
-                capped.states, exact.states,
-                "h = {h}, strategy {strategy:?}"
-            );
-        }
+        let capped = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, h);
+        assert_eq!(capped.states, exact.states, "h = {h}");
     }
 }
 
@@ -180,36 +160,29 @@ fn engine_outputs_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(0xD371);
     let g = gnm_graph(400, 1200, 1.0..9.0, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 6);
-    for strategy in STRATEGIES {
-        let r1 = with_threads(1, || {
-            run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1)
-        });
-        let r4 = with_threads(4, || {
-            run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1)
-        });
-        assert_eq!(r1.states, r4.states, "states differ under {strategy:?}");
-        assert_eq!(r1.work, r4.work, "work counters differ under {strategy:?}");
-        assert_eq!(r1.iterations, r4.iterations);
-        assert_eq!(r1.fixpoint, r4.fixpoint);
-    }
+    let fixpoint = || run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+    let r1 = with_threads(1, fixpoint);
+    let r4 = with_threads(4, fixpoint);
+    assert_eq!(r1.states, r4.states, "states differ");
+    assert_eq!(r1.work, r4.work, "work counters differ");
+    assert_eq!(r1.iterations, r4.iterations);
+    assert_eq!(r1.fixpoint, r4.fixpoint);
 }
 
 #[test]
 fn oracle_outputs_bit_identical_across_thread_counts() {
-    use metric_tree_embedding::core::oracle::oracle_run_with;
+    use metric_tree_embedding::core::oracle::oracle_run;
     use metric_tree_embedding::core::simgraph::SimulatedGraph;
     let mut rng = StdRng::seed_from_u64(0xD372);
     let g = gnm_graph(160, 420, 1.0..6.0, &mut rng);
     let sim = SimulatedGraph::without_hopset(&g, 24, 0.15, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 5);
-    for strategy in [EngineStrategy::Dense, EngineStrategy::Frontier] {
-        let r1 = with_threads(1, || oracle_run_with(&alg, &sim, 4 * g.n(), strategy));
-        let r4 = with_threads(4, || oracle_run_with(&alg, &sim, 4 * g.n(), strategy));
-        assert_eq!(r1.states, r4.states, "states differ under {strategy:?}");
-        assert_eq!(r1.work, r4.work, "work counters differ under {strategy:?}");
-        assert_eq!(r1.h_iterations, r4.h_iterations);
-        assert_eq!(r1.fixpoint, r4.fixpoint);
-    }
+    let r1 = with_threads(1, || oracle_run(&alg, &sim, 4 * g.n()));
+    let r4 = with_threads(4, || oracle_run(&alg, &sim, 4 * g.n()));
+    assert_eq!(r1.states, r4.states, "states differ");
+    assert_eq!(r1.work, r4.work, "work counters differ");
+    assert_eq!(r1.h_iterations, r4.h_iterations);
+    assert_eq!(r1.fixpoint, r4.fixpoint);
 }
 
 #[test]
@@ -251,8 +224,8 @@ fn frt_pipeline_bit_identical_across_thread_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random-graph differential fuzz: SSSP, 3-SSP, and LE lists under
-    /// all strategies on arbitrary (possibly disconnected) graphs.
+    /// Random-graph differential fuzz: SSSP, 3-SSP, and LE lists against
+    /// the literal loop on arbitrary (possibly disconnected) graphs.
     #[test]
     fn random_graphs_all_strategies_agree(
         n in 2usize..28,
@@ -279,17 +252,17 @@ proptest! {
         let cap = g.n() + 1;
 
         let sssp = SourceDetection::sssp(g.n(), (seed % n as u64) as NodeId);
-        assert_all_strategies_agree(&sssp, &g, cap);
+        assert_matches_literal(&sssp, &g, cap);
 
         let kssp = SourceDetection::k_ssp(g.n(), 3);
-        assert_all_strategies_agree(&kssp, &g, cap);
+        assert_matches_literal(&kssp, &g, cap);
 
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
-        assert_all_strategies_agree(&LeListAlgorithm::new(ranks), &g, cap);
+        assert_matches_literal(&LeListAlgorithm::new(ranks), &g, cap);
     }
 
-    /// The frontier engine's relaxation count never exceeds the dense
-    /// engine's, on any random graph.
+    /// The frontier engine's relaxation count never exceeds the literal
+    /// loop's, on any random graph.
     #[test]
     fn frontier_work_never_exceeds_dense(
         n in 2usize..24,
@@ -299,9 +272,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let g = gnm_graph(n, (n - 1 + extra).min(n * (n - 1) / 2), 1.0..9.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
-        let dense = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Dense), &alg, &g, g.n() + 1);
-        let frontier = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Frontier), &alg, &g, g.n() + 1);
-        prop_assert!(frontier.work.edge_relaxations <= dense.work.edge_relaxations);
-        prop_assert!(frontier.work.touched_vertices <= dense.work.touched_vertices);
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let frontier = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        prop_assert!(frontier.work.edge_relaxations <= literal.work.edge_relaxations);
+        prop_assert!(frontier.work.touched_vertices <= literal.work.touched_vertices);
     }
 }

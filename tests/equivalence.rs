@@ -5,7 +5,7 @@ use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::oracle_run_arena_with_schedule;
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::oracle_run_dense_with_schedule;
-use metric_tree_embedding::core::engine::{run_to_fixpoint, EngineStrategy};
+use metric_tree_embedding::core::engine::run_to_fixpoint;
 use metric_tree_embedding::core::frt::le_list::{
     le_lists_approx_eq, le_lists_direct, le_lists_oracle, Ranks,
 };
@@ -37,17 +37,17 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let spd = shortest_path_diameter(&g) as usize;
         let sim = SimulatedGraph::without_hopset(&g, spd.max(1), 0.1, &mut rng);
-        let (h, cap, strategy) = (sim.explicit_h(), 4 * g.n(), EngineStrategy::default());
+        let (h, cap) = (sim.explicit_h(), 4 * g.n());
         let apsp = SourceDetection::apsp(g.n());
         let kssp = SourceDetection::k_ssp(g.n(), 3);
         let lanes = [
             (oracle_run(&apsp, &sim, cap), run_to_fixpoint(&apsp, &h, cap)),
             (
-                oracle_run_dense_with_schedule(&apsp, &sim, cap, strategy, true),
+                oracle_run_dense_with_schedule(&apsp, &sim, cap, true),
                 run_to_fixpoint(&apsp, &h, cap),
             ),
             (
-                oracle_run_arena_with_schedule(&kssp, &sim, cap, strategy, true),
+                oracle_run_arena_with_schedule(&kssp, &sim, cap, true),
                 run_to_fixpoint(&kssp, &h, cap),
             ),
         ];

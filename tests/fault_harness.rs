@@ -14,7 +14,7 @@
 use metric_tree_embedding::core::arena::{oracle_run_arena_with_schedule, ArenaBackend};
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::{oracle_run_dense_with_schedule, DenseBackend};
-use metric_tree_embedding::core::engine::{EngineStrategy, MbfAlgorithm, MbfRun, OwnedBackend};
+use metric_tree_embedding::core::engine::{MbfAlgorithm, MbfRun, OwnedBackend};
 use metric_tree_embedding::core::error::{check_states, run_guarded};
 use metric_tree_embedding::core::oracle::{try_oracle_run_with, OracleRun};
 use metric_tree_embedding::core::run::{
@@ -149,39 +149,31 @@ impl Pipeline {
         sim: &SimulatedGraph,
     ) -> Result<(Vec<DistanceMap>, RunReport), RunError> {
         let cap = g.n() + 1;
-        let strategy = EngineStrategy::default();
         match self {
             Pipeline::Owned => {
                 let alg = SourceDetection::k_ssp(g.n(), 4);
-                try_run(OwnedBackend::new(strategy), &alg, g, cap)
-                    .map(|(run, report)| (run.states, report))
+                try_run(OwnedBackend::new(), &alg, g, cap).map(|(run, report)| (run.states, report))
             }
             Pipeline::Arena => {
                 let alg = metric_tree_embedding::core::catalog::SourceDetection::k_ssp(g.n(), 4);
-                try_run(ArenaBackend::new(strategy), &alg, g, cap)
-                    .map(|(run, report)| (run.states, report))
+                try_run(ArenaBackend::new(), &alg, g, cap).map(|(run, report)| (run.states, report))
             }
             Pipeline::Dense => {
                 let alg = SourceDetection::apsp(g.n());
-                try_run(DenseBackend::new(strategy, None), &alg, g, cap)
+                try_run(DenseBackend::new(None), &alg, g, cap)
                     .map(|(run, report)| (run.states, report))
             }
             Pipeline::Oracle => {
                 let alg = SourceDetection::apsp(g.n());
-                try_oracle_run_with(&alg, sim, 4 * g.n(), strategy)
-                    .map(|(run, report)| (run.states, report))
+                try_oracle_run_with(&alg, sim, 4 * g.n()).map(|(run, report)| (run.states, report))
             }
             Pipeline::ArenaOracle => {
                 let alg = SourceDetection::k_ssp(g.n(), 4);
-                guarded_oracle(|| {
-                    oracle_run_arena_with_schedule(&alg, sim, 4 * g.n(), strategy, true)
-                })
+                guarded_oracle(|| oracle_run_arena_with_schedule(&alg, sim, 4 * g.n(), true))
             }
             Pipeline::DenseOracle => {
                 let alg = SourceDetection::apsp(g.n());
-                guarded_oracle(|| {
-                    oracle_run_dense_with_schedule(&alg, sim, 4 * g.n(), strategy, true)
-                })
+                guarded_oracle(|| oracle_run_dense_with_schedule(&alg, sim, 4 * g.n(), true))
             }
         }
     }
@@ -303,12 +295,7 @@ fn injected_panics_carry_their_site_in_the_typed_error() {
         FaultKind::Panic,
         0,
     ));
-    let out = try_run(
-        OwnedBackend::new(EngineStrategy::default()),
-        &alg,
-        &g,
-        g.n() + 1,
-    );
+    let out = try_run(OwnedBackend::new(), &alg, &g, g.n() + 1);
     faults::clear();
     match out {
         Err(RunError::InjectedFault { site, kind }) => {
@@ -328,34 +315,18 @@ fn worker_pool_survives_a_chunk_panic() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let (g, alg) = (&g, &alg);
     with_threads(4, move || {
-        let clean = try_run(
-            OwnedBackend::new(EngineStrategy::default()),
-            alg,
-            g,
-            g.n() + 1,
-        )
-        .expect("clean run");
+        let clean = try_run(OwnedBackend::new(), alg, g, g.n() + 1).expect("clean run");
         faults::install(FaultPlan::single(
             FaultSite::WorkerChunk,
             FaultKind::Panic,
             0,
         ));
-        let faulted = try_run(
-            OwnedBackend::new(EngineStrategy::default()),
-            alg,
-            g,
-            g.n() + 1,
-        );
+        let faulted = try_run(OwnedBackend::new(), alg, g, g.n() + 1);
         faults::clear();
         assert!(faulted.is_err(), "chunk panic must surface as an error");
         // Same pool, same workers: the panic did not wedge or kill them.
-        let after = try_run(
-            OwnedBackend::new(EngineStrategy::default()),
-            alg,
-            g,
-            g.n() + 1,
-        )
-        .expect("post-fault run on the surviving pool");
+        let after = try_run(OwnedBackend::new(), alg, g, g.n() + 1)
+            .expect("post-fault run on the surviving pool");
         assert_eq!(after.0.states, clean.0.states);
         assert_eq!(after.1, clean.1);
     });
@@ -366,7 +337,7 @@ fn worker_pool_survives_a_chunk_panic() {
 fn first_dense_checkpoint(alg: &SourceDetection, g: &Graph, cap: usize) -> Checkpoint<DistanceMap> {
     let mut checkpoints = Vec::new();
     try_run_on(
-        DenseBackend::new(EngineStrategy::default(), None),
+        DenseBackend::new(None),
         alg,
         g,
         cap,
@@ -393,7 +364,7 @@ fn dense_only_budget_violation_is_a_typed_error() {
     let g = fixture_graph();
     let alg = SourceDetection::apsp(g.n());
     let cap = g.n() + 1;
-    let budgeted = || DenseBackend::new(EngineStrategy::default(), Some(8));
+    let budgeted = || DenseBackend::new(Some(8));
     let ckpt = first_dense_checkpoint(&alg, &g, cap);
     let run = try_run(budgeted(), &alg, &g, cap);
     let resume = try_resume_on(budgeted(), &alg, &g, cap, &ckpt);
@@ -422,7 +393,7 @@ fn injected_alloc_failure_at_the_dense_load_is_a_typed_error() {
     let g = fixture_graph();
     let alg = SourceDetection::apsp(g.n());
     let cap = g.n() + 1;
-    let unbudgeted = || DenseBackend::new(EngineStrategy::default(), None);
+    let unbudgeted = || DenseBackend::new(None);
     let ckpt = first_dense_checkpoint(&alg, &g, cap);
     for resume in [false, true] {
         faults::install(FaultPlan::single(
@@ -457,19 +428,13 @@ fn cap_exhaustion_reports_converged_false() {
     let _guard = FaultGuard::acquire();
     let g = path_graph(40, 1.0);
     let alg = SourceDetection::sssp(g.n(), 0);
-    let (run, report) = try_run(OwnedBackend::new(EngineStrategy::default()), &alg, &g, 3)
-        .expect("cap exhaustion is not an error");
+    let (run, report) =
+        try_run(OwnedBackend::new(), &alg, &g, 3).expect("cap exhaustion is not an error");
     assert!(!report.converged);
     assert_eq!(report.hops, 3);
     assert!(!run.fixpoint);
     // The full run converges and says so.
-    let (_, full) = try_run(
-        OwnedBackend::new(EngineStrategy::default()),
-        &alg,
-        &g,
-        g.n() + 1,
-    )
-    .expect("full run");
+    let (_, full) = try_run(OwnedBackend::new(), &alg, &g, g.n() + 1).expect("full run");
     assert!(full.converged);
     assert!(full.hops > 3);
 }
@@ -491,13 +456,8 @@ fn injected_parser_io_failure_is_a_typed_parse_error() {
     // The fire was handled: a fresh guarded run sees a clean audit.
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
-    try_run(
-        OwnedBackend::new(EngineStrategy::default()),
-        &alg,
-        &g,
-        g.n() + 1,
-    )
-    .expect("stale handled fire must not fail a later run");
+    try_run(OwnedBackend::new(), &alg, &g, g.n() + 1)
+        .expect("stale handled fire must not fail a later run");
 }
 
 /// `MTE_FAULT_PLAN`-style specs parse into the same plans the builder
@@ -536,10 +496,9 @@ use std::cell::RefCell;
 fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport), RunError> {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
     let last_good: RefCell<Option<Checkpoint<DistanceMap>>> = RefCell::new(None);
     let (run, report) = try_run_on(
-        OwnedBackend::new(strategy),
+        OwnedBackend::new(),
         &alg,
         g,
         cap,
@@ -556,7 +515,7 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
         },
     )?;
     if let Some(ckpt) = last_good.into_inner() {
-        let (resumed, _) = try_resume_on(OwnedBackend::new(strategy), &alg, g, cap, &ckpt)?;
+        let (resumed, _) = try_resume_on(OwnedBackend::new(), &alg, g, cap, &ckpt)?;
         assert_eq!(
             resumed.states, run.states,
             "resume from a decoded checkpoint diverged"
@@ -624,8 +583,7 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
-    let clean = try_run(OwnedBackend::new(strategy), &alg, &g, cap).expect("clean run");
+    let clean = try_run(OwnedBackend::new(), &alg, &g, cap).expect("clean run");
 
     for threads in [1usize, 4] {
         // One-shot fault on the 4th hop commit: the primary attempt has
@@ -642,7 +600,7 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
                 use metric_tree_embedding::core::RecoveryAttempt;
                 match attempt {
                     RecoveryAttempt::Primary => try_run_on(
-                        OwnedBackend::new(strategy),
+                        OwnedBackend::new(),
                         alg,
                         g,
                         cap,
@@ -662,10 +620,10 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
                     RecoveryAttempt::RetryFromCheckpoint { .. } => {
                         let ckpt = last_good.lock().unwrap();
                         let ckpt = ckpt.as_ref().expect("primary captured checkpoints");
-                        try_resume_on(OwnedBackend::new(strategy), alg, g, cap, ckpt)
+                        try_resume_on(OwnedBackend::new(), alg, g, cap, ckpt)
                             .map(|(run, report)| (run.states, report))
                     }
-                    RecoveryAttempt::Scratch => try_run(OwnedBackend::new(strategy), alg, g, cap)
+                    RecoveryAttempt::Scratch => try_run(OwnedBackend::new(), alg, g, cap)
                         .map(|(run, report)| (run.states, report)),
                 }
             })
@@ -692,8 +650,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let strategy = EngineStrategy::default();
-    let clean = try_run(OwnedBackend::new(strategy), &alg, &g, cap).expect("clean run");
+    let clean = try_run(OwnedBackend::new(), &alg, &g, cap).expect("clean run");
 
     // Every snapshot decode fails: checkpoints are unusable for the
     // whole test.
@@ -702,7 +659,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
         use metric_tree_embedding::core::RecoveryAttempt;
         match attempt {
             RecoveryAttempt::Primary => try_run_on(
-                OwnedBackend::new(strategy),
+                OwnedBackend::new(),
                 &alg,
                 &g,
                 cap,
@@ -723,7 +680,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
             }
             // Scratch runs without checkpoint sinks, so the armed
             // snapshot_read plan is never consulted again.
-            RecoveryAttempt::Scratch => try_run(OwnedBackend::new(strategy), &alg, &g, cap)
+            RecoveryAttempt::Scratch => try_run(OwnedBackend::new(), &alg, &g, cap)
                 .map(|(run, report)| (run.states, report)),
         }
     });

@@ -6,7 +6,7 @@
 
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
-use metric_tree_embedding::core::engine::{initial_states, EngineStrategy};
+use metric_tree_embedding::core::engine::initial_states;
 use metric_tree_embedding::core::run::{try_resume_on, try_run_on, Checkpoint, CheckpointPolicy};
 use metric_tree_embedding::core::RunError;
 use metric_tree_embedding::graph::io::{read_gr, GraphParseError};
@@ -197,7 +197,7 @@ fn dense_backend_refuses_non_dense_algorithms_without_unwinding() {
     let g = metric_tree_embedding::graph::generators::path_graph(12, 1.0);
     // k-SSP with k below the source count truncates: no dense rows.
     let alg = SourceDetection::k_ssp(g.n(), 4);
-    let backend = || DenseBackend::new(EngineStrategy::Frontier, None);
+    let backend = || DenseBackend::new(None);
     let ckpt = Checkpoint {
         hop: 1,
         frontier: vec![0],

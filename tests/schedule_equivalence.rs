@@ -8,6 +8,9 @@
 //! pools of size 1 and 4, pinning the `MTE_THREADS` determinism
 //! guarantee through the new schedule.
 
+mod common;
+
+use common::literal_fixpoint;
 use metric_tree_embedding::algebra::store::{EpochStore, SpanOut};
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::{
@@ -16,10 +19,8 @@ use metric_tree_embedding::core::arena::{
 };
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
 use metric_tree_embedding::core::dense::{oracle_run_dense_with_schedule, DenseBackend};
-use metric_tree_embedding::core::engine::{
-    initial_states, EngineStrategy, MbfAlgorithm, MbfEngine, OwnedBackend,
-};
-use metric_tree_embedding::core::frt::le_list::{le_lists_oracle_with, LeListAlgorithm, Ranks};
+use metric_tree_embedding::core::engine::{initial_states, MbfAlgorithm, MbfEngine, OwnedBackend};
+use metric_tree_embedding::core::frt::le_list::{le_lists_oracle, LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::frt::LeList;
 use metric_tree_embedding::core::oracle::{oracle_run_with_schedule, OracleRun};
 use metric_tree_embedding::core::run::{run_to_fixpoint_on, try_resume_on, Checkpoint};
@@ -71,9 +72,6 @@ fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         .install(f)
 }
 
-/// The engine strategies under differential test.
-const STRATEGIES: [EngineStrategy; 2] = [EngineStrategy::Dense, EngineStrategy::Frontier];
-
 fn workload_graphs() -> Vec<(&'static str, Graph)> {
     let mut rng = StdRng::seed_from_u64(0x53E1);
     vec![
@@ -93,38 +91,35 @@ fn pruned_le_merge_bit_identical_to_reference_and_cheaper() {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E2)));
         let pruned_alg = LeListAlgorithm::new(Arc::clone(&ranks));
         let reference_alg = UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks)));
-        for strategy in STRATEGIES {
-            let pruned =
-                run_to_fixpoint_on(OwnedBackend::new(strategy), &pruned_alg, &g, g.n() + 1);
-            let reference =
-                run_to_fixpoint_on(OwnedBackend::new(strategy), &reference_alg, &g, g.n() + 1);
+        let pruned = run_to_fixpoint_on(OwnedBackend::new(), &pruned_alg, &g, g.n() + 1);
+        let reference = run_to_fixpoint_on(OwnedBackend::new(), &reference_alg, &g, g.n() + 1);
+        // The literal loop merges everything, then filters, too.
+        let literal = literal_fixpoint(&pruned_alg, &g, g.n() + 1);
+        for (want, label) in [(&reference, "merge-then-filter"), (&literal, "literal")] {
             assert_eq!(
-                pruned.states, reference.states,
-                "{name}/{strategy:?}: pruned merge diverged from merge-then-filter"
+                pruned.states, want.states,
+                "{name}: pruned merge diverged from {label}"
             );
-            assert_eq!(
-                pruned.iterations, reference.iterations,
-                "{name}/{strategy:?}"
-            );
-            assert_eq!(pruned.fixpoint, reference.fixpoint, "{name}/{strategy:?}");
-            // The pruned path admits a strict subset of entries on these
-            // workloads (Lemma 7.6: most incoming entries are dominated).
-            assert!(
-                pruned.work.entries_processed < reference.work.entries_processed,
-                "{name}/{strategy:?}: pruned {} !< reference {}",
-                pruned.work.entries_processed,
-                reference.work.entries_processed
-            );
-            // Scheduling counters are untouched by the merge kernel.
-            assert_eq!(
-                pruned.work.edge_relaxations,
-                reference.work.edge_relaxations
-            );
-            assert_eq!(
-                pruned.work.touched_vertices,
-                reference.work.touched_vertices
-            );
+            assert_eq!(pruned.iterations, want.iterations, "{name}/{label}");
+            assert_eq!(pruned.fixpoint, want.fixpoint, "{name}/{label}");
         }
+        // The pruned path admits a strict subset of entries on these
+        // workloads (Lemma 7.6: most incoming entries are dominated).
+        assert!(
+            pruned.work.entries_processed < reference.work.entries_processed,
+            "{name}: pruned {} !< reference {}",
+            pruned.work.entries_processed,
+            reference.work.entries_processed
+        );
+        // Scheduling counters are untouched by the merge kernel.
+        assert_eq!(
+            pruned.work.edge_relaxations,
+            reference.work.edge_relaxations
+        );
+        assert_eq!(
+            pruned.work.touched_vertices,
+            reference.work.touched_vertices
+        );
     }
 }
 
@@ -139,14 +134,14 @@ fn pruned_le_merge_bit_identical_across_thread_counts() {
         with_threads(threads, move || {
             if pruned {
                 run_to_fixpoint_on(
-                    OwnedBackend::new(EngineStrategy::Frontier),
+                    OwnedBackend::new(),
                     &LeListAlgorithm::new(ranks),
                     g,
                     g.n() + 1,
                 )
             } else {
                 run_to_fixpoint_on(
-                    OwnedBackend::new(EngineStrategy::Frontier),
+                    OwnedBackend::new(),
                     &UnprunedLeList(LeListAlgorithm::new(ranks)),
                     g,
                     g.n() + 1,
@@ -179,7 +174,7 @@ fn mark_dirty_carry_over_matches_all_dirty_restart() {
     // Run a few hops so the continuing engine holds a genuine residual
     // frontier (the run is not yet at its fixpoint).
     let mut states = initial_states(&alg, g.n());
-    let mut carry_engine = MbfEngine::new(EngineStrategy::Frontier);
+    let mut carry_engine = MbfEngine::new();
     carry_engine.mark_all_dirty(&g);
     for _ in 0..3 {
         carry_engine.step(&alg, &g, &mut states, 1.0);
@@ -196,7 +191,7 @@ fn mark_dirty_carry_over_matches_all_dirty_restart() {
     // Carry-over: seed only the edited vertices on the live engine.
     carry_engine.mark_dirty(&g, edited.iter().copied());
     // Reference: a fresh engine restarted all-dirty on the same vector.
-    let mut restart_engine = MbfEngine::new(EngineStrategy::Frontier);
+    let mut restart_engine = MbfEngine::new();
     restart_engine.mark_all_dirty(&g);
 
     for hop in 0..g.n() + 1 {
@@ -247,28 +242,22 @@ fn assert_oracle_runs_agree<M: PartialEq + std::fmt::Debug>(
 fn oracle_carry_over_bit_identical_to_all_dirty_restart() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
-    for strategy in STRATEGIES {
-        let kssp = SourceDetection::k_ssp(g.n(), 5);
-        let carry = oracle_run_with_schedule(&kssp, &sim, cap, strategy, true);
-        let restart = oracle_run_with_schedule(&kssp, &sim, cap, strategy, false);
-        assert_oracle_runs_agree(&carry, &restart, &format!("k-ssp/{strategy:?}"));
+    let kssp = SourceDetection::k_ssp(g.n(), 5);
+    let carry = oracle_run_with_schedule(&kssp, &sim, cap, true);
+    let restart = oracle_run_with_schedule(&kssp, &sim, cap, false);
+    assert_oracle_runs_agree(&carry, &restart, "k-ssp");
 
-        let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E6)));
-        let le = LeListAlgorithm::new(ranks);
-        let carry = oracle_run_with_schedule(&le, &sim, cap, strategy, true);
-        let restart = oracle_run_with_schedule(&le, &sim, cap, strategy, false);
-        assert_oracle_runs_agree(&carry, &restart, &format!("le-lists/{strategy:?}"));
-        // Multi-round oracle runs must see the savings the carry-over
-        // exists for: later rounds touch only what the projection moved.
-        // (Dense hops recompute all of V regardless of seeding, so the
-        // strict saving only shows under frontier-based strategies.)
-        if strategy != EngineStrategy::Dense {
-            assert!(
-                carry.work.touched_vertices < restart.work.touched_vertices,
-                "le-lists/{strategy:?}: carry-over saved nothing"
-            );
-        }
-    }
+    let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E6)));
+    let le = LeListAlgorithm::new(ranks);
+    let carry = oracle_run_with_schedule(&le, &sim, cap, true);
+    let restart = oracle_run_with_schedule(&le, &sim, cap, false);
+    assert_oracle_runs_agree(&carry, &restart, "le-lists");
+    // Multi-round oracle runs must see the savings the carry-over exists
+    // for: later rounds touch only what the projection moved.
+    assert!(
+        carry.work.touched_vertices < restart.work.touched_vertices,
+        "le-lists: carry-over saved nothing"
+    );
 }
 
 /// With a level budget `d` below `SPD(G)` every level stops mid-wave,
@@ -287,10 +276,10 @@ fn oracle_carry_over_reprojects_slots_the_aggregation_changed() {
         let sim = SimulatedGraph::without_hopset(&g, 1, 0.2, &mut rng);
         let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
         let cap = 4 * g.n();
-        let restart = oracle_run_with_schedule(&le, &sim, cap, EngineStrategy::Frontier, false);
-        let owned = oracle_run_with_schedule(&le, &sim, cap, EngineStrategy::Frontier, true);
+        let restart = oracle_run_with_schedule(&le, &sim, cap, false);
+        let owned = oracle_run_with_schedule(&le, &sim, cap, true);
         assert_oracle_runs_agree(&owned, &restart, &format!("owned seed {seed}"));
-        let arena = oracle_run_arena_with_schedule(&le, &sim, cap, EngineStrategy::Frontier, true);
+        let arena = oracle_run_arena_with_schedule(&le, &sim, cap, true);
         assert_oracle_runs_agree(&arena, &restart, &format!("arena seed {seed}"));
     }
 }
@@ -304,13 +293,7 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
         let ranks = Arc::clone(&ranks);
         let sim = &sim;
         with_threads(threads, move || {
-            oracle_run_with_schedule(
-                &LeListAlgorithm::new(ranks),
-                sim,
-                cap,
-                EngineStrategy::Frontier,
-                carry_over,
-            )
+            oracle_run_with_schedule(&LeListAlgorithm::new(ranks), sim, cap, carry_over)
         })
     };
     let reference = run(1, false);
@@ -344,23 +327,20 @@ fn carry_over_lanes_equal_reference(
     )));
     let apsp = SourceDetection::apsp(g.n());
     let (le, apsp) = (&le, &apsp);
-    let frontier = EngineStrategy::Frontier;
 
-    let reference = oracle_run_with_schedule(le, sim, cap, frontier, false);
+    let reference = oracle_run_with_schedule(le, sim, cap, false);
     assert!(reference.fixpoint);
-    let owned = thread_invariant("le/owned", || {
-        oracle_run_with_schedule(le, sim, cap, frontier, true)
-    });
+    let owned = thread_invariant("le/owned", || oracle_run_with_schedule(le, sim, cap, true));
     assert_oracle_runs_agree(&owned, &reference, "le/owned");
     let arena = thread_invariant("le/arena", || {
-        oracle_run_arena_with_schedule(le, sim, cap, frontier, true)
+        oracle_run_arena_with_schedule(le, sim, cap, true)
     });
     assert_oracle_runs_agree(&arena, &reference, "le/arena");
     assert_lanes_agree(&owned, &arena, "le");
 
-    let apsp_reference = oracle_run_with_schedule(apsp, sim, cap, frontier, false);
+    let apsp_reference = oracle_run_with_schedule(apsp, sim, cap, false);
     let dense = thread_invariant("apsp/dense", || {
-        oracle_run_dense_with_schedule(apsp, sim, cap, frontier, true)
+        oracle_run_dense_with_schedule(apsp, sim, cap, true)
     });
     assert_oracle_runs_agree(&dense, &apsp_reference, "apsp/dense");
     (reference, arena)
@@ -441,7 +421,6 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
         &UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks))),
         &sim,
         cap,
-        EngineStrategy::Frontier,
         false,
     );
     let reference_lists: Vec<LeList> = reference
@@ -453,9 +432,8 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
     for threads in [1, 4] {
         let ranks = Arc::clone(&ranks);
         let sim = &sim;
-        let (lists, h_iterations, _) = with_threads(threads, move || {
-            le_lists_oracle_with(sim, &ranks, Some(cap), EngineStrategy::Frontier)
-        });
+        let (lists, h_iterations, _) =
+            with_threads(threads, move || le_lists_oracle(sim, &ranks, Some(cap)));
         assert_eq!(h_iterations, reference.h_iterations, "{threads} threads");
         for (v, (got, want)) in lists.iter().zip(&reference_lists).enumerate() {
             assert_eq!(
@@ -479,28 +457,28 @@ where
     A: ArenaMbfAlgorithm,
 {
     let cap = g.n() + 1;
-    for strategy in STRATEGIES {
-        let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), alg, g, cap);
-        let arena = run_to_fixpoint_on(ArenaBackend::new(strategy), alg, g, cap);
-        assert_eq!(
-            owned.states, arena.states,
-            "{label}/{strategy:?}: arena backend diverged from owned"
-        );
-        assert_eq!(owned.iterations, arena.iterations, "{label}/{strategy:?}");
-        assert_eq!(owned.fixpoint, arena.fixpoint, "{label}/{strategy:?}");
-        // Absorption-stable skipping never changes which entries are
-        // admitted — only how many merges run — so `entries_processed`
-        // matches exactly while relaxations may only shrink.
-        assert_eq!(
-            owned.work.entries_processed, arena.work.entries_processed,
-            "{label}/{strategy:?}"
-        );
-        assert!(
-            arena.work.edge_relaxations <= owned.work.edge_relaxations,
-            "{label}/{strategy:?}: arena relaxed more edges than owned"
-        );
-        assert_eq!(owned.work.touched_vertices, arena.work.touched_vertices);
-    }
+    let literal = literal_fixpoint(alg, g, cap);
+    let owned = run_to_fixpoint_on(OwnedBackend::new(), alg, g, cap);
+    let arena = run_to_fixpoint_on(ArenaBackend::new(), alg, g, cap);
+    assert_eq!(
+        literal.states, arena.states,
+        "{label}: arena backend diverged from the literal loop"
+    );
+    assert_eq!(literal.iterations, arena.iterations, "{label}");
+    assert_eq!(literal.fixpoint, arena.fixpoint, "{label}");
+    // Absorption-stable skipping never changes which entries are
+    // admitted — only how many merges run — so `entries_processed`
+    // matches the owned backend exactly while relaxations may only
+    // shrink.
+    assert_eq!(
+        owned.work.entries_processed, arena.work.entries_processed,
+        "{label}"
+    );
+    assert!(
+        arena.work.edge_relaxations <= owned.work.edge_relaxations,
+        "{label}: arena relaxed more edges than owned"
+    );
+    assert_eq!(owned.work.touched_vertices, arena.work.touched_vertices);
 }
 
 #[test]
@@ -535,7 +513,7 @@ fn arena_engine_bit_identical_across_thread_counts() {
         let ranks = Arc::clone(&ranks);
         with_threads(threads, move || {
             run_to_fixpoint_on(
-                ArenaBackend::new(EngineStrategy::Frontier),
+                ArenaBackend::new(),
                 &LeListAlgorithm::new(ranks),
                 g,
                 g.n() + 1,
@@ -595,33 +573,31 @@ fn arena_oracle_bit_identical_to_owned_oracle() {
     let le = LeListAlgorithm::new(Arc::clone(&ranks));
     let kssp = SourceDetection::k_ssp(g.n(), 5);
     let (le, kssp, sim) = (&le, &kssp, &sim);
-    for strategy in STRATEGIES {
-        for carry_over in [true, false] {
-            let label = format!("oracle/{strategy:?}/carry={carry_over}");
-            let owned = thread_invariant(&format!("{label}/owned"), || {
-                oracle_run_with_schedule(le, sim, cap, strategy, carry_over)
-            });
-            let arena = thread_invariant(&format!("{label}/arena"), || {
-                oracle_run_arena_with_schedule(le, sim, cap, strategy, carry_over)
-            });
-            assert_lanes_agree(&owned, &arena, &label);
-            // The semi-naive handover reads deltas, never a different
-            // admitted set: the paper's work counter must match the
-            // owned oracle exactly.
-            assert_eq!(
-                owned.work.entries_processed, arena.work.entries_processed,
-                "{label}: entries_processed"
-            );
+    for carry_over in [true, false] {
+        let label = format!("oracle/carry={carry_over}");
+        let owned = thread_invariant(&format!("{label}/owned"), || {
+            oracle_run_with_schedule(le, sim, cap, carry_over)
+        });
+        let arena = thread_invariant(&format!("{label}/arena"), || {
+            oracle_run_arena_with_schedule(le, sim, cap, carry_over)
+        });
+        assert_lanes_agree(&owned, &arena, &label);
+        // The semi-naive handover reads deltas, never a different
+        // admitted set: the paper's work counter must match the
+        // owned oracle exactly.
+        assert_eq!(
+            owned.work.entries_processed, arena.work.entries_processed,
+            "{label}: entries_processed"
+        );
 
-            let label = format!("{label}/kssp");
-            let owned = thread_invariant(&format!("{label}/owned"), || {
-                oracle_run_with_schedule(kssp, sim, cap, strategy, carry_over)
-            });
-            let arena = thread_invariant(&format!("{label}/arena"), || {
-                oracle_run_arena_with_schedule(kssp, sim, cap, strategy, carry_over)
-            });
-            assert_lanes_agree(&owned, &arena, &label);
-        }
+        let label = format!("{label}/kssp");
+        let owned = thread_invariant(&format!("{label}/owned"), || {
+            oracle_run_with_schedule(kssp, sim, cap, carry_over)
+        });
+        let arena = thread_invariant(&format!("{label}/arena"), || {
+            oracle_run_arena_with_schedule(kssp, sim, cap, carry_over)
+        });
+        assert_lanes_agree(&owned, &arena, &label);
     }
 }
 
@@ -704,27 +680,20 @@ fn semi_naive_handover_admits_exactly_what_the_full_handover_admits() {
     for (name, g) in workload_graphs() {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F0)));
         let le = LeListAlgorithm::new(Arc::clone(&ranks));
-        for strategy in STRATEGIES {
-            for threads in [1, 4] {
-                let (g, le) = (&g, &le);
-                let (semi, full) = with_threads(threads, move || {
-                    let cap = g.n() + 1;
-                    (
-                        run_to_fixpoint_on(ArenaBackend::new(strategy), le, g, cap),
-                        run_to_fixpoint_on(
-                            ArenaBackend::new(strategy),
-                            &FullHandover(le.clone()),
-                            g,
-                            cap,
-                        ),
-                    )
-                });
-                assert_same_but_smaller_handover(
-                    (&semi.states, semi.iterations, semi.work),
-                    (&full.states, full.iterations, full.work),
-                    &format!("{name}/le/{strategy:?}/t={threads}"),
-                );
-            }
+        for threads in [1, 4] {
+            let (g, le) = (&g, &le);
+            let (semi, full) = with_threads(threads, move || {
+                let cap = g.n() + 1;
+                (
+                    run_to_fixpoint_on(ArenaBackend::new(), le, g, cap),
+                    run_to_fixpoint_on(ArenaBackend::new(), &FullHandover(le.clone()), g, cap),
+                )
+            });
+            assert_same_but_smaller_handover(
+                (&semi.states, semi.iterations, semi.work),
+                (&full.states, full.iterations, full.work),
+                &format!("{name}/le/t={threads}"),
+            );
         }
     }
 
@@ -734,29 +703,21 @@ fn semi_naive_handover_admits_exactly_what_the_full_handover_admits() {
     let cap = 4 * g.n();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F1)));
     let le = LeListAlgorithm::new(ranks);
-    for strategy in [EngineStrategy::Frontier, EngineStrategy::default()] {
-        for carry_over in [true, false] {
-            let semi = oracle_run_arena_with_schedule(&le, &sim, cap, strategy, carry_over);
-            let full = oracle_run_arena_with_schedule(
-                &FullHandover(le.clone()),
-                &sim,
-                cap,
-                strategy,
-                carry_over,
-            );
-            assert_eq!(semi.fixpoint, full.fixpoint);
-            assert_same_but_smaller_handover(
-                (&semi.states, semi.h_iterations, semi.work),
-                (&full.states, full.h_iterations, full.work),
-                &format!("oracle/{strategy:?}/carry={carry_over}"),
-            );
-        }
+    for carry_over in [true, false] {
+        let semi = oracle_run_arena_with_schedule(&le, &sim, cap, carry_over);
+        let full = oracle_run_arena_with_schedule(&FullHandover(le.clone()), &sim, cap, carry_over);
+        assert_eq!(semi.fixpoint, full.fixpoint);
+        assert_same_but_smaller_handover(
+            (&semi.states, semi.h_iterations, semi.work),
+            (&full.states, full.h_iterations, full.work),
+            &format!("oracle/carry={carry_over}"),
+        );
     }
 }
 
 // ---------------------------------------------------------------------
 // Dense-block backend: flat matrix kernels must be bit-identical to the
-// owned reference — min over f64 is order-independent and every dense
+// literal loop — min over f64 is order-independent and every dense
 // relaxation computes the same single `x + w` the sparse merges do, so
 // the comparison is exact equality, not approximate.
 // ---------------------------------------------------------------------
@@ -764,42 +725,38 @@ fn semi_naive_handover_admits_exactly_what_the_full_handover_admits() {
 #[test]
 fn dense_block_backend_bit_identical_to_owned() {
     for (name, g) in workload_graphs() {
-        for strategy in STRATEGIES {
-            // APSP: the headline dense workload.
-            let alg = SourceDetection::apsp(g.n());
-            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
-            let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
-            assert_eq!(
-                owned.states, dense.states,
-                "{name}/{strategy:?}: dense apsp diverged from owned"
-            );
-            assert_eq!(owned.iterations, dense.iterations, "{name}/{strategy:?}");
-            assert_eq!(owned.fixpoint, dense.fixpoint, "{name}/{strategy:?}");
-            // Shared schedule: the scheduling counters agree exactly
-            // (entries_processed counts a different currency — dense
-            // coordinates — and is not compared).
-            // The dense backend may skip provably-absorbed merges, so its
-            // relaxation count can only be lower.
-            assert!(dense.work.edge_relaxations <= owned.work.edge_relaxations);
-            assert_eq!(owned.work.touched_vertices, dense.work.touched_vertices);
+        // APSP: the headline dense workload.
+        let alg = SourceDetection::apsp(g.n());
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
+        assert_eq!(
+            literal.states, dense.states,
+            "{name}: dense apsp diverged from the literal loop"
+        );
+        assert_eq!(literal.iterations, dense.iterations, "{name}");
+        assert_eq!(literal.fixpoint, dense.fixpoint, "{name}");
+        // Shared schedule: the scheduling counters agree exactly
+        // (entries_processed counts a different currency — dense
+        // coordinates — and is not compared).
+        // The dense backend may skip provably-absorbed merges, so its
+        // relaxation count can only be lower.
+        assert!(dense.work.edge_relaxations <= owned.work.edge_relaxations);
+        assert_eq!(owned.work.touched_vertices, dense.work.touched_vertices);
 
-            // Boolean semiring: all-pairs connectivity.
-            let alg = Connectivity::all_pairs(g.n());
-            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
-            let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
-            assert_eq!(
-                owned.states, dense.states,
-                "{name}/{strategy:?}/connectivity"
-            );
-            assert_eq!(owned.iterations, dense.iterations);
+        // Boolean semiring: all-pairs connectivity.
+        let alg = Connectivity::all_pairs(g.n());
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, dense.states, "{name}/connectivity");
+        assert_eq!(literal.iterations, dense.iterations);
 
-            // Max-min semiring: all-pairs widest paths.
-            let alg = WidestPaths::apwp(g.n());
-            let owned = run_to_fixpoint_on(OwnedBackend::new(strategy), &alg, &g, g.n() + 1);
-            let dense = run_to_fixpoint_on(DenseBackend::new(strategy, None), &alg, &g, g.n() + 1);
-            assert_eq!(owned.states, dense.states, "{name}/{strategy:?}/widest");
-            assert_eq!(owned.iterations, dense.iterations);
-        }
+        // Max-min semiring: all-pairs widest paths.
+        let alg = WidestPaths::apwp(g.n());
+        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, dense.states, "{name}/widest");
+        assert_eq!(literal.iterations, dense.iterations);
     }
 }
 
@@ -812,22 +769,10 @@ fn dense_block_bit_identical_across_thread_counts() {
     let alg = &alg;
     let run = |threads: usize| {
         with_threads(threads, move || {
-            run_to_fixpoint_on(
-                DenseBackend::new(EngineStrategy::default(), None),
-                alg,
-                g,
-                g.n() + 1,
-            )
+            run_to_fixpoint_on(DenseBackend::new(None), alg, g, g.n() + 1)
         })
     };
-    let reference = with_threads(1, move || {
-        run_to_fixpoint_on(
-            OwnedBackend::new(EngineStrategy::default()),
-            alg,
-            g,
-            g.n() + 1,
-        )
-    });
+    let reference = literal_fixpoint(alg, g, g.n() + 1);
     for threads in [1, 4] {
         let dense = run(threads);
         assert_eq!(
@@ -850,25 +795,23 @@ fn dense_oracle_bit_identical_to_owned_oracle_across_threads() {
     let (alg, sim) = (&alg, &sim);
     // One production-schedule reference for every run pins APSP
     // carry-over ≡ all-dirty restart as well as lane agreement.
-    let reference = oracle_run_with_schedule(alg, sim, cap, EngineStrategy::Frontier, true);
+    let reference = oracle_run_with_schedule(alg, sim, cap, true);
     assert!(reference.fixpoint);
-    for strategy in STRATEGIES {
-        for carry_over in [true, false] {
-            let label = format!("apsp/{strategy:?}/carry={carry_over}");
-            let owned = thread_invariant(&format!("{label}/owned"), || {
-                oracle_run_with_schedule(alg, sim, cap, strategy, carry_over)
-            });
-            let dense = thread_invariant(&format!("{label}/dense"), || {
-                oracle_run_dense_with_schedule(alg, sim, cap, strategy, carry_over)
-            });
-            assert_lanes_agree(&owned, &dense, &label);
-            assert_eq!(
-                dense.states, reference.states,
-                "{label}: diverged from the carry-over reference"
-            );
-            assert_eq!(dense.h_iterations, reference.h_iterations, "{label}");
-            assert_eq!(dense.fixpoint, reference.fixpoint, "{label}");
-        }
+    for carry_over in [true, false] {
+        let label = format!("apsp/carry={carry_over}");
+        let owned = thread_invariant(&format!("{label}/owned"), || {
+            oracle_run_with_schedule(alg, sim, cap, carry_over)
+        });
+        let dense = thread_invariant(&format!("{label}/dense"), || {
+            oracle_run_dense_with_schedule(alg, sim, cap, carry_over)
+        });
+        assert_lanes_agree(&owned, &dense, &label);
+        assert_eq!(
+            dense.states, reference.states,
+            "{label}: diverged from the carry-over reference"
+        );
+        assert_eq!(dense.h_iterations, reference.h_iterations, "{label}");
+        assert_eq!(dense.fixpoint, reference.fixpoint, "{label}");
     }
 }
 
@@ -904,33 +847,34 @@ proptest! {
         let g = Graph::from_edges(n + n2, edges);
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
 
-        // Engine: pruned vs merge-then-filter, all strategies.
-        for strategy in STRATEGIES {
-            let pruned =
-                run_to_fixpoint_on(OwnedBackend::new(strategy), &LeListAlgorithm::new(Arc::clone(&ranks)), &g, g.n() + 1);
-            let reference = run_to_fixpoint_on(OwnedBackend::new(strategy), &UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks))), &g, g.n() + 1);
-            prop_assert_eq!(&pruned.states, &reference.states);
-            prop_assert_eq!(pruned.iterations, reference.iterations);
-            prop_assert!(pruned.work.entries_processed <= reference.work.entries_processed);
-        }
+        // Engine: pruned vs merge-then-filter, and vs the literal loop.
+        let le = LeListAlgorithm::new(Arc::clone(&ranks));
+        let pruned = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, g.n() + 1);
+        let reference = run_to_fixpoint_on(OwnedBackend::new(), &UnprunedLeList(le.clone()), &g, g.n() + 1);
+        prop_assert_eq!(&pruned.states, &reference.states);
+        prop_assert_eq!(pruned.iterations, reference.iterations);
+        prop_assert!(pruned.work.entries_processed <= reference.work.entries_processed);
+        let literal = literal_fixpoint(&le, &g, g.n() + 1);
+        prop_assert_eq!(&pruned.states, &literal.states);
+        prop_assert_eq!(pruned.iterations, literal.iterations);
+        prop_assert_eq!(pruned.fixpoint, literal.fixpoint);
 
         // Oracle: carry-over vs all-dirty restarts.
         let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
-        let le = LeListAlgorithm::new(Arc::clone(&ranks));
-        let carry = oracle_run_with_schedule(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, true);
-        let restart = oracle_run_with_schedule(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, false);
+        let carry = oracle_run_with_schedule(&le, &sim, 3 * g.n(), true);
+        let restart = oracle_run_with_schedule(&le, &sim, 3 * g.n(), false);
         prop_assert_eq!(&carry.states, &restart.states);
         prop_assert_eq!(carry.h_iterations, restart.h_iterations);
         prop_assert_eq!(carry.fixpoint, restart.fixpoint);
         prop_assert!(carry.work.touched_vertices <= restart.work.touched_vertices);
 
         // Storage backends: arena engine and oracle vs the owned paths.
-        let arena = run_to_fixpoint_on(ArenaBackend::new(EngineStrategy::Frontier), &le, &g, g.n() + 1);
-        let owned = run_to_fixpoint_on(OwnedBackend::new(EngineStrategy::Frontier), &le, &g, g.n() + 1);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(), &le, &g, g.n() + 1);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, g.n() + 1);
         prop_assert_eq!(&arena.states, &owned.states);
         prop_assert_eq!(arena.iterations, owned.iterations);
         let arena_oracle =
-            oracle_run_arena_with_schedule(&le, &sim, 3 * g.n(), EngineStrategy::Frontier, true);
+            oracle_run_arena_with_schedule(&le, &sim, 3 * g.n(), true);
         prop_assert_eq!(&arena_oracle.states, &carry.states);
         prop_assert_eq!(arena_oracle.h_iterations, carry.h_iterations);
         prop_assert_eq!(arena_oracle.fixpoint, carry.fixpoint);
@@ -954,10 +898,10 @@ proptest! {
         let alg = LeListAlgorithm::new(Arc::clone(&ranks));
 
         let mut owned_states = initial_states(&alg, g.n());
-        let mut owned_engine = MbfEngine::new(EngineStrategy::Frontier);
+        let mut owned_engine = MbfEngine::new();
         owned_engine.mark_all_dirty(&g);
         let mut store = initial_store(&alg, g.n());
-        let mut engine = ArenaEngine::new(EngineStrategy::Frontier);
+        let mut engine = ArenaEngine::new();
         engine.mark_all_dirty(&g);
 
         let mut salt = seed | 1;
@@ -996,7 +940,7 @@ proptest! {
             states: store.export(),
         };
         let (resumed, _) =
-            try_resume_on(ArenaBackend::new(EngineStrategy::Frontier), &alg, &g, cap, &ckpt)
+            try_resume_on(ArenaBackend::new(), &alg, &g, cap, &ckpt)
                 .expect("resume from a consistent capture cannot fail");
         // Drive both to the fixpoint and compare once more.
         for _ in 0..cap {
