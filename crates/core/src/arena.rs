@@ -22,12 +22,13 @@
 //! engine — same frontier, same touched list, same degree-balanced
 //! chunks — so the two backends execute identical hops and their
 //! outputs are bit-identical by construction (differential-tested by
-//! `tests/schedule_equivalence.rs`). During a hop, each scheduling
-//! chunk writes its recomputed states into its own **chunk append
-//! region** (plain `Vec`s owned by the chunk slot — no synchronization,
-//! no `unsafe`); the commit concatenates the regions into the pool in
-//! chunk order, so the pool layout is a pure function of the schedule
-//! and the inputs, never of `MTE_THREADS`.
+//! `tests/schedule_equivalence.rs`); semi-naive algorithms drop the
+//! touched vertices their delta floors prove idle (see below). During a
+//! hop, each scheduling chunk writes its recomputed states into its own
+//! **chunk append region** (plain `Vec`s owned by the chunk slot — no
+//! synchronization, no `unsafe`); the commit concatenates the regions
+//! into the pool in chunk order, so the pool layout is a pure function
+//! of the schedule and the inputs, never of `MTE_THREADS`.
 //!
 //! # The algorithm hook
 //!
@@ -61,8 +62,26 @@
 //! neighbors through [`RecomputeCtx::incoming`], which hands over the
 //! delta instead of the full list — semi-naive evaluation in the
 //! Datalog sense. It admits exactly the entries the full handover
-//! admits, so states and every work counter but `handover_entries` are
-//! unchanged.
+//! admits, so states are unchanged.
+//!
+//! Each delta also records its **floor** ([`DeltaFloor`]: minimum
+//! distance and minimum rank), so a receiver can reject a whole delta
+//! at once. The algorithm's [`ArenaMbfAlgorithm::absorbs`] rule decides
+//! it from the floor, the edge coefficient `s` and a
+//! [`ReceiverSummary`] (largest distance `D`, smallest rank `R`); for
+//! the LE lists a delta is absorbed iff `fl(floor.dist + s) ≥ D` and
+//! `floor.rank ≥ R` — every entry then lands at distance `≥ D`, where
+//! the receiver's minimum-rank entry dominates it or is its echo (the
+//! proof is on [`RecomputeCtx`]). A recomputation skips an absorbed
+//! delta unread, and the hop plan keeps a vertex only if it is a
+//! tainted frontier vertex or some frontier neighbor hands it a whole
+//! span or a delta it does not absorb: every vertex the plan drops
+//! would have read nothing and returned
+//! [`SpanRecompute::unchanged_hint`]. States, frontiers, change logs and
+//! deltas are therefore unchanged; `touched_vertices`,
+//! `entries_processed`, `edge_relaxations` and `handover_entries` count
+//! only the recomputations that run, so for the LE lists they sit below
+//! the owned engine's.
 //!
 //! A delta is only as good as the premise "the neighbors absorbed the
 //! old state". Where the engine cannot vouch for that, the vertex hands
@@ -144,10 +163,13 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
     /// Whether [`ArenaMbfAlgorithm::recompute_span`] is sound under the
     /// semi-naive handover of [`RecomputeCtx::incoming`]: the filter is
     /// absorption-stable (see [`RecomputeCtx`]). When on, the engine
-    /// records the delta of every state a hop changes, and `incoming`
-    /// hands it over in place of the full state. Off by default (the
-    /// default recompute reads whole neighbor states); the LE lists opt
-    /// in.
+    /// records the delta of every state a hop changes, with its floor,
+    /// and `incoming` hands it over in place of the full state; and the
+    /// hop plan drops every untainted vertex that no frontier neighbor
+    /// hands anything unabsorbed ([`ArenaMbfAlgorithm::absorbs`]), so a
+    /// recomputation that reads nothing must leave its state unchanged.
+    /// Off by default (the default recompute reads whole neighbor
+    /// states); the LE lists opt in.
     const SEMI_NAIVE: bool = false;
 
     /// Rank-column value stored alongside an entry with key `node`.
@@ -159,6 +181,21 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
     #[inline]
     fn entry_aux(&self, _node: NodeId) -> u32 {
         0
+    }
+
+    /// The absorption rule of the semi-naive handover (see
+    /// [`RecomputeCtx`]): `true` asserts that a receiver whose state
+    /// has summary `receiver` (`None` when it is `⊥`) rejects, entry by
+    /// entry, every entry of a delta with floor `floor` handed over an
+    /// edge with coefficient `s` — so the recomputation may skip the
+    /// delta unread, and the engine may skip a recomputation left with
+    /// nothing else to read. Must be exact: a wrong `true` is a
+    /// correctness bug. Consulted only for
+    /// [`ArenaMbfAlgorithm::SEMI_NAIVE`] algorithms; the default never
+    /// absorbs.
+    #[inline]
+    fn absorbs(&self, _receiver: Option<ReceiverSummary>, _floor: DeltaFloor, _s: Dist) -> bool {
+        false
     }
 
     /// [`MbfAlgorithm::state_size`] for a borrowed span. Must agree
@@ -203,9 +240,10 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
 /// # Absorption stability
 ///
 /// The engine guarantees: whenever a neighbor `w`'s state changes at
-/// hop `t`, every `v ∈ N[w]` is recomputed at hop `t + 1` (the
-/// closed-neighborhood schedule). So if `w` is **not** dirty now, `v`
-/// has already merged `a_vw x_w` (with the current `x_w`) in an earlier
+/// hop `t`, every `v ∈ N[w]` that `w` hands something at hop `t + 1`
+/// is recomputed then (the closed-neighborhood schedule, narrowed by
+/// the delta floors below). So if `w` is **not** dirty now, `v` has
+/// already merged `a_vw x_w` (with the current `x_w`) in an earlier
 /// recompute. For a filter where absorbed contributions stay absorbed —
 /// entry values only improve, and an entry the filter ever discarded is
 /// justified by witnesses that persist (LE rank domination and the
@@ -215,14 +253,45 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
 ///
 /// The same argument applies entry by entry to a dirty neighbor (the
 /// **delta rule**): a dirty `w` changed in the previous hop, and `v`
-/// was recomputed in that hop too, reading `w`'s state from before the
-/// change. Every pair the change kept identical was therefore already
-/// absorbed and would be rejected as an echo or as dominated again;
-/// only the pairs the change added or moved (`w`'s delta) can still be
-/// admitted. The admitted set is unchanged, hence so are the states
-/// and `entries_processed`; a relaxation is still counted per visited
-/// dirty neighbor, so `edge_relaxations` and `touched_vertices` are
-/// unchanged too.
+/// either was recomputed in that hop too, reading `w`'s state from
+/// before the change, or provably rejected all of it. Every pair the
+/// change kept identical was therefore already absorbed and would be
+/// rejected as an echo or as dominated again; only the pairs the change
+/// added or moved (`w`'s delta) can still be admitted.
+///
+/// # Delta floors
+///
+/// With each delta the engine records its **floor**
+/// ([`DeltaFloor`]): the minimum distance and minimum
+/// [`ArenaMbfAlgorithm::entry_aux`] of its entries. Together with a
+/// [`ReceiverSummary`] of the receiver (recorded when the engine writes
+/// its state, so computed once per state), the algorithm's
+/// [`ArenaMbfAlgorithm::absorbs`] rule decides for a whole delta at
+/// once that every one of its entries would be rejected. For the LE
+/// lists (the one override) a non-empty receiver with largest distance
+/// `D` and smallest rank `R` absorbs a delta over an edge with
+/// coefficient `s` iff `fl(floor.dist + s) ≥ D` and `floor.aux ≥ R`,
+/// and an empty delta is always absorbed. *Proof:* an entry `(u, d_u)`
+/// of the delta arrives as `d = fl(d_u + s) ≥ fl(floor.dist + s) ≥ D`
+/// (rounding is monotone), and `rank(u) ≥ floor.aux ≥ R`. The
+/// receiver's minimum-rank entry `m` sits at distance `≤ D ≤ d`. If
+/// `rank(u) > R`, `m` dominates `(u, d)`; if `rank(u) = R`, `u` is `m`'s
+/// node, and `(u, d)` is an echo of `m`. Either way the per-entry test
+/// rejects it, so skipping the delta unread admits exactly what reading
+/// it would. Two consequences, both exact:
+///
+/// * a recomputation skips an absorbed delta like a clean neighbor;
+/// * the hop plan (`FrontierSchedule::plan_hop`) keeps a vertex only
+///   if it is a tainted frontier vertex, or some frontier neighbor
+///   hands it a whole state or a delta it does not absorb. A dropped
+///   vertex would have read nothing, admitted nothing and returned
+///   [`SpanRecompute::unchanged_hint`], so states, the frontier, the
+///   change log and the deltas are unchanged.
+///
+/// So the admitted set is unchanged, hence so are the states; the work
+/// counters (`touched_vertices`, `entries_processed`,
+/// `edge_relaxations`, `handover_entries`) count only the
+/// recomputations that run and the neighbors they read.
 ///
 /// External edits break the "already absorbed" premise, in two
 /// directions. For the **edited vertex itself**,
@@ -238,6 +307,7 @@ pub struct RecomputeCtx<'a> {
     sched: &'a FrontierSchedule,
     taint: &'a crate::engine::TaintTable,
     handover: &'a Handover,
+    receivers: &'a ReceiverTable,
 }
 
 impl RecomputeCtx<'_> {
@@ -249,8 +319,9 @@ impl RecomputeCtx<'_> {
         self.taint.is_tainted(v)
     }
 
-    /// The node-sorted entries a recomputation must merge from neighbor
-    /// `w`, or `None` when `w` is clean (already absorbed). `full` is
+    /// What a recomputation must merge from neighbor `w`: a delta with
+    /// its floor or a whole state, or `None` when `w` is clean (already
+    /// absorbed). `full` is
     /// [`RecomputeCtx::require_full`] of the recomputed vertex: a
     /// vertex that absorbed nothing gets every neighbor's whole state.
     /// Otherwise a dirty `w` that the engine changed in its last hop
@@ -266,28 +337,187 @@ impl RecomputeCtx<'_> {
         full: bool,
         w: NodeId,
         states: &'s EpochStore,
-    ) -> Option<&'s [(NodeId, Dist)]> {
+    ) -> Option<Incoming<'s>> {
+        let whole = |w| Incoming {
+            entries: states.get(w).entries,
+            floor: None,
+        };
         if full {
-            return Some(states.get(w).entries);
+            return Some(whole(w));
         }
         // Only the last hop's changed vertices carry deltas, and they
         // are all on the frontier: one lookup settles the common case.
-        if let Some(delta) = self.handover.delta(w) {
+        if let Some((entries, floor)) = self.handover.delta(w) {
             debug_assert!(self.sched.on_frontier(w), "delta off the frontier");
-            return Some(delta);
+            return Some(Incoming {
+                entries,
+                floor: Some(floor),
+            });
         }
-        self.sched.on_frontier(w).then(|| states.get(w).entries)
+        self.sched.on_frontier(w).then(|| whole(w))
+    }
+
+    /// The [`ReceiverSummary`] of `v`, whose state is `base`: the
+    /// engine's record of it, or computed here if it has none.
+    #[inline]
+    pub fn receiver(&self, v: NodeId, base: &DistanceSlice<'_>) -> Option<ReceiverSummary> {
+        let Some(summary) = self.receivers.get(v) else {
+            return ReceiverSummary::of(base);
+        };
+        debug_assert_eq!(summary, ReceiverSummary::of(base), "stale summary of {v}");
+        summary
+    }
+}
+
+/// What a dirty neighbor hands a recomputation
+/// ([`RecomputeCtx::incoming`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Incoming<'s> {
+    /// The node-sorted entries to merge: a delta or a whole state.
+    pub entries: &'s [(NodeId, Dist)],
+    /// The delta's floor, or `None` for a whole state.
+    pub floor: Option<DeltaFloor>,
+}
+
+/// The floor of a recorded delta: the minimum distance and the minimum
+/// [`ArenaMbfAlgorithm::entry_aux`] over its entries (see
+/// [`RecomputeCtx`], "Delta floors"). An empty delta has floor
+/// [`DeltaFloor::EMPTY`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct DeltaFloor {
+    /// Minimum distance over the delta's entries.
+    pub dist: Dist,
+    /// Minimum `entry_aux` over the delta's entries.
+    pub aux: u32,
+}
+
+impl DeltaFloor {
+    /// The floor of an empty delta: `(∞, u32::MAX)`.
+    pub const EMPTY: DeltaFloor = DeltaFloor {
+        dist: Dist::INF,
+        aux: u32::MAX,
+    };
+
+    /// The floor of `delta`, reading each entry's aux through `aux`. A
+    /// poisoned (NaN) distance sticks, so no rule can absorb the delta.
+    pub fn of(delta: &[(NodeId, Dist)], aux: impl Fn(NodeId) -> u32) -> DeltaFloor {
+        let mut floor = DeltaFloor::EMPTY;
+        for &(u, d) in delta {
+            if d.value() < floor.dist.value() || d.is_poisoned() {
+                floor.dist = d;
+            }
+            floor.aux = floor.aux.min(aux(u));
+        }
+        floor
+    }
+}
+
+/// What the absorption rule reads of a non-empty receiver: its largest
+/// distance and its smallest rank-column value (see [`RecomputeCtx`],
+/// "Delta floors").
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ReceiverSummary {
+    /// Largest distance of the receiver's entries.
+    pub max_dist: Dist,
+    /// Smallest rank-column value of the receiver's entries (`u32::MAX`
+    /// when the store carries no rank column).
+    pub min_aux: u32,
+}
+
+impl ReceiverSummary {
+    /// The summary of `x`, or `None` when `x` is `⊥`. A poisoned (NaN)
+    /// distance sticks, so no rule can absorb into the receiver.
+    pub fn of(x: &DistanceSlice<'_>) -> Option<ReceiverSummary> {
+        let (&(_, first), rest) = x.entries.split_first()?;
+        let mut max_dist = first;
+        for &(_, d) in rest {
+            if d.value() > max_dist.value() || d.is_poisoned() {
+                max_dist = d;
+            }
+        }
+        let min_aux = x.ranks.iter().copied().min().unwrap_or(u32::MAX);
+        Some(ReceiverSummary { max_dist, min_aux })
+    }
+}
+
+/// The receiver summaries of the current states: `slots[v]` holds
+/// `v`'s iff its stamp is `gen`. The commit records the summary of every
+/// state it changes (the recompute phase takes it from the new span);
+/// an external rewrite drops it ([`ArenaEngine::mark_dirty`] one vertex,
+/// [`ArenaEngine::mark_all_dirty`] and [`ArenaEngine::prime`] all); the
+/// hop plan computes a missing one when it first needs it. So a summary
+/// is computed at most once per state, and the plan reads no pool spans
+/// for receivers the engine itself last wrote.
+#[derive(Clone, Debug, Default)]
+struct ReceiverTable {
+    slots: Vec<(u32, Option<ReceiverSummary>)>,
+    gen: u32,
+}
+
+impl ReceiverTable {
+    /// Sizes the table for `n` vertices, keeping it if already sized.
+    fn ensure_sized(&mut self, n: usize) {
+        if self.slots.len() != n {
+            self.slots.clear();
+            self.slots.resize(n, (0, None));
+            self.gen = 1;
+        }
+    }
+
+    /// Drops every summary.
+    fn forget_all(&mut self) {
+        self.gen = self.gen.wrapping_add(1);
+        if self.gen == 0 {
+            // The stamp wrapped: no old stamp may alias the new one.
+            self.slots.iter_mut().for_each(|s| s.0 = 0);
+            self.gen = 1;
+        }
+    }
+
+    /// Drops `v`'s summary: its state was rewritten outside the engine.
+    fn forget(&mut self, v: NodeId) {
+        if let Some(slot) = self.slots.get_mut(v as usize) {
+            slot.0 = 0;
+        }
+    }
+
+    fn set(&mut self, v: NodeId, summary: Option<ReceiverSummary>) {
+        self.slots[v as usize] = (self.gen, summary);
+    }
+
+    #[inline]
+    fn get(&self, v: NodeId) -> Option<Option<ReceiverSummary>> {
+        match self.slots.get(v as usize) {
+            Some(&(stamp, summary)) if stamp == self.gen => Some(summary),
+            _ => None,
+        }
+    }
+
+    /// `v`'s summary, computing it from `states` if it is missing.
+    /// Reads the raw span: planning consumes no `arena_span_read`
+    /// fault arrivals.
+    fn get_or_compute(&mut self, v: NodeId, states: &EpochStore) -> Option<ReceiverSummary> {
+        let slot = &mut self.slots[v as usize];
+        if slot.0 != self.gen {
+            *slot = (self.gen, ReceiverSummary::of(&states.get_raw(v)));
+        }
+        debug_assert_eq!(
+            slot.1,
+            ReceiverSummary::of(&states.get_raw(v)),
+            "stale summary of {v}"
+        );
+        slot.1
     }
 }
 
 /// The deltas of the states the engine changed in its last hop (see
 /// [`RecomputeCtx::incoming`]), back to back in one buffer. `slots[v]`
-/// is `(stamp, offset, len)`: `v`'s delta is `entries[offset..][..len]`
-/// iff `stamp == gen`.
+/// is `(stamp, offset, len, floor)`: `v`'s delta is
+/// `entries[offset..][..len]` with floor `floor` iff `stamp == gen`.
 #[derive(Clone, Debug, Default)]
 struct Handover {
     entries: Vec<(NodeId, Dist)>,
-    slots: Vec<(u32, u32, u32)>,
+    slots: Vec<(u32, u32, u32, DeltaFloor)>,
     gen: u32,
 }
 
@@ -308,7 +538,7 @@ impl Handover {
     fn ensure_sized(&mut self, n: usize) {
         if self.slots.len() != n {
             self.slots.clear();
-            self.slots.resize(n, (0, 0, 0));
+            self.slots.resize(n, (0, 0, 0, DeltaFloor::EMPTY));
         }
     }
 
@@ -319,16 +549,16 @@ impl Handover {
         }
     }
 
-    /// Records `v`'s delta as `entries[off..off + len]`.
-    fn set(&mut self, v: NodeId, off: u32, len: u32) {
-        self.slots[v as usize] = (self.gen, off, len);
+    /// Records `v`'s delta as `entries[off..off + len]` with `floor`.
+    fn set(&mut self, v: NodeId, off: u32, len: u32, floor: DeltaFloor) {
+        self.slots[v as usize] = (self.gen, off, len, floor);
     }
 
     #[inline]
-    fn delta(&self, v: NodeId) -> Option<&[(NodeId, Dist)]> {
+    fn delta(&self, v: NodeId) -> Option<(&[(NodeId, Dist)], DeltaFloor)> {
         match self.slots.get(v as usize) {
-            Some(&(stamp, off, len)) if stamp == self.gen => {
-                Some(&self.entries[off as usize..(off + len) as usize])
+            Some(&(stamp, off, len, floor)) if stamp == self.gen => {
+                Some((&self.entries[off as usize..(off + len) as usize], floor))
             }
             _ => None,
         }
@@ -441,14 +671,17 @@ struct Rec {
 
 /// One chunk's append region: the entry/rank columns the chunk's
 /// recomputations write (changed states only — unchanged output is
-/// truncated away immediately), the deltas of the changed states (for
-/// [`ArenaMbfAlgorithm::SEMI_NAIVE`] algorithms), plus the per-vertex
-/// records. Owned by the chunk slot and reused across hops.
+/// truncated away immediately), the deltas of the changed states with
+/// their floors and the new states' receiver summaries (for
+/// [`ArenaMbfAlgorithm::SEMI_NAIVE`] algorithms, in record order), plus
+/// the per-vertex records. Owned by the chunk slot and reused across
+/// hops.
 #[derive(Clone, Debug, Default)]
 struct ChunkBuf {
     entries: Vec<(NodeId, Dist)>,
     ranks: Vec<u32>,
     delta: Vec<(NodeId, Dist)>,
+    floors: Vec<(DeltaFloor, Option<ReceiverSummary>)>,
     recs: Vec<Rec>,
 }
 
@@ -471,6 +704,9 @@ pub struct ArenaEngine {
     /// Deltas of the states the last hop changed (see
     /// [`RecomputeCtx::incoming`]).
     handover: Handover,
+    /// Summaries of the current states as receivers (see
+    /// [`RecomputeCtx::receiver`]).
+    receivers: ReceiverTable,
 }
 
 impl Default for ArenaEngine {
@@ -488,6 +724,7 @@ impl ArenaEngine {
             changed: Vec::new(),
             taint: crate::engine::TaintTable::new(),
             handover: Handover::default(),
+            receivers: ReceiverTable::default(),
         }
     }
 
@@ -513,6 +750,7 @@ impl ArenaEngine {
         self.sched.mark_all_dirty(g);
         self.taint.reset(g.n());
         self.handover.clear();
+        self.receivers.forget_all();
     }
 
     /// Sizes the schedule and taint table for `g` with an **empty**
@@ -525,6 +763,7 @@ impl ArenaEngine {
         self.sched.ensure_sized(g);
         self.taint.ensure_sized(g.n());
         self.handover.clear();
+        self.receivers.forget_all();
     }
 
     /// See [`crate::engine::MbfEngine::mark_dirty`]. The seeded
@@ -539,12 +778,14 @@ impl ArenaEngine {
             self.mark_all_dirty(g);
             return;
         }
-        let (taint, handover) = (&mut self.taint, &mut self.handover);
+        let (taint, handover, receivers) =
+            (&mut self.taint, &mut self.handover, &mut self.receivers);
         self.sched.mark_dirty(
             g,
             vs.into_iter().inspect(|&v| {
                 taint.taint(v);
                 handover.forget(v);
+                receivers.forget(v);
             }),
         );
     }
@@ -566,7 +807,28 @@ impl ArenaEngine {
         if !self.sched.sized_for(n) {
             self.mark_all_dirty(g);
         }
-        self.sched.plan_hop(g);
+        // Semi-naive algorithms recompute only what some frontier
+        // neighbor hands them unabsorbed, or what was tainted (see
+        // `RecomputeCtx`, "Delta floors"); the others recompute the
+        // closed neighborhood of the frontier.
+        let (taint, handover, receivers) = (&self.taint, &self.handover, &mut self.receivers);
+        if A::SEMI_NAIVE {
+            receivers.ensure_sized(n);
+        }
+        self.sched.plan_hop(
+            g,
+            |w| !A::SEMI_NAIVE || taint.is_tainted(w),
+            |w, v, ew| {
+                if !A::SEMI_NAIVE {
+                    return true;
+                }
+                let Some((_, floor)) = handover.delta(w) else {
+                    return true; // a whole state
+                };
+                let s = alg.edge_coeff(v, w, ew * weight_scale).0;
+                !alg.absorbs(receivers.get_or_compute(v, store), floor, s)
+            },
+        );
         let touched: &[NodeId] = self.sched.touched();
         let chunks: &[std::ops::Range<usize>] = self.sched.chunks();
         let k = chunks.len();
@@ -584,6 +846,7 @@ impl ArenaEngine {
             sched: &self.sched,
             taint: &self.taint,
             handover: &self.handover,
+            receivers: &self.receivers,
         };
         self.chunk_bufs[..k]
             .par_iter_mut()
@@ -593,6 +856,7 @@ impl ArenaEngine {
                 buf.entries.clear();
                 buf.ranks.clear();
                 buf.delta.clear();
+                buf.floors.clear();
                 buf.recs.clear();
                 for p in chunks[ci].clone() {
                     let v = touched[p];
@@ -625,10 +889,21 @@ impl ArenaEngine {
                         buf.entries.truncate(start);
                         buf.ranks.truncate(start);
                     }
+                    let delta = &buf.delta[delta_start..];
+                    if A::SEMI_NAIVE && changed {
+                        let new = DistanceSlice {
+                            entries: &buf.entries[start..],
+                            ranks: buf.ranks.get(start..).unwrap_or_default(),
+                        };
+                        buf.floors.push((
+                            DeltaFloor::of(delta, |u| alg.entry_aux(u)),
+                            ReceiverSummary::of(&new),
+                        ));
+                    }
                     buf.recs.push(Rec {
                         off: start as u32,
                         len: if changed { len as u32 } else { 0 },
-                        delta_len: (buf.delta.len() - delta_start) as u32,
+                        delta_len: delta.len() as u32,
                         entries: r.entries,
                         relaxations: r.relaxations,
                         handover_entries: r.handover_entries,
@@ -670,16 +945,20 @@ impl ArenaEngine {
             let base = store.append_region(&buf.entries, &buf.ranks);
             let mut delta_off = self.handover.entries.len() as u32;
             self.handover.entries.extend_from_slice(&buf.delta);
+            let mut floors = buf.floors.iter();
             debug_assert_eq!(buf.recs.len(), chunks[ci].len());
             for (rec, p) in buf.recs.iter().zip(chunks[ci].clone()) {
                 entries += rec.entries;
                 relaxations += rec.relaxations;
                 handover_entries += rec.handover_entries;
                 if rec.changed {
-                    store.set_span(touched[p], base + rec.off, rec.len);
+                    let v = touched[p];
+                    store.set_span(v, base + rec.off, rec.len);
                     if A::SEMI_NAIVE {
-                        self.handover.set(touched[p], delta_off, rec.delta_len);
+                        let &(floor, summary) = floors.next().expect("one floor per changed state");
+                        self.handover.set(v, delta_off, rec.delta_len, floor);
                         delta_off += rec.delta_len;
+                        self.receivers.set(v, summary);
                     }
                     any_changed = true;
                 }
@@ -900,8 +1179,8 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
 /// [`crate::oracle::oracle_run_with_schedule`] on the arena backend:
 /// each level vector `y_λ` is an epoch-arena store (`O(Λ)` buffers
 /// total — no per-vertex maps). Bit-identical states, iteration counts,
-/// fixpoint flags, hops and touched vertices; the other counters are
-/// the arena engine's own.
+/// fixpoint flags and hops; the other counters are the arena engine's
+/// own (for semi-naive algorithms, touched vertices too).
 pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
     alg: &A,
     sim: &SimulatedGraph,
@@ -1026,7 +1305,8 @@ mod tests {
 
     /// One hop, checking the delta rule on its outcome: a vertex the hop
     /// changed is on the new frontier with delta `new \ old` (as
-    /// identical pairs); an unchanged vertex records none.
+    /// identical pairs) and that delta's floor; an unchanged vertex
+    /// records none.
     fn step_checking_deltas<A: ArenaMbfAlgorithm>(
         alg: &A,
         g: &Graph,
@@ -1039,6 +1319,10 @@ mod tests {
         for v in 0..g.n() as NodeId {
             let (o, n) = (old[v as usize].entries(), new[v as usize].entries());
             let delta = engine.handover.delta(v);
+            if let Some((entries, floor)) = delta {
+                assert_eq!(floor, DeltaFloor::of(entries, |u| alg.entry_aux(u)));
+            }
+            let delta = delta.map(|(entries, _)| entries);
             if o == n {
                 assert!(
                     !engine.sched.on_frontier(v),
@@ -1084,7 +1368,10 @@ mod tests {
         store.assign(v, alg.init(v).entries(), |u| alg.entry_aux(u));
         engine.mark_dirty(&g, [v]);
         store.compact();
-        assert_eq!(engine.handover.delta(v), None, "seeded {v} kept its delta");
+        assert!(
+            engine.handover.delta(v).is_none(),
+            "seeded {v} kept its delta"
+        );
         assert!(residual[1..]
             .iter()
             .all(|&w| engine.handover.delta(w).is_some()));

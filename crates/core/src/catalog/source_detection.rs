@@ -5,7 +5,7 @@
 //! lexicographically smallest pairs `(dist^h(v, s), s)` over sources
 //! `s ∈ S` with `dist(v, s) ≤ d`.
 
-use crate::arena::{with_arena_acc, ArenaMbfAlgorithm, RecomputeCtx, SpanRecompute};
+use crate::arena::{with_arena_acc, ArenaMbfAlgorithm, Incoming, RecomputeCtx, SpanRecompute};
 use crate::dense::DenseMbfAlgorithm;
 use crate::engine::MbfAlgorithm;
 use mte_algebra::store::{EpochStore, SpanOut};
@@ -237,7 +237,10 @@ impl ArenaMbfAlgorithm for SourceDetection {
             let mut relaxations = 0u64;
             let mut handover_entries = 0u64;
             for &(w, ew) in g.neighbors(v) {
-                let Some(incoming) = ctx.incoming(full, w, states) else {
+                let Some(Incoming {
+                    entries: incoming, ..
+                }) = ctx.incoming(full, w, states)
+                else {
                     continue; // already absorbed: provably an identity
                 };
                 let coeff = self.edge_coeff(v, w, ew * weight_scale);

@@ -255,7 +255,7 @@ where
             alloc_count = 1;
         }
 
-        self.sched.plan_hop(g);
+        self.sched.plan_hop(g, |_| true, |_, _, _| true);
         let touched: &[NodeId] = self.sched.touched();
         let chunks: &[std::ops::Range<usize>] = self.sched.chunks();
 

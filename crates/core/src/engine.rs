@@ -461,32 +461,37 @@ impl FrontierSchedule {
         }
     }
 
-    /// Gathers the recompute list — all of `V` when the frontier is all
-    /// of `V`, else the closed neighborhood of the frontier — into
-    /// `self.touched`, sorted ascending, cut into degree-balanced chunks.
-    pub(crate) fn plan_hop(&mut self, g: &Graph) {
-        let n = g.n();
+    /// Gathers the recompute list into `self.touched`, sorted ascending,
+    /// cut into degree-balanced chunks: every frontier vertex `w` with
+    /// `keep(w)`, and every neighbor `v` of a frontier vertex `w` with
+    /// `hands(w, v, ω(w, v))` — `w` hands `v` something `v` must read.
+    /// The owned and dense engines pass "always" for both, which gathers
+    /// the closed neighborhood of the frontier (all of `V` when the
+    /// frontier is all of `V`); the arena engine narrows it for
+    /// semi-naive algorithms (see [`crate::arena::RecomputeCtx`]).
+    pub(crate) fn plan_hop(
+        &mut self,
+        g: &Graph,
+        keep: impl Fn(NodeId) -> bool,
+        mut hands: impl FnMut(NodeId, NodeId, f64) -> bool,
+    ) {
         self.touched.clear();
-        if self.frontier.len() == n {
-            self.touched.extend(0..n as NodeId);
-        } else {
-            let gen = bump_generation(&mut self.touched_gen, &mut self.touched_mark);
-            for &v in &self.frontier {
-                if self.touched_mark[v as usize] != gen {
+        let gen = bump_generation(&mut self.touched_gen, &mut self.touched_mark);
+        for &w in &self.frontier {
+            if self.touched_mark[w as usize] != gen && keep(w) {
+                self.touched_mark[w as usize] = gen;
+                self.touched.push(w);
+            }
+            for &(v, ew) in g.neighbors(w) {
+                if self.touched_mark[v as usize] != gen && hands(w, v, ew) {
                     self.touched_mark[v as usize] = gen;
                     self.touched.push(v);
                 }
-                for &(w, _) in g.neighbors(v) {
-                    if self.touched_mark[w as usize] != gen {
-                        self.touched_mark[w as usize] = gen;
-                        self.touched.push(w);
-                    }
-                }
             }
-            // Deterministic schedule: the list is a pure function of the
-            // frontier *set*, not of gathering order.
-            self.touched.sort_unstable();
         }
+        // Deterministic schedule: the list is a pure function of the
+        // frontier *set*, not of gathering order.
+        self.touched.sort_unstable();
 
         // Chunk by cumulative degree (prefix sum over deg(v) + 1): a
         // skewed frontier — a few hubs plus many leaves — still splits
@@ -660,7 +665,7 @@ impl<A: MbfAlgorithm> MbfEngine<A> {
             alloc_count = n as u64;
         }
 
-        self.sched.plan_hop(g);
+        self.sched.plan_hop(g, |_| true, |_, _, _| true);
         let touched: &[NodeId] = self.sched.touched();
         let chunks: &[std::ops::Range<usize>] = self.sched.chunks();
 

@@ -25,8 +25,8 @@
 //! differential-tested by the equivalence suite.
 
 use crate::arena::{
-    oracle_run_arena_with_schedule, with_arena_acc, ArenaBackend, ArenaMbfAlgorithm, RecomputeCtx,
-    SpanRecompute,
+    oracle_run_arena_with_schedule, with_arena_acc, ArenaBackend, ArenaMbfAlgorithm, DeltaFloor,
+    Incoming, ReceiverSummary, RecomputeCtx, SpanRecompute,
 };
 use crate::engine::MbfAlgorithm;
 use crate::oracle::default_iteration_cap;
@@ -429,10 +429,27 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
         self.ranks.rank(node)
     }
 
+    /// A non-empty receiver with largest distance `D` and smallest rank
+    /// `R` absorbs a delta iff `fl(floor.dist + s) ≥ D` and
+    /// `floor.aux ≥ R`: each incoming entry then lies at distance
+    /// `≥ D`, so the receiver's minimum-rank entry dominates it or it
+    /// is that entry's echo (the proof is in [`RecomputeCtx`], "Delta
+    /// floors"). An empty delta is always absorbed. The comparisons are
+    /// on raw `f64`s, so a poisoned (NaN) side never absorbs.
+    #[inline]
+    fn absorbs(&self, receiver: Option<ReceiverSummary>, floor: DeltaFloor, s: Dist) -> bool {
+        if floor == DeltaFloor::EMPTY {
+            return true;
+        }
+        receiver.is_some_and(|r| {
+            (floor.dist + s).value() >= r.max_dist.value() && floor.aux >= r.min_aux
+        })
+    }
+
     /// The arena twin of the rank-pruned [`MbfAlgorithm::recompute_into`]
     /// override: identical echo rejection, domination probe, and
     /// gather-once/merge-once pass, reading base and neighbor states as
-    /// borrowed spans. Four arena-specific wins:
+    /// borrowed spans. Five arena-specific wins:
     ///
     /// * **semi-naive handover** — clean neighbors are skipped outright
     ///   and dirty ones hand over only the entries their last change
@@ -441,6 +458,9 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
     ///   entry stays dominated because its dominator chain persists by
     ///   transitivity), so an already-absorbed entry is an echo or
     ///   dominated: provably an identity;
+    /// * **delta floors** — a delta the receiver absorbs as a whole
+    ///   ([`ArenaMbfAlgorithm::absorbs`]) is skipped before any of its
+    ///   entries is read, like a clean neighbor;
     /// * the echo test is one lookup in a node-indexed table of the base
     ///   list (a per-thread `EchoTable`), not a search — with deltas of
     ///   one or two entries, the search was most of an examination's
@@ -472,14 +492,26 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
             let mut probe_ready = false;
             // So is the echo table, on the first incoming entry.
             let mut echo_ready = false;
+            // The receiver summary, on the first delta.
+            let mut receiver = None;
             gather.clear();
             for &(w, ew) in g.neighbors(v) {
-                let Some(incoming) = ctx.incoming(full, w, states) else {
+                let Some(Incoming {
+                    entries: incoming,
+                    floor,
+                }) = ctx.incoming(full, w, states)
+                else {
                     continue; // already absorbed: provably an identity
                 };
                 let coeff = self.edge_coeff(v, w, ew * weight_scale);
-                relaxations += 1;
                 let s = coeff.0;
+                if let Some(floor) = floor {
+                    let receiver = *receiver.get_or_insert_with(|| ctx.receiver(v, &base));
+                    if self.absorbs(receiver, floor, s) {
+                        continue; // absorbed as a whole: provably an identity
+                    }
+                }
+                relaxations += 1;
                 if !s.is_finite() {
                     continue; // ∞ ⊙ x = ⊥ (Equation (2.2))
                 }

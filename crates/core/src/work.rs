@@ -33,20 +33,29 @@ pub struct WorkStats {
     /// [`MbfAlgorithm::recompute_into`](crate::engine::MbfAlgorithm::recompute_into))
     /// count only the entries **admitted** into aggregation — a pruned
     /// entry costs one `O(log |x|)` domination probe, not a merge, a
-    /// sort, and a filter pass, so it is examined but not processed.
+    /// sort, and a filter pass, so it is examined but not processed. A
+    /// recomputation the arena's delta floors skip costs nothing.
     pub entries_processed: u64,
     /// Edge relaxations (semiring `⊙` applications attributed to edges).
+    /// Neighbors a recomputation skips unread (clean, or handing over a
+    /// delta the receiver absorbs) cost none.
     pub edge_relaxations: u64,
     /// Neighbor-state entries the arena backend's recomputations read:
     /// the volume dirty neighbors handed over. Under the semi-naive
     /// handover ([`crate::arena::RecomputeCtx::incoming`]) a dirty
     /// neighbor hands over only the entries its last change added, so
     /// this counts examined entries while `entries_processed` counts
-    /// admitted ones. 0 for the other backends.
+    /// admitted ones; a delta the receiver absorbs as a whole (its
+    /// floor, see [`crate::arena::RecomputeCtx`]) is never read and
+    /// never counted. 0 for the other backends.
     pub handover_entries: u64,
     /// Vertices whose state was recomputed across all rounds. Dense
     /// sweeps recompute `n` per round; the frontier engine only the
-    /// closed neighborhood of the previous hop's changes.
+    /// closed neighborhood of the previous hop's changes. The arena
+    /// backend's semi-naive algorithms (the LE lists) skip, and do not
+    /// count, the recomputations their delta floors prove idle, so
+    /// their `touched_vertices`, `entries_processed` and
+    /// `edge_relaxations` sit below the owned backend's.
     pub touched_vertices: u64,
     /// Bytes of state entries written into the state store. The owned
     /// (`Vec<M>`) backend rewrites every *touched* vertex's state

@@ -278,12 +278,16 @@ mod tests {
         assert_eq!(g.max_weight(), 4.0);
     }
 
+    // `from_edges` checks its invariants with debug assertions only;
+    // `try_from_edges_reports_first_violation` covers release builds.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn loops_rejected() {
         let _ = Graph::from_edges(2, vec![(1, 1, 1.0)]);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic]
     fn nonpositive_weight_rejected() {

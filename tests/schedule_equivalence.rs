@@ -15,7 +15,7 @@ use metric_tree_embedding::algebra::store::{EpochStore, SpanOut};
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::{
     initial_store, oracle_run_arena_with_schedule, ArenaBackend, ArenaEngine, ArenaMbfAlgorithm,
-    RecomputeCtx, SpanRecompute,
+    DeltaFloor, ReceiverSummary, RecomputeCtx, SpanRecompute,
 };
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
 use metric_tree_embedding::core::dense::{oracle_run_dense_with_schedule, DenseBackend};
@@ -29,7 +29,7 @@ use metric_tree_embedding::core::work::WorkStats;
 use metric_tree_embedding::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// [`LeListAlgorithm`] stripped of its `recompute_into` override: the
@@ -336,7 +336,7 @@ fn carry_over_lanes_equal_reference(
         oracle_run_arena_with_schedule(le, sim, cap, true)
     });
     assert_oracle_runs_agree(&arena, &reference, "le/arena");
-    assert_lanes_agree(&owned, &arena, "le");
+    assert_le_lanes_agree(&owned, &arena, "le");
 
     let apsp_reference = oracle_run_with_schedule(apsp, sim, cap, false);
     let dense = thread_invariant("apsp/dense", || {
@@ -377,10 +377,11 @@ fn oracle_idle_levels_skip_bit_identically() {
         "le/reference: hops, touched_vertices"
     );
     // Without the skip: 846 hops, 29,261 touched, 160,134 entries
-    // (566 / 20,796 / 118,561 with the skip but without kept relays).
+    // (566 / 20,796 / 118,561 with the skip but without kept relays;
+    // 557 / 20,608 / 116,677 without the delta floors).
     assert_eq!(
         work_pin(&arena),
-        (557, 20_608, 116_677),
+        (557, 14_985, 91_022),
         "le/arena: hops, touched_vertices, entries_processed"
     );
 }
@@ -396,10 +397,11 @@ fn oracle_settled_levels_keep_relays_bit_identically() {
     // so every round after the priming one keeps the relays.
     let (g, sim) = oracle_fixture();
     let (_, arena) = carry_over_lanes_equal_reference(&g, &sim, 0x53F1);
-    // Resetting the relays: 305 hops, 28,602 touched, 206,005 entries.
+    // Resetting the relays: 305 hops, 28,602 touched, 206,005 entries
+    // (258 / 19,744 / 130,683 keeping them, without the delta floors).
     assert_eq!(
         work_pin(&arena),
-        (258, 19_744, 130_683),
+        (258, 14_180, 108_995),
         "le/arena: hops, touched_vertices, entries_processed"
     );
 }
@@ -449,10 +451,13 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
 // Storage backends: the epoch-arena engine/oracle must be bit-identical
 // to the owned-Vec reference — states, iteration counts, fixpoint
 // flags, and the model-level schedule counters (only the storage
-// counters may differ between backends).
+// counters may differ between backends, and for the semi-naive LE
+// lists the delta floors may only lower the schedule counters).
 // ---------------------------------------------------------------------
 
-fn assert_backends_agree<A>(alg: &A, g: &Graph, label: &str)
+/// The arena run of `alg` against the literal loop and the owned run;
+/// returns the arena run's work for the caller's pins.
+fn assert_backends_agree<A>(alg: &A, g: &Graph, label: &str) -> WorkStats
 where
     A: ArenaMbfAlgorithm,
 {
@@ -467,29 +472,69 @@ where
     assert_eq!(literal.iterations, arena.iterations, "{label}");
     assert_eq!(literal.fixpoint, arena.fixpoint, "{label}");
     // Absorption-stable skipping never changes which entries are
-    // admitted — only how many merges run — so `entries_processed`
-    // matches the owned backend exactly while relaxations may only
-    // shrink.
-    assert_eq!(
-        owned.work.entries_processed, arena.work.entries_processed,
-        "{label}"
-    );
+    // admitted — only how many merges run — so relaxations may only
+    // shrink. Without the semi-naive handover the arena recomputes the
+    // owned schedule; with it, the delta floors drop recomputations
+    // that would admit nothing, so those counters may only shrink too.
     assert!(
         arena.work.edge_relaxations <= owned.work.edge_relaxations,
         "{label}: arena relaxed more edges than owned"
     );
-    assert_eq!(owned.work.touched_vertices, arena.work.touched_vertices);
+    if A::SEMI_NAIVE {
+        assert_narrowed_work(&owned.work, &arena.work, label);
+    } else {
+        assert_eq!(
+            owned.work.entries_processed, arena.work.entries_processed,
+            "{label}"
+        );
+        assert_eq!(owned.work.touched_vertices, arena.work.touched_vertices);
+    }
+    arena.work
+}
+
+/// `narrowed` recomputed no more vertices, processed no more entries and
+/// relaxed no more edges than `reference`.
+fn assert_narrowed_work(reference: &WorkStats, narrowed: &WorkStats, label: &str) {
+    for (name, want, got) in [
+        (
+            "touched_vertices",
+            reference.touched_vertices,
+            narrowed.touched_vertices,
+        ),
+        (
+            "entries_processed",
+            reference.entries_processed,
+            narrowed.entries_processed,
+        ),
+        (
+            "edge_relaxations",
+            reference.edge_relaxations,
+            narrowed.edge_relaxations,
+        ),
+    ] {
+        assert!(got <= want, "{label}: {name} {got} > reference {want}");
+    }
+}
+
+/// `(touched_vertices, entries_processed)` of a run's work.
+fn touched_entries(work: &WorkStats) -> (u64, u64) {
+    (work.touched_vertices, work.entries_processed)
 }
 
 #[test]
 fn arena_engine_bit_identical_to_owned_reference() {
-    for (name, g) in workload_graphs() {
+    // The arena LE runs' `(touched_vertices, entries_processed)`; the
+    // owned runs (and the arena before the delta floors) read
+    // gnm (381, 2_031), grid (520, 2_289), path (623, 2_483).
+    let le_pins = [(259, 1_452), (276, 1_301), (241, 924)];
+    for ((name, g), pin) in workload_graphs().into_iter().zip(le_pins) {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E9)));
-        assert_backends_agree(
+        let le = assert_backends_agree(
             &LeListAlgorithm::new(Arc::clone(&ranks)),
             &g,
             &format!("{name}/le"),
         );
+        assert_eq!(touched_entries(&le), pin, "{name}/le: touched, entries");
         assert_backends_agree(
             &SourceDetection::k_ssp(g.n(), 4),
             &g,
@@ -541,14 +586,35 @@ fn assert_lanes_agree<M: PartialEq + std::fmt::Debug>(
     b: &OracleRun<M>,
     label: &str,
 ) {
-    assert_eq!(a.states, b.states, "{label}: lanes diverged");
-    assert_eq!(a.h_iterations, b.h_iterations, "{label}");
-    assert_eq!(a.fixpoint, b.fixpoint, "{label}");
-    assert_eq!(a.work.iterations, b.work.iterations, "{label}: hops");
+    assert_same_rounds(a, b, label);
     assert_eq!(
         a.work.touched_vertices, b.work.touched_vertices,
         "{label}: touched_vertices"
     );
+}
+
+/// Equal states, round counts, fixpoint flags and hop counts.
+fn assert_same_rounds<M: PartialEq + std::fmt::Debug>(
+    a: &OracleRun<M>,
+    b: &OracleRun<M>,
+    label: &str,
+) {
+    assert_eq!(a.states, b.states, "{label}: lanes diverged");
+    assert_eq!(a.h_iterations, b.h_iterations, "{label}");
+    assert_eq!(a.fixpoint, b.fixpoint, "{label}");
+    assert_eq!(a.work.iterations, b.work.iterations, "{label}: hops");
+}
+
+/// The arena LE lane against the owned one: the same rounds and hops,
+/// while the delta floors only drop recomputations that would admit
+/// nothing (see `assert_narrowed_work`).
+fn assert_le_lanes_agree(
+    owned: &OracleRun<DistanceMap>,
+    arena: &OracleRun<DistanceMap>,
+    label: &str,
+) {
+    assert_same_rounds(owned, arena, label);
+    assert_narrowed_work(&owned.work, &arena.work, label);
 }
 
 /// Runs `f` under pools of 1 and 4 threads and asserts the two runs are
@@ -573,7 +639,11 @@ fn arena_oracle_bit_identical_to_owned_oracle() {
     let le = LeListAlgorithm::new(Arc::clone(&ranks));
     let kssp = SourceDetection::k_ssp(g.n(), 5);
     let (le, kssp, sim) = (&le, &kssp, &sim);
-    for carry_over in [true, false] {
+    // The arena LE lane's `(touched_vertices, entries_processed)` with
+    // carry-over on and off; the owned lane (and the arena lane before
+    // the delta floors) read (21_019, 124_972) and (41_264, 301_391).
+    let le_pins = [(true, (13_206, 86_698)), (false, (34_262, 270_575))];
+    for (carry_over, pin) in le_pins {
         let label = format!("oracle/carry={carry_over}");
         let owned = thread_invariant(&format!("{label}/owned"), || {
             oracle_run_with_schedule(le, sim, cap, carry_over)
@@ -581,13 +651,15 @@ fn arena_oracle_bit_identical_to_owned_oracle() {
         let arena = thread_invariant(&format!("{label}/arena"), || {
             oracle_run_arena_with_schedule(le, sim, cap, carry_over)
         });
-        assert_lanes_agree(&owned, &arena, &label);
         // The semi-naive handover reads deltas, never a different
-        // admitted set: the paper's work counter must match the
-        // owned oracle exactly.
+        // admitted set, and the delta floors drop only recomputations
+        // that admit nothing: the arena lane's work counters never
+        // exceed the owned lane's.
+        assert_le_lanes_agree(&owned, &arena, &label);
         assert_eq!(
-            owned.work.entries_processed, arena.work.entries_processed,
-            "{label}: entries_processed"
+            touched_entries(&arena.work),
+            pin,
+            "{label}: touched, entries"
         );
 
         let label = format!("{label}/kssp");
@@ -603,7 +675,9 @@ fn arena_oracle_bit_identical_to_owned_oracle() {
 
 // ---------------------------------------------------------------------
 // Semi-naive handover: a dirty neighbor handing over only its delta must
-// admit exactly what the full handover admits.
+// admit exactly what the full handover admits, and a delta the receiver
+// absorbs as a whole (its floor) must hold nothing the per-entry test
+// would admit.
 // ---------------------------------------------------------------------
 
 /// An arena algorithm with the semi-naive handover turned off: the
@@ -653,13 +727,17 @@ impl<A: ArenaMbfAlgorithm> ArenaMbfAlgorithm for FullHandover<A> {
     }
 }
 
-/// Everything but the handover volume must match, and the delta
-/// handover must read strictly fewer neighbor entries.
+/// States, iteration counts and the storage traffic must match; the
+/// delta handover must read strictly fewer neighbor entries, and its
+/// delta floors may only drop recomputations (touched vertices, entries
+/// processed and relaxations never exceed the full handover's). Returns
+/// the semi-naive run's `(touched_vertices, entries_processed)` for the
+/// caller's pins.
 fn assert_same_but_smaller_handover(
     semi: (&[DistanceMap], usize, WorkStats),
     full: (&[DistanceMap], usize, WorkStats),
     label: &str,
-) {
+) -> (u64, u64) {
     assert_eq!(semi.0, full.0, "{label}: states diverged");
     assert_eq!(semi.1, full.1, "{label}: iteration counts diverged");
     assert!(
@@ -668,16 +746,20 @@ fn assert_same_but_smaller_handover(
         semi.2.handover_entries,
         full.2.handover_entries
     );
-    let strip = |w: WorkStats| WorkStats {
-        handover_entries: 0,
-        ..w
-    };
-    assert_eq!(strip(semi.2), strip(full.2), "{label}: work diverged");
+    assert_eq!(semi.2.iterations, full.2.iterations, "{label}: hops");
+    assert_eq!(semi.2.bytes_copied, full.2.bytes_copied, "{label}: bytes");
+    assert_eq!(semi.2.arena_bytes, full.2.arena_bytes, "{label}: arena");
+    assert_narrowed_work(&full.2, &semi.2, label);
+    touched_entries(&semi.2)
 }
 
 #[test]
 fn semi_naive_handover_admits_exactly_what_the_full_handover_admits() {
-    for (name, g) in workload_graphs() {
+    // The semi-naive runs' `(touched_vertices, entries_processed)`; the
+    // full handover (and the semi-naive run before the delta floors)
+    // read gnm (382, 1_932), grid (527, 2_323), path (525, 1_901).
+    let engine_pins = [(253, 1_366), (291, 1_341), (211, 736)];
+    for ((name, g), pin) in workload_graphs().into_iter().zip(engine_pins) {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F0)));
         let le = LeListAlgorithm::new(Arc::clone(&ranks));
         for threads in [1, 4] {
@@ -689,30 +771,141 @@ fn semi_naive_handover_admits_exactly_what_the_full_handover_admits() {
                     run_to_fixpoint_on(ArenaBackend::new(), &FullHandover(le.clone()), g, cap),
                 )
             });
-            assert_same_but_smaller_handover(
+            let got = assert_same_but_smaller_handover(
                 (&semi.states, semi.iterations, semi.work),
                 (&full.states, full.iterations, full.work),
                 &format!("{name}/le/t={threads}"),
             );
+            assert_eq!(got, pin, "{name}/le/t={threads}: touched, entries");
         }
     }
 
     // The oracle: projection rewrites between rounds hand over whole
     // states, residual frontiers carry their deltas into the next round.
+    // Pins as above, with carry-over on and off; the full handover read
+    // (19_744, 130_683) and (39_221, 319_310).
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F1)));
     let le = LeListAlgorithm::new(ranks);
-    for carry_over in [true, false] {
+    for (carry_over, pin) in [(true, (14_180, 108_995)), (false, (32_178, 289_291))] {
         let semi = oracle_run_arena_with_schedule(&le, &sim, cap, carry_over);
         let full = oracle_run_arena_with_schedule(&FullHandover(le.clone()), &sim, cap, carry_over);
         assert_eq!(semi.fixpoint, full.fixpoint);
-        assert_same_but_smaller_handover(
+        let got = assert_same_but_smaller_handover(
             (&semi.states, semi.h_iterations, semi.work),
             (&full.states, full.h_iterations, full.work),
             &format!("oracle/carry={carry_over}"),
         );
+        assert_eq!(got, pin, "oracle/carry={carry_over}: touched, entries");
     }
+}
+
+/// A random distance map of `len` draws over nodes `0..n`, distances on
+/// a half-unit grid below `span / 2`.
+fn random_map(rng: &mut StdRng, n: usize, len: usize, span: u32) -> DistanceMap {
+    (0..len)
+        .map(|_| {
+            let u = rng.gen_range(0..n as NodeId);
+            (u, Dist::new(f64::from(rng.gen_range(0..span)) / 2.0))
+        })
+        .collect()
+}
+
+/// One random instance of the absorption rule, checked: node 0 holds an
+/// LE-filtered receiver state and node 1 hands it a random delta over
+/// the edge `{0, 1}` of random weight `s`. The half-unit grid makes the
+/// rule's boundaries (`fl(floor.dist + s) = D`, `floor.aux = R`) common.
+/// If the rule absorbs the delta, every entry must be rejected: by the
+/// LE definition (an echo or dominated), by the owned recompute's
+/// per-entry test (nothing admitted), and by the arena's (a hop that
+/// hands node 0 the delta unfiltered leaves its state alone). Returns
+/// whether the rule absorbed a non-empty delta, and whether it did so
+/// at the distance and at the rank boundary.
+fn check_absorption(seed: u64) -> (bool, bool, bool) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = rng.gen_range(2..10usize);
+    let le = LeListAlgorithm::new(Arc::new(Ranks::sample(n, &mut rng)));
+    let len = rng.gen_range(0..6);
+    let mut receiver = random_map(&mut rng, n, len, 12);
+    le.filter(&mut receiver);
+    let len = rng.gen_range(0..4);
+    let delta = random_map(&mut rng, n, len, 16);
+    let s = Dist::new(f64::from(rng.gen_range(1..9u32)) / 2.0);
+
+    let mut states = vec![DistanceMap::new(); n];
+    states[0] = receiver.clone();
+    states[1] = delta.clone();
+    let mut store = initial_store(&le, n);
+    store.import(&states, |u| le.entry_aux(u));
+    let summary = ReceiverSummary::of(&store.get_raw(0));
+    let floor = DeltaFloor::of(delta.entries(), |u| le.entry_aux(u));
+    if !le.absorbs(summary, floor, s) {
+        return (false, false, false);
+    }
+
+    for (u, du) in delta.iter() {
+        let d = du + s;
+        let echo = receiver.get(u) <= d;
+        let dominated = receiver
+            .iter()
+            .any(|(b, db)| le.entry_aux(b) < le.entry_aux(u) && db <= d);
+        assert!(echo || dominated, "seed {seed}: ({u}, {d:?}) is admissible");
+    }
+    let g = Graph::from_edges(n, [(0, 1, s.value())]);
+    let mut out = DistanceMap::new();
+    let (entries, _) = le.recompute_into(0, &g, 1.0, &states, &mut out);
+    assert_eq!(
+        entries,
+        receiver.len().max(1) as u64,
+        "seed {seed}: admitted"
+    );
+    assert_eq!(out, receiver, "seed {seed}: owned recompute moved");
+    // Node 1's delta is forgotten, so node 0 reads all of it entry by
+    // entry.
+    let mut engine = ArenaEngine::new();
+    engine.prime(&g);
+    engine.mark_dirty(&g, [1]);
+    engine.step(&le, &g, &mut store, 1.0);
+    assert_eq!(store.export()[0], receiver, "seed {seed}: arena hop moved");
+
+    match summary {
+        Some(r) if !delta.is_empty() => (
+            true,
+            (floor.dist + s).value() == r.max_dist.value(),
+            floor.aux == r.min_aux,
+        ),
+        _ => (false, false, false),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A delta the LE absorption rule absorbs holds no entry the
+    /// per-entry echo/domination test would admit.
+    #[test]
+    fn delta_floor_absorption_rejects_every_entry(seed in any::<u64>()) {
+        check_absorption(seed);
+    }
+}
+
+/// The property above is not vacuous: on a fixed seed range the rule
+/// absorbs, and it does so at both of its boundaries (745, 53 and 307
+/// of 2,000 seeds).
+#[test]
+fn delta_floor_absorption_hits_both_boundaries() {
+    let (mut absorbed, mut at_dist, mut at_rank) = (0, 0, 0);
+    for seed in 0..2_000 {
+        let (a, d, r) = check_absorption(seed);
+        absorbed += usize::from(a);
+        at_dist += usize::from(d);
+        at_rank += usize::from(r);
+    }
+    assert!(
+        absorbed >= 500 && at_dist >= 25 && at_rank >= 150,
+        "absorbed {absorbed}, at the distance boundary {at_dist}, at the rank boundary {at_rank}"
+    );
 }
 
 // ---------------------------------------------------------------------
