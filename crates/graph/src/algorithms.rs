@@ -3,6 +3,30 @@
 //!
 //! These are the ground truth the MBF-like framework is tested against,
 //! and the building blocks of the hop-set and spanner substrates.
+//!
+//! # The Dijkstra kernel
+//!
+//! [`sssp`], [`multi_source_dijkstra`], [`apsp`] and the hop set's
+//! per-hub searches all run one kernel, `DijkstraRun`: an indexed 4-ary
+//! min-heap keyed by `(dist, node)` with decrease-key.
+//!
+//! **Why its outputs are bit-identical to the textbook lazy-deletion
+//! `BinaryHeap<Reverse<(Dist, NodeId)>>` loop** (kept verbatim in the test
+//! module as the reference). With positive weights, `d + w ≥ d` in
+//! floating point, so a settled node is never improved again: each node
+//! is settled exactly once, and the lazy heap's live entries are exactly
+//! one `(dist[v], v)` per reached, unsettled node (stale entries carry a
+//! larger `d` and are skipped). Both heaps therefore pop the minimum
+//! `(dist[v], v)` over the same set at every step. Keys are unique, so
+//! the heap's shape cannot break ties differently. Same settle order,
+//! same relaxations in the same order, same strict `<` test: `dist` and
+//! `pred` come out bit-identical, and so does the multi-source
+//! `nearest` label, which is a function of the `pred` tree.
+//!
+//! Each run owns its buffers and frees them when it ends: per-thread
+//! buffers kept alive between runs measured no faster on the hop set
+//! (the search, not its allocation, dominates), and they would pin
+//! heap memory for the rest of the process.
 
 use crate::graph::Graph;
 use mte_algebra::{Dist, NodeId};
@@ -54,30 +78,145 @@ impl ShortestPaths {
     }
 }
 
-/// Dijkstra's algorithm from `s`: exact distances `dist(s, ·, G)`.
-pub fn sssp(g: &Graph, s: NodeId) -> ShortestPaths {
-    let n = g.n();
-    let mut dist = vec![Dist::INF; n];
-    let mut pred = vec![s; n];
-    let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
-    dist[s as usize] = Dist::ZERO;
-    heap.push(Reverse((Dist::ZERO, s)));
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        for &(w, ew) in g.neighbors(v) {
-            let nd = d + Dist::new(ew);
-            if nd < dist[w as usize] {
-                dist[w as usize] = nd;
-                pred[w as usize] = v;
-                heap.push(Reverse((nd, w)));
+/// Heap slot of a node that is not queued: never reached, or already
+/// settled.
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// One finished run of the Dijkstra kernel (see the module docs).
+pub(crate) struct DijkstraRun {
+    dist: Vec<Dist>,
+    /// The node that last improved each reached node (a source is its
+    /// own predecessor); `NodeId::MAX` for unreached nodes.
+    pred: Vec<NodeId>,
+    /// Heap slot of each queued node, [`NOT_QUEUED`] otherwise.
+    pos: Vec<u32>,
+    /// 4-ary min-heap of `(dist, node)` keys.
+    heap: Vec<(Dist, NodeId)>,
+    /// Reached nodes in settle order (increasing `(dist, node)`).
+    settled: Vec<NodeId>,
+}
+
+/// Strict `(dist, node)` order of heap keys.
+#[inline]
+fn key_less(a: (Dist, NodeId), b: (Dist, NodeId)) -> bool {
+    let (da, db) = (a.0.value(), b.0.value());
+    da < db || (da == db && a.1 < b.1)
+}
+
+impl DijkstraRun {
+    /// Dijkstra on `g` from every node of `sources` at distance 0.
+    pub(crate) fn new(g: &Graph, sources: &[NodeId]) -> DijkstraRun {
+        let n = g.n();
+        let mut run = DijkstraRun {
+            dist: vec![Dist::INF; n],
+            pred: vec![NodeId::MAX; n],
+            pos: vec![NOT_QUEUED; n],
+            heap: Vec::new(),
+            settled: Vec::with_capacity(n),
+        };
+        for &s in sources {
+            if run.pred[s as usize] == NodeId::MAX {
+                run.dist[s as usize] = Dist::ZERO;
+                run.pred[s as usize] = s;
+                run.push(s);
             }
         }
+        while let Some((d, v)) = run.pop() {
+            run.settled.push(v);
+            for &(w, ew) in g.neighbors(v) {
+                let nd = d + Dist::new(ew);
+                if nd < run.dist[w as usize] {
+                    run.dist[w as usize] = nd;
+                    run.pred[w as usize] = v;
+                    match run.pos[w as usize] {
+                        NOT_QUEUED => run.push(w),
+                        slot => run.sift_up(slot as usize),
+                    }
+                }
+            }
+        }
+        run
     }
+
+    /// Distance of `v` from the nearest source (`∞` if unreached).
+    #[inline]
+    pub(crate) fn dist(&self, v: NodeId) -> Dist {
+        self.dist[v as usize]
+    }
+
+    fn push(&mut self, v: NodeId) {
+        self.heap.push((self.dist[v as usize], v));
+        self.sift_up(self.heap.len() - 1);
+    }
+
+    fn pop(&mut self) -> Option<(Dist, NodeId)> {
+        let top = *self.heap.first()?;
+        self.pos[top.1 as usize] = NOT_QUEUED;
+        let last = self.heap.pop().expect("heap is non-empty");
+        if !self.heap.is_empty() {
+            self.heap[0] = last;
+            self.sift_down(0);
+        }
+        Some(top)
+    }
+
+    /// Moves the node at `slot` up after its distance decreased (or it
+    /// was appended), refreshing its key from `dist`.
+    fn sift_up(&mut self, mut slot: usize) {
+        let v = self.heap[slot].1;
+        let item = (self.dist[v as usize], v);
+        while slot > 0 {
+            let parent = (slot - 1) / 4;
+            let p = self.heap[parent];
+            if !key_less(item, p) {
+                break;
+            }
+            self.heap[slot] = p;
+            self.pos[p.1 as usize] = slot as u32;
+            slot = parent;
+        }
+        self.heap[slot] = item;
+        self.pos[v as usize] = slot as u32;
+    }
+
+    fn sift_down(&mut self, mut slot: usize) {
+        let item = self.heap[slot];
+        let len = self.heap.len();
+        loop {
+            let first = 4 * slot + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            for c in first + 1..(first + 4).min(len) {
+                if key_less(self.heap[c], self.heap[best]) {
+                    best = c;
+                }
+            }
+            let child = self.heap[best];
+            if !key_less(child, item) {
+                break;
+            }
+            self.heap[slot] = child;
+            self.pos[child.1 as usize] = slot as u32;
+            slot = best;
+        }
+        self.heap[slot] = item;
+        self.pos[item.1 as usize] = slot as u32;
+    }
+}
+
+/// Dijkstra's algorithm from `s`: exact distances `dist(s, ·, G)`.
+pub fn sssp(g: &Graph, s: NodeId) -> ShortestPaths {
+    let run = DijkstraRun::new(g, &[s]);
+    let pred = run
+        .pred
+        .into_iter()
+        .map(|p| if p == NodeId::MAX { s } else { p })
+        .collect();
     ShortestPaths {
         source: s,
-        dist,
+        dist: run.dist,
         pred,
     }
 }
@@ -86,29 +225,14 @@ pub fn sssp(g: &Graph, s: NodeId) -> ShortestPaths {
 /// source and that source's id. Returns `(dist, nearest_source)`;
 /// unreachable nodes carry `(∞, NodeId::MAX)`.
 pub fn multi_source_dijkstra(g: &Graph, sources: &[NodeId]) -> (Vec<Dist>, Vec<NodeId>) {
-    let n = g.n();
-    let mut dist = vec![Dist::INF; n];
-    let mut near = vec![NodeId::MAX; n];
-    let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
-    for &s in sources {
-        dist[s as usize] = Dist::ZERO;
-        near[s as usize] = s;
-        heap.push(Reverse((Dist::ZERO, s)));
+    let run = DijkstraRun::new(g, sources);
+    // Settle order lists every predecessor before its successors.
+    let mut near = vec![NodeId::MAX; g.n()];
+    for &v in &run.settled {
+        let p = run.pred[v as usize];
+        near[v as usize] = if p == v { v } else { near[p as usize] };
     }
-    while let Some(Reverse((d, v))) = heap.pop() {
-        if d > dist[v as usize] {
-            continue;
-        }
-        for &(w, ew) in g.neighbors(v) {
-            let nd = d + Dist::new(ew);
-            if nd < dist[w as usize] {
-                dist[w as usize] = nd;
-                near[w as usize] = near[v as usize];
-                heap.push(Reverse((nd, w)));
-            }
-        }
-    }
-    (dist, near)
+    (run.dist, near)
 }
 
 /// All-pairs shortest paths by one Dijkstra per source, parallelized over
@@ -117,7 +241,7 @@ pub fn multi_source_dijkstra(g: &Graph, sources: &[NodeId]) -> (Vec<Dist>, Vec<N
 pub fn apsp(g: &Graph) -> Vec<Vec<Dist>> {
     (0..g.n() as NodeId)
         .into_par_iter()
-        .map(|s| sssp(g, s).dist)
+        .map(|s| DijkstraRun::new(g, &[s]).dist)
         .collect()
 }
 
@@ -250,6 +374,113 @@ pub fn is_connected(g: &Graph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::generators::{gnm_graph, grid_graph, path_graph};
+    use crate::testkit::{gnm_int, two_components};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The lazy-deletion Dijkstra `sssp` ran before the shared kernel,
+    /// verbatim: the literal reference of the kernel's bit-identity claim.
+    fn reference_sssp(g: &Graph, s: NodeId) -> ShortestPaths {
+        let n = g.n();
+        let mut dist = vec![Dist::INF; n];
+        let mut pred = vec![s; n];
+        let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
+        dist[s as usize] = Dist::ZERO;
+        heap.push(Reverse((Dist::ZERO, s)));
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if d > dist[v as usize] {
+                continue;
+            }
+            for &(w, ew) in g.neighbors(v) {
+                let nd = d + Dist::new(ew);
+                if nd < dist[w as usize] {
+                    dist[w as usize] = nd;
+                    pred[w as usize] = v;
+                    heap.push(Reverse((nd, w)));
+                }
+            }
+        }
+        ShortestPaths {
+            source: s,
+            dist,
+            pred,
+        }
+    }
+
+    /// The lazy-deletion `multi_source_dijkstra` that preceded the shared
+    /// kernel, verbatim.
+    fn reference_multi_source(g: &Graph, sources: &[NodeId]) -> (Vec<Dist>, Vec<NodeId>) {
+        let n = g.n();
+        let mut dist = vec![Dist::INF; n];
+        let mut near = vec![NodeId::MAX; n];
+        let mut heap: BinaryHeap<Reverse<(Dist, NodeId)>> = BinaryHeap::new();
+        for &s in sources {
+            dist[s as usize] = Dist::ZERO;
+            near[s as usize] = s;
+            heap.push(Reverse((Dist::ZERO, s)));
+        }
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if d > dist[v as usize] {
+                continue;
+            }
+            for &(w, ew) in g.neighbors(v) {
+                let nd = d + Dist::new(ew);
+                if nd < dist[w as usize] {
+                    dist[w as usize] = nd;
+                    near[w as usize] = near[v as usize];
+                    heap.push(Reverse((nd, w)));
+                }
+            }
+        }
+        (dist, near)
+    }
+
+    /// The kernel's five test families on about `n` nodes: real and
+    /// integer weights (many ties), unit-weight grids and paths, and a
+    /// disconnected graph.
+    fn family(kind: u32, n: usize, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match kind {
+            0 => gnm_graph(n, 3 * n, 1.0..10.0, &mut rng),
+            1 => gnm_int(n, 3 * n, &mut rng),
+            2 => grid_graph(n.div_ceil(8), 8, 1.0..1.0, &mut rng),
+            3 => path_graph(n, 1.0),
+            _ => two_components(n.div_ceil(2), n, &mut rng),
+        }
+    }
+
+    fn bits(d: &[Dist]) -> Vec<u64> {
+        d.iter().map(|d| d.value().to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn kernel_matches_lazy_reference(kind in 0u32..5, n in 2usize..90, seed in any::<u64>()) {
+            let g = family(kind, n, seed);
+            let n = g.n();
+            for s in [0, n / 2, n - 1].map(|v| v as NodeId) {
+                let got = sssp(&g, s);
+                let want = reference_sssp(&g, s);
+                prop_assert_eq!(bits(&got.dist), bits(&want.dist));
+                prop_assert_eq!(&got.pred, &want.pred);
+                for v in 0..n as NodeId {
+                    prop_assert_eq!(got.path_to(v), want.path_to(v));
+                }
+                let anchor = sssp_hop_limited(&g, s, n);
+                prop_assert_eq!(bits(&got.dist), bits(&anchor));
+            }
+            let sources: Vec<NodeId> = [n - 1, 0, n / 3, 0].map(|v| v as NodeId).to_vec();
+            prop_assert_eq!(
+                multi_source_dijkstra(&g, &sources),
+                reference_multi_source(&g, &sources)
+            );
+            prop_assert_eq!(apsp(&g)[n / 2].clone(), reference_sssp(&g, (n / 2) as NodeId).dist);
+        }
+    }
 
     /// 0 -1- 1 -2- 2, plus a heavy direct edge 0-2 (weight 4): the
     /// shortest 0→2 route goes through 1.

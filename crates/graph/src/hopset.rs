@@ -18,8 +18,21 @@
 //! with `≤ 2⌊(d−1)/2⌋ + 1 ≤ d` hops and weight at most
 //! `(1+ε̂)·dist(v,w,G)` (the shortcut weight is at most `(1+ε̂)` times the
 //! weight of the subpath it replaces).
+//!
+//! # Parallel structure
+//!
+//! The hub sample is drawn sequentially, in vertex order, from the
+//! caller's rng. The shortcut clique is then one task per hub
+//! (`with_min_len(1)`: the few hundred hub searches are coarse and
+//! skewed, so every hub is its own unit of load balancing). A task runs
+//! the shared Dijkstra kernel ([`crate::algorithms`]) and returns only
+//! its `O(|hubs|)` shortcut edges, so the transient footprint is one
+//! search's buffers per in-flight task rather than a `|hubs| × n`
+//! distance table. The output is deterministic: each task's edges
+//! depend only on its hub and on `g`, and the parallel collect returns
+//! them in hub order regardless of which thread ran which hub.
 
-use crate::algorithms::sssp;
+use crate::algorithms::DijkstraRun;
 use crate::graph::Graph;
 use mte_algebra::NodeId;
 use rand::Rng;
@@ -83,46 +96,49 @@ pub struct Hopset {
 
 impl Hopset {
     /// Builds the hop set for `g`.
+    ///
+    /// Panics unless `d ≥ 3`, `oversample` is finite and positive, and
+    /// `epsilon` is finite and non-negative.
     pub fn build(g: &Graph, config: &HopsetConfig, rng: &mut impl Rng) -> Hopset {
         assert!(config.d >= 3, "hop budget must be at least 3");
-        assert!(config.epsilon >= 0.0);
+        assert!(
+            config.oversample.is_finite() && config.oversample > 0.0,
+            "oversampling factor must be finite and positive, got {}",
+            config.oversample
+        );
+        assert!(
+            config.epsilon.is_finite() && config.epsilon >= 0.0,
+            "epsilon must be finite and non-negative, got {}",
+            config.epsilon
+        );
         let n = g.n();
         let segment = ((config.d - 1) / 2).max(1);
         let p = (config.oversample * (n.max(2) as f64).ln() / segment as f64).min(1.0);
 
         let hubs: Vec<NodeId> = (0..n as NodeId).filter(|_| rng.gen_bool(p)).collect();
 
-        // Shortcut clique over the hubs, emitted inside the per-hub
-        // parallel map: each task runs one SSSP and keeps only the
-        // `O(|hubs|)` shortcut edges it produces, so the transient
-        // footprint is one distance vector per in-flight task instead
-        // of the former Θ(|hubs|·n) all-hub distance table. Hub order
-        // is preserved by the parallel collect, so the edge list is
-        // deterministic.
+        // Shortcut clique over the hubs: one task per hub (see "Parallel
+        // structure" in the module docs), each keeping only the shortcut
+        // edges to later hubs.
         let inflate = 1.0 + config.epsilon;
         let hubs_ref: &[NodeId] = &hubs;
         let per_hub: Vec<Vec<(NodeId, NodeId, f64)>> = hubs
             .par_iter()
             .enumerate()
+            .with_min_len(1)
             .map(|(i, &h)| {
-                let dists = sssp(g, h);
+                let run = DijkstraRun::new(g, &[h]);
                 hubs_ref[i + 1..]
                     .iter()
                     .filter_map(|&h2| {
-                        let d = dists.dist(h2);
+                        let d = run.dist(h2);
                         (d.is_finite() && d.value() > 0.0).then(|| (h, h2, d.value() * inflate))
                     })
                     .collect()
             })
             .collect();
-        // Exact-size concatenation — no hubs²/2 over-reservation.
-        let total: usize = per_hub.iter().map(Vec::len).sum();
-        let mut edges = Vec::with_capacity(total);
-        for chunk in per_hub {
-            edges.extend(chunk);
-        }
         Hopset {
-            edges,
+            edges: per_hub.concat(),
             d: config.d,
             epsilon: config.epsilon,
             hubs,
@@ -165,8 +181,9 @@ mod tests {
     use super::*;
     use crate::algorithms::{sssp, sssp_hop_limited};
     use crate::generators::{gnm_graph, path_graph};
+    use crate::testkit::{edge_digest, fnv1a, pinned_family, with_threads};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// Checks Equation (1.3) on all pairs.
     fn check_hopset_property(g: &Graph, hs: &Hopset) {
@@ -236,11 +253,90 @@ mod tests {
         check_hopset_property(&g, &hs);
     }
 
+    fn build_with(oversample: f64, epsilon: f64) -> Hopset {
+        let g = path_graph(16, 1.0);
+        let config = HopsetConfig {
+            d: 5,
+            epsilon,
+            oversample,
+        };
+        Hopset::build(&g, &config, &mut StdRng::seed_from_u64(1))
+    }
+
+    #[test]
+    #[should_panic(expected = "oversampling factor must be finite and positive")]
+    fn nan_oversample_rejected() {
+        build_with(f64::NAN, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "oversampling factor must be finite and positive")]
+    fn infinite_oversample_rejected() {
+        build_with(f64::INFINITY, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "oversampling factor must be finite and positive")]
+    fn negative_oversample_rejected() {
+        build_with(-1.0, 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "epsilon must be finite and non-negative")]
+    fn infinite_epsilon_rejected() {
+        build_with(2.0, f64::INFINITY);
+    }
+
     #[test]
     fn trivial_hopset_adds_nothing() {
         let hs = trivial_hopset(5);
         assert!(hs.is_empty());
         let g = path_graph(4, 1.0);
         assert_eq!(hs.augment(&g).m(), g.m());
+    }
+
+    /// Hop-set digests per `(family, ε)`, recorded on the `BinaryHeap`
+    /// Dijkstra with the default chunking that the shared kernel and
+    /// per-hub tasks replaced. Each folds three seeds; a seed contributes
+    /// the [`edge_digest`] of the shortcut edges (in output order), the
+    /// hub list, and the next rng word after the call.
+    const PINNED: [(&str, f64, u64); 6] = [
+        ("gnm_real", 0.0, 0x505543319c10ef98),
+        ("gnm_real", 0.1, 0x931b6d57cc521528),
+        ("gnm_int", 0.0, 0x05ead99970bf3b8e),
+        ("gnm_int", 0.1, 0xa6260281110de03d),
+        ("disconnected", 0.0, 0xc17042adec92b8fc),
+        ("disconnected", 0.1, 0x4d8133542a37f306),
+    ];
+
+    fn hopset_digest(family: &str, epsilon: f64) -> u64 {
+        let config = HopsetConfig {
+            d: 65,
+            epsilon,
+            oversample: 2.0,
+        };
+        fnv1a((1..=3u64).flat_map(|seed| {
+            let g = pinned_family(family, seed);
+            let mut rng = StdRng::seed_from_u64(2000 + seed);
+            let hs = Hopset::build(&g, &config, &mut rng);
+            [
+                edge_digest(hs.edges.iter().copied()),
+                fnv1a(hs.hubs.iter().map(|&h| u64::from(h))),
+                rng.gen::<u64>(),
+            ]
+        }))
+    }
+
+    #[test]
+    fn hopset_edges_match_pinned_digests() {
+        for threads in [1, 4] {
+            let got: Vec<_> = with_threads(threads, || {
+                PINNED
+                    .iter()
+                    .map(|&(family, eps, _)| (family, eps, hopset_digest(family, eps)))
+                    .collect()
+            });
+            assert_eq!(got, PINNED, "hop-set digests drifted at {threads} threads");
+        }
     }
 }

@@ -19,6 +19,8 @@ pub mod graph;
 pub mod hopset;
 pub mod io;
 pub mod spanner;
+#[cfg(test)]
+mod testkit;
 
 pub use graph::{EdgeList, Graph, GraphBuildError};
 pub use hopset::{Hopset, HopsetConfig};

@@ -5,13 +5,131 @@
 //! `dist(v,w,G) ≤ dist(v,w,G') ≤ (2k−1)·dist(v,w,G)` with
 //! `|E'| ∈ O(k·n^{1+1/k})` in expectation. The paper uses this to trade
 //! stretch for work in Theorem 6.2 and Corollary 7.11.
+//!
+//! # Array phases
+//!
+//! Every phase works on flat arrays indexed by vertex, cluster (a
+//! cluster's id is its center vertex) or active-edge position:
+//!
+//! * the active inter-cluster edges are re-indexed each phase as a CSR
+//!   (`Incident`) whose entries carry their edge's position;
+//! * a vertex's lightest edge into each neighboring cluster lives in a
+//!   cluster-indexed table (`Lightest`) that is reset through the list
+//!   of clusters the vertex touched, so it costs `O(deg)` per vertex;
+//! * the sampled clusters are one byte per cluster;
+//! * the settled `(vertex, cluster)` pairs are never stored: an edge
+//!   into a cluster its vertex connected to by a strictly lighter edge
+//!   than the one it joined by is flagged by position while that
+//!   vertex's table is live, and the flags filter the active list at the
+//!   end of the phase.
+//!
+//! The edge set does not depend on any iteration order: per cluster the
+//! lightest edge is the minimum under `(w, neighbor)`, the joined
+//! cluster is the minimum under `(w, cluster)`, and the final graph is
+//! built by [`Graph::from_edges`], which sorts and deduplicates. The rng
+//! draw order is unchanged: each phase draws one coin per current
+//! cluster, in the order of the cluster's first vertex, scanning
+//! vertices `0..n`.
 
 use crate::graph::Graph;
 use mte_algebra::NodeId;
 use rand::Rng;
-use std::collections::{BTreeMap, BTreeSet};
 
 const UNCLUSTERED: NodeId = NodeId::MAX;
+/// [`Lightest`] slot of a cluster the current vertex has not touched.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Per-cluster sampling coin of the current phase.
+const UNDRAWN: u8 = 0;
+const DROPPED: u8 = 1;
+const SAMPLED: u8 = 2;
+
+/// The active edges as a CSR: for every vertex, its incident active
+/// edges as `(other endpoint, weight, position in the active list)`.
+#[derive(Default)]
+struct Incident {
+    offsets: Vec<usize>,
+    adj: Vec<(NodeId, f64, u32)>,
+}
+
+impl Incident {
+    fn rebuild(&mut self, n: usize, active: &[(NodeId, NodeId, f64)]) {
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        for &(u, v, _) in active {
+            self.offsets[u as usize + 1] += 1;
+            self.offsets[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            self.offsets[i + 1] += self.offsets[i];
+        }
+        self.adj.clear();
+        self.adj.resize(2 * active.len(), (0, 0.0, 0));
+        let mut cursor = self.offsets[..n].to_vec();
+        for (e, &(u, v, w)) in active.iter().enumerate() {
+            self.adj[cursor[u as usize]] = (v, w, e as u32);
+            cursor[u as usize] += 1;
+            self.adj[cursor[v as usize]] = (u, w, e as u32);
+            cursor[v as usize] += 1;
+        }
+    }
+
+    fn of(&self, v: usize) -> &[(NodeId, f64, u32)] {
+        &self.adj[self.offsets[v]..self.offsets[v + 1]]
+    }
+}
+
+/// One vertex's lightest edge into each neighboring cluster.
+struct Lightest {
+    /// Index into `edges` per cluster, [`NO_SLOT`] if untouched.
+    slot: Vec<u32>,
+    /// `(cluster, neighbor, weight)` in first-touch order.
+    edges: Vec<(NodeId, NodeId, f64)>,
+}
+
+impl Lightest {
+    fn new(n: usize) -> Self {
+        Lightest {
+            slot: vec![NO_SLOT; n],
+            edges: Vec::new(),
+        }
+    }
+
+    /// Loads the edges of a vertex in cluster `own`: per neighboring
+    /// cluster, the lightest edge, ties to the smaller neighbor id.
+    fn load(&mut self, adj: &[(NodeId, f64, u32)], cluster: &[NodeId], own: NodeId) {
+        for &(u, w, _) in adj {
+            let cu = cluster[u as usize];
+            if cu == UNCLUSTERED || cu == own {
+                continue;
+            }
+            match self.slot[cu as usize] {
+                NO_SLOT => {
+                    self.slot[cu as usize] = self.edges.len() as u32;
+                    self.edges.push((cu, u, w));
+                }
+                i => {
+                    let e = &mut self.edges[i as usize];
+                    if w < e.2 || (w == e.2 && u < e.1) {
+                        (e.1, e.2) = (u, w);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Weight of the loaded edge into cluster `c` (which must be loaded).
+    fn weight(&self, c: NodeId) -> f64 {
+        self.edges[self.slot[c as usize] as usize].2
+    }
+
+    fn clear(&mut self) {
+        for &(c, _, _) in &self.edges {
+            self.slot[c as usize] = NO_SLOT;
+        }
+        self.edges.clear();
+    }
+}
 
 /// Computes a `(2k−1)`-spanner of `g`, returned as a subgraph. `k = 1`
 /// returns the graph itself (stretch 1).
@@ -29,136 +147,101 @@ pub fn baswana_sen_spanner(g: &Graph, k: usize, rng: &mut impl Rng) -> Graph {
     // Active inter-cluster edges, as (u, v, w) with u < v.
     let mut active: Vec<(NodeId, NodeId, f64)> = g.edges().collect();
     let mut spanner: Vec<(NodeId, NodeId, f64)> = Vec::new();
+    let mut incident = Incident::default();
+    let mut lightest = Lightest::new(n);
+    let mut sampled = vec![UNDRAWN; n];
 
     // Phases 1 .. k−1: sample cluster centers, re-cluster vertices.
     for _phase in 1..k {
-        // Which current clusters survive to the next level? Ordered map:
-        // entries are *created* in vertex order (so the rng draw sequence
-        // is deterministic either way), but iteration must be too.
-        let mut sampled: BTreeMap<NodeId, bool> = BTreeMap::new();
-        for v in 0..n {
-            let c = cluster[v];
-            if c != UNCLUSTERED {
-                sampled.entry(c).or_insert_with(|| rng.gen_bool(sample_p));
+        // One coin per current cluster, drawn at its first vertex.
+        sampled.fill(UNDRAWN);
+        for &c in &cluster {
+            if c != UNCLUSTERED && sampled[c as usize] == UNDRAWN {
+                sampled[c as usize] = if rng.gen_bool(sample_p) {
+                    SAMPLED
+                } else {
+                    DROPPED
+                };
             }
         }
-
-        // Per-vertex adjacency among the active edges.
-        let mut incident: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-        for &(u, v, w) in &active {
-            incident[u as usize].push((v, w));
-            incident[v as usize].push((u, w));
-        }
+        incident.rebuild(n, &active);
 
         let mut new_cluster = cluster.clone();
-        // discard[v] is set when v resolved all its incident active edges.
-        let mut discard_all = vec![false; n];
-        // Edges (v, to-cluster) that are settled this phase.
-        let mut settled: Vec<(NodeId, NodeId)> = Vec::new(); // (vertex, other-cluster)
+        // settled[e] is set when an endpoint of active edge e settled it.
+        let mut settled = vec![false; active.len()];
 
-        for v in 0..n as NodeId {
-            let c = cluster[v as usize];
-            if c == UNCLUSTERED || *sampled.get(&c).unwrap_or(&false) {
+        for v in 0..n {
+            let c = cluster[v];
+            if c == UNCLUSTERED || sampled[c as usize] == SAMPLED {
                 continue; // vertices in sampled clusters keep everything
             }
-            // Group v's active edges by the other endpoint's cluster and
-            // keep the lightest edge per neighboring cluster. Ordered map:
-            // `lightest.values()` below appends spanner edges in cluster
-            // order — with a hash map the spanner's *edge order* (and so
-            // the adjacency order of everything built on it) would depend
-            // on hash state.
-            let mut lightest: BTreeMap<NodeId, (NodeId, f64)> = BTreeMap::new();
-            for &(u, w) in &incident[v as usize] {
-                let cu = cluster[u as usize];
-                if cu == UNCLUSTERED || cu == c {
-                    continue;
-                }
-                let e = lightest.entry(cu).or_insert((u, w));
-                if w < e.1 || (w == e.1 && u < e.0) {
-                    *e = (u, w);
-                }
-            }
+            let vid = v as NodeId;
+            lightest.load(incident.of(v), &cluster, c);
             // Lightest edge into a *sampled* neighboring cluster, if any.
             let best_sampled = lightest
+                .edges
                 .iter()
-                .filter(|(cu, _)| *sampled.get(cu).unwrap_or(&false))
-                .min_by(|a, b| a.1 .1.total_cmp(&b.1 .1).then(a.0.cmp(b.0)))
-                .map(|(cu, &(u, w))| (*cu, u, w));
+                .filter(|e| sampled[e.0 as usize] == SAMPLED)
+                .min_by(|a, b| a.2.total_cmp(&b.2).then(a.0.cmp(&b.0)))
+                .copied();
 
             match best_sampled {
                 None => {
                     // Not adjacent to any sampled cluster: add the lightest
                     // edge to every neighboring cluster, then retire v.
-                    for &(u, w) in lightest.values() {
-                        spanner.push((v.min(u), v.max(u), w));
+                    for &(_, u, w) in &lightest.edges {
+                        spanner.push((vid.min(u), vid.max(u), w));
                     }
-                    discard_all[v as usize] = true;
-                    new_cluster[v as usize] = UNCLUSTERED;
+                    new_cluster[v] = UNCLUSTERED;
                 }
                 Some((cu_star, u_star, w_star)) => {
                     // Join the nearest sampled cluster ...
-                    spanner.push((v.min(u_star), v.max(u_star), w_star));
-                    new_cluster[v as usize] = cu_star;
-                    settled.push((v, cu_star));
+                    spanner.push((vid.min(u_star), vid.max(u_star), w_star));
+                    new_cluster[v] = cu_star;
                     // ... and add the lightest edge to every *strictly
-                    // closer* neighboring cluster, settling those too.
-                    for (cu, &(u, w)) in &lightest {
-                        if *cu != cu_star && w < w_star {
-                            spanner.push((v.min(u), v.max(u), w));
-                            settled.push((v, *cu));
+                    // closer* neighboring cluster.
+                    for &(cu, u, w) in &lightest.edges {
+                        if cu != cu_star && w < w_star {
+                            spanner.push((vid.min(u), vid.max(u), w));
+                        }
+                    }
+                    // v settles its edges into those strictly closer
+                    // clusters. (Its edges into `cu_star` become
+                    // intra-cluster below.)
+                    for &(u, _, e) in incident.of(v) {
+                        let cu = cluster[u as usize];
+                        if cu != UNCLUSTERED && cu != c && lightest.weight(cu) < w_star {
+                            settled[e as usize] = true;
                         }
                     }
                 }
             }
+            lightest.clear();
         }
 
-        let settled_set: BTreeSet<(NodeId, NodeId)> = settled.into_iter().collect();
-        let old_cluster = cluster;
         cluster = new_cluster;
-
-        // Rebuild the active edge set: drop edges of retired vertices,
-        // intra-cluster edges (w.r.t. the *new* clustering), and edges
-        // settled above (vertex → old cluster of the other endpoint).
+        // Rebuild the active edge set: drop edges of retired vertices
+        // (the only unclustered ones with active edges), intra-cluster
+        // edges (w.r.t. the *new* clustering), and settled edges.
+        let mut e = 0;
         active.retain(|&(u, v, _)| {
-            if discard_all[u as usize] || discard_all[v as usize] {
-                return false;
-            }
             let (cu, cv) = (cluster[u as usize], cluster[v as usize]);
-            if cu == UNCLUSTERED || cv == UNCLUSTERED || cu == cv {
-                return false;
-            }
-            if settled_set.contains(&(u, old_cluster[v as usize]))
-                || settled_set.contains(&(v, old_cluster[u as usize]))
-            {
-                return false;
-            }
-            true
+            let keep = !settled[e] && cu != UNCLUSTERED && cv != UNCLUSTERED && cu != cv;
+            e += 1;
+            keep
         });
     }
 
     // Final phase: every vertex adds its lightest edge to each neighboring
     // cluster.
-    let mut incident: Vec<Vec<(NodeId, f64)>> = vec![Vec::new(); n];
-    for &(u, v, w) in &active {
-        incident[u as usize].push((v, w));
-        incident[v as usize].push((u, w));
-    }
-    for v in 0..n as NodeId {
-        // Ordered for the same reason as the per-phase `lightest` above.
-        let mut lightest: BTreeMap<NodeId, (NodeId, f64)> = BTreeMap::new();
-        for &(u, w) in &incident[v as usize] {
-            let cu = cluster[u as usize];
-            if cu == UNCLUSTERED || cu == cluster[v as usize] {
-                continue;
-            }
-            let e = lightest.entry(cu).or_insert((u, w));
-            if w < e.1 || (w == e.1 && u < e.0) {
-                *e = (u, w);
-            }
+    incident.rebuild(n, &active);
+    for v in 0..n {
+        lightest.load(incident.of(v), &cluster, cluster[v]);
+        for &(_, u, w) in &lightest.edges {
+            let vid = v as NodeId;
+            spanner.push((vid.min(u), vid.max(u), w));
         }
-        for &(u, w) in lightest.values() {
-            spanner.push((v.min(u), v.max(u), w));
-        }
+        lightest.clear();
     }
 
     Graph::from_edges(n, spanner)
@@ -169,8 +252,9 @@ mod tests {
     use super::*;
     use crate::algorithms::{apsp, is_connected};
     use crate::generators::gnm_graph;
+    use crate::testkit::{edge_digest, fnv1a, pinned_family, with_threads};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn check_spanner_stretch(g: &Graph, k: usize, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -228,5 +312,43 @@ mod tests {
             "spanner too dense: {} ≥ {bound}",
             sp.m()
         );
+    }
+
+    /// Spanner digests per `(family, k)`, recorded on the map-based
+    /// implementation this array version replaced. Each folds three seeds;
+    /// a seed contributes the [`edge_digest`] of the spanner's edges plus
+    /// the next rng word after the call, which pins the draw order too.
+    const PINNED: [(&str, usize, u64); 9] = [
+        ("gnm_real", 2, 0x5bd76644ead3dd10),
+        ("gnm_real", 3, 0x39c64a4fbb43ed57),
+        ("gnm_real", 4, 0x81398a60bf0a0bdd),
+        ("gnm_int", 2, 0x906f2cd3b67779da),
+        ("gnm_int", 3, 0x24e9bbeaee95c47c),
+        ("gnm_int", 4, 0x4a8eea516cbac2d4),
+        ("disconnected", 2, 0x4e11b28cc17e580b),
+        ("disconnected", 3, 0xb56e68a9bc20e201),
+        ("disconnected", 4, 0x06b8bab9e215602d),
+    ];
+
+    fn spanner_digest(family: &str, k: usize) -> u64 {
+        fnv1a((1..=3u64).flat_map(|seed| {
+            let g = pinned_family(family, seed);
+            let mut rng = StdRng::seed_from_u64(1000 + seed);
+            let sp = baswana_sen_spanner(&g, k, &mut rng);
+            [edge_digest(sp.edges()), rng.gen::<u64>()]
+        }))
+    }
+
+    #[test]
+    fn spanner_edges_match_pinned_digests() {
+        for threads in [1, 4] {
+            let got: Vec<_> = with_threads(threads, || {
+                PINNED
+                    .iter()
+                    .map(|&(family, k, _)| (family, k, spanner_digest(family, k)))
+                    .collect()
+            });
+            assert_eq!(got, PINNED, "spanner digests drifted at {threads} threads");
+        }
     }
 }
