@@ -10,6 +10,14 @@
 //! (zero-capacity admission, floor-budget deadlines). Every measured
 //! answer is cross-checked against [`FrtTree::leaf_distance`] before a
 //! number is recorded — a benchmark of a wrong answer is worthless.
+//!
+//! The shed and degraded counts are not measurements: the hostile
+//! segment is the first 512 point pairs, every one of which a
+//! zero-capacity oracle sheds and a 3-unit oracle answers from a
+//! non-exact rung (the probe's one unit leaves two, too few for the
+//! exact tree climb on the catalog trees), so every row reads
+//! `shed = degraded = 512` by construction. They pin that the typed
+//! paths stay typed, nothing more.
 
 use crate::tables::{f, Table};
 use mte_core::frt::{le_lists_direct, FrtTree, Ranks};

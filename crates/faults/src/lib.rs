@@ -36,7 +36,11 @@
 //!
 //! [`check_for`] is a single relaxed atomic load on the hot path once
 //! the registry is initialized (first call reads `MTE_FAULT_PLAN`).
-//! Sites can therefore be compiled in unconditionally.
+//! Sites can therefore be compiled in unconditionally. The audit is
+//! lock-free too until something fires: [`fired_serial`] is one
+//! acquire load, and [`first_unhandled_since`] returns `None` without
+//! touching the registry lock while the serial has not moved past its
+//! snapshot.
 //!
 //! # Determinism
 //!
@@ -46,8 +50,9 @@
 //! interleaving, the run either errors or matches the clean output.
 //! With `MTE_THREADS=1` arrivals are fully deterministic.
 
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
+use std::thread::ThreadId;
 
 /// Environment variable holding a fault-plan spec (see
 /// [`FaultPlan::parse`]); read once, on the first [`check_for`] call.
@@ -336,6 +341,9 @@ pub struct FiredFault {
     /// `true` iff the site absorbed the fault gracefully (recorded via
     /// [`check_handled`]); handled faults do not fail the audit.
     pub handled: bool,
+    /// The thread that reached the site; [`first_unhandled_on_thread_since`]
+    /// audits only the calling thread's fires.
+    pub thread: ThreadId,
 }
 
 /// The panic payload of [`trigger_panic`]; the typed run API downcasts
@@ -366,6 +374,13 @@ const STATUS_ARMED: u32 = 2;
 /// Fast-path gate: `check_for` is one relaxed load of this while
 /// disarmed.
 static STATUS: AtomicU32 = AtomicU32::new(STATUS_UNINIT);
+
+/// Mirror of `Registry::serial`, stored with `Release` under the
+/// registry lock on every fire, so the audit reads it without locking.
+/// A fire on the auditing thread, or on a thread it joined since its
+/// snapshot, happens-before the audit's `Acquire` load, which therefore
+/// sees the new serial.
+static SERIAL: AtomicU64 = AtomicU64::new(0);
 
 static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
     injections: Vec::new(),
@@ -493,11 +508,13 @@ fn check_slow(site: FaultSite, accepts: &[FaultKind], handled: bool) -> Option<F
         if inj.arrivals >= inj.nth {
             inj.hits_left -= 1;
             *serial += 1;
+            SERIAL.store(*serial, Ordering::Release);
             let fired = FiredFault {
                 site,
                 kind: inj.kind,
                 serial: *serial,
                 handled,
+                thread: std::thread::current().id(),
             };
             log.push(fired);
             return Some(inj.kind);
@@ -507,9 +524,9 @@ fn check_slow(site: FaultSite, accepts: &[FaultKind], handled: bool) -> Option<F
 }
 
 /// The current fire serial — snapshot this before a run to audit it
-/// afterwards.
+/// afterwards. Lock-free: one `Acquire` load of the serial mirror.
 pub fn fired_serial() -> u64 {
-    registry().serial
+    SERIAL.load(Ordering::Acquire)
 }
 
 /// Every fault fired after `serial`, in fire order.
@@ -523,12 +540,29 @@ pub fn fired_since(serial: u64) -> Vec<FiredFault> {
 }
 
 /// The first **unhandled** fault fired after `serial`, if any — the
-/// typed run API's audit primitive.
+/// typed run API's audit primitive. It audits the fires of every
+/// thread, so a run whose faults fire on pool workers is audited whole.
+/// Returns `None` without locking while nothing fired after `serial`.
 pub fn first_unhandled_since(serial: u64) -> Option<FiredFault> {
+    first_unhandled_where(serial, |_| true)
+}
+
+/// [`first_unhandled_since`] restricted to fires recorded on the
+/// calling thread — the audit for work that runs entirely on its
+/// caller's thread (a served query), so that a fault fired by a
+/// concurrent caller cannot fail it.
+pub fn first_unhandled_on_thread_since(serial: u64) -> Option<FiredFault> {
+    first_unhandled_where(serial, |f| f.thread == std::thread::current().id())
+}
+
+fn first_unhandled_where(serial: u64, keep: impl Fn(&FiredFault) -> bool) -> Option<FiredFault> {
+    if SERIAL.load(Ordering::Acquire) <= serial {
+        return None;
+    }
     registry()
         .log
         .iter()
-        .find(|f| f.serial > serial && !f.handled)
+        .find(|f| f.serial > serial && !f.handled && keep(f))
         .copied()
 }
 
@@ -611,6 +645,98 @@ mod tests {
         assert_eq!(fired.site, FaultSite::ArenaSpanRead);
         assert_eq!(fired.kind, FaultKind::TruncateSpan);
         assert_eq!(fired_since(before).len(), 2);
+        clear();
+    }
+
+    /// The audit's log scan as it ran before the lock-free fast path:
+    /// the reference the fast path must agree with.
+    fn locked_scan(serial: u64) -> Option<FiredFault> {
+        registry()
+            .log
+            .iter()
+            .find(|f| f.serial > serial && !f.handled)
+            .copied()
+    }
+
+    #[test]
+    fn fired_serial_is_monotone_across_install_and_clear() {
+        let _guard = serial_test();
+        for _ in 0..3 {
+            let last = fired_serial();
+            install(FaultPlan::single(FaultSite::GrParser, FaultKind::Io, 1));
+            assert_eq!(fired_serial(), last, "install keeps the serial");
+            assert!(check_for(FaultSite::GrParser, &[FaultKind::Io]).is_some());
+            assert_eq!(fired_serial(), last + 1);
+            clear();
+            assert_eq!(fired_serial(), last + 1, "clear keeps the serial");
+        }
+    }
+
+    #[test]
+    fn audit_fast_path_agrees_with_the_locked_scan() {
+        let _guard = serial_test();
+        install(
+            FaultPlan::new()
+                .inject(FaultSite::DenseRowKernel, FaultKind::AllocFail, 1)
+                .inject(FaultSite::ArenaSpanRead, FaultKind::TruncateSpan, 2),
+        );
+        let before = fired_serial();
+        assert_eq!(first_unhandled_since(before), None);
+        assert_eq!(locked_scan(before), None);
+        // An arrival that does not fire leaves the serial where it was.
+        let span = [FaultKind::TruncateSpan];
+        assert_eq!(check_for(FaultSite::ArenaSpanRead, &span), None);
+        assert_eq!(fired_serial(), before);
+        // A handled fire moves the serial, and the audit skips it.
+        assert!(check_handled(FaultSite::DenseRowKernel, &[FaultKind::AllocFail]).is_some());
+        assert_eq!(fired_serial(), before + 1);
+        assert_eq!(first_unhandled_since(before), None);
+        assert_eq!(locked_scan(before), None);
+        // The first unhandled fire is reported exactly as the scan finds it.
+        assert!(check_for(FaultSite::ArenaSpanRead, &span).is_some());
+        let fired = first_unhandled_since(before);
+        assert_eq!(fired, locked_scan(before));
+        assert_eq!(
+            fired.map(|f| (f.site, f.kind, f.serial)),
+            Some((
+                FaultSite::ArenaSpanRead,
+                FaultKind::TruncateSpan,
+                before + 2
+            ))
+        );
+        assert_eq!(first_unhandled_since(fired_serial()), None);
+        clear();
+    }
+
+    #[test]
+    fn thread_audit_sees_only_the_calling_threads_fires() {
+        let _guard = serial_test();
+        install(FaultPlan {
+            injections: vec![Injection {
+                site: FaultSite::GrParser,
+                kind: FaultKind::Io,
+                nth: 1,
+                hits: 2,
+            }],
+        });
+        let before = fired_serial();
+        let other = std::thread::spawn(|| {
+            assert!(check_for(FaultSite::GrParser, &[FaultKind::Io]).is_some());
+            std::thread::current().id()
+        })
+        .join()
+        .expect("the firing thread does not panic");
+        assert_eq!(first_unhandled_on_thread_since(before), None);
+        let global = first_unhandled_since(before).expect("the global audit sees every thread");
+        assert_eq!((global.serial, global.thread), (before + 1, other));
+
+        assert!(check_for(FaultSite::GrParser, &[FaultKind::Io]).is_some());
+        let mine = first_unhandled_on_thread_since(before).expect("own fire is audited");
+        assert_eq!(
+            (mine.serial, mine.thread),
+            (before + 2, std::thread::current().id())
+        );
+        assert_eq!(first_unhandled_since(before), Some(global));
         clear();
     }
 

@@ -10,7 +10,11 @@
 //!   post-query audit of the fault registry's fired log, the same
 //!   containment the pipeline's `run_guarded` uses: an injected panic
 //!   becomes [`ServeError::InjectedFault`], any other panic becomes
-//!   [`ServeError::Panicked`]. Nothing unwinds past the oracle.
+//!   [`ServeError::Panicked`]. Nothing unwinds past the oracle. The
+//!   audit reads only fires recorded on the query's own thread: a query
+//!   runs entirely on its caller's thread (serving starts no pool
+//!   work), so a fault another client's query fired meanwhile is not
+//!   this query's.
 //! - **Ladder** — the deadline-governed rung walk documented in
 //!   [`crate::query`].
 
@@ -22,7 +26,7 @@ use crate::query::{
     intersection_cost, list_intersection_metered, tree_climb_bound, tree_distance_metered,
     truncated_upper_bound, Answer, Meter, Rung, ServeDegradation,
 };
-use mte_faults::{fired_serial, first_unhandled_since, InjectedPanic};
+use mte_faults::{fired_serial, first_unhandled_on_thread_since, InjectedPanic};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -98,13 +102,14 @@ impl Drop for Permit<'_> {
 }
 
 /// Runs a query body behind the serving panic boundary: snapshot the
-/// fault registry's fired serial, catch any unwind, and audit the log
-/// afterwards so an injected fault that fired without being absorbed
-/// surfaces as a typed error rather than a silent success.
+/// fault registry's fired serial, catch any unwind, and audit this
+/// thread's fires afterwards so an injected fault that fired without
+/// being absorbed surfaces as a typed error rather than a silent
+/// success.
 fn guarded<T>(body: impl FnOnce() -> Result<T, ServeError>) -> Result<T, ServeError> {
     let serial = fired_serial();
     match catch_unwind(AssertUnwindSafe(body)) {
-        Ok(Ok(value)) => match first_unhandled_since(serial) {
+        Ok(Ok(value)) => match first_unhandled_on_thread_since(serial) {
             Some(fired) => Err(ServeError::InjectedFault {
                 site: fired.site,
                 kind: fired.kind,
@@ -339,6 +344,31 @@ mod tests {
         drop(p2);
         drop(p3);
         assert_eq!(admission.in_flight.load(Ordering::Acquire), 0);
+    }
+
+    /// An unhandled fire on another thread while a query is in flight
+    /// (another client's query) does not fail it; one on its own thread
+    /// does. The plan targets `gr_parser`, a site serving never reaches,
+    /// so the other tests of this crate cannot consume its arrivals.
+    #[test]
+    fn guard_audits_only_its_own_threads_fires() {
+        use mte_faults::{check_for, FaultKind, FaultPlan, FaultSite};
+        let fire = || check_for(FaultSite::GrParser, &[FaultKind::Io]).is_some();
+        mte_faults::install(FaultPlan::parse("gr_parser:io:1:2").unwrap_or_default());
+        let other_client = guarded(|| {
+            let fired = std::thread::scope(|s| s.spawn(fire).join());
+            Ok(fired.unwrap_or(false))
+        });
+        let same_thread = guarded(|| Ok(fire()));
+        mte_faults::clear();
+        assert_eq!(other_client, Ok(true));
+        assert_eq!(
+            same_thread,
+            Err(ServeError::InjectedFault {
+                site: FaultSite::GrParser,
+                kind: FaultKind::Io
+            })
+        );
     }
 
     #[test]
