@@ -1,9 +1,14 @@
-//! The serving benchmark suite: point queries and batched dense-block
-//! sweeps against the frozen distance oracle, with machine-readable
-//! output.
+//! The serving benchmark suite: point queries and batched sweeps
+//! against the frozen distance oracle, with machine-readable output.
 //!
-//! Run via `exp_serving`; emits `BENCH_serving.json` so successive PRs
-//! can track the serving layer's trajectory: queries per second, the
+//! Each catalog graph gets three rows: `point` draws uniform pairs over
+//! all `n²` (nearly every probe misses the cache, so it times the tree
+//! climb), `point-zipf` draws Zipf(1) ranks over a fixed universe of
+//! pairs (most probes hit, as in skewed real traffic), and `batch`
+//! sweeps `k` sources to every vertex.
+//!
+//! Run via `exp_serving`; emits `BENCH_serving.json` so successive
+//! changes can track the serving layer's trajectory: queries per second, the
 //! p99 of per-query *work units* (the deterministic deadline currency —
 //! stable across machines, unlike wall time), the cache hit rate, and
 //! the shed/degraded counts from a deliberately hostile segment
@@ -38,7 +43,7 @@ pub struct ServingCase {
     pub n: usize,
     /// Undirected edge count.
     pub m: usize,
-    /// `point` or `batch`.
+    /// `point`, `point-zipf` or `batch`.
     pub mode: String,
     /// Distance answers served.
     pub answers: usize,
@@ -127,7 +132,80 @@ fn stress_counts(artifact: &OracleArtifact, pairs: &[(u32, u32)]) -> (u64, u64) 
     (shed, degraded)
 }
 
-/// Measures both modes on every catalog graph.
+/// Distinct pairs the `point-zipf` rows draw from; rank `r` is asked
+/// with probability proportional to `1 / (r + 1)`.
+const ZIPF_UNIVERSE: usize = 4096;
+
+/// `count` Zipf(1) draws over a universe of [`ZIPF_UNIVERSE`] uniform
+/// pairs of `0..n`.
+fn zipf_pairs(n: u32, count: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
+    let universe: Vec<(u32, u32)> = (0..ZIPF_UNIVERSE)
+        .map(|_| (rng.gen_range(0..n), rng.gen_range(0..n)))
+        .collect();
+    let mut cdf: Vec<f64> = (1..=ZIPF_UNIVERSE)
+        .scan(0.0, |acc, r| {
+            *acc += 1.0 / r as f64;
+            Some(*acc)
+        })
+        .collect();
+    let total = cdf[ZIPF_UNIVERSE - 1];
+    cdf.iter_mut().for_each(|c| *c /= total);
+    (0..count)
+        .map(|_| {
+            let x: f64 = rng.gen_range(0.0..1.0);
+            universe[cdf.partition_point(|&c| c < x).min(ZIPF_UNIVERSE - 1)]
+        })
+        .collect()
+}
+
+/// One point-mode row: `pairs` through a fresh default oracle, timed,
+/// then spot-checked against the reference.
+fn point_case(
+    label: &str,
+    g: &Graph,
+    artifact: &OracleArtifact,
+    mode: &str,
+    pairs: &[(u32, u32)],
+    (shed, degraded): (u64, u64),
+) -> ServingCase {
+    let oracle = Oracle::new(artifact.clone());
+    let mut work = Vec::with_capacity(pairs.len());
+    let start = Instant::now();
+    for &(u, v) in pairs {
+        let answer = oracle.distance(u, v).expect("default budget serves");
+        work.push(answer.work);
+    }
+    let wall = start.elapsed().as_secs_f64() * 1e3;
+    // Read the counters before the spot check adds probes of its own.
+    let stats = oracle.cache_stats();
+    for &(u, v) in &pairs[..pairs.len().min(256)] {
+        let served = oracle.distance(u, v).expect("recheck").value;
+        assert!(
+            served == artifact.tree().leaf_distance(u, v),
+            "point answer diverged from leaf_distance"
+        );
+    }
+    let probes = stats.hits + stats.misses;
+    ServingCase {
+        graph: label.to_string(),
+        n: g.n(),
+        m: g.m(),
+        mode: mode.into(),
+        answers: pairs.len(),
+        wall_ms: wall,
+        qps: pairs.len() as f64 / (wall / 1e3),
+        p99_work: p99(work),
+        cache_hit_rate: if probes == 0 {
+            0.0
+        } else {
+            stats.hits as f64 / probes as f64
+        },
+        shed,
+        degraded,
+    }
+}
+
+/// Measures every mode on every catalog graph.
 pub fn serving_suite() -> Vec<ServingCase> {
     serving_suite_sized(20_000, 64)
 }
@@ -145,45 +223,25 @@ pub fn serving_suite_sized(point_queries: usize, batch_sources: usize) -> Vec<Se
         let stress_pairs = &pairs[..pairs.len().min(512)];
         let (shed, degraded) = stress_counts(&artifact, stress_pairs);
 
-        // Point mode.
-        let oracle = Oracle::new(artifact.clone());
-        let mut work = Vec::with_capacity(pairs.len());
-        let start = Instant::now();
-        for &(u, v) in &pairs {
-            let answer = oracle.distance(u, v).expect("default budget serves");
-            work.push(answer.work);
-        }
-        let wall = start.elapsed().as_secs_f64() * 1e3;
-        // Spot-check against the reference before recording numbers.
-        for &(u, v) in &pairs[..pairs.len().min(256)] {
-            let served = oracle.distance(u, v).expect("recheck").value;
-            assert!(
-                served == artifact.tree().leaf_distance(u, v),
-                "point answer diverged from leaf_distance"
-            );
-        }
-        let stats = oracle.cache_stats();
-        let probes = stats.hits + stats.misses;
-        cases.push(ServingCase {
-            graph: label.clone(),
-            n: g.n(),
-            m: g.m(),
-            mode: "point".into(),
-            answers: pairs.len(),
-            wall_ms: wall,
-            qps: pairs.len() as f64 / (wall / 1e3),
-            p99_work: p99(work),
-            cache_hit_rate: if probes == 0 {
-                0.0
-            } else {
-                stats.hits as f64 / probes as f64
-            },
-            shed,
-            degraded,
-        });
+        cases.push(point_case(
+            &label,
+            &g,
+            &artifact,
+            "point",
+            &pairs,
+            (shed, degraded),
+        ));
+        let zipf = zipf_pairs(n, point_queries, &mut rng);
+        cases.push(point_case(
+            &label,
+            &g,
+            &artifact,
+            "point-zipf",
+            &zipf,
+            (shed, degraded),
+        ));
 
-        // Batch mode: k sources × all n targets through the dense
-        // block kernel.
+        // Batch mode: k sources × all n targets, one row per source.
         let sources: Vec<u32> = (0..batch_sources as u32).map(|i| (i * 37) % n).collect();
         let oracle = Oracle::new(artifact.clone());
         let start = Instant::now();
@@ -220,7 +278,7 @@ pub fn serving_suite_sized(point_queries: usize, batch_sources: usize) -> Vec<Se
 /// Renders the human-readable table.
 pub fn serving_suite_table(cases: &[ServingCase]) -> Table {
     let mut table = Table::new(
-        "serving suite: frozen-oracle queries (point ladder vs dense batch)",
+        "serving suite: frozen-oracle queries (point ladder, uniform and Zipf; batch rows)",
         &[
             "graph", "n", "m", "mode", "answers", "wall ms", "qps", "p99 work", "hit rate", "shed",
             "degraded",
@@ -284,7 +342,7 @@ mod tests {
     #[test]
     fn mini_suite_measures_and_serializes() {
         let cases = serving_suite_sized(200, 4);
-        assert_eq!(cases.len(), 2 * serving_catalog().len());
+        assert_eq!(cases.len(), 3 * serving_catalog().len());
         for c in &cases {
             assert!(c.answers > 0);
             assert!(c.qps > 0.0);
@@ -297,6 +355,14 @@ mod tests {
         }
         let point = cases.iter().find(|c| c.mode == "point").expect("point row");
         assert!(point.p99_work > 0);
+        let zipf = cases
+            .iter()
+            .find(|c| c.mode == "point-zipf")
+            .expect("Zipf point row");
+        assert!(
+            zipf.cache_hit_rate > point.cache_hit_rate,
+            "skewed traffic must hit the cache more often than uniform pairs"
+        );
         let json = serving_suite_json(&cases);
         assert!(json.contains("\"suite\": \"serving\""));
         assert!(json.contains("\"mode\": \"batch\""));

@@ -194,8 +194,13 @@ impl FrtTree {
             return Err("node 0 is not a root at the top level".to_string());
         }
         for (i, node) in nodes.iter().enumerate().skip(1) {
-            if node.parent >= nodes.len() {
-                return Err(format!("node {i} parent out of bounds"));
+            // Parents precede children, as `from_le_lists` appends them:
+            // consumers visit parents before children in index order.
+            if node.parent >= i {
+                return Err(format!(
+                    "node {i} parent {} does not precede it",
+                    node.parent
+                ));
             }
             // Parent strictly one level up: traversals terminate because
             // every parent step increases the level towards the root.
@@ -231,7 +236,8 @@ impl FrtTree {
         &self.radii
     }
 
-    /// All tree nodes; index 0 is the root.
+    /// All tree nodes; index 0 is the root, and every other node's
+    /// parent has a smaller index.
     #[inline]
     pub fn nodes(&self) -> &[FrtNode] {
         &self.nodes

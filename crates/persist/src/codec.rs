@@ -369,7 +369,7 @@ pub fn decode_frt_tree(payload: &[u8]) -> Result<FrtTree, SnapshotError> {
     }
     finish(&c, "FRT tree")?;
     // `from_parts` re-validates the full tree structure (level ladder,
-    // parent bounds, radius monotonicity, …).
+    // parents preceding children, radius monotonicity, …).
     FrtTree::from_parts(nodes, leaf, radii, beta).map_err(SnapshotError::Malformed)
 }
 

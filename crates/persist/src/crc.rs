@@ -1,11 +1,18 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the same
 //! checksum gzip and PNG use. Hand-rolled: the build environment is
-//! offline and the workspace vendors no checksum crate, and 30 lines of
-//! table-driven CRC beat a dependency anyway.
+//! offline and the workspace vendors no checksum crate, and a few dozen
+//! lines of table-driven CRC beat a dependency anyway.
+//!
+//! Slicing-by-8: `TABLES[k][b]` is the CRC register contribution of
+//! byte `b` followed by `k` zero bytes, so eight input bytes fold into
+//! the register with eight independent lookups instead of a chain of
+//! eight dependent ones. The tail (fewer than eight bytes) runs the
+//! bytewise loop on `TABLES[0]`.
 
-/// Byte-indexed lookup table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// `TABLES[0]` is the bytewise table; `TABLES[k]` advances
+/// `TABLES[k − 1]` by one zero byte. Built at compile time.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -18,17 +25,41 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &TABLES;
     let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
 }
@@ -36,6 +67,19 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The bytewise table-driven CRC this module used before
+    /// slicing-by-8, kept as the reference.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        crc ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn known_vectors() {
@@ -56,6 +100,25 @@ mod tests {
             flipped[i / 8] ^= 1 << (i % 8);
             assert_ne!(crc32(&flipped), base, "bit {i} undetected");
             flipped[i / 8] ^= 1 << (i % 8);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Lengths 0–4096 at start offsets 0–7 of a buffer (so every
+        /// alignment and every tail length): slicing-by-8 equals the
+        /// bytewise reference.
+        #[test]
+        fn slicing_by_8_matches_the_bytewise_reference(
+            len in 0usize..4097,
+            offset in 0usize..8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let buf: Vec<u8> = (0..offset + len).map(|_| rng.gen::<u32>() as u8).collect();
+            let bytes = &buf[offset..];
+            prop_assert_eq!(crc32(bytes), crc32_bytewise(bytes));
         }
     }
 }

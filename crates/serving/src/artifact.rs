@@ -25,11 +25,25 @@ pub struct OracleArtifact {
     lists: Vec<LeList>,
     ranks: Ranks,
     tree: FrtTree,
+    /// The tree's batch layout, derived on freeze and load.
+    layout: TreeLayout,
+}
+
+/// What the batch sweep reads besides the tree, derived from it in
+/// O(|nodes| + n) and never serialized.
+#[derive(Clone, Debug)]
+pub(crate) struct TreeLayout {
     /// `climb[l]` = tree distance between two leaves whose LCA sits at
     /// level `l`, accumulated in exactly the fold order
-    /// [`FrtTree::node_distance`] uses — the batch sweep's lookup table
-    /// is therefore bit-identical to the point rung.
-    climb: Vec<f64>,
+    /// [`FrtTree::node_distance`] uses — bit-identical to the point
+    /// rung whenever every edge weight sits on the radius ladder.
+    pub(crate) climb: Vec<f64>,
+    /// The vertices in leaf-DFS order: the vertices below any tree node
+    /// are contiguous, and vertices sharing a leaf are adjacent.
+    pub(crate) order: Vec<u32>,
+    /// `span[node] = (start, len)`: the vertices below `node` are
+    /// `order[start..start + len]`.
+    pub(crate) span: Vec<(u32, u32)>,
 }
 
 impl OracleArtifact {
@@ -51,18 +65,12 @@ impl OracleArtifact {
         tree: FrtTree,
     ) -> Result<OracleArtifact, ServeError> {
         validate(&lists, &ranks, &tree)?;
-        let radii = tree.radii();
-        let mut climb = vec![0.0f64; radii.len()];
-        for l in 1..radii.len() {
-            // The per-level increment of `node_distance` for two
-            // level-aligned climbers: both parent edges weigh r_l.
-            climb[l] = climb[l - 1] + (radii[l] + radii[l]);
-        }
+        let layout = TreeLayout::new(&tree);
         Ok(OracleArtifact {
             lists,
             ranks,
             tree,
-            climb,
+            layout,
         })
     }
 
@@ -139,10 +147,56 @@ impl OracleArtifact {
         &self.tree
     }
 
-    /// The leaf-pair distance ladder by LCA level (see field docs).
+    /// The batch sweep's derived layout (see [`TreeLayout`]).
     #[inline]
-    pub(crate) fn climb(&self) -> &[f64] {
-        &self.climb
+    pub(crate) fn layout(&self) -> &TreeLayout {
+        &self.layout
+    }
+}
+
+impl TreeLayout {
+    /// Derives the layout of a tree whose edge weights sit on its
+    /// radius ladder (`from_le_lists` builds them so, and
+    /// [`OracleArtifact::from_parts`] checks it), in linear passes that
+    /// rely on every parent preceding its children (checked by
+    /// `FrtTree::from_parts`).
+    pub(crate) fn new(tree: &FrtTree) -> TreeLayout {
+        let radii = tree.radii();
+        let mut climb = vec![0.0f64; radii.len()];
+        for l in 1..radii.len() {
+            // The per-level increment of `node_distance` for two
+            // level-aligned climbers: both parent edges weigh r_l.
+            climb[l] = climb[l - 1] + (radii[l] + radii[l]);
+        }
+        let nodes = tree.nodes();
+        let n = tree.num_vertices();
+        // Children before parents: count the vertices below each node.
+        let mut span = vec![(0u32, 0u32); nodes.len()];
+        for v in 0..n as u32 {
+            span[tree.leaf(v)].1 += 1;
+        }
+        for i in (1..nodes.len()).rev() {
+            span[nodes[i].parent].1 += span[i].1;
+        }
+        // Parents before children: each child starts where its parent's
+        // cursor (`.0`) stands and advances it by its own length; the
+        // vertices then advance their leaf's cursor. Every cursor ends
+        // at its node's range end.
+        for i in 1..nodes.len() {
+            let parent = nodes[i].parent;
+            span[i].0 = span[parent].0;
+            span[parent].0 += span[i].1;
+        }
+        let mut order = vec![0u32; n];
+        for v in 0..n as u32 {
+            let cursor = &mut span[tree.leaf(v)].0;
+            order[*cursor as usize] = v;
+            *cursor += 1;
+        }
+        for (start, len) in &mut span {
+            *start -= *len;
+        }
+        TreeLayout { climb, order, span }
     }
 }
 
@@ -202,8 +256,8 @@ fn validate(lists: &[LeList], ranks: &Ranks, tree: &FrtTree) -> Result<(), Serve
         }
     }
     // The snapshot decoder's `FrtTree::from_parts` already enforces the
-    // tree-shape invariants (level ladder, finite positive weights,
-    // valid leaf indices). What it cannot know is that the weights sit
+    // tree-shape invariants (level ladder, parents preceding children,
+    // finite positive weights, valid leaf indices). What it cannot know is that the weights sit
     // on the radius ladder — which is what makes the batch sweep's
     // climb table bit-identical to a leaf-to-leaf climb.
     let radii = tree.radii();
@@ -297,7 +351,7 @@ mod tests {
                 }
                 let lca_level = tree.nodes()[a].level as usize;
                 assert_eq!(
-                    art.climb()[lca_level],
+                    art.layout().climb[lca_level],
                     tree.leaf_distance(u, v),
                     "({u},{v})"
                 );

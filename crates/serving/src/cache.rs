@@ -203,9 +203,16 @@ impl Shard {
 /// different shards never contend.
 #[derive(Debug)]
 pub(crate) struct ShardedCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<PaddedShard>,
     per_shard: usize,
 }
+
+/// A shard behind its lock, on its own cache-line pair: probes of
+/// different shards write different lines (the lock word, the LRU
+/// links, the counters).
+#[derive(Debug)]
+#[repr(align(128))]
+struct PaddedShard(Mutex<Shard>);
 
 /// Canonical unordered-pair key for vertices `u`, `v` of an
 /// `n`-vertex artifact.
@@ -222,13 +229,15 @@ impl ShardedCache {
     pub(crate) fn new(shards: usize, per_shard: usize) -> ShardedCache {
         let shards = shards.max(1);
         ShardedCache {
-            shards: (0..shards).map(|_| Mutex::new(Shard::new())).collect(),
+            shards: (0..shards)
+                .map(|_| PaddedShard(Mutex::new(Shard::new())))
+                .collect(),
             per_shard: per_shard.min(NIL as usize),
         }
     }
 
     fn shard(&self, key: u64) -> &Mutex<Shard> {
-        &self.shards[(key % self.shards.len() as u64) as usize]
+        &self.shards[(key % self.shards.len() as u64) as usize].0
     }
 
     /// Locks a shard, recovering from a poisoned mutex: the guarded
@@ -277,7 +286,7 @@ impl ShardedCache {
 
     pub(crate) fn stats(&self) -> CacheStats {
         let mut out = CacheStats::default();
-        for mutex in &self.shards {
+        for PaddedShard(mutex) in &self.shards {
             let shard = ShardedCache::lock(mutex);
             out.hits += shard.hits;
             out.misses += shard.misses;
@@ -383,7 +392,7 @@ mod tests {
 
     /// Each shard's entries from least to most recently used.
     fn residency(cache: &ShardedCache) -> Vec<Vec<(u64, f64)>> {
-        let shards = cache.shards.iter().map(|m| ShardedCache::lock(m));
+        let shards = cache.shards.iter().map(|m| ShardedCache::lock(&m.0));
         shards
             .map(|shard| {
                 let mut out = Vec::new();
@@ -436,7 +445,7 @@ mod tests {
                 prop_assert_eq!(cache.stats(), reference.stats());
                 prop_assert_eq!(residency(&cache), reference.residency());
                 let slab = |m: &Mutex<Shard>| ShardedCache::lock(m).nodes.len();
-                prop_assert!(cache.shards.iter().all(|m| slab(m) <= per_shard));
+                prop_assert!(cache.shards.iter().all(|m| slab(&m.0) <= per_shard));
             }
         }
     }

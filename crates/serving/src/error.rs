@@ -29,8 +29,9 @@ pub enum ServeError {
         /// Number of embedded vertices.
         n: usize,
     },
-    /// The query's work-unit budget ran out before even the degraded
-    /// rung of the answer ladder could run.
+    /// The query's work-unit budget ran out: a point query could not
+    /// afford even the degraded rung of the answer ladder, or a batch
+    /// sweep could not finish all its rows.
     DeadlineExceeded {
         /// The budget that was in force.
         budget: u64,
@@ -45,7 +46,9 @@ pub enum ServeError {
     },
     /// A cooperative cancellation token stopped a batch sweep.
     Cancelled {
-        /// Dense rows completed before the token was observed.
+        /// Output rows (one per source, in order) finished before the
+        /// token was observed; the sweep polls it after each row that
+        /// has a successor.
         rows_done: usize,
     },
     /// An injected fault fired during the query and was not absorbed
@@ -74,14 +77,14 @@ impl fmt::Display for ServeError {
                 write!(f, "query names vertex {vertex}, artifact embeds {n}")
             }
             ServeError::DeadlineExceeded { budget } => {
-                write!(f, "work-unit budget {budget} exhausted before any rung")
+                write!(f, "work-unit budget {budget} exhausted before an answer")
             }
             ServeError::Overloaded {
                 in_flight,
                 capacity,
             } => write!(f, "shed: {in_flight} in flight, capacity {capacity}"),
             ServeError::Cancelled { rows_done } => {
-                write!(f, "batch cancelled after {rows_done} rows")
+                write!(f, "batch cancelled after {rows_done} output rows")
             }
             ServeError::InjectedFault { site, kind } => {
                 write!(f, "injected fault at {site} ({kind})")

@@ -62,8 +62,11 @@ impl Default for ServeConfig {
     }
 }
 
-/// Bounded in-flight admission counter.
+/// Bounded in-flight admission counter. Every query writes it, so it
+/// sits on its own cache-line pair: no field another query only reads
+/// shares a line with it.
 #[derive(Debug)]
+#[repr(align(128))]
 struct Admission {
     in_flight: AtomicU32,
     capacity: u32,
@@ -142,7 +145,8 @@ pub struct BatchAnswer {
     /// `distances[i][v]` = exact tree distance from `sources[i]` to
     /// vertex `v`.
     pub distances: Vec<Vec<f64>>,
-    /// Work units the sweep consumed.
+    /// Work units the sweep consumed: `num_levels + ⌈n/64⌉` per source
+    /// (one per chain node, one per 64 row writes).
     pub work: u64,
 }
 
@@ -290,8 +294,10 @@ impl Oracle {
     }
 
     /// Serves a batched sweep: exact tree distances from every source
-    /// to every vertex, through the dense block kernel. The budget
-    /// scales with the batch (`batch_budget_per_query × sources`).
+    /// to every vertex, one row per source filled over the artifact's
+    /// leaf-DFS vertex order (see [`crate::batch`]). The budget scales
+    /// with the batch (`batch_budget_per_query × sources`); a row costs
+    /// `num_levels + ⌈n/64⌉` units.
     pub fn batch_distances(
         &self,
         sources: &[u32],
@@ -307,7 +313,13 @@ impl Oracle {
             .saturating_mul(sources.len() as u64);
         guarded(|| {
             let mut meter = Meter::new(budget);
-            let distances = batch_tree_distances(&self.artifact, sources, token, &mut meter)?;
+            let distances = batch_tree_distances(
+                self.artifact.tree(),
+                self.artifact.layout(),
+                sources,
+                token,
+                &mut meter,
+            )?;
             Ok(BatchAnswer {
                 distances,
                 work: meter.spent(),

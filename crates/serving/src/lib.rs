@@ -20,8 +20,9 @@
 //! - **a degradation ladder** — cache hit → exact tree LCA → LE-list
 //!   intersection → truncated-list upper bound, each fall recorded in
 //!   the [`Answer`];
-//! - **cooperative cancellation** — batched sweeps through the dense
-//!   min-plus kernel poll a [`CancelToken`] between row strides;
+//! - **cooperative cancellation** — batched sweeps, one row per source
+//!   filled by range writes over a leaf-DFS vertex order, poll a
+//!   [`CancelToken`] between rows;
 //! - **a guarded panic boundary** — injected faults and stray panics
 //!   are caught and audited into typed errors, mirroring the
 //!   pipeline's `run_guarded`.

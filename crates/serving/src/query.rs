@@ -2,7 +2,9 @@
 //!
 //! A deadline is a **work-unit budget**, never a wall clock: one unit
 //! per tree-climb step, one per LE-list entry touched, one per cache
-//! probe, one per dense batch row. Identical queries therefore take
+//! probe; a batch sweep pays per source one unit per chain node on the
+//! source's leaf-to-root path plus one per 64 row writes
+//! (`num_levels + ⌈n/64⌉`). Identical queries therefore take
 //! identical ladder paths on every run and every thread count — which
 //! is what lets the fault sweep and the differential suite pin the
 //! ladder bit for bit.

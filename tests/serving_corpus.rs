@@ -8,7 +8,7 @@
 //! *cross-section* (semantic) layer on top.
 
 use metric_tree_embedding::core::frt::{le_lists_direct, FrtNode, FrtTree, LeList, Ranks};
-use metric_tree_embedding::persist::{SnapshotError, SnapshotWriter};
+use metric_tree_embedding::persist::{SectionTag, SnapshotError, SnapshotWriter, MAGIC, VERSION};
 use metric_tree_embedding::prelude::*;
 use metric_tree_embedding::serving::{OracleArtifact, ServeError};
 use proptest::prelude::*;
@@ -187,6 +187,104 @@ fn tree_weights_off_the_radius_ladder_are_malformed() {
         OracleArtifact::decode(&raw_image(&lists, &ranks, &skewed)),
         Err(ServeError::Malformed { .. })
     ));
+}
+
+/// The `FrtTree` section payload for raw parts, in the snapshot
+/// codec's layout: β, the radii, the nodes, the leaf table.
+fn tree_payload(tree: &FrtTree, nodes: &[FrtNode], leaf: &[usize]) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&tree.beta().to_bits().to_le_bytes());
+    out.extend_from_slice(&(tree.radii().len() as u64).to_le_bytes());
+    for &r in tree.radii() {
+        out.extend_from_slice(&r.to_bits().to_le_bytes());
+    }
+    out.extend_from_slice(&(nodes.len() as u64).to_le_bytes());
+    for node in nodes {
+        out.extend_from_slice(&node.level.to_le_bytes());
+        out.extend_from_slice(&node.leader.to_le_bytes());
+        out.extend_from_slice(&(node.parent as u64).to_le_bytes());
+        out.extend_from_slice(&node.parent_weight.to_bits().to_le_bytes());
+        out.extend_from_slice(&node.repr_leaf.to_le_bytes());
+    }
+    out.extend_from_slice(&(leaf.len() as u64).to_le_bytes());
+    for &idx in leaf {
+        out.extend_from_slice(&(idx as u64).to_le_bytes());
+    }
+    out
+}
+
+/// Bytewise CRC-32 (IEEE), to checksum a hand-built section.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ 0xEDB8_8320
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// Regression: a tree whose non-root nodes are stored in reverse order
+/// keeps every level, weight and leaf, and passes every CRC, but a
+/// child now precedes its parent. Such an image used to load, and every
+/// batch sweep on it then panicked; it must fail the load typed.
+#[test]
+fn a_tree_stored_children_first_fails_the_load_typed() {
+    let (lists, ranks, tree) = sample_parts();
+    let base = SnapshotWriter::new()
+        .put_le_lists(&lists)
+        .put_ranks(&ranks)
+        .encode();
+    let leaf: Vec<usize> = (0..ranks.n()).map(|v| tree.leaf(v as u32)).collect();
+    // The forged section reproduces the codec's bytes for the sound tree.
+    let sound = append_section(
+        &base,
+        SectionTag::FrtTree,
+        &tree_payload(&tree, tree.nodes(), &leaf),
+    );
+    assert_eq!(sound, raw_image(&lists, &ranks, &tree));
+
+    let len = tree.len();
+    let remap = |i: usize| if i == 0 { 0 } else { len - i };
+    let mut nodes: Vec<FrtNode> = tree.nodes().to_vec();
+    nodes[1..].reverse();
+    for node in nodes.iter_mut().skip(1) {
+        node.parent = remap(node.parent);
+    }
+    let leaf: Vec<usize> = leaf.into_iter().map(remap).collect();
+    let payload = tree_payload(&tree, &nodes, &leaf);
+    let image = append_section(&base, SectionTag::FrtTree, &payload);
+    match Oracle::load(&image, ServeConfig::default()) {
+        Err(ServeError::Artifact(SnapshotError::Malformed(reason))) => {
+            assert!(reason.contains("does not precede"), "{reason}");
+        }
+        Err(other) => panic!("wrong error class {other:?}"),
+        Ok(_) => panic!("a children-first tree loaded"),
+    }
+}
+
+/// `image` with one more section appended and the header's section
+/// count and file CRC rewritten to match.
+fn append_section(image: &[u8], tag: SectionTag, payload: &[u8]) -> Vec<u8> {
+    const HEADER: usize = 8 + 4 + 4 + 4;
+    let count = u32::from_le_bytes([image[12], image[13], image[14], image[15]]);
+    let mut body = image[HEADER..].to_vec();
+    body.extend_from_slice(&(tag as u32).to_le_bytes());
+    body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    body.extend_from_slice(&crc32(payload).to_le_bytes());
+    body.extend_from_slice(payload);
+    let mut out = Vec::new();
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.extend_from_slice(&(count + 1).to_le_bytes());
+    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    out.extend_from_slice(&body);
+    out
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Differential tests for the serving layer (PR 9 satellite): oracle
 //! answers must be **bit-identical** to direct recomputation from the
-//! embedding — point queries and batched dense-block sweeps against
+//! embedding — point queries and batched sweeps against
 //! [`FrtTree::leaf_distance`], the intersection rung against a direct
 //! LE-list recompute — across thread counts {1, 4} and a save/load
 //! roundtrip through the snapshot container. Degraded (non-exact)

@@ -53,8 +53,8 @@ fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         .install(f)
 }
 
-/// Large enough that the dense batch sweep crosses several cancellation
-/// strides (the tree holds ≥ n level-0 leaves).
+/// A 150-vertex gnm artifact: a tree of several levels, and enough
+/// vertices for the point and batch queries below.
 fn fixture_image() -> Vec<u8> {
     let mut rng = StdRng::seed_from_u64(0x5EF1);
     let g = gnm_graph(150, 430, 1.0..9.0, &mut rng);
