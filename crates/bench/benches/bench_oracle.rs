@@ -1,11 +1,14 @@
 //! Oracle vs explicit `H` (Theorem 5.2): one simulated `H`-iteration on
 //! `G'`'s sparse edges against one real iteration on the dense explicit
-//! `H`.
+//! `H`. The oracle round is a resume from round 0 with the warm states
+//! and a budget of one round, on the arena lane.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use mte_core::arena::ArenaBackend;
 use mte_core::engine::{iterate, run};
 use mte_core::frt::le_list::{LeListAlgorithm, Ranks};
-use mte_core::oracle::oracle_iteration;
+use mte_core::oracle::try_resume_oracle_on;
+use mte_core::run::Checkpoint;
 use mte_core::simgraph::SimulatedGraph;
 use mte_graph::algorithms::shortest_path_diameter;
 use mte_graph::generators::gnm_graph;
@@ -28,9 +31,14 @@ fn bench_oracle(c: &mut Criterion) {
     let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
     let alg = LeListAlgorithm::new(ranks);
     let warm = run(&alg, &g, 2).states;
+    let ckpt = Checkpoint {
+        hop: 0,
+        frontier: Vec::new(),
+        states: warm.clone(),
+    };
 
     group.bench_function("oracle_iteration/n=256", |b| {
-        b.iter(|| oracle_iteration(&alg, &sim, &warm))
+        b.iter(|| try_resume_oracle_on::<ArenaBackend, _>(&alg, &sim, 1, &ckpt))
     });
     group.bench_function("explicit_h_iteration/n=256", |b| {
         b.iter(|| iterate(&alg, &h, &warm))

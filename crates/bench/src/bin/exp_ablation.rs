@@ -1,4 +1,4 @@
-//! Ablation driver. See DESIGN.md §4 and EXPERIMENTS.md.
+//! Ablation driver. See docs/DESIGN.md §4.
 fn main() {
     mte_bench::suite::exp_ablation().print();
 }

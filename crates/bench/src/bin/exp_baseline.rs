@@ -1,4 +1,4 @@
-//! Experiment driver. See DESIGN.md §4 and EXPERIMENTS.md.
+//! Experiment driver. See docs/DESIGN.md §4.
 //!
 //! Runs the Section 1.1 sampler comparison (E16), the engine suite
 //! (the frontier schedule on the owned, arena and dense-block backends

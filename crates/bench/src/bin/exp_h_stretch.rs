@@ -1,4 +1,4 @@
-//! Experiment driver. See DESIGN.md §4 and EXPERIMENTS.md.
+//! Experiment driver. See docs/DESIGN.md §4.
 fn main() {
     mte_bench::suite::exp_h_stretch().print();
 }

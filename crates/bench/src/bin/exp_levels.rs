@@ -1,4 +1,4 @@
-//! E1 — Lemma 4.1. See DESIGN.md §4 and EXPERIMENTS.md.
+//! E1 — Lemma 4.1. See docs/DESIGN.md §4.
 fn main() {
     mte_bench::suite::exp_levels().print();
 }

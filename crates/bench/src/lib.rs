@@ -2,7 +2,7 @@
 //!
 //! The paper is a theory paper without empirical tables; every
 //! experiment here turns one of its theorems into a measurable artifact
-//! (the index lives in DESIGN.md §4 and results in EXPERIMENTS.md):
+//! (the index lives in docs/DESIGN.md §4):
 //!
 //! | binary | claim |
 //! |--------|-------|

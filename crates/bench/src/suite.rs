@@ -1,7 +1,8 @@
-//! Experiment implementations, one per reproduced claim (DESIGN.md §4).
+//! Experiment implementations, one per reproduced claim (docs/DESIGN.md
+//! §4).
 //!
 //! Each function returns a [`Table`] that the corresponding `exp_*`
-//! binary prints; EXPERIMENTS.md records the outputs.
+//! binary prints.
 
 use crate::tables::{f, Table};
 use mte_algebra::{Dist, NodeId};
@@ -736,7 +737,7 @@ pub fn exp_baseline() -> Table {
         // (c) The paper's pipeline: the h simulated H-iterations each run
         // the Λ levels in parallel, d G'-iterations deep ⇒ depth ∝ h·d.
         // (With Cohen's hop set d would be polylog; our hub substitute
-        // pays d ≈ n/√m — see DESIGN.md §3.)
+        // pays d ≈ n/√m — see docs/DESIGN.md §3.)
         let d = (2.0 * (n as f64).sqrt()) as usize | 1;
         let config = FrtConfig {
             hopset: HopsetConfig {

@@ -4,7 +4,7 @@
 //! The Congest model (Peleg \[38\]): synchronous rounds; per round each node
 //! may send one `O(log n)`-bit message over each incident edge — here, one
 //! `(node id, distance)` pair. This crate *simulates* the model at the
-//! message level (DESIGN.md §3, substitution 4) and reports exact round
+//! message level (docs/DESIGN.md §3, substitution 4) and reports exact round
 //! and message counts for
 //!
 //! * [`khan`] — the LE-list algorithm of Khan et al. \[26\]

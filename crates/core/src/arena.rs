@@ -93,15 +93,14 @@
 //! the engine sits idle in between — the oracle's levels rely on this
 //! across rounds.
 //!
-//! [`oracle_run_arena_with_schedule`] is the oracle's level loop over
-//! arena lanes: one store per level, `O(Λ)` buffers total instead of
-//! the owned lane's `Θ(Λ·n)` per-vertex maps.
+//! [`ArenaBackend`] is a lane of the oracle's level loop
+//! ([`crate::oracle::oracle_run_on`]): one store per level, `O(Λ)`
+//! buffers total instead of `Θ(Λ·n)` per-vertex maps.
 
 use crate::engine::{initial_states, FrontierSchedule, MbfAlgorithm};
 use crate::error::RunError;
-use crate::oracle::{run_lanes, Lane, OracleRun};
-use crate::run::{Checkpoint, StateBackend};
-use crate::simgraph::SimulatedGraph;
+use crate::oracle::{sealed, Lane};
+use crate::run::{check_vertices, Checkpoint, StateBackend};
 use crate::work::WorkStats;
 use mte_algebra::store::{DistanceSlice, EpochStore, SpanOut, StoreStats};
 use mte_algebra::{Dist, DistanceMap, MinPlus, NodeId, Semimodule};
@@ -733,13 +732,16 @@ impl ArenaEngine {
         self.sched.frontier()
     }
 
-    /// See [`crate::engine::MbfEngine::enable_change_log`].
-    pub fn enable_change_log(&mut self) {
+    /// Turns on the change log: the engine then records every vertex
+    /// whose state a hop changed, until drained. The oracle lanes use it
+    /// to make their carry-over diff frontier-sized.
+    pub(crate) fn enable_change_log(&mut self) {
         self.sched.enable_change_log();
     }
 
-    /// See [`crate::engine::MbfEngine::drain_change_log`].
-    pub fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+    /// Appends the sorted set of vertices changed since the last drain
+    /// to `out` and resets the log.
+    pub(crate) fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
         self.sched.drain_change_log(out);
     }
 
@@ -1009,7 +1011,8 @@ pub struct ArenaBackend {
     engine: ArenaEngine,
     store: EpochStore,
     /// The store's counters when the oracle built the lane, the
-    /// baseline `Lane::finish` books the lane's storage traffic against.
+    /// baseline [`Lane::finish`] books the lane's storage traffic
+    /// against.
     created: StoreStats,
 }
 
@@ -1026,19 +1029,6 @@ impl ArenaBackend {
             engine: ArenaEngine::new(),
             store: EpochStore::default(),
             created: StoreStats::default(),
-        }
-    }
-
-    /// An oracle lane: `n` empty spans, with the engine's change log on.
-    fn lane<A: ArenaMbfAlgorithm>(n: usize) -> Self {
-        let mut engine = ArenaEngine::new();
-        engine.enable_change_log();
-        let store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
-        let created = store.stats();
-        ArenaBackend {
-            engine,
-            store,
-            created,
         }
     }
 }
@@ -1062,6 +1052,7 @@ impl<A: ArenaMbfAlgorithm> StateBackend<A> for ArenaBackend {
         g: &Graph,
         ckpt: &Checkpoint<DistanceMap>,
     ) -> Result<WorkStats, RunError> {
+        check_vertices(&ckpt.states)?;
         self.store = EpochStore::with_rank_column(g.n(), A::USES_RANK_COLUMN);
         self.store.import(&ckpt.states, |u| alg.entry_aux(u));
         self.engine.prime(g);
@@ -1079,10 +1070,6 @@ impl<A: ArenaMbfAlgorithm> StateBackend<A> for ArenaBackend {
 
     fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
         self.engine.mark_dirty(g, vs.iter().copied());
-    }
-
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.engine.drain_change_log(out);
     }
 
     fn frontier(&self) -> &[NodeId] {
@@ -1105,11 +1092,42 @@ impl<A: ArenaMbfAlgorithm> StateBackend<A> for ArenaBackend {
 // The arena oracle lane.
 // ---------------------------------------------------------------------
 
+impl sealed::Sealed for ArenaBackend {}
+
 /// The arena lane of the oracle's level loop: `y_λ` as an
 /// [`EpochStore`] — no per-vertex maps.
 impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
     type X = Vec<DistanceMap>;
     type Folded = DistanceMap;
+
+    fn lane(n: usize) -> Self {
+        let mut engine = ArenaEngine::new();
+        engine.enable_change_log();
+        let store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
+        let created = store.stats();
+        ArenaBackend {
+            engine,
+            store,
+            created,
+        }
+    }
+
+    fn import(_alg: &A, states: &[DistanceMap]) -> Result<Vec<DistanceMap>, RunError> {
+        check_vertices(states)?;
+        Ok(states.to_vec())
+    }
+
+    fn export(x: &Vec<DistanceMap>) -> Vec<DistanceMap> {
+        x.clone()
+    }
+
+    fn into_export(x: Vec<DistanceMap>) -> Vec<DistanceMap> {
+        x
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
 
     fn project(&mut self, alg: &A, x: &Vec<DistanceMap>, v: NodeId, keep: bool) -> bool {
         let want: &[(NodeId, Dist)] = if keep { x[v as usize].entries() } else { &[] };
@@ -1170,26 +1188,6 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
             work.arena_bytes += now.arena_bytes;
         }
     }
-
-    fn export(x: Vec<DistanceMap>) -> Vec<DistanceMap> {
-        x
-    }
-}
-
-/// [`crate::oracle::oracle_run_with_schedule`] on the arena backend:
-/// each level vector `y_λ` is an epoch-arena store (`O(Λ)` buffers
-/// total — no per-vertex maps). Bit-identical states, iteration counts,
-/// fixpoint flags and hops; the other counters are the arena engine's
-/// own (for semi-naive algorithms, touched vertices too).
-pub fn oracle_run_arena_with_schedule<A: ArenaMbfAlgorithm>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    carry_over: bool,
-) -> OracleRun<DistanceMap> {
-    let n = sim.augmented().n();
-    let lane = || ArenaBackend::lane::<A>(n);
-    run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
 }
 
 #[cfg(test)]

@@ -44,18 +44,18 @@
 //!
 //! # Oracle routing
 //!
-//! [`oracle_run_dense_with_schedule`] is the oracle's level loop over
-//! dense lanes: every level vector `y_λ` and the aggregate `x` are
-//! dense blocks. `approximate_metric_on` (Theorem 6.1 — the APSP query,
-//! whose output *is* an `n × n` matrix) routes through it.
+//! [`DenseBackend`] is a lane of the oracle's level loop
+//! ([`crate::oracle::oracle_run_on`]): every level vector `y_λ` and the
+//! aggregate `x` are dense blocks. `approximate_metric_on` (Theorem 6.1
+//! — the APSP query, whose output *is* an `n × n` matrix) routes
+//! through it.
 
 #[cfg(doc)]
 use crate::engine::MbfEngine;
 use crate::engine::{initial_states, FrontierSchedule, MbfAlgorithm, SyncPtr};
 use crate::error::RunError;
-use crate::oracle::{run_lanes, Lane, OracleRun};
-use crate::run::{Checkpoint, StateBackend};
-use crate::simgraph::SimulatedGraph;
+use crate::oracle::{sealed, Lane};
+use crate::run::{check_vertices, Checkpoint, StateBackend};
 use crate::work::WorkStats;
 use mte_algebra::dense::{
     fold_row_into, relax_rows_into, relax_rows_tracked, rows_equal, DenseBlock, DenseKernel,
@@ -185,13 +185,16 @@ where
         self.sched.frontier()
     }
 
-    /// See [`MbfEngine::enable_change_log`].
-    pub fn enable_change_log(&mut self) {
+    /// Turns on the change log: the engine then records every vertex
+    /// whose state a hop changed, until drained. The oracle lanes use it
+    /// to make their carry-over diff frontier-sized.
+    pub(crate) fn enable_change_log(&mut self) {
         self.sched.enable_change_log();
     }
 
-    /// See [`MbfEngine::drain_change_log`].
-    pub fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+    /// Appends the sorted set of vertices changed since the last drain
+    /// to `out` and resets the log.
+    pub(crate) fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
         self.sched.drain_change_log(out);
     }
 
@@ -446,21 +449,11 @@ where
         }
     }
 
-    /// An oracle lane: an `n × n` block of `⊥`, with the engine's change
-    /// log on.
-    fn lane(n: usize) -> Self {
-        let mut engine = DenseEngine::new();
-        engine.enable_change_log();
-        DenseBackend {
-            engine,
-            block: DenseBlock::new(n, n),
-            budget_bytes: None,
-        }
-    }
-
     /// Loads `states` into a fresh `n × n` block allocated under the
-    /// memory budget, then checks the dense advertisement.
+    /// memory budget, then checks the dense advertisement. A state
+    /// naming a vertex `≥ n` is [`RunError::SnapshotCorrupt`].
     fn load(&mut self, alg: &A, states: &[A::M]) -> Result<(), RunError> {
+        check_vertices(states)?;
         let n = states.len();
         let block = DenseBlock::try_from_states(states, n, self.budget_bytes).map_err(|e| {
             RunError::DenseBudgetExceeded {
@@ -514,10 +507,6 @@ where
         self.engine.mark_dirty(g, vs.iter().copied());
     }
 
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.engine.drain_change_log(out);
-    }
-
     fn frontier(&self) -> &[NodeId] {
         self.engine.frontier()
     }
@@ -545,6 +534,13 @@ fn with_fold_row<R>(f: impl FnOnce(&mut Vec<MinPlus>) -> R) -> R {
     })
 }
 
+impl<A: DenseMbfAlgorithm> sealed::Sealed for DenseBackend<A>
+where
+    A::S: DenseKernel,
+    A::M: DenseState<A::S>,
+{
+}
+
 /// The dense lane of the oracle's level loop: `y_λ` as a
 /// [`DenseBlock`]; the aggregate `x` is a dense block too.
 impl<A: DenseMbfAlgorithm<S = MinPlus>> Lane<A> for DenseBackend<A>
@@ -553,6 +549,33 @@ where
 {
     type X = DenseBlock<MinPlus>;
     type Folded = Vec<MinPlus>;
+
+    fn lane(n: usize) -> Self {
+        let mut engine = DenseEngine::new();
+        engine.enable_change_log();
+        DenseBackend {
+            engine,
+            block: DenseBlock::new(n, n),
+            budget_bytes: None,
+        }
+    }
+
+    fn import(alg: &A, states: &[A::M]) -> Result<DenseBlock<MinPlus>, RunError> {
+        assert!(
+            alg.advertises_dense(),
+            "algorithm instance does not advertise dense states"
+        );
+        check_vertices(states)?;
+        Ok(DenseBlock::from_states(states, states.len()))
+    }
+
+    fn export(x: &DenseBlock<MinPlus>) -> Vec<A::M> {
+        x.export()
+    }
+
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
+        self.engine.drain_change_log(out);
+    }
 
     fn project(&mut self, _alg: &A, x: &DenseBlock<MinPlus>, v: NodeId, keep: bool) -> bool {
         let y = self.block.row_mut(v);
@@ -603,37 +626,6 @@ where
             Semiring::poison(s);
         }
     }
-
-    fn export(x: DenseBlock<MinPlus>) -> Vec<A::M> {
-        x.export()
-    }
-}
-
-/// [`crate::oracle::oracle_run_with_schedule`] on the dense backend:
-/// every level vector `y_λ` and the aggregate `x` are [`DenseBlock`]s,
-/// projections compare and copy rows, and the aggregation folds level
-/// rows through [`fold_row_into`]. Bit-identical states, iteration
-/// counts, fixpoint flags, hops and touched vertices; the other
-/// counters are in the dense engine's currency (see
-/// [`DenseEngine::step`]).
-pub fn oracle_run_dense_with_schedule<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    carry_over: bool,
-) -> OracleRun<A::M>
-where
-    A: DenseMbfAlgorithm<S = MinPlus>,
-    A::M: DenseState<A::S>,
-{
-    assert!(
-        alg.advertises_dense(),
-        "algorithm instance does not advertise dense states"
-    );
-    let n = sim.augmented().n();
-    let lane = || DenseBackend::lane(n);
-    let x = DenseBlock::from_states(&initial_states(alg, n), n);
-    run_lanes(alg, sim, h, carry_over, lane, x)
 }
 
 #[cfg(test)]
@@ -731,18 +723,16 @@ mod tests {
     }
 
     #[test]
-    fn dense_oracle_matches_owned_oracle() {
+    fn dense_oracle_matches_literal_oracle() {
         let mut rng = StdRng::seed_from_u64(86);
         let g = gnm_graph(30, 70, 1.0..6.0, &mut rng);
         let sim = crate::simgraph::SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
         let alg = SourceDetection::apsp(g.n());
         let cap = 4 * g.n();
-        for carry_over in [true, false] {
-            let owned = crate::oracle::oracle_run_with_schedule(&alg, &sim, cap, carry_over);
-            let dense = oracle_run_dense_with_schedule(&alg, &sim, cap, carry_over);
-            assert_eq!(owned.states, dense.states, "carry={carry_over}");
-            assert_eq!(owned.h_iterations, dense.h_iterations);
-            assert_eq!(owned.fixpoint, dense.fixpoint);
-        }
+        let literal = crate::oracle::literal_oracle(&alg, &sim, cap);
+        let dense = crate::oracle::oracle_run_on::<DenseBackend<_>, _>(&alg, &sim, cap);
+        assert_eq!(literal.states, dense.states);
+        assert_eq!(literal.h_iterations, dense.h_iterations);
+        assert_eq!(literal.fixpoint, dense.fixpoint);
     }
 }

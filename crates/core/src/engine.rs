@@ -594,20 +594,6 @@ impl<A: MbfAlgorithm> MbfEngine<A> {
         self.sched.frontier()
     }
 
-    /// Turns on the change log: the engine then records every vertex
-    /// whose state a hop changed, until drained. The oracle uses this to
-    /// make its carry-over diff frontier-sized.
-    pub fn enable_change_log(&mut self) {
-        self.sched.enable_change_log();
-    }
-
-    /// Appends the sorted set of vertices changed since the last drain
-    /// to `out` and resets the log. Requires
-    /// [`MbfEngine::enable_change_log`].
-    pub fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.sched.drain_change_log(out);
-    }
-
     /// Declares every vertex dirty. Call after the state vector was
     /// rewritten wholesale outside the engine (initialization) — the
     /// next hop is then a full sweep, after which convergence narrows the
@@ -824,8 +810,8 @@ pub fn iterate<A: MbfAlgorithm>(alg: &A, g: &Graph, x: &[A::M]) -> (Vec<A::M>, W
 /// the storage the arena and dense backends are asserted against.
 #[derive(Clone, Debug)]
 pub struct OwnedBackend<A: MbfAlgorithm> {
-    pub(crate) engine: MbfEngine<A>,
-    pub(crate) states: Vec<A::M>,
+    engine: MbfEngine<A>,
+    states: Vec<A::M>,
 }
 
 impl<A: MbfAlgorithm> Default for OwnedBackend<A> {
@@ -840,17 +826,6 @@ impl<A: MbfAlgorithm> OwnedBackend<A> {
         OwnedBackend {
             engine: MbfEngine::new(),
             states: Vec::new(),
-        }
-    }
-
-    /// An oracle lane: `n` slots, all `⊥`, with the engine's change log
-    /// on.
-    pub(crate) fn lane(n: usize) -> Self {
-        let mut engine = MbfEngine::new();
-        engine.enable_change_log();
-        OwnedBackend {
-            engine,
-            states: vec![A::M::zero(); n],
         }
     }
 }
@@ -886,10 +861,6 @@ impl<A: MbfAlgorithm> StateBackend<A> for OwnedBackend<A> {
 
     fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
         self.engine.mark_dirty(g, vs.iter().copied());
-    }
-
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.engine.drain_change_log(out);
     }
 
     fn frontier(&self) -> &[NodeId] {

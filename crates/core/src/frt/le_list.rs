@@ -25,11 +25,11 @@
 //! differential-tested by the equivalence suite.
 
 use crate::arena::{
-    oracle_run_arena_with_schedule, with_arena_acc, ArenaBackend, ArenaMbfAlgorithm, DeltaFloor,
-    Incoming, ReceiverSummary, RecomputeCtx, SpanRecompute,
+    with_arena_acc, ArenaBackend, ArenaMbfAlgorithm, DeltaFloor, Incoming, ReceiverSummary,
+    RecomputeCtx, SpanRecompute,
 };
 use crate::engine::MbfAlgorithm;
-use crate::oracle::default_iteration_cap;
+use crate::oracle::{default_iteration_cap, oracle_run_on};
 use crate::run::run_to_fixpoint_on;
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
@@ -661,8 +661,11 @@ pub fn le_lists_approx_eq(a: &[LeList], b: &[LeList], rel: f64) -> bool {
 
 /// LE lists via the **oracle on `H`** — the paper's main pipeline
 /// (Section 7.3/7.4). Runs on the arena lane of the oracle's level loop
-/// (one epoch-arena store per level); bit-identical to the owned oracle,
-/// asserted by `tests/schedule_equivalence.rs`. Returns the lists, the
+/// (one epoch-arena store per level); bit-identical to the literal
+/// oracle loop, asserted by `tests/schedule_equivalence.rs`. The
+/// guarded, checkpointable form of this run is
+/// [`crate::oracle::try_oracle_run_on`] on [`ArenaBackend`] with
+/// [`LeListAlgorithm`]. Returns the lists, the
 /// number of simulated `H`-iterations, and the work.
 pub fn le_lists_oracle(
     sim: &SimulatedGraph,
@@ -671,7 +674,7 @@ pub fn le_lists_oracle(
 ) -> (Vec<LeList>, usize, WorkStats) {
     let alg = LeListAlgorithm::new(Arc::clone(ranks));
     let cap = cap.unwrap_or_else(|| default_iteration_cap(sim.base().n()));
-    let run = oracle_run_arena_with_schedule(&alg, sim, cap, true);
+    let run = oracle_run_on::<ArenaBackend, _>(&alg, sim, cap);
     let lists = run
         .states
         .iter()

@@ -42,7 +42,7 @@ use std::sync::Arc;
 /// Configuration of the FRT sampling pipeline.
 #[derive(Clone, Debug)]
 pub struct FrtConfig {
-    /// Hop-set parameters for building `G'` (DESIGN.md §3 substitution 2).
+    /// Hop-set parameters for building `G'` (docs/DESIGN.md §3 substitution 2).
     pub hopset: HopsetConfig,
     /// Level penalty base `ε̂` of the simulated graph (Section 4); the
     /// paper uses `ε̂ ∈ 1/polylog n`.

@@ -10,7 +10,7 @@
 //!
 //! The paper traces these paths through stored MBF states to stay at
 //! polylog depth; this implementation recomputes them with two Dijkstra
-//! runs (see DESIGN.md §3, substitution 3 — the output contract is
+//! runs (see docs/DESIGN.md §3, substitution 3 — the output contract is
 //! identical).
 
 use crate::frt::tree::FrtTree;

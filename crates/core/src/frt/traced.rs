@@ -7,7 +7,7 @@
 //! This module computes LE lists where every entry also records the
 //! neighbor it arrived from, and reconstructs the corresponding paths in
 //! the iterated graph without re-running any shortest-path computation —
-//! the paper's variant (a) of path reconstruction (DESIGN.md §3,
+//! the paper's variant (a) of path reconstruction (docs/DESIGN.md §3,
 //! substitution 3; the Dijkstra-based variant for oracle-built trees
 //! lives in [`crate::frt::paths`]).
 

@@ -22,7 +22,9 @@
 //!   levels, penalty weights, `SPD(H) ∈ O(log² n)` w.h.p.,
 //! * [`oracle`] — the **oracle for MBF-like queries** on `H`
 //!   (Section 5): simulates iterations of any MBF-like algorithm on the
-//!   complete graph `H` using only the edges of `G'`,
+//!   complete graph `H` using only the edges of `G'`, through plain,
+//!   guarded and resuming drivers generic over its arena and dense
+//!   lanes,
 //! * [`metric`] — `(1+o(1))`- and `O(1)`-approximate metrics
 //!   (Section 6, Theorems 6.1 and 6.2),
 //! * [`frt`] — **sampling from the FRT distribution** via Least-Element

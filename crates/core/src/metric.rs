@@ -7,9 +7,10 @@
 //!   a Baswana–Sen `(2k−1)`-spanner trades the approximation for
 //!   near-`n²` work on dense graphs.
 
+use crate::arena::ArenaBackend;
 use crate::catalog::SourceDetection;
-use crate::dense::oracle_run_dense_with_schedule;
-use crate::oracle::{default_iteration_cap, oracle_run};
+use crate::dense::DenseBackend;
+use crate::oracle::{default_iteration_cap, oracle_run_on};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::{Dist, NodeId};
@@ -89,14 +90,13 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
         .unwrap_or_else(|| default_iteration_cap(n));
     let alg = SourceDetection::apsp(n);
     // APSP advertises dense states and its output *is* an n × n matrix:
-    // route the oracle levels through the dense-block backend
-    // (bit-identical to the owned oracle, differential-tested by
+    // route the oracle levels through the dense lane (bit-identical to
+    // the arena lane and the literal oracle loop, differential-tested by
     // `tests/schedule_equivalence.rs`). The dense oracle keeps ~2(Λ+2)
     // full n×n blocks live (per-level vector + engine shadow, the
     // aggregate, and the changed rows staged for it) — a Λ× footprint
-    // over the sparse oracle's per-level state lists — so large
-    // instances stay on the owned sparse route instead of trading
-    // speed for an OOM.
+    // over the arena lane's per-level stores — so large instances stay
+    // on the arena lane instead of trading speed for an OOM.
     const DENSE_ORACLE_BYTE_BUDGET: usize = 4 << 30; // 4 GiB
     let lambda = sim.levels().lambda() as usize;
     let dense_bytes = (2 * lambda + 4)
@@ -104,9 +104,9 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
         .saturating_mul(n)
         .saturating_mul(std::mem::size_of::<f64>());
     let run = if dense_bytes <= DENSE_ORACLE_BYTE_BUDGET {
-        oracle_run_dense_with_schedule(&alg, sim, cap, true)
+        oracle_run_on::<DenseBackend<_>, _>(&alg, sim, cap)
     } else {
-        oracle_run(&alg, sim, cap)
+        oracle_run_on::<ArenaBackend, _>(&alg, sim, cap)
     };
     let mut dist = vec![vec![Dist::INF; n]; n];
     for (v, state) in run.states.iter().enumerate() {

@@ -14,35 +14,51 @@
 //! using only `G'`'s `O(m)` edges — `Λ·d ∈ polylog n` cheap iterations
 //! instead of one `Ω(n²)` dense product (Theorem 5.2).
 //!
-//! # One level loop, three lanes
+//! # One level loop, two lanes, three drivers
 //!
 //! The simulation is written once, as the level loop of this module,
-//! over a small `Lane` trait. A lane is a [`StateBackend`] — one level's
-//! vector `y_λ` and the engine hopping over it — plus the projection
-//! and aggregation hooks; the loop owns everything else. Three backends
-//! are lanes, each behind its own public entry point:
+//! over the sealed [`Lane`] trait. A lane is a [`StateBackend`] — one
+//! level's vector `y_λ` and the engine hopping over it — plus the
+//! projection and aggregation hooks; the loop owns everything else. Two
+//! backends are lanes:
 //!
-//! * owned ([`OwnedBackend`]) — [`oracle_run_with_schedule`], the
-//!   semantics reference,
-//! * arena ([`crate::arena::ArenaBackend`]) —
-//!   [`crate::arena::oracle_run_arena_with_schedule`], the production
-//!   path of the LE lists,
-//! * dense ([`crate::dense::DenseBackend`]) —
-//!   [`crate::dense::oracle_run_dense_with_schedule`], the APSP route.
+//! * arena ([`crate::arena::ArenaBackend`]) — every level vector an
+//!   epoch-arena store; the production path of the LE lists,
+//! * dense ([`crate::dense::DenseBackend`]) — every level vector and the
+//!   aggregate a dense block; the APSP route of `approximate_metric_on`.
 //!
-//! The lane contract: `Lane::project` compare-and-assigns one slot of
-//! the projection `y_λ[v] ← P_λ x[v]` and reports whether it rewrote,
-//! and `Lane::project_all` does so for every slot (the owned lane in
-//! parallel); the hops go through the backend (whose change log is on);
-//! `Lane::fold` aggregates one vertex over the lanes of levels
+//! Three drivers, generic over the lane, mirror [`crate::run`]'s
+//! fixpoint drivers: [`oracle_run_on`] (plain), [`try_oracle_run_on`]
+//! (guarded, capturing a [`Checkpoint`] whenever the
+//! [`CheckpointPolicy`] asks) and [`try_resume_oracle_on`] (guarded
+//! resume). An oracle checkpoint is the aggregate `x` plus the round,
+//! with an empty frontier: [`Lane::import`] loads it, and fresh lanes
+//! re-prime wholesale, so the drivers never depend on the lane.
+//!
+//! The lane contract: [`Lane::lane`] builds one level's `⊥` vector with
+//! the engine's change log on; [`Lane::import`] / [`Lane::export`] /
+//! [`Lane::into_export`] convert the aggregate to and from owned states;
+//! [`Lane::project`]
+//! compare-and-assigns one slot of the projection `y_λ[v] ← P_λ x[v]`
+//! and reports whether it rewrote; the hops go through the backend, and
+//! [`Lane::drain_change_log`] hands over the slots they changed;
+//! [`Lane::fold`] aggregates one vertex over the lanes of levels
 //! `0..=level(v)` in ascending-`λ` order, filter fused in, and
-//! `Lane::commit` writes a changed fold back into `x`; `Lane::poison`
+//! [`Lane::commit`] writes a changed fold back into `x`; [`Lane::poison`]
 //! corrupts a slot for the `oracle_level_loop` fault site;
-//! `Lane::finish` books lane-held counters once the run ends. Every
-//! lane computes the same states, so the three entry points are
-//! bit-identical in states, iteration counts and fixpoint flags, and in
-//! `work.iterations` and `work.touched_vertices` (the hop schedule is
-//! shared); the other counters are in each backend's own currency.
+//! [`Lane::finish`] books lane-held counters once the run ends. Both
+//! lanes compute the same states, so they are bit-identical in states,
+//! iteration counts and fixpoint flags, and in `work.iterations` (the hop
+//! schedule is shared); the other counters are in each backend's own
+//! currency.
+//!
+//! The reference is the **literal oracle loop** of the test suites
+//! (`literal_oracle`): each round projects `x` for every `λ`, applies
+//! the one-shot [`crate::engine::iterate_scaled`] kernel `d` times, folds
+//! the levels in ascending order and filters, and stops at the first
+//! round that changes nothing. It shares no code with the lanes, the
+//! carry-over schedule below or the level loop, and both lanes are
+//! asserted bit-identical to it.
 //!
 //! # Carry-over
 //!
@@ -56,10 +72,10 @@
 //! not yet absorbed). A vertex outside the closed neighborhood of
 //! (residual ∪ changed) provably recomputes to its current value, so the
 //! carry-over schedule is **bit-identical** to the all-dirty restart
-//! (asserted against [`oracle_run_with_schedule`] with `carry_over:
-//! false`). Only a level's very first round (no previous buffer to diff
-//! against) sweeps all-dirty. Hops after the level's fixpoint are
-//! skipped outright — the iteration map is deterministic, so an
+//! (asserted against the literal oracle loop). Only a level's very first
+//! round (no previous buffer to diff against) sweeps all-dirty. Hops
+//! after the level's fixpoint are skipped outright — the iteration map
+//! is deterministic, so an
 //! unchanged state vector can never change again, and the result is
 //! bit-identical to running all `d` hops.
 //!
@@ -91,8 +107,8 @@
 //! `r^V A_λ y = y`. Its next round rewrites only the projected slots
 //! (`level(v) ≥ λ`) of the diff to `P_λ x'` and leaves every relay slot
 //! as it is; the seeding, the hops and the moved bookkeeping are
-//! unchanged. Wholesale rounds (unprimed, or without carry-over) rewrite
-//! every slot as before. This is exact:
+//! unchanged. A wholesale round (the unprimed first one) rewrites every
+//! slot as before. This is exact:
 //!
 //! * the start vector is `s₀ = P_λ x' ⊕ y`: at a projected slot the
 //!   aggregation already folded `y[v]` into `x'[v]`, so
@@ -124,8 +140,7 @@
 //! the last executed round plus the latest `C` still cover every slot
 //! that can disagree. The aggregation ignores idle levels (they moved
 //! nothing). A level never idles unprimed (its first round, also after
-//! a checkpoint resume), without carry-over (the reference stays a true
-//! reference), or in a round its `oracle_level_loop` fault site
+//! a checkpoint resume) or in a round its `oracle_level_loop` fault site
 //! poisoned it.
 //!
 //! # Parallel structure
@@ -141,12 +156,12 @@
 //! suite). Per-level `WorkStats` merge through the same fixed-shape
 //! reduction tree.
 
-use crate::engine::{initial_states, MbfAlgorithm, OwnedBackend};
-use crate::error::RunError;
-use crate::run::{try_oracle_run_checkpointed_with, CheckpointPolicy, StateBackend};
+use crate::engine::{initial_states, MbfAlgorithm};
+use crate::error::{check_states, run_guarded, RunError, RunReport};
+use crate::run::{validate_checkpoint, Checkpoint, CheckpointPolicy, StateBackend};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
-use mte_algebra::{MinPlus, NodeId, Semimodule};
+use mte_algebra::{MinPlus, NodeId};
 use mte_faults::{FaultKind, FaultSite};
 use rayon::prelude::*;
 
@@ -160,47 +175,48 @@ pub struct OracleRun<M> {
     pub h_iterations: usize,
     /// Whether a fixpoint on `H` was reached (`h > SPD(H)`).
     pub fixpoint: bool,
-    /// Alias of [`fixpoint`](OracleRun::fixpoint) under the run-report
-    /// vocabulary: `true` iff the simulation converged within its
-    /// iteration budget.
-    pub converged: bool,
-    /// Total inner `G'`-hops executed across all levels and simulated
-    /// iterations (`work.iterations`).
-    pub hops: u64,
-    /// Work spent, including all inner `G'`-iterations.
+    /// Work spent, including all inner `G'`-iterations
+    /// (`work.iterations` counts the `G'`-hops).
     pub work: WorkStats,
 }
 
+pub(crate) mod sealed {
+    /// Keeps [`super::Lane`] implemented by this crate's backends only.
+    pub trait Sealed {}
+}
+
 /// One level's vector `y_λ`: a state backend plus the projection and
-/// aggregation the level loop needs. See the module docs for the
-/// contract.
-pub(crate) trait Lane<A: MbfAlgorithm<S = MinPlus>>: StateBackend<A> + Send + Sync {
+/// aggregation the level loop needs. Sealed: implemented by
+/// [`crate::arena::ArenaBackend`] and [`crate::dense::DenseBackend`].
+/// See the module docs for the contract.
+pub trait Lane<A: MbfAlgorithm<S = MinPlus>>:
+    sealed::Sealed + StateBackend<A> + Send + Sync
+{
     /// The aggregate state vector `x` the levels project from.
     type X: Sync;
     /// One vertex's new aggregate, staged between [`Lane::fold`] and
     /// [`Lane::commit`].
     type Folded: Send;
 
+    /// One level's lane over `n` vertices: every slot `⊥`, with the
+    /// engine's change log on.
+    fn lane(n: usize) -> Self;
+    /// The aggregate holding `states` (the initial `r^V x⁽⁰⁾` or a
+    /// checkpoint's). A state naming a vertex `≥ states.len()` is
+    /// [`RunError::SnapshotCorrupt`].
+    fn import(alg: &A, states: &[A::M]) -> Result<Self::X, RunError>;
+    /// The aggregate as owned states, for a checkpoint capture.
+    fn export(x: &Self::X) -> Vec<A::M>;
+    /// The final states, once the run ends.
+    fn into_export(x: Self::X) -> Vec<A::M> {
+        Self::export(&x)
+    }
+    /// Appends the vertices the hops changed since the last drain —
+    /// sorted, deduplicated — to `out`.
+    fn drain_change_log(&mut self, out: &mut Vec<NodeId>);
     /// Compare-and-assign `y[v] ← keep ? x[v] : ⊥`; returns whether the
     /// slot was rewritten.
     fn project(&mut self, alg: &A, x: &Self::X, v: NodeId, keep: bool) -> bool;
-    /// [`Lane::project`] over every slot `0..n`, appending the rewritten
-    /// ones to `seeds` in ascending order. A lane may override it to
-    /// rewrite its slots in parallel.
-    fn project_all(
-        &mut self,
-        alg: &A,
-        x: &Self::X,
-        n: usize,
-        keep: impl Fn(NodeId) -> bool + Sync,
-        seeds: &mut Vec<NodeId>,
-    ) {
-        for v in 0..n as NodeId {
-            if self.project(alg, x, v, keep(v)) {
-                seeds.push(v);
-            }
-        }
-    }
     /// `r(⊕ y_λ[v])` over `lanes` (levels `0..=level(v)`, ascending),
     /// or `None` if it equals `x[v]`.
     fn fold<'a>(
@@ -222,8 +238,6 @@ pub(crate) trait Lane<A: MbfAlgorithm<S = MinPlus>>: StateBackend<A> + Send + Sy
         Self: 'a,
     {
     }
-    /// The aggregate as owned states.
-    fn export(x: Self::X) -> Vec<A::M>;
 }
 
 /// A lane plus its carry-over bookkeeping. `primed` flips once the level
@@ -239,9 +253,9 @@ struct Level<L> {
     /// frontier-sized diff of the next executed round only examines
     /// `moved ∪ C`. Meaningless while `moved_all`.
     moved: Vec<NodeId>,
-    /// The last executed round rewrote `y` wholesale (priming round or
-    /// carry-over disabled): the next diff must examine every slot and
-    /// the aggregation cannot skip anything.
+    /// The last executed round rewrote `y` wholesale (the priming
+    /// round): the next diff must examine every slot and the aggregation
+    /// cannot skip anything.
     moved_all: bool,
     /// This round was skipped because the projected input did not
     /// change: everything above still describes the last executed round,
@@ -266,7 +280,6 @@ impl<L> Level<L> {
         alg: &A,
         sim: &SimulatedGraph,
         lambda: u32,
-        carry_over: bool,
         x: &L::X,
         x_changed: Option<&[NodeId]>,
     ) -> WorkStats
@@ -289,49 +302,43 @@ impl<L> Level<L> {
         // `x`, so `y` already holds this round's output. A poisoned
         // level runs, so the corruption is never parked in `y`.
         self.idle = self.primed
-            && carry_over
             && fired.is_none()
             && x_changed.is_some_and(|c| !c.iter().any(|&v| keep(v)));
         if self.idle {
             return WorkStats::new();
         }
         let aug = sim.augmented();
-        let wholesale = !self.primed || !carry_over;
+        let wholesale = !self.primed;
         // Settled level (module docs): `y` is a fixpoint, so only the
         // projected slots are rewritten and the relays keep their values.
         let keep_relays = !wholesale && self.settled && fired.is_none();
         // The previous round left `moved` (or `moved_all`); this round's
         // diff may only skip slots both unmoved and outside `x_changed`.
-        // A wholesale previous round (or an unknown `x_changed`) forces
-        // one full diff.
+        // A wholesale previous round (always the case before a wholesale
+        // round: an unprimed level is `moved_all`) or an unknown
+        // `x_changed` forces one full diff.
         let full_diff = self.moved_all || x_changed.is_none();
         let Level {
             lane, moved, seeds, ..
         } = self;
         seeds.clear();
-        if wholesale || (full_diff && !keep_relays) {
-            lane.project_all(alg, x, aug.n(), keep, seeds);
-        } else {
-            // Frontier-sized diff: a slot can disagree with the fresh
-            // projection only if this level moved it last round or the
-            // aggregation changed its `x` source — everything else
-            // still equals `P_λ x` (or is a relay a settled round kept)
-            // and is skipped without being read.
-            let visit = |v: NodeId| {
-                let projected = keep(v);
-                if (projected || !keep_relays) && lane.project(alg, x, v, projected) {
-                    seeds.push(v);
-                }
-            };
-            if full_diff {
-                (0..aug.n() as NodeId).for_each(visit);
-            } else {
-                for_each_sorted_union(moved, x_changed.unwrap_or(&[]), visit);
+        // A slot can disagree with the fresh projection only if this
+        // level moved it last round or the aggregation changed its `x`
+        // source — everything else still equals `P_λ x` (or is a relay a
+        // settled round kept) and is skipped without being read.
+        let visit = |v: NodeId| {
+            let projected = keep(v);
+            if (projected || !keep_relays) && lane.project(alg, x, v, projected) {
+                seeds.push(v);
             }
+        };
+        if full_diff {
+            (0..aug.n() as NodeId).for_each(visit);
+        } else {
+            for_each_sorted_union(moved, x_changed.unwrap_or(&[]), visit);
         }
         if wholesale {
-            // First round (or carry-over disabled): the frontier
-            // restarts full.
+            // First round: the frontier restarts full.
             lane.mark_all_dirty(aug);
             self.primed = true;
         } else {
@@ -401,24 +408,20 @@ fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) 
     }
 }
 
-/// The oracle's level loop, shared by every lane and by the
-/// checkpoint-resume drivers: builds one lane per level with
-/// `new_lane`, iterates from `x` (already past `executed` simulated
-/// iterations) up to `h` total, and calls `on_round(round, x)` after
-/// every round that changed something. The iteration map is
+/// The oracle's level loop, shared by every lane and every driver:
+/// builds one lane per level, iterates from `x` (already past `executed`
+/// simulated iterations) up to `h` total, and calls `on_round(round, x)`
+/// after every round that changed something. The iteration map is
 /// deterministic, so a round that changes nothing proves every later
 /// round is the identity: the loop stops there and reports the
 /// fixpoint. Resuming from a recorded `(x, executed)` pair with fresh
 /// lanes is bit-identical to the uninterrupted run: an unprimed level
 /// rewrites wholesale on its first round, which the carry-over schedule
 /// already proves equivalent to the diffing restart.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn level_loop<A, L>(
+fn level_loop<A, L>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-    carry_over: bool,
-    new_lane: impl FnMut() -> L,
     mut x: L::X,
     mut executed: usize,
     mut on_round: impl FnMut(usize, &L::X) -> Result<(), RunError>,
@@ -428,7 +431,7 @@ where
     L: Lane<A>,
 {
     let n = sim.augmented().n();
-    let mut levels: Vec<Level<L>> = std::iter::repeat_with(new_lane)
+    let mut levels: Vec<Level<L>> = std::iter::repeat_with(|| L::lane(n))
         .take(sim.levels().lambda() as usize + 1)
         .map(|lane| Level {
             lane,
@@ -456,9 +459,7 @@ where
             .par_iter_mut()
             .with_min_len(1)
             .enumerate()
-            .map(|(lambda, level)| {
-                level.round(alg, sim, lambda as u32, carry_over, x_ref, x_changed)
-            })
+            .map(|(lambda, level)| level.round(alg, sim, lambda as u32, x_ref, x_changed))
             .reduce(WorkStats::new, |mut a, b| {
                 a += b;
                 a
@@ -510,131 +511,15 @@ where
     }
     L::finish(levels.iter().map(|l| &l.lane), &mut work);
     Ok(OracleRun {
-        states: L::export(x),
+        states: L::into_export(x),
         h_iterations: executed,
         fixpoint,
-        converged: fixpoint,
-        hops: work.iterations,
         work,
     })
 }
 
-/// [`level_loop`] from `x` with no round hook (which cannot fail).
-pub(crate) fn run_lanes<A, L>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    carry_over: bool,
-    new_lane: impl FnMut() -> L,
-    x: L::X,
-) -> OracleRun<A::M>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-    L: Lane<A>,
-{
-    match level_loop(alg, sim, h, carry_over, new_lane, x, 0, |_, _| Ok(())) {
-        Ok(run) => run,
-        Err(e) => unreachable!("no-op round hook cannot fail: {e}"),
-    }
-}
-
-/// The owned lane: `y_λ` as a `Vec<A::M>`.
-impl<A: MbfAlgorithm<S = MinPlus>> Lane<A> for OwnedBackend<A> {
-    type X = Vec<A::M>;
-    type Folded = A::M;
-
-    fn project(&mut self, _alg: &A, x: &Vec<A::M>, v: NodeId, keep: bool) -> bool {
-        let zero;
-        let want = if keep {
-            &x[v as usize]
-        } else {
-            zero = A::M::zero();
-            &zero
-        };
-        assign(&mut self.states[v as usize], want)
-    }
-
-    fn project_all(
-        &mut self,
-        _alg: &A,
-        x: &Vec<A::M>,
-        _n: usize,
-        keep: impl Fn(NodeId) -> bool + Sync,
-        seeds: &mut Vec<NodeId>,
-    ) {
-        // Slots are independent heap values: rewrite them in parallel.
-        // The rewritten list collects in ascending vertex order
-        // (chunk-order concatenation), independent of the thread count.
-        let zero = A::M::zero();
-        let rewritten: Vec<NodeId> = self
-            .states
-            .par_iter_mut()
-            .enumerate()
-            .flat_map_iter(|(v, slot)| {
-                let want = if keep(v as NodeId) { &x[v] } else { &zero };
-                assign(slot, want).then_some(v as NodeId)
-            })
-            .collect();
-        seeds.extend(rewritten);
-    }
-
-    fn fold<'a>(
-        alg: &A,
-        lanes: impl Iterator<Item = &'a Self>,
-        x: &Vec<A::M>,
-        v: NodeId,
-    ) -> Option<A::M>
-    where
-        Self: 'a,
-    {
-        let mut acc = A::M::zero();
-        for lane in lanes {
-            acc.add_assign(&lane.states[v as usize]);
-        }
-        alg.filter(&mut acc);
-        (acc != x[v as usize]).then_some(acc)
-    }
-
-    fn commit(x: &mut Vec<A::M>, v: NodeId, folded: A::M) {
-        x[v as usize] = folded;
-    }
-
-    fn poison(&mut self, _alg: &A) {
-        if let Some(slot) = self.states.first_mut() {
-            slot.poison();
-        }
-    }
-
-    fn export(x: Vec<A::M>) -> Vec<A::M> {
-        x
-    }
-}
-
-/// Compare-and-assign `slot ← want`; `clone_from` reuses the slot's heap
-/// buffer. Returns whether the slot was rewritten.
-fn assign<M: Clone + PartialEq>(slot: &mut M, want: &M) -> bool {
-    let rewrite = slot != want;
-    if rewrite {
-        slot.clone_from(want);
-    }
-    rewrite
-}
-
-/// Simulates **one** iteration of `alg` on `H`:
-/// `x ← r^V (⊕_λ P_λ (r^V A_λ)^d P_λ x)`.
-pub fn oracle_iteration<A>(alg: &A, sim: &SimulatedGraph, x: &[A::M]) -> (Vec<A::M>, WorkStats)
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    let n = sim.augmented().n();
-    debug_assert_eq!(n, x.len());
-    let lane = || OwnedBackend::lane(n);
-    let run = run_lanes(alg, sim, 1, true, lane, x.to_vec());
-    (run.states, run.work)
-}
-
-/// Runs up to `h` iterations of `alg` on `H` starting from `r^V x⁽⁰⁾`
-/// (Theorem 5.2 (1)).
+/// Runs up to `h` iterations of `alg` on `H` from `r^V x⁽⁰⁾` on lane
+/// `L` (Theorem 5.2 (1)).
 ///
 /// The iteration map is deterministic, so a simulated `H`-iteration that
 /// changes nothing proves every later iteration is the identity: the run
@@ -643,48 +528,88 @@ where
 /// be less than `h`. The returned states are bit-identical to burning
 /// all `h` iterations, so a capped run *is* the run to the fixpoint.
 /// W.h.p. the fixpoint arrives after `SPD(H) ∈ O(log² n)` iterations
-/// (Theorems 4.5 and 5.2 (2)); see [`default_iteration_cap`].
-pub fn oracle_run<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
+/// (Theorems 4.5 and 5.2 (2)); see [`default_iteration_cap`]. Panics
+/// where the guarded [`try_oracle_run_on`] returns an error.
+pub fn oracle_run_on<L, A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
-    oracle_run_with_schedule(alg, sim, h, true)
+    let x0 = initial_states(alg, sim.augmented().n());
+    let run =
+        L::import(alg, &x0).and_then(|x| level_loop::<A, L>(alg, sim, h, x, 0, |_, _| Ok(())));
+    match run {
+        Ok(run) => run,
+        Err(e) => panic!("lane refused the run: {e}"),
+    }
 }
 
-/// [`oracle_run`] with the level schedule made explicit:
-/// `carry_over: true` (the default everywhere else) diffs each level's
-/// projection against its previous round and seeds only the changed
-/// vertices; `false` restarts every level all-dirty each round — the
-/// reference schedule, kept for ablation and differential testing. Both
-/// produce bit-identical states, iteration counts, and fixpoint flags;
-/// only the work counters differ.
-pub fn oracle_run_with_schedule<A>(
+/// Guarded [`oracle_run_on`]: panics become typed errors, injected
+/// faults are audited, and final states are scanned. `sink` receives a
+/// [`Checkpoint`] (the aggregate after the round, empty frontier) after
+/// every round [`CheckpointPolicy::level_due`] marks; a sink failure
+/// aborts the run with its error. An exhausted iteration budget is
+/// reported as `converged: false`, not an error.
+pub fn try_oracle_run_on<L, A>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-    carry_over: bool,
-) -> OracleRun<A::M>
+    policy: CheckpointPolicy,
+    mut sink: impl FnMut(&Checkpoint<A::M>) -> Result<(), RunError>,
+) -> Result<(OracleRun<A::M>, RunReport), RunError>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
-    let n = sim.augmented().n();
-    let lane = || OwnedBackend::lane(n);
-    run_lanes(alg, sim, h, carry_over, lane, initial_states(alg, n))
+    guarded::<A>(|| {
+        let x = L::import(alg, &initial_states(alg, sim.augmented().n()))?;
+        level_loop::<A, L>(alg, sim, h, x, 0, |round, x| {
+            if !policy.level_due(round as u64) {
+                return Ok(());
+            }
+            sink(&Checkpoint {
+                hop: round as u64,
+                frontier: Vec::new(),
+                states: L::export(x),
+            })
+        })
+    })
 }
 
-/// Guarded [`oracle_run`]: panics become typed errors, injected faults
-/// are audited, final states are sanity-scanned. An exhausted iteration
-/// budget is reported as `converged: false`, not an error.
-pub fn try_oracle_run_with<A>(
+/// Guarded resume from a checkpoint: validates it, imports its states
+/// as the aggregate, and re-enters the level loop at the recorded round
+/// with fresh lanes. Bit-identical states, round counts and fixpoint
+/// flags to the uninterrupted run.
+pub fn try_resume_oracle_on<L, A>(
     alg: &A,
     sim: &SimulatedGraph,
     h: usize,
-) -> Result<(OracleRun<A::M>, crate::error::RunReport), RunError>
+    ckpt: &Checkpoint<A::M>,
+) -> Result<(OracleRun<A::M>, RunReport), RunError>
 where
     A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
 {
-    let never = CheckpointPolicy::disabled();
-    try_oracle_run_checkpointed_with(alg, sim, h, never, |_| Ok(()))
+    validate_checkpoint(ckpt, sim.augmented().n())?;
+    guarded::<A>(|| {
+        let x = L::import(alg, &ckpt.states)?;
+        level_loop::<A, L>(alg, sim, h, x, ckpt.hop as usize, |_, _| Ok(()))
+    })
+}
+
+/// Runs `f` under [`run_guarded`], scans the final states, and builds
+/// the report.
+fn guarded<A: MbfAlgorithm>(
+    f: impl FnOnce() -> Result<OracleRun<A::M>, RunError>,
+) -> Result<(OracleRun<A::M>, RunReport), RunError> {
+    let run = run_guarded(f)??;
+    check_states::<A::S, A::M>(&run.states)?;
+    let report = RunReport {
+        converged: run.fixpoint,
+        hops: run.work.iterations,
+        degradations: Vec::new(),
+    };
+    Ok((run, report))
 }
 
 /// Default iteration cap: `SPD(H) ∈ O(log² n)` w.h.p. (Theorem 4.5), with
@@ -694,15 +619,101 @@ pub fn default_iteration_cap(n: usize) -> usize {
     (6.0 * log * log) as usize + 8
 }
 
+/// The literal oracle loop (Section 5): each round projects `x` for
+/// every level, applies the one-shot [`crate::engine::iterate_scaled`]
+/// kernel `d` times, folds the levels `0..=level(v)` in ascending order
+/// and filters; it stops at the first round that changes nothing, or
+/// after `h` rounds. It shares no code with the lanes, the carry-over
+/// schedule or the level loop: the lanes' states, round counts and
+/// fixpoint flags are differential-tested against it.
+#[cfg(test)]
+pub(crate) fn literal_oracle<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
+where
+    A: MbfAlgorithm<S = MinPlus>,
+{
+    use mte_algebra::Semimodule;
+    let (g, levels) = (sim.augmented(), sim.levels());
+    let level = |v: usize| levels.level(v as NodeId);
+    let mut x = initial_states(alg, g.n());
+    let mut work = WorkStats::new();
+    let (mut rounds, mut fixpoint) = (0, false);
+    while rounds < h {
+        let ys: Vec<Vec<A::M>> = (0..=levels.lambda())
+            .map(|lambda| {
+                let mut y: Vec<A::M> = (0..g.n())
+                    .map(|v| {
+                        if level(v) >= lambda {
+                            x[v].clone()
+                        } else {
+                            A::M::zero()
+                        }
+                    })
+                    .collect();
+                for _ in 0..sim.d() {
+                    let (next, w) =
+                        crate::engine::iterate_scaled(alg, g, &y, sim.level_scale(lambda));
+                    work += w;
+                    y = next;
+                }
+                y
+            })
+            .collect();
+        let next: Vec<A::M> = (0..g.n())
+            .map(|v| {
+                let mut acc = A::M::zero();
+                for y in &ys[..=level(v) as usize] {
+                    acc.add_assign(&y[v]);
+                }
+                alg.filter(&mut acc);
+                acc
+            })
+            .collect();
+        rounds += 1;
+        if next == x {
+            fixpoint = true;
+            break;
+        }
+        x = next;
+    }
+    OracleRun {
+        states: x,
+        h_iterations: rounds,
+        fixpoint,
+        work,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ArenaBackend;
     use crate::catalog::SourceDetection;
+    use crate::dense::DenseBackend;
     use crate::engine::run_to_fixpoint;
     use mte_graph::algorithms::shortest_path_diameter;
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Both lanes on `alg`, each asserted bit-identical to the literal
+    /// oracle loop in states, round counts and fixpoint flags.
+    fn lanes_equal_literal(
+        alg: &SourceDetection,
+        sim: &SimulatedGraph,
+        h: usize,
+    ) -> [OracleRun<mte_algebra::DistanceMap>; 2] {
+        let literal = literal_oracle(alg, sim, h);
+        let runs = [
+            oracle_run_on::<ArenaBackend, _>(alg, sim, h),
+            oracle_run_on::<DenseBackend<_>, _>(alg, sim, h),
+        ];
+        for (run, lane) in runs.iter().zip(["arena", "dense"]) {
+            assert_eq!(run.states, literal.states, "{lane}: diverged");
+            assert_eq!(run.h_iterations, literal.h_iterations, "{lane}");
+            assert_eq!(run.fixpoint, literal.fixpoint, "{lane}");
+        }
+        runs
+    }
 
     /// Theorem 5.2 ground truth: running APSP through the oracle must
     /// agree exactly with running APSP directly on the explicit `H`.
@@ -715,11 +726,8 @@ mod tests {
         let h_explicit = sim.explicit_h();
 
         let alg = SourceDetection::apsp(g.n());
-        let via_oracle = oracle_run(&alg, &sim, 4 * g.n());
+        let [via_oracle, _] = lanes_equal_literal(&alg, &sim, 4 * g.n());
         assert!(via_oracle.fixpoint);
-        // The run metadata mirrors the flags it summarizes.
-        assert!(via_oracle.converged);
-        assert_eq!(via_oracle.hops, via_oracle.work.iterations);
         let via_h = run_to_fixpoint(&alg, &h_explicit, 4 * g.n());
         assert!(via_h.fixpoint);
 
@@ -730,6 +738,45 @@ mod tests {
                 via_oracle.states[v],
                 via_h.states[v]
             );
+        }
+    }
+
+    /// The twin of `run::tests::malformed_checkpoints_are_typed_errors`:
+    /// a checkpoint of the wrong length or with a state naming a vertex
+    /// `≥ n` is [`RunError::SnapshotCorrupt`] on both lanes, never a
+    /// panic.
+    #[test]
+    fn malformed_oracle_checkpoints_are_typed_errors() {
+        let g = path_graph(12, 1.0);
+        let sim = SimulatedGraph::without_hopset(&g, 4, 0.1, &mut StdRng::seed_from_u64(26));
+        let alg = SourceDetection::apsp(g.n());
+        let n = sim.augmented().n();
+        let short = Checkpoint {
+            hop: 1,
+            frontier: Vec::new(),
+            states: initial_states(&alg, n - 1),
+        };
+        let mut states = initial_states(&alg, n);
+        states[2] = mte_algebra::DistanceMap::from_entries(vec![(
+            n as NodeId + 5,
+            mte_algebra::Dist::new(1.0),
+        )]);
+        let out_of_range = Checkpoint {
+            hop: 1,
+            frontier: Vec::new(),
+            states,
+        };
+        for ckpt in [short, out_of_range] {
+            let errors = [
+                try_resume_oracle_on::<ArenaBackend, _>(&alg, &sim, 8, &ckpt).unwrap_err(),
+                try_resume_oracle_on::<DenseBackend<_>, _>(&alg, &sim, 8, &ckpt).unwrap_err(),
+            ];
+            for err in errors {
+                assert!(
+                    matches!(err, RunError::SnapshotCorrupt { .. }),
+                    "wrong error: {err:?}"
+                );
+            }
         }
     }
 
@@ -756,7 +803,8 @@ mod tests {
         let h_explicit = sim.explicit_h();
         let alg = SourceDetection::apsp(g.n());
 
-        let o1 = oracle_run(&alg, &sim, 1);
+        let [o1, _] = lanes_equal_literal(&alg, &sim, 1);
+        assert_eq!(o1.h_iterations, 1);
         let d1 = crate::engine::run(&alg, &h_explicit, 1);
         for v in 0..g.n() {
             assert!(
@@ -774,7 +822,7 @@ mod tests {
         let g = path_graph(64, 1.0);
         let sim = SimulatedGraph::without_hopset(&g, 63, 0.1, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
-        let run = oracle_run(&alg, &sim, default_iteration_cap(g.n()));
+        let run = oracle_run_on::<ArenaBackend, _>(&alg, &sim, default_iteration_cap(g.n()));
         assert!(
             run.fixpoint,
             "no fixpoint within {} iterations",
@@ -787,38 +835,35 @@ mod tests {
             "took {} iterations",
             run.h_iterations
         );
-        assert!(run.converged);
         // Each H-iteration drives Λ+1 inner level loops, so the total
         // G'-hop count dominates the H-iteration count.
-        assert!(run.hops >= run.h_iterations as u64);
+        assert!(run.work.iterations >= run.h_iterations as u64);
     }
 
     #[test]
     fn fixed_iteration_budget_stops_at_fixpoint() {
-        // Regression: `oracle_run` used to hardcode `fixpoint: false`
-        // and burn the whole budget even after the states stopped
-        // changing. It must stop at the confirming iteration, report the
-        // fixpoint, and still return the exact `A^h(H)` states.
+        // Regression: the oracle used to hardcode `fixpoint: false` and
+        // burn the whole budget even after the states stopped changing.
+        // It must stop at the confirming iteration, report the fixpoint,
+        // and still return the exact `A^h(H)` states.
         let mut rng = StdRng::seed_from_u64(25);
         let g = path_graph(32, 1.0);
         let sim = SimulatedGraph::without_hopset(&g, 31, 0.1, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
         let budget = 10_000;
-        let run = oracle_run(&alg, &sim, budget);
+        let [run, _] = lanes_equal_literal(&alg, &sim, budget);
         assert!(run.fixpoint, "fixpoint not reported");
         assert!(
             run.h_iterations < budget,
             "burned all {budget} iterations past the fixpoint"
         );
-        let fix = oracle_run(&alg, &sim, 2 * budget);
+        let fix = oracle_run_on::<ArenaBackend, _>(&alg, &sim, 2 * budget);
         assert_eq!(run.states, fix.states);
         assert_eq!(run.h_iterations, fix.h_iterations);
-        assert!(run.converged);
-        assert_eq!(run.hops, fix.hops);
+        assert_eq!(run.work.iterations, fix.work.iterations);
         // A budget too small to converge reports honestly.
-        let short = oracle_run(&alg, &sim, 1);
+        let [short, _] = lanes_equal_literal(&alg, &sim, 1);
         assert!(!short.fixpoint);
-        assert!(!short.converged);
         assert_eq!(short.h_iterations, 1);
     }
 }

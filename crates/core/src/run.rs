@@ -46,17 +46,23 @@
 //! disk is attacker-shaped data, and a malformed one must surface as
 //! [`RunError::SnapshotCorrupt`], never a panic. The
 //! [`crate::error::Supervisor`] composes these drivers into the
-//! recovery ladder. The oracle keeps its own checkpointed drivers
-//! ([`try_oracle_run_checkpointed_with`], [`try_resume_oracle_run_with`])
-//! over its level loop.
+//! recovery ladder.
+//!
+//! The oracle's three drivers ([`crate::oracle::oracle_run_on`],
+//! [`crate::oracle::try_oracle_run_on`] and
+//! [`crate::oracle::try_resume_oracle_on`]) mirror these over its level
+//! loop, generic over its two lanes (arena and dense), and share the
+//! [`Checkpoint`] type, the [`CheckpointPolicy`] and the validation.
+//!
+//! The reference every backend is differential-tested against is the
+//! literal loop: [`crate::engine::iterate`] from `r^V x⁽⁰⁾` until the
+//! first hop that changes nothing.
 
-use crate::engine::{initial_states, MbfAlgorithm, MbfRun};
+use crate::engine::{MbfAlgorithm, MbfRun};
 use crate::error::{check_states, run_guarded, RunError, RunReport};
-use crate::oracle::{level_loop, OracleRun};
-use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
-use crate::OwnedBackend;
-use mte_algebra::{MinPlus, NodeId};
+use mte_algebra::dense::DenseState;
+use mte_algebra::{NodeId, Semiring};
 use mte_graph::Graph;
 
 /// A state vector `x ∈ M^V` paired with the engine that hops over it —
@@ -83,10 +89,6 @@ pub trait StateBackend<A: MbfAlgorithm> {
     /// Seeds `vs` into the frontier (their states were rewritten
     /// outside the engine), keeping the residual frontier.
     fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]);
-    /// Appends the vertices the hops changed since the last drain —
-    /// sorted, deduplicated — to `out`. Requires the backend's change
-    /// log (the oracle lanes turn it on when built).
-    fn drain_change_log(&mut self, out: &mut Vec<NodeId>);
     /// The residual frontier: ascending, no duplicates.
     fn frontier(&self) -> &[NodeId];
     /// The current states, for a checkpoint capture.
@@ -164,7 +166,7 @@ pub struct Checkpoint<M> {
 /// Pre-engine validation of a checkpoint against the graph it claims to
 /// resume: every failure is a typed [`RunError::SnapshotCorrupt`], so
 /// decoded-from-disk checkpoints can never panic an engine.
-fn validate_checkpoint<M>(ckpt: &Checkpoint<M>, n: usize) -> Result<(), RunError> {
+pub(crate) fn validate_checkpoint<M>(ckpt: &Checkpoint<M>, n: usize) -> Result<(), RunError> {
     if ckpt.states.len() != n {
         return Err(RunError::SnapshotCorrupt {
             detail: format!(
@@ -188,6 +190,23 @@ fn validate_checkpoint<M>(ckpt: &Checkpoint<M>, n: usize) -> Result<(), RunError
         prev = Some(v);
     }
     Ok(())
+}
+
+/// Rejects a state vector in which some state names a vertex outside
+/// `0..states.len()` — a decoded checkpoint the storage backends index
+/// by vertex — as [`RunError::SnapshotCorrupt`].
+pub(crate) fn check_vertices<S, M>(states: &[M]) -> Result<(), RunError>
+where
+    S: Semiring + Copy,
+    M: DenseState<S>,
+{
+    let n = states.len();
+    match states.iter().position(|x| !x.fits(n)) {
+        Some(v) => Err(RunError::SnapshotCorrupt {
+            detail: format!("state of vertex {v} names a vertex out of range for {n} vertices"),
+        }),
+        None => Ok(()),
+    }
 }
 
 /// The hop-until-fixpoint loop, the only one outside the oracle's
@@ -316,81 +335,14 @@ fn guarded<A: MbfAlgorithm>(
     Ok((run, report))
 }
 
-// ---------------------------------------------------------------------
-// Oracle.
-// ---------------------------------------------------------------------
-
-fn oracle_report<M>(run: &OracleRun<M>) -> RunReport {
-    RunReport {
-        converged: run.converged,
-        hops: run.hops,
-        degradations: Vec::new(),
-    }
-}
-
-/// Guarded oracle run with checkpoint capture (cf.
-/// [`crate::oracle::try_oracle_run_with`]): `sink` fires after every
-/// simulated round [`CheckpointPolicy::level_due`] marks, with an empty
-/// frontier — the oracle's resume path re-primes its levels wholesale,
-/// which the carry-over schedule proves bit-identical to continuing.
-pub fn try_oracle_run_checkpointed_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    policy: CheckpointPolicy,
-    mut sink: impl FnMut(&Checkpoint<A::M>) -> Result<(), RunError>,
-) -> Result<(OracleRun<A::M>, RunReport), RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    let run = run_guarded(|| {
-        let n = sim.augmented().n();
-        let lane = || OwnedBackend::lane(n);
-        let capture = |round: usize, states: &Vec<A::M>| {
-            if policy.level_due(round as u64) {
-                sink(&Checkpoint {
-                    hop: round as u64,
-                    frontier: Vec::new(),
-                    states: states.to_vec(),
-                })?;
-            }
-            Ok(())
-        };
-        level_loop(alg, sim, h, true, lane, initial_states(alg, n), 0, capture)
-    })??;
-    check_states::<A::S, A::M>(&run.states)?;
-    let report = oracle_report(&run);
-    Ok((run, report))
-}
-
-/// Guarded resume of an oracle run from a checkpoint: re-enters the
-/// simulated-iteration loop at the recorded round with the recorded
-/// aggregate states and fresh level scratch. Bit-identical states and
-/// round counts.
-pub fn try_resume_oracle_run_with<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    ckpt: &Checkpoint<A::M>,
-) -> Result<(OracleRun<A::M>, RunReport), RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    validate_checkpoint(ckpt, sim.augmented().n())?;
-    let run = run_guarded(|| {
-        let lane = || OwnedBackend::lane(sim.augmented().n());
-        let (states, round) = (ckpt.states.clone(), ckpt.hop as usize);
-        level_loop(alg, sim, h, true, lane, states, round, |_, _| Ok(()))
-    })??;
-    check_states::<A::S, A::M>(&run.states)?;
-    let report = oracle_report(&run);
-    Ok((run, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ArenaBackend;
     use crate::catalog::SourceDetection;
+    use crate::dense::DenseBackend;
+    use crate::engine::{initial_states, OwnedBackend};
+    use mte_algebra::{Dist, DistanceMap};
 
     fn fixture() -> Graph {
         // Deterministic small graph with enough hops to checkpoint
@@ -437,6 +389,23 @@ mod tests {
         }
     }
 
+    /// Resuming a fresh `backend()` from each checkpoint fails with
+    /// [`RunError::SnapshotCorrupt`].
+    fn assert_corrupt<B: StateBackend<SourceDetection>>(
+        backend: impl Fn() -> B,
+        ckpts: &[Checkpoint<DistanceMap>],
+    ) {
+        let g = fixture();
+        let alg = SourceDetection::sssp(g.n(), 0);
+        for ckpt in ckpts {
+            let err = try_resume_on(backend(), &alg, &g, g.n(), ckpt).unwrap_err();
+            assert!(
+                matches!(err, RunError::SnapshotCorrupt { .. }),
+                "wrong error: {err:?}"
+            );
+        }
+    }
+
     #[test]
     fn malformed_checkpoints_are_typed_errors() {
         let g = fixture();
@@ -456,13 +425,21 @@ mod tests {
             frontier: vec![3, 3],
             states: initial_states(&alg, g.n()),
         };
-        for ckpt in [short, wild, unsorted] {
-            let err = try_resume_on(owned(), &alg, &g, g.n(), &ckpt).unwrap_err();
-            assert!(
-                matches!(err, RunError::SnapshotCorrupt { .. }),
-                "wrong error: {err:?}"
-            );
-        }
+        let mut states = initial_states(&alg, g.n());
+        states[2] = DistanceMap::from_entries(vec![(g.n() as NodeId + 5, Dist::new(1.0))]);
+        let out_of_range = Checkpoint {
+            hop: 1,
+            frontier: vec![2],
+            states,
+        };
+        let ckpts = [short, wild, unsorted, out_of_range];
+        // The owned backend is generic over the state type, which
+        // exposes no vertices to check: an out-of-range one reaches the
+        // algorithm and surfaces as `Panicked`, so it takes the first
+        // three only.
+        assert_corrupt(owned, &ckpts[..3]);
+        assert_corrupt(ArenaBackend::new, &ckpts);
+        assert_corrupt(|| DenseBackend::new(None), &ckpts);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Work/depth accounting (DESIGN.md §3, substitution 1).
+//! Work/depth accounting (docs/DESIGN.md §3, substitution 1).
 //!
 //! The paper analyses algorithms in an abstract DAG model where **work** is
 //! the number of DAG nodes and **depth** its longest path. We track the

@@ -5,7 +5,7 @@
 //! The paper plugs in Cohen's polylog-depth construction \[13\]; its *only*
 //! property consumed downstream is Equation (1.3). We substitute a
 //! **sampled-hub hop set** in the spirit of Ullman–Yannakakis /
-//! Klein–Subramanian (documented in DESIGN.md §3): sample each vertex as a
+//! Klein–Subramanian (documented in docs/DESIGN.md §3): sample each vertex as a
 //! hub with probability `Θ(log n / d)`; connect every pair of hubs by a
 //! shortcut edge of weight `dist(h, h', G)` (optionally inflated by
 //! `(1+ε̂)` to exercise the approximate code paths downstream).

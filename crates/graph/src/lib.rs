@@ -11,7 +11,7 @@
 //! * [`spanner`] — the Baswana–Sen `(2k−1)`-spanner (used by
 //!   Theorem 6.2 and Corollary 7.11),
 //! * [`hopset`] — `(d, ε̂)`-hop sets (the substitute for Cohen's
-//!   construction; see DESIGN.md §3).
+//!   construction; see docs/DESIGN.md §3).
 
 pub mod algorithms;
 pub mod generators;

@@ -7,7 +7,8 @@
 //! truncated, bit-flipped and per-section malformed images with a typed
 //! [`SnapshotError`]; on top of that, [`OracleArtifact::from_parts`]
 //! cross-validates the sections *against each other* — length skew, a
-//! list missing its owner or the global minimum-rank node, unsorted
+//! list not led at distance 0 by its owner (or a copy of it of lower
+//! rank) or not ending at the global minimum-rank node, unsorted
 //! distances, tree edge weights off the radius ladder. Bytes that pass
 //! every CRC can still not materialize an artifact whose queries panic,
 //! loop, or silently answer wrong; every rejection is a typed
@@ -223,9 +224,11 @@ fn validate(lists: &[LeList], ranks: &Ranks, tree: &FrtTree) -> Result<(), Serve
         let Some((&(first, d0), &(last, _))) = entries.first().zip(entries.last()) else {
             return malformed(format!("vertex {v} has an empty LE list"));
         };
-        if first as usize != v || d0.value() != 0.0 {
+        // The owner leads its list at distance 0, unless a copy of it
+        // (another vertex at distance 0) of lower rank dominates it.
+        if d0.value() != 0.0 || first as usize >= n || ranks.rank(first) > ranks.rank(v as u32) {
             return malformed(format!(
-                "vertex {v}'s list does not start with its owner at distance 0"
+                "vertex {v}'s list does not start at distance 0 with a node of rank at most its own"
             ));
         }
         if last != min_rank_node {

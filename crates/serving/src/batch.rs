@@ -144,11 +144,10 @@ mod tests {
         }
     }
 
-    /// The tree of a metric in which vertices `2i` and `2i + 1` are
-    /// copies of vertex `i` of `g`: every copy pair sits at distance 0
-    /// and shares a leaf. (No artifact: the artifact's validation wants
-    /// every vertex first in its own LE list, and a copy of lower rank
-    /// sits there instead.)
+    /// The tree of the artifact of a metric in which vertices `2i` and
+    /// `2i + 1` are copies of vertex `i` of `g`: every copy pair sits at
+    /// distance 0 and shares a leaf, and the copy of higher rank has the
+    /// other copy, not itself, first in its LE list.
     fn duplicated_metric_tree(g: &Graph, seed: u64) -> FrtTree {
         let base = apsp(g);
         let metric: Vec<Vec<_>> = (0..2 * g.n())
@@ -156,7 +155,11 @@ mod tests {
             .collect();
         let ranks = Ranks::sample(metric.len(), &mut StdRng::seed_from_u64(seed));
         let (lists, _) = le_lists_from_metric(&metric, &ranks);
-        FrtTree::from_le_lists(&lists, &ranks, 1.7, 0.0)
+        let tree = FrtTree::from_le_lists(&lists, &ranks, 1.7, 0.0);
+        match OracleArtifact::from_parts(lists, ranks, tree) {
+            Ok(a) => a.tree().clone(),
+            Err(e) => panic!("duplicate-point parts rejected: {e}"),
+        }
     }
 
     /// The documented work of a `k`-source sweep.

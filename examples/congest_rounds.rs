@@ -44,7 +44,7 @@ fn main() {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
         let (_, khan_cost) = khan_le_lists(&g, &ranks);
         // ℓ = n/10: at simulation scales the paper's asymptotic ℓ = √n
-        // constant does not pay off yet (see EXPERIMENTS.md E11/E12).
+        // constant does not pay off yet (see docs/DESIGN.md §4, E11/E12).
         let config = SkeletonConfig {
             ell: Some((g.n() / 10).max(16)),
             oversample: 1.0,

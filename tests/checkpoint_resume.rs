@@ -1,10 +1,10 @@
 //! Checkpoint/resume differential suite (PR 8 tentpole): a run
 //! interrupted at *any* hop and resumed from its checkpoint is
 //! **bit-identical** to the uninterrupted run — same states, same hop
-//! counts, same fixpoint flags — on every backend (owned, arena, dense,
-//! oracle), at every thread count, and whether the
-//! checkpoint stayed in memory or roundtripped through the crash-safe
-//! snapshot store. The recovery-ladder variants of these assertions
+//! counts, same fixpoint flags — on every backend (owned, arena, dense)
+//! and both oracle lanes (arena LE lists, dense APSP), at every thread
+//! count, and whether the checkpoint stayed in memory or roundtripped
+//! through the crash-safe snapshot store. The recovery-ladder variants of these assertions
 //! (resume after an injected fault) live in `tests/fault_harness.rs`.
 
 use metric_tree_embedding::core::arena::ArenaBackend;
@@ -12,10 +12,11 @@ use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::{MbfAlgorithm, OwnedBackend};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::oracle::oracle_run;
+use metric_tree_embedding::core::oracle::{
+    oracle_run_on, try_oracle_run_on, try_resume_oracle_on, Lane,
+};
 use metric_tree_embedding::core::run::{
-    run_to_fixpoint_on, try_oracle_run_checkpointed_with, try_resume_on,
-    try_resume_oracle_run_with, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
+    run_to_fixpoint_on, try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
 };
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
@@ -130,47 +131,85 @@ fn dense_every_checkpoint_resumes_bit_identically_across_threads() {
 // Oracle.
 // ---------------------------------------------------------------------
 
+/// A checkpoint after its round trip through the snapshot store.
+fn through_snapshot(ckpt: &Checkpoint<DistanceMap>) -> Checkpoint<DistanceMap> {
+    let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
+    let decoded = SnapshotReader::decode(&image)
+        .expect("snapshot decodes")
+        .checkpoint()
+        .expect("checkpoint section decodes");
+    assert_eq!(&decoded, ckpt, "roundtrip changed the checkpoint");
+    decoded
+}
+
+/// The oracle twin of [`assert_every_checkpoint_resumes`] on lane `L`:
+/// at every thread count, a run capturing every round reproduces the
+/// plain run, and resuming from each capture (one of them through the
+/// snapshot store) reproduces its states, round count and fixpoint flag.
+fn assert_every_oracle_round_resumes<L, A>(alg: &A, sim: &SimulatedGraph, cap: usize)
+where
+    A: MbfAlgorithm<S = MinPlus, M = DistanceMap> + Sync,
+    L: Lane<A>,
+{
+    let per_thread_states: Vec<Vec<DistanceMap>> = THREADS
+        .iter()
+        .map(|&threads| {
+            with_threads(threads, || {
+                let reference = oracle_run_on::<L, _>(alg, sim, cap);
+                assert!(reference.fixpoint);
+                let policy = CheckpointPolicy::every_levels(1);
+                let ((run, report), checkpoints) = capture_all(|sink| {
+                    try_oracle_run_on::<L, _>(alg, sim, cap, policy, |c| {
+                        sink.lock().unwrap().push(c.clone());
+                        Ok(())
+                    })
+                    .unwrap()
+                });
+                assert_eq!(run.states, reference.states);
+                assert!(report.converged);
+                assert!(checkpoints.len() >= 2, "oracle run too short to checkpoint");
+                let on_disk = checkpoints.len() / 2;
+                for (i, ckpt) in checkpoints.iter().enumerate() {
+                    let decoded;
+                    let ckpt = if i == on_disk {
+                        decoded = through_snapshot(ckpt);
+                        &decoded
+                    } else {
+                        ckpt
+                    };
+                    let (resumed, report) =
+                        try_resume_oracle_on::<L, _>(alg, sim, cap, ckpt).unwrap();
+                    let round = ckpt.hop;
+                    assert_eq!(resumed.states, reference.states, "round {round}");
+                    assert_eq!(
+                        resumed.h_iterations, reference.h_iterations,
+                        "round {round}"
+                    );
+                    assert_eq!(resumed.fixpoint, reference.fixpoint, "round {round}");
+                    assert!(report.converged, "round {round}");
+                }
+                reference.states
+            })
+        })
+        .collect();
+    assert_eq!(
+        per_thread_states[0], per_thread_states[1],
+        "thread counts disagree"
+    );
+}
+
 #[test]
 fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
     let mut rng = StdRng::seed_from_u64(0xC4E4);
     let g = gnm_graph(60, 150, 1.0..6.0, &mut rng);
     let sim = SimulatedGraph::without_hopset(&g, 16, 0.15, &mut rng);
-    let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = 4 * g.n();
-    for threads in THREADS {
-        let (sim, alg) = (&sim, &alg);
-        with_threads(threads, move || {
-            let reference = oracle_run(alg, sim, cap);
-            let (_, checkpoints) = capture_all(|sink| {
-                try_oracle_run_checkpointed_with(
-                    alg,
-                    sim,
-                    cap,
-                    CheckpointPolicy::every_levels(1),
-                    |c| {
-                        sink.lock().unwrap().push(c.clone());
-                        Ok(())
-                    },
-                )
-                .unwrap()
-            });
-            assert!(
-                !checkpoints.is_empty(),
-                "oracle run too short to checkpoint"
-            );
-            for ckpt in &checkpoints {
-                let (resumed, report) = try_resume_oracle_run_with(alg, sim, cap, ckpt).unwrap();
-                assert_eq!(resumed.states, reference.states, "round {}", ckpt.hop);
-                assert_eq!(
-                    resumed.h_iterations, reference.h_iterations,
-                    "round {}",
-                    ckpt.hop
-                );
-                assert_eq!(resumed.fixpoint, reference.fixpoint);
-                assert_eq!(report.converged, reference.converged);
-            }
-        });
-    }
+    // The production lanes: LE lists on the arena lane, APSP on the
+    // dense one.
+    let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
+    assert_every_oracle_round_resumes::<ArenaBackend, _>(&le, &sim, cap);
+    let apsp = SourceDetection::apsp(g.n());
+    assert_every_oracle_round_resumes::<DenseBackend<_>, _>(&apsp, &sim, cap);
 }
 
 // ---------------------------------------------------------------------

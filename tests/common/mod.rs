@@ -1,8 +1,14 @@
-//! The literal reference shared by the differential suites.
+//! The literal references shared by the differential suites. Each suite
+//! uses a subset of them.
+#![allow(dead_code)]
 
-use metric_tree_embedding::core::engine::{initial_states, iterate, MbfAlgorithm, MbfRun};
+use metric_tree_embedding::core::engine::{
+    initial_states, iterate, iterate_scaled, MbfAlgorithm, MbfRun,
+};
+use metric_tree_embedding::core::oracle::OracleRun;
+use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::work::WorkStats;
-use metric_tree_embedding::prelude::Graph;
+use metric_tree_embedding::prelude::*;
 
 /// The literal fixpoint loop: the one-shot `iterate` kernel from
 /// `r^V x⁽⁰⁾` until the first hop that changes nothing, or `cap` hops,
@@ -26,6 +32,68 @@ pub fn literal_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfR
     MbfRun {
         states,
         iterations,
+        fixpoint,
+        work,
+    }
+}
+
+/// The literal oracle loop, `x ← r^V(⊕_λ P_λ (r^V A_λ)^d P_λ x)`
+/// (Section 5): each round projects `x` for every level `λ`, applies the
+/// one-shot `iterate_scaled` kernel `d` times on the `λ`-scaled `G'`,
+/// folds levels `0..=level(v)` in ascending order and filters; it stops
+/// at the first round that changes nothing, or after `h` rounds. It
+/// shares no code with the lanes, the carry-over schedule or the level
+/// loop, so both lanes' states, round counts and fixpoint flags are
+/// asserted against it.
+pub fn literal_oracle<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
+where
+    A: MbfAlgorithm<S = MinPlus>,
+{
+    let (g, levels) = (sim.augmented(), sim.levels());
+    let level = |v: usize| levels.level(v as NodeId);
+    let mut x = initial_states(alg, g.n());
+    let mut work = WorkStats::new();
+    let (mut rounds, mut fixpoint) = (0, false);
+    while rounds < h {
+        let ys: Vec<Vec<A::M>> = (0..=levels.lambda())
+            .map(|lambda| {
+                let mut y: Vec<A::M> = (0..g.n())
+                    .map(|v| {
+                        if level(v) >= lambda {
+                            x[v].clone()
+                        } else {
+                            A::M::zero()
+                        }
+                    })
+                    .collect();
+                for _ in 0..sim.d() {
+                    let (next, w) = iterate_scaled(alg, g, &y, sim.level_scale(lambda));
+                    work += w;
+                    y = next;
+                }
+                y
+            })
+            .collect();
+        let next: Vec<A::M> = (0..g.n())
+            .map(|v| {
+                let mut acc = A::M::zero();
+                for y in &ys[..=level(v) as usize] {
+                    acc.add_assign(&y[v]);
+                }
+                alg.filter(&mut acc);
+                acc
+            })
+            .collect();
+        rounds += 1;
+        if next == x {
+            fixpoint = true;
+            break;
+        }
+        x = next;
+    }
+    OracleRun {
+        states: x,
+        h_iterations: rounds,
         fixpoint,
         work,
     }

@@ -1,15 +1,18 @@
 //! Randomized cross-validation: the paper's equivalences checked on
 //! proptest-generated graphs (sizes kept small so shrinking stays fast).
 
+mod common;
+
+use common::literal_oracle;
 use metric_tree_embedding::algebra::NodeId;
-use metric_tree_embedding::core::arena::oracle_run_arena_with_schedule;
+use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
-use metric_tree_embedding::core::dense::oracle_run_dense_with_schedule;
+use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::run_to_fixpoint;
 use metric_tree_embedding::core::frt::le_list::{
     le_lists_approx_eq, le_lists_direct, le_lists_oracle, Ranks,
 };
-use metric_tree_embedding::core::oracle::oracle_run;
+use metric_tree_embedding::core::oracle::oracle_run_on;
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::graph::algorithms::{apsp_by_squaring, shortest_path_diameter, sssp};
 use metric_tree_embedding::prelude::*;
@@ -29,9 +32,10 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Theorem 5.2 on random graphs, through every lane of the oracle's
-    /// level loop: owned and dense APSP, and arena k-SSP (a truncating
-    /// filter), each ≡ the same algorithm run on the explicit H.
+    /// Theorem 5.2 on random graphs, through both lanes of the oracle's
+    /// level loop: arena and dense APSP, and arena k-SSP (a truncating
+    /// filter), each ≡ the same algorithm run on the explicit H, and
+    /// bit-identical to the literal oracle loop.
     #[test]
     fn oracle_equals_explicit_h(g in arb_graph(), seed in any::<u64>()) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -40,19 +44,17 @@ proptest! {
         let (h, cap) = (sim.explicit_h(), 4 * g.n());
         let apsp = SourceDetection::apsp(g.n());
         let kssp = SourceDetection::k_ssp(g.n(), 3);
+        let apsp_ref = (literal_oracle(&apsp, &sim, cap), run_to_fixpoint(&apsp, &h, cap));
+        let kssp_ref = (literal_oracle(&kssp, &sim, cap), run_to_fixpoint(&kssp, &h, cap));
         let lanes = [
-            (oracle_run(&apsp, &sim, cap), run_to_fixpoint(&apsp, &h, cap)),
-            (
-                oracle_run_dense_with_schedule(&apsp, &sim, cap, true),
-                run_to_fixpoint(&apsp, &h, cap),
-            ),
-            (
-                oracle_run_arena_with_schedule(&kssp, &sim, cap, true),
-                run_to_fixpoint(&kssp, &h, cap),
-            ),
+            (oracle_run_on::<ArenaBackend, _>(&apsp, &sim, cap), &apsp_ref),
+            (oracle_run_on::<DenseBackend<_>, _>(&apsp, &sim, cap), &apsp_ref),
+            (oracle_run_on::<ArenaBackend, _>(&kssp, &sim, cap), &kssp_ref),
         ];
-        for (via_oracle, via_h) in lanes {
+        for (via_oracle, (literal, via_h)) in lanes {
             prop_assert!(via_oracle.fixpoint);
+            prop_assert_eq!(&via_oracle.states, &literal.states);
+            prop_assert_eq!(via_oracle.h_iterations, literal.h_iterations);
             for v in 0..g.n() {
                 prop_assert!(via_oracle.states[v].approx_eq(&via_h.states[v], 1e-9));
             }

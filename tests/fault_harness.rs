@@ -11,12 +11,12 @@
 //! releasing it. Expected injected panics are silenced with a no-op
 //! panic hook for the duration of the sweep.
 
-use metric_tree_embedding::core::arena::{oracle_run_arena_with_schedule, ArenaBackend};
+use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
-use metric_tree_embedding::core::dense::{oracle_run_dense_with_schedule, DenseBackend};
+use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::{MbfAlgorithm, MbfRun, OwnedBackend};
-use metric_tree_embedding::core::error::{check_states, run_guarded};
-use metric_tree_embedding::core::oracle::{try_oracle_run_with, OracleRun};
+use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
+use metric_tree_embedding::core::oracle::{try_oracle_run_on, Lane};
 use metric_tree_embedding::core::run::{
     try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
 };
@@ -70,6 +70,20 @@ fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         .install(f)
 }
 
+/// A guarded oracle run on lane `L` that captures nothing.
+fn try_oracle<L, A>(
+    alg: &A,
+    sim: &SimulatedGraph,
+    h: usize,
+) -> Result<(Vec<DistanceMap>, RunReport), RunError>
+where
+    A: MbfAlgorithm<S = MinPlus, M = DistanceMap>,
+    L: Lane<A>,
+{
+    try_oracle_run_on::<L, _>(alg, sim, h, CheckpointPolicy::disabled(), |_| Ok(()))
+        .map(|(run, report)| (run.states, report))
+}
+
 /// A guarded run of `backend` to the fixpoint that captures nothing.
 fn try_run<A: MbfAlgorithm, B: StateBackend<A>>(
     backend: B,
@@ -105,8 +119,11 @@ enum Pipeline {
     Owned,
     Arena,
     Dense,
-    Oracle,
+    /// k-SSP on the arena lane.
     ArenaOracle,
+    /// LE lists on the arena lane: the production FRT path.
+    LeOracle,
+    /// APSP on the dense lane.
     DenseOracle,
 }
 
@@ -132,7 +149,7 @@ impl Pipeline {
                 (FaultSite::DenseRowKernel, FaultKind::PoisonNan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
             ],
-            Pipeline::Oracle | Pipeline::ArenaOracle | Pipeline::DenseOracle => vec![
+            Pipeline::ArenaOracle | Pipeline::LeOracle | Pipeline::DenseOracle => vec![
                 (FaultSite::OracleLevelLoop, FaultKind::Panic),
                 (FaultSite::OracleLevelLoop, FaultKind::PoisonNan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
@@ -163,43 +180,29 @@ impl Pipeline {
                 try_run(DenseBackend::new(None), &alg, g, cap)
                     .map(|(run, report)| (run.states, report))
             }
-            Pipeline::Oracle => {
-                let alg = SourceDetection::apsp(g.n());
-                try_oracle_run_with(&alg, sim, 4 * g.n()).map(|(run, report)| (run.states, report))
-            }
             Pipeline::ArenaOracle => {
                 let alg = SourceDetection::k_ssp(g.n(), 4);
-                guarded_oracle(|| oracle_run_arena_with_schedule(&alg, sim, 4 * g.n(), true))
+                try_oracle::<ArenaBackend, _>(&alg, sim, 4 * g.n())
+            }
+            Pipeline::LeOracle => {
+                let ranks = Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xFA03));
+                let alg = LeListAlgorithm::new(std::sync::Arc::new(ranks));
+                try_oracle::<ArenaBackend, _>(&alg, sim, 4 * g.n())
             }
             Pipeline::DenseOracle => {
                 let alg = SourceDetection::apsp(g.n());
-                guarded_oracle(|| oracle_run_dense_with_schedule(&alg, sim, 4 * g.n(), true))
+                try_oracle::<DenseBackend<_>, _>(&alg, sim, 4 * g.n())
             }
         }
     }
-}
-
-/// A plain oracle run behind the library's run guard and state scan —
-/// the same funnel `try_oracle_run_with` puts the owned lane through.
-fn guarded_oracle(
-    run: impl FnOnce() -> OracleRun<DistanceMap>,
-) -> Result<(Vec<DistanceMap>, RunReport), RunError> {
-    let run = run_guarded(run)?;
-    check_states::<MinPlus, DistanceMap>(&run.states)?;
-    let report = RunReport {
-        converged: run.converged,
-        hops: run.hops,
-        degradations: Vec::new(),
-    };
-    Ok((run.states, report))
 }
 
 const PIPELINES: [Pipeline; 6] = [
     Pipeline::Owned,
     Pipeline::Arena,
     Pipeline::Dense,
-    Pipeline::Oracle,
     Pipeline::ArenaOracle,
+    Pipeline::LeOracle,
     Pipeline::DenseOracle,
 ];
 
@@ -257,14 +260,14 @@ fn every_injected_fault_errors_typed_or_leaves_output_bit_identical() {
 }
 
 /// The level-loop site sits in the loop every oracle lane shares: a
-/// first-arrival panic stops the owned, arena and dense oracles alike.
+/// first-arrival panic stops the arena and dense oracles alike.
 #[test]
 fn oracle_level_loop_site_fires_on_every_lane() {
     let _guard = FaultGuard::acquire();
     let (g, sim) = oracle_fixture();
     for pipeline in [
-        Pipeline::Oracle,
         Pipeline::ArenaOracle,
+        Pipeline::LeOracle,
         Pipeline::DenseOracle,
     ] {
         faults::install(FaultPlan::single(
@@ -697,8 +700,9 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
 }
 
 /// The operator-armed entry point: when `MTE_FAULT_PLAN` is set, run
-/// the arena backend and the guarded oracle lanes under it, each behind
-/// the recovery supervisor, and require the absorb-or-typed-error
+/// the arena backend and the production oracle lanes (LE lists on the
+/// arena lane, APSP on the dense lane) under it, each behind the
+/// recovery supervisor, and require the absorb-or-typed-error
 /// contract. Without the variable this is a no-op (the sweeps above
 /// cover the in-process plans).
 #[test]
@@ -712,8 +716,8 @@ fn pre_armed_env_plan_is_absorbed_or_typed() {
     let supervisor = Supervisor::new(RecoveryPolicy::default());
     for (pipeline, g) in [
         (Pipeline::Arena, &g),
-        (Pipeline::Oracle, &og),
-        (Pipeline::ArenaOracle, &og),
+        (Pipeline::LeOracle, &og),
+        (Pipeline::DenseOracle, &og),
     ] {
         let clean = pipeline
             .run(g, &sim)

@@ -1,28 +1,28 @@
-//! Differential tests for the PR 3 hot-path rewrites: the rank-pruned
-//! merge kernels, the frontier-list schedule, and the oracle's
-//! carry-over seeding must all be **bit-identical** to the PR 1/PR 2
-//! reference paths (merge-everything-then-filter, bitset-style full
-//! recompute scheduling, all-dirty level restarts) — pruning and
-//! carry-over may only change *work counters*, never states, iteration
-//! counts, or fixpoint flags. Each comparison also runs under thread
-//! pools of size 1 and 4, pinning the `MTE_THREADS` determinism
-//! guarantee through the new schedule.
+//! Differential tests for the hot-path schedules: the rank-pruned merge
+//! kernels, the frontier-list schedule, and the oracle's carry-over
+//! seeding must all be **bit-identical** to their references
+//! (merge-everything-then-filter, the literal `iterate` loop, and the
+//! literal oracle loop, which restarts every level all-dirty from its
+//! projection each round) — pruning and carry-over may only change *work
+//! counters*, never states, iteration counts, or fixpoint flags. Each
+//! comparison also runs under thread pools of size 1 and 4, pinning the
+//! `MTE_THREADS` determinism guarantee through the schedule.
 
 mod common;
 
-use common::literal_fixpoint;
+use common::{literal_fixpoint, literal_oracle};
 use metric_tree_embedding::algebra::store::{EpochStore, SpanOut};
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::{
-    initial_store, oracle_run_arena_with_schedule, ArenaBackend, ArenaEngine, ArenaMbfAlgorithm,
-    DeltaFloor, ReceiverSummary, RecomputeCtx, SpanRecompute,
+    initial_store, ArenaBackend, ArenaEngine, ArenaMbfAlgorithm, DeltaFloor, ReceiverSummary,
+    RecomputeCtx, SpanRecompute,
 };
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
-use metric_tree_embedding::core::dense::{oracle_run_dense_with_schedule, DenseBackend};
+use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::{initial_states, MbfAlgorithm, MbfEngine, OwnedBackend};
 use metric_tree_embedding::core::frt::le_list::{le_lists_oracle, LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::frt::LeList;
-use metric_tree_embedding::core::oracle::{oracle_run_with_schedule, OracleRun};
+use metric_tree_embedding::core::oracle::{oracle_run_on, OracleRun};
 use metric_tree_embedding::core::run::{run_to_fixpoint_on, try_resume_on, Checkpoint};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::work::WorkStats;
@@ -34,8 +34,8 @@ use std::sync::Arc;
 
 /// [`LeListAlgorithm`] stripped of its `recompute_into` override: the
 /// delegating wrapper inherits the trait's default merge-everything-
-/// then-filter pipeline, i.e. the PR 1 reference path the pruned merge
-/// must reproduce bit for bit.
+/// then-filter pipeline, i.e. the reference path the pruned merge must
+/// reproduce bit for bit.
 struct UnprunedLeList(LeListAlgorithm);
 
 impl MbfAlgorithm for UnprunedLeList {
@@ -209,7 +209,8 @@ fn mark_dirty_carry_over_matches_all_dirty_restart() {
 }
 
 // ---------------------------------------------------------------------
-// Oracle level: projection carry-over vs all-dirty level restarts.
+// Oracle level: projection carry-over vs the literal oracle loop, which
+// restarts every level all-dirty from its projection each round.
 // ---------------------------------------------------------------------
 
 fn oracle_fixture() -> (Graph, SimulatedGraph) {
@@ -219,22 +220,25 @@ fn oracle_fixture() -> (Graph, SimulatedGraph) {
     (g, sim)
 }
 
+/// A lane's run (`carry`) against the literal oracle loop: equal
+/// states, round counts and fixpoint flags, and the carry-over touched
+/// no more vertices than the all-dirty restarts.
 fn assert_oracle_runs_agree<M: PartialEq + std::fmt::Debug>(
     carry: &OracleRun<M>,
-    restart: &OracleRun<M>,
+    literal: &OracleRun<M>,
     label: &str,
 ) {
     assert_eq!(
-        carry.states, restart.states,
-        "{label}: carry-over diverged from all-dirty restart"
+        carry.states, literal.states,
+        "{label}: carry-over diverged from the literal oracle loop"
     );
-    assert_eq!(carry.h_iterations, restart.h_iterations, "{label}");
-    assert_eq!(carry.fixpoint, restart.fixpoint, "{label}");
+    assert_eq!(carry.h_iterations, literal.h_iterations, "{label}");
+    assert_eq!(carry.fixpoint, literal.fixpoint, "{label}");
     assert!(
-        carry.work.touched_vertices <= restart.work.touched_vertices,
-        "{label}: carry-over touched {} > restart {}",
+        carry.work.touched_vertices <= literal.work.touched_vertices,
+        "{label}: carry-over touched {} > literal {}",
         carry.work.touched_vertices,
-        restart.work.touched_vertices
+        literal.work.touched_vertices
     );
 }
 
@@ -243,14 +247,13 @@ fn oracle_carry_over_bit_identical_to_all_dirty_restart() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let kssp = SourceDetection::k_ssp(g.n(), 5);
-    let carry = oracle_run_with_schedule(&kssp, &sim, cap, true);
-    let restart = oracle_run_with_schedule(&kssp, &sim, cap, false);
-    assert_oracle_runs_agree(&carry, &restart, "k-ssp");
+    let carry = oracle_run_on::<ArenaBackend, _>(&kssp, &sim, cap);
+    assert_oracle_runs_agree(&carry, &literal_oracle(&kssp, &sim, cap), "k-ssp");
 
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E6)));
     let le = LeListAlgorithm::new(ranks);
-    let carry = oracle_run_with_schedule(&le, &sim, cap, true);
-    let restart = oracle_run_with_schedule(&le, &sim, cap, false);
+    let carry = oracle_run_on::<ArenaBackend, _>(&le, &sim, cap);
+    let restart = literal_oracle(&le, &sim, cap);
     assert_oracle_runs_agree(&carry, &restart, "le-lists");
     // Multi-round oracle runs must see the savings the carry-over exists
     // for: later rounds touch only what the projection moved.
@@ -276,11 +279,9 @@ fn oracle_carry_over_reprojects_slots_the_aggregation_changed() {
         let sim = SimulatedGraph::without_hopset(&g, 1, 0.2, &mut rng);
         let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
         let cap = 4 * g.n();
-        let restart = oracle_run_with_schedule(&le, &sim, cap, false);
-        let owned = oracle_run_with_schedule(&le, &sim, cap, true);
-        assert_oracle_runs_agree(&owned, &restart, &format!("owned seed {seed}"));
-        let arena = oracle_run_arena_with_schedule(&le, &sim, cap, true);
-        assert_oracle_runs_agree(&arena, &restart, &format!("arena seed {seed}"));
+        let arena = oracle_run_on::<ArenaBackend, _>(&le, &sim, cap);
+        let literal = literal_oracle(&le, &sim, cap);
+        assert_oracle_runs_agree(&arena, &literal, &format!("arena seed {seed}"));
     }
 }
 
@@ -289,37 +290,26 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
     let (g, sim) = oracle_fixture();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E7)));
     let cap = 4 * g.n();
-    let run = |threads: usize, carry_over: bool| {
-        let ranks = Arc::clone(&ranks);
-        let sim = &sim;
-        with_threads(threads, move || {
-            oracle_run_with_schedule(&LeListAlgorithm::new(ranks), sim, cap, carry_over)
-        })
-    };
-    let reference = run(1, false);
+    let le = LeListAlgorithm::new(ranks);
+    let reference = literal_oracle(&le, &sim, cap);
+    let (le, sim) = (&le, &sim);
     for threads in [1, 4] {
-        for carry_over in [true, false] {
-            let r = run(threads, carry_over);
-            assert_eq!(
-                r.states, reference.states,
-                "{threads} threads, carry_over {carry_over}: states diverged"
-            );
-            assert_eq!(r.h_iterations, reference.h_iterations);
-            assert_eq!(r.fixpoint, reference.fixpoint);
-        }
+        let r = with_threads(threads, move || {
+            oracle_run_on::<ArenaBackend, _>(le, sim, cap)
+        });
+        assert_eq!(
+            r.states, reference.states,
+            "{threads} threads: states diverged"
+        );
+        assert_eq!(r.h_iterations, reference.h_iterations);
+        assert_eq!(r.fixpoint, reference.fixpoint);
     }
 }
 
-/// Runs the owned and arena LE lanes and the dense APSP lane with
-/// carry-over under pools of 1 and 4 threads, asserts each equals the
-/// all-dirty reference (which resets every slot of every level every
-/// round), and returns the LE reference and arena runs for the caller's
-/// work pins.
-fn carry_over_lanes_equal_reference(
-    g: &Graph,
-    sim: &SimulatedGraph,
-    rank_seed: u64,
-) -> (OracleRun<DistanceMap>, OracleRun<DistanceMap>) {
+/// Runs the arena LE lane and the dense APSP lane under pools of 1 and
+/// 4 threads, asserts each equals the literal oracle loop, and returns
+/// the arena LE run for the caller's work pins.
+fn lanes_equal_literal(g: &Graph, sim: &SimulatedGraph, rank_seed: u64) -> OracleRun<DistanceMap> {
     let cap = 4 * g.n();
     let le = LeListAlgorithm::new(Arc::new(Ranks::sample(
         g.n(),
@@ -328,28 +318,24 @@ fn carry_over_lanes_equal_reference(
     let apsp = SourceDetection::apsp(g.n());
     let (le, apsp) = (&le, &apsp);
 
-    let reference = oracle_run_with_schedule(le, sim, cap, false);
-    assert!(reference.fixpoint);
-    let owned = thread_invariant("le/owned", || oracle_run_with_schedule(le, sim, cap, true));
-    assert_oracle_runs_agree(&owned, &reference, "le/owned");
+    let literal = literal_oracle(le, sim, cap);
+    assert!(literal.fixpoint);
     let arena = thread_invariant("le/arena", || {
-        oracle_run_arena_with_schedule(le, sim, cap, true)
+        oracle_run_on::<ArenaBackend, _>(le, sim, cap)
     });
-    assert_oracle_runs_agree(&arena, &reference, "le/arena");
-    assert_le_lanes_agree(&owned, &arena, "le");
+    assert_oracle_runs_agree(&arena, &literal, "le/arena");
 
-    let apsp_reference = oracle_run_with_schedule(apsp, sim, cap, false);
     let dense = thread_invariant("apsp/dense", || {
-        oracle_run_dense_with_schedule(apsp, sim, cap, true)
+        oracle_run_on::<DenseBackend<_>, _>(apsp, sim, cap)
     });
-    assert_oracle_runs_agree(&dense, &apsp_reference, "apsp/dense");
-    (reference, arena)
+    assert_oracle_runs_agree(&dense, &literal_oracle(apsp, sim, cap), "apsp/dense");
+    arena
 }
 
 /// `(hops, touched_vertices, entries_processed)` of a run.
 fn work_pin<M>(run: &OracleRun<M>) -> (u64, u64, u64) {
     (
-        run.hops,
+        run.work.iterations,
         run.work.touched_vertices,
         run.work.entries_processed,
     )
@@ -357,7 +343,7 @@ fn work_pin<M>(run: &OracleRun<M>) -> (u64, u64, u64) {
 
 /// A level whose projected input `P_λ x` did not change since its last
 /// executed round keeps that round's output instead of recomputing it.
-/// Every lane must still equal the all-dirty reference (which never
+/// Every lane must still equal the literal oracle loop (which never
 /// skips), and the arena LE run's work is pinned: re-running the idle
 /// levels raises all three counters.
 #[test]
@@ -369,13 +355,7 @@ fn oracle_idle_levels_skip_bit_identically() {
     let g = highway_graph(64, 400.0);
     let sim = SimulatedGraph::without_hopset(&g, 8, 0.15, &mut StdRng::seed_from_u64(0x53EF));
     assert_eq!(sim.levels().lambda(), 8);
-    let (reference, arena) = carry_over_lanes_equal_reference(&g, &sim, 0x53F0);
-    // The reference runs every level in every round.
-    assert_eq!(
-        (reference.hops, reference.work.touched_vertices),
-        (846, 29_261),
-        "le/reference: hops, touched_vertices"
-    );
+    let arena = lanes_equal_literal(&g, &sim, 0x53F0);
     // Without the skip: 846 hops, 29,261 touched, 160,134 entries
     // (566 / 20,796 / 118,561 with the skip but without kept relays;
     // 557 / 20,608 / 116,677 without the delta floors).
@@ -388,7 +368,7 @@ fn oracle_idle_levels_skip_bit_identically() {
 
 /// A settled level (its last round's hops reached the fixpoint within
 /// `d`) keeps its relay slots instead of resetting them to `⊥`. Every
-/// lane must still equal the all-dirty reference, and the arena LE
+/// lane must still equal the literal oracle loop, and the arena LE
 /// run's work is pinned: resetting the relays replays their waves and
 /// raises all three counters.
 #[test]
@@ -396,7 +376,7 @@ fn oracle_settled_levels_keep_relays_bit_identically() {
     // With `d = 24` every level's hops reach their fixpoint within `d`,
     // so every round after the priming one keeps the relays.
     let (g, sim) = oracle_fixture();
-    let (_, arena) = carry_over_lanes_equal_reference(&g, &sim, 0x53F1);
+    let arena = lanes_equal_literal(&g, &sim, 0x53F1);
     // Resetting the relays: 305 hops, 28,602 touched, 206,005 entries
     // (258 / 19,744 / 130,683 keeping them, without the delta floors).
     assert_eq!(
@@ -408,7 +388,7 @@ fn oracle_settled_levels_keep_relays_bit_identically() {
 
 // ---------------------------------------------------------------------
 // Full FRT pipeline: production path (pruned merges + carry-over) vs
-// the unpruned all-dirty reference, across thread counts.
+// the unpruned merges in the literal oracle loop, across thread counts.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -417,13 +397,13 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E8)));
     let cap = 4 * g.n();
 
-    // The PR 1/PR 2 reference: default recompute (merge everything,
-    // then filter) with every level restarting all-dirty each round.
-    let reference = oracle_run_with_schedule(
+    // The reference: default recompute (merge everything, then filter)
+    // in the literal oracle loop, every level restarting all-dirty each
+    // round.
+    let reference = literal_oracle(
         &UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks))),
         &sim,
         cap,
-        false,
     );
     let reference_lists: Vec<LeList> = reference
         .states
@@ -448,11 +428,12 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
 }
 
 // ---------------------------------------------------------------------
-// Storage backends: the epoch-arena engine/oracle must be bit-identical
-// to the owned-Vec reference — states, iteration counts, fixpoint
-// flags, and the model-level schedule counters (only the storage
-// counters may differ between backends, and for the semi-naive LE
-// lists the delta floors may only lower the schedule counters).
+// Storage backends: the epoch-arena engine must be bit-identical to the
+// literal loop and the owned-Vec engine — states, iteration counts,
+// fixpoint flags, and the model-level schedule counters (only the
+// storage counters may differ between backends, and for the semi-naive
+// LE lists the delta floors may only lower the schedule counters) — and
+// the arena oracle lane to the literal oracle loop.
 // ---------------------------------------------------------------------
 
 /// The arena run of `alg` against the literal loop and the owned run;
@@ -577,6 +558,51 @@ fn arena_engine_bit_identical_across_thread_counts() {
     assert_eq!(r1.iterations, r4.iterations);
 }
 
+/// `mark_all_dirty` and `prime` declare the states rewritten outside the
+/// engine, so a live arena engine must drop everything it cached about
+/// the old ones (deltas and receiver summaries). Restarting one
+/// mid-run from `r^V x⁽⁰⁾`, or resuming it from an earlier capture,
+/// must land on the literal fixpoint.
+#[test]
+fn live_arena_engine_restarts_and_resumes_exactly() {
+    for (name, g) in workload_graphs() {
+        let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F2)));
+        let le = LeListAlgorithm::new(ranks);
+        let literal = literal_fixpoint(&le, &g, g.n() + 1);
+        let to_fixpoint = |engine: &mut ArenaEngine, store: &mut EpochStore| {
+            while engine.step(&le, &g, store, 1.0).1 {}
+            store.export()
+        };
+        let mut store = initial_store(&le, g.n());
+        let mut engine = ArenaEngine::new();
+        engine.mark_all_dirty(&g);
+        engine.step(&le, &g, &mut store, 1.0);
+        engine.step(&le, &g, &mut store, 1.0);
+        let (frontier, states) = (engine.frontier().to_vec(), store.export());
+        for _ in 0..3 {
+            engine.step(&le, &g, &mut store, 1.0);
+        }
+        // Restart: the initial states, every vertex dirty.
+        let mut restarted = initial_store(&le, g.n());
+        engine.mark_all_dirty(&g);
+        assert_eq!(
+            to_fixpoint(&mut engine, &mut restarted),
+            literal.states,
+            "{name}: restart"
+        );
+        // Resume: the capture after hop 2 with its residual frontier.
+        let mut resumed = initial_store(&le, g.n());
+        resumed.import(&states, |u| le.entry_aux(u));
+        engine.prime(&g);
+        engine.mark_dirty(&g, frontier);
+        assert_eq!(
+            to_fixpoint(&mut engine, &mut resumed),
+            literal.states,
+            "{name}: resume"
+        );
+    }
+}
+
 /// Two lanes of the oracle's level loop ran the same schedule: equal
 /// states, round counts and fixpoint flags, and — since every lane hops
 /// the same frontier — equal hop and touched-vertex counts. The other
@@ -586,35 +612,14 @@ fn assert_lanes_agree<M: PartialEq + std::fmt::Debug>(
     b: &OracleRun<M>,
     label: &str,
 ) {
-    assert_same_rounds(a, b, label);
-    assert_eq!(
-        a.work.touched_vertices, b.work.touched_vertices,
-        "{label}: touched_vertices"
-    );
-}
-
-/// Equal states, round counts, fixpoint flags and hop counts.
-fn assert_same_rounds<M: PartialEq + std::fmt::Debug>(
-    a: &OracleRun<M>,
-    b: &OracleRun<M>,
-    label: &str,
-) {
     assert_eq!(a.states, b.states, "{label}: lanes diverged");
     assert_eq!(a.h_iterations, b.h_iterations, "{label}");
     assert_eq!(a.fixpoint, b.fixpoint, "{label}");
     assert_eq!(a.work.iterations, b.work.iterations, "{label}: hops");
-}
-
-/// The arena LE lane against the owned one: the same rounds and hops,
-/// while the delta floors only drop recomputations that would admit
-/// nothing (see `assert_narrowed_work`).
-fn assert_le_lanes_agree(
-    owned: &OracleRun<DistanceMap>,
-    arena: &OracleRun<DistanceMap>,
-    label: &str,
-) {
-    assert_same_rounds(owned, arena, label);
-    assert_narrowed_work(&owned.work, &arena.work, label);
+    assert_eq!(
+        a.work.touched_vertices, b.work.touched_vertices,
+        "{label}: touched_vertices"
+    );
 }
 
 /// Runs `f` under pools of 1 and 4 threads and asserts the two runs are
@@ -632,45 +637,31 @@ fn thread_invariant<M: PartialEq + std::fmt::Debug + Send>(
 }
 
 #[test]
-fn arena_oracle_bit_identical_to_owned_oracle() {
+fn arena_oracle_bit_identical_to_literal_oracle() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53EB)));
     let le = LeListAlgorithm::new(Arc::clone(&ranks));
     let kssp = SourceDetection::k_ssp(g.n(), 5);
     let (le, kssp, sim) = (&le, &kssp, &sim);
-    // The arena LE lane's `(touched_vertices, entries_processed)` with
-    // carry-over on and off; the owned lane (and the arena lane before
-    // the delta floors) read (21_019, 124_972) and (41_264, 301_391).
-    let le_pins = [(true, (13_206, 86_698)), (false, (34_262, 270_575))];
-    for (carry_over, pin) in le_pins {
-        let label = format!("oracle/carry={carry_over}");
-        let owned = thread_invariant(&format!("{label}/owned"), || {
-            oracle_run_with_schedule(le, sim, cap, carry_over)
-        });
-        let arena = thread_invariant(&format!("{label}/arena"), || {
-            oracle_run_arena_with_schedule(le, sim, cap, carry_over)
-        });
-        // The semi-naive handover reads deltas, never a different
-        // admitted set, and the delta floors drop only recomputations
-        // that admit nothing: the arena lane's work counters never
-        // exceed the owned lane's.
-        assert_le_lanes_agree(&owned, &arena, &label);
-        assert_eq!(
-            touched_entries(&arena.work),
-            pin,
-            "{label}: touched, entries"
-        );
+    let arena = thread_invariant("oracle/le", || {
+        oracle_run_on::<ArenaBackend, _>(le, sim, cap)
+    });
+    assert_oracle_runs_agree(&arena, &literal_oracle(le, sim, cap), "oracle/le");
+    // The arena LE lane's `(touched_vertices, entries_processed)`: the
+    // semi-naive handover reads deltas, never a different admitted set,
+    // and the delta floors drop only recomputations that admit nothing
+    // (without them: (21_019, 124_972)).
+    assert_eq!(
+        touched_entries(&arena.work),
+        (13_206, 86_698),
+        "oracle/le: touched, entries"
+    );
 
-        let label = format!("{label}/kssp");
-        let owned = thread_invariant(&format!("{label}/owned"), || {
-            oracle_run_with_schedule(kssp, sim, cap, carry_over)
-        });
-        let arena = thread_invariant(&format!("{label}/arena"), || {
-            oracle_run_arena_with_schedule(kssp, sim, cap, carry_over)
-        });
-        assert_lanes_agree(&owned, &arena, &label);
-    }
+    let arena = thread_invariant("oracle/kssp", || {
+        oracle_run_on::<ArenaBackend, _>(kssp, sim, cap)
+    });
+    assert_oracle_runs_agree(&arena, &literal_oracle(kssp, sim, cap), "oracle/kssp");
 }
 
 // ---------------------------------------------------------------------
@@ -782,23 +773,20 @@ fn semi_naive_handover_admits_exactly_what_the_full_handover_admits() {
 
     // The oracle: projection rewrites between rounds hand over whole
     // states, residual frontiers carry their deltas into the next round.
-    // Pins as above, with carry-over on and off; the full handover read
-    // (19_744, 130_683) and (39_221, 319_310).
+    // Pinned as above; the full handover read (19_744, 130_683).
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F1)));
     let le = LeListAlgorithm::new(ranks);
-    for (carry_over, pin) in [(true, (14_180, 108_995)), (false, (32_178, 289_291))] {
-        let semi = oracle_run_arena_with_schedule(&le, &sim, cap, carry_over);
-        let full = oracle_run_arena_with_schedule(&FullHandover(le.clone()), &sim, cap, carry_over);
-        assert_eq!(semi.fixpoint, full.fixpoint);
-        let got = assert_same_but_smaller_handover(
-            (&semi.states, semi.h_iterations, semi.work),
-            (&full.states, full.h_iterations, full.work),
-            &format!("oracle/carry={carry_over}"),
-        );
-        assert_eq!(got, pin, "oracle/carry={carry_over}: touched, entries");
-    }
+    let semi = oracle_run_on::<ArenaBackend, _>(&le, &sim, cap);
+    let full = oracle_run_on::<ArenaBackend, _>(&FullHandover(le.clone()), &sim, cap);
+    assert_eq!(semi.fixpoint, full.fixpoint);
+    let got = assert_same_but_smaller_handover(
+        (&semi.states, semi.h_iterations, semi.work),
+        (&full.states, full.h_iterations, full.work),
+        "oracle",
+    );
+    assert_eq!(got, (14_180, 108_995), "oracle: touched, entries");
 }
 
 /// A random distance map of `len` draws over nodes `0..n`, distances on
@@ -981,31 +969,21 @@ fn dense_block_bit_identical_across_thread_counts() {
 }
 
 #[test]
-fn dense_oracle_bit_identical_to_owned_oracle_across_threads() {
+fn dense_oracle_bit_identical_to_literal_oracle_across_threads() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let alg = SourceDetection::apsp(g.n());
     let (alg, sim) = (&alg, &sim);
-    // One production-schedule reference for every run pins APSP
-    // carry-over ≡ all-dirty restart as well as lane agreement.
-    let reference = oracle_run_with_schedule(alg, sim, cap, true);
-    assert!(reference.fixpoint);
-    for carry_over in [true, false] {
-        let label = format!("apsp/carry={carry_over}");
-        let owned = thread_invariant(&format!("{label}/owned"), || {
-            oracle_run_with_schedule(alg, sim, cap, carry_over)
-        });
-        let dense = thread_invariant(&format!("{label}/dense"), || {
-            oracle_run_dense_with_schedule(alg, sim, cap, carry_over)
-        });
-        assert_lanes_agree(&owned, &dense, &label);
-        assert_eq!(
-            dense.states, reference.states,
-            "{label}: diverged from the carry-over reference"
-        );
-        assert_eq!(dense.h_iterations, reference.h_iterations, "{label}");
-        assert_eq!(dense.fixpoint, reference.fixpoint, "{label}");
-    }
+    let literal = literal_oracle(alg, sim, cap);
+    assert!(literal.fixpoint);
+    let dense = thread_invariant("apsp/dense", || {
+        oracle_run_on::<DenseBackend<_>, _>(alg, sim, cap)
+    });
+    assert_oracle_runs_agree(&dense, &literal, "apsp/dense");
+    let arena = thread_invariant("apsp/arena", || {
+        oracle_run_on::<ArenaBackend, _>(alg, sim, cap)
+    });
+    assert_lanes_agree(&dense, &arena, "apsp");
 }
 
 // ---------------------------------------------------------------------
@@ -1052,25 +1030,20 @@ proptest! {
         prop_assert_eq!(pruned.iterations, literal.iterations);
         prop_assert_eq!(pruned.fixpoint, literal.fixpoint);
 
-        // Oracle: carry-over vs all-dirty restarts.
+        // Oracle: the carry-over arena lane vs the literal oracle loop.
         let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
-        let carry = oracle_run_with_schedule(&le, &sim, 3 * g.n(), true);
-        let restart = oracle_run_with_schedule(&le, &sim, 3 * g.n(), false);
-        prop_assert_eq!(&carry.states, &restart.states);
-        prop_assert_eq!(carry.h_iterations, restart.h_iterations);
-        prop_assert_eq!(carry.fixpoint, restart.fixpoint);
-        prop_assert!(carry.work.touched_vertices <= restart.work.touched_vertices);
+        let carry = oracle_run_on::<ArenaBackend, _>(&le, &sim, 3 * g.n());
+        let literal = literal_oracle(&le, &sim, 3 * g.n());
+        prop_assert_eq!(&carry.states, &literal.states);
+        prop_assert_eq!(carry.h_iterations, literal.h_iterations);
+        prop_assert_eq!(carry.fixpoint, literal.fixpoint);
+        prop_assert!(carry.work.touched_vertices <= literal.work.touched_vertices);
 
-        // Storage backends: arena engine and oracle vs the owned paths.
+        // Storage backends: the arena engine vs the owned one.
         let arena = run_to_fixpoint_on(ArenaBackend::new(), &le, &g, g.n() + 1);
         let owned = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, g.n() + 1);
         prop_assert_eq!(&arena.states, &owned.states);
         prop_assert_eq!(arena.iterations, owned.iterations);
-        let arena_oracle =
-            oracle_run_arena_with_schedule(&le, &sim, 3 * g.n(), true);
-        prop_assert_eq!(&arena_oracle.states, &carry.states);
-        prop_assert_eq!(arena_oracle.h_iterations, carry.h_iterations);
-        prop_assert_eq!(arena_oracle.fixpoint, carry.fixpoint);
     }
 
     /// Sparse external edits (copy-on-write `assign` + `mark_dirty`

@@ -149,6 +149,7 @@ fn a_list_that_drops_its_tail_is_malformed() {
     ));
 }
 
+/// Without its owner a list starts at a non-zero distance.
 #[test]
 fn a_list_that_loses_its_owner_is_malformed() {
     let (mut lists, ranks, tree) = sample_parts();
@@ -158,6 +159,27 @@ fn a_list_that_loses_its_owner_is_malformed() {
         .expect("some list has more than one entry");
     let entries = lists[victim].entries()[1..].to_vec();
     lists[victim] = LeList::from_entries_sorted(entries);
+    assert!(matches!(
+        OracleArtifact::decode(&raw_image(&lists, &ranks, &tree)),
+        Err(ServeError::Malformed { .. })
+    ));
+}
+
+/// A list may be led by a copy of its owner (a vertex at distance 0) of
+/// lower rank, never by one of higher rank: that copy cannot dominate
+/// the owner.
+#[test]
+fn a_list_led_by_a_higher_rank_node_is_malformed() {
+    let (mut lists, ranks, tree) = sample_parts();
+    let victim = (0..ranks.n() as u32)
+        .find(|&v| ranks.rank(v) + 1 < ranks.n() as u32)
+        .expect("some vertex is not of the highest rank");
+    let higher = (0..ranks.n() as u32)
+        .find(|&w| ranks.rank(w) > ranks.rank(victim))
+        .expect("a vertex of higher rank exists");
+    let mut entries = lists[victim as usize].entries().to_vec();
+    entries[0].0 = higher;
+    lists[victim as usize] = LeList::from_entries_sorted(entries);
     assert!(matches!(
         OracleArtifact::decode(&raw_image(&lists, &ranks, &tree)),
         Err(ServeError::Malformed { .. })
