@@ -820,11 +820,6 @@ pub trait DenseState<S: Semiring + Copy>: Semimodule<S> {
     /// Gathers the non-zero coordinates of `row` back into the sparse
     /// representation.
     fn read_dense(row: &[S]) -> Self;
-
-    /// Whether every coordinate of the state lies in `0..cols`, i.e.
-    /// [`DenseState::write_dense`] into a row of `cols` columns is in
-    /// bounds.
-    fn fits(&self, cols: usize) -> bool;
 }
 
 impl DenseState<MinPlus> for DistanceMap {
@@ -841,10 +836,6 @@ impl DenseState<MinPlus> for DistanceMap {
             .filter(|(_, v)| v.0.is_finite())
             .map(|(u, v)| (u as NodeId, v.0))
             .collect()
-    }
-
-    fn fits(&self, cols: usize) -> bool {
-        self.iter().all(|(u, _)| (u as usize) < cols)
     }
 }
 
@@ -865,10 +856,6 @@ impl DenseState<Width> for WidthMap {
                 .collect(),
         )
     }
-
-    fn fits(&self, cols: usize) -> bool {
-        self.iter().all(|(u, _)| (u as usize) < cols)
-    }
 }
 
 impl DenseState<Bool> for NodeSet {
@@ -887,10 +874,6 @@ impl DenseState<Bool> for NodeSet {
                 .map(|(u, _)| u as NodeId)
                 .collect(),
         )
-    }
-
-    fn fits(&self, cols: usize) -> bool {
-        self.nodes().iter().all(|&u| (u as usize) < cols)
     }
 }
 

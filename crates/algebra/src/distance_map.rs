@@ -421,6 +421,10 @@ impl Semimodule<MinPlus> for DistanceMap {
             None => self.entries.push((0, Dist::poisoned())),
         }
     }
+
+    fn fits(&self, n: usize) -> bool {
+        self.entries.iter().all(|&(u, _)| (u as usize) < n)
+    }
 }
 
 impl FromIterator<(NodeId, Dist)> for DistanceMap {

@@ -150,6 +150,10 @@ impl Semimodule<Bool> for NodeSet {
             NodeSet::new()
         }
     }
+
+    fn fits(&self, n: usize) -> bool {
+        self.nodes.iter().all(|&u| (u as usize) < n)
+    }
 }
 
 #[cfg(test)]

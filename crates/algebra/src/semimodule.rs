@@ -54,6 +54,15 @@ pub trait Semimodule<S: Semiring>: Clone + PartialEq + Debug + Send + Sync + 'st
     /// Fault-injection only; the default is a no-op.
     #[inline]
     fn poison(&mut self) {}
+
+    /// Whether every vertex the state names as a coordinate lies in
+    /// `0..n`, i.e. a state read back from a checkpoint can be indexed
+    /// by vertex (and written into a dense row of `n` columns). The
+    /// default is `true`: a state that names no vertex always fits.
+    #[inline]
+    fn fits(&self, _n: usize) -> bool {
+        true
+    }
 }
 
 /// Every semiring is a zero-preserving semimodule over itself

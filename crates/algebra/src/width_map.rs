@@ -170,6 +170,10 @@ impl Semimodule<Width> for WidthMap {
             None => self.entries.push((0, Width(Dist::poisoned()))),
         }
     }
+
+    fn fits(&self, n: usize) -> bool {
+        self.entries.iter().all(|&(u, _)| (u as usize) < n)
+    }
 }
 
 #[cfg(test)]

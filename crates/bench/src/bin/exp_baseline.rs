@@ -3,18 +3,14 @@
 //! Runs the Section 1.1 sampler comparison (E16), the engine suite
 //! (the frontier schedule on the owned, arena and dense-block backends
 //! over the standard catalog, states cross-checked against the literal
-//! `engine::run`), the checkpoint-overhead suite (snapshot write/load
-//! cost as a fraction of run wall time), and the thread-scaling sweep
-//! (APSP on the owned and dense-block backends across
-//! `MTE_THREADS`-style pool sizes {1, 2, 4, max}), and writes the
-//! machine-readable `BENCH_engine.json` / `BENCH_parallel.json` pair
-//! that tracks the engine's performance trajectory across PRs.
+//! `engine::run`) and the checkpoint-overhead suite (snapshot write/load
+//! cost as a fraction of run wall time), and writes the
+//! machine-readable `BENCH_engine.json` whose counters CI gates.
 
 use mte_bench::checkpoint_suite::{
     checkpoint_suite, checkpoint_suite_table, with_checkpoint_section,
 };
 use mte_bench::engine_suite::{engine_suite, engine_suite_json, engine_suite_table};
-use mte_bench::parallel_suite::{parallel_suite, parallel_suite_json, parallel_suite_table};
 
 fn main() {
     mte_bench::suite::exp_baseline().print();
@@ -33,15 +29,6 @@ fn main() {
             cases.len(),
             checkpoint_cases.len()
         ),
-        Err(e) => eprintln!("failed to write {path}: {e}"),
-    }
-
-    let parallel_cases = parallel_suite();
-    parallel_suite_table(&parallel_cases).print();
-
-    let path = "BENCH_parallel.json";
-    match std::fs::write(path, parallel_suite_json(&parallel_cases)) {
-        Ok(()) => println!("wrote {path} ({} cases)", parallel_cases.len()),
         Err(e) => eprintln!("failed to write {path}: {e}"),
     }
 }

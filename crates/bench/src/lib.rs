@@ -24,7 +24,6 @@
 
 pub mod checkpoint_suite;
 pub mod engine_suite;
-pub mod parallel_suite;
 pub mod serving_suite;
 pub mod suite;
 pub mod tables;

@@ -87,7 +87,7 @@
 //! `tests/schedule_equivalence.rs`).
 
 use crate::error::RunError;
-use crate::run::{run_to_fixpoint_on, Checkpoint, StateBackend};
+use crate::run::{check_vertices, run_to_fixpoint_on, Checkpoint, StateBackend};
 use crate::work::WorkStats;
 use mte_algebra::{Filter, NodeId, Semimodule, Semiring};
 use mte_graph::Graph;
@@ -838,13 +838,15 @@ impl<A: MbfAlgorithm> StateBackend<A> for OwnedBackend<A> {
     }
 
     /// Re-enters with exactly the recorded residual frontier (empty
-    /// schedule priming + `mark_dirty`).
+    /// schedule priming + `mark_dirty`). A state naming a vertex `≥ n`
+    /// is [`RunError::SnapshotCorrupt`].
     fn resume(
         &mut self,
         _alg: &A,
         g: &Graph,
         ckpt: &Checkpoint<A::M>,
     ) -> Result<WorkStats, RunError> {
+        check_vertices(&ckpt.states)?;
         self.states = ckpt.states.clone();
         self.engine.prime(g);
         self.engine.mark_dirty(g, ckpt.frontier.iter().copied());

@@ -15,9 +15,8 @@
 //! `H` explicitly for testing and for the SPD/stretch experiments on
 //! small inputs.
 
-use crate::engine::{MbfAlgorithm, OwnedBackend};
-use crate::run::run_to_fixpoint_on;
-use mte_algebra::{Dist, MinPlus, NodeId};
+use mte_algebra::{Dist, NodeId};
+use mte_graph::algorithms::sssp_hop_limited;
 use mte_graph::hopset::{Hopset, HopsetConfig};
 use mte_graph::Graph;
 use rand::Rng;
@@ -201,21 +200,13 @@ impl SimulatedGraph {
 
     /// Materializes `H` explicitly (Definition 4.2) — `Θ(n·d·m)` work in
     /// the worst case and `Θ(n²)` space; only for tests and small-scale
-    /// experiments. Each row is a hop-limited SSSP computed by the
-    /// frontier engine, so a source whose ball stops growing before hop
-    /// `d` pays only for the hops that actually move (bit-identical to
-    /// the literal sweep, Definition 2.11).
+    /// experiments. Each row is `dist^d(s, ·, G')` from the
+    /// hop-limited Moore-Bellman-Ford sweep (Definition 2.11).
     pub fn explicit_h(&self) -> Graph {
         let n = self.aug.n();
-        // dist^d from every node on G' via frontier-driven MBF.
         let rows: Vec<Vec<Dist>> = (0..n as NodeId)
             .into_par_iter()
-            .map(|s| {
-                let alg = HopSssp { source: s };
-                let backend = OwnedBackend::new();
-                let run = run_to_fixpoint_on(backend, &alg, &self.aug, self.d);
-                run.states.into_iter().map(|x| x.0).collect()
-            })
+            .map(|s| sssp_hop_limited(&self.aug, s, self.d))
             .collect();
         let mut edges = Vec::new();
         for u in 0..n as NodeId {
@@ -228,33 +219,6 @@ impl SimulatedGraph {
             }
         }
         Graph::from_edges(n, edges)
-    }
-}
-
-/// Unfiltered single-source MBF over `S = M = S_{min,+}` (Example 3.3):
-/// `h` engine hops compute `dist^h(source, ·)` exactly, which is all
-/// [`SimulatedGraph::explicit_h`] needs per row.
-struct HopSssp {
-    source: NodeId,
-}
-
-impl MbfAlgorithm for HopSssp {
-    type S = MinPlus;
-    type M = MinPlus;
-
-    #[inline]
-    fn edge_coeff(&self, _v: NodeId, _w: NodeId, weight: f64) -> MinPlus {
-        MinPlus::new(weight)
-    }
-
-    fn filter(&self, _x: &mut MinPlus) {}
-
-    fn init(&self, v: NodeId) -> MinPlus {
-        if v == self.source {
-            MinPlus(Dist::ZERO)
-        } else {
-            MinPlus(Dist::INF)
-        }
     }
 }
 

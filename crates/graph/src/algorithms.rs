@@ -248,20 +248,27 @@ pub fn apsp(g: &Graph) -> Vec<Vec<Dist>> {
 /// Hop-limited Moore-Bellman-Ford: `dist^h(s, ·, G)` — the minimum weight
 /// of an `≤ h`-hop path (Section 1.2). The classic MBF algorithm the
 /// paper's framework generalizes; used as ground truth for `h`-hop claims.
+/// Stops at the first sweep that changes nothing: every later sweep
+/// would repeat it, so the result is exactly `dist^h`.
 pub fn sssp_hop_limited(g: &Graph, s: NodeId, h: usize) -> Vec<Dist> {
     let n = g.n();
     let mut cur = vec![Dist::INF; n];
     cur[s as usize] = Dist::ZERO;
     let mut next = cur.clone();
     for _ in 0..h {
+        let mut changed = false;
         for v in 0..n {
             let mut best = cur[v];
             for &(w, ew) in g.neighbors(v as NodeId) {
                 best = best.min(cur[w as usize] + Dist::new(ew));
             }
+            changed |= best != cur[v];
             next[v] = best;
         }
         std::mem::swap(&mut cur, &mut next);
+        if !changed {
+            break;
+        }
     }
     cur
 }

@@ -21,8 +21,8 @@
 //! inline with zero synchronization and `MTE_THREADS=N` enlists `N − 1`
 //! workers. Dedicated pools built via [`ThreadPoolBuilder`] and entered
 //! with [`ThreadPool::install`] override the global pool for the scope of
-//! the closure — that is how the determinism suite and the thread-scaling
-//! benchmarks compare thread counts within one process.
+//! the closure — that is how the determinism suite compares thread
+//! counts within one process.
 //!
 //! # Deterministic reduction tree
 //!

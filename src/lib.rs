@@ -78,8 +78,8 @@
 //! `MTE_THREADS ∈ {1, 4}`.
 //! `cargo run --release -p mte-bench --bin exp_baseline` runs the engine
 //! suite (every backend on the standard catalog, states cross-checked
-//! against the literal iteration) and the thread-scaling sweep, writing
-//! the `BENCH_engine.json` / `BENCH_parallel.json` trajectory artifacts.
+//! against the literal iteration), writing the counter-gated
+//! `BENCH_engine.json` trajectory artifact.
 //!
 //! ## Quickstart
 //!

@@ -1,7 +1,7 @@
 //! Differential tests for the engine: the frontier-driven sparse
 //! schedule must be **bit-identical** to the literal Eq. (2.17) loop
 //! (`iterate` until the first unchanged hop) on every workload — the
-//! skip criterion ("no input of `v` changed, so `x_v` cannot change")
+//! skip rule ("no input of `v` changed, so `x_v` cannot change")
 //! is exact, not approximate — while doing strictly less relaxation
 //! work whenever convergence leaves vertices quiescent before the run
 //! ends.
@@ -162,11 +162,13 @@ fn engine_outputs_bit_identical_across_thread_counts() {
     let alg = SourceDetection::k_ssp(g.n(), 6);
     let fixpoint = || run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
     let r1 = with_threads(1, fixpoint);
-    let r4 = with_threads(4, fixpoint);
-    assert_eq!(r1.states, r4.states, "states differ");
-    assert_eq!(r1.work, r4.work, "work counters differ");
-    assert_eq!(r1.iterations, r4.iterations);
-    assert_eq!(r1.fixpoint, r4.fixpoint);
+    for threads in [2, 4] {
+        let r = with_threads(threads, fixpoint);
+        assert_eq!(r1.states, r.states, "states differ on {threads} threads");
+        assert_eq!(r1.work, r.work, "work counters differ on {threads} threads");
+        assert_eq!(r1.iterations, r.iterations);
+        assert_eq!(r1.fixpoint, r.fixpoint);
+    }
 }
 
 #[test]

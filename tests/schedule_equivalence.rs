@@ -954,18 +954,18 @@ fn dense_block_bit_identical_across_thread_counts() {
         })
     };
     let reference = literal_fixpoint(alg, g, g.n() + 1);
-    for threads in [1, 4] {
-        let dense = run(threads);
+    let runs = [1, 2, 4].map(|threads| (threads, run(threads)));
+    for (threads, dense) in &runs {
         assert_eq!(
             dense.states, reference.states,
             "dense run on {threads} threads diverged"
         );
         assert_eq!(dense.iterations, reference.iterations);
         assert_eq!(dense.fixpoint, reference.fixpoint);
+        // And the dense runs agree on every counter (the reduction
+        // tree is thread-count independent).
+        assert_eq!(dense.work, runs[0].1.work);
     }
-    // And the two dense runs agree on every counter (the reduction
-    // tree is thread-count independent).
-    assert_eq!(run(1).work, run(4).work);
 }
 
 #[test]

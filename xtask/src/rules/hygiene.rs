@@ -5,7 +5,7 @@
 //! all four smuggle run-to-run-varying inputs into computations whose
 //! outputs the test suite pins bit-for-bit. Threading goes through the
 //! pool shim (`rayon`), randomness through the seeded `rand` shim,
-//! timing belongs in `crates/bench` / the criterion shim only, and
+//! timing belongs in `crates/bench` and `perfbench/` only, and
 //! engine options enter through constructors (the pool size and the
 //! fault plan are read by the shim and `mte_faults`, outside this
 //! scope).
@@ -22,8 +22,8 @@ use crate::lexer::{has_word, waived, Scan};
 pub const RULE: &str = "hygiene";
 
 /// Crates holding engine/oracle/kernel code (scope of the wall-clock /
-/// threading / randomness bans). `crates/bench` and the criterion shim
-/// are deliberately outside: timing is their job.
+/// threading / randomness bans). `crates/bench` is deliberately
+/// outside: timing is its job.
 const ENGINE_SCOPE: [&str; 5] = [
     "crates/core/",
     "crates/algebra/",
