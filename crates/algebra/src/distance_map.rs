@@ -152,24 +152,13 @@ impl DistanceMap {
         merge::with_dist_scratch(|scratch| self.merge_scaled_entries_with(other, s, scratch));
     }
 
-    /// The explicit-scratch primitive underlying
-    /// [`DistanceMap::merge_scaled`], for callers that manage their own
-    /// buffer instead of borrowing the thread-local one. After the call
-    /// `scratch` holds the accumulator's previous entries (the buffers
-    /// are swapped); its contents are otherwise unspecified.
-    pub fn merge_scaled_with(
-        &mut self,
-        other: &DistanceMap,
-        s: Dist,
-        scratch: &mut Vec<(NodeId, Dist)>,
-    ) {
-        self.merge_scaled_entries_with(&other.entries, s, scratch);
-    }
-
     /// The borrowed-view, explicit-scratch kernel every `merge_scaled*`
     /// variant bottoms out in — owned maps and arena spans share one
     /// code path, which is what makes the two storage backends
-    /// bit-identical by construction.
+    /// bit-identical by construction. For callers that manage their own
+    /// buffer instead of borrowing the thread-local one: after the call
+    /// `scratch` holds the accumulator's previous entries (the buffers
+    /// are swapped); its contents are otherwise unspecified.
     pub fn merge_scaled_entries_with(
         &mut self,
         other: &[(NodeId, Dist)],
@@ -192,31 +181,17 @@ impl DistanceMap {
         std::mem::swap(&mut self.entries, scratch);
     }
 
-    /// [`DistanceMap::merge_scaled`] with an admission predicate:
-    /// `admit(v, x_v + s)` is consulted for every entry of `other` whose
-    /// node is **absent** from `self`; rejected entries are never
-    /// inserted, collisions always take the minimum. See
+    /// [`DistanceMap::merge_scaled_entries`] with an admission
+    /// predicate: `admit(v, x_v + s)` is consulted for every entry of
+    /// `other` whose node is **absent** from `self`; rejected entries are
+    /// never inserted, collisions always take the minimum. See
     /// [`crate::merge`]'s module docs for the contract a predicate must
-    /// satisfy so a downstream filter makes the prune lossless (the LE
-    /// rank-domination filter is the canonical instance; the FRT hot
-    /// path itself batches its admitted entries and combines them with
-    /// one [`DistanceMap::assign_merged_min`] instead, so these
-    /// per-merge kernels are the general-purpose route for filters —
-    /// e.g. a top-k threshold — that prune incrementally). Unpruned
-    /// [`DistanceMap::merge_scaled`] stays the semantics reference.
-    pub fn merge_scaled_pruned(
-        &mut self,
-        other: &DistanceMap,
-        s: Dist,
-        admit: &mut impl FnMut(NodeId, Dist) -> bool,
-    ) {
-        merge::with_dist_scratch(|scratch| {
-            self.merge_scaled_pruned_entries_with(&other.entries, s, admit, scratch)
-        });
-    }
-
-    /// [`DistanceMap::merge_scaled_pruned`] over a borrowed entry slice
-    /// (cf. [`DistanceMap::merge_scaled_entries`]).
+    /// satisfy so a downstream filter makes the prune lossless (the
+    /// top-k threshold of source detection's arena recompute is the
+    /// instance; the LE lists batch their admitted entries and combine
+    /// them with one [`DistanceMap::assign_merged_min_entries`]
+    /// instead). Unpruned [`DistanceMap::merge_scaled_entries`] stays the
+    /// semantics reference.
     pub fn merge_scaled_pruned_entries(
         &mut self,
         other: &[(NodeId, Dist)],
@@ -228,24 +203,11 @@ impl DistanceMap {
         });
     }
 
-    /// The explicit-scratch primitive underlying
-    /// [`DistanceMap::merge_scaled_pruned`] (cf.
-    /// [`DistanceMap::merge_scaled_with`]). The append fast paths consult
-    /// the predicate entry-by-entry too, so admission behavior never
-    /// depends on which code path a merge takes.
-    pub fn merge_scaled_pruned_with(
-        &mut self,
-        other: &DistanceMap,
-        s: Dist,
-        admit: &mut impl FnMut(NodeId, Dist) -> bool,
-        scratch: &mut Vec<(NodeId, Dist)>,
-    ) {
-        self.merge_scaled_pruned_entries_with(&other.entries, s, admit, scratch);
-    }
-
-    /// The borrowed-view, explicit-scratch kernel every
-    /// `merge_scaled_pruned*` variant bottoms out in (cf.
-    /// [`DistanceMap::merge_scaled_entries_with`]).
+    /// The explicit-scratch kernel underlying
+    /// [`DistanceMap::merge_scaled_pruned_entries`] (cf.
+    /// [`DistanceMap::merge_scaled_entries_with`]). The append fast paths
+    /// consult the predicate entry-by-entry too, so admission behavior
+    /// never depends on which code path a merge takes.
     pub fn merge_scaled_pruned_entries_with(
         &mut self,
         other: &[(NodeId, Dist)],
@@ -275,54 +237,14 @@ impl DistanceMap {
         std::mem::swap(&mut self.entries, scratch);
     }
 
-    /// [`DistanceMap::merge_min`] with an admission predicate (see
-    /// [`DistanceMap::merge_scaled_pruned`]): entries of `other` absent
-    /// from `self` are inserted only if admitted, collisions always take
-    /// the minimum.
-    pub fn merge_min_pruned(
-        &mut self,
-        other: &DistanceMap,
-        admit: &mut impl FnMut(NodeId, Dist) -> bool,
-    ) {
-        if other.entries.is_empty() {
-            return;
-        }
-        if self
-            .entries
-            .last()
-            .is_none_or(|&(last, _)| last < other.entries[0].0)
-        {
-            self.entries
-                .extend(other.entries.iter().copied().filter(|&(v, d)| admit(v, d)));
-            return;
-        }
-        merge::with_dist_scratch(|scratch| {
-            merge::merge_sorted_pruned_into(
-                &self.entries,
-                &other.entries,
-                |d| d,
-                Dist::min,
-                admit,
-                scratch,
-            );
-            std::mem::swap(&mut self.entries, scratch);
-        });
-    }
-
-    /// `self ← other ⊕ extra`, overwriting `self`'s previous contents:
-    /// one sorted merge of `other`'s entries with an **already
-    /// node-sorted, key-deduplicated** entry slice, written directly
-    /// into `self`'s buffer (no scratch, no re-sort). Collisions take
-    /// the minimum. The single-merge fast path for callers that batch
-    /// their admitted entries before combining (the LE-list recompute
-    /// gathers all neighbors' surviving entries, then merges once).
-    pub fn assign_merged_min(&mut self, other: &DistanceMap, extra: &[(NodeId, Dist)]) {
-        self.assign_merged_min_entries(&other.entries, extra);
-    }
-
-    /// [`DistanceMap::assign_merged_min`] with the base list as a
-    /// borrowed entry slice (a span-backed state), so the arena LE hot
-    /// path combines straight out of the pool.
+    /// `self ← base ⊕ extra`, overwriting `self`'s previous contents:
+    /// one sorted merge of a node-sorted base list (a span-backed
+    /// state) with an **already node-sorted, key-deduplicated** entry
+    /// slice, written directly into `self`'s buffer (no scratch, no
+    /// re-sort). Collisions take the minimum. The single-merge fast path
+    /// for callers that batch their admitted entries before combining
+    /// (the LE-list arena recompute gathers all neighbors' surviving
+    /// entries, then merges once).
     pub fn assign_merged_min_entries(&mut self, base: &[(NodeId, Dist)], extra: &[(NodeId, Dist)]) {
         debug_assert!(
             extra.windows(2).all(|w| w[0].0 < w[1].0),
@@ -489,11 +411,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_scaled_with_swaps_caller_scratch() {
+    fn merge_scaled_entries_with_swaps_caller_scratch() {
         let mut acc = dm(&[(1, 2.0), (3, 5.0)]);
         let other = dm(&[(2, 1.0), (3, 1.0)]);
         let mut scratch: Vec<(NodeId, Dist)> = Vec::with_capacity(64);
-        acc.merge_scaled_with(&other, Dist::new(1.0), &mut scratch);
+        acc.merge_scaled_entries_with(other.entries(), Dist::new(1.0), &mut scratch);
         assert_eq!(acc, dm(&[(1, 2.0), (2, 2.0), (3, 2.0)]));
         // The buffers were swapped: the scratch now carries the
         // accumulator's previous entries (and its old capacity moved
@@ -502,7 +424,7 @@ mod tests {
         // Appending fast path leaves the scratch untouched.
         let tail = dm(&[(9, 1.0)]);
         scratch.clear();
-        acc.merge_scaled_with(&tail, Dist::ZERO, &mut scratch);
+        acc.merge_scaled_entries_with(tail.entries(), Dist::ZERO, &mut scratch);
         assert!(scratch.is_empty());
         assert_eq!(acc.get(9), Dist::new(1.0));
     }
@@ -521,7 +443,7 @@ mod tests {
             let mut plain = acc0.clone();
             plain.merge_scaled(&other, Dist::new(1.5));
             let mut pruned = acc0.clone();
-            pruned.merge_scaled_pruned(&other, Dist::new(1.5), &mut |_, _| true);
+            pruned.merge_scaled_pruned_entries(other.entries(), Dist::new(1.5), &mut |_, _| true);
             assert_eq!(plain, pruned);
         }
     }
@@ -531,7 +453,7 @@ mod tests {
         let mut acc = dm(&[(1, 2.0), (3, 5.0)]);
         let other = dm(&[(1, 0.5), (2, 1.0), (9, 3.0)]);
         // Reject everything: collisions still combine, absent keys dropped.
-        acc.merge_scaled_pruned(&other, Dist::new(1.0), &mut |_, _| false);
+        acc.merge_scaled_pruned_entries(other.entries(), Dist::new(1.0), &mut |_, _| false);
         assert_eq!(acc, dm(&[(1, 1.5), (3, 5.0)]));
     }
 
@@ -540,26 +462,12 @@ mod tests {
         // Empty accumulator.
         let mut acc = DistanceMap::new();
         let other = dm(&[(2, 1.0), (4, 2.0)]);
-        acc.merge_scaled_pruned(&other, Dist::new(1.0), &mut |v, _| v == 4);
+        acc.merge_scaled_pruned_entries(other.entries(), Dist::new(1.0), &mut |v, _| v == 4);
         assert_eq!(acc, dm(&[(4, 3.0)]));
         // Disjoint tail append.
         let mut acc = dm(&[(1, 1.0)]);
-        acc.merge_scaled_pruned(&other, Dist::new(1.0), &mut |v, _| v == 2);
+        acc.merge_scaled_pruned_entries(other.entries(), Dist::new(1.0), &mut |v, _| v == 2);
         assert_eq!(acc, dm(&[(1, 1.0), (2, 2.0)]));
-    }
-
-    #[test]
-    fn merge_min_pruned_matches_merge_min_when_all_admitted() {
-        let mut plain = dm(&[(1, 2.0), (3, 5.0)]);
-        let mut pruned = plain.clone();
-        let other = dm(&[(1, 3.0), (2, 1.0), (3, 4.0)]);
-        plain.merge_min(&other);
-        pruned.merge_min_pruned(&other, &mut |_, _| true);
-        assert_eq!(plain, pruned);
-        // And the rejection path only affects absent keys.
-        let mut rejecting = dm(&[(1, 2.0), (3, 5.0)]);
-        rejecting.merge_min_pruned(&other, &mut |_, _| false);
-        assert_eq!(rejecting, dm(&[(1, 2.0), (3, 4.0)]));
     }
 
     #[test]
@@ -571,10 +479,10 @@ mod tests {
             (3, Dist::new(4.0)), // collision: min wins
             (8, Dist::new(0.5)),
         ];
-        out.assign_merged_min(&base, &extra);
+        out.assign_merged_min_entries(base.entries(), &extra);
         assert_eq!(out, dm(&[(1, 2.0), (2, 1.5), (3, 4.0), (7, 1.0), (8, 0.5)]));
         // Empty extra reproduces `base` exactly.
-        out.assign_merged_min(&base, &[]);
+        out.assign_merged_min_entries(base.entries(), &[]);
         assert_eq!(out, base);
     }
 

@@ -156,8 +156,8 @@ fn record<A>(
 /// over the dense catalog. For LE lists the plain `frontier` row times
 /// the arena backend (the production path of `le_lists_direct`);
 /// `…+owned` rows keep the owned backend in the trajectory. For SSSP
-/// the plain rows stay owned (its production path) and `…+arena` rows
-/// ride along.
+/// the plain rows stay on the owned backend (the generic, unpruned
+/// recompute) and `…+arena` rows ride along.
 pub fn engine_suite() -> Vec<EngineCase> {
     let mut cases = Vec::new();
     for (label, g) in engine_catalog() {

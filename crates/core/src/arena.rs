@@ -30,20 +30,23 @@
 //! into the pool in chunk order, so the pool layout is a pure function
 //! of the schedule and the inputs, never of `MTE_THREADS`.
 //!
-//! # The algorithm hook
+//! # The algorithm hook: pruned recomputation
 //!
-//! [`ArenaMbfAlgorithm`] is the span-level counterpart of
-//! [`MbfAlgorithm::recompute_into`]: [`ArenaMbfAlgorithm::recompute_span`]
-//! reads neighbor states as borrowed [`DistanceSlice`]s straight out of
-//! the pool and appends the result to the chunk region through a
-//! [`SpanOut`]. The default implementation is the literal
-//! merge-everything-then-filter pipeline over spans; `LeListAlgorithm`
-//! overrides it with the rank-domination probe reading the pool's rank
-//! column, `SourceDetection` with the top-k admission threshold. Every
-//! override **must** be bit-identical to the owned
-//! `recompute_into` on exported states — the equivalence suite
-//! differential-tests engine, oracle, and the FRT pipeline across both
-//! backends and `MTE_THREADS ∈ {1, 4}`.
+//! This is where distance maps are recomputed **pruned**; the owned
+//! engine runs the literal merge-everything-then-filter pipeline for
+//! every state type. [`ArenaMbfAlgorithm::recompute_span`] reads
+//! neighbor states as borrowed [`DistanceSlice`]s straight out of the
+//! pool and appends the result to the chunk region through a
+//! [`SpanOut`], rejecting at merge time every incoming entry the filter
+//! would discard anyway: `LeListAlgorithm` with the rank-domination
+//! probe reading the pool's rank column (the Lemma 7.6 work argument,
+//! after Blelloch–Gu–Sun's prune-during-propagation), `SourceDetection`
+//! with the top-k admission threshold. Each recomputation **must** be
+//! bit-identical to the literal `r(x_v ⊕ ⊕_w a_vw x_w)` on exported
+//! states — the equivalence suite differential-tests engine, oracle,
+//! and the FRT pipeline against the literal loops across
+//! `MTE_THREADS ∈ {1, 4}`. `entries_processed` counts `|x_v|` plus the
+//! **admitted** entries only.
 //!
 //! # Semi-naive handover
 //!
@@ -108,12 +111,11 @@ use mte_graph::Graph;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
-/// Outcome of one span recomputation (the arena counterpart of
-/// `recompute_into`'s `(entries, relaxations)` pair).
+/// Outcome of one span recomputation.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SpanRecompute {
-    /// Entries processed (the paper's `Σ|x|` work term; pruned paths
-    /// count admitted entries only, like the owned overrides).
+    /// Entries processed (the paper's `Σ|x|` work term): `|x_v|` plus
+    /// the admitted entries; pruned entries are examined, not processed.
     pub entries: u64,
     /// Edge relaxations performed.
     pub relaxations: u64,
@@ -130,8 +132,7 @@ pub struct SpanRecompute {
 
 thread_local! {
     /// Per-thread accumulator for span recomputations that build their
-    /// result in an owned map before appending (the default path and
-    /// the pruned source-detection override).
+    /// result in an owned map before appending.
     static ARENA_ACC: RefCell<DistanceMap> = RefCell::new(DistanceMap::new());
 }
 
@@ -147,8 +148,7 @@ pub fn with_arena_acc<R>(f: impl FnOnce(&mut DistanceMap) -> R) -> R {
 
 /// An MBF-like algorithm over min-plus distance maps that can recompute
 /// straight out of (and into) the epoch-arena store. See the module
-/// docs; the owned [`MbfAlgorithm`] methods remain the semantics
-/// reference.
+/// docs; the [`MbfAlgorithm`] methods remain the semantics reference.
 pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
     /// Whether the algorithm reads the pool's per-entry rank column
     /// (via [`mte_algebra::store::DistanceSlice::ranks`] or
@@ -167,8 +167,8 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
     /// hop plan drops every untainted vertex that no frontier neighbor
     /// hands anything unabsorbed ([`ArenaMbfAlgorithm::absorbs`]), so a
     /// recomputation that reads nothing must leave its state unchanged.
-    /// Off by default (the default recompute reads whole neighbor
-    /// states); the LE lists opt in.
+    /// Off by default (dirty neighbors hand over their whole state);
+    /// the LE lists opt in.
     const SEMI_NAIVE: bool = false;
 
     /// Rank-column value stored alongside an entry with key `node`.
@@ -197,39 +197,27 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
         false
     }
 
-    /// [`MbfAlgorithm::state_size`] for a borrowed span. Must agree
-    /// with `state_size` on the materialized map; the default matches
-    /// the distance-map convention `|x|.max(1)`.
-    #[inline]
-    fn slice_size(&self, x: &DistanceSlice<'_>) -> usize {
-        x.len().max(1)
-    }
-
     /// Recomputes `v`'s next state `r(x_v ⊕ ⊕_w a_vw x_w)` from the
     /// span-backed state vector, appending the resulting entries (with
     /// their rank column) to `out` — or writing nothing and setting
     /// [`SpanRecompute::unchanged_hint`] when the result provably
-    /// equals the current span. Must be bit-identical to
-    /// [`MbfAlgorithm::recompute_into`] on exported states.
+    /// equals the current span. Must be bit-identical to the literal
+    /// merge-everything-then-filter recomputation on exported states.
     ///
-    /// `ctx` reports what each neighbor must hand over. Algorithms whose
-    /// filter is *absorption-stable* (see [`RecomputeCtx`]) read
-    /// neighbors through [`RecomputeCtx::incoming`], which skips clean
-    /// neighbors and hands over only the unabsorbed delta of dirty ones
-    /// (for [`ArenaMbfAlgorithm::SEMI_NAIVE`] algorithms), as the
-    /// LE-list and source-detection overrides do; the default
-    /// implementation merges everything unconditionally.
+    /// `ctx` reports what each neighbor must hand over: the filter is
+    /// *absorption-stable* (see [`RecomputeCtx`]), so neighbors are read
+    /// through [`RecomputeCtx::incoming`], which skips clean neighbors
+    /// and hands over only the unabsorbed delta of dirty ones (for
+    /// [`ArenaMbfAlgorithm::SEMI_NAIVE`] algorithms).
     fn recompute_span(
         &self,
         v: NodeId,
         g: &Graph,
         weight_scale: f64,
         states: &EpochStore,
-        _ctx: &RecomputeCtx<'_>,
+        ctx: &RecomputeCtx<'_>,
         out: &mut SpanOut<'_>,
-    ) -> SpanRecompute {
-        default_recompute_span(self, v, g, weight_scale, states, out)
-    }
+    ) -> SpanRecompute;
 }
 
 /// Per-hop context handed to [`ArenaMbfAlgorithm::recompute_span`]:
@@ -585,49 +573,6 @@ fn push_delta(
     }
     // Nothing new: the states differ iff `new` dropped pairs of `old`.
     out.len() > start || new.len() != old.len()
-}
-
-/// The literal merge-everything-then-filter recomputation over spans —
-/// the arena counterpart of the default [`MbfAlgorithm::recompute_into`]
-/// body, provided as a free function so overriding implementations can
-/// fall back to it.
-///
-/// Assumes (like every distance-map algorithm in the catalog) that
-/// `propagate_into` is the fused min-plus merge `acc ← acc ⊕ (s ⊙ x)`.
-pub fn default_recompute_span<A: ArenaMbfAlgorithm + ?Sized>(
-    alg: &A,
-    v: NodeId,
-    g: &Graph,
-    weight_scale: f64,
-    states: &EpochStore,
-    out: &mut SpanOut<'_>,
-) -> SpanRecompute {
-    with_arena_acc(|acc| {
-        let base = states.get(v);
-        // a_vv = 1: keep the node's own state.
-        acc.assign_from_entries(base.entries);
-        let mut entries = alg.slice_size(&base) as u64;
-        let mut relaxations = 0u64;
-        let mut handover_entries = 0u64;
-        for &(w, ew) in g.neighbors(v) {
-            let coeff = alg.edge_coeff(v, w, ew * weight_scale);
-            let nb = states.get(w);
-            acc.merge_scaled_entries(nb.entries, coeff.0);
-            entries += alg.slice_size(&nb) as u64;
-            handover_entries += nb.len() as u64;
-            relaxations += 1;
-        }
-        alg.filter(acc);
-        for (u, d) in acc.iter() {
-            out.push(u, d, alg.entry_aux(u));
-        }
-        SpanRecompute {
-            entries,
-            relaxations,
-            handover_entries,
-            unchanged_hint: false,
-        }
-    })
 }
 
 /// Storage counters of a [`StoreStats`] snapshot folded into the

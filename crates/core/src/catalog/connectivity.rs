@@ -71,15 +71,10 @@ impl MbfAlgorithm for Connectivity {
 impl DenseMbfAlgorithm for Connectivity {
     /// `r = id`: connectivity states are dense-representable as-is
     /// (`B^V` rows of the Boolean semiring), so all-pairs connectivity
-    /// rides the dense block backend for free.
+    /// rides the dense block backend for free. Set union only grows and
+    /// the filter is the identity, so the filter is absorption-stable,
+    /// as the dense backend requires.
     fn advertises_dense(&self) -> bool {
-        true
-    }
-
-    /// Set union only grows and the filter is the identity: an absorbed
-    /// contribution stays absorbed, so skipping clean neighbors is
-    /// bit-identical.
-    fn absorption_stable(&self) -> bool {
         true
     }
 

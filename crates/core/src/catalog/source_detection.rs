@@ -110,9 +110,9 @@ impl SourceDetection {
         }
     }
 
-    /// The admission predicate shared by the owned and arena pruned
-    /// recomputes: sources only, within the distance limit, below the
-    /// top-k threshold. Counts admitted entries in `admitted`.
+    /// The admission predicate of the pruned arena recompute: sources
+    /// only, within the distance limit, below the top-k threshold.
+    /// Counts admitted entries in `admitted`.
     #[inline]
     fn admit(
         &self,
@@ -161,50 +161,19 @@ impl MbfAlgorithm for SourceDetection {
     fn state_size(&self, x: &DistanceMap) -> usize {
         x.len().max(1)
     }
-
-    /// Top-k-pruned recomputation through the admission-predicate merge
-    /// kernels (the ROADMAP item closing the gap to the LE lists'
-    /// rank-pruned path): an incoming entry absent from the accumulator
-    /// is admitted only if it is a source within the distance limit
-    /// whose `(dist, node)` pair beats the k-th smallest pair of `v`'s
-    /// own list — everything else the filter would discard anyway, so
-    /// `r(pruned merge) = r(full merge)` bit for bit (collisions always
-    /// combine; see `SourceDetection::admission_threshold` for the
-    /// losslessness argument). `entries_processed` counts `|x_v|` plus
-    /// only the **admitted** entries, like every pruned path (see
-    /// [`crate::work::WorkStats`]).
-    fn recompute_into(
-        &self,
-        v: NodeId,
-        g: &Graph,
-        weight_scale: f64,
-        states: &[DistanceMap],
-        out: &mut DistanceMap,
-    ) -> (u64, u64) {
-        // a_vv = 1: keep the node's own state.
-        let base = &states[v as usize];
-        out.clone_from(base);
-        let threshold = self.admission_threshold(base);
-        let mut entries = self.state_size(base) as u64;
-        let mut admitted = 0u64;
-        let mut relaxations = 0u64;
-        for &(w, ew) in g.neighbors(v) {
-            let coeff = self.edge_coeff(v, w, ew * weight_scale);
-            relaxations += 1;
-            out.merge_scaled_pruned(&states[w as usize], coeff.0, &mut |u, d| {
-                self.admit(threshold, u, d, &mut admitted)
-            });
-        }
-        entries += admitted;
-        self.filter(out);
-        (entries, relaxations)
-    }
 }
 
 impl ArenaMbfAlgorithm for SourceDetection {
-    /// The arena twin of the pruned [`MbfAlgorithm::recompute_into`]
-    /// override above: identical admission predicate and kernels, with
-    /// the base and neighbor states read as borrowed spans.
+    /// Top-k-pruned recomputation through the admission-predicate merge
+    /// kernel, reading base and neighbor states as borrowed spans: an
+    /// incoming entry absent from the accumulator is admitted only if it
+    /// is a source within the distance limit whose `(dist, node)` pair
+    /// beats the k-th smallest pair of `v`'s own list — everything else
+    /// the filter would discard anyway, so `r(pruned merge) = r(full
+    /// merge)` bit for bit (collisions always combine; see
+    /// `SourceDetection::admission_threshold` for the losslessness
+    /// argument). `entries_processed` counts `|x_v|` plus only the
+    /// **admitted** entries (see [`crate::work::WorkStats`]).
     ///
     /// Additionally skips **clean** neighbors (nothing to absorb — see
     /// [`RecomputeCtx::incoming`]): the top-k filter is
@@ -214,10 +183,10 @@ impl ArenaMbfAlgorithm for SourceDetection {
     /// predicates are static — so every entry of an already-absorbed
     /// contribution is either an identity collision or rejected by the
     /// admission threshold, and skipping the whole merge is
-    /// bit-identical (differential-tested against the owned path, which
-    /// merges every neighbor). Dirty neighbors hand over their whole
-    /// state: source detection does not opt into the semi-naive delta
-    /// ([`ArenaMbfAlgorithm::SEMI_NAIVE`]).
+    /// bit-identical (differential-tested against the literal loop,
+    /// which merges every neighbor). Dirty neighbors hand over their
+    /// whole state: source detection does not opt into the semi-naive
+    /// delta ([`ArenaMbfAlgorithm::SEMI_NAIVE`]).
     fn recompute_span(
         &self,
         v: NodeId,
@@ -232,7 +201,7 @@ impl ArenaMbfAlgorithm for SourceDetection {
             acc.assign_from_entries(base.entries);
             let threshold = self.admission_threshold(acc);
             let full = ctx.require_full(v);
-            let mut entries = self.slice_size(&base) as u64;
+            let mut entries = base.len().max(1) as u64;
             let mut admitted = 0u64;
             let mut relaxations = 0u64;
             let mut handover_entries = 0u64;
@@ -271,7 +240,9 @@ impl DenseMbfAlgorithm for SourceDetection {
     /// can — so `k ≥ |S|` makes the filter truncation-free, leaving
     /// only the columnwise mask, which the dense row represents
     /// exactly. APSP (`k = n`, all sources) always qualifies; k-SSP
-    /// with `k < n` does not.
+    /// with `k < n` does not. Without truncation, entries only improve
+    /// under min-merging and the mask is static, so the filter is
+    /// absorption-stable, as the dense backend requires.
     fn advertises_dense(&self) -> bool {
         self.k >= self.is_source.iter().filter(|&&s| s).count()
     }
@@ -290,16 +261,6 @@ impl DenseMbfAlgorithm for SourceDetection {
                 *x = MinPlus::zero();
             }
         }
-    }
-
-    /// Without top-k truncation (the only regime the dense backend
-    /// admits), entries only improve under min-merging and the
-    /// source/distance mask is static — an absorbed contribution stays
-    /// absorbed, so skipping clean neighbors is bit-identical (the same
-    /// argument as the arena `recompute_span` override above).
-    #[inline]
-    fn absorption_stable(&self) -> bool {
-        true
     }
 
     /// APSP-style instances (all sources, no distance limit) have a

@@ -73,15 +73,10 @@ impl MbfAlgorithm for WidestPaths {
 impl DenseMbfAlgorithm for WidestPaths {
     /// `r = id` over the max-min semiring: the semiring-generic row
     /// kernels give widest-path workloads the dense backend for free
-    /// (`dst ← max(dst, min(src, w))` per column).
+    /// (`dst ← max(dst, min(src, w))` per column). Widths only grow
+    /// under max-merging and the filter is the identity, so the filter
+    /// is absorption-stable, as the dense backend requires.
     fn advertises_dense(&self) -> bool {
-        true
-    }
-
-    /// Widths only grow under max-merging and the filter is the
-    /// identity: an absorbed contribution stays absorbed, so skipping
-    /// clean neighbors is bit-identical.
-    fn absorption_stable(&self) -> bool {
         true
     }
 

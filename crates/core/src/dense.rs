@@ -69,6 +69,16 @@ use std::cell::RefCell;
 /// An MBF-like algorithm whose states admit the dense row
 /// representation: `M ≅ S^V` with coordinate `u` at column `u`. See the
 /// module docs for the contract.
+///
+/// The filter must also be **absorption-stable** (see
+/// [`crate::arena::RecomputeCtx`] for the general argument): row values
+/// only ever improve under `⊕` and the filter's masking is static, so
+/// re-merging a neighbor whose row did not change since `v` last
+/// absorbed it is an identity. The engine therefore **skips clean
+/// source rows outright** — on a memory-bound dense hop that is a
+/// direct traffic cut, not just saved arithmetic. Every implementor
+/// (source detection without truncation, widest paths, connectivity)
+/// qualifies; one that does not would compute wrong rows.
 pub trait DenseMbfAlgorithm: MbfAlgorithm
 where
     Self::S: DenseKernel,
@@ -88,20 +98,6 @@ where
     /// connectivity, and widest paths that keep everything).
     #[inline]
     fn dense_filter(&self, _v: NodeId, _row: &mut [Self::S]) {}
-
-    /// `true` iff absorbed contributions stay absorbed (see
-    /// [`crate::arena::RecomputeCtx`] for the general argument): row
-    /// values only ever improve under `⊕` and the filter's masking is
-    /// static, so re-merging a neighbor whose row did not change since
-    /// `v` last absorbed it is provably an identity. The engine then
-    /// **skips clean source rows outright** — on a memory-bound dense
-    /// hop that is a direct traffic cut, not just saved arithmetic.
-    /// Must only return `true` when the skip is exactly lossless; the
-    /// default is `false` (merge everything).
-    #[inline]
-    fn absorption_stable(&self) -> bool {
-        false
-    }
 
     /// `true` iff [`DenseMbfAlgorithm::dense_filter`] is the identity
     /// on every row this instance can produce. The engine then takes
@@ -139,7 +135,7 @@ where
     /// Taints for externally rewritten rows (the dense counterpart of
     /// [`crate::arena::RecomputeCtx::require_full`]): a tainted vertex
     /// has absorbed nothing, so its next recomputation must merge
-    /// every neighbor even under the absorption-stable skip. Cleared
+    /// every neighbor even under the clean-row skip. Cleared
     /// per vertex on recompute, wholesale on
     /// [`DenseEngine::mark_all_dirty`].
     taint: crate::engine::TaintTable,
@@ -209,7 +205,7 @@ where
     /// See [`MbfEngine::mark_dirty`]. The seeded vertices are
     /// additionally **tainted**: their rows were rewritten outside the
     /// engine, so their next recomputation must merge every neighbor
-    /// (the absorption-stable skip would otherwise drop contributions
+    /// (the clean-row skip would otherwise drop contributions
     /// the old row had absorbed).
     pub fn mark_dirty(&mut self, g: &Graph, vs: impl IntoIterator<Item = NodeId>) {
         if !self.sched.sized_for(g.n()) {
@@ -269,12 +265,11 @@ where
         let block_ref: &DenseBlock<A::S> = block;
         let next_base = SyncPtr(self.next.as_mut_ptr());
         let stats_base = SyncPtr(self.per_vertex.as_mut_ptr());
-        // Absorption-stable algorithms skip source rows that did not
-        // change since `v` last absorbed them (the frontier tells us
-        // which did) — on a memory-bound hop, rows never read are the
-        // dominant saving. Tainted vertices (externally rewritten) must
-        // merge everything once.
-        let skip_clean = alg.absorption_stable();
+        // Skip source rows that did not change since `v` last absorbed
+        // them (the frontier tells us which did; the trait requires
+        // absorption stability) — on a memory-bound hop, rows never
+        // read are the dominant saving. Tainted vertices (externally
+        // rewritten) must merge everything once.
         let identity_filter = alg.dense_filter_is_identity();
         let sched_ref = &self.sched;
         let taint_ref = &self.taint;
@@ -292,7 +287,7 @@ where
                 // SAFETY: as above — stats slot `p` belongs to this chunk.
                 let stats = unsafe { &mut *stats_base.slot(p) };
                 srcs.clear();
-                let full = !skip_clean || taint_ref.is_tainted(v);
+                let full = taint_ref.is_tainted(v);
                 let mut relaxations = 0u64;
                 for &(w, ew) in g.neighbors(v) {
                     if !full && !sched_ref.on_frontier(w) {
@@ -660,7 +655,7 @@ mod tests {
     #[test]
     fn fresh_engine_step_sizes_schedule_and_taint_together() {
         // Regression: the unsized-schedule fallback used to size only
-        // the schedule, so an absorption-stable algorithm's first step
+        // the schedule, so an algorithm's first step
         // on a never-primed engine read past the empty taint table.
         let g = path_graph(6, 1.0);
         let alg = SourceDetection::apsp(g.n());

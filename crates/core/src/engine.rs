@@ -78,13 +78,11 @@
 //! thread counts (`MTE_THREADS`; asserted by the determinism suite in
 //! `tests/engine_equivalence.rs`).
 //!
-//! Algorithms can override [`MbfAlgorithm::recompute_into`] to fuse the
-//! representative projection into the merges — e.g. the LE-list
-//! algorithm rejects echoed and rank-dominated entries per incoming
-//! entry, batches the survivors, and combines them with one sorted
-//! merge — as long as the result stays bit-identical to the default
-//! merge-everything-then-filter reference (differential-tested by
-//! `tests/schedule_equivalence.rs`).
+//! Every recomputation is the literal merge-everything-then-filter
+//! pipeline: clone `x_v`, propagate every neighbor, apply `r`. This is
+//! the generic engine for every state type; pruning dominated entries at
+//! merge time is the arena backend's job ([`crate::arena`]), the one
+//! place distance maps are recomputed pruned.
 
 use crate::error::RunError;
 use crate::run::{check_vertices, run_to_fixpoint_on, Checkpoint, StateBackend};
@@ -124,41 +122,6 @@ pub trait MbfAlgorithm: Send + Sync {
     /// used for work accounting. Defaults to 1 for constant-size states.
     fn state_size(&self, _x: &Self::M) -> usize {
         1
-    }
-
-    /// Recomputes `v`'s next state `out ← r(x_v ⊕ ⊕_w a_vw x_w)` from the
-    /// current state vector, returning `(entries_processed,
-    /// edge_relaxations)`. The default is the literal
-    /// merge-everything-then-filter pipeline (clone own state, propagate
-    /// every neighbor, apply `r`).
-    ///
-    /// Algorithms whose filter admits a per-entry domination test can
-    /// override this to prune at merge time — either through the
-    /// admission-predicate kernels of [`mte_algebra::merge`] or with a
-    /// bespoke pass like the LE lists' echo-rejecting gather-and-batch
-    /// merge; an override **must** produce a result bit-identical to
-    /// the default — the engine treats the two as interchangeable and
-    /// the equivalence suite differential-tests them.
-    fn recompute_into(
-        &self,
-        v: NodeId,
-        g: &Graph,
-        weight_scale: f64,
-        states: &[Self::M],
-        out: &mut Self::M,
-    ) -> (u64, u64) {
-        // a_vv = 1: keep the node's own state.
-        out.clone_from(&states[v as usize]);
-        let mut entries = self.state_size(out) as u64;
-        let mut relaxations = 0u64;
-        for &(w, ew) in g.neighbors(v) {
-            let coeff = self.edge_coeff(v, w, ew * weight_scale);
-            self.propagate_into(out, &states[w as usize], &coeff);
-            entries += self.state_size(&states[w as usize]) as u64;
-            relaxations += 1;
-        }
-        self.filter(out);
-        (entries, relaxations)
     }
 }
 
@@ -656,12 +619,12 @@ impl<A: MbfAlgorithm> MbfEngine<A> {
         let chunks: &[std::ops::Range<usize>] = self.sched.chunks();
 
         // Pull-style recomputation of the touched vertices into the
-        // shadow buffer, parallel over the degree-balanced chunks.
-        // `recompute_into` reuses each shadow state's heap allocation and
-        // merges through reusable scratch, and the stats land in the
-        // reused `per_vertex` buffer — a steady-state hop allocates
-        // nothing and does work proportional to the frontier's closed
-        // neighborhood, not `n`.
+        // shadow buffer, parallel over the degree-balanced chunks:
+        // `shadow ← r(x_v ⊕ ⊕_w a_vw x_w)`. `clone_from` reuses each
+        // shadow state's heap allocation, the merges go through reusable
+        // scratch, and the stats land in the reused `per_vertex` buffer —
+        // a steady-state hop allocates nothing and does work proportional
+        // to the frontier's closed neighborhood, not `n`.
         self.per_vertex.clear();
         self.per_vertex.resize(touched.len(), (0, 0, 0, false));
         let states_ref: &[A::M] = states;
@@ -676,8 +639,17 @@ impl<A: MbfAlgorithm> MbfEngine<A> {
                 let shadow = unsafe { &mut *next_base.slot(v as usize) };
                 // SAFETY: as above — stats slot `p` belongs to this chunk.
                 let stats = unsafe { &mut *stats_base.slot(p) };
-                let (entries, relaxations) =
-                    alg.recompute_into(v, g, weight_scale, states_ref, shadow);
+                // a_vv = 1: keep the node's own state.
+                shadow.clone_from(&states_ref[v as usize]);
+                let mut entries = alg.state_size(shadow) as u64;
+                let mut relaxations = 0u64;
+                for &(w, ew) in g.neighbors(v) {
+                    let coeff = alg.edge_coeff(v, w, ew * weight_scale);
+                    alg.propagate_into(shadow, &states_ref[w as usize], &coeff);
+                    entries += alg.state_size(&states_ref[w as usize]) as u64;
+                    relaxations += 1;
+                }
+                alg.filter(shadow);
                 let changed = *shadow != states_ref[v as usize];
                 // Every touched vertex's state was rewritten wholesale
                 // into the shadow slot — the copy traffic the arena

@@ -16,13 +16,14 @@
 //! The hot path exploits Lemma 7.6 a second time: because filtered lists
 //! stay `O(log n)`, most entries arriving from a neighbor's list are
 //! already present in — or dominated by — the receiver's own list and
-//! would be discarded by the filter anyway. [`LeListAlgorithm`]
-//! therefore overrides [`MbfAlgorithm::recompute_into`] to run the
+//! would be discarded by the filter anyway. On the arena backend
+//! [`LeListAlgorithm`]'s [`ArenaMbfAlgorithm::recompute_span`] runs the
 //! echo and rank-domination tests *per entry at merge time*, batching
 //! the few survivors into a single sorted combine
-//! ([`DistanceMap::assign_merged_min`]), so dominated entries are never
-//! inserted, sorted, or filtered — bit-identical to merge-then-filter,
-//! differential-tested by the equivalence suite.
+//! ([`DistanceMap::assign_merged_min_entries`]), so dominated entries
+//! are never inserted, sorted, or filtered — bit-identical to
+//! merge-then-filter, differential-tested by the equivalence suite. The
+//! owned engine runs the literal merge-then-filter recompute.
 
 use crate::arena::{
     with_arena_acc, ArenaBackend, ArenaMbfAlgorithm, DeltaFloor, Incoming, ReceiverSummary,
@@ -95,10 +96,10 @@ impl EchoTable {
 }
 
 thread_local! {
-    /// Per-thread probe + gather scratch for
-    /// [`LeListAlgorithm::recompute_into`] (plus the echo table of the
-    /// arena recompute), kept thread-local so the pruned hot path stays
-    /// allocation-free in steady state under the thread-parallel backend.
+    /// Per-thread probe, gather and echo-table scratch for the pruned
+    /// [`ArenaMbfAlgorithm::recompute_span`], kept thread-local so the
+    /// hot path stays allocation-free in steady state under the
+    /// thread-parallel backend.
     static RECOMPUTE_SCRATCH: RefCell<(Probe, Gather, EchoTable)> =
         const { RefCell::new((Vec::new(), Vec::new(), EchoTable::new())) };
 }
@@ -290,123 +291,6 @@ impl MbfAlgorithm for LeListAlgorithm {
     fn state_size(&self, x: &DistanceMap) -> usize {
         x.len().max(1)
     }
-
-    /// Rank-pruned recomputation (the Lemma 7.6 work argument made
-    /// operational, following Blelloch–Gu–Sun's prune-during-propagation
-    /// structure). A **domination probe** — `v`'s own filtered list
-    /// sorted by distance with prefix-minimum ranks — is built once per
-    /// recompute; one pass over the neighbors' entries then **admits**
-    /// an incoming entry `(u, d)` only if the probe holds no entry of
-    /// strictly lower rank within distance `d` (one `O(log |x_v|)`
-    /// binary search each). Admitted entries are batched (sorted,
-    /// per-node minimum) and combined with the base list in a single
-    /// sorted merge, so a recompute pays one merge — not one per
-    /// neighbor — and rejected entries are never inserted, sorted, or
-    /// filtered. Rejection is lossless:
-    ///
-    /// * the dominating entry is in `v`'s base list (`a_vv = 1` keeps
-    ///   it) and min-merging only ever tightens it, and
-    /// * domination is transitive, so a rejected entry cannot have been
-    ///   the sole dominator of some other entry — its own dominator
-    ///   dominates that entry too (even a rejected entry whose node
-    ///   collides with a base entry only ever loses a value the filter
-    ///   was about to discard).
-    ///
-    /// Hence `r(pruned batch merge) = r(full merge)` **bit-for-bit**:
-    /// admitted entries are scaled by the same `d + coeff`, and the
-    /// per-key minima of an idempotent total order are combination-order
-    /// independent — no floating-point value is ever computed
-    /// differently. The equivalence suite differential-tests this
-    /// against the default merge-then-filter path. The probe costs
-    /// `O(log |x_v|)` per incoming entry versus the merge-sort-filter
-    /// work an insertion would cost, and filtered lists stay `O(log n)`
-    /// w.h.p., so most entries are rejected.
-    ///
-    /// Engine states are always filter fixpoints (`init` is a
-    /// singleton; every other state left a `filter` call), so when
-    /// nothing is admitted the merge *and* the filter collapse to a
-    /// `clone_from` of the base list — the common case for touched-but-
-    /// quiescent vertices near convergence.
-    ///
-    /// `entries_processed` counts `|x_v|` plus only the **admitted**
-    /// entries — pruned entries are examined but never processed (see
-    /// [`crate::work::WorkStats`]).
-    fn recompute_into(
-        &self,
-        v: NodeId,
-        g: &Graph,
-        weight_scale: f64,
-        states: &[DistanceMap],
-        out: &mut DistanceMap,
-    ) -> (u64, u64) {
-        let base = &states[v as usize];
-        let base_entries = base.entries();
-        let mut relaxations = 0u64;
-        let mut admitted = 0u64;
-        let ranks = &*self.ranks;
-        with_scratch(|probe, gather, _| {
-            // The probe is built lazily: a steady-state recompute rejects
-            // every incoming entry as an echo and never pays the sort.
-            let mut probe_ready = false;
-            gather.clear();
-            for &(w, ew) in g.neighbors(v) {
-                let coeff = self.edge_coeff(v, w, ew * weight_scale);
-                relaxations += 1;
-                let s = coeff.0;
-                if !s.is_finite() {
-                    continue; // ∞ ⊙ x = ⊥ (Equation (2.2))
-                }
-                // Both entry lists are node-sorted: co-walk them so the
-                // echo test is a linear merge scan, not a search per
-                // entry.
-                let mut bi = 0;
-                for &(u, du) in states[w as usize].entries() {
-                    let d = du + s;
-                    while bi < base_entries.len() && base_entries[bi].0 < u {
-                        bi += 1;
-                    }
-                    // Echo rejection: `u` already sits in `v`'s list at
-                    // distance ≤ d, so min-combining (u, d) is the
-                    // identity — dominated or not, it changes nothing.
-                    if bi < base_entries.len() && base_entries[bi].0 == u && base_entries[bi].1 <= d
-                    {
-                        continue;
-                    }
-                    if !probe_ready {
-                        probe.clear();
-                        probe.extend(base.iter().map(|(b, db)| (db, ranks.rank(b))));
-                        probe.sort_unstable();
-                        let mut best = u32::MAX;
-                        for e in probe.iter_mut() {
-                            best = best.min(e.1);
-                            e.1 = best;
-                        }
-                        probe_ready = true;
-                    }
-                    let idx = probe.partition_point(|&(pd, _)| pd <= d);
-                    let dominated = idx > 0 && probe[idx - 1].1 < ranks.rank(u);
-                    if !dominated {
-                        gather.push((u, d));
-                        admitted += 1;
-                    }
-                }
-            }
-            if gather.is_empty() {
-                // a_vv = 1 and nothing survived the prune: the hop is the
-                // identity on `v` and `base` is already a filter fixpoint.
-                out.clone_from(base);
-                return;
-            }
-            // One deterministic merge: per-node minimum of the admitted
-            // entries (sort is by (node, dist), dedup keeps the first =
-            // smallest), then a single sorted combine with the base list.
-            gather.sort_unstable();
-            gather.dedup_by(|next, prev| prev.0 == next.0);
-            out.assign_merged_min(base, gather);
-            self.filter(out);
-        });
-        (self.state_size(base) as u64 + admitted, relaxations)
-    }
 }
 
 impl ArenaMbfAlgorithm for LeListAlgorithm {
@@ -446,10 +330,40 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
         })
     }
 
-    /// The arena twin of the rank-pruned [`MbfAlgorithm::recompute_into`]
-    /// override: identical echo rejection, domination probe, and
-    /// gather-once/merge-once pass, reading base and neighbor states as
-    /// borrowed spans. Five arena-specific wins:
+    /// Rank-pruned recomputation (the Lemma 7.6 work argument made
+    /// operational, following Blelloch–Gu–Sun's prune-during-propagation
+    /// structure), reading base and neighbor states as borrowed spans.
+    /// A **domination probe** — `v`'s own filtered list sorted by
+    /// distance with prefix-minimum ranks — is built once per
+    /// recompute; one pass over the incoming entries then **admits** an
+    /// entry `(u, d)` only if it is no echo (`u` is not already in `v`'s
+    /// list at distance `≤ d`) and the probe holds no entry of strictly
+    /// lower rank within distance `d` (one `O(log |x_v|)` binary search
+    /// each). Admitted entries are batched (sorted, per-node minimum)
+    /// and combined with the base list in a single sorted merge, so a
+    /// recompute pays one merge — not one per neighbor — and rejected
+    /// entries are never inserted, sorted, or filtered. Rejection is
+    /// lossless:
+    ///
+    /// * the dominating entry is in `v`'s base list (`a_vv = 1` keeps
+    ///   it) and min-merging only ever tightens it, and
+    /// * domination is transitive, so a rejected entry cannot have been
+    ///   the sole dominator of some other entry — its own dominator
+    ///   dominates that entry too (even a rejected entry whose node
+    ///   collides with a base entry only ever loses a value the filter
+    ///   was about to discard).
+    ///
+    /// Hence `r(pruned batch merge) = r(full merge)` **bit-for-bit**:
+    /// admitted entries are scaled by the same `d + coeff`, and the
+    /// per-key minima of an idempotent total order are combination-order
+    /// independent — no floating-point value is ever computed
+    /// differently. The equivalence suite differential-tests this
+    /// against the literal merge-then-filter loop. Engine states are
+    /// always filter fixpoints, so when nothing is admitted the merge
+    /// *and* the filter are the identity on the base list.
+    /// `entries_processed` counts `|x_v|` plus only the **admitted**
+    /// entries — pruned entries are examined but never processed (see
+    /// [`crate::work::WorkStats`]). On top of the prune:
     ///
     /// * **semi-naive handover** — clean neighbors are skipped outright
     ///   and dirty ones hand over only the entries their last change
@@ -469,7 +383,7 @@ impl ArenaMbfAlgorithm for LeListAlgorithm {
     ///   rank column (no per-entry rank lookups);
     /// * the quiescent case — nothing admitted — returns
     ///   [`SpanRecompute::unchanged_hint`] so the engine keeps the old
-    ///   span without even the `clone_from` the owned path pays.
+    ///   span without copying it.
     fn recompute_span(
         &self,
         v: NodeId,

@@ -114,6 +114,11 @@ impl SimulatedGraph {
     /// and samples levels. `eps_hat` is the penalty base of
     /// Definition 4.2 (the paper uses the same `ε̂ ∈ 1/polylog n` for
     /// both).
+    ///
+    /// Panics unless `eps_hat` is finite and non-negative and the
+    /// heaviest penalized edge `(1+ε̂)^Λ · ω_max(G')` is a finite `f64`
+    /// (a negative `ε̂` shrinks `H` below `G`'s distances, an overflow
+    /// drops edges from `H`). The same holds for every constructor.
     pub fn build(
         g: &Graph,
         hopset_config: &HopsetConfig,
@@ -123,13 +128,7 @@ impl SimulatedGraph {
         let hopset = Hopset::build(g, hopset_config, rng);
         let aug = hopset.augment(g);
         let levels = LevelAssignment::sample(g.n(), rng);
-        SimulatedGraph {
-            base: g.clone(),
-            aug,
-            d: hopset.d,
-            eps_hat,
-            levels,
-        }
+        SimulatedGraph::new(g.clone(), aug, levels, hopset.d, eps_hat)
     }
 
     /// Builds `H` without a hop set (`G' = G`); the caller supplies the
@@ -137,13 +136,7 @@ impl SimulatedGraph {
     /// tests and by inputs that are already of small SPD.
     pub fn without_hopset(g: &Graph, d: usize, eps_hat: f64, rng: &mut impl Rng) -> SimulatedGraph {
         let levels = LevelAssignment::sample(g.n(), rng);
-        SimulatedGraph {
-            base: g.clone(),
-            aug: g.clone(),
-            d,
-            eps_hat,
-            levels,
-        }
+        SimulatedGraph::new(g.clone(), g.clone(), levels, d, eps_hat)
     }
 
     /// As [`SimulatedGraph::without_hopset`] but with fixed levels (tests).
@@ -154,13 +147,31 @@ impl SimulatedGraph {
         levels: LevelAssignment,
     ) -> SimulatedGraph {
         assert_eq!(levels.levels.len(), g.n());
-        SimulatedGraph {
-            base: g.clone(),
-            aug: g.clone(),
+        SimulatedGraph::new(g.clone(), g.clone(), levels, d, eps_hat)
+    }
+
+    /// The one constructor body: checks `ε̂` and that the largest level
+    /// multiplier keeps `G'`'s heaviest edge in `f64` range.
+    fn new(base: Graph, aug: Graph, levels: LevelAssignment, d: usize, eps_hat: f64) -> Self {
+        assert!(
+            eps_hat.is_finite() && eps_hat >= 0.0,
+            "penalty parameter ε̂ must be finite and non-negative, got {eps_hat}"
+        );
+        let sim = SimulatedGraph {
+            base,
+            aug,
+            levels,
             d,
             eps_hat,
-            levels,
-        }
+        };
+        let heaviest = sim.level_scale(0) * sim.aug.max_weight();
+        assert!(
+            heaviest.is_finite(),
+            "penalized edge weights overflow f64: (1+ε̂)^Λ · ω_max = {heaviest} \
+             (ε̂ = {eps_hat}, Λ = {})",
+            sim.levels.lambda()
+        );
+        sim
     }
 
     /// The original graph `G`.
@@ -290,6 +301,34 @@ mod tests {
         let spd_h = shortest_path_diameter(&h);
         // log₂²(128) = 49; allow a constant factor.
         assert!(spd_h <= 4 * 49, "SPD(H) = {spd_h} too large");
+    }
+
+    #[test]
+    #[should_panic(expected = "ε̂ must be finite and non-negative, got -0.5")]
+    fn negative_eps_hat_is_rejected() {
+        let g = path_graph(8, 1.0);
+        let config = HopsetConfig {
+            d: 3,
+            oversample: 1.0,
+            epsilon: 0.0,
+        };
+        SimulatedGraph::build(&g, &config, -0.5, &mut StdRng::seed_from_u64(14));
+    }
+
+    #[test]
+    #[should_panic(expected = "ε̂ must be finite and non-negative, got NaN")]
+    fn nan_eps_hat_is_rejected() {
+        let g = path_graph(3, 1.0);
+        SimulatedGraph::without_hopset(&g, 2, f64::NAN, &mut StdRng::seed_from_u64(15));
+    }
+
+    #[test]
+    #[should_panic(expected = "penalized edge weights overflow f64")]
+    fn overflowing_penalty_is_rejected() {
+        // Λ = 2: (1 + 1e300)² overflows although 1e300 itself is finite.
+        let g = path_graph(3, 1.0);
+        let la = LevelAssignment::from_levels(vec![0, 1, 2]);
+        SimulatedGraph::with_levels(&g, 2, 1e300, la);
     }
 
     #[test]

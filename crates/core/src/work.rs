@@ -29,12 +29,14 @@ pub struct WorkStats {
     /// Sequential MBF-like rounds executed (depth proxy).
     pub iterations: u64,
     /// Sparse state entries processed across all rounds (work proxy).
-    /// Algorithms that prune at merge time (see
-    /// [`MbfAlgorithm::recompute_into`](crate::engine::MbfAlgorithm::recompute_into))
-    /// count only the entries **admitted** into aggregation — a pruned
-    /// entry costs one `O(log |x|)` domination probe, not a merge, a
-    /// sort, and a filter pass, so it is examined but not processed. A
-    /// recomputation the arena's delta floors skip costs nothing.
+    /// The owned engine counts every merged entry. The arena backend
+    /// prunes at merge time (see
+    /// [`ArenaMbfAlgorithm::recompute_span`](crate::arena::ArenaMbfAlgorithm::recompute_span))
+    /// and counts only the entries **admitted** into aggregation — a
+    /// pruned entry costs one `O(log |x|)` domination probe, not a
+    /// merge, a sort, and a filter pass, so it is examined but not
+    /// processed. A recomputation the arena's delta floors skip costs
+    /// nothing.
     pub entries_processed: u64,
     /// Edge relaxations (semiring `⊙` applications attributed to edges).
     /// Neighbors a recomputation skips unread (clean, or handing over a

@@ -8,9 +8,8 @@
 
 use crate::error::SnapshotError;
 use crate::wire::{put_f64, put_u32, put_u64, Cursor};
-use mte_algebra::maxmin::Width;
 use mte_algebra::store::EpochStore;
-use mte_algebra::{Dist, DistanceMap, NodeId, WidthMap};
+use mte_algebra::{Dist, DistanceMap, NodeId};
 use mte_core::frt::{FrtNode, FrtTree, LeList, Ranks};
 use mte_core::run::Checkpoint;
 
@@ -89,51 +88,6 @@ pub fn decode_distance_maps(payload: &[u8]) -> Result<Vec<DistanceMap>, Snapshot
 fn read_distance_maps(c: &mut Cursor<'_>) -> Result<Vec<DistanceMap>, SnapshotError> {
     let n = c.count(8, "distance map count")?;
     (0..n).map(|_| read_distance_map(c)).collect()
-}
-
-// -- width maps -------------------------------------------------------
-
-pub fn encode_width_maps(maps: &[WidthMap]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, maps.len() as u64);
-    for m in maps {
-        put_u64(&mut out, m.len() as u64);
-        for (v, w) in m.iter() {
-            put_u32(&mut out, v);
-            put_f64(&mut out, w.value());
-        }
-    }
-    out
-}
-
-pub fn decode_width_maps(payload: &[u8]) -> Result<Vec<WidthMap>, SnapshotError> {
-    let mut c = Cursor::new(payload);
-    let n = c.count(8, "width map count")?;
-    let mut maps = Vec::with_capacity(n);
-    for _ in 0..n {
-        let len = c.count(12, "width map")?;
-        let mut entries = Vec::with_capacity(len);
-        let mut prev: Option<NodeId> = None;
-        for _ in 0..len {
-            let v = c.u32("width map entry")?;
-            let raw = c.f64("width map entry")?;
-            // `∞` is a legal width (uncapped link); NaN, negative and
-            // zero are not storable (`WidthMap` drops zero entries).
-            if raw.is_nan() || raw <= 0.0 {
-                return Err(SnapshotError::Malformed(format!("width {raw} at node {v}")));
-            }
-            if prev.is_some_and(|p| p >= v) {
-                return Err(SnapshotError::Malformed(
-                    "width map nodes not strictly ascending".to_string(),
-                ));
-            }
-            prev = Some(v);
-            entries.push((v, Width::new(raw)));
-        }
-        maps.push(WidthMap::from_entries(entries));
-    }
-    finish(&c, "width maps")?;
-    Ok(maps)
 }
 
 // -- epoch store ------------------------------------------------------

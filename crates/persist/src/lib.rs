@@ -1,8 +1,8 @@
 //! Crash-safe snapshot store for the MBF pipeline.
 //!
 //! One snapshot file holds any subset of the pipeline's durable state —
-//! engine/oracle state vectors ([`mte_algebra::DistanceMap`] /
-//! [`mte_algebra::WidthMap`]), epoch-arena pools
+//! engine/oracle min-plus state vectors ([`mte_algebra::DistanceMap`]),
+//! epoch-arena pools
 //! ([`mte_algebra::EpochStore`]), LE lists and their random order
 //! ([`mte_core::frt::LeList`], [`mte_core::frt::Ranks`]), sampled FRT
 //! trees ([`mte_core::frt::FrtTree`]), and mid-run checkpoints
@@ -44,7 +44,7 @@ pub use error::SnapshotError;
 
 use crc::crc32;
 use mte_algebra::store::EpochStore;
-use mte_algebra::{DistanceMap, WidthMap};
+use mte_algebra::DistanceMap;
 use mte_core::frt::{FrtTree, LeList, Ranks};
 use mte_core::run::Checkpoint;
 use mte_faults::{check_for, check_handled, trigger_panic, FaultKind, FaultSite};
@@ -60,14 +60,14 @@ pub const VERSION: u32 = 1;
 const HEADER_BYTES: usize = 8 + 4 + 4 + 4;
 const SECTION_HEADER_BYTES: usize = 4 + 8 + 4;
 
-/// Section tags. One snapshot holds at most one section per tag.
+/// Section tags. One snapshot holds at most one section per tag. Tag 2
+/// (a retired max-min state-vector section) stays unassigned, so a
+/// snapshot carrying it decodes as `Malformed`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(u32)]
 pub enum SectionTag {
     /// `Vec<DistanceMap>` — engine/oracle min-plus state vectors.
     DistanceMaps = 1,
-    /// `Vec<WidthMap>` — max-min (widest-path) state vectors.
-    WidthMaps = 2,
     /// [`EpochStore`] — the arena backend's pool, spans and rank column.
     Store = 3,
     /// `Vec<LeList>` — Least-Element lists (paper Section 7).
@@ -84,7 +84,6 @@ impl SectionTag {
     fn from_u32(raw: u32) -> Option<SectionTag> {
         match raw {
             1 => Some(SectionTag::DistanceMaps),
-            2 => Some(SectionTag::WidthMaps),
             3 => Some(SectionTag::Store),
             4 => Some(SectionTag::LeLists),
             5 => Some(SectionTag::Ranks),
@@ -119,10 +118,6 @@ impl SnapshotWriter {
 
     pub fn put_distance_maps(&mut self, maps: &[DistanceMap]) -> &mut Self {
         self.put(SectionTag::DistanceMaps, codec::encode_distance_maps(maps))
-    }
-
-    pub fn put_width_maps(&mut self, maps: &[WidthMap]) -> &mut Self {
-        self.put(SectionTag::WidthMaps, codec::encode_width_maps(maps))
     }
 
     /// Captures the pool through its raw (un-fault-injected) span
@@ -332,10 +327,6 @@ impl SnapshotReader {
         codec::decode_distance_maps(self.payload(SectionTag::DistanceMaps)?)
     }
 
-    pub fn width_maps(&self) -> Result<Vec<WidthMap>, SnapshotError> {
-        codec::decode_width_maps(self.payload(SectionTag::WidthMaps)?)
-    }
-
     pub fn store(&self) -> Result<StoreSnapshot, SnapshotError> {
         codec::decode_store(self.payload(SectionTag::Store)?)
     }
@@ -374,7 +365,7 @@ impl SnapshotWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mte_algebra::{Dist, Width};
+    use mte_algebra::Dist;
     use mte_core::frt::le_lists_direct;
     use mte_graph::generators::gnm_graph;
     use rand::rngs::StdRng;
@@ -396,20 +387,6 @@ mod tests {
         let back = SnapshotReader::decode(&image)
             .unwrap()
             .distance_maps()
-            .unwrap();
-        assert_eq!(back, maps);
-    }
-
-    #[test]
-    fn width_maps_roundtrip() {
-        let maps = vec![
-            WidthMap::from_entries(vec![(2, Width::new(4.0)), (5, Width::INF)]),
-            WidthMap::new(),
-        ];
-        let image = SnapshotWriter::new().put_width_maps(&maps).encode();
-        let back = SnapshotReader::decode(&image)
-            .unwrap()
-            .width_maps()
             .unwrap();
         assert_eq!(back, maps);
     }

@@ -32,37 +32,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
-/// [`LeListAlgorithm`] stripped of its `recompute_into` override: the
-/// delegating wrapper inherits the trait's default merge-everything-
-/// then-filter pipeline, i.e. the reference path the pruned merge must
-/// reproduce bit for bit.
-struct UnprunedLeList(LeListAlgorithm);
-
-impl MbfAlgorithm for UnprunedLeList {
-    type S = MinPlus;
-    type M = DistanceMap;
-
-    fn edge_coeff(&self, v: NodeId, w: NodeId, weight: f64) -> MinPlus {
-        self.0.edge_coeff(v, w, weight)
-    }
-
-    fn filter(&self, x: &mut DistanceMap) {
-        self.0.filter(x);
-    }
-
-    fn init(&self, v: NodeId) -> DistanceMap {
-        self.0.init(v)
-    }
-
-    fn propagate_into(&self, acc: &mut DistanceMap, state: &DistanceMap, coeff: &MinPlus) {
-        self.0.propagate_into(acc, state, coeff);
-    }
-
-    fn state_size(&self, x: &DistanceMap) -> usize {
-        self.0.state_size(x)
-    }
-}
-
 /// Runs `f` on a dedicated pool of the given total parallelism.
 fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -82,43 +51,35 @@ fn workload_graphs() -> Vec<(&'static str, Graph)> {
 }
 
 // ---------------------------------------------------------------------
-// Engine level: pruned merge kernels vs merge-then-filter reference.
+// Engine level: the arena's pruned LE merge vs the owned engine's
+// merge-then-filter recompute and the literal loop.
 // ---------------------------------------------------------------------
 
 #[test]
 fn pruned_le_merge_bit_identical_to_reference_and_cheaper() {
     for (name, g) in workload_graphs() {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E2)));
-        let pruned_alg = LeListAlgorithm::new(Arc::clone(&ranks));
-        let reference_alg = UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks)));
-        let pruned = run_to_fixpoint_on(OwnedBackend::new(), &pruned_alg, &g, g.n() + 1);
-        let reference = run_to_fixpoint_on(OwnedBackend::new(), &reference_alg, &g, g.n() + 1);
-        // The literal loop merges everything, then filters, too.
-        let literal = literal_fixpoint(&pruned_alg, &g, g.n() + 1);
-        for (want, label) in [(&reference, "merge-then-filter"), (&literal, "literal")] {
+        let le = LeListAlgorithm::new(ranks);
+        let cap = g.n() + 1;
+        let literal = literal_fixpoint(&le, &g, cap);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, cap);
+        let pruned = run_to_fixpoint_on(ArenaBackend::new(), &le, &g, cap);
+        for (run, label) in [(&owned, "owned merge-then-filter"), (&pruned, "pruned")] {
             assert_eq!(
-                pruned.states, want.states,
-                "{name}: pruned merge diverged from {label}"
+                run.states, literal.states,
+                "{name}: {label} diverged from the literal loop"
             );
-            assert_eq!(pruned.iterations, want.iterations, "{name}/{label}");
-            assert_eq!(pruned.fixpoint, want.fixpoint, "{name}/{label}");
+            assert_eq!(run.iterations, literal.iterations, "{name}/{label}");
+            assert_eq!(run.fixpoint, literal.fixpoint, "{name}/{label}");
         }
-        // The pruned path admits a strict subset of entries on these
-        // workloads (Lemma 7.6: most incoming entries are dominated).
+        // The pruned path admits a strict subset of the entries the
+        // owned engine merges on these workloads (Lemma 7.6: most
+        // incoming entries are dominated).
         assert!(
-            pruned.work.entries_processed < reference.work.entries_processed,
-            "{name}: pruned {} !< reference {}",
+            pruned.work.entries_processed < owned.work.entries_processed,
+            "{name}: pruned {} !< merge-then-filter {}",
             pruned.work.entries_processed,
-            reference.work.entries_processed
-        );
-        // Scheduling counters are untouched by the merge kernel.
-        assert_eq!(
-            pruned.work.edge_relaxations,
-            reference.work.edge_relaxations
-        );
-        assert_eq!(
-            pruned.work.touched_vertices,
-            reference.work.touched_vertices
+            owned.work.entries_processed
         );
     }
 }
@@ -127,38 +88,26 @@ fn pruned_le_merge_bit_identical_to_reference_and_cheaper() {
 fn pruned_le_merge_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(0x53E3);
     let g = gnm_graph(300, 900, 1.0..9.0, &mut rng);
-    let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
-    let g = &g;
-    let run = |threads: usize, pruned: bool| {
-        let ranks = Arc::clone(&ranks);
-        with_threads(threads, move || {
-            if pruned {
-                run_to_fixpoint_on(
-                    OwnedBackend::new(),
-                    &LeListAlgorithm::new(ranks),
-                    g,
-                    g.n() + 1,
-                )
-            } else {
-                run_to_fixpoint_on(
-                    OwnedBackend::new(),
-                    &UnprunedLeList(LeListAlgorithm::new(ranks)),
-                    g,
-                    g.n() + 1,
-                )
-            }
-        })
-    };
-    let reference = run(1, false);
+    let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
+    let (g, le) = (&g, &le);
+    let cap = g.n() + 1;
+    let literal = with_threads(1, move || literal_fixpoint(le, g, cap));
     for threads in [1, 4] {
-        let pruned = run(threads, true);
-        assert_eq!(
-            pruned.states, reference.states,
-            "pruned run on {threads} threads diverged"
-        );
-        assert_eq!(pruned.iterations, reference.iterations);
+        let (owned, pruned) = with_threads(threads, move || {
+            (
+                run_to_fixpoint_on(OwnedBackend::new(), le, g, cap),
+                run_to_fixpoint_on(ArenaBackend::new(), le, g, cap),
+            )
+        });
+        for (run, label) in [(&owned, "owned"), (&pruned, "pruned")] {
+            assert_eq!(
+                run.states, literal.states,
+                "{label} run on {threads} threads diverged"
+            );
+            assert_eq!(run.iterations, literal.iterations, "{label}/{threads}");
+            assert_eq!(run.fixpoint, literal.fixpoint, "{label}/{threads}");
+        }
     }
-    assert_eq!(run(4, false).states, reference.states);
 }
 
 // ---------------------------------------------------------------------
@@ -397,14 +346,9 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E8)));
     let cap = 4 * g.n();
 
-    // The reference: default recompute (merge everything, then filter)
-    // in the literal oracle loop, every level restarting all-dirty each
-    // round.
-    let reference = literal_oracle(
-        &UnprunedLeList(LeListAlgorithm::new(Arc::clone(&ranks))),
-        &sim,
-        cap,
-    );
+    // The reference: merge everything, then filter, in the literal
+    // oracle loop, every level restarting all-dirty each round.
+    let reference = literal_oracle(&LeListAlgorithm::new(Arc::clone(&ranks)), &sim, cap);
     let reference_lists: Vec<LeList> = reference
         .states
         .iter()
@@ -452,23 +396,18 @@ where
     );
     assert_eq!(literal.iterations, arena.iterations, "{label}");
     assert_eq!(literal.fixpoint, arena.fixpoint, "{label}");
-    // Absorption-stable skipping never changes which entries are
-    // admitted — only how many merges run — so relaxations may only
-    // shrink. Without the semi-naive handover the arena recomputes the
-    // owned schedule; with it, the delta floors drop recomputations
-    // that would admit nothing, so those counters may only shrink too.
-    assert!(
-        arena.work.edge_relaxations <= owned.work.edge_relaxations,
-        "{label}: arena relaxed more edges than owned"
-    );
-    if A::SEMI_NAIVE {
-        assert_narrowed_work(&owned.work, &arena.work, label);
-    } else {
+    // The owned engine merges every entry; the arena admits only what
+    // the filter keeps and skips absorbed neighbors, so entries and
+    // relaxations may only shrink. Without the semi-naive handover the
+    // arena recomputes the owned schedule; with it, the delta floors
+    // drop recomputations that would admit nothing, so the touched
+    // count may only shrink too.
+    assert_narrowed_work(&owned.work, &arena.work, label);
+    if !A::SEMI_NAIVE {
         assert_eq!(
-            owned.work.entries_processed, arena.work.entries_processed,
+            owned.work.touched_vertices, arena.work.touched_vertices,
             "{label}"
         );
-        assert_eq!(owned.work.touched_vertices, arena.work.touched_vertices);
     }
     arena.work
 }
@@ -504,27 +443,41 @@ fn touched_entries(work: &WorkStats) -> (u64, u64) {
 
 #[test]
 fn arena_engine_bit_identical_to_owned_reference() {
-    // The arena LE runs' `(touched_vertices, entries_processed)`; the
-    // owned runs (and the arena before the delta floors) read
-    // gnm (381, 2_031), grid (520, 2_289), path (623, 2_483).
-    let le_pins = [(259, 1_452), (276, 1_301), (241, 924)];
-    for ((name, g), pin) in workload_graphs().into_iter().zip(le_pins) {
+    // The arena runs' `(touched_vertices, entries_processed)` per graph:
+    // LE lists, 4-SSP, SSSP. The arena LE runs before the delta floors
+    // read gnm (381, 2_031), grid (520, 2_289), path (623, 2_483).
+    let pins = [
+        [(259, 1_452), (217, 1_093), (344, 413)],
+        [(276, 1_301), (238, 1_056), (379, 459)],
+        [(241, 924), (172, 680), (218, 273)],
+    ];
+    for ((name, g), [le_pin, kssp_pin, sssp_pin]) in workload_graphs().into_iter().zip(pins) {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E9)));
         let le = assert_backends_agree(
             &LeListAlgorithm::new(Arc::clone(&ranks)),
             &g,
             &format!("{name}/le"),
         );
-        assert_eq!(touched_entries(&le), pin, "{name}/le: touched, entries");
-        assert_backends_agree(
+        assert_eq!(touched_entries(&le), le_pin, "{name}/le: touched, entries");
+        let kssp = assert_backends_agree(
             &SourceDetection::k_ssp(g.n(), 4),
             &g,
             &format!("{name}/kssp"),
         );
-        assert_backends_agree(
+        assert_eq!(
+            touched_entries(&kssp),
+            kssp_pin,
+            "{name}/kssp: touched, entries"
+        );
+        let sssp = assert_backends_agree(
             &SourceDetection::sssp(g.n(), 1),
             &g,
             &format!("{name}/sssp"),
+        );
+        assert_eq!(
+            touched_entries(&sssp),
+            sssp_pin,
+            "{name}/sssp: touched, entries"
         );
     }
 }
@@ -805,9 +758,9 @@ fn random_map(rng: &mut StdRng, n: usize, len: usize, span: u32) -> DistanceMap 
 /// the edge `{0, 1}` of random weight `s`. The half-unit grid makes the
 /// rule's boundaries (`fl(floor.dist + s) = D`, `floor.aux = R`) common.
 /// If the rule absorbs the delta, every entry must be rejected: by the
-/// LE definition (an echo or dominated), by the owned recompute's
-/// per-entry test (nothing admitted), and by the arena's (a hop that
-/// hands node 0 the delta unfiltered leaves its state alone). Returns
+/// LE definition (an echo or dominated) and by the arena recompute's
+/// per-entry test (a hop that hands node 0 the delta unfiltered leaves
+/// its state alone). Returns
 /// whether the rule absorbed a non-empty delta, and whether it did so
 /// at the distance and at the rank boundary.
 fn check_absorption(seed: u64) -> (bool, bool, bool) {
@@ -841,14 +794,6 @@ fn check_absorption(seed: u64) -> (bool, bool, bool) {
         assert!(echo || dominated, "seed {seed}: ({u}, {d:?}) is admissible");
     }
     let g = Graph::from_edges(n, [(0, 1, s.value())]);
-    let mut out = DistanceMap::new();
-    let (entries, _) = le.recompute_into(0, &g, 1.0, &states, &mut out);
-    assert_eq!(
-        entries,
-        receiver.len().max(1) as u64,
-        "seed {seed}: admitted"
-    );
-    assert_eq!(out, receiver, "seed {seed}: owned recompute moved");
     // Node 1's delta is forgotten, so node 0 reads all of it entry by
     // entry.
     let mut engine = ArenaEngine::new();
@@ -1018,17 +963,18 @@ proptest! {
         let g = Graph::from_edges(n + n2, edges);
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
 
-        // Engine: pruned vs merge-then-filter, and vs the literal loop.
+        // Engine: the arena's pruned merge vs the owned engine's
+        // merge-then-filter, and both vs the literal loop.
         let le = LeListAlgorithm::new(Arc::clone(&ranks));
-        let pruned = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, g.n() + 1);
-        let reference = run_to_fixpoint_on(OwnedBackend::new(), &UnprunedLeList(le.clone()), &g, g.n() + 1);
-        prop_assert_eq!(&pruned.states, &reference.states);
-        prop_assert_eq!(pruned.iterations, reference.iterations);
+        let pruned = run_to_fixpoint_on(ArenaBackend::new(), &le, &g, g.n() + 1);
+        let reference = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, g.n() + 1);
         prop_assert!(pruned.work.entries_processed <= reference.work.entries_processed);
         let literal = literal_fixpoint(&le, &g, g.n() + 1);
-        prop_assert_eq!(&pruned.states, &literal.states);
-        prop_assert_eq!(pruned.iterations, literal.iterations);
-        prop_assert_eq!(pruned.fixpoint, literal.fixpoint);
+        for run in [&pruned, &reference] {
+            prop_assert_eq!(&run.states, &literal.states);
+            prop_assert_eq!(run.iterations, literal.iterations);
+            prop_assert_eq!(run.fixpoint, literal.fixpoint);
+        }
 
         // Oracle: the carry-over arena lane vs the literal oracle loop.
         let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
@@ -1038,12 +984,6 @@ proptest! {
         prop_assert_eq!(carry.h_iterations, literal.h_iterations);
         prop_assert_eq!(carry.fixpoint, literal.fixpoint);
         prop_assert!(carry.work.touched_vertices <= literal.work.touched_vertices);
-
-        // Storage backends: the arena engine vs the owned one.
-        let arena = run_to_fixpoint_on(ArenaBackend::new(), &le, &g, g.n() + 1);
-        let owned = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, g.n() + 1);
-        prop_assert_eq!(&arena.states, &owned.states);
-        prop_assert_eq!(arena.iterations, owned.iterations);
     }
 
     /// Sparse external edits (copy-on-write `assign` + `mark_dirty`

@@ -184,6 +184,11 @@ fn missing_sections_are_malformed_not_panics() {
 /// Builds a single-section container with correct CRCs around an
 /// arbitrary payload, so decode reaches the section codec.
 fn container(tag: u32, payload: &[u8]) -> Vec<u8> {
+    container_of(&[(tag, payload)])
+}
+
+/// [`container`] with any number of `(tag, payload)` sections.
+fn container_of(sections: &[(u32, &[u8])]) -> Vec<u8> {
     fn crc32(bytes: &[u8]) -> u32 {
         let mut table = [0u32; 256];
         for (i, slot) in table.iter_mut().enumerate() {
@@ -204,14 +209,16 @@ fn container(tag: u32, payload: &[u8]) -> Vec<u8> {
         crc ^ 0xFFFF_FFFF
     }
     let mut body = Vec::new();
-    body.extend_from_slice(&tag.to_le_bytes());
-    body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    body.extend_from_slice(&crc32(payload).to_le_bytes());
-    body.extend_from_slice(payload);
+    for &(tag, payload) in sections {
+        body.extend_from_slice(&tag.to_le_bytes());
+        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        body.extend_from_slice(&crc32(payload).to_le_bytes());
+        body.extend_from_slice(payload);
+    }
     let mut image = Vec::new();
     image.extend_from_slice(&MAGIC);
     image.extend_from_slice(&VERSION.to_le_bytes());
-    image.extend_from_slice(&1u32.to_le_bytes());
+    image.extend_from_slice(&(sections.len() as u32).to_le_bytes());
     image.extend_from_slice(&crc32(&body).to_le_bytes());
     image.extend_from_slice(&body);
     image
@@ -299,11 +306,22 @@ fn structurally_broken_frt_trees_are_malformed() {
 
 #[test]
 fn unknown_and_duplicate_section_tags_are_malformed() {
-    let image = container(99, &[]);
-    assert!(matches!(
-        SnapshotReader::decode(&image),
-        Err(SnapshotError::Malformed(_))
-    ));
+    // 2 was the width-map section: a leftover one is rejected too.
+    let ranks = SectionTag::Ranks as u32;
+    let images = [
+        (container(2, &[]), "unknown section tag 2"),
+        (container(99, &[]), "unknown section tag 99"),
+        (
+            container_of(&[(ranks, &[]), (ranks, &[])]),
+            "duplicate section tag 5",
+        ),
+    ];
+    for (image, want) in images {
+        match SnapshotReader::decode(&image) {
+            Err(SnapshotError::Malformed(msg)) => assert_eq!(msg, want),
+            other => panic!("{want}: got {:?}", other.map(|_| ())),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
