@@ -157,19 +157,6 @@ impl AllPaths {
             entries,
         }
     }
-
-    /// Keeps only entries satisfying the predicate (used by k-SDP filters).
-    pub fn filter_entries(&self, keep: impl Fn(&Path, Dist) -> bool) -> AllPaths {
-        AllPaths {
-            has_identity: self.has_identity,
-            entries: self
-                .entries
-                .iter()
-                .filter(|(p, w)| keep(p, *w))
-                .cloned()
-                .collect(),
-        }
-    }
 }
 
 impl Semiring for AllPaths {

@@ -7,13 +7,6 @@ use crate::semiring::Semiring;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Default)]
 pub struct Bool(pub bool);
 
-impl Bool {
-    /// The "connected" value.
-    pub const TRUE: Bool = Bool(true);
-    /// The "not connected" value.
-    pub const FALSE: Bool = Bool(false);
-}
-
 impl Semiring for Bool {
     #[inline]
     fn zero() -> Self {

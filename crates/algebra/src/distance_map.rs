@@ -97,12 +97,6 @@ impl DistanceMap {
         &self.entries
     }
 
-    /// Consumes the map, returning its entries.
-    #[inline]
-    pub fn into_entries(self) -> Vec<(NodeId, Dist)> {
-        self.entries
-    }
-
     /// Retains only entries satisfying the predicate (used by filters).
     pub fn retain(&mut self, mut f: impl FnMut(NodeId, Dist) -> bool) {
         self.entries.retain(|&(v, d)| f(v, d));

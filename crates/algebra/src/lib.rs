@@ -21,9 +21,9 @@
 //!   storage backend of the production engine paths (the owned
 //!   [`DistanceMap`] vector remains the semantics reference and interop
 //!   type),
-//! * the dense semiring block store for APSP-class state vectors in
-//!   [`dense`]: row-major `n × k` matrices of semiring values with
-//!   contiguous, cache-tiled relax/aggregate row kernels — the paper's
+//! * the dense min-plus block store for APSP state vectors in
+//!   [`dense`]: row-major `n × k` distance matrices with contiguous,
+//!   cache-tiled relax/aggregate row kernels — the paper's
 //!   matrix-semimodule view taken literally for states that are
 //!   effectively full.
 //!
@@ -49,7 +49,7 @@ pub mod width_map;
 
 pub use allpaths::{AllPaths, Path};
 pub use boolean::Bool;
-pub use dense::{DenseBlock, DenseKernel, DenseState};
+pub use dense::DenseBlock;
 pub use dist::Dist;
 pub use distance_map::DistanceMap;
 pub use filter::{Filter, IdentityFilter};

@@ -8,14 +8,17 @@
 //! the one-shot `iterate` kernel; untimed, not a row) before recording
 //! numbers — a benchmark of a wrong answer is worthless.
 //!
-//! Rows measure the **production path** of each workload: for the LE
-//! lists that is the epoch-arena backend (`le_lists_direct` routes
-//! through [`mte_core::arena::ArenaEngine`]), so the `frontier` rows
-//! time the arena engine and the `…+owned` rows keep the owned
-//! `Vec<DistanceMap>` backend visible for comparison. SSSP keeps its
-//! owned rows (the generic engine is its production path) plus
-//! `…+arena` rows. APSP rows on the dense catalog measure the
-//! flat-matrix backend (`dense-block`). Every row carries the storage
+//! LE-list rows measure their **production path**, the epoch-arena
+//! backend (`le_lists_direct` routes through
+//! [`mte_core::arena::ArenaEngine`]). SSSP rows time both sparse
+//! backends: the plain `frontier` rows the owned `Vec<DistanceMap>`
+//! backend (the generic, unpruned recompute), the `…+arena` rows the
+//! arena's pruned one. Neither is a production path for SSSP — the
+//! pipeline runs no SSSP fixpoint — and the owned engine can win on
+//! sparse frontiers (grid), so both stay in the trajectory. APSP rows on
+//! the dense catalog measure the flat-matrix backend (`dense-block`).
+//! The owned LE lists are not timed: their work counters are pinned by
+//! `tests/schedule_equivalence.rs`. Every row carries the storage
 //! counters (`bytes_copied`, `alloc_count`, `arena_bytes`) and the
 //! matrix-mode hop count (`dense_hops`) so the copy-on-write and
 //! matrix-mode wins show up in the trajectory, not just wall time;
@@ -48,9 +51,8 @@ pub struct EngineCase {
     pub m: usize,
     /// Algorithm label.
     pub algorithm: String,
-    /// Row label: the schedule plus, off the production path, the
-    /// storage backend (`frontier+owned`, `frontier+arena`,
-    /// `dense-block`).
+    /// Row label: the schedule, plus the storage backend where it is
+    /// not the row's default (`frontier+arena`, `dense-block`).
     pub strategy: String,
     /// Wall time of the full fixpoint run, in milliseconds.
     pub wall_ms: f64,
@@ -151,13 +153,12 @@ fn record<A>(
     }
 }
 
-/// Runs the suite: SSSP and LE lists to fixpoint on every catalog graph
-/// on both sparse storage backends, and APSP on the dense-block backend
-/// over the dense catalog. For LE lists the plain `frontier` row times
-/// the arena backend (the production path of `le_lists_direct`);
-/// `…+owned` rows keep the owned backend in the trajectory. For SSSP
-/// the plain rows stay on the owned backend (the generic, unpruned
-/// recompute) and `…+arena` rows ride along.
+/// Runs the suite: SSSP to fixpoint on every catalog graph on both
+/// sparse storage backends, LE lists on the arena backend (the
+/// production path of `le_lists_direct`), and APSP on the dense-block
+/// backend over the dense catalog. For SSSP the plain rows stay on the
+/// owned backend (the generic, unpruned recompute) and `…+arena` rows
+/// ride along.
 pub fn engine_suite() -> Vec<EngineCase> {
     let mut cases = Vec::new();
     for (label, g) in engine_catalog() {
@@ -177,16 +178,10 @@ pub fn engine_suite() -> Vec<EngineCase> {
 
         let mut rng = StdRng::seed_from_u64(0x1E11);
         let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
-        let rows = vec![
-            (
-                "frontier",
-                timed(|| run_to_fixpoint_on(ArenaBackend::new(), &le, &g, cap)),
-            ),
-            (
-                "frontier+owned",
-                timed(|| run_to_fixpoint_on(OwnedBackend::new(), &le, &g, cap)),
-            ),
-        ];
+        let rows = vec![(
+            "frontier",
+            timed(|| run_to_fixpoint_on(ArenaBackend::new(), &le, &g, cap)),
+        )];
         record(&label, &g, "le_lists", &le, rows, &mut cases);
     }
 

@@ -1,7 +1,6 @@
 //! Connectivity over the Boolean semiring (Section 3.4, Example 3.25):
 //! which pairs of nodes are connected by `≤ h`-hop paths?
 
-use crate::dense::DenseMbfAlgorithm;
 use crate::engine::MbfAlgorithm;
 use mte_algebra::{Bool, NodeId, NodeSet};
 
@@ -65,22 +64,6 @@ impl MbfAlgorithm for Connectivity {
 
     fn state_size(&self, x: &NodeSet) -> usize {
         x.len().max(1)
-    }
-}
-
-impl DenseMbfAlgorithm for Connectivity {
-    /// `r = id`: connectivity states are dense-representable as-is
-    /// (`B^V` rows of the Boolean semiring), so all-pairs connectivity
-    /// rides the dense block backend for free. Set union only grows and
-    /// the filter is the identity, so the filter is absorption-stable,
-    /// as the dense backend requires.
-    fn advertises_dense(&self) -> bool {
-        true
-    }
-
-    /// `r = id` literally: the fused recompute path applies.
-    fn dense_filter_is_identity(&self) -> bool {
-        true
     }
 }
 

@@ -9,7 +9,7 @@ use crate::arena::{with_arena_acc, ArenaMbfAlgorithm, Incoming, RecomputeCtx, Sp
 use crate::dense::DenseMbfAlgorithm;
 use crate::engine::MbfAlgorithm;
 use mte_algebra::store::{EpochStore, SpanOut};
-use mte_algebra::{Dist, DistanceMap, Filter, MinPlus, NodeId, Semiring};
+use mte_algebra::{Dist, DistanceMap, Filter, MinPlus, NodeId};
 use mte_graph::Graph;
 
 /// The `(S, h, d, k)`-source-detection MBF-like algorithm over the
@@ -20,9 +20,6 @@ pub struct SourceDetection {
     is_source: Vec<bool>,
     k: usize,
     max_dist: Dist,
-    /// Cached `is_source ≡ true ∧ max_dist = ∞`: the source/distance
-    /// mask is a no-op, so the dense filter can skip its column scan.
-    mask_free: bool,
 }
 
 impl SourceDetection {
@@ -33,12 +30,10 @@ impl SourceDetection {
         for &s in sources {
             is_source[s as usize] = true;
         }
-        let mask_free = is_source.iter().all(|&s| s) && max_dist == Dist::INF;
         SourceDetection {
             is_source,
             k,
             max_dist,
-            mask_free,
         }
     }
 
@@ -48,7 +43,6 @@ impl SourceDetection {
             is_source: vec![true; n],
             k,
             max_dist,
-            mask_free: max_dist == Dist::INF,
         }
     }
 
@@ -235,40 +229,15 @@ impl ArenaMbfAlgorithm for SourceDetection {
 }
 
 impl DenseMbfAlgorithm for SourceDetection {
-    /// The top-k truncation can only fire when more than `k` pairs
-    /// survive the source/distance mask, and at most `|S|` pairs ever
-    /// can — so `k ≥ |S|` makes the filter truncation-free, leaving
-    /// only the columnwise mask, which the dense row represents
-    /// exactly. APSP (`k = n`, all sources) always qualifies; k-SSP
-    /// with `k < n` does not. Without truncation, entries only improve
-    /// under min-merging and the mask is static, so the filter is
-    /// absorption-stable, as the dense backend requires.
+    /// The filter of Equation (3.4) is the identity exactly when it
+    /// masks nothing and truncates nothing: every node is a source, the
+    /// distance limit is `∞`, and `k ≥ n` (a state never holds more
+    /// than `n` entries). APSP qualifies; k-SSP with `k < n`, MSSP and
+    /// a finite limit do not.
     fn advertises_dense(&self) -> bool {
-        self.k >= self.is_source.iter().filter(|&&s| s).count()
-    }
-
-    /// The dense image of `project` when truncation cannot fire: mask
-    /// non-source columns and clamp entries past the distance limit to
-    /// `∞`. Bit-identical to [`MbfAlgorithm::filter`] — entries are
-    /// kept or dropped, never recomputed.
-    #[inline]
-    fn dense_filter(&self, _v: NodeId, row: &mut [MinPlus]) {
-        if self.mask_free {
-            return;
-        }
-        for (u, x) in row.iter_mut().enumerate() {
-            if x.0.is_finite() && (!self.is_source[u] || x.0 > self.max_dist) {
-                *x = MinPlus::zero();
-            }
-        }
-    }
-
-    /// APSP-style instances (all sources, no distance limit) have a
-    /// no-op mask: the engine may take the fused no-copy/no-compare
-    /// recompute path.
-    #[inline]
-    fn dense_filter_is_identity(&self) -> bool {
-        self.mask_free
+        self.max_dist == Dist::INF
+            && self.k >= self.is_source.len()
+            && self.is_source.iter().all(|&s| s)
     }
 }
 

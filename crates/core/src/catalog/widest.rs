@@ -1,7 +1,6 @@
 //! Widest-path problems over the max-min semiring (Section 3.2,
 //! Examples 3.13–3.15): SSWP, APWP and MSWP.
 
-use crate::dense::DenseMbfAlgorithm;
 use crate::engine::MbfAlgorithm;
 use mte_algebra::{NodeId, Width, WidthMap};
 
@@ -67,22 +66,6 @@ impl MbfAlgorithm for WidestPaths {
     #[inline]
     fn state_size(&self, x: &WidthMap) -> usize {
         x.len().max(1)
-    }
-}
-
-impl DenseMbfAlgorithm for WidestPaths {
-    /// `r = id` over the max-min semiring: the semiring-generic row
-    /// kernels give widest-path workloads the dense backend for free
-    /// (`dst ← max(dst, min(src, w))` per column). Widths only grow
-    /// under max-merging and the filter is the identity, so the filter
-    /// is absorption-stable, as the dense backend requires.
-    fn advertises_dense(&self) -> bool {
-        true
-    }
-
-    /// `r = id` literally: the fused recompute path applies.
-    fn dense_filter_is_identity(&self) -> bool {
-        true
     }
 }
 

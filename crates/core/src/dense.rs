@@ -5,18 +5,22 @@
 //!
 //! The owned (`Vec<M>`) and arena backends serve the regime the paper's
 //! complexity story targets: filtered states of size `O(log n)`
-//! (Lemma 7.6), merged entry-by-entry. APSP-class workloads
-//! (`SourceDetection::apsp`, `Connectivity::all_pairs`, widest-path
-//! analogues over max-min, metric-like FRT inputs) invert that regime —
-//! states converge towards **full** rows (`|x_v| → n`) and the sorted
-//! merges pay branch mispredictions and per-entry key bookkeeping for
+//! (Lemma 7.6), merged entry-by-entry. APSP (`SourceDetection::apsp`,
+//! Example 3.5; the query of Theorem 6.1) inverts that regime — states
+//! converge towards **full** rows (`|x_v| → n`) and the sorted merges
+//! pay branch mispredictions and per-entry key bookkeeping for
 //! coordinates that are all present anyway. [`DenseEngine`] runs the
 //! *same* hops (the shared `FrontierSchedule`: same frontier, same
-//! touched list, same degree-balanced chunks) over a
-//! [`DenseBlock`] — the paper's matrix-semimodule view taken literally:
-//! one hop of vertex `v` is `row_v ← r(row_v ⊕ ⊕_w a_vw ⊙ row_w)`,
-//! computed by the contiguous, cache-tiled row kernels of
+//! touched list, same degree-balanced chunks) over a [`DenseBlock`] —
+//! the paper's matrix-semimodule view taken literally: one hop of vertex
+//! `v` is `row_v ← row_v ⊕ ⊕_w a_vw ⊙ row_w`, computed by the
+//! contiguous, cache-tiled min-plus row kernels of
 //! [`mte_algebra::dense`].
+//!
+//! The backend serves exactly that workload: min-plus distance maps
+//! whose filter is the identity. Which instances qualify is one policy,
+//! stated once in [`DenseMbfAlgorithm::advertises_dense`]; masking
+//! filters and other semirings run on the owned and arena backends.
 //!
 //! # Bit-identity
 //!
@@ -26,10 +30,9 @@
 //! construction** — differential testing is exact, not approximate
 //! (asserted by `tests/schedule_equivalence.rs` across
 //! `MTE_THREADS ∈ {1, 4}`). The contract an algorithm must uphold is
-//! [`DenseMbfAlgorithm::dense_filter`] ≡ [`MbfAlgorithm::filter`] on
-//! the materialized state; [`DenseMbfAlgorithm::advertises_dense`]
-//! reports whether the instance's filter is dense-representable at all
-//! (e.g. source detection with `k` below the source count is not).
+//! that [`DenseMbfAlgorithm::advertises_dense`] returns `true` only when
+//! [`MbfAlgorithm::filter`] is the identity on every state the instance
+//! can produce: the engine never calls the filter.
 //!
 //! # Memory budget
 //!
@@ -57,61 +60,30 @@ use crate::error::RunError;
 use crate::oracle::{sealed, Lane};
 use crate::run::{check_vertices, Checkpoint, StateBackend};
 use crate::work::WorkStats;
-use mte_algebra::dense::{
-    fold_row_into, relax_rows_into, relax_rows_tracked, rows_equal, DenseBlock, DenseKernel,
-    DenseState,
-};
-use mte_algebra::{MinPlus, NodeId, Semiring};
+use mte_algebra::dense::{fold_row_into, relax_rows_tracked, rows_equal, DenseBlock};
+use mte_algebra::{DistanceMap, MinPlus, NodeId, Semiring};
 use mte_graph::Graph;
 use rayon::prelude::*;
 use std::cell::RefCell;
 
-/// An MBF-like algorithm whose states admit the dense row
-/// representation: `M ≅ S^V` with coordinate `u` at column `u`. See the
+/// An MBF-like algorithm over min-plus distance maps that may run on
+/// dense rows: `D ≅ S^V` with coordinate `u` at column `u`. See the
 /// module docs for the contract.
 ///
-/// The filter must also be **absorption-stable** (see
-/// [`crate::arena::RecomputeCtx`] for the general argument): row values
-/// only ever improve under `⊕` and the filter's masking is static, so
+/// An advertising instance's filter is the identity, so it is also
+/// **absorption-stable** (see [`crate::arena::RecomputeCtx`] for the
+/// general argument): row values only ever improve under `⊕`, so
 /// re-merging a neighbor whose row did not change since `v` last
 /// absorbed it is an identity. The engine therefore **skips clean
 /// source rows outright** — on a memory-bound dense hop that is a
-/// direct traffic cut, not just saved arithmetic. Every implementor
-/// (source detection without truncation, widest paths, connectivity)
-/// qualifies; one that does not would compute wrong rows.
-pub trait DenseMbfAlgorithm: MbfAlgorithm
-where
-    Self::S: DenseKernel,
-    Self::M: DenseState<Self::S>,
-{
-    /// `true` iff this instance's filter is representable on dense rows
-    /// (i.e. [`DenseMbfAlgorithm::dense_filter`] can be made exactly
-    /// equal to [`MbfAlgorithm::filter`]). The dense entry points
-    /// assert this.
+/// direct traffic cut, not just saved arithmetic.
+pub trait DenseMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
+    /// `true` iff [`MbfAlgorithm::filter`] is the identity on every
+    /// state this instance can produce. The dense backend refuses an
+    /// instance that does not advertise, before it allocates; returning
+    /// `true` for a masking instance is a correctness bug, not a
+    /// performance one.
     fn advertises_dense(&self) -> bool;
-
-    /// The representative projection `r` applied to `v`'s dense row.
-    /// **Must** be bit-identical to [`MbfAlgorithm::filter`] on the
-    /// materialized sparse state — the engine treats the two as
-    /// interchangeable and the equivalence suite differential-tests
-    /// them. The default is the identity (filters like APSP,
-    /// connectivity, and widest paths that keep everything).
-    #[inline]
-    fn dense_filter(&self, _v: NodeId, _row: &mut [Self::S]) {}
-
-    /// `true` iff [`DenseMbfAlgorithm::dense_filter`] is the identity
-    /// on every row this instance can produce. The engine then takes
-    /// the fused recompute path
-    /// ([`mte_algebra::dense::relax_rows_tracked`]): no separate
-    /// own-row copy pass, no filter call, and change detection tracked
-    /// inside the relaxations instead of a whole-row compare. The
-    /// default is `false` (safe: copy + relax + filter + compare);
-    /// returning `true` for a masking instance is a correctness bug,
-    /// not a performance one.
-    #[inline]
-    fn dense_filter_is_identity(&self) -> bool {
-        false
-    }
 }
 
 /// The dense-block iteration engine: the `FrontierSchedule` of the
@@ -120,15 +92,11 @@ where
 /// block is passed per step so callers (the oracle) can own several
 /// state matrices.
 #[derive(Clone, Debug)]
-pub struct DenseEngine<A: DenseMbfAlgorithm>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
+pub struct DenseEngine {
     sched: FrontierSchedule,
     /// Flat shadow matrix (`n·k` values) written during a hop; changed
     /// rows are copied into the block at commit.
-    next: Vec<A::S>,
+    next: Vec<MinPlus>,
     /// Per-touched-position `(entries, relaxations, changed)` of the
     /// current hop.
     per_vertex: Vec<(u64, u64, bool)>,
@@ -141,21 +109,13 @@ where
     taint: crate::engine::TaintTable,
 }
 
-impl<A: DenseMbfAlgorithm> Default for DenseEngine<A>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
+impl Default for DenseEngine {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<A: DenseMbfAlgorithm> DenseEngine<A>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
+impl DenseEngine {
     /// A fresh engine.
     pub fn new() -> Self {
         DenseEngine {
@@ -229,11 +189,11 @@ where
     /// currency than the sparse backends' per-entry counts; states,
     /// iterations, fixpoints, `edge_relaxations`, and
     /// `touched_vertices` remain exactly comparable.
-    pub fn step(
+    pub fn step<A: DenseMbfAlgorithm>(
         &mut self,
         alg: &A,
         g: &Graph,
-        block: &mut DenseBlock<A::S>,
+        block: &mut DenseBlock,
         weight_scale: f64,
     ) -> (WorkStats, bool) {
         let n = g.n();
@@ -248,7 +208,7 @@ where
         let mut alloc_count = 0u64;
         if self.next.len() != n * k {
             self.next.clear();
-            self.next.resize(n * k, <A::S as Semiring>::zero());
+            self.next.resize(n * k, <MinPlus as Semiring>::zero());
             // One flat shadow buffer — versus Θ(n) per-vertex buffers
             // of the owned backend.
             alloc_count = 1;
@@ -262,7 +222,7 @@ where
         // the cache-tiled row kernels into its disjoint shadow rows.
         self.per_vertex.clear();
         self.per_vertex.resize(touched.len(), (0, 0, false));
-        let block_ref: &DenseBlock<A::S> = block;
+        let block_ref: &DenseBlock = block;
         let next_base = SyncPtr(self.next.as_mut_ptr());
         let stats_base = SyncPtr(self.per_vertex.as_mut_ptr());
         // Skip source rows that did not change since `v` last absorbed
@@ -270,19 +230,18 @@ where
         // absorption stability) — on a memory-bound hop, rows never
         // read are the dominant saving. Tainted vertices (externally
         // rewritten) must merge everything once.
-        let identity_filter = alg.dense_filter_is_identity();
         let sched_ref = &self.sched;
         let taint_ref = &self.taint;
         chunks.par_iter().with_min_len(1).for_each(|range| {
             // Per-chunk neighbor-row gather list, reused across the
             // chunk's vertices (one small allocation per chunk per hop).
-            let mut srcs: Vec<(&[A::S], A::S)> = Vec::new();
+            let mut srcs: Vec<(&[MinPlus], MinPlus)> = Vec::new();
             for p in range.clone() {
                 let v = touched[p];
                 // SAFETY: chunks partition positions of the sorted,
                 // deduplicated `touched` list, so row window `v·k..` and
                 // stats slot `p` are owned by exactly this chunk.
-                let dst: &mut [A::S] =
+                let dst: &mut [MinPlus] =
                     unsafe { std::slice::from_raw_parts_mut(next_base.slot(v as usize * k), k) };
                 // SAFETY: as above — stats slot `p` belongs to this chunk.
                 let stats = unsafe { &mut *stats_base.slot(p) };
@@ -302,23 +261,16 @@ where
                     }
                 }
                 // a_vv = 1: the node's own row is the base of the fold.
-                let changed = if identity_filter {
-                    if srcs.is_empty() {
-                        // Nothing to merge and `r = id`: the hop is the
-                        // identity on `v` — the shadow row is not even
-                        // written (commit only reads changed rows).
-                        false
-                    } else {
-                        // Fused path: init-from-base first relaxation,
-                        // change tracking inside the passes — no copy
-                        // pass, no compare pass.
-                        relax_rows_tracked(dst, block_ref.row(v), &srcs)
-                    }
+                let changed = if srcs.is_empty() {
+                    // Nothing to merge and `r = id`: the hop is the
+                    // identity on `v` — the shadow row is not even
+                    // written (commit only reads changed rows).
+                    false
                 } else {
-                    dst.copy_from_slice(block_ref.row(v));
-                    relax_rows_into(dst, &srcs);
-                    alg.dense_filter(v, dst);
-                    !rows_equal(&*dst, block_ref.row(v))
+                    // Fused path: init-from-base first relaxation,
+                    // change tracking inside the passes — no copy pass,
+                    // no compare pass.
+                    relax_rows_tracked(dst, block_ref.row(v), &srcs)
                 };
                 let entries = k as u64 * (srcs.len() as u64 + 1);
                 *stats = (entries, relaxations, changed);
@@ -349,7 +301,7 @@ where
                         // allocations.
                         unsafe {
                             std::ptr::copy_nonoverlapping(
-                                next_base.slot(v * k) as *const A::S,
+                                next_base.slot(v * k) as *const MinPlus,
                                 block_base.slot(v * k),
                                 k,
                             )
@@ -373,7 +325,7 @@ where
         let touched_vertices = touched.len() as u64;
         // Every touched row was rewritten wholesale into the shadow —
         // the same model-level accounting as the owned backend.
-        let bytes_copied = touched_vertices * (k * std::mem::size_of::<A::S>()) as u64;
+        let bytes_copied = touched_vertices * (k * std::mem::size_of::<MinPlus>()) as u64;
         let per_vertex: &[(u64, u64, bool)] = &self.per_vertex;
         self.sched.refresh(|p| per_vertex[p].2);
 
@@ -418,22 +370,14 @@ where
 /// it under the memory budget and fail with
 /// [`RunError::DenseBudgetExceeded`] (see the module docs).
 #[derive(Clone, Debug)]
-pub struct DenseBackend<A: DenseMbfAlgorithm>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-    engine: DenseEngine<A>,
-    block: DenseBlock<A::S>,
+pub struct DenseBackend {
+    engine: DenseEngine,
+    block: DenseBlock,
     /// Memory budget for the block, in bytes; `None` = unlimited.
     budget_bytes: Option<u64>,
 }
 
-impl<A: DenseMbfAlgorithm> DenseBackend<A>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
+impl DenseBackend {
     /// An empty backend, allocating its block only within
     /// `budget_bytes` (`None` = unlimited).
     pub fn new(budget_bytes: Option<u64>) -> Self {
@@ -444,10 +388,19 @@ where
         }
     }
 
-    /// Loads `states` into a fresh `n × n` block allocated under the
-    /// memory budget, then checks the dense advertisement. A state
-    /// naming a vertex `≥ n` is [`RunError::SnapshotCorrupt`].
-    fn load(&mut self, alg: &A, states: &[A::M]) -> Result<(), RunError> {
+    /// Checks the dense advertisement, then loads `states` into a fresh
+    /// `n × n` block allocated under the memory budget: an instance the
+    /// backend can never run is refused before anything is allocated.
+    /// A state naming a vertex `≥ n` is [`RunError::SnapshotCorrupt`].
+    fn load<A: DenseMbfAlgorithm>(
+        &mut self,
+        alg: &A,
+        states: &[DistanceMap],
+    ) -> Result<(), RunError> {
+        assert!(
+            alg.advertises_dense(),
+            "algorithm instance does not advertise dense states"
+        );
         check_vertices(states)?;
         let n = states.len();
         let block = DenseBlock::try_from_states(states, n, self.budget_bytes).map_err(|e| {
@@ -456,20 +409,12 @@ where
                 budget_bytes: e.budget_bytes,
             }
         })?;
-        assert!(
-            alg.advertises_dense(),
-            "algorithm instance does not advertise dense states"
-        );
         self.block = block;
         Ok(())
     }
 }
 
-impl<A: DenseMbfAlgorithm> StateBackend<A> for DenseBackend<A>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
+impl<A: DenseMbfAlgorithm> StateBackend<A> for DenseBackend {
     fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
         self.load(alg, &initial_states(alg, g.n()))?;
         self.engine.mark_all_dirty(g);
@@ -482,7 +427,7 @@ where
         &mut self,
         alg: &A,
         g: &Graph,
-        ckpt: &Checkpoint<A::M>,
+        ckpt: &Checkpoint<DistanceMap>,
     ) -> Result<WorkStats, RunError> {
         self.load(alg, &ckpt.states)?;
         self.engine.ensure_sized(g);
@@ -506,7 +451,7 @@ where
         self.engine.frontier()
     }
 
-    fn export_states(&self) -> Vec<A::M> {
+    fn export_states(&self) -> Vec<DistanceMap> {
         self.block.export()
     }
 }
@@ -529,20 +474,12 @@ fn with_fold_row<R>(f: impl FnOnce(&mut Vec<MinPlus>) -> R) -> R {
     })
 }
 
-impl<A: DenseMbfAlgorithm> sealed::Sealed for DenseBackend<A>
-where
-    A::S: DenseKernel,
-    A::M: DenseState<A::S>,
-{
-}
+impl sealed::Sealed for DenseBackend {}
 
 /// The dense lane of the oracle's level loop: `y_λ` as a
 /// [`DenseBlock`]; the aggregate `x` is a dense block too.
-impl<A: DenseMbfAlgorithm<S = MinPlus>> Lane<A> for DenseBackend<A>
-where
-    A::M: DenseState<MinPlus>,
-{
-    type X = DenseBlock<MinPlus>;
+impl<A: DenseMbfAlgorithm> Lane<A> for DenseBackend {
+    type X = DenseBlock;
     type Folded = Vec<MinPlus>;
 
     fn lane(n: usize) -> Self {
@@ -555,7 +492,7 @@ where
         }
     }
 
-    fn import(alg: &A, states: &[A::M]) -> Result<DenseBlock<MinPlus>, RunError> {
+    fn import(alg: &A, states: &[DistanceMap]) -> Result<DenseBlock, RunError> {
         assert!(
             alg.advertises_dense(),
             "algorithm instance does not advertise dense states"
@@ -564,7 +501,7 @@ where
         Ok(DenseBlock::from_states(states, states.len()))
     }
 
-    fn export(x: &DenseBlock<MinPlus>) -> Vec<A::M> {
+    fn export(x: &DenseBlock) -> Vec<DistanceMap> {
         x.export()
     }
 
@@ -572,7 +509,7 @@ where
         self.engine.drain_change_log(out);
     }
 
-    fn project(&mut self, _alg: &A, x: &DenseBlock<MinPlus>, v: NodeId, keep: bool) -> bool {
+    fn project(&mut self, _alg: &A, x: &DenseBlock, v: NodeId, keep: bool) -> bool {
         let y = self.block.row_mut(v);
         if keep {
             let want = x.row(v);
@@ -592,9 +529,9 @@ where
     }
 
     fn fold<'a>(
-        alg: &A,
+        _alg: &A,
         lanes: impl Iterator<Item = &'a Self>,
-        x: &DenseBlock<MinPlus>,
+        x: &DenseBlock,
         v: NodeId,
     ) -> Option<Vec<MinPlus>>
     where
@@ -606,13 +543,12 @@ where
             for lane in lanes {
                 fold_row_into(row, lane.block.row(v));
             }
-            alg.dense_filter(v, row);
             // Only a changed row is copied out of the scratch.
             (!rows_equal(row, x.row(v))).then(|| row.clone())
         })
     }
 
-    fn commit(x: &mut DenseBlock<MinPlus>, v: NodeId, folded: Vec<MinPlus>) {
+    fn commit(x: &mut DenseBlock, v: NodeId, folded: Vec<MinPlus>) {
         x.row_mut(v).copy_from_slice(&folded);
     }
 
@@ -626,7 +562,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{Connectivity, SourceDetection, WidestPaths};
+    use crate::catalog::SourceDetection;
     use crate::engine::{literal_fixpoint, OwnedBackend};
     use crate::run::run_to_fixpoint_on;
     use mte_graph::generators::{gnm_graph, path_graph};
@@ -670,43 +606,34 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(block.export::<mte_algebra::DistanceMap>(), literal.states);
-    }
-
-    #[test]
-    fn dense_connectivity_matches_owned_engine() {
-        let g = mte_graph::Graph::from_edges(
-            7,
-            vec![(0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0), (4, 5, 1.0)],
-        );
-        let alg = Connectivity::all_pairs(g.n());
-        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
-        assert_eq!(literal.states, dense.states);
-        assert_eq!(literal.iterations, dense.iterations);
-    }
-
-    #[test]
-    fn dense_widest_paths_matches_owned_engine() {
-        let mut rng = StdRng::seed_from_u64(82);
-        let g = gnm_graph(40, 110, 1.0..10.0, &mut rng);
-        let alg = WidestPaths::apwp(g.n());
-        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
-        assert_eq!(literal.states, dense.states);
-        assert_eq!(literal.iterations, dense.iterations);
-        assert_eq!(literal.fixpoint, dense.fixpoint);
+        assert_eq!(block.export(), literal.states);
     }
 
     #[test]
     fn dense_respects_source_mask_and_distance_limit() {
-        // A filter that actually masks: non-sources and a finite limit.
+        // A filter that actually masks (non-sources, a finite limit) has
+        // no full rows: it does not advertise dense, the dense backend
+        // refuses it, and the sparse lane that serves it matches the
+        // literal iteration.
         let g = path_graph(6, 1.0);
         let alg = SourceDetection::new(g.n(), &[0, 5], 2, mte_algebra::Dist::new(3.0));
-        assert!(alg.advertises_dense());
+        assert!(!alg.advertises_dense());
+        let refused = crate::run::try_run_on(
+            DenseBackend::new(None),
+            &alg,
+            &g,
+            g.n() + 1,
+            crate::run::CheckpointPolicy::disabled(),
+            |_| Ok(()),
+        );
+        assert!(
+            matches!(&refused, Err(crate::RunError::Panicked { message }) if message.contains("dense")),
+            "expected a typed refusal, got {:?}",
+            refused.map(|_| ())
+        );
         let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
-        assert_eq!(literal.states, dense.states);
+        let owned = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, owned.states);
     }
 
     #[test]
@@ -725,7 +652,7 @@ mod tests {
         let alg = SourceDetection::apsp(g.n());
         let cap = 4 * g.n();
         let literal = crate::oracle::literal_oracle(&alg, &sim, cap);
-        let dense = crate::oracle::oracle_run_on::<DenseBackend<_>, _>(&alg, &sim, cap);
+        let dense = crate::oracle::oracle_run_on::<DenseBackend, _>(&alg, &sim, cap);
         assert_eq!(literal.states, dense.states);
         assert_eq!(literal.h_iterations, dense.h_iterations);
         assert_eq!(literal.fixpoint, dense.fixpoint);

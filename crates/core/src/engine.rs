@@ -547,11 +547,6 @@ impl<A: MbfAlgorithm> MbfEngine<A> {
         }
     }
 
-    /// Number of vertices currently on the frontier.
-    pub fn frontier_len(&self) -> usize {
-        self.sched.frontier().len()
-    }
-
     /// The frontier list itself: ascending, no duplicates.
     pub fn frontier(&self) -> &[NodeId] {
         self.sched.frontier()

@@ -309,22 +309,6 @@ impl FrtTree {
         }
         children
     }
-
-    /// Leaves below each node (graph vertices), computed on demand.
-    pub fn leaves_below(&self) -> Vec<Vec<NodeId>> {
-        let mut below = vec![Vec::new(); self.nodes.len()];
-        for v in 0..self.leaf.len() {
-            let mut cur = self.leaf[v];
-            loop {
-                below[cur].push(v as NodeId);
-                if cur == 0 {
-                    break;
-                }
-                cur = self.nodes[cur].parent;
-            }
-        }
-        below
-    }
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 //!   vectors `x ∈ D^V` as spans into one copy-on-write pool
 //!   ([`mte_algebra::store`]), bit-identical to the owned `Vec` paths
 //!   while paying copy traffic only for states that actually changed,
-//! * [`dense`] — the **dense-block backend** for APSP-class workloads:
-//!   state vectors as flat row-major semiring matrices
-//!   ([`mte_algebra::dense`]) relaxed by contiguous cache-tiled row
-//!   kernels, and the dense oracle routing,
+//! * [`dense`] — the **dense-block backend** for APSP (min-plus
+//!   distance maps whose filter is the identity): state vectors as flat
+//!   row-major min-plus matrices ([`mte_algebra::dense`]) relaxed by
+//!   contiguous cache-tiled row kernels, and the dense oracle lane,
 //! * [`catalog`] — every example MBF-like algorithm of Section 3
 //!   (source detection, SSSP, k-SSP, APSP, MSSP, forest fire, widest
 //!   paths, k-SDP, k-DSDP, connectivity),

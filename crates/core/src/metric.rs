@@ -104,7 +104,7 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
         .saturating_mul(n)
         .saturating_mul(std::mem::size_of::<f64>());
     let run = if dense_bytes <= DENSE_ORACLE_BYTE_BUDGET {
-        oracle_run_on::<DenseBackend<_>, _>(&alg, sim, cap)
+        oracle_run_on::<DenseBackend, _>(&alg, sim, cap)
     } else {
         oracle_run_on::<ArenaBackend, _>(&alg, sim, cap)
     };

@@ -388,16 +388,16 @@ mod tests {
         }
     }
 
-    /// Resuming a fresh `backend()` from each checkpoint fails with
-    /// [`RunError::SnapshotCorrupt`].
+    /// Resuming `alg` on a fresh `backend()` from each checkpoint fails
+    /// with [`RunError::SnapshotCorrupt`].
     fn assert_corrupt<B: StateBackend<SourceDetection>>(
         backend: impl Fn() -> B,
+        alg: &SourceDetection,
         ckpts: &[Checkpoint<DistanceMap>],
     ) {
         let g = fixture();
-        let alg = SourceDetection::sssp(g.n(), 0);
         for ckpt in ckpts {
-            let err = try_resume_on(backend(), &alg, &g, g.n(), ckpt).unwrap_err();
+            let err = try_resume_on(backend(), alg, &g, g.n(), ckpt).unwrap_err();
             assert!(
                 matches!(err, RunError::SnapshotCorrupt { .. }),
                 "wrong error: {err:?}"
@@ -432,9 +432,11 @@ mod tests {
             states,
         };
         let ckpts = [short, wild, unsorted, out_of_range];
-        assert_corrupt(owned, &ckpts);
-        assert_corrupt(ArenaBackend::new, &ckpts);
-        assert_corrupt(|| DenseBackend::new(None), &ckpts);
+        assert_corrupt(owned, &alg, &ckpts);
+        assert_corrupt(ArenaBackend::new, &alg, &ckpts);
+        // The dense backend runs APSP only.
+        let apsp = SourceDetection::apsp(g.n());
+        assert_corrupt(|| DenseBackend::new(None), &apsp, &ckpts);
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub enum FaultSite {
     EngineHopCommit,
     /// `EpochStore::get`: a borrowed span view handed to a recompute.
     ArenaSpanRead,
-    /// The dense row kernels (`relax_rows_into`/`relax_rows_tracked`)
-    /// and the dense-block allocator (`DenseBlock::try_new`, reached by
+    /// The dense row kernel (`relax_rows_tracked`) and the dense-block
+    /// allocator (`DenseBlock::try_new`, reached by
     /// every `DenseBackend` start and resume).
     DenseRowKernel,
     /// The oracle's per-level task, once per level per simulated

@@ -217,12 +217,6 @@ impl Graph {
         edges.extend(extra);
         Graph::from_edges(self.n(), edges)
     }
-
-    /// A new graph with every weight multiplied by `factor > 0`.
-    pub fn scale_weights(&self, factor: f64) -> Graph {
-        assert!(factor > 0.0 && factor.is_finite());
-        Graph::from_edges(self.n(), self.edges().map(|(u, v, w)| (u, v, w * factor)))
-    }
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! [`ServeError`].
 
 use crate::error::ServeError;
-use mte_core::frt::{FrtEmbedding, FrtTree, LeList, Ranks};
+use mte_core::frt::{FrtTree, LeList, Ranks};
 use mte_faults::{check_for, check_handled, trigger_panic, FaultKind, FaultSite};
 use mte_persist::{SnapshotError, SnapshotReader, SnapshotWriter};
 use std::path::Path;
@@ -48,15 +48,6 @@ pub(crate) struct TreeLayout {
 }
 
 impl OracleArtifact {
-    /// Freezes a finished embedding into an artifact.
-    pub fn from_embedding(emb: &FrtEmbedding) -> Result<OracleArtifact, ServeError> {
-        OracleArtifact::from_parts(
-            emb.le_lists().to_vec(),
-            emb.ranks().clone(),
-            emb.tree().clone(),
-        )
-    }
-
     /// Assembles and validates an artifact from raw parts. Every
     /// cross-section inconsistency is a typed error; a returned
     /// artifact can serve any query without panicking.

@@ -69,11 +69,11 @@
 //! appended through per-chunk regions with a deterministic layout, and
 //! garbage amortizes away in high-water compactions (the per-entry
 //! rank column is opt-in per algorithm; only the LE lists carry it).
-//! APSP-class workloads whose states converge to full rows
-//! (`SourceDetection::apsp`, all-pairs connectivity, widest paths) run
-//! on the **dense-block backend** ([`core::dense`]): the state vector
-//! as one flat row-major semiring matrix ([`algebra::dense`]) relaxed
-//! by contiguous cache-tiled row kernels. The differential suite
+//! APSP (`SourceDetection::apsp`), whose states converge to full rows,
+//! runs on the **dense-block backend** ([`core::dense`]): the state
+//! vector as one flat row-major min-plus matrix ([`algebra::dense`])
+//! relaxed by contiguous cache-tiled row kernels. It is the only dense
+//! workload: other semirings and masking filters stay sparse. The differential suite
 //! asserts every backend bit-identical to the literal iteration under
 //! `MTE_THREADS ∈ {1, 4}`.
 //! `cargo run --release -p mte-bench --bin exp_baseline` runs the engine

@@ -209,7 +209,7 @@ fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
     let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
     assert_every_oracle_round_resumes::<ArenaBackend, _>(&le, &sim, cap);
     let apsp = SourceDetection::apsp(g.n());
-    assert_every_oracle_round_resumes::<DenseBackend<_>, _>(&apsp, &sim, cap);
+    assert_every_oracle_round_resumes::<DenseBackend, _>(&apsp, &sim, cap);
 }
 
 // ---------------------------------------------------------------------

@@ -48,7 +48,7 @@ proptest! {
         let kssp_ref = (literal_oracle(&kssp, &sim, cap), run_to_fixpoint(&kssp, &h, cap));
         let lanes = [
             (oracle_run_on::<ArenaBackend, _>(&apsp, &sim, cap), &apsp_ref),
-            (oracle_run_on::<DenseBackend<_>, _>(&apsp, &sim, cap), &apsp_ref),
+            (oracle_run_on::<DenseBackend, _>(&apsp, &sim, cap), &apsp_ref),
             (oracle_run_on::<ArenaBackend, _>(&kssp, &sim, cap), &kssp_ref),
         ];
         for (via_oracle, (literal, via_h)) in lanes {

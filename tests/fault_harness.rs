@@ -191,7 +191,7 @@ impl Pipeline {
             }
             Pipeline::DenseOracle => {
                 let alg = SourceDetection::apsp(g.n());
-                try_oracle::<DenseBackend<_>, _>(&alg, sim, 4 * g.n())
+                try_oracle::<DenseBackend, _>(&alg, sim, 4 * g.n())
             }
         }
     }

@@ -4,6 +4,7 @@
 //! parsing or construction path panics, whatever the input. The guarded
 //! run drivers hold the same line for algorithms a backend cannot run.
 
+use metric_tree_embedding::algebra::Dist;
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::initial_states;
@@ -195,33 +196,42 @@ fn out_of_range_endpoint_names_the_node_and_bound() {
 #[test]
 fn dense_backend_refuses_non_dense_algorithms_without_unwinding() {
     let g = metric_tree_embedding::graph::generators::path_graph(12, 1.0);
-    // k-SSP with k below the source count truncates: no dense rows.
-    let alg = SourceDetection::k_ssp(g.n(), 4);
-    let backend = || DenseBackend::new(None);
-    let ckpt = Checkpoint {
-        hop: 1,
-        frontier: vec![0],
-        states: initial_states(&alg, g.n()),
-    };
-    let outcomes = std::panic::catch_unwind(|| {
-        let run = try_run_on(
-            backend(),
-            &alg,
-            &g,
-            13,
-            CheckpointPolicy::disabled(),
-            |_| Ok(()),
-        );
-        let resume = try_resume_on(backend(), &alg, &g, 13, &ckpt);
-        [run.map(|_| ()), resume.map(|_| ())]
-    })
-    .expect("a try_ driver unwound");
-    for outcome in outcomes {
-        match outcome {
-            Err(RunError::Panicked { message }) => {
-                assert!(message.contains("dense"), "unexpected message: {message}")
+    let n = g.n();
+    let all: Vec<u32> = (0..n as u32).collect();
+    // Each filter masks or truncates, so none has dense rows: k-SSP with
+    // k below the source count truncates, MSSP masks non-sources, and a
+    // finite distance limit masks far entries.
+    let algs = [
+        SourceDetection::k_ssp(n, 4),
+        SourceDetection::mssp(n, &[0, 5]),
+        SourceDetection::new(n, &all, n, Dist::new(3.0)),
+    ];
+    // Under a budget too small for any block, the refusal still comes
+    // first: the backend checks the instance before it allocates.
+    let backends = [|| DenseBackend::new(None), || DenseBackend::new(Some(8))];
+    for alg in &algs {
+        for backend in backends {
+            let ckpt = Checkpoint {
+                hop: 1,
+                frontier: vec![0],
+                states: initial_states(alg, n),
+            };
+            let outcomes = std::panic::catch_unwind(|| {
+                let run = try_run_on(backend(), alg, &g, 13, CheckpointPolicy::disabled(), |_| {
+                    Ok(())
+                });
+                let resume = try_resume_on(backend(), alg, &g, 13, &ckpt);
+                [run.map(|_| ()), resume.map(|_| ())]
+            })
+            .expect("a try_ driver unwound");
+            for outcome in outcomes {
+                match outcome {
+                    Err(RunError::Panicked { message }) => {
+                        assert!(message.contains("dense"), "unexpected message: {message}")
+                    }
+                    other => panic!("expected a typed refusal, got {other:?}"),
+                }
             }
-            other => panic!("expected a typed refusal, got {other:?}"),
         }
     }
 }
