@@ -39,7 +39,7 @@
 //! edge weight and a fold of `min` over the incoming values. `⊕ = min`
 //! over `f64` is idempotent, commutative, and associative —
 //! order-independent — so dense results are **bit-identical to the
-//! owned/arena paths by construction**, which makes differential testing
+//! literal and arena paths by construction**, which makes differential testing
 //! exact (asserted by `tests/schedule_equivalence.rs`). The tiled kernel
 //! visits, per element, the source rows in exactly the same order as the
 //! untiled loop.
@@ -584,12 +584,6 @@ impl DenseBlock {
     pub fn row_mut(&mut self, v: NodeId) -> &mut [MinPlus] {
         let a = v as usize * self.cols;
         &mut self.values[a..a + self.cols]
-    }
-
-    /// The whole flat value storage (row-major).
-    #[inline]
-    pub fn values(&self) -> &[MinPlus] {
-        &self.values
     }
 
     /// The whole flat value storage, mutable (the engine writes disjoint

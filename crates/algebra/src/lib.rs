@@ -18,7 +18,7 @@
 //! * the epoch-arena state store for whole vectors `x ∈ D^V` in
 //!   [`store`]: one flat entry pool with per-vertex `(offset, len)`
 //!   spans, copy-on-write epochs and amortized compaction — the
-//!   storage backend of the production engine paths (the owned
+//!   storage backend of the production engine paths (a
 //!   [`DistanceMap`] vector remains the semantics reference and interop
 //!   type),
 //! * the dense min-plus block store for APSP state vectors in

@@ -15,9 +15,10 @@
 //!    final cost is evaluated exactly in `G`.
 
 use mte_algebra::{Dist, NodeId};
-use mte_core::engine::run_to_fixpoint;
+use mte_core::arena::ArenaBackend;
 use mte_core::frt::le_list::{LeList, LeListAlgorithm, Ranks};
 use mte_core::frt::tree::FrtTree;
+use mte_core::run::run_to_fixpoint_on;
 use mte_graph::algorithms::multi_source_dijkstra;
 use mte_graph::Graph;
 use rand::seq::SliceRandom;
@@ -95,19 +96,11 @@ pub fn kmedian_candidates(g: &Graph, k: usize, oversample: f64, rng: &mut impl R
 /// LE lists with sources restricted to `Q`, then an FRT tree over the
 /// submetric spanned by `Q` (step (2)).
 fn frt_tree_on_subset(g: &Graph, subset: &[NodeId], rng: &mut impl Rng) -> (FrtTree, Vec<NodeId>) {
-    // Global random order; LE initialization only at subset nodes.
+    // Global random order; LE initialization only at subset nodes, so
+    // every surviving entry refers to a `Q`-node.
     let ranks = Arc::new(Ranks::sample(g.n(), rng));
-    let alg = RestrictedLe {
-        inner: LeListAlgorithm::new(Arc::clone(&ranks)),
-        in_subset: {
-            let mut b = vec![false; g.n()];
-            for &q in subset {
-                b[q as usize] = true;
-            }
-            b
-        },
-    };
-    let run = run_to_fixpoint(&alg, g, g.n() + 1);
+    let alg = LeListAlgorithm::new(Arc::clone(&ranks)).with_sources(subset);
+    let run = run_to_fixpoint_on(ArenaBackend::new(), &alg, g, g.n() + 1);
 
     // Re-index Q to 0..|Q| and build the tree over Q's lists only.
     let mut index = vec![u32::MAX; g.n()];
@@ -137,48 +130,6 @@ fn frt_tree_on_subset(g: &Graph, subset: &[NodeId], rng: &mut impl Rng) -> (FrtT
     let beta = rng.gen_range(1.0..2.0);
     let tree = FrtTree::from_le_lists(&lists, &sub_ranks, beta, g.min_weight());
     (tree, subset.to_vec())
-}
-
-/// LE-list algorithm whose initialization is restricted to a subset
-/// (sources = `Q`): every surviving entry refers to a `Q`-node, so the
-/// final lists describe the complete graph on `Q` with the `G`-metric.
-struct RestrictedLe {
-    inner: LeListAlgorithm,
-    in_subset: Vec<bool>,
-}
-
-impl mte_core::engine::MbfAlgorithm for RestrictedLe {
-    type S = mte_algebra::MinPlus;
-    type M = mte_algebra::DistanceMap;
-
-    fn edge_coeff(&self, v: NodeId, w: NodeId, weight: f64) -> mte_algebra::MinPlus {
-        self.inner.edge_coeff(v, w, weight)
-    }
-
-    fn filter(&self, x: &mut mte_algebra::DistanceMap) {
-        self.inner.filter(x);
-    }
-
-    fn init(&self, v: NodeId) -> mte_algebra::DistanceMap {
-        if self.in_subset[v as usize] {
-            mte_algebra::DistanceMap::singleton(v, Dist::ZERO)
-        } else {
-            mte_algebra::DistanceMap::new()
-        }
-    }
-
-    fn propagate_into(
-        &self,
-        acc: &mut mte_algebra::DistanceMap,
-        state: &mte_algebra::DistanceMap,
-        coeff: &mte_algebra::MinPlus,
-    ) {
-        acc.merge_scaled(state, coeff.0);
-    }
-
-    fn state_size(&self, x: &mte_algebra::DistanceMap) -> usize {
-        x.len().max(1)
-    }
 }
 
 /// Exact k-median on an HST with medians restricted to leaves
@@ -492,6 +443,38 @@ mod tests {
                 sol.cost,
                 opt.cost
             );
+        }
+    }
+
+    /// `solve_kmedian`'s centers and exact cost on two seeded graphs,
+    /// pinned bit for bit: the candidate LE lists may change backend,
+    /// never the solution.
+    #[test]
+    fn solve_kmedian_pinned_on_seeded_graphs() {
+        let mut rng = StdRng::seed_from_u64(117);
+        let gnm = gnm_graph(200, 600, 1.0..9.0, &mut rng);
+        let grid = grid_graph(12, 12, 1.0..4.0, &mut rng);
+        let pins: [(&str, &Graph, u64, [NodeId; 5], u64); 2] = [
+            (
+                "gnm",
+                &gnm,
+                118,
+                [157, 175, 123, 197, 146],
+                0x409a_8298_fffc_3969,
+            ),
+            (
+                "grid",
+                &grid,
+                119,
+                [143, 134, 126, 47, 39],
+                0x408e_68b1_1c53_4e8a,
+            ),
+        ];
+        for (name, g, seed, centers, cost_bits) in pins {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let sol = solve_kmedian(g, &KMedianConfig::new(5), &mut rng);
+            assert_eq!(sol.centers, centers, "{name}: centers");
+            assert_eq!(sol.cost.to_bits(), cost_bits, "{name}: cost {}", sol.cost);
         }
     }
 

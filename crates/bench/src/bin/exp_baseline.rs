@@ -1,7 +1,7 @@
 //! Experiment driver. See docs/DESIGN.md §4.
 //!
 //! Runs the Section 1.1 sampler comparison (E16), the engine suite
-//! (the frontier schedule on the owned, arena and dense-block backends
+//! (the frontier schedule on the arena and dense-block backends
 //! over the standard catalog, states cross-checked against the literal
 //! `engine::run`) and the checkpoint-overhead suite (snapshot write/load
 //! cost as a fraction of run wall time), and writes the

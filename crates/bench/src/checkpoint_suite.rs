@@ -14,7 +14,6 @@ use crate::engine_suite::json_escape;
 use crate::tables::{f, Table};
 use mte_core::arena::{ArenaBackend, ArenaMbfAlgorithm};
 use mte_core::catalog::SourceDetection;
-use mte_core::engine::{MbfAlgorithm, OwnedBackend};
 use mte_core::frt::le_list::{LeListAlgorithm, Ranks};
 use mte_core::run::{run_to_fixpoint_on, try_resume_on, try_run_on, CheckpointPolicy};
 use mte_graph::generators::{gnm_graph, grid_graph};
@@ -64,65 +63,8 @@ fn cadence(iterations: usize) -> u64 {
     ((iterations as u64) / 8).max(1)
 }
 
-/// The owned-backend measurement (SSSP-class workloads).
-fn measure_owned<A>(graph_label: &str, g: &Graph, alg_label: &str, alg: &A) -> CheckpointCase
-where
-    A: MbfAlgorithm<M = mte_algebra::DistanceMap>,
-{
-    let cap = g.n() + 1;
-    let t0 = Instant::now();
-    let reference = run_to_fixpoint_on(OwnedBackend::new(), alg, g, cap);
-    let run_wall_ms = ms(t0);
-
-    let policy = CheckpointPolicy::every_hops(cadence(reference.iterations));
-    let mut encode_ms = 0.0;
-    let mut images: Vec<Vec<u8>> = Vec::new();
-    let t0 = Instant::now();
-    let (run, _) = try_run_on(OwnedBackend::new(), alg, g, cap, policy, |c| {
-        let te = Instant::now();
-        let image = SnapshotWriter::new().put_checkpoint(c).encode();
-        encode_ms += ms(te);
-        images.push(image);
-        Ok(())
-    })
-    .expect("clean checkpointed run cannot fail");
-    let checkpointed_wall_ms = ms(t0);
-    assert_eq!(run.states, reference.states, "{graph_label}/{alg_label}");
-    assert!(!images.is_empty(), "run too short to checkpoint");
-
-    let mid = &images[images.len() / 2];
-    let td = Instant::now();
-    let ckpt = SnapshotReader::decode(mid)
-        .expect("own snapshot decodes")
-        .checkpoint()
-        .expect("checkpoint section present");
-    let decode_ms = ms(td);
-    let tr = Instant::now();
-    let (resumed, _) = try_resume_on(OwnedBackend::new(), alg, g, cap, &ckpt)
-        .expect("resume from own snapshot cannot fail");
-    let resume_wall_ms = ms(tr);
-    assert_eq!(
-        resumed.states, reference.states,
-        "{graph_label}/{alg_label}"
-    );
-
-    CheckpointCase {
-        graph: graph_label.to_string(),
-        n: g.n(),
-        m: g.m(),
-        algorithm: alg_label.to_string(),
-        run_wall_ms,
-        checkpointed_wall_ms,
-        checkpoints: images.len(),
-        snapshot_bytes: images.last().map(Vec::len).unwrap_or(0),
-        encode_ms,
-        decode_ms,
-        resume_wall_ms,
-        write_fraction: encode_ms / checkpointed_wall_ms.max(f64::MIN_POSITIVE),
-    }
-}
-
-/// The arena-backend measurement (LE lists' production path).
+/// One workload on the arena backend, the production path of every
+/// distance-map algorithm.
 fn measure_arena<A>(graph_label: &str, g: &Graph, alg_label: &str, alg: &A) -> CheckpointCase
 where
     A: ArenaMbfAlgorithm,
@@ -193,13 +135,13 @@ fn checkpoint_catalog() -> Vec<(String, Graph)> {
     ]
 }
 
-/// Runs the suite: SSSP (owned backend) and LE lists (arena backend)
-/// with periodic snapshot capture and a mid-run resume.
+/// Runs the suite: SSSP and LE lists on the arena backend, with
+/// periodic snapshot capture and a mid-run resume.
 pub fn checkpoint_suite() -> Vec<CheckpointCase> {
     let mut cases = Vec::new();
     for (label, g) in checkpoint_catalog() {
         let sssp = SourceDetection::sssp(g.n(), 0);
-        cases.push(measure_owned(&label, &g, "sssp", &sssp));
+        cases.push(measure_arena(&label, &g, "sssp", &sssp));
         let mut rng = StdRng::seed_from_u64(0xC4E6);
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
         let le = LeListAlgorithm::new(ranks);
@@ -292,7 +234,7 @@ pub fn with_checkpoint_section(engine_json: &str, cases: &[CheckpointCase]) -> S
 mod tests {
     use super::*;
 
-    /// A miniature suite run exercising both backends, the table, and
+    /// A miniature suite run exercising both workloads, the table, and
     /// the JSON splice end to end.
     #[test]
     fn mini_checkpoint_suite_measures_and_serializes() {
@@ -302,7 +244,7 @@ mod tests {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
         let le = LeListAlgorithm::new(ranks);
         let cases = vec![
-            measure_owned("mini", &g, "sssp", &sssp),
+            measure_arena("mini", &g, "sssp", &sssp),
             measure_arena("mini", &g, "le_lists+arena", &le),
         ];
         for c in &cases {

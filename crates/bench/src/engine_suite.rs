@@ -10,15 +10,11 @@
 //!
 //! LE-list rows measure their **production path**, the epoch-arena
 //! backend (`le_lists_direct` routes through
-//! [`mte_core::arena::ArenaEngine`]). SSSP rows time both sparse
-//! backends: the plain `frontier` rows the owned `Vec<DistanceMap>`
-//! backend (the generic, unpruned recompute), the `…+arena` rows the
-//! arena's pruned one. Neither is a production path for SSSP — the
-//! pipeline runs no SSSP fixpoint — and the owned engine can win on
-//! sparse frontiers (grid), so both stay in the trajectory. APSP rows on
-//! the dense catalog measure the flat-matrix backend (`dense-block`).
-//! The owned LE lists are not timed: their work counters are pinned by
-//! `tests/schedule_equivalence.rs`. Every row carries the storage
+//! [`mte_core::arena::ArenaEngine`]); the SSSP rows (`frontier+arena`)
+//! run the same backend, the one every distance-map algorithm runs on
+//! (the pipeline itself runs no SSSP fixpoint). APSP rows on the dense
+//! catalog measure the flat-matrix backend (`dense-block`). Every row
+//! carries the storage
 //! counters (`bytes_copied`, `alloc_count`, `arena_bytes`) and the
 //! matrix-mode hop count (`dense_hops`) so the copy-on-write and
 //! matrix-mode wins show up in the trajectory, not just wall time;
@@ -29,7 +25,7 @@ use crate::tables::{f, Table};
 use mte_core::arena::ArenaBackend;
 use mte_core::catalog::SourceDetection;
 use mte_core::dense::DenseBackend;
-use mte_core::engine::{run, MbfAlgorithm, MbfRun, OwnedBackend};
+use mte_core::engine::{run, MbfAlgorithm, MbfRun};
 use mte_core::frt::le_list::{LeListAlgorithm, Ranks};
 use mte_core::run::run_to_fixpoint_on;
 use mte_core::work::WorkStats;
@@ -153,27 +149,19 @@ fn record<A>(
     }
 }
 
-/// Runs the suite: SSSP to fixpoint on every catalog graph on both
-/// sparse storage backends, LE lists on the arena backend (the
-/// production path of `le_lists_direct`), and APSP on the dense-block
-/// backend over the dense catalog. For SSSP the plain rows stay on the
-/// owned backend (the generic, unpruned recompute) and `…+arena` rows
-/// ride along.
+/// Runs the suite: SSSP and LE lists to fixpoint on every catalog
+/// graph on the arena backend (the production path of
+/// `le_lists_direct`), and APSP on the dense-block backend over the
+/// dense catalog.
 pub fn engine_suite() -> Vec<EngineCase> {
     let mut cases = Vec::new();
     for (label, g) in engine_catalog() {
         let cap = g.n() + 1;
         let sssp = SourceDetection::sssp(g.n(), 0);
-        let rows = vec![
-            (
-                "frontier",
-                timed(|| run_to_fixpoint_on(OwnedBackend::new(), &sssp, &g, cap)),
-            ),
-            (
-                "frontier+arena",
-                timed(|| run_to_fixpoint_on(ArenaBackend::new(), &sssp, &g, cap)),
-            ),
-        ];
+        let rows = vec![(
+            "frontier+arena",
+            timed(|| run_to_fixpoint_on(ArenaBackend::new(), &sssp, &g, cap)),
+        )];
         record(&label, &g, "sssp", &sssp, rows, &mut cases);
 
         let mut rng = StdRng::seed_from_u64(0x1E11);
@@ -206,7 +194,7 @@ pub fn engine_suite() -> Vec<EngineCase> {
 /// per hop) — the headline number of the frontier schedule.
 pub fn engine_suite_table(cases: &[EngineCase]) -> Table {
     let mut t = Table::new(
-        "Engine suite: frontier schedule, owned vs arena vs dense-block (fixpoint runs, states cross-checked)",
+        "Engine suite: frontier schedule, arena vs dense-block (fixpoint runs, states cross-checked)",
         &[
             "graph",
             "algorithm",
@@ -302,33 +290,29 @@ mod tests {
         let g = gnm_graph(40, 90, 1.0..9.0, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
         let cap = g.n() + 1;
-        let rows = vec![
-            (
-                "frontier",
-                timed(|| run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, cap)),
-            ),
-            (
-                "frontier+arena",
-                timed(|| run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, cap)),
-            ),
-        ];
+        let rows = vec![(
+            "frontier+arena",
+            timed(|| run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, cap)),
+        )];
         let mut cases = Vec::new();
         record("mini", &g, "sssp", &alg, rows, &mut cases);
+        let apsp = SourceDetection::apsp(g.n());
+        let rows = vec![(
+            "dense-block",
+            timed(|| run_to_fixpoint_on(DenseBackend::new(None), &apsp, &g, cap)),
+        )];
+        record("mini", &g, "apsp", &apsp, rows, &mut cases);
         assert_eq!(cases.len(), 2);
-        let (frontier, arena) = (&cases[0], &cases[1]);
-        assert_eq!(frontier.strategy, "frontier");
+        let (arena, dense) = (&cases[0], &cases[1]);
+        assert_eq!(arena.strategy, "frontier+arena");
         assert!(
-            (frontier.work.edge_relaxations as usize) < frontier.iterations * 2 * g.m(),
+            (arena.work.edge_relaxations as usize) < arena.iterations * 2 * g.m(),
             "the frontier skip relaxes less than the literal sweep"
         );
-        // The arena rows carry the storage counters the owned rows lack.
-        assert_eq!(arena.strategy, "frontier+arena");
-        assert!(arena.work.arena_bytes > 0);
-        assert!(
-            arena.work.edge_relaxations <= frontier.work.edge_relaxations,
-            "identical schedule; arena may skip absorbed merges"
-        );
-        assert!(arena.work.bytes_copied < frontier.work.bytes_copied);
+        // Each row carries its backend's own storage counters.
+        assert!(arena.work.arena_bytes > 0 && arena.work.dense_hops == 0);
+        assert_eq!(dense.strategy, "dense-block");
+        assert!(dense.work.arena_bytes == 0 && dense.work.dense_hops > 0);
 
         let json = engine_suite_json(&cases);
         assert!(json.contains("\"suite\": \"engine\""));

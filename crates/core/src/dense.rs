@@ -1,10 +1,10 @@
 //! The dense-block engine backend: MBF-like iteration over flat
 //! row-major state matrices ([`mte_algebra::dense`]).
 //!
-//! # Why a third backend
+//! # Why a dense backend
 //!
-//! The owned (`Vec<M>`) and arena backends serve the regime the paper's
-//! complexity story targets: filtered states of size `O(log n)`
+//! The arena backend serves the regime the paper's complexity story
+//! targets: filtered states of size `O(log n)`
 //! (Lemma 7.6), merged entry-by-entry. APSP (`SourceDetection::apsp`,
 //! Example 3.5; the query of Theorem 6.1) inverts that regime — states
 //! converge towards **full** rows (`|x_v| → n`) and the sorted merges
@@ -20,14 +20,15 @@
 //! The backend serves exactly that workload: min-plus distance maps
 //! whose filter is the identity. Which instances qualify is one policy,
 //! stated once in [`DenseMbfAlgorithm::advertises_dense`]; masking
-//! filters and other semirings run on the owned and arena backends.
+//! filters run on the arena backend, other semirings on the literal
+//! one.
 //!
 //! # Bit-identity
 //!
 //! Min over `f64` is order-independent and each dense relaxation
 //! computes the same single `x + w` the sparse merge kernels compute,
-//! so dense states are **bit-identical to the owned/arena paths by
-//! construction** — differential testing is exact, not approximate
+//! so dense states are **bit-identical to the literal and arena paths
+//! by construction** — differential testing is exact, not approximate
 //! (asserted by `tests/schedule_equivalence.rs` across
 //! `MTE_THREADS ∈ {1, 4}`). The contract an algorithm must uphold is
 //! that [`DenseMbfAlgorithm::advertises_dense`] returns `true` only when
@@ -53,9 +54,7 @@
 //! — the APSP query, whose output *is* an `n × n` matrix) routes
 //! through it.
 
-#[cfg(doc)]
-use crate::engine::MbfEngine;
-use crate::engine::{initial_states, FrontierSchedule, MbfAlgorithm, SyncPtr};
+use crate::engine::{initial_states, FrontierSchedule, MbfAlgorithm};
 use crate::error::RunError;
 use crate::oracle::{sealed, Lane};
 use crate::run::{check_vertices, Checkpoint, StateBackend};
@@ -86,8 +85,40 @@ pub trait DenseMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
     fn advertises_dense(&self) -> bool;
 }
 
-/// The dense-block iteration engine: the `FrontierSchedule` of the
-/// owned [`MbfEngine`] driving row-kernel hops over a [`DenseBlock`].
+/// Shared mutable base pointer for the disjoint-index writes of the
+/// dense engine's parallel chunks.
+///
+/// Soundness contract (upheld by [`DenseEngine::step`]): the per-hop
+/// recompute list is sorted and deduplicated, and chunks partition its
+/// *positions*, so no two chunks ever touch the same row window or
+/// stats slot.
+struct SyncPtr<T>(*mut T);
+
+// SAFETY: the wrapper only makes the raw base pointer *shareable*; every
+// dereference goes through `slot`, whose callers uphold the disjoint-index
+// contract in the struct docs (chunks partition the recompute positions),
+// so no two threads ever form overlapping references. `T: Send` covers
+// handing the pointed-to values across threads.
+unsafe impl<T: Send> Sync for SyncPtr<T> {}
+
+impl<T> SyncPtr<T> {
+    /// Raw slot pointer at index `i`. Going through a method (rather
+    /// than the field) makes closures capture the whole wrapper, keeping
+    /// its `Sync` impl in effect under disjoint closure capture.
+    ///
+    /// # Safety
+    ///
+    /// The caller must own index `i` exclusively (see the struct docs)
+    /// and stay within the allocation the base pointer came from.
+    unsafe fn slot(&self, i: usize) -> *mut T {
+        // SAFETY: `i` is in bounds of the allocation behind the base
+        // pointer (caller contract above).
+        unsafe { self.0.add(i) }
+    }
+}
+
+/// The dense-block iteration engine: the `FrontierSchedule` of
+/// [`crate::engine`] driving row-kernel hops over a [`DenseBlock`].
 /// One engine serves arbitrarily many hops without reallocating; the
 /// block is passed per step so callers (the oracle) can own several
 /// state matrices.
@@ -154,16 +185,16 @@ impl DenseEngine {
         self.sched.drain_change_log(out);
     }
 
-    /// See [`MbfEngine::mark_all_dirty`]. Also clears all taints: the
-    /// next hop merges every neighbor of every vertex anyway (the whole
-    /// graph is on the frontier).
+    /// Declares every vertex dirty (the block was rewritten wholesale).
+    /// Also clears all taints: the next hop merges every neighbor of
+    /// every vertex anyway.
     pub fn mark_all_dirty(&mut self, g: &Graph) {
         self.sched.mark_all_dirty(g);
         self.taint.reset(g.n());
     }
 
-    /// See [`MbfEngine::mark_dirty`]. The seeded vertices are
-    /// additionally **tainted**: their rows were rewritten outside the
+    /// Seeds the given vertices into the frontier, keeping the residual
+    /// one. The seeded vertices are additionally **tainted**: their rows were rewritten outside the
     /// engine, so their next recomputation must merge every neighbor
     /// (the clean-row skip would otherwise drop contributions
     /// the old row had absorbed).
@@ -181,8 +212,8 @@ impl DenseEngine {
 
     /// One hop `x ← r^V A x` over the dense block, with all edge
     /// weights multiplied by `weight_scale`. Bit-identical to
-    /// [`MbfEngine::step`] on the exported states; returns the work
-    /// spent and whether any row changed.
+    /// [`crate::engine::iterate_scaled`] on the exported states; returns
+    /// the work spent and whether any row changed.
     ///
     /// `entries_processed` counts **dense coordinates** touched
     /// (`k` per source row folded, own row included) — a different
@@ -209,8 +240,7 @@ impl DenseEngine {
         if self.next.len() != n * k {
             self.next.clear();
             self.next.resize(n * k, <MinPlus as Semiring>::zero());
-            // One flat shadow buffer — versus Θ(n) per-vertex buffers
-            // of the owned backend.
+            // One flat shadow buffer, not Θ(n) per-vertex buffers.
             alloc_count = 1;
         }
 
@@ -323,8 +353,7 @@ impl DenseEngine {
         }
 
         let touched_vertices = touched.len() as u64;
-        // Every touched row was rewritten wholesale into the shadow —
-        // the same model-level accounting as the owned backend.
+        // Every touched row was rewritten wholesale into the shadow.
         let bytes_copied = touched_vertices * (k * std::mem::size_of::<MinPlus>()) as u64;
         let per_vertex: &[(u64, u64, bool)] = &self.per_vertex;
         self.sched.refresh(|p| per_vertex[p].2);
@@ -439,14 +468,6 @@ impl<A: DenseMbfAlgorithm> StateBackend<A> for DenseBackend {
         self.engine.step(alg, g, &mut self.block, scale)
     }
 
-    fn mark_all_dirty(&mut self, g: &Graph) {
-        self.engine.mark_all_dirty(g);
-    }
-
-    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
-        self.engine.mark_dirty(g, vs.iter().copied());
-    }
-
     fn frontier(&self) -> &[NodeId] {
         self.engine.frontier()
     }
@@ -503,6 +524,14 @@ impl<A: DenseMbfAlgorithm> Lane<A> for DenseBackend {
 
     fn export(x: &DenseBlock) -> Vec<DistanceMap> {
         x.export()
+    }
+
+    fn mark_all_dirty(&mut self, g: &Graph) {
+        self.engine.mark_all_dirty(g);
+    }
+
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
+        self.engine.mark_dirty(g, vs.iter().copied());
     }
 
     fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
@@ -562,8 +591,9 @@ impl<A: DenseMbfAlgorithm> Lane<A> for DenseBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::ArenaBackend;
     use crate::catalog::SourceDetection;
-    use crate::engine::{literal_fixpoint, OwnedBackend};
+    use crate::engine::literal_fixpoint;
     use crate::run::run_to_fixpoint_on;
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
@@ -575,16 +605,16 @@ mod tests {
         let g = gnm_graph(50, 130, 1.0..9.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
         let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let owned = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
         let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
         assert_eq!(literal.states, dense.states);
         assert_eq!(literal.iterations, dense.iterations);
         assert_eq!(literal.fixpoint, dense.fixpoint);
-        // Same schedule, same hops: scheduling counters agree. The dense
-        // backend may skip provably-absorbed merges, so its relaxation
-        // count can only be lower.
-        assert!(dense.work.edge_relaxations <= owned.work.edge_relaxations);
-        assert_eq!(owned.work.touched_vertices, dense.work.touched_vertices);
+        // Same schedule as the arena, same hops: the scheduling and
+        // relaxation counters agree (both skip exactly the clean
+        // neighbors).
+        assert_eq!(arena.work.edge_relaxations, dense.work.edge_relaxations);
+        assert_eq!(arena.work.touched_vertices, dense.work.touched_vertices);
         assert!(dense.work.dense_hops > 0);
     }
 
@@ -632,8 +662,8 @@ mod tests {
             refused.map(|_| ())
         );
         let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let owned = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
-        assert_eq!(literal.states, owned.states);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, arena.states);
     }
 
     #[test]

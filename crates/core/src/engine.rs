@@ -12,39 +12,37 @@
 //! Corollary 2.17 the interleaved filtering never changes the output
 //! class, so `h` iterations compute `r^V A^h x⁽⁰⁾`.
 //!
-//! # Frontier schedule
+//! # Two ways to run an iteration
 //!
-//! The paper's efficiency argument (Lemmas 7.6–7.8) charges each
-//! iteration `O(Σ_v |x_v|)` work over the vertices it recomputes, and
-//! iterations *converge*: after a few hops most vertices are quiescent.
-//! [`MbfEngine`] exploits this. It tracks the **frontier** — the set of
-//! vertices whose state changed in the previous hop — and recomputes
-//! only vertices with a frontier vertex in their closed neighborhood.
-//! Everything else provably cannot change:
+//! [`iterate_scaled`] is the one-shot kernel of Eq. (2.17): every vertex
+//! recomputes `r(x_v ⊕ ⊕_w a_vw x_w)` from the previous vector, and
+//! [`run`] applies it `h` times. It is the literal reference every
+//! backend is differential-tested against, and, through
+//! [`LiteralBackend`], the backend of every algorithm whose states are
+//! not distance maps (widest paths, connectivity, k-SDP / k-DSDP,
+//! forest fire): one hop costs the paper's full iteration,
+//! `O(Σ_v |x_v|)` over all of `V`.
+//!
+//! Distance maps run on the arena and dense backends
+//! ([`crate::arena`], [`crate::dense`]), which share the
+//! **frontier schedule** defined here. The paper's efficiency argument
+//! (Lemmas 7.6–7.8) charges each iteration `O(Σ_v |x_v|)` work over the
+//! vertices it recomputes, and iterations *converge*: after a few hops
+//! most vertices are quiescent. The schedule tracks the **frontier** —
+//! the set of vertices whose state changed in the previous hop — and
+//! recomputes only vertices with a frontier vertex in their closed
+//! neighborhood. Everything else provably cannot change:
 //! `x⁽ⁱ⁺¹⁾_v = r(x⁽ⁱ⁾_v ⊕ ⊕_w a_vw x⁽ⁱ⁾_w)` depends only on `v`'s closed
 //! in-neighborhood, and if none of those states moved since the hop that
 //! produced `x⁽ⁱ⁾_v`, recomputation would reproduce `x⁽ⁱ⁾_v` verbatim.
 //! The skip is therefore **bit-identical** to the literal sweep — no
 //! approximation is involved — which the equivalence suite asserts
-//! state-for-state. Because the skip is exact, sweeping quiescent
-//! vertices only adds work, so there is one hop schedule: a hop sweeps
-//! all of `V` only when the frontier is all of `V`. The literal
-//! reference is [`run`], `h` applications of the one-shot [`iterate`]
-//! kernel, which shares none of the schedule's code.
+//! state-for-state.
 //!
-//! Recomputed vertices re-aggregate their whole neighborhood (a *pull*);
+//! Recomputed vertices re-aggregate their neighborhood (a *pull*);
 //! incremental *push*-style accumulation is unsound here because a filter
 //! may shrink a neighbor's state, and `⊕` has no inverse to retract the
-//! stale contribution. (For absorption-stable filters the arena backend
-//! narrows the pull to the entries each neighbor's last change added:
-//! the semi-naive handover of [`crate::arena`].)
-//!
-//! States are **double-buffered**: the engine owns a shadow vector and
-//! writes hop `i+1` into it via `clone_from` (which reuses each state's
-//! heap buffer), then swaps only the vertices that changed. Combined with
-//! the zero-allocation merge kernels of [`mte_algebra::merge`] and the
-//! engine-owned stats buffer, a steady-state hop performs no per-vertex
-//! allocation.
+//! stale contribution.
 //!
 //! # Frontier-list schedule
 //!
@@ -53,9 +51,9 @@
 //! frontier's closed neighborhood — not `n`. The invariants:
 //!
 //! * `frontier` holds exactly the vertices whose state changed in the
-//!   previous hop (or were declared dirty via [`MbfEngine::mark_dirty`] /
-//!   [`MbfEngine::mark_all_dirty`]), in **ascending node order** with no
-//!   duplicates.
+//!   previous hop (or were declared dirty through the engines'
+//!   `mark_dirty` / `mark_all_dirty`), in **ascending node order** with
+//!   no duplicates.
 //! * Membership is tracked by **generation stamps**: `frontier_mark[v] ==
 //!   frontier_gen ⇔ v ∈ frontier`. Refreshing the frontier bumps the
 //!   generation instead of clearing the mark vector, so a hop never pays
@@ -65,8 +63,7 @@
 //!   frontier) is gathered through its own generation-stamped mark
 //!   vector and then **deduplicated deterministically by sorting** — the
 //!   schedule is a pure function of the frontier set, never of traversal
-//!   or thread interleaving, and therefore bit-identical to the former
-//!   bitset scan (asserted by the equivalence suite).
+//!   or thread interleaving.
 //!
 //! Each hop chunks the recompute list by **cumulative degree** (a prefix
 //! sum over `deg(v) + 1`), not by element count, so a skewed frontier —
@@ -77,17 +74,11 @@
 //! states, work counters, frontier bookkeeping — is bit-identical across
 //! thread counts (`MTE_THREADS`; asserted by the determinism suite in
 //! `tests/engine_equivalence.rs`).
-//!
-//! Every recomputation is the literal merge-everything-then-filter
-//! pipeline: clone `x_v`, propagate every neighbor, apply `r`. This is
-//! the generic engine for every state type; pruning dominated entries at
-//! merge time is the arena backend's job ([`crate::arena`]), the one
-//! place distance maps are recomputed pruned.
 
 use crate::error::RunError;
 use crate::run::{check_vertices, run_to_fixpoint_on, Checkpoint, StateBackend};
 use crate::work::WorkStats;
-use mte_algebra::{Filter, NodeId, Semimodule, Semiring};
+use mte_algebra::{NodeId, Semimodule, Semiring};
 use mte_graph::Graph;
 use rayon::prelude::*;
 
@@ -159,36 +150,6 @@ const MIN_CHUNK_COST: usize = 256;
 /// fixed-shape reduction-tree width.
 const MAX_HOP_CHUNKS: usize = 64;
 
-/// Shared mutable base pointer for disjoint-index writes from parallel
-/// chunks (used by the owned and dense engine backends).
-///
-/// Soundness contract (upheld by the `step` implementations): the
-/// per-hop recompute list is sorted and deduplicated, and chunks
-/// partition its *positions*, so no two chunks ever touch the same
-/// vertex slot (or row window) or stats slot.
-pub(crate) struct SyncPtr<T>(pub(crate) *mut T);
-
-// SAFETY: the wrapper only makes the raw base pointer *shareable*; every
-// dereference goes through `slot`, whose callers uphold the disjoint-index
-// contract in the struct docs (chunks partition the recompute positions),
-// so no two threads ever form overlapping references. `T: Send` covers
-// handing the pointed-to values across threads.
-unsafe impl<T: Send> Sync for SyncPtr<T> {}
-
-impl<T> SyncPtr<T> {
-    /// Raw slot pointer at index `i`. Going through a method (rather
-    /// than the field) makes closures capture the whole wrapper, keeping
-    /// its `Sync` impl in effect under disjoint closure capture.
-    ///
-    /// Safety: the caller must own index `i` exclusively (see the struct
-    /// docs) and stay within the allocation the base pointer came from.
-    pub(crate) unsafe fn slot(&self, i: usize) -> *mut T {
-        // SAFETY: `i` is in bounds of the allocation behind the base
-        // pointer (caller contract above).
-        unsafe { self.0.add(i) }
-    }
-}
-
 /// Generation-stamped taint table shared by the arena and dense
 /// engines: a tainted vertex was externally rewritten since its last
 /// recomputation (it has absorbed nothing), so its next recomputation
@@ -222,16 +183,10 @@ impl TaintTable {
     /// Sizes for `n` vertices and discharges every taint (the engine's
     /// `mark_all_dirty` path: the next hop merges everything anyway).
     pub(crate) fn reset(&mut self, n: usize) {
-        if self.mark.len() != n {
-            self.mark.clear();
-            self.mark.resize(n, 0);
-            self.gen = 1;
+        if self.mark.len() == n {
+            bump_generation(&mut self.gen, &mut self.mark);
         } else {
-            self.gen = self.gen.wrapping_add(1);
-            if self.gen == 0 {
-                self.mark.iter_mut().for_each(|m| *m = 0);
-                self.gen = 1;
-            }
+            self.ensure_sized(n);
         }
     }
 
@@ -265,20 +220,15 @@ fn bump_generation(gen: &mut u32, marks: &mut [u32]) -> u32 {
     *gen
 }
 
-/// Bytes one sparse state entry occupies in the owned (`Vec<M>`)
-/// backend: a 16-byte `(NodeId, Dist)`-sized slot. Used for the
-/// model-level `bytes_copied` accounting (see
-/// [`crate::work::WorkStats`]).
-const OWNED_ENTRY_BYTES: u64 = 16;
-
-/// The scheduling core shared by the owned [`MbfEngine`] and the
-/// arena-backed [`crate::arena::ArenaEngine`]: the frontier list,
+/// The scheduling core shared by the arena-backed
+/// [`crate::arena::ArenaEngine`] and the dense
+/// [`crate::dense::DenseEngine`]: the frontier list,
 /// generation-stamped membership marks, the per-hop recompute list with
 /// its degree-balanced chunking, and an optional **change log** (the
 /// union of all frontier refreshes since the last drain — what the
 /// oracle's frontier-sized carry-over diff reads).
 ///
-/// Extracting the schedule guarantees the two storage backends run the
+/// Sharing the schedule guarantees the two storage backends run the
 /// *same* hops over the *same* chunks: any divergence between them is a
 /// storage bug, never a scheduling one.
 #[derive(Clone, Debug)]
@@ -382,22 +332,10 @@ impl FrontierSchedule {
     }
 
     pub(crate) fn mark_all_dirty(&mut self, g: &Graph) {
-        let n = g.n();
-        if self.frontier_mark.len() != n {
-            self.frontier_mark.clear();
-            self.frontier_mark.resize(n, 0);
-            self.frontier_gen = 0;
-            self.touched_mark.clear();
-            self.touched_mark.resize(n, 0);
-            self.touched_gen = 0;
-            self.log_mark.clear();
-            self.log_mark.resize(n, 0);
-            self.log_gen = 1;
-            self.log.clear();
-        }
+        self.ensure_sized(g);
         let gen = bump_generation(&mut self.frontier_gen, &mut self.frontier_mark);
         self.frontier.clear();
-        self.frontier.extend(0..n as NodeId);
+        self.frontier.extend(0..g.n() as NodeId);
         self.frontier_mark.iter_mut().for_each(|m| *m = gen);
     }
 
@@ -428,7 +366,7 @@ impl FrontierSchedule {
     /// cut into degree-balanced chunks: every frontier vertex `w` with
     /// `keep(w)`, and every neighbor `v` of a frontier vertex `w` with
     /// `hands(w, v, ω(w, v))` — `w` hands `v` something `v` must read.
-    /// The owned and dense engines pass "always" for both, which gathers
+    /// The dense engine passes "always" for both, which gathers
     /// the closed neighborhood of the frontier (all of `V` when the
     /// frontier is all of `V`); the arena engine narrows it for
     /// semi-naive algorithms (see [`crate::arena::RecomputeCtx`]).
@@ -509,224 +447,11 @@ impl FrontierSchedule {
     }
 }
 
-/// The reusable iteration state of the frontier engine: shadow buffer,
-/// frontier list, generation-stamped membership marks, and scheduling
-/// scratch. One engine serves arbitrarily many hops (and state vectors
-/// of the same length) without reallocating.
-///
-/// This is the **owned-storage** engine (`Vec<A::M>` state vectors),
-/// fully generic over the semimodule. Algorithms whose states are
-/// distance maps should prefer the span-backed
-/// [`crate::arena::ArenaEngine`], which schedules the identical hops
-/// (same `FrontierSchedule`) over an epoch-arena pool with
-/// copy-on-write commits.
-#[derive(Clone, Debug)]
-pub struct MbfEngine<A: MbfAlgorithm> {
-    sched: FrontierSchedule,
-    /// Shadow state vector written during a hop, swapped element-wise.
-    next: Vec<A::M>,
-    /// Per-touched-position `(entries, relaxations, bytes, changed)` of
-    /// the current hop, reused across hops so stepping allocates
-    /// nothing.
-    per_vertex: Vec<(u64, u64, u64, bool)>,
-}
-
-impl<A: MbfAlgorithm> Default for MbfEngine<A> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<A: MbfAlgorithm> MbfEngine<A> {
-    /// A fresh engine. Buffers are sized lazily on first use.
-    pub fn new() -> Self {
-        MbfEngine {
-            sched: FrontierSchedule::new(),
-            next: Vec::new(),
-            per_vertex: Vec::new(),
-        }
-    }
-
-    /// The frontier list itself: ascending, no duplicates.
-    pub fn frontier(&self) -> &[NodeId] {
-        self.sched.frontier()
-    }
-
-    /// Declares every vertex dirty. Call after the state vector was
-    /// rewritten wholesale outside the engine (initialization) — the
-    /// next hop is then a full sweep, after which convergence narrows the
-    /// frontier again. For *sparse* external edits, prefer
-    /// [`MbfEngine::mark_dirty`].
-    pub fn mark_all_dirty(&mut self, g: &Graph) {
-        self.sched.mark_all_dirty(g);
-    }
-
-    /// Sizes the schedule for `g` with an **empty** frontier, making no
-    /// vertex dirty. The checkpoint-resume path uses this so a
-    /// following [`MbfEngine::mark_dirty`] seeds exactly the recorded
-    /// residual frontier instead of falling back to the conservative
-    /// all-dirty restart an unsized schedule would take.
-    pub fn prime(&mut self, g: &Graph) {
-        self.sched.ensure_sized(g);
-    }
-
-    /// Adds the given vertices to the frontier (idempotently), keeping
-    /// it sorted. This is the **carry-over** entry point: a caller that
-    /// rewrote only a few states since the engine's last hop seeds
-    /// exactly those — the engine's residual frontier (changes from its
-    /// own last hop that neighbors have not yet absorbed) is preserved,
-    /// so the next hop is bit-identical to a full [`mark_all_dirty`]
-    /// restart while touching only the changed vertices' neighborhoods.
-    ///
-    /// [`mark_all_dirty`]: MbfEngine::mark_all_dirty
-    pub fn mark_dirty(&mut self, g: &Graph, vs: impl IntoIterator<Item = NodeId>) {
-        self.sched.mark_dirty(g, vs);
-    }
-
-    /// One hop `x ← r^V A x` with all edge weights multiplied by
-    /// `weight_scale` (the oracle's `A_λ`, Lemma 5.1). Returns the work
-    /// spent and whether **any** state changed; once this reports
-    /// `false`, the fixpoint is reached and further hops are no-ops.
-    pub fn step(
-        &mut self,
-        alg: &A,
-        g: &Graph,
-        states: &mut [A::M],
-        weight_scale: f64,
-    ) -> (WorkStats, bool) {
-        let n = g.n();
-        assert_eq!(n, states.len(), "state vector / graph size mismatch");
-        if !self.sched.sized_for(n) {
-            // First use (or a different graph size): treat as all-dirty.
-            self.sched.mark_all_dirty(g);
-        }
-        let mut alloc_count = 0u64;
-        if self.next.len() != n {
-            self.next.clear();
-            self.next.extend((0..n).map(|_| A::M::zero()));
-            // Model-level storage accounting: the owned backend
-            // materializes one state buffer per vertex slot.
-            alloc_count = n as u64;
-        }
-
-        self.sched.plan_hop(g, |_| true, |_, _, _| true);
-        let touched: &[NodeId] = self.sched.touched();
-        let chunks: &[std::ops::Range<usize>] = self.sched.chunks();
-
-        // Pull-style recomputation of the touched vertices into the
-        // shadow buffer, parallel over the degree-balanced chunks:
-        // `shadow ← r(x_v ⊕ ⊕_w a_vw x_w)`. `clone_from` reuses each
-        // shadow state's heap allocation, the merges go through reusable
-        // scratch, and the stats land in the reused `per_vertex` buffer —
-        // a steady-state hop allocates nothing and does work proportional
-        // to the frontier's closed neighborhood, not `n`.
-        self.per_vertex.clear();
-        self.per_vertex.resize(touched.len(), (0, 0, 0, false));
-        let states_ref: &[A::M] = states;
-        let next_base = SyncPtr(self.next.as_mut_ptr());
-        let stats_base = SyncPtr(self.per_vertex.as_mut_ptr());
-        chunks.par_iter().with_min_len(1).for_each(|range| {
-            for p in range.clone() {
-                let v = touched[p];
-                // SAFETY: chunks partition positions of the sorted,
-                // deduplicated `touched` list, so slot `v` and stats
-                // slot `p` are owned by exactly this chunk.
-                let shadow = unsafe { &mut *next_base.slot(v as usize) };
-                // SAFETY: as above — stats slot `p` belongs to this chunk.
-                let stats = unsafe { &mut *stats_base.slot(p) };
-                // a_vv = 1: keep the node's own state.
-                shadow.clone_from(&states_ref[v as usize]);
-                let mut entries = alg.state_size(shadow) as u64;
-                let mut relaxations = 0u64;
-                for &(w, ew) in g.neighbors(v) {
-                    let coeff = alg.edge_coeff(v, w, ew * weight_scale);
-                    alg.propagate_into(shadow, &states_ref[w as usize], &coeff);
-                    entries += alg.state_size(&states_ref[w as usize]) as u64;
-                    relaxations += 1;
-                }
-                alg.filter(shadow);
-                let changed = *shadow != states_ref[v as usize];
-                // Every touched vertex's state was rewritten wholesale
-                // into the shadow slot — the copy traffic the arena
-                // backend's copy-on-write avoids for unchanged vertices.
-                let bytes = alg.state_size(shadow) as u64 * OWNED_ENTRY_BYTES;
-                *stats = (entries, relaxations, bytes, changed);
-            }
-        });
-
-        // Commit: swap in changed states, parallel over the same chunks;
-        // per-chunk tallies merge through the fixed-shape reduction tree
-        // — bit-identical for every thread count.
-        let per_vertex: &[(u64, u64, u64, bool)] = &self.per_vertex;
-        let states_base = SyncPtr(states.as_mut_ptr());
-        let (entries, relaxations, bytes_copied, any_changed) = chunks
-            .par_iter()
-            .with_min_len(1)
-            .map(|range| {
-                let mut tally = (0u64, 0u64, 0u64, false);
-                for p in range.clone() {
-                    let v = touched[p] as usize;
-                    let (entries, relaxations, bytes, changed) = per_vertex[p];
-                    tally.0 += entries;
-                    tally.1 += relaxations;
-                    tally.2 += bytes;
-                    if changed {
-                        // SAFETY: as above — disjoint vertices per chunk.
-                        unsafe { std::ptr::swap(states_base.slot(v), next_base.slot(v)) };
-                        tally.3 = true;
-                    }
-                }
-                tally
-            })
-            .reduce(
-                || (0u64, 0u64, 0u64, false),
-                |a, b| (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 || b.3),
-            );
-
-        let touched_vertices = touched.len() as u64;
-        let per_vertex: &[(u64, u64, u64, bool)] = &self.per_vertex;
-        self.sched.refresh(|p| per_vertex[p].3);
-
-        // Fault-injection site: the hop's commit just completed; a
-        // `panic` unwinds mid-run, a `poison_nan` corrupts one committed
-        // state (the audit in `error::run_guarded` catches either).
-        match mte_faults::check_for(
-            mte_faults::FaultSite::EngineHopCommit,
-            &[
-                mte_faults::FaultKind::Panic,
-                mte_faults::FaultKind::PoisonNan,
-            ],
-        ) {
-            Some(mte_faults::FaultKind::Panic) => {
-                mte_faults::trigger_panic(mte_faults::FaultSite::EngineHopCommit)
-            }
-            Some(mte_faults::FaultKind::PoisonNan) => {
-                if let Some(&v) = self.sched.touched().first() {
-                    states[v as usize].poison();
-                }
-            }
-            _ => {}
-        }
-
-        let work = WorkStats {
-            iterations: 1,
-            entries_processed: entries,
-            edge_relaxations: relaxations,
-            touched_vertices,
-            bytes_copied,
-            alloc_count,
-            ..WorkStats::default()
-        };
-        (work, any_changed)
-    }
-}
-
 /// One MBF-like iteration `x ← r^V A x` on `g`, with all edge weights
-/// multiplied by `weight_scale`. One-shot dense kernel and the
-/// differential-testing reference (see [`run`]): it shares no schedule,
-/// chunking or commit code with the engines. Iterated workloads should
-/// hold an [`MbfEngine`] instead and let it track the frontier across
-/// hops.
+/// multiplied by `weight_scale`. One-shot kernel, the hop of
+/// [`LiteralBackend`] and the differential-testing reference (see
+/// [`run`]): it shares no schedule, chunking or commit code with the
+/// engines.
 pub fn iterate_scaled<A: MbfAlgorithm>(
     alg: &A,
     g: &Graph,
@@ -772,68 +497,92 @@ pub fn iterate<A: MbfAlgorithm>(alg: &A, g: &Graph, x: &[A::M]) -> (Vec<A::M>, W
     iterate_scaled(alg, g, x, 1.0)
 }
 
-/// The owned backend of [`crate::run::StateBackend`]: a `Vec<A::M>`
-/// hopped by an [`MbfEngine`] — fully generic over the semimodule, and
-/// the storage the arena and dense backends are asserted against.
+/// The literal backend of [`StateBackend`]: a `Vec<A::M>` advanced by
+/// [`iterate_scaled`], every hop a full sweep of `V` (Eq. (2.17)).
+/// Fully generic over the semimodule, it runs every algorithm whose
+/// states are not distance maps. Its frontier is the set of vertices
+/// the last hop changed — exactly the residual frontier of the frontier
+/// schedule, so its checkpoints resume on the arena and dense backends
+/// and theirs on it. It ignores a resumed frontier: a full sweep
+/// covers any seed.
 #[derive(Clone, Debug)]
-pub struct OwnedBackend<A: MbfAlgorithm> {
-    engine: MbfEngine<A>,
+pub struct LiteralBackend<A: MbfAlgorithm> {
     states: Vec<A::M>,
+    /// The vertices the last hop changed (all of `V` before the first),
+    /// ascending.
+    changed: Vec<NodeId>,
 }
 
-impl<A: MbfAlgorithm> Default for OwnedBackend<A> {
+impl<A: MbfAlgorithm> Default for LiteralBackend<A> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<A: MbfAlgorithm> OwnedBackend<A> {
+impl<A: MbfAlgorithm> LiteralBackend<A> {
     /// An empty backend.
     pub fn new() -> Self {
-        OwnedBackend {
-            engine: MbfEngine::new(),
+        LiteralBackend {
             states: Vec::new(),
+            changed: Vec::new(),
         }
     }
 }
 
-impl<A: MbfAlgorithm> StateBackend<A> for OwnedBackend<A> {
+impl<A: MbfAlgorithm> StateBackend<A> for LiteralBackend<A> {
     fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
         self.states = initial_states(alg, g.n());
-        self.engine.mark_all_dirty(g);
+        self.changed = (0..g.n() as NodeId).collect();
         Ok(WorkStats::new())
     }
 
-    /// Re-enters with exactly the recorded residual frontier (empty
-    /// schedule priming + `mark_dirty`). A state naming a vertex `≥ n`
-    /// is [`RunError::SnapshotCorrupt`].
+    /// A state naming a vertex `≥ n` is [`RunError::SnapshotCorrupt`].
     fn resume(
         &mut self,
         _alg: &A,
-        g: &Graph,
+        _g: &Graph,
         ckpt: &Checkpoint<A::M>,
     ) -> Result<WorkStats, RunError> {
         check_vertices(&ckpt.states)?;
         self.states = ckpt.states.clone();
-        self.engine.prime(g);
-        self.engine.mark_dirty(g, ckpt.frontier.iter().copied());
+        self.changed = ckpt.frontier.clone();
         Ok(WorkStats::new())
     }
 
     fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.states, scale)
-    }
+        assert_eq!(
+            g.n(),
+            self.states.len(),
+            "state vector / graph size mismatch"
+        );
+        let (next, work) = iterate_scaled(alg, g, &self.states, scale);
+        self.changed.clear();
+        self.changed
+            .extend((0..g.n() as NodeId).filter(|&v| next[v as usize] != self.states[v as usize]));
+        self.states = next;
 
-    fn mark_all_dirty(&mut self, g: &Graph) {
-        self.engine.mark_all_dirty(g);
-    }
-
-    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
-        self.engine.mark_dirty(g, vs.iter().copied());
+        // Fault-injection site: the hop's commit just completed; a
+        // `panic` unwinds mid-run, a `poison_nan` corrupts one committed
+        // state (the audit in `error::run_guarded` catches either).
+        let site = mte_faults::FaultSite::EngineHopCommit;
+        let kinds = [
+            mte_faults::FaultKind::Panic,
+            mte_faults::FaultKind::PoisonNan,
+        ];
+        match mte_faults::check_for(site, &kinds) {
+            Some(mte_faults::FaultKind::Panic) => mte_faults::trigger_panic(site),
+            Some(mte_faults::FaultKind::PoisonNan) => {
+                if let Some(x) = self.states.first_mut() {
+                    x.poison();
+                }
+            }
+            _ => {}
+        }
+        (work, !self.changed.is_empty())
     }
 
     fn frontier(&self) -> &[NodeId] {
-        self.engine.frontier()
+        &self.changed
     }
 
     fn export_states(&self) -> Vec<A::M> {
@@ -864,10 +613,10 @@ pub fn run<A: MbfAlgorithm>(alg: &A, g: &Graph, h: usize) -> MbfRun<A::M> {
     }
 }
 
-/// Iterates to the fixpoint on the owned backend (see
+/// Iterates to the fixpoint on the literal backend (see
 /// [`run_to_fixpoint_on`]).
 pub fn run_to_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRun<A::M> {
-    run_to_fixpoint_on(OwnedBackend::new(), alg, g, cap)
+    run_to_fixpoint_on(LiteralBackend::new(), alg, g, cap)
 }
 
 /// The literal fixpoint loop: [`iterate`] from `r^V x⁽⁰⁾` until the
@@ -897,21 +646,10 @@ pub(crate) fn literal_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) 
     }
 }
 
-/// Applies a [`Filter`] component-wise to a state vector: the paper's
-/// `r^V` (Definition 2.9). Exposed for the oracle, which interleaves
-/// filters with projections between iterations.
-pub fn filter_states<S, M, F>(filter: &F, states: &mut [M])
-where
-    S: Semiring,
-    M: Semimodule<S>,
-    F: Filter<S, M> + Sync,
-{
-    states.par_iter_mut().for_each(|x| filter.apply(x));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::catalog::SourceDetection;
     use mte_algebra::{Dist, MinPlus};
     use mte_graph::generators::path_graph;
 
@@ -965,13 +703,16 @@ mod tests {
         assert_eq!(r.work.touched_vertices, 3 * g.n() as u64);
     }
 
+    // The frontier schedule runs on the arena and dense backends; the
+    // two tests below drive it through the arena with SSSP.
+
     #[test]
     fn frontier_relaxes_fewer_edges_than_dense() {
         let g = path_graph(64, 1.0);
-        let alg = PlainSssp { source: 0 };
+        let alg = SourceDetection::sssp(g.n(), 0);
         let cap = g.n() + 1;
         let literal = literal_fixpoint(&alg, &g, cap);
-        let frontier = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, cap);
+        let frontier = run_to_fixpoint_on(crate::arena::ArenaBackend::new(), &alg, &g, cap);
         assert!(literal.fixpoint && frontier.fixpoint);
         assert_eq!(literal.states, frontier.states);
         assert_eq!(literal.iterations, frontier.iterations);
@@ -988,8 +729,8 @@ mod tests {
     #[test]
     fn steps_after_fixpoint_are_free() {
         let g = path_graph(8, 1.0);
-        let alg = PlainSssp { source: 0 };
-        let mut backend = OwnedBackend::new();
+        let alg = SourceDetection::sssp(g.n(), 0);
+        let mut backend = crate::arena::ArenaBackend::new();
         let mut work = backend.start(&alg, &g).unwrap();
         for _ in 0..50 {
             work += backend.step(&alg, &g, 1.0).0;
@@ -998,7 +739,8 @@ mod tests {
         // 42 hops have an empty frontier and cost only the O(n)
         // bookkeeping scan.
         let literal = run(&alg, &g, 50);
-        assert_eq!(backend.into_states(), literal.states);
+        let states = StateBackend::<SourceDetection>::into_states(backend);
+        assert_eq!(states, literal.states);
         assert!(work.edge_relaxations < literal.work.edge_relaxations / 4);
     }
 
@@ -1013,14 +755,27 @@ mod tests {
 
     #[test]
     fn engine_step_matches_iterate() {
+        // The literal backend's hop is `iterate`, and its frontier is
+        // the set of vertices that hop changed.
         let g = path_graph(6, 1.5);
         let alg = PlainSssp { source: 2 };
+        let mut backend = LiteralBackend::new();
+        backend.start(&alg, &g).unwrap();
+        assert_eq!(backend.frontier(), &[0, 1, 2, 3, 4, 5]);
         let mut states = initial_states(&alg, g.n());
-        let mut engine = MbfEngine::new();
-        engine.mark_all_dirty(&g);
-        let (reference, _) = iterate(&alg, &g, &states);
-        let (_, changed) = engine.step(&alg, &g, &mut states, 1.0);
-        assert!(changed);
-        assert_eq!(states, reference);
+        for _ in 0..4 {
+            let (reference, _) = iterate(&alg, &g, &states);
+            let (_, changed) = backend.step(&alg, &g, 1.0);
+            let moved: Vec<NodeId> = (0..g.n() as NodeId)
+                .filter(|&v| reference[v as usize] != states[v as usize])
+                .collect();
+            assert_eq!(changed, !moved.is_empty());
+            assert_eq!(backend.frontier(), &moved[..]);
+            states = reference;
+            assert_eq!(backend.export_states(), states);
+        }
+        // Hops 1–3 spread the wave from vertex 2 to both ends; hop 4
+        // changes nothing.
+        assert!(backend.frontier().is_empty());
     }
 }

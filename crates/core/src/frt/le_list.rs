@@ -22,8 +22,7 @@
 //! the few survivors into a single sorted combine
 //! ([`DistanceMap::assign_merged_min_entries`]), so dominated entries
 //! are never inserted, sorted, or filtered — bit-identical to
-//! merge-then-filter, differential-tested by the equivalence suite. The
-//! owned engine runs the literal merge-then-filter recompute.
+//! merge-then-filter, differential-tested by the equivalence suite.
 
 use crate::arena::{
     with_arena_acc, ArenaBackend, ArenaMbfAlgorithm, DeltaFloor, Incoming, ReceiverSummary,
@@ -251,12 +250,30 @@ impl Filter<MinPlus, DistanceMap> for LeFilter {
 #[derive(Clone, Debug)]
 pub struct LeListAlgorithm {
     ranks: Arc<Ranks>,
+    /// The source set as a vertex mask ([`LeListAlgorithm::with_sources`]).
+    sources: Option<Vec<bool>>,
 }
 
 impl LeListAlgorithm {
     /// LE lists w.r.t. the given random order.
     pub fn new(ranks: Arc<Ranks>) -> Self {
-        LeListAlgorithm { ranks }
+        LeListAlgorithm {
+            ranks,
+            sources: None,
+        }
+    }
+
+    /// Restricts the lists to the source set `sources`: a non-source
+    /// starts from `⊥`, so every entry names a source and the lists
+    /// describe the submetric on the sources (the k-median candidate
+    /// set, Section 9).
+    pub fn with_sources(mut self, sources: &[NodeId]) -> Self {
+        let mut mask = vec![false; self.ranks.n()];
+        for &q in sources {
+            mask[q as usize] = true;
+        }
+        self.sources = Some(mask);
+        self
     }
 }
 
@@ -277,9 +294,13 @@ impl MbfAlgorithm for LeListAlgorithm {
         x.edit_entries(|entries| le_filter_in_place(entries, ranks));
     }
 
-    /// Equation (7.5): `x⁽⁰⁾_{vv} = 0`, `∞` elsewhere.
+    /// Equation (7.5): `x⁽⁰⁾_{vv} = 0`, `∞` elsewhere; `⊥` for a
+    /// non-source.
     fn init(&self, v: NodeId) -> DistanceMap {
-        DistanceMap::singleton(v, Dist::ZERO)
+        match &self.sources {
+            Some(mask) if !mask[v as usize] => DistanceMap::new(),
+            _ => DistanceMap::singleton(v, Dist::ZERO),
+        }
     }
 
     #[inline]
@@ -603,7 +624,7 @@ pub fn le_lists_oracle(
 /// against.
 pub fn le_lists_direct(g: &Graph, ranks: &Arc<Ranks>) -> (Vec<LeList>, usize, WorkStats) {
     let alg = LeListAlgorithm::new(Arc::clone(ranks));
-    // Arena backend: bit-identical to the owned backend
+    // Arena backend: bit-identical to the literal loop
     // (differential-tested), with copy-on-write state storage.
     let run = run_to_fixpoint_on(ArenaBackend::new(), &alg, g, g.n() + 1);
     let lists = run

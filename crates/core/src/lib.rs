@@ -3,14 +3,16 @@
 //! * [`engine`] — the class of **MBF-like algorithms** (paper Section 2):
 //!   simple linear functions given by semiring adjacency matrices,
 //!   interleaved with representative projections (filters); iterated in
-//!   parallel with rayon on one frontier hop schedule, with
-//!   [`engine::run`] (`h` applications of the one-shot
-//!   [`engine::iterate`]) as the literal reference every backend is
-//!   tested against,
+//!   parallel with rayon: [`engine::run`] (`h` applications of the
+//!   one-shot [`engine::iterate`]) is the literal reference every
+//!   backend is tested against, and [`engine::LiteralBackend`] runs it
+//!   for every state type; the frontier hop schedule the arena and
+//!   dense backends share lives here too,
 //! * [`arena`] — the **epoch-arena backend** of the same engine: state
 //!   vectors `x ∈ D^V` as spans into one copy-on-write pool
-//!   ([`mte_algebra::store`]), bit-identical to the owned `Vec` paths
-//!   while paying copy traffic only for states that actually changed,
+//!   ([`mte_algebra::store`]), bit-identical to the literal loop while
+//!   paying copy traffic only for states that actually changed — the
+//!   backend of every distance-map algorithm,
 //! * [`dense`] — the **dense-block backend** for APSP (min-plus
 //!   distance maps whose filter is the identity): state vectors as flat
 //!   row-major min-plus matrices ([`mte_algebra::dense`]) relaxed by
@@ -33,7 +35,7 @@
 //!   (Section 7.5),
 //! * [`work`] — work/depth accounting used by the experiments,
 //! * [`run`] — the one fixpoint driver: the [`StateBackend`] trait
-//!   (owned, arena and dense backends), plain, guarded and
+//!   (literal, arena and dense backends), plain, guarded and
 //!   checkpointed runs, and bit-identical resume, with the
 //!   deterministic recovery supervisor in [`error`].
 
@@ -51,7 +53,7 @@ pub mod work;
 
 pub use arena::{ArenaBackend, ArenaEngine, ArenaMbfAlgorithm};
 pub use dense::{DenseBackend, DenseEngine, DenseMbfAlgorithm};
-pub use engine::{MbfAlgorithm, MbfEngine, MbfRun, OwnedBackend};
+pub use engine::{LiteralBackend, MbfAlgorithm, MbfRun};
 pub use error::{Degradation, RecoveryAttempt, RecoveryPolicy, RunError, RunReport, Supervisor};
 pub use run::{Checkpoint, CheckpointPolicy, StateBackend};
 pub use simgraph::{LevelAssignment, SimulatedGraph};

@@ -40,8 +40,10 @@
 //! [`Lane::into_export`] convert the aggregate to and from owned states;
 //! [`Lane::project`]
 //! compare-and-assigns one slot of the projection `y_λ[v] ← P_λ x[v]`
-//! and reports whether it rewrote; the hops go through the backend, and
-//! [`Lane::drain_change_log`] hands over the slots they changed;
+//! and reports whether it rewrote; [`Lane::mark_all_dirty`] and
+//! [`Lane::mark_dirty`] seed the rewrites into the lane's frontier; the
+//! hops go through the backend, and [`Lane::drain_change_log`] hands
+//! over the slots they changed;
 //! [`Lane::fold`] aggregates one vertex over the lanes of levels
 //! `0..=level(v)` in ascending-`λ` order, filter fused in, and
 //! [`Lane::commit`] writes a changed fold back into `x`; [`Lane::poison`]
@@ -163,6 +165,7 @@ use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::{MinPlus, NodeId};
 use mte_faults::{FaultKind, FaultSite};
+use mte_graph::Graph;
 use rayon::prelude::*;
 
 /// Result of an oracle computation: the states `A^h(H)` and the cost of
@@ -211,6 +214,11 @@ pub trait Lane<A: MbfAlgorithm<S = MinPlus>>:
     fn into_export(x: Self::X) -> Vec<A::M> {
         Self::export(&x)
     }
+    /// Declares every vertex dirty: `y` was rewritten wholesale.
+    fn mark_all_dirty(&mut self, g: &Graph);
+    /// Seeds `vs` into the frontier (their slots were rewritten outside
+    /// the engine), keeping the residual frontier.
+    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]);
     /// Appends the vertices the hops changed since the last drain —
     /// sorted, deduplicated — to `out`.
     fn drain_change_log(&mut self, out: &mut Vec<NodeId>);

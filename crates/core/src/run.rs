@@ -5,11 +5,12 @@
 //! the state vector `x ∈ M^V` is stored does not enter the definition.
 //! [`StateBackend`] is that storage question: a state vector paired with
 //! the engine that hops over it. Three backends implement it —
-//! [`crate::engine::OwnedBackend`] (`Vec<A::M>` + `MbfEngine`),
-//! [`crate::arena::ArenaBackend`] (epoch-arena pool + `ArenaEngine`) and
-//! [`crate::dense::DenseBackend`] (dense block + `DenseEngine`, with its
-//! memory budget) — and the hop-until-fixpoint loop is written once,
-//! here, over the trait:
+//! [`crate::engine::LiteralBackend`] (`Vec<A::M>` advanced by the
+//! one-shot `iterate` kernel; every state type),
+//! [`crate::arena::ArenaBackend`] (epoch-arena pool + `ArenaEngine`;
+//! distance maps) and [`crate::dense::DenseBackend`] (dense block +
+//! `DenseEngine`, with its memory budget; APSP) — and the
+//! hop-until-fixpoint loop is written once, here, over the trait:
 //!
 //! * [`run_to_fixpoint_on`] — the plain run,
 //! * [`try_run_on`] — guarded, capturing [`Checkpoint`]s whenever the
@@ -31,6 +32,9 @@
 //! frontier provably recomputes to its current value bit for bit), any
 //! *superset* of the residual frontier is a sound resume seed, and the
 //! exact recorded frontier reproduces the uninterrupted run's schedule.
+//! The literal backend records the vertices its last hop changed, the
+//! same set, so a checkpoint resumes on any backend that runs the
+//! algorithm.
 //! Resumed runs are therefore **bit-identical** to uninterrupted ones —
 //! same states, same hop counts, same fixpoint flags — on every backend
 //! and every `MTE_THREADS` (asserted by `tests/checkpoint_resume.rs`).
@@ -66,7 +70,9 @@ use mte_graph::Graph;
 
 /// A state vector `x ∈ M^V` paired with the engine that hops over it —
 /// the one thing the backends differ in. The fixpoint drivers of this
-/// module and the oracle's level loop are written once over it.
+/// module and the oracle's level loop are written once over it (the
+/// level loop's external rewrites go through
+/// [`crate::oracle::Lane`]).
 pub trait StateBackend<A: MbfAlgorithm> {
     /// Loads `r^V x⁽⁰⁾` with every vertex dirty. Returns the storage
     /// work the load itself cost.
@@ -82,12 +88,6 @@ pub trait StateBackend<A: MbfAlgorithm> {
     /// One hop `x ← r^V A x` with all edge weights multiplied by
     /// `scale`. Returns the work spent and whether any state changed.
     fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool);
-    /// Declares every vertex dirty (the states were rewritten
-    /// wholesale outside the engine).
-    fn mark_all_dirty(&mut self, g: &Graph);
-    /// Seeds `vs` into the frontier (their states were rewritten
-    /// outside the engine), keeping the residual frontier.
-    fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]);
     /// The residual frontier: ascending, no duplicates.
     fn frontier(&self) -> &[NodeId];
     /// The current states, for a checkpoint capture.
@@ -340,7 +340,7 @@ mod tests {
     use crate::arena::ArenaBackend;
     use crate::catalog::SourceDetection;
     use crate::dense::DenseBackend;
-    use crate::engine::{initial_states, OwnedBackend};
+    use crate::engine::{initial_states, LiteralBackend};
     use mte_algebra::{Dist, DistanceMap};
 
     fn fixture() -> Graph {
@@ -349,8 +349,8 @@ mod tests {
         mte_graph::generators::path_graph(24, 1.0)
     }
 
-    fn owned() -> OwnedBackend<SourceDetection> {
-        OwnedBackend::new()
+    fn literal() -> LiteralBackend<SourceDetection> {
+        LiteralBackend::new()
     }
 
     #[test]
@@ -368,10 +368,10 @@ mod tests {
         let g = fixture();
         let alg = SourceDetection::sssp(g.n(), 0);
         let cap = g.n() + 1;
-        let reference = run_to_fixpoint_on(owned(), &alg, &g, cap);
+        let reference = run_to_fixpoint_on(literal(), &alg, &g, cap);
         let mut checkpoints = Vec::new();
         let policy = CheckpointPolicy::every_hops(1);
-        let (run, _) = try_run_on(owned(), &alg, &g, cap, policy, |c| {
+        let (run, _) = try_run_on(literal(), &alg, &g, cap, policy, |c| {
             checkpoints.push(c.clone());
             Ok(())
         })
@@ -380,7 +380,7 @@ mod tests {
         assert_eq!(run.iterations, reference.iterations);
         assert!(!checkpoints.is_empty());
         for ckpt in &checkpoints {
-            let (resumed, report) = try_resume_on(owned(), &alg, &g, cap, ckpt).unwrap();
+            let (resumed, report) = try_resume_on(literal(), &alg, &g, cap, ckpt).unwrap();
             assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
             assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
             assert_eq!(resumed.fixpoint, reference.fixpoint);
@@ -432,7 +432,7 @@ mod tests {
             states,
         };
         let ckpts = [short, wild, unsorted, out_of_range];
-        assert_corrupt(owned, &alg, &ckpts);
+        assert_corrupt(literal, &alg, &ckpts);
         assert_corrupt(ArenaBackend::new, &alg, &ckpts);
         // The dense backend runs APSP only.
         let apsp = SourceDetection::apsp(g.n());
@@ -444,7 +444,7 @@ mod tests {
         let g = fixture();
         let alg = SourceDetection::sssp(g.n(), 0);
         let policy = CheckpointPolicy::every_hops(2);
-        let err = try_run_on(owned(), &alg, &g, g.n() + 1, policy, |_| {
+        let err = try_run_on(literal(), &alg, &g, g.n() + 1, policy, |_| {
             Err(RunError::SnapshotCorrupt {
                 detail: "sink refused".to_string(),
             })
@@ -464,7 +464,7 @@ mod tests {
         let alg = SourceDetection::sssp(g.n(), 0);
         let mut calls = 0;
         let policy = CheckpointPolicy::disabled();
-        let (run, _) = try_run_on(owned(), &alg, &g, g.n() + 1, policy, |_| {
+        let (run, _) = try_run_on(literal(), &alg, &g, g.n() + 1, policy, |_| {
             calls += 1;
             Ok(())
         })

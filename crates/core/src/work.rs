@@ -29,7 +29,7 @@ pub struct WorkStats {
     /// Sequential MBF-like rounds executed (depth proxy).
     pub iterations: u64,
     /// Sparse state entries processed across all rounds (work proxy).
-    /// The owned engine counts every merged entry. The arena backend
+    /// The literal backend counts every merged entry. The arena backend
     /// prunes at merge time (see
     /// [`ArenaMbfAlgorithm::recompute_span`](crate::arena::ArenaMbfAlgorithm::recompute_span))
     /// and counts only the entries **admitted** into aggregation — a
@@ -51,28 +51,28 @@ pub struct WorkStats {
     /// floor, see [`crate::arena::RecomputeCtx`]) is never read and
     /// never counted. 0 for the other backends.
     pub handover_entries: u64,
-    /// Vertices whose state was recomputed across all rounds. Dense
-    /// sweeps recompute `n` per round; the frontier engine only the
-    /// closed neighborhood of the previous hop's changes. The arena
-    /// backend's semi-naive algorithms (the LE lists) skip, and do not
-    /// count, the recomputations their delta floors prove idle, so
+    /// Vertices whose state was recomputed across all rounds. The
+    /// literal backend recomputes `n` per round; the frontier schedule
+    /// only the closed neighborhood of the previous hop's changes. The
+    /// arena backend's semi-naive algorithms (the LE lists) skip, and do
+    /// not count, the recomputations their delta floors prove idle, so
     /// their `touched_vertices`, `entries_processed` and
-    /// `edge_relaxations` sit below the owned backend's.
+    /// `edge_relaxations` sit below that closed neighborhood's.
     pub touched_vertices: u64,
-    /// Bytes of state entries written into the state store. The owned
-    /// (`Vec<M>`) backend rewrites every *touched* vertex's state
-    /// (16 bytes per sparse entry into the shadow buffer, changed or
-    /// not); the epoch-arena backend appends only *changed* states
-    /// (20 bytes per entry including the rank column) plus amortized
-    /// compaction copies. Model-level accounting, not a heap profiler.
+    /// Bytes of state entries written into the state store. The
+    /// epoch-arena backend appends only *changed* states (16 bytes per
+    /// entry, 20 with the rank column) plus amortized compaction
+    /// copies; the dense backend rewrites every touched row into its
+    /// shadow. The literal backend does not count storage. Model-level
+    /// accounting, not a heap profiler.
     pub bytes_copied: u64,
-    /// Heap buffers the state-storage layer acquired: the owned backend
-    /// materializes one buffer per vertex per state vector (`Θ(n)` per
-    /// engine); the arena backend grows a handful of pooled columns
-    /// (`O(log pool)` growth events).
+    /// Heap buffers the state-storage layer acquired: the arena backend
+    /// grows a handful of pooled columns (`O(log pool)` growth events),
+    /// the dense backend one flat shadow block. The literal backend
+    /// does not count storage.
     pub alloc_count: u64,
-    /// Peak bytes held by the epoch-arena span pool (0 for the owned
-    /// backend). **Max-combined**, not summed, by [`AddAssign`]: the
+    /// Peak bytes held by the epoch-arena span pool (0 for the other
+    /// backends). **Max-combined**, not summed, by [`AddAssign`]: the
     /// high-water mark of a run is the max over its hops.
     pub arena_bytes: u64,
     /// Hops executed in whole-matrix mode (every state a dense row,

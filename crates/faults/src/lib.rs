@@ -61,8 +61,9 @@ pub const FAULT_PLAN_ENV: &str = "MTE_FAULT_PLAN";
 /// A named injection point in the pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
-    /// `MbfEngine`/`ArenaEngine`/`DenseEngine::step`, end of the commit
-    /// phase (once per hop).
+    /// Every hop's commit, once per hop: after the commit of
+    /// `LiteralBackend`'s and `DenseEngine`'s `step` (`panic`,
+    /// `poison_nan`), before the commit of `ArenaEngine::step` (`panic`).
     EngineHopCommit,
     /// `EpochStore::get`: a borrowed span view handed to a recompute.
     ArenaSpanRead,

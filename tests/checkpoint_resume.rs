@@ -1,16 +1,18 @@
 //! Checkpoint/resume differential suite (PR 8 tentpole): a run
 //! interrupted at *any* hop and resumed from its checkpoint is
 //! **bit-identical** to the uninterrupted run — same states, same hop
-//! counts, same fixpoint flags — on every backend (owned, arena, dense)
+//! counts, same fixpoint flags — on every backend (literal, arena, dense)
 //! and both oracle lanes (arena LE lists, dense APSP), at every thread
 //! count, and whether the checkpoint stayed in memory or roundtripped
-//! through the crash-safe snapshot store. The recovery-ladder variants of these assertions
+//! through the crash-safe snapshot store; a checkpoint also resumes
+//! across the literal and arena backends, both ways. The
+//! recovery-ladder variants of these assertions
 //! (resume after an injected fault) live in `tests/fault_harness.rs`.
 
 use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
-use metric_tree_embedding::core::engine::{MbfAlgorithm, OwnedBackend};
+use metric_tree_embedding::core::engine::{LiteralBackend, MbfAlgorithm};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::oracle::{
     oracle_run_on, try_oracle_run_on, try_resume_oracle_on, Lane,
@@ -101,10 +103,10 @@ fn assert_every_checkpoint_resumes<A, B>(
 }
 
 #[test]
-fn owned_every_checkpoint_resumes_bit_identically_across_threads() {
+fn literal_every_checkpoint_resumes_bit_identically_across_threads() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
-    let backend = || OwnedBackend::new();
+    let backend = || LiteralBackend::new();
     assert_every_checkpoint_resumes(backend, &alg, &g, 1);
 }
 
@@ -116,6 +118,58 @@ fn arena_every_checkpoint_resumes_bit_identically_across_threads() {
     // k-SSP exercises the unranked pool, the LE lists the rank column.
     assert_every_checkpoint_resumes(backend, &SourceDetection::k_ssp(g.n(), 4), &g, 1);
     assert_every_checkpoint_resumes(backend, &LeListAlgorithm::new(ranks), &g, 2);
+}
+
+/// Every checkpoint captured on backend `from` resumes on backend `to`
+/// bit-identically to the uninterrupted `from` run, at every thread
+/// count: the literal backend's frontier (the vertices its last hop
+/// changed) is the arena's residual frontier, and the other way round.
+fn assert_checkpoints_resume_across<A, F, T>(
+    from: impl Fn() -> F + Sync,
+    to: impl Fn() -> T + Sync,
+    alg: &A,
+    g: &Graph,
+) where
+    A: MbfAlgorithm,
+    A::M: Send,
+    F: StateBackend<A>,
+    T: StateBackend<A>,
+{
+    let cap = g.n() + 1;
+    for threads in THREADS {
+        with_threads(threads, || {
+            let reference = run_to_fixpoint_on(from(), alg, g, cap);
+            let (_, checkpoints) = capture_all(|sink| {
+                try_run_on(from(), alg, g, cap, CheckpointPolicy::every_hops(1), |c| {
+                    sink.lock().unwrap().push(c.clone());
+                    Ok(())
+                })
+                .unwrap()
+            });
+            assert!(!checkpoints.is_empty(), "run too short to checkpoint");
+            for ckpt in &checkpoints {
+                let (resumed, _) = try_resume_on(to(), alg, g, cap, ckpt).unwrap();
+                let hop = ckpt.hop;
+                assert_eq!(resumed.states, reference.states, "t={threads} hop {hop}");
+                assert_eq!(
+                    resumed.iterations, reference.iterations,
+                    "t={threads} hop {hop}"
+                );
+                assert_eq!(
+                    resumed.fixpoint, reference.fixpoint,
+                    "t={threads} hop {hop}"
+                );
+            }
+        })
+    }
+}
+
+#[test]
+fn checkpoints_resume_across_literal_and_arena_backends() {
+    let g = fixture_graph();
+    let alg = SourceDetection::k_ssp(g.n(), 4);
+    assert_checkpoints_resume_across(LiteralBackend::new, ArenaBackend::new, &alg, &g);
+    assert_checkpoints_resume_across(ArenaBackend::new, LiteralBackend::new, &alg, &g);
 }
 
 #[test]
@@ -222,10 +276,10 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let reference = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, cap);
+    let reference = run_to_fixpoint_on(LiteralBackend::new(), &alg, &g, cap);
     let (_, checkpoints) = capture_all(|sink| {
         try_run_on(
-            OwnedBackend::new(),
+            LiteralBackend::new(),
             &alg,
             &g,
             cap,
@@ -245,7 +299,7 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
             .checkpoint()
             .expect("checkpoint section decodes");
         assert_eq!(&decoded, ckpt, "roundtrip changed the checkpoint");
-        let (resumed, _) = try_resume_on(OwnedBackend::new(), &alg, &g, cap, &decoded).unwrap();
+        let (resumed, _) = try_resume_on(LiteralBackend::new(), &alg, &g, cap, &decoded).unwrap();
         assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
         assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
         assert_eq!(resumed.fixpoint, reference.fixpoint);
@@ -259,7 +313,7 @@ fn resume_from_disk_after_simulated_crash() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let reference = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, cap);
+    let reference = run_to_fixpoint_on(LiteralBackend::new(), &alg, &g, cap);
 
     let dir = std::env::temp_dir().join(format!("mte_resume_test_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -269,7 +323,7 @@ fn resume_from_disk_after_simulated_crash() {
     // run by erroring out of the sink after the second capture.
     let mut captures = 0;
     let aborted = try_run_on(
-        OwnedBackend::new(),
+        LiteralBackend::new(),
         &alg,
         &g,
         cap,
@@ -298,7 +352,7 @@ fn resume_from_disk_after_simulated_crash() {
         .checkpoint()
         .expect("checkpoint section intact");
     assert_eq!(ckpt.hop, 2);
-    let (resumed, _) = try_resume_on(OwnedBackend::new(), &alg, &g, cap, &ckpt).unwrap();
+    let (resumed, _) = try_resume_on(LiteralBackend::new(), &alg, &g, cap, &ckpt).unwrap();
     assert_eq!(resumed.states, reference.states);
     assert_eq!(resumed.iterations, reference.iterations);
     assert_eq!(resumed.fixpoint, reference.fixpoint);

@@ -1,30 +1,32 @@
 //! Differential tests for the engine: the frontier-driven sparse
-//! schedule must be **bit-identical** to the literal Eq. (2.17) loop
-//! (`iterate` until the first unchanged hop) on every workload — the
-//! skip rule ("no input of `v` changed, so `x_v` cannot change")
-//! is exact, not approximate — while doing strictly less relaxation
-//! work whenever convergence leaves vertices quiescent before the run
-//! ends.
+//! schedule (run here on the arena backend) must be **bit-identical**
+//! to the literal Eq. (2.17) loop (`iterate` until the first unchanged
+//! hop) on every workload — the skip rule ("no input of `v` changed, so
+//! `x_v` cannot change") is exact, not approximate — while doing
+//! strictly less relaxation work whenever convergence leaves vertices
+//! quiescent before the run ends. The non-distance-map catalog runs on
+//! the literal backend through the same driver.
 
 mod common;
 
 use common::literal_fixpoint;
 use metric_tree_embedding::algebra::NodeId;
+use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
-use metric_tree_embedding::core::engine::{run, MbfAlgorithm, MbfRun, OwnedBackend};
+use metric_tree_embedding::core::engine::{run, LiteralBackend, MbfAlgorithm, MbfRun};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::run::run_to_fixpoint_on;
+use metric_tree_embedding::core::run::{run_to_fixpoint_on, StateBackend};
 use metric_tree_embedding::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Runs `alg` to the fixpoint on the owned engine and asserts exact
-/// state equality, identical iteration counts and fixpoint flags
-/// against the literal loop. Returns (literal, frontier) runs for work
-/// assertions.
-fn assert_matches_literal<A>(
+/// Runs `alg` to the fixpoint on `backend` and asserts exact state
+/// equality, identical iteration counts and fixpoint flags against the
+/// literal loop. Returns (literal, backend) runs for work assertions.
+fn assert_matches_literal<A, B>(
+    backend: B,
     alg: &A,
     g: &Graph,
     cap: usize,
@@ -35,9 +37,10 @@ fn assert_matches_literal<A>(
 where
     A: MbfAlgorithm,
     A::M: PartialEq + std::fmt::Debug,
+    B: StateBackend<A>,
 {
     let literal = literal_fixpoint(alg, g, cap);
-    let frontier = run_to_fixpoint_on(OwnedBackend::new(), alg, g, cap);
+    let frontier = run_to_fixpoint_on(backend, alg, g, cap);
     assert_eq!(
         frontier.states, literal.states,
         "the frontier schedule diverged from the literal loop"
@@ -71,7 +74,7 @@ fn workload_graphs() -> Vec<(&'static str, Graph)> {
 fn sssp_strategies_bit_identical_on_workloads() {
     for (name, g) in workload_graphs() {
         let alg = SourceDetection::sssp(g.n(), 0);
-        let (literal, frontier) = assert_matches_literal(&alg, &g, g.n() + 1);
+        let (literal, frontier) = assert_matches_literal(ArenaBackend::new(), &alg, &g, g.n() + 1);
         // Convergent instances must see strictly fewer relaxations.
         assert!(
             frontier.work.edge_relaxations < literal.work.edge_relaxations,
@@ -87,7 +90,7 @@ fn apsp_restricted_strategies_bit_identical_on_workloads() {
     for (name, g) in workload_graphs() {
         // k-SSP: APSP restricted to the 4 closest sources per node.
         let alg = SourceDetection::k_ssp(g.n(), 4);
-        let (literal, frontier) = assert_matches_literal(&alg, &g, g.n() + 1);
+        let (literal, frontier) = assert_matches_literal(ArenaBackend::new(), &alg, &g, g.n() + 1);
         assert!(
             frontier.work.edge_relaxations < literal.work.edge_relaxations,
             "{name}: frontier {} !< literal {}",
@@ -103,7 +106,7 @@ fn le_list_strategies_bit_identical_on_workloads() {
     for (name, g) in workload_graphs() {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
         let alg = LeListAlgorithm::new(ranks);
-        let (literal, frontier) = assert_matches_literal(&alg, &g, g.n() + 1);
+        let (literal, frontier) = assert_matches_literal(ArenaBackend::new(), &alg, &g, g.n() + 1);
         assert!(
             frontier.work.edge_relaxations < literal.work.edge_relaxations,
             "{name}: frontier {} !< literal {}",
@@ -115,10 +118,16 @@ fn le_list_strategies_bit_identical_on_workloads() {
 
 #[test]
 fn widest_paths_and_connectivity_strategies_agree() {
-    // Non-min-plus semirings exercise the generic pull-recompute path.
+    // Non-min-plus semirings run on the literal backend.
     for (_, g) in workload_graphs() {
-        assert_matches_literal(&WidestPaths::apwp(g.n()), &g, g.n() + 1);
-        assert_matches_literal(&Connectivity::all_pairs(g.n()), &g, g.n() + 1);
+        let cap = g.n() + 1;
+        assert_matches_literal(LiteralBackend::new(), &WidestPaths::apwp(g.n()), &g, cap);
+        assert_matches_literal(
+            LiteralBackend::new(),
+            &Connectivity::all_pairs(g.n()),
+            &g,
+            cap,
+        );
     }
 }
 
@@ -131,7 +140,7 @@ fn fixed_iteration_runs_agree_before_convergence() {
     let alg = SourceDetection::apsp(g.n());
     for h in [0, 1, 2, 5, 40] {
         let exact = run(&alg, &g, h);
-        let capped = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, h);
+        let capped = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, h);
         assert_eq!(capped.states, exact.states, "h = {h}");
     }
 }
@@ -160,7 +169,7 @@ fn engine_outputs_bit_identical_across_thread_counts() {
     let mut rng = StdRng::seed_from_u64(0xD371);
     let g = gnm_graph(400, 1200, 1.0..9.0, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 6);
-    let fixpoint = || run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+    let fixpoint = || run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
     let r1 = with_threads(1, fixpoint);
     for threads in [2, 4] {
         let r = with_threads(threads, fixpoint);
@@ -263,13 +272,13 @@ proptest! {
         let cap = g.n() + 1;
 
         let sssp = SourceDetection::sssp(g.n(), (seed % n as u64) as NodeId);
-        assert_matches_literal(&sssp, &g, cap);
+        assert_matches_literal(ArenaBackend::new(), &sssp, &g, cap);
 
         let kssp = SourceDetection::k_ssp(g.n(), 3);
-        assert_matches_literal(&kssp, &g, cap);
+        assert_matches_literal(ArenaBackend::new(), &kssp, &g, cap);
 
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
-        assert_matches_literal(&LeListAlgorithm::new(ranks), &g, cap);
+        assert_matches_literal(ArenaBackend::new(), &LeListAlgorithm::new(ranks), &g, cap);
     }
 
     /// The frontier engine's relaxation count never exceeds the literal
@@ -284,7 +293,7 @@ proptest! {
         let g = gnm_graph(n, (n - 1 + extra).min(n * (n - 1) / 2), 1.0..9.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
         let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let frontier = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        let frontier = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
         prop_assert!(frontier.work.edge_relaxations <= literal.work.edge_relaxations);
         prop_assert!(frontier.work.touched_vertices <= literal.work.touched_vertices);
     }

@@ -14,7 +14,7 @@
 use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
-use metric_tree_embedding::core::engine::{MbfAlgorithm, MbfRun, OwnedBackend};
+use metric_tree_embedding::core::engine::{LiteralBackend, MbfAlgorithm, MbfRun};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::oracle::{try_oracle_run_on, Lane};
 use metric_tree_embedding::core::run::{
@@ -116,7 +116,8 @@ fn oracle_fixture() -> (Graph, SimulatedGraph) {
 /// entry point with the sites it exercises.
 #[derive(Clone, Copy, Debug)]
 enum Pipeline {
-    Owned,
+    /// k-SSP on the literal backend.
+    Literal,
     Arena,
     Dense,
     /// k-SSP on the arena lane.
@@ -131,7 +132,7 @@ impl Pipeline {
     /// The (site, kind) pairs wired into this pipeline's hop loop.
     fn wired_faults(self) -> Vec<(FaultSite, FaultKind)> {
         match self {
-            Pipeline::Owned => vec![
+            Pipeline::Literal => vec![
                 (FaultSite::EngineHopCommit, FaultKind::Panic),
                 (FaultSite::EngineHopCommit, FaultKind::PoisonNan),
                 (FaultSite::WorkerChunk, FaultKind::Panic),
@@ -167,9 +168,10 @@ impl Pipeline {
     ) -> Result<(Vec<DistanceMap>, RunReport), RunError> {
         let cap = g.n() + 1;
         match self {
-            Pipeline::Owned => {
+            Pipeline::Literal => {
                 let alg = SourceDetection::k_ssp(g.n(), 4);
-                try_run(OwnedBackend::new(), &alg, g, cap).map(|(run, report)| (run.states, report))
+                try_run(LiteralBackend::new(), &alg, g, cap)
+                    .map(|(run, report)| (run.states, report))
             }
             Pipeline::Arena => {
                 let alg = metric_tree_embedding::core::catalog::SourceDetection::k_ssp(g.n(), 4);
@@ -198,7 +200,7 @@ impl Pipeline {
 }
 
 const PIPELINES: [Pipeline; 6] = [
-    Pipeline::Owned,
+    Pipeline::Literal,
     Pipeline::Arena,
     Pipeline::Dense,
     Pipeline::ArenaOracle,
@@ -298,7 +300,7 @@ fn injected_panics_carry_their_site_in_the_typed_error() {
         FaultKind::Panic,
         0,
     ));
-    let out = try_run(OwnedBackend::new(), &alg, &g, g.n() + 1);
+    let out = try_run(LiteralBackend::new(), &alg, &g, g.n() + 1);
     faults::clear();
     match out {
         Err(RunError::InjectedFault { site, kind }) => {
@@ -318,17 +320,17 @@ fn worker_pool_survives_a_chunk_panic() {
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let (g, alg) = (&g, &alg);
     with_threads(4, move || {
-        let clean = try_run(OwnedBackend::new(), alg, g, g.n() + 1).expect("clean run");
+        let clean = try_run(LiteralBackend::new(), alg, g, g.n() + 1).expect("clean run");
         faults::install(FaultPlan::single(
             FaultSite::WorkerChunk,
             FaultKind::Panic,
             0,
         ));
-        let faulted = try_run(OwnedBackend::new(), alg, g, g.n() + 1);
+        let faulted = try_run(LiteralBackend::new(), alg, g, g.n() + 1);
         faults::clear();
         assert!(faulted.is_err(), "chunk panic must surface as an error");
         // Same pool, same workers: the panic did not wedge or kill them.
-        let after = try_run(OwnedBackend::new(), alg, g, g.n() + 1)
+        let after = try_run(LiteralBackend::new(), alg, g, g.n() + 1)
             .expect("post-fault run on the surviving pool");
         assert_eq!(after.0.states, clean.0.states);
         assert_eq!(after.1, clean.1);
@@ -432,12 +434,12 @@ fn cap_exhaustion_reports_converged_false() {
     let g = path_graph(40, 1.0);
     let alg = SourceDetection::sssp(g.n(), 0);
     let (run, report) =
-        try_run(OwnedBackend::new(), &alg, &g, 3).expect("cap exhaustion is not an error");
+        try_run(LiteralBackend::new(), &alg, &g, 3).expect("cap exhaustion is not an error");
     assert!(!report.converged);
     assert_eq!(report.hops, 3);
     assert!(!run.fixpoint);
     // The full run converges and says so.
-    let (_, full) = try_run(OwnedBackend::new(), &alg, &g, g.n() + 1).expect("full run");
+    let (_, full) = try_run(LiteralBackend::new(), &alg, &g, g.n() + 1).expect("full run");
     assert!(full.converged);
     assert!(full.hops > 3);
 }
@@ -459,7 +461,7 @@ fn injected_parser_io_failure_is_a_typed_parse_error() {
     // The fire was handled: a fresh guarded run sees a clean audit.
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
-    try_run(OwnedBackend::new(), &alg, &g, g.n() + 1)
+    try_run(LiteralBackend::new(), &alg, &g, g.n() + 1)
         .expect("stale handled fire must not fail a later run");
 }
 
@@ -501,7 +503,7 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
     let cap = g.n() + 1;
     let last_good: RefCell<Option<Checkpoint<DistanceMap>>> = RefCell::new(None);
     let (run, report) = try_run_on(
-        OwnedBackend::new(),
+        LiteralBackend::new(),
         &alg,
         g,
         cap,
@@ -518,7 +520,7 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
         },
     )?;
     if let Some(ckpt) = last_good.into_inner() {
-        let (resumed, _) = try_resume_on(OwnedBackend::new(), &alg, g, cap, &ckpt)?;
+        let (resumed, _) = try_resume_on(LiteralBackend::new(), &alg, g, cap, &ckpt)?;
         assert_eq!(
             resumed.states, run.states,
             "resume from a decoded checkpoint diverged"
@@ -586,7 +588,7 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let clean = try_run(OwnedBackend::new(), &alg, &g, cap).expect("clean run");
+    let clean = try_run(LiteralBackend::new(), &alg, &g, cap).expect("clean run");
 
     for threads in [1usize, 4] {
         // One-shot fault on the 4th hop commit: the primary attempt has
@@ -603,7 +605,7 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
                 use metric_tree_embedding::core::RecoveryAttempt;
                 match attempt {
                     RecoveryAttempt::Primary => try_run_on(
-                        OwnedBackend::new(),
+                        LiteralBackend::new(),
                         alg,
                         g,
                         cap,
@@ -623,10 +625,10 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
                     RecoveryAttempt::RetryFromCheckpoint { .. } => {
                         let ckpt = last_good.lock().unwrap();
                         let ckpt = ckpt.as_ref().expect("primary captured checkpoints");
-                        try_resume_on(OwnedBackend::new(), alg, g, cap, ckpt)
+                        try_resume_on(LiteralBackend::new(), alg, g, cap, ckpt)
                             .map(|(run, report)| (run.states, report))
                     }
-                    RecoveryAttempt::Scratch => try_run(OwnedBackend::new(), alg, g, cap)
+                    RecoveryAttempt::Scratch => try_run(LiteralBackend::new(), alg, g, cap)
                         .map(|(run, report)| (run.states, report)),
                 }
             })
@@ -653,7 +655,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let cap = g.n() + 1;
-    let clean = try_run(OwnedBackend::new(), &alg, &g, cap).expect("clean run");
+    let clean = try_run(LiteralBackend::new(), &alg, &g, cap).expect("clean run");
 
     // Every snapshot decode fails: checkpoints are unusable for the
     // whole test.
@@ -662,7 +664,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
         use metric_tree_embedding::core::RecoveryAttempt;
         match attempt {
             RecoveryAttempt::Primary => try_run_on(
-                OwnedBackend::new(),
+                LiteralBackend::new(),
                 &alg,
                 &g,
                 cap,
@@ -683,7 +685,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
             }
             // Scratch runs without checkpoint sinks, so the armed
             // snapshot_read plan is never consulted again.
-            RecoveryAttempt::Scratch => try_run(OwnedBackend::new(), &alg, &g, cap)
+            RecoveryAttempt::Scratch => try_run(LiteralBackend::new(), &alg, &g, cap)
                 .map(|(run, report)| (run.states, report)),
         }
     });
@@ -700,9 +702,9 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
 }
 
 /// The operator-armed entry point: when `MTE_FAULT_PLAN` is set, run
-/// the arena backend and the production oracle lanes (LE lists on the
-/// arena lane, APSP on the dense lane) under it, each behind the
-/// recovery supervisor, and require the absorb-or-typed-error
+/// the literal and arena backends and the production oracle lanes (LE
+/// lists on the arena lane, APSP on the dense lane) under it, each
+/// behind the recovery supervisor, and require the absorb-or-typed-error
 /// contract. Without the variable this is a no-op (the sweeps above
 /// cover the in-process plans).
 #[test]
@@ -715,6 +717,7 @@ fn pre_armed_env_plan_is_absorbed_or_typed() {
     let (og, sim) = oracle_fixture();
     let supervisor = Supervisor::new(RecoveryPolicy::default());
     for (pipeline, g) in [
+        (Pipeline::Literal, &g),
         (Pipeline::Arena, &g),
         (Pipeline::LeOracle, &og),
         (Pipeline::DenseOracle, &og),

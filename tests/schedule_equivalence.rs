@@ -19,11 +19,13 @@ use metric_tree_embedding::core::arena::{
 };
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
-use metric_tree_embedding::core::engine::{initial_states, MbfAlgorithm, MbfEngine, OwnedBackend};
+use metric_tree_embedding::core::engine::{initial_states, iterate, LiteralBackend, MbfAlgorithm};
 use metric_tree_embedding::core::frt::le_list::{le_lists_oracle, LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::frt::LeList;
 use metric_tree_embedding::core::oracle::{oracle_run_on, OracleRun};
-use metric_tree_embedding::core::run::{run_to_fixpoint_on, try_resume_on, Checkpoint};
+use metric_tree_embedding::core::run::{
+    run_to_fixpoint_on, try_resume_on, try_run_on, Checkpoint, CheckpointPolicy,
+};
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::work::WorkStats;
 use metric_tree_embedding::prelude::*;
@@ -51,8 +53,8 @@ fn workload_graphs() -> Vec<(&'static str, Graph)> {
 }
 
 // ---------------------------------------------------------------------
-// Engine level: the arena's pruned LE merge vs the owned engine's
-// merge-then-filter recompute and the literal loop.
+// Engine level: the arena's pruned LE merge vs the literal loop's
+// merge-then-filter recompute.
 // ---------------------------------------------------------------------
 
 #[test]
@@ -62,24 +64,21 @@ fn pruned_le_merge_bit_identical_to_reference_and_cheaper() {
         let le = LeListAlgorithm::new(ranks);
         let cap = g.n() + 1;
         let literal = literal_fixpoint(&le, &g, cap);
-        let owned = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, cap);
         let pruned = run_to_fixpoint_on(ArenaBackend::new(), &le, &g, cap);
-        for (run, label) in [(&owned, "owned merge-then-filter"), (&pruned, "pruned")] {
-            assert_eq!(
-                run.states, literal.states,
-                "{name}: {label} diverged from the literal loop"
-            );
-            assert_eq!(run.iterations, literal.iterations, "{name}/{label}");
-            assert_eq!(run.fixpoint, literal.fixpoint, "{name}/{label}");
-        }
+        assert_eq!(
+            pruned.states, literal.states,
+            "{name}: pruned diverged from the literal loop"
+        );
+        assert_eq!(pruned.iterations, literal.iterations, "{name}");
+        assert_eq!(pruned.fixpoint, literal.fixpoint, "{name}");
         // The pruned path admits a strict subset of the entries the
-        // owned engine merges on these workloads (Lemma 7.6: most
+        // literal loop merges on these workloads (Lemma 7.6: most
         // incoming entries are dominated).
         assert!(
-            pruned.work.entries_processed < owned.work.entries_processed,
+            pruned.work.entries_processed < literal.work.entries_processed,
             "{name}: pruned {} !< merge-then-filter {}",
             pruned.work.entries_processed,
-            owned.work.entries_processed
+            literal.work.entries_processed
         );
     }
 }
@@ -93,13 +92,13 @@ fn pruned_le_merge_bit_identical_across_thread_counts() {
     let cap = g.n() + 1;
     let literal = with_threads(1, move || literal_fixpoint(le, g, cap));
     for threads in [1, 4] {
-        let (owned, pruned) = with_threads(threads, move || {
+        let (full, pruned) = with_threads(threads, move || {
             (
-                run_to_fixpoint_on(OwnedBackend::new(), le, g, cap),
+                run_to_fixpoint_on(LiteralBackend::new(), le, g, cap),
                 run_to_fixpoint_on(ArenaBackend::new(), le, g, cap),
             )
         });
-        for (run, label) in [(&owned, "owned"), (&pruned, "pruned")] {
+        for (run, label) in [(&full, "literal backend"), (&pruned, "pruned")] {
             assert_eq!(
                 run.states, literal.states,
                 "{label} run on {threads} threads diverged"
@@ -122,8 +121,8 @@ fn mark_dirty_carry_over_matches_all_dirty_restart() {
 
     // Run a few hops so the continuing engine holds a genuine residual
     // frontier (the run is not yet at its fixpoint).
-    let mut states = initial_states(&alg, g.n());
-    let mut carry_engine = MbfEngine::new();
+    let mut states = initial_store(&alg, g.n());
+    let mut carry_engine = ArenaEngine::new();
     carry_engine.mark_all_dirty(&g);
     for _ in 0..3 {
         carry_engine.step(&alg, &g, &mut states, 1.0);
@@ -133,21 +132,23 @@ fn mark_dirty_carry_over_matches_all_dirty_restart() {
     // projection diff does between simulated rounds.
     let edited: Vec<NodeId> = vec![3, 41, 77];
     for &v in &edited {
-        states[v as usize] = alg.init((v + 1) % g.n() as NodeId);
+        let edit = alg.init((v + 1) % g.n() as NodeId);
+        states.assign(v, edit.entries(), |u| alg.entry_aux(u));
     }
     let mut restart_states = states.clone();
 
     // Carry-over: seed only the edited vertices on the live engine.
     carry_engine.mark_dirty(&g, edited.iter().copied());
     // Reference: a fresh engine restarted all-dirty on the same vector.
-    let mut restart_engine = MbfEngine::new();
+    let mut restart_engine = ArenaEngine::new();
     restart_engine.mark_all_dirty(&g);
 
     for hop in 0..g.n() + 1 {
         let (_, carry_changed) = carry_engine.step(&alg, &g, &mut states, 1.0);
         let (_, restart_changed) = restart_engine.step(&alg, &g, &mut restart_states, 1.0);
         assert_eq!(
-            states, restart_states,
+            states.export(),
+            restart_states.export(),
             "hop {hop}: carry-over schedule diverged from all-dirty restart"
         );
         if !carry_changed && !restart_changed {
@@ -373,22 +374,19 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
 
 // ---------------------------------------------------------------------
 // Storage backends: the epoch-arena engine must be bit-identical to the
-// literal loop and the owned-Vec engine — states, iteration counts,
-// fixpoint flags, and the model-level schedule counters (only the
-// storage counters may differ between backends, and for the semi-naive
-// LE lists the delta floors may only lower the schedule counters) — and
-// the arena oracle lane to the literal oracle loop.
+// literal loop — states, iteration counts and fixpoint flags, with no
+// more work than the literal sweep (the arena's own counters are
+// pinned) — and the arena oracle lane to the literal oracle loop.
 // ---------------------------------------------------------------------
 
-/// The arena run of `alg` against the literal loop and the owned run;
-/// returns the owned and the arena run's work for the caller's pins.
-fn assert_backends_agree<A>(alg: &A, g: &Graph, label: &str) -> (WorkStats, WorkStats)
+/// The arena run of `alg` against the literal loop; returns the arena
+/// run's work for the caller's pins.
+fn assert_backends_agree<A>(alg: &A, g: &Graph, label: &str) -> WorkStats
 where
     A: ArenaMbfAlgorithm,
 {
     let cap = g.n() + 1;
     let literal = literal_fixpoint(alg, g, cap);
-    let owned = run_to_fixpoint_on(OwnedBackend::new(), alg, g, cap);
     let arena = run_to_fixpoint_on(ArenaBackend::new(), alg, g, cap);
     assert_eq!(
         literal.states, arena.states,
@@ -396,20 +394,13 @@ where
     );
     assert_eq!(literal.iterations, arena.iterations, "{label}");
     assert_eq!(literal.fixpoint, arena.fixpoint, "{label}");
-    // The owned engine merges every entry; the arena admits only what
-    // the filter keeps and skips absorbed neighbors, so entries and
-    // relaxations may only shrink. Without the semi-naive handover the
-    // arena recomputes the owned schedule; with it, the delta floors
-    // drop recomputations that would admit nothing, so the touched
-    // count may only shrink too.
-    assert_narrowed_work(&owned.work, &arena.work, label);
-    if !A::SEMI_NAIVE {
-        assert_eq!(
-            owned.work.touched_vertices, arena.work.touched_vertices,
-            "{label}"
-        );
-    }
-    (owned.work, arena.work)
+    // The literal loop recomputes every vertex and merges every entry;
+    // the arena recomputes the frontier's neighborhood (narrowed by the
+    // delta floors for the semi-naive LE lists), admits only what the
+    // filter keeps and skips absorbed neighbors, so every count may
+    // only shrink.
+    assert_narrowed_work(&literal.work, &arena.work, label);
+    arena.work
 }
 
 /// `narrowed` recomputed no more vertices, processed no more entries and
@@ -451,34 +442,15 @@ fn arena_engine_bit_identical_to_owned_reference() {
         [(276, 1_301), (238, 1_056), (379, 459)],
         [(241, 924), (172, 680), (218, 273)],
     ];
-    // The owned LE runs' `(touched_vertices, entries_processed,
-    // edge_relaxations)` per graph: the owned engine's generic
-    // merge-then-filter recompute, pinned exactly.
-    let owned_le_pins = [
-        (381, 8_840, 1_952),
-        (520, 7_827, 1_821),
-        (623, 6_557, 1_224),
-    ];
-    for (((name, g), [le_pin, kssp_pin, sssp_pin]), owned_le_pin) in
-        workload_graphs().into_iter().zip(pins).zip(owned_le_pins)
-    {
+    for ((name, g), [le_pin, kssp_pin, sssp_pin]) in workload_graphs().into_iter().zip(pins) {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E9)));
-        let (owned_le, le) = assert_backends_agree(
+        let le = assert_backends_agree(
             &LeListAlgorithm::new(Arc::clone(&ranks)),
             &g,
             &format!("{name}/le"),
         );
         assert_eq!(touched_entries(&le), le_pin, "{name}/le: touched, entries");
-        assert_eq!(
-            (
-                owned_le.touched_vertices,
-                owned_le.entries_processed,
-                owned_le.edge_relaxations
-            ),
-            owned_le_pin,
-            "{name}/le owned: touched, entries, relaxations"
-        );
-        let (_, kssp) = assert_backends_agree(
+        let kssp = assert_backends_agree(
             &SourceDetection::k_ssp(g.n(), 4),
             &g,
             &format!("{name}/kssp"),
@@ -488,7 +460,7 @@ fn arena_engine_bit_identical_to_owned_reference() {
             kssp_pin,
             "{name}/kssp: touched, entries"
         );
-        let (_, sssp) = assert_backends_agree(
+        let sssp = assert_backends_agree(
             &SourceDetection::sssp(g.n(), 1),
             &g,
             &format!("{name}/sssp"),
@@ -498,6 +470,69 @@ fn arena_engine_bit_identical_to_owned_reference() {
             sssp_pin,
             "{name}/sssp: touched, entries"
         );
+    }
+}
+
+/// LE lists restricted to a source set (the k-median candidate set of
+/// Section 9): non-sources start from `⊥`. On the arena backend they
+/// equal the literal loop, do no more work, and resume bit-identically
+/// from every hop — for a singleton set and a set without the
+/// minimum-rank node too, so no vertex can rely on starting with its
+/// own entry or on the global minimum reaching it.
+#[test]
+fn source_masked_le_lists_on_arena_match_literal_and_resume() {
+    let mut rng = StdRng::seed_from_u64(0x53F5);
+    let graphs = [
+        ("gnm", gnm_graph(120, 360, 1.0..9.0, &mut rng)),
+        ("grid", grid_graph(8, 10, 1.0..5.0, &mut rng)),
+        ("highway", highway_graph(48, 100.0)),
+        ("path", path_graph(40, 1.0)),
+    ];
+    for (name, g) in &graphs {
+        let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
+        let (n, min) = (g.n() as NodeId, ranks.min_rank_node());
+        let source_sets = [
+            ("singleton", vec![n / 2]),
+            ("every third", (0..n).filter(|v| v % 3 == 0).collect()),
+            (
+                "without min",
+                (0..n).filter(|&v| v != min && v % 4 != 1).collect(),
+            ),
+        ];
+        for (set, sources) in source_sets {
+            let label = format!("{name}/{set}");
+            let le = LeListAlgorithm::new(Arc::clone(&ranks)).with_sources(&sources);
+            let cap = g.n() + 1;
+            let literal = literal_fixpoint(&le, g, cap);
+            assert!(literal.fixpoint, "{label}");
+            let is_source = |u: NodeId| sources.contains(&u);
+            assert!(
+                literal
+                    .states
+                    .iter()
+                    .all(|x| x.iter().all(|(u, _)| is_source(u))),
+                "{label}: an entry names a non-source"
+            );
+            let mut checkpoints = Vec::new();
+            let policy = CheckpointPolicy::every_hops(1);
+            let (run, _) = try_run_on(ArenaBackend::new(), &le, g, cap, policy, |c| {
+                checkpoints.push(c.clone());
+                Ok(())
+            })
+            .unwrap();
+            assert_eq!(run.states, literal.states, "{label}");
+            assert_eq!(run.iterations, literal.iterations, "{label}");
+            assert_eq!(run.fixpoint, literal.fixpoint, "{label}");
+            assert_narrowed_work(&literal.work, &run.work, &label);
+            assert!(!checkpoints.is_empty(), "{label}: run too short");
+            for ckpt in &checkpoints {
+                let (resumed, _) = try_resume_on(ArenaBackend::new(), &le, g, cap, ckpt).unwrap();
+                let hop = ckpt.hop;
+                assert_eq!(resumed.states, literal.states, "{label} hop {hop}");
+                assert_eq!(resumed.iterations, literal.iterations, "{label} hop {hop}");
+                assert_eq!(resumed.fixpoint, literal.fixpoint, "{label} hop {hop}");
+            }
+        }
     }
 }
 
@@ -873,7 +908,7 @@ fn dense_block_backend_bit_identical_to_owned() {
         // APSP: the one dense workload.
         let alg = SourceDetection::apsp(g.n());
         let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let owned = run_to_fixpoint_on(OwnedBackend::new(), &alg, &g, g.n() + 1);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
         let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
         assert_eq!(
             literal.states, dense.states,
@@ -881,13 +916,12 @@ fn dense_block_backend_bit_identical_to_owned() {
         );
         assert_eq!(literal.iterations, dense.iterations, "{name}");
         assert_eq!(literal.fixpoint, dense.fixpoint, "{name}");
-        // Shared schedule: the scheduling counters agree exactly
-        // (entries_processed counts a different currency — dense
-        // coordinates — and is not compared).
-        // The dense backend may skip provably-absorbed merges, so its
-        // relaxation count can only be lower.
-        assert!(dense.work.edge_relaxations <= owned.work.edge_relaxations);
-        assert_eq!(owned.work.touched_vertices, dense.work.touched_vertices);
+        // Shared schedule with the arena: the scheduling counters agree
+        // exactly (entries_processed counts a different currency —
+        // dense coordinates — and is not compared), and both skip
+        // exactly the clean neighbors.
+        assert_eq!(arena.work.edge_relaxations, dense.work.edge_relaxations);
+        assert_eq!(arena.work.touched_vertices, dense.work.touched_vertices);
     }
 }
 
@@ -936,6 +970,15 @@ fn dense_oracle_bit_identical_to_literal_oracle_across_threads() {
     assert_lanes_agree(&dense, &arena, "apsp");
 }
 
+/// One literal hop `x ← r^V A x` in place; returns whether it changed
+/// anything.
+fn literal_hop<A: MbfAlgorithm>(alg: &A, g: &Graph, states: &mut Vec<A::M>) -> bool {
+    let next = iterate(alg, g, states).0;
+    let changed = next != *states;
+    *states = next;
+    changed
+}
+
 // ---------------------------------------------------------------------
 // Property fuzz: random (possibly disconnected) graphs.
 // ---------------------------------------------------------------------
@@ -968,18 +1011,15 @@ proptest! {
         let g = Graph::from_edges(n + n2, edges);
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
 
-        // Engine: the arena's pruned merge vs the owned engine's
-        // merge-then-filter, and both vs the literal loop.
+        // Engine: the arena's pruned merge vs the literal loop's
+        // merge-then-filter.
         let le = LeListAlgorithm::new(Arc::clone(&ranks));
         let pruned = run_to_fixpoint_on(ArenaBackend::new(), &le, &g, g.n() + 1);
-        let reference = run_to_fixpoint_on(OwnedBackend::new(), &le, &g, g.n() + 1);
-        prop_assert!(pruned.work.entries_processed <= reference.work.entries_processed);
         let literal = literal_fixpoint(&le, &g, g.n() + 1);
-        for run in [&pruned, &reference] {
-            prop_assert_eq!(&run.states, &literal.states);
-            prop_assert_eq!(run.iterations, literal.iterations);
-            prop_assert_eq!(run.fixpoint, literal.fixpoint);
-        }
+        prop_assert!(pruned.work.entries_processed <= literal.work.entries_processed);
+        prop_assert_eq!(&pruned.states, &literal.states);
+        prop_assert_eq!(pruned.iterations, literal.iterations);
+        prop_assert_eq!(pruned.fixpoint, literal.fixpoint);
 
         // Oracle: the carry-over arena lane vs the literal oracle loop.
         let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
@@ -994,8 +1034,8 @@ proptest! {
     /// Sparse external edits (copy-on-write `assign` + `mark_dirty`
     /// carry-over) interleaved with forced pool compactions and a
     /// mid-run checkpoint resume keep the semi-naive arena engine
-    /// bit-identical to the owned engine, hop for hop, on arbitrary
-    /// random graphs.
+    /// bit-identical to the literal `iterate` on the same edited
+    /// vectors, hop for hop, on arbitrary random graphs.
     #[test]
     fn random_sparse_edits_and_compactions_keep_backends_identical(
         n in 4usize..24,
@@ -1008,9 +1048,7 @@ proptest! {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
         let alg = LeListAlgorithm::new(Arc::clone(&ranks));
 
-        let mut owned_states = initial_states(&alg, g.n());
-        let mut owned_engine = MbfEngine::new();
-        owned_engine.mark_all_dirty(&g);
+        let mut literal_states = initial_states(&alg, g.n());
         let mut store = initial_store(&alg, g.n());
         let mut engine = ArenaEngine::new();
         engine.mark_all_dirty(&g);
@@ -1024,8 +1062,7 @@ proptest! {
                     .wrapping_add(1442695040888963407);
                 let v = ((salt >> 33) as usize % g.n()) as NodeId;
                 let edit = alg.init(((v as usize + e + 1) % g.n()) as NodeId);
-                owned_states[v as usize] = edit.clone();
-                owned_engine.mark_dirty(&g, [v]);
+                literal_states[v as usize] = edit.clone();
                 store.assign(v, edit.entries(), |u| alg.entry_aux(u));
                 engine.mark_dirty(&g, [v]);
             }
@@ -1035,11 +1072,11 @@ proptest! {
                 store.compact();
             }
             for _ in 0..=(salt % 3) as usize {
-                let (_, c_owned) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
+                let c_literal = literal_hop(&alg, &g, &mut literal_states);
                 let (_, c_arena) = engine.step(&alg, &g, &mut store, 1.0);
-                prop_assert_eq!(c_owned, c_arena);
+                prop_assert_eq!(c_literal, c_arena);
             }
-            prop_assert_eq!(&store.export(), &owned_states);
+            prop_assert_eq!(&store.export(), &literal_states);
         }
         // Capture the run mid-flight: a resumed engine starts without
         // deltas (whole spans for its seeded frontier) and must land on
@@ -1055,16 +1092,16 @@ proptest! {
                 .expect("resume from a consistent capture cannot fail");
         // Drive both to the fixpoint and compare once more.
         for _ in 0..cap {
-            let (_, c_owned) = owned_engine.step(&alg, &g, &mut owned_states, 1.0);
+            let c_literal = literal_hop(&alg, &g, &mut literal_states);
             let (_, c_arena) = engine.step(&alg, &g, &mut store, 1.0);
-            prop_assert_eq!(c_owned, c_arena);
-            if !c_owned {
+            prop_assert_eq!(c_literal, c_arena);
+            if !c_literal {
                 break;
             }
         }
-        prop_assert_eq!(&store.export(), &owned_states);
+        prop_assert_eq!(&store.export(), &literal_states);
         prop_assert!(resumed.fixpoint);
-        prop_assert_eq!(resumed.states, owned_states);
+        prop_assert_eq!(resumed.states, literal_states);
     }
 
 }
