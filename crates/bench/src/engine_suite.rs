@@ -10,7 +10,7 @@
 //!
 //! LE-list rows measure their **production path**, the epoch-arena
 //! backend (`le_lists_direct` routes through
-//! [`mte_core::arena::ArenaEngine`]); the SSSP rows (`frontier+arena`)
+//! [`mte_core::arena::ArenaBackend`]); the SSSP rows (`frontier+arena`)
 //! run the same backend, the one every distance-map algorithm runs on
 //! (the pipeline itself runs no SSSP fixpoint). APSP rows on the dense
 //! catalog measure the flat-matrix backend (`dense-block`). Every row

@@ -1,5 +1,5 @@
-//! The arena-backed engine: MBF-like iteration over the epoch-arena
-//! state store ([`mte_algebra::store::EpochStore`]).
+//! The arena backend: MBF-like iteration over the epoch-arena state
+//! store ([`mte_algebra::store::EpochStore`]).
 //!
 //! # Mapping back to the paper
 //!
@@ -18,9 +18,9 @@
 //!
 //! # Scheduling and determinism
 //!
-//! [`ArenaEngine`] drives the `FrontierSchedule` of [`crate::engine`]
+//! [`ArenaBackend`] drives the `FrontierSchedule` of [`crate::engine`]
 //! — the frontier, the closed-neighborhood touched list, the
-//! degree-balanced chunks — which the dense engine shares; its outputs
+//! degree-balanced chunks — which the dense backend shares; its outputs
 //! are bit-identical to the literal loop (differential-tested by
 //! `tests/schedule_equivalence.rs`), and semi-naive algorithms drop the
 //! touched vertices their delta floors prove idle (see below). During a
@@ -87,14 +87,13 @@
 //! those of the full closed-neighborhood schedule.
 //!
 //! A delta is only as good as the premise "the neighbors absorbed the
-//! old state". Where the engine cannot vouch for that, the vertex hands
+//! old state". Where the backend cannot vouch for that, the vertex hands
 //! over its **whole span** once instead: a vertex seeded by
-//! [`ArenaEngine::mark_dirty`] (rewritten outside the engine), every
-//! vertex after [`ArenaEngine::mark_all_dirty`], and every vertex after
-//! [`ArenaEngine::prime`] (the checkpoint-resume path). A vertex on the
-//! residual frontier keeps its delta until the next hop, however long
-//! the engine sits idle in between — the oracle's levels rely on this
-//! across rounds.
+//! [`Lane::mark_dirty`] (rewritten outside the hops), every vertex after
+//! [`Lane::mark_all_dirty`] or [`StateBackend::start`], and every vertex
+//! after [`StateBackend::resume`]. A vertex on the residual frontier
+//! keeps its delta until the next hop, however long the backend sits
+//! idle in between — the oracle's levels rely on this across rounds.
 //!
 //! [`ArenaBackend`] is a lane of the oracle's level loop
 //! ([`crate::oracle::oracle_run_on`]): one store per level, `O(Λ)`
@@ -281,18 +280,18 @@ pub trait ArenaMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
 /// recomputations that run and the neighbors they read.
 ///
 /// External edits break the "already absorbed" premise, in two
-/// directions. For the **edited vertex itself**,
-/// [`ArenaEngine::mark_dirty`] taints it: [`RecomputeCtx::require_full`]
-/// forces its next recomputation to merge every neighbor's whole state
-/// once. For its **neighbors**, `mark_dirty` drops its delta, so they
-/// get the whole rewritten state once. [`ArenaEngine::mark_all_dirty`]
-/// and [`ArenaEngine::prime`] drop every delta.
+/// directions. For the **edited vertex itself**, [`Lane::mark_dirty`]
+/// taints it: [`RecomputeCtx::require_full`] forces its next
+/// recomputation to merge every neighbor's whole state once. For its
+/// **neighbors**, `mark_dirty` drops its delta, so they get the whole
+/// rewritten state once. [`Lane::mark_all_dirty`],
+/// [`StateBackend::start`] and [`StateBackend::resume`] drop every
+/// delta.
 ///
-/// Both skips assume every hop of an engine runs with the same weight
+/// Both skips assume every hop of a backend runs with the same weight
 /// scale, as every caller does.
 pub struct RecomputeCtx<'a> {
     sched: &'a FrontierSchedule,
-    taint: &'a crate::engine::TaintTable,
     handover: &'a Handover,
     receivers: &'a ReceiverTable,
 }
@@ -303,7 +302,7 @@ impl RecomputeCtx<'_> {
     /// recomputation must merge every neighbor regardless of dirtiness.
     #[inline]
     pub fn require_full(&self, v: NodeId) -> bool {
-        self.taint.is_tainted(v)
+        self.sched.is_tainted(v)
     }
 
     /// What a recomputation must merge from neighbor `w`: a delta with
@@ -430,9 +429,10 @@ impl ReceiverSummary {
 /// The receiver summaries of the current states: `slots[v]` holds
 /// `v`'s iff its stamp is `gen`. The commit records the summary of every
 /// state it changes (the recompute phase takes it from the new span);
-/// an external rewrite drops it ([`ArenaEngine::mark_dirty`] one vertex,
-/// [`ArenaEngine::mark_all_dirty`] and [`ArenaEngine::prime`] all); the
-/// hop plan computes a missing one when it first needs it. So a summary
+/// an external rewrite drops it ([`Lane::mark_dirty`] one vertex,
+/// [`Lane::mark_all_dirty`], [`StateBackend::start`] and
+/// [`StateBackend::resume`] all); the hop plan computes a missing one
+/// when it first needs it. So a summary
 /// is computed at most once per state, and the plan reads no pool spans
 /// for receivers the engine itself last wrote.
 #[derive(Clone, Debug, Default)]
@@ -629,160 +629,126 @@ struct ChunkBuf {
     recs: Vec<Rec>,
 }
 
-/// The arena-backed iteration engine: the `FrontierSchedule` of
-/// [`crate::engine`] driving copy-on-write hops over an
-/// [`EpochStore`]. One engine serves arbitrarily many hops without
-/// reallocating; the store is passed per step so callers (the oracle)
-/// can own several state vectors.
-#[derive(Clone, Debug)]
-pub struct ArenaEngine {
+/// Builds the initial span-backed state vector `r^V x⁽⁰⁾`: one pool
+/// bulk-load instead of `n` per-vertex map buffers. The rank column is
+/// allocated only when the algorithm opts in
+/// ([`ArenaMbfAlgorithm::USES_RANK_COLUMN`]).
+pub fn initial_store<A: ArenaMbfAlgorithm>(alg: &A, n: usize) -> EpochStore {
+    let states = initial_states(alg, n);
+    let mut store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
+    store.import(&states, |u| alg.entry_aux(u));
+    store
+}
+
+/// The arena backend of [`StateBackend`]: the `FrontierSchedule` of
+/// [`crate::engine`] driving copy-on-write hops over an [`EpochStore`].
+/// One backend serves arbitrarily many hops without reallocating. Its
+/// states export as owned maps, bit-identical to the literal loop's;
+/// storage counters include the initial load.
+#[derive(Clone, Debug, Default)]
+pub struct ArenaBackend {
+    store: EpochStore,
     sched: FrontierSchedule,
     chunk_bufs: Vec<ChunkBuf>,
     /// Per-touched-position changed flags of the current hop.
     changed: Vec<bool>,
-    /// Taints for externally rewritten vertices (see
-    /// [`RecomputeCtx::require_full`]): a tainted `v` must do one
-    /// full-merge recomputation. Cleared per vertex when it is
-    /// recomputed, wholesale on [`ArenaEngine::mark_all_dirty`].
-    taint: crate::engine::TaintTable,
     /// Deltas of the states the last hop changed (see
     /// [`RecomputeCtx::incoming`]).
     handover: Handover,
     /// Summaries of the current states as receivers (see
     /// [`RecomputeCtx::receiver`]).
     receivers: ReceiverTable,
+    /// The store's counters when the oracle built the lane, the
+    /// baseline [`Lane::finish`] books the lane's storage traffic
+    /// against.
+    created: StoreStats,
 }
 
-impl Default for ArenaEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ArenaEngine {
-    /// A fresh engine.
+impl ArenaBackend {
+    /// An empty backend.
     pub fn new() -> Self {
-        ArenaEngine {
-            sched: FrontierSchedule::new(),
-            chunk_bufs: Vec::new(),
-            changed: Vec::new(),
-            taint: crate::engine::TaintTable::new(),
-            handover: Handover::default(),
-            receivers: ReceiverTable::default(),
-        }
+        Self::default()
     }
 
-    /// The frontier list: ascending, no duplicates.
-    pub fn frontier(&self) -> &[NodeId] {
-        self.sched.frontier()
+    /// Compacts the pool now: spans move, states do not. Lets a test
+    /// interleave forced compactions with hops.
+    #[doc(hidden)]
+    pub fn compact(&mut self) {
+        self.store.compact();
+    }
+}
+
+impl<A: ArenaMbfAlgorithm> StateBackend<A> for ArenaBackend {
+    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
+        self.store = initial_store(alg, g.n());
+        Lane::<A>::mark_all_dirty(self, g);
+        Ok(storage_work(self.store.stats()))
     }
 
-    /// Turns on the change log: the engine then records every vertex
-    /// whose state a hop changed, until drained. The oracle lanes use it
-    /// to make their carry-over diff frontier-sized.
-    pub(crate) fn enable_change_log(&mut self) {
-        self.sched.enable_change_log();
-    }
-
-    /// Appends the sorted set of vertices changed since the last drain
-    /// to `out` and resets the log.
-    pub(crate) fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.sched.drain_change_log(out);
-    }
-
-    /// Declares every vertex dirty (the store was rewritten wholesale).
-    /// Also clears all taints and deltas: the next hop merges every
-    /// neighbor's whole state anyway.
-    pub fn mark_all_dirty(&mut self, g: &Graph) {
-        self.sched.mark_all_dirty(g);
-        self.taint.reset(g.n());
-        self.handover.clear();
-        self.receivers.forget_all();
-    }
-
-    /// Sizes the schedule and taint table for `g` with an **empty**
-    /// frontier, making no vertex dirty: a following
-    /// [`ArenaEngine::mark_dirty`] then seeds exactly its vertices
-    /// instead of falling back to the all-dirty restart. Used by the
-    /// checkpoint-resume path. Drops every delta: the states may come
-    /// from anywhere, so neighbors take whole spans.
-    pub fn prime(&mut self, g: &Graph) {
-        self.sched.ensure_sized(g);
-        self.taint.ensure_sized(g.n());
-        self.handover.clear();
-        self.receivers.forget_all();
-    }
-
-    /// Seeds the given vertices (rewritten outside the engine) into the
-    /// frontier, keeping the residual one: the next hop is bit-identical
-    /// to an all-dirty restart. The seeded
-    /// vertices are additionally **tainted**: their states were
-    /// rewritten outside the engine, so their next recomputation must
-    /// merge every neighbor (see [`RecomputeCtx::require_full`]), and
-    /// their neighbors must take their whole new states.
-    pub fn mark_dirty(&mut self, g: &Graph, vs: impl IntoIterator<Item = NodeId>) {
-        if !self.sched.sized_for(g.n()) {
-            // Falls back to an all-dirty restart inside the schedule;
-            // keep the taint table in sync.
-            self.mark_all_dirty(g);
-            return;
-        }
-        let (taint, handover, receivers) =
-            (&mut self.taint, &mut self.handover, &mut self.receivers);
-        self.sched.mark_dirty(
-            g,
-            vs.into_iter().inspect(|&v| {
-                taint.taint(v);
-                handover.forget(v);
-                receivers.forget(v);
-            }),
-        );
-    }
-
-    /// One hop `x ← r^V A x` over the span-backed state vector, with
-    /// all edge weights multiplied by `weight_scale`. Bit-identical to
-    /// [`crate::engine::iterate_scaled`] on the exported states; returns
-    /// the work spent (including storage counters) and whether any
-    /// state changed.
-    pub fn step<A: ArenaMbfAlgorithm>(
+    /// The states bulk-load into a fresh epoch pool and the recorded
+    /// frontier seeds the schedule. Every delta and receiver summary is
+    /// dropped: the states may come from anywhere, so neighbors take
+    /// whole spans. The seeded vertices are tainted (their pool spans
+    /// were written externally), which forces full merges but never
+    /// changes states — resumed **states** are bit-identical to the
+    /// uninterrupted run's; work counters may differ by the taint-forced
+    /// merges.
+    fn resume(
         &mut self,
         alg: &A,
         g: &Graph,
-        store: &mut EpochStore,
-        weight_scale: f64,
-    ) -> (WorkStats, bool) {
+        ckpt: &Checkpoint<DistanceMap>,
+    ) -> Result<WorkStats, RunError> {
+        check_vertices(&ckpt.states)?;
+        self.store = EpochStore::with_rank_column(g.n(), A::USES_RANK_COLUMN);
+        self.store.import(&ckpt.states, |u| alg.entry_aux(u));
+        self.sched.ensure_sized(g);
+        self.handover.clear();
+        self.receivers.forget_all();
+        self.sched.mark_dirty(g, ckpt.frontier.iter().copied());
+        Ok(storage_work(self.store.stats()))
+    }
+
+    /// One hop `x ← r^V A x` over the span-backed state vector.
+    /// Bit-identical to [`crate::engine::iterate_scaled`] on the exported
+    /// states; the work includes the storage counters.
+    fn step(&mut self, alg: &A, g: &Graph, weight_scale: f64) -> (WorkStats, bool) {
         let n = g.n();
-        assert_eq!(n, store.len(), "state store / graph size mismatch");
+        assert_eq!(n, self.store.len(), "state store / graph size mismatch");
         if !self.sched.sized_for(n) {
-            self.mark_all_dirty(g);
+            Lane::<A>::mark_all_dirty(self, g);
         }
+        let ArenaBackend {
+            store,
+            sched,
+            chunk_bufs,
+            changed,
+            handover,
+            receivers,
+            ..
+        } = self;
         // Semi-naive algorithms recompute only what some frontier
         // neighbor hands them unabsorbed, or what was tainted (see
         // `RecomputeCtx`, "Delta floors"); the others recompute the
         // closed neighborhood of the frontier.
-        let (taint, handover, receivers) = (&self.taint, &self.handover, &mut self.receivers);
         if A::SEMI_NAIVE {
             receivers.ensure_sized(n);
         }
-        self.sched.plan_hop(
-            g,
-            |w| !A::SEMI_NAIVE || taint.is_tainted(w),
-            |w, v, ew| {
-                if !A::SEMI_NAIVE {
-                    return true;
-                }
-                let Some((_, floor)) = handover.delta(w) else {
-                    return true; // a whole state
-                };
-                let s = alg.edge_coeff(v, w, ew * weight_scale).0;
-                !alg.absorbs(receivers.get_or_compute(v, store), floor, s)
-            },
-        );
-        let touched: &[NodeId] = self.sched.touched();
-        let chunks: &[std::ops::Range<usize>] = self.sched.chunks();
+        sched.plan_hop(g, !A::SEMI_NAIVE, |w, v, ew| {
+            if !A::SEMI_NAIVE {
+                return true;
+            }
+            let Some((_, floor)) = handover.delta(w) else {
+                return true; // a whole state
+            };
+            let s = alg.edge_coeff(v, w, ew * weight_scale).0;
+            !alg.absorbs(receivers.get_or_compute(v, store), floor, s)
+        });
+        let touched: &[NodeId] = sched.touched();
+        let chunks: &[std::ops::Range<usize>] = sched.chunks();
         let k = chunks.len();
-        if self.chunk_bufs.len() < k {
-            self.chunk_bufs.resize_with(k, ChunkBuf::default);
+        if chunk_bufs.len() < k {
+            chunk_bufs.resize_with(k, ChunkBuf::default);
         }
 
         // Recompute phase: each chunk pulls its vertices' next states
@@ -792,12 +758,11 @@ impl ArenaEngine {
         // spot, so quiescent vertices contribute zero bytes.
         let store_ref: &EpochStore = store;
         let ctx = RecomputeCtx {
-            sched: &self.sched,
-            taint: &self.taint,
-            handover: &self.handover,
-            receivers: &self.receivers,
+            sched,
+            handover,
+            receivers,
         };
-        self.chunk_bufs[..k]
+        chunk_bufs[..k]
             .par_iter_mut()
             .with_min_len(1)
             .enumerate()
@@ -877,23 +842,23 @@ impl ArenaEngine {
             mte_faults::trigger_panic(mte_faults::FaultSite::EngineHopCommit);
         }
         let before = store.stats();
-        let total_new: usize = self.chunk_bufs[..k].iter().map(|b| b.entries.len()).sum();
+        let total_new: usize = chunk_bufs[..k].iter().map(|b| b.entries.len()).sum();
         store.begin_epoch(total_new);
-        self.changed.clear();
+        changed.clear();
         // This hop's deltas replace the last hop's; the recompute phase
         // above was their only reader.
-        self.handover.clear();
+        handover.clear();
         if A::SEMI_NAIVE {
-            self.handover.ensure_sized(n);
+            handover.ensure_sized(n);
         }
         let mut entries = 0u64;
         let mut relaxations = 0u64;
         let mut handover_entries = 0u64;
         let mut any_changed = false;
-        for (ci, buf) in self.chunk_bufs[..k].iter().enumerate() {
+        for (ci, buf) in chunk_bufs[..k].iter().enumerate() {
             let base = store.append_region(&buf.entries, &buf.ranks);
-            let mut delta_off = self.handover.entries.len() as u32;
-            self.handover.entries.extend_from_slice(&buf.delta);
+            let mut delta_off = handover.entries.len() as u32;
+            handover.entries.extend_from_slice(&buf.delta);
             let mut floors = buf.floors.iter();
             debug_assert_eq!(buf.recs.len(), chunks[ci].len());
             for (rec, p) in buf.recs.iter().zip(chunks[ci].clone()) {
@@ -905,26 +870,20 @@ impl ArenaEngine {
                     store.set_span(v, base + rec.off, rec.len);
                     if A::SEMI_NAIVE {
                         let &(floor, summary) = floors.next().expect("one floor per changed state");
-                        self.handover.set(v, delta_off, rec.delta_len, floor);
+                        handover.set(v, delta_off, rec.delta_len, floor);
                         delta_off += rec.delta_len;
-                        self.receivers.set(v, summary);
+                        receivers.set(v, summary);
                     }
                     any_changed = true;
                 }
-                self.changed.push(rec.changed);
+                changed.push(rec.changed);
             }
         }
-        debug_assert_eq!(self.changed.len(), touched.len());
-
-        // Every touched vertex was recomputed (tainted ones with full
-        // merges), so its taint is discharged.
-        for &v in touched {
-            self.taint.discharge(v);
-        }
+        debug_assert_eq!(changed.len(), touched.len());
 
         let touched_vertices = touched.len() as u64;
-        let changed: &[bool] = &self.changed;
-        self.sched.refresh(|p| changed[p]);
+        let changed: &[bool] = changed;
+        sched.refresh(|p| changed[p]);
 
         let mut work = WorkStats {
             iterations: 1,
@@ -937,82 +896,9 @@ impl ArenaEngine {
         work += storage_delta(before, store.stats());
         (work, any_changed)
     }
-}
-
-/// Builds the initial span-backed state vector `r^V x⁽⁰⁾`: one pool
-/// bulk-load instead of `n` per-vertex map buffers. The rank column is
-/// allocated only when the algorithm opts in
-/// ([`ArenaMbfAlgorithm::USES_RANK_COLUMN`]).
-pub fn initial_store<A: ArenaMbfAlgorithm>(alg: &A, n: usize) -> EpochStore {
-    let states = initial_states(alg, n);
-    let mut store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
-    store.import(&states, |u| alg.entry_aux(u));
-    store
-}
-
-/// The arena backend of [`StateBackend`]: an [`EpochStore`] hopped by
-/// an [`ArenaEngine`]. Its states export as owned maps, bit-identical to
-/// the literal loop's; storage counters include the initial load.
-#[derive(Clone, Debug)]
-pub struct ArenaBackend {
-    engine: ArenaEngine,
-    store: EpochStore,
-    /// The store's counters when the oracle built the lane, the
-    /// baseline [`Lane::finish`] books the lane's storage traffic
-    /// against.
-    created: StoreStats,
-}
-
-impl Default for ArenaBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ArenaBackend {
-    /// An empty backend.
-    pub fn new() -> Self {
-        ArenaBackend {
-            engine: ArenaEngine::new(),
-            store: EpochStore::default(),
-            created: StoreStats::default(),
-        }
-    }
-}
-
-impl<A: ArenaMbfAlgorithm> StateBackend<A> for ArenaBackend {
-    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
-        self.store = initial_store(alg, g.n());
-        self.engine.mark_all_dirty(g);
-        Ok(storage_work(self.store.stats()))
-    }
-
-    /// The states bulk-load into a fresh epoch pool and the recorded
-    /// frontier seeds the schedule. The seeded vertices are tainted
-    /// (their pool spans were written externally), which forces full
-    /// merges but never changes states — resumed **states** are
-    /// bit-identical to the uninterrupted run's; work counters may
-    /// differ by the taint-forced merges.
-    fn resume(
-        &mut self,
-        alg: &A,
-        g: &Graph,
-        ckpt: &Checkpoint<DistanceMap>,
-    ) -> Result<WorkStats, RunError> {
-        check_vertices(&ckpt.states)?;
-        self.store = EpochStore::with_rank_column(g.n(), A::USES_RANK_COLUMN);
-        self.store.import(&ckpt.states, |u| alg.entry_aux(u));
-        self.engine.prime(g);
-        self.engine.mark_dirty(g, ckpt.frontier.iter().copied());
-        Ok(storage_work(self.store.stats()))
-    }
-
-    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.store, scale)
-    }
 
     fn frontier(&self) -> &[NodeId] {
-        self.engine.frontier()
+        self.sched.frontier()
     }
 
     /// Reads the pool through the raw span accessor, so a capture
@@ -1040,15 +926,14 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
     type Folded = DistanceMap;
 
     fn lane(n: usize) -> Self {
-        let mut engine = ArenaEngine::new();
-        engine.enable_change_log();
         let store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
-        let created = store.stats();
-        ArenaBackend {
-            engine,
+        let mut lane = ArenaBackend {
+            created: store.stats(),
             store,
-            created,
-        }
+            ..Self::default()
+        };
+        lane.sched.enable_change_log();
+        lane
     }
 
     fn import(_alg: &A, states: &[DistanceMap]) -> Result<Vec<DistanceMap>, RunError> {
@@ -1064,16 +949,26 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
         x
     }
 
+    /// Also drops every delta and receiver summary: the next hop merges
+    /// every neighbor's whole state anyway.
     fn mark_all_dirty(&mut self, g: &Graph) {
-        self.engine.mark_all_dirty(g);
+        self.sched.mark_all_dirty(g);
+        self.handover.clear();
+        self.receivers.forget_all();
     }
 
+    /// Also drops the seeded vertices' deltas and receiver summaries:
+    /// their neighbors take their whole new states once.
     fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
-        self.engine.mark_dirty(g, vs.iter().copied());
+        for &v in vs {
+            self.handover.forget(v);
+            self.receivers.forget(v);
+        }
+        self.sched.mark_dirty(g, vs.iter().copied());
     }
 
     fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.engine.drain_change_log(out);
+        self.sched.drain_change_log(out);
     }
 
     fn project(&mut self, alg: &A, x: &Vec<DistanceMap>, v: NodeId, keep: bool) -> bool {
@@ -1149,7 +1044,7 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn arena_sssp_matches_owned_engine() {
+    fn arena_sssp_matches_literal_loop() {
         let mut rng = StdRng::seed_from_u64(71);
         let g = gnm_graph(60, 150, 1.0..9.0, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 3);
@@ -1165,9 +1060,9 @@ mod tests {
     }
 
     #[test]
-    fn arena_copy_on_write_beats_owned_copy_traffic() {
-        // On a path, the SSSP wave is O(1) vertices per hop. Owned
-        // per-vertex buffers (`Vec<DistanceMap>`) would rewrite every
+    fn arena_copy_on_write_beats_per_vertex_rewrite_traffic() {
+        // On a path, the SSSP wave is O(1) vertices per hop. Per-vertex
+        // buffers (`Vec<DistanceMap>`) would rewrite every
         // touched state, one 16-byte entry each, and hold `n` buffers;
         // the arena appends only the wave into a few pool chunks.
         let g = path_graph(256, 1.0);
@@ -1178,7 +1073,7 @@ mod tests {
         let rewrite = arena.work.touched_vertices * ENTRY_BYTES_UNRANKED;
         assert!(
             arena.work.bytes_copied * 2 < rewrite,
-            "arena {} !< owned rewrite {rewrite} / 2",
+            "arena {} !< per-vertex rewrite {rewrite} / 2",
             arena.work.bytes_copied,
         );
         assert!(arena.work.alloc_count < g.n() as u64);
@@ -1222,27 +1117,28 @@ mod tests {
         // The reference: the literal `iterate` on the same edited
         // vectors (the carry-over schedule is bit-identical to it).
         let mut literal_states = initial_states(&alg, g.n());
-        let mut store = initial_store(&alg, g.n());
-        let mut engine = ArenaEngine::new();
-        engine.mark_all_dirty(&g);
+        let mut backend = ArenaBackend::new();
+        backend.start(&alg, &g).unwrap();
 
         for round in 0..6u64 {
             // External sparse edit on the reference and the store.
             let v = (round * 7 % g.n() as u64) as NodeId;
             let edit = alg.init((v + 1) % g.n() as NodeId);
             literal_states[v as usize] = edit.clone();
-            store.assign(v, edit.entries(), |u| alg.entry_aux(u));
-            engine.mark_dirty(&g, [v]);
+            backend
+                .store
+                .assign(v, edit.entries(), |u| alg.entry_aux(u));
+            Lane::<SourceDetection>::mark_dirty(&mut backend, &g, &[v]);
             // Interleave a forced compaction: spans move, states must
             // not.
             if round % 2 == 1 {
-                store.compact();
+                backend.compact();
             }
             for _ in 0..3 {
                 literal_states = iterate(&alg, &g, &literal_states).0;
-                engine.step(&alg, &g, &mut store, 1.0);
+                backend.step(&alg, &g, 1.0);
             }
-            assert_eq!(store.export(), literal_states, "round {round}");
+            assert_eq!(backend.store.export(), literal_states, "round {round}");
         }
     }
 
@@ -1253,27 +1149,26 @@ mod tests {
     fn step_checking_deltas<A: ArenaMbfAlgorithm>(
         alg: &A,
         g: &Graph,
-        engine: &mut ArenaEngine,
-        store: &mut EpochStore,
+        backend: &mut ArenaBackend,
     ) -> bool {
-        let old = store.export();
-        let (_, changed) = engine.step(alg, g, store, 1.0);
-        let new = store.export();
+        let old = backend.store.export();
+        let (_, changed) = backend.step(alg, g, 1.0);
+        let new = backend.store.export();
         for v in 0..g.n() as NodeId {
             let (o, n) = (old[v as usize].entries(), new[v as usize].entries());
-            let delta = engine.handover.delta(v);
+            let delta = backend.handover.delta(v);
             if let Some((entries, floor)) = delta {
                 assert_eq!(floor, DeltaFloor::of(entries, |u| alg.entry_aux(u)));
             }
             let delta = delta.map(|(entries, _)| entries);
             if o == n {
                 assert!(
-                    !engine.sched.on_frontier(v),
+                    !backend.sched.on_frontier(v),
                     "unchanged {v} on the frontier"
                 );
                 assert_eq!(delta, None, "unchanged {v} recorded a delta");
             } else {
-                assert!(engine.sched.on_frontier(v), "changed {v} off the frontier");
+                assert!(backend.sched.on_frontier(v), "changed {v} off the frontier");
                 let want: Vec<(NodeId, Dist)> =
                     n.iter().copied().filter(|p| !o.contains(p)).collect();
                 assert_eq!(delta, Some(&want[..]), "delta of {v}");
@@ -1282,8 +1177,8 @@ mod tests {
         changed
     }
 
-    fn no_deltas(engine: &ArenaEngine, n: usize) -> bool {
-        (0..n as NodeId).all(|v| engine.handover.delta(v).is_none())
+    fn no_deltas(backend: &ArenaBackend, n: usize) -> bool {
+        (0..n as NodeId).all(|v| backend.handover.delta(v).is_none())
     }
 
     #[test]
@@ -1294,49 +1189,57 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(74);
         let g = gnm_graph(40, 100, 1.0..6.0, &mut rng);
         let alg = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
-        let mut store = initial_store(&alg, g.n());
-        let mut engine = ArenaEngine::new();
+        let mut backend = ArenaBackend::new();
+        let capture = |b: &ArenaBackend, frontier: Vec<NodeId>| Checkpoint {
+            hop: 0,
+            frontier,
+            states: b.store.export(),
+        };
 
         // A fresh run hands over whole spans.
-        engine.mark_all_dirty(&g);
-        assert!(no_deltas(&engine, g.n()));
-        assert!(step_checking_deltas(&alg, &g, &mut engine, &mut store));
-        assert!(step_checking_deltas(&alg, &g, &mut engine, &mut store));
+        backend.start(&alg, &g).unwrap();
+        assert!(no_deltas(&backend, g.n()));
+        assert!(step_checking_deltas(&alg, &g, &mut backend));
+        assert!(step_checking_deltas(&alg, &g, &mut backend));
 
         // An external edit drops the seeded vertex's delta only; the
         // residual frontier keeps its deltas across the idle gap and a
         // compaction (they live outside the pool).
-        let residual: Vec<NodeId> = engine.frontier().to_vec();
+        let residual: Vec<NodeId> = backend.sched.frontier().to_vec();
         let v = residual[0];
-        store.assign(v, alg.init(v).entries(), |u| alg.entry_aux(u));
-        engine.mark_dirty(&g, [v]);
-        store.compact();
+        backend
+            .store
+            .assign(v, alg.init(v).entries(), |u| alg.entry_aux(u));
+        Lane::<LeListAlgorithm>::mark_dirty(&mut backend, &g, &[v]);
+        backend.compact();
         assert!(
-            engine.handover.delta(v).is_none(),
+            backend.handover.delta(v).is_none(),
             "seeded {v} kept its delta"
         );
         assert!(residual[1..]
             .iter()
-            .all(|&w| engine.handover.delta(w).is_some()));
-        assert!(step_checking_deltas(&alg, &g, &mut engine, &mut store));
+            .all(|&w| backend.handover.delta(w).is_some()));
+        assert!(step_checking_deltas(&alg, &g, &mut backend));
 
-        // Priming (the resume path) and an all-dirty restart drop every
-        // delta, mid-run too.
-        assert!(!no_deltas(&engine, g.n()));
-        engine.prime(&g);
-        assert!(no_deltas(&engine, g.n()));
-        assert!(step_checking_deltas(&alg, &g, &mut engine, &mut store));
-        assert!(!no_deltas(&engine, g.n()));
-        engine.mark_all_dirty(&g);
-        assert!(no_deltas(&engine, g.n()));
-        while step_checking_deltas(&alg, &g, &mut engine, &mut store) {}
+        // A resume and an all-dirty restart drop every delta, mid-run
+        // too.
+        assert!(!no_deltas(&backend, g.n()));
+        let ckpt = capture(&backend, backend.sched.frontier().to_vec());
+        backend.resume(&alg, &g, &ckpt).unwrap();
+        assert!(no_deltas(&backend, g.n()));
+        assert!(step_checking_deltas(&alg, &g, &mut backend));
+        assert!(!no_deltas(&backend, g.n()));
+        Lane::<LeListAlgorithm>::mark_all_dirty(&mut backend, &g);
+        assert!(no_deltas(&backend, g.n()));
+        while step_checking_deltas(&alg, &g, &mut backend) {}
 
-        // A fresh engine resuming from the fixpoint hands over whole
+        // A fresh backend resuming from the fixpoint hands over whole
         // spans for its seeded frontier and finds nothing to change.
-        let mut resumed = ArenaEngine::new();
-        resumed.prime(&g);
-        resumed.mark_dirty(&g, [0, 1, 2]);
+        let mut resumed = ArenaBackend::new();
+        resumed
+            .resume(&alg, &g, &capture(&backend, vec![0, 1, 2]))
+            .unwrap();
         assert!(no_deltas(&resumed, g.n()));
-        assert!(!step_checking_deltas(&alg, &g, &mut resumed, &mut store));
+        assert!(!step_checking_deltas(&alg, &g, &mut resumed));
     }
 }

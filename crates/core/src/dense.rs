@@ -1,4 +1,4 @@
-//! The dense-block engine backend: MBF-like iteration over flat
+//! The dense-block backend: MBF-like iteration over flat
 //! row-major state matrices ([`mte_algebra::dense`]).
 //!
 //! # Why a dense backend
@@ -9,7 +9,7 @@
 //! Example 3.5; the query of Theorem 6.1) inverts that regime — states
 //! converge towards **full** rows (`|x_v| → n`) and the sorted merges
 //! pay branch mispredictions and per-entry key bookkeeping for
-//! coordinates that are all present anyway. [`DenseEngine`] runs the
+//! coordinates that are all present anyway. [`DenseBackend`] runs the
 //! *same* hops (the shared `FrontierSchedule`: same frontier, same
 //! touched list, same degree-balanced chunks) over a [`DenseBlock`] —
 //! the paper's matrix-semimodule view taken literally: one hop of vertex
@@ -33,7 +33,7 @@
 //! `MTE_THREADS ∈ {1, 4}`). The contract an algorithm must uphold is
 //! that [`DenseMbfAlgorithm::advertises_dense`] returns `true` only when
 //! [`MbfAlgorithm::filter`] is the identity on every state the instance
-//! can produce: the engine never calls the filter.
+//! can produce: the backend never calls the filter.
 //!
 //! # Memory budget
 //!
@@ -73,7 +73,7 @@ use std::cell::RefCell;
 /// **absorption-stable** (see [`crate::arena::RecomputeCtx`] for the
 /// general argument): row values only ever improve under `⊕`, so
 /// re-merging a neighbor whose row did not change since `v` last
-/// absorbed it is an identity. The engine therefore **skips clean
+/// absorbed it is an identity. The backend therefore **skips clean
 /// source rows outright** — on a memory-bound dense hop that is a
 /// direct traffic cut, not just saved arithmetic.
 pub trait DenseMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
@@ -86,9 +86,10 @@ pub trait DenseMbfAlgorithm: MbfAlgorithm<S = MinPlus, M = DistanceMap> {
 }
 
 /// Shared mutable base pointer for the disjoint-index writes of the
-/// dense engine's parallel chunks.
+/// dense backend's parallel chunks.
 ///
-/// Soundness contract (upheld by [`DenseEngine::step`]): the per-hop
+/// Soundness contract (upheld by the dense backend's
+/// [`StateBackend::step`]): the per-hop
 /// recompute list is sorted and deduplicated, and chunks partition its
 /// *positions*, so no two chunks ever touch the same row window or
 /// stats slot.
@@ -117,13 +118,18 @@ impl<T> SyncPtr<T> {
     }
 }
 
-/// The dense-block iteration engine: the `FrontierSchedule` of
-/// [`crate::engine`] driving row-kernel hops over a [`DenseBlock`].
-/// One engine serves arbitrarily many hops without reallocating; the
-/// block is passed per step so callers (the oracle) can own several
-/// state matrices.
+/// The dense backend of [`StateBackend`]: the `FrontierSchedule` of
+/// [`crate::engine`] driving row-kernel hops over a [`DenseBlock`],
+/// states exported as sparse maps. One backend serves arbitrarily many
+/// hops without reallocating. A run that cannot afford its `n × n` block
+/// has no fallback: start and resume allocate it under the memory budget
+/// and fail with [`RunError::DenseBudgetExceeded`] (see the module
+/// docs).
 #[derive(Clone, Debug)]
-pub struct DenseEngine {
+pub struct DenseBackend {
+    block: DenseBlock,
+    /// Memory budget for the block, in bytes; `None` = unlimited.
+    budget_bytes: Option<u64>,
     sched: FrontierSchedule,
     /// Flat shadow matrix (`n·k` values) written during a hop; changed
     /// rows are copied into the block at commit.
@@ -131,110 +137,90 @@ pub struct DenseEngine {
     /// Per-touched-position `(entries, relaxations, changed)` of the
     /// current hop.
     per_vertex: Vec<(u64, u64, bool)>,
-    /// Taints for externally rewritten rows (the dense counterpart of
-    /// [`crate::arena::RecomputeCtx::require_full`]): a tainted vertex
-    /// has absorbed nothing, so its next recomputation must merge
-    /// every neighbor even under the clean-row skip. Cleared
-    /// per vertex on recompute, wholesale on
-    /// [`DenseEngine::mark_all_dirty`].
-    taint: crate::engine::TaintTable,
 }
 
-impl Default for DenseEngine {
-    fn default() -> Self {
-        Self::new()
-    }
+/// Checks the dense advertisement, then the states' vertex range: an
+/// instance the backend can never run is refused before anything is
+/// allocated, and a state naming a vertex `≥ states.len()` is
+/// [`RunError::SnapshotCorrupt`].
+fn check_input<A: DenseMbfAlgorithm>(alg: &A, states: &[DistanceMap]) -> Result<(), RunError> {
+    assert!(
+        alg.advertises_dense(),
+        "algorithm instance does not advertise dense states"
+    );
+    check_vertices(states)
 }
 
-impl DenseEngine {
-    /// A fresh engine.
-    pub fn new() -> Self {
-        DenseEngine {
-            sched: FrontierSchedule::new(),
+impl DenseBackend {
+    /// An empty backend, allocating its block only within
+    /// `budget_bytes` (`None` = unlimited).
+    pub fn new(budget_bytes: Option<u64>) -> Self {
+        DenseBackend {
+            block: DenseBlock::new(0, 0),
+            budget_bytes,
+            sched: FrontierSchedule::default(),
             next: Vec::new(),
             per_vertex: Vec::new(),
-            taint: crate::engine::TaintTable::new(),
         }
     }
 
-    /// Sizes the schedule and taint table for `g` with an **empty**
-    /// frontier, so a later [`DenseEngine::mark_dirty`] seeds exactly
-    /// its vertices instead of falling back to the all-dirty restart
-    /// (the checkpoint-resume path seeds the recorded frontier this
-    /// way).
-    pub fn ensure_sized(&mut self, g: &Graph) {
-        self.sched.ensure_sized(g);
-        self.taint.ensure_sized(g.n());
+    /// Checks the input ([`check_input`]), then loads `states` into a
+    /// fresh `n × n` block allocated under the memory budget.
+    fn load<A: DenseMbfAlgorithm>(
+        &mut self,
+        alg: &A,
+        states: &[DistanceMap],
+    ) -> Result<(), RunError> {
+        check_input(alg, states)?;
+        let n = states.len();
+        let block = DenseBlock::try_from_states(states, n, self.budget_bytes).map_err(|e| {
+            RunError::DenseBudgetExceeded {
+                requested_bytes: e.requested_bytes,
+                budget_bytes: e.budget_bytes,
+            }
+        })?;
+        self.block = block;
+        Ok(())
     }
+}
 
-    /// The frontier list: ascending, no duplicates.
-    pub fn frontier(&self) -> &[NodeId] {
-        self.sched.frontier()
-    }
-
-    /// Turns on the change log: the engine then records every vertex
-    /// whose state a hop changed, until drained. The oracle lanes use it
-    /// to make their carry-over diff frontier-sized.
-    pub(crate) fn enable_change_log(&mut self) {
-        self.sched.enable_change_log();
-    }
-
-    /// Appends the sorted set of vertices changed since the last drain
-    /// to `out` and resets the log.
-    pub(crate) fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.sched.drain_change_log(out);
-    }
-
-    /// Declares every vertex dirty (the block was rewritten wholesale).
-    /// Also clears all taints: the next hop merges every neighbor of
-    /// every vertex anyway.
-    pub fn mark_all_dirty(&mut self, g: &Graph) {
+impl<A: DenseMbfAlgorithm> StateBackend<A> for DenseBackend {
+    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
+        self.load(alg, &initial_states(alg, g.n()))?;
         self.sched.mark_all_dirty(g);
-        self.taint.reset(g.n());
+        Ok(WorkStats::new())
     }
 
-    /// Seeds the given vertices into the frontier, keeping the residual
-    /// one. The seeded vertices are additionally **tainted**: their rows were rewritten outside the
-    /// engine, so their next recomputation must merge every neighbor
-    /// (the clean-row skip would otherwise drop contributions
-    /// the old row had absorbed).
-    pub fn mark_dirty(&mut self, g: &Graph, vs: impl IntoIterator<Item = NodeId>) {
-        if !self.sched.sized_for(g.n()) {
-            // Falls back to an all-dirty restart inside the schedule;
-            // keep the taint table in sync.
-            self.mark_all_dirty(g);
-            return;
-        }
-        let taint = &mut self.taint;
-        self.sched
-            .mark_dirty(g, vs.into_iter().inspect(|&v| taint.taint(v)));
+    /// The states convert into a fresh block and the recorded frontier
+    /// seeds the schedule; the seeded rows are tainted.
+    fn resume(
+        &mut self,
+        alg: &A,
+        g: &Graph,
+        ckpt: &Checkpoint<DistanceMap>,
+    ) -> Result<WorkStats, RunError> {
+        self.load(alg, &ckpt.states)?;
+        self.sched.ensure_sized(g);
+        self.sched.mark_dirty(g, ckpt.frontier.iter().copied());
+        Ok(WorkStats::new())
     }
 
-    /// One hop `x ← r^V A x` over the dense block, with all edge
-    /// weights multiplied by `weight_scale`. Bit-identical to
-    /// [`crate::engine::iterate_scaled`] on the exported states; returns
-    /// the work spent and whether any row changed.
+    /// One hop `x ← r^V A x` over the dense block. Bit-identical to
+    /// [`crate::engine::iterate_scaled`] on the exported states.
     ///
     /// `entries_processed` counts **dense coordinates** touched
     /// (`k` per source row folded, own row included) — a different
     /// currency than the sparse backends' per-entry counts; states,
     /// iterations, fixpoints, `edge_relaxations`, and
     /// `touched_vertices` remain exactly comparable.
-    pub fn step<A: DenseMbfAlgorithm>(
-        &mut self,
-        alg: &A,
-        g: &Graph,
-        block: &mut DenseBlock,
-        weight_scale: f64,
-    ) -> (WorkStats, bool) {
+    fn step(&mut self, alg: &A, g: &Graph, weight_scale: f64) -> (WorkStats, bool) {
         let n = g.n();
-        assert_eq!(n, block.rows(), "state block / graph size mismatch");
-        let k = block.cols();
+        assert_eq!(n, self.block.rows(), "state block / graph size mismatch");
+        let k = self.block.cols();
         if !self.sched.sized_for(n) {
             // First use (or a different graph size): treat as
-            // all-dirty. Goes through the engine-level method so the
-            // taint table is sized in the same stroke.
-            self.mark_all_dirty(g);
+            // all-dirty.
+            self.sched.mark_all_dirty(g);
         }
         let mut alloc_count = 0u64;
         if self.next.len() != n * k {
@@ -244,15 +230,16 @@ impl DenseEngine {
             alloc_count = 1;
         }
 
-        self.sched.plan_hop(g, |_| true, |_, _, _| true);
-        let touched: &[NodeId] = self.sched.touched();
-        let chunks: &[std::ops::Range<usize>] = self.sched.chunks();
+        self.sched.plan_hop(g, true, |_, _, _| true);
+        let sched = &self.sched;
+        let touched: &[NodeId] = sched.touched();
+        let chunks: &[std::ops::Range<usize>] = sched.chunks();
 
         // Recompute phase: each chunk pulls its vertices' rows through
         // the cache-tiled row kernels into its disjoint shadow rows.
         self.per_vertex.clear();
         self.per_vertex.resize(touched.len(), (0, 0, false));
-        let block_ref: &DenseBlock = block;
+        let block: &DenseBlock = &self.block;
         let next_base = SyncPtr(self.next.as_mut_ptr());
         let stats_base = SyncPtr(self.per_vertex.as_mut_ptr());
         // Skip source rows that did not change since `v` last absorbed
@@ -260,8 +247,6 @@ impl DenseEngine {
         // absorption stability) — on a memory-bound hop, rows never
         // read are the dominant saving. Tainted vertices (externally
         // rewritten) must merge everything once.
-        let sched_ref = &self.sched;
-        let taint_ref = &self.taint;
         chunks.par_iter().with_min_len(1).for_each(|range| {
             // Per-chunk neighbor-row gather list, reused across the
             // chunk's vertices (one small allocation per chunk per hop).
@@ -276,10 +261,10 @@ impl DenseEngine {
                 // SAFETY: as above — stats slot `p` belongs to this chunk.
                 let stats = unsafe { &mut *stats_base.slot(p) };
                 srcs.clear();
-                let full = taint_ref.is_tainted(v);
+                let full = sched.is_tainted(v);
                 let mut relaxations = 0u64;
                 for &(w, ew) in g.neighbors(v) {
-                    if !full && !sched_ref.on_frontier(w) {
+                    if !full && !sched.on_frontier(w) {
                         continue; // already absorbed: provably an identity
                     }
                     let coeff = alg.edge_coeff(v, w, ew * weight_scale);
@@ -287,7 +272,7 @@ impl DenseEngine {
                     if !Semiring::is_zero(&coeff) {
                         // 0 ⊙ x = ⊥: a zero coefficient contributes
                         // nothing — skip the k-element no-op.
-                        srcs.push((block_ref.row(w), coeff));
+                        srcs.push((block.row(w), coeff));
                     }
                 }
                 // a_vv = 1: the node's own row is the base of the fold.
@@ -300,7 +285,7 @@ impl DenseEngine {
                     // Fused path: init-from-base first relaxation,
                     // change tracking inside the passes — no copy pass,
                     // no compare pass.
-                    relax_rows_tracked(dst, block_ref.row(v), &srcs)
+                    relax_rows_tracked(dst, block.row(v), &srcs)
                 };
                 let entries = k as u64 * (srcs.len() as u64 + 1);
                 *stats = (entries, relaxations, changed);
@@ -314,7 +299,7 @@ impl DenseEngine {
         // fixed-shape reduction tree — bit-identical for every thread
         // count.
         let per_vertex: &[(u64, u64, bool)] = &self.per_vertex;
-        let block_base = SyncPtr(block.values_mut().as_mut_ptr());
+        let block_base = SyncPtr(self.block.values_mut().as_mut_ptr());
         let (entries, relaxations, any_changed) = chunks
             .par_iter()
             .with_min_len(1)
@@ -346,16 +331,9 @@ impl DenseEngine {
                 |a, b| (a.0 + b.0, a.1 + b.1, a.2 || b.2),
             );
 
-        // Every touched vertex was recomputed (tainted ones with full
-        // merges), so its taint is discharged.
-        for &v in touched {
-            self.taint.discharge(v);
-        }
-
         let touched_vertices = touched.len() as u64;
         // Every touched row was rewritten wholesale into the shadow.
         let bytes_copied = touched_vertices * (k * std::mem::size_of::<MinPlus>()) as u64;
-        let per_vertex: &[(u64, u64, bool)] = &self.per_vertex;
         self.sched.refresh(|p| per_vertex[p].2);
 
         // Fault-injection site: the hop's commit just completed; a
@@ -372,7 +350,7 @@ impl DenseEngine {
                 mte_faults::trigger_panic(mte_faults::FaultSite::EngineHopCommit)
             }
             Some(mte_faults::FaultKind::PoisonNan) => {
-                if let Some(s) = block.values_mut().first_mut() {
+                if let Some(s) = self.block.values_mut().first_mut() {
                     Semiring::poison(s);
                 }
             }
@@ -391,85 +369,9 @@ impl DenseEngine {
         };
         (work, any_changed)
     }
-}
-
-/// The dense backend of [`StateBackend`]: a [`DenseBlock`] hopped by a
-/// [`DenseEngine`], states exported as sparse maps. A run that cannot
-/// afford its `n × n` block has no fallback: start and resume allocate
-/// it under the memory budget and fail with
-/// [`RunError::DenseBudgetExceeded`] (see the module docs).
-#[derive(Clone, Debug)]
-pub struct DenseBackend {
-    engine: DenseEngine,
-    block: DenseBlock,
-    /// Memory budget for the block, in bytes; `None` = unlimited.
-    budget_bytes: Option<u64>,
-}
-
-impl DenseBackend {
-    /// An empty backend, allocating its block only within
-    /// `budget_bytes` (`None` = unlimited).
-    pub fn new(budget_bytes: Option<u64>) -> Self {
-        DenseBackend {
-            engine: DenseEngine::new(),
-            block: DenseBlock::new(0, 0),
-            budget_bytes,
-        }
-    }
-
-    /// Checks the dense advertisement, then loads `states` into a fresh
-    /// `n × n` block allocated under the memory budget: an instance the
-    /// backend can never run is refused before anything is allocated.
-    /// A state naming a vertex `≥ n` is [`RunError::SnapshotCorrupt`].
-    fn load<A: DenseMbfAlgorithm>(
-        &mut self,
-        alg: &A,
-        states: &[DistanceMap],
-    ) -> Result<(), RunError> {
-        assert!(
-            alg.advertises_dense(),
-            "algorithm instance does not advertise dense states"
-        );
-        check_vertices(states)?;
-        let n = states.len();
-        let block = DenseBlock::try_from_states(states, n, self.budget_bytes).map_err(|e| {
-            RunError::DenseBudgetExceeded {
-                requested_bytes: e.requested_bytes,
-                budget_bytes: e.budget_bytes,
-            }
-        })?;
-        self.block = block;
-        Ok(())
-    }
-}
-
-impl<A: DenseMbfAlgorithm> StateBackend<A> for DenseBackend {
-    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
-        self.load(alg, &initial_states(alg, g.n()))?;
-        self.engine.mark_all_dirty(g);
-        Ok(WorkStats::new())
-    }
-
-    /// The states convert into a fresh block and the recorded frontier
-    /// seeds the schedule.
-    fn resume(
-        &mut self,
-        alg: &A,
-        g: &Graph,
-        ckpt: &Checkpoint<DistanceMap>,
-    ) -> Result<WorkStats, RunError> {
-        self.load(alg, &ckpt.states)?;
-        self.engine.ensure_sized(g);
-        self.engine.mark_dirty(g, ckpt.frontier.iter().copied());
-        Ok(WorkStats::new())
-    }
-
-    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
-        self.engine.step(alg, g, &mut self.block, scale)
-    }
 
     fn frontier(&self) -> &[NodeId] {
-        self.engine.frontier()
+        self.sched.frontier()
     }
 
     fn export_states(&self) -> Vec<DistanceMap> {
@@ -504,21 +406,16 @@ impl<A: DenseMbfAlgorithm> Lane<A> for DenseBackend {
     type Folded = Vec<MinPlus>;
 
     fn lane(n: usize) -> Self {
-        let mut engine = DenseEngine::new();
-        engine.enable_change_log();
-        DenseBackend {
-            engine,
+        let mut lane = DenseBackend {
             block: DenseBlock::new(n, n),
-            budget_bytes: None,
-        }
+            ..DenseBackend::new(None)
+        };
+        lane.sched.enable_change_log();
+        lane
     }
 
     fn import(alg: &A, states: &[DistanceMap]) -> Result<DenseBlock, RunError> {
-        assert!(
-            alg.advertises_dense(),
-            "algorithm instance does not advertise dense states"
-        );
-        check_vertices(states)?;
+        check_input(alg, states)?;
         Ok(DenseBlock::from_states(states, states.len()))
     }
 
@@ -527,15 +424,15 @@ impl<A: DenseMbfAlgorithm> Lane<A> for DenseBackend {
     }
 
     fn mark_all_dirty(&mut self, g: &Graph) {
-        self.engine.mark_all_dirty(g);
+        self.sched.mark_all_dirty(g);
     }
 
     fn mark_dirty(&mut self, g: &Graph, vs: &[NodeId]) {
-        self.engine.mark_dirty(g, vs.iter().copied());
+        self.sched.mark_dirty(g, vs.iter().copied());
     }
 
     fn drain_change_log(&mut self, out: &mut Vec<NodeId>) {
-        self.engine.drain_change_log(out);
+        self.sched.drain_change_log(out);
     }
 
     fn project(&mut self, _alg: &A, x: &DenseBlock, v: NodeId, keep: bool) -> bool {
@@ -600,7 +497,7 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn dense_apsp_matches_owned_engine() {
+    fn dense_apsp_matches_literal_loop() {
         let mut rng = StdRng::seed_from_u64(81);
         let g = gnm_graph(50, 130, 1.0..9.0, &mut rng);
         let alg = SourceDetection::apsp(g.n());
@@ -620,23 +517,19 @@ mod tests {
 
     #[test]
     fn fresh_engine_step_sizes_schedule_and_taint_together() {
-        // Regression: the unsized-schedule fallback used to size only
-        // the schedule, so an algorithm's first step
-        // on a never-primed engine read past the empty taint table.
+        // A step on a loaded block whose schedule was never sized must
+        // size the frontier and taint marks together before it reads
+        // either.
         let g = path_graph(6, 1.0);
         let alg = SourceDetection::apsp(g.n());
-        let mut block = DenseBlock::from_states(&initial_states(&alg, g.n()), g.n());
-        let mut engine = DenseEngine::new();
-        let (_, changed) = engine.step(&alg, &g, &mut block, 1.0);
+        let mut backend = DenseBackend::new(None);
+        backend.load(&alg, &initial_states(&alg, g.n())).unwrap();
+        assert!(!backend.sched.sized_for(g.n()));
+        let (_, changed) = backend.step(&alg, &g, 1.0);
         assert!(changed);
+        while backend.step(&alg, &g, 1.0).1 {}
         let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        loop {
-            let (_, changed) = engine.step(&alg, &g, &mut block, 1.0);
-            if !changed {
-                break;
-            }
-        }
-        assert_eq!(block.export(), literal.states);
+        assert_eq!(backend.block.export(), literal.states);
     }
 
     #[test]

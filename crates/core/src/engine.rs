@@ -51,7 +51,7 @@
 //! frontier's closed neighborhood — not `n`. The invariants:
 //!
 //! * `frontier` holds exactly the vertices whose state changed in the
-//!   previous hop (or were declared dirty through the engines'
+//!   previous hop (or were declared dirty through the backends'
 //!   `mark_dirty` / `mark_all_dirty`), in **ascending node order** with
 //!   no duplicates.
 //! * Membership is tracked by **generation stamps**: `frontier_mark[v] ==
@@ -150,65 +150,6 @@ const MIN_CHUNK_COST: usize = 256;
 /// fixed-shape reduction-tree width.
 const MAX_HOP_CHUNKS: usize = 64;
 
-/// Generation-stamped taint table shared by the arena and dense
-/// engines: a tainted vertex was externally rewritten since its last
-/// recomputation (it has absorbed nothing), so its next recomputation
-/// must merge every neighbor even under an absorption-stable skip.
-/// Kept in one place so the resize/wrap-around semantics cannot
-/// diverge between the backends.
-#[derive(Clone, Debug)]
-pub(crate) struct TaintTable {
-    mark: Vec<u32>,
-    gen: u32,
-}
-
-impl TaintTable {
-    pub(crate) fn new() -> Self {
-        TaintTable {
-            mark: Vec::new(),
-            gen: 1,
-        }
-    }
-
-    /// Sizes the table for `n` vertices if needed, without clearing
-    /// existing taints on a same-size table.
-    pub(crate) fn ensure_sized(&mut self, n: usize) {
-        if self.mark.len() != n {
-            self.mark.clear();
-            self.mark.resize(n, 0);
-            self.gen = 1;
-        }
-    }
-
-    /// Sizes for `n` vertices and discharges every taint (the engine's
-    /// `mark_all_dirty` path: the next hop merges everything anyway).
-    pub(crate) fn reset(&mut self, n: usize) {
-        if self.mark.len() == n {
-            bump_generation(&mut self.gen, &mut self.mark);
-        } else {
-            self.ensure_sized(n);
-        }
-    }
-
-    #[inline]
-    pub(crate) fn taint(&mut self, v: NodeId) {
-        self.mark[v as usize] = self.gen;
-    }
-
-    #[inline]
-    pub(crate) fn is_tainted(&self, v: NodeId) -> bool {
-        self.mark[v as usize] == self.gen
-    }
-
-    /// Discharges `v`'s taint (after a full-merge recomputation).
-    #[inline]
-    pub(crate) fn discharge(&mut self, v: NodeId) {
-        if self.is_tainted(v) {
-            self.mark[v as usize] = 0;
-        }
-    }
-}
-
 /// Bumps a generation counter, zeroing the mark vector once on (u32)
 /// wrap-around so stale stamps can never alias a live generation.
 fn bump_generation(gen: &mut u32, marks: &mut [u32]) -> u32 {
@@ -220,18 +161,27 @@ fn bump_generation(gen: &mut u32, marks: &mut [u32]) -> u32 {
     *gen
 }
 
-/// The scheduling core shared by the arena-backed
-/// [`crate::arena::ArenaEngine`] and the dense
-/// [`crate::dense::DenseEngine`]: the frontier list,
+/// The scheduling core shared by the arena backend
+/// ([`crate::arena::ArenaBackend`]) and the dense backend
+/// ([`crate::dense::DenseBackend`]): the frontier list,
 /// generation-stamped membership marks, the per-hop recompute list with
-/// its degree-balanced chunking, and an optional **change log** (the
-/// union of all frontier refreshes since the last drain — what the
-/// oracle's frontier-sized carry-over diff reads).
+/// its degree-balanced chunking, the **taints**, and an optional
+/// **change log** (the union of all frontier refreshes since the last
+/// drain — what the oracle's frontier-sized carry-over diff reads).
+///
+/// A tainted vertex was rewritten outside the backend since its last
+/// recomputation: it has absorbed nothing, so its next recomputation
+/// must merge every neighbor even under an absorption-stable skip (see
+/// [`crate::arena::RecomputeCtx::require_full`]).
+/// [`FrontierSchedule::mark_dirty`] taints the vertices it seeds,
+/// [`FrontierSchedule::mark_all_dirty`] discharges every taint (the next
+/// hop merges everything anyway), and [`FrontierSchedule::refresh`]
+/// discharges the vertices the hop recomputed.
 ///
 /// Sharing the schedule guarantees the two storage backends run the
 /// *same* hops over the *same* chunks: any divergence between them is a
 /// storage bug, never a scheduling one.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub(crate) struct FrontierSchedule {
     /// The frontier: vertices whose state changed in the previous hop,
     /// ascending, no duplicates.
@@ -247,7 +197,10 @@ pub(crate) struct FrontierSchedule {
     touched_gen: u32,
     /// Degree-balanced chunk boundaries (position ranges into `touched`).
     chunks: Vec<std::ops::Range<usize>>,
-    /// Change log: every vertex whose state the engine changed since the
+    /// `taint_mark[v] == taint_gen` ⇔ `v` is tainted.
+    taint_mark: Vec<u32>,
+    taint_gen: u32,
+    /// Change log: every vertex whose state a hop changed since the
     /// last [`FrontierSchedule::drain_change_log`], deduplicated by
     /// generation stamps. Only maintained when enabled.
     log: Vec<NodeId>,
@@ -257,22 +210,6 @@ pub(crate) struct FrontierSchedule {
 }
 
 impl FrontierSchedule {
-    pub(crate) fn new() -> Self {
-        FrontierSchedule {
-            frontier: Vec::new(),
-            frontier_mark: Vec::new(),
-            frontier_gen: 0,
-            touched: Vec::new(),
-            touched_mark: Vec::new(),
-            touched_gen: 0,
-            chunks: Vec::new(),
-            log: Vec::new(),
-            log_mark: Vec::new(),
-            log_gen: 0,
-            log_enabled: false,
-        }
-    }
-
     pub(crate) fn frontier(&self) -> &[NodeId] {
         &self.frontier
     }
@@ -285,6 +222,13 @@ impl FrontierSchedule {
     #[inline]
     pub(crate) fn on_frontier(&self, v: NodeId) -> bool {
         self.frontier_mark[v as usize] == self.frontier_gen
+    }
+
+    /// `true` iff `v` was rewritten outside the backend since its last
+    /// recomputation (see the struct docs).
+    #[inline]
+    pub(crate) fn is_tainted(&self, v: NodeId) -> bool {
+        self.taint_mark[v as usize] == self.taint_gen
     }
 
     /// `true` iff the mark vectors are sized for an `n`-vertex graph.
@@ -308,37 +252,47 @@ impl FrontierSchedule {
     }
 
     /// Sizes the mark vectors for `g` (if needed) with an **empty**
-    /// frontier — unlike [`FrontierSchedule::mark_all_dirty`], nothing
-    /// is made dirty. Lets a caller prime a fresh schedule so a later
+    /// frontier and no taints — unlike
+    /// [`FrontierSchedule::mark_all_dirty`], nothing is made dirty. Lets
+    /// a resume prime a fresh schedule so a later
     /// [`FrontierSchedule::mark_dirty`] seeds exactly its vertices
     /// instead of falling back to the all-dirty restart.
     pub(crate) fn ensure_sized(&mut self, g: &Graph) {
         let n = g.n();
         if self.frontier_mark.len() != n {
-            self.frontier_mark.clear();
-            self.frontier_mark.resize(n, 0);
-            // Marks are all 0: the generation must be nonzero so no
-            // vertex reads as a frontier member.
-            self.frontier_gen = 1;
+            // Marks are all 0: each generation must be nonzero so no
+            // vertex reads as a member.
+            for (mark, gen) in [
+                (&mut self.frontier_mark, &mut self.frontier_gen),
+                (&mut self.taint_mark, &mut self.taint_gen),
+                (&mut self.log_mark, &mut self.log_gen),
+            ] {
+                mark.clear();
+                mark.resize(n, 0);
+                *gen = 1;
+            }
             self.frontier.clear();
             self.touched_mark.clear();
             self.touched_mark.resize(n, 0);
             self.touched_gen = 0;
-            self.log_mark.clear();
-            self.log_mark.resize(n, 0);
-            self.log_gen = 1;
             self.log.clear();
         }
     }
 
+    /// Declares every vertex dirty and discharges every taint: the next
+    /// hop recomputes all of `V` from every neighbor.
     pub(crate) fn mark_all_dirty(&mut self, g: &Graph) {
         self.ensure_sized(g);
+        bump_generation(&mut self.taint_gen, &mut self.taint_mark);
         let gen = bump_generation(&mut self.frontier_gen, &mut self.frontier_mark);
         self.frontier.clear();
         self.frontier.extend(0..g.n() as NodeId);
         self.frontier_mark.iter_mut().for_each(|m| *m = gen);
     }
 
+    /// Seeds and taints `vs` (rewritten outside the backend), keeping
+    /// the residual frontier: the next hop is bit-identical to an
+    /// all-dirty restart.
     pub(crate) fn mark_dirty(&mut self, g: &Graph, vs: impl IntoIterator<Item = NodeId>) {
         if self.frontier_mark.len() != g.n() {
             // Never sized for this graph: there is no residual state to
@@ -350,6 +304,7 @@ impl FrontierSchedule {
         let gen = self.frontier_gen;
         let mut added = false;
         for v in vs {
+            self.taint_mark[v as usize] = self.taint_gen;
             let mark = &mut self.frontier_mark[v as usize];
             if *mark != gen {
                 *mark = gen;
@@ -363,23 +318,24 @@ impl FrontierSchedule {
     }
 
     /// Gathers the recompute list into `self.touched`, sorted ascending,
-    /// cut into degree-balanced chunks: every frontier vertex `w` with
-    /// `keep(w)`, and every neighbor `v` of a frontier vertex `w` with
-    /// `hands(w, v, ω(w, v))` — `w` hands `v` something `v` must read.
-    /// The dense engine passes "always" for both, which gathers
-    /// the closed neighborhood of the frontier (all of `V` when the
-    /// frontier is all of `V`); the arena engine narrows it for
-    /// semi-naive algorithms (see [`crate::arena::RecomputeCtx`]).
+    /// cut into degree-balanced chunks: every frontier vertex `w` that
+    /// is tainted or `keep_frontier`, and every neighbor `v` of a
+    /// frontier vertex `w` with `hands(w, v, ω(w, v))` — `w` hands `v`
+    /// something `v` must read. The dense backend keeps the frontier and
+    /// passes "always", which gathers the closed neighborhood of the
+    /// frontier (all of `V` when the frontier is all of `V`); the arena
+    /// backend narrows it for semi-naive algorithms (see
+    /// [`crate::arena::RecomputeCtx`]).
     pub(crate) fn plan_hop(
         &mut self,
         g: &Graph,
-        keep: impl Fn(NodeId) -> bool,
+        keep_frontier: bool,
         mut hands: impl FnMut(NodeId, NodeId, f64) -> bool,
     ) {
         self.touched.clear();
         let gen = bump_generation(&mut self.touched_gen, &mut self.touched_mark);
         for &w in &self.frontier {
-            if self.touched_mark[w as usize] != gen && keep(w) {
+            if self.touched_mark[w as usize] != gen && (keep_frontier || self.is_tainted(w)) {
                 self.touched_mark[w as usize] = gen;
                 self.touched.push(w);
             }
@@ -431,10 +387,13 @@ impl FrontierSchedule {
     /// changed subsequence of the (sorted) touched list is already
     /// ascending and duplicate-free; the scan is proportional to the
     /// recompute list, not `n`. Feeds the change log when enabled.
+    /// Every touched vertex was recomputed (tainted ones with full
+    /// merges), so the scan discharges its taint.
     pub(crate) fn refresh(&mut self, changed: impl Fn(usize) -> bool) {
         let gen = bump_generation(&mut self.frontier_gen, &mut self.frontier_mark);
         self.frontier.clear();
         for (p, &v) in self.touched.iter().enumerate() {
+            self.taint_mark[v as usize] = 0;
             if changed(p) {
                 self.frontier.push(v);
                 self.frontier_mark[v as usize] = gen;
@@ -451,7 +410,7 @@ impl FrontierSchedule {
 /// multiplied by `weight_scale`. One-shot kernel, the hop of
 /// [`LiteralBackend`] and the differential-testing reference (see
 /// [`run`]): it shares no schedule, chunking or commit code with the
-/// engines.
+/// arena and dense backends.
 pub fn iterate_scaled<A: MbfAlgorithm>(
     alg: &A,
     g: &Graph,
@@ -621,7 +580,7 @@ pub fn run_to_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRu
 
 /// The literal fixpoint loop: [`iterate`] from `r^V x⁽⁰⁾` until the
 /// first hop that changes nothing, or `cap` hops, counted like
-/// [`run_to_fixpoint_on`]. The engines' states, iteration counts and
+/// [`run_to_fixpoint_on`]. The backends' states, iteration counts and
 /// fixpoint flags are differential-tested against it.
 #[cfg(test)]
 pub(crate) fn literal_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRun<A::M> {

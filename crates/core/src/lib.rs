@@ -51,8 +51,8 @@ pub mod run;
 pub mod simgraph;
 pub mod work;
 
-pub use arena::{ArenaBackend, ArenaEngine, ArenaMbfAlgorithm};
-pub use dense::{DenseBackend, DenseEngine, DenseMbfAlgorithm};
+pub use arena::{ArenaBackend, ArenaMbfAlgorithm};
+pub use dense::{DenseBackend, DenseMbfAlgorithm};
 pub use engine::{LiteralBackend, MbfAlgorithm, MbfRun};
 pub use error::{Degradation, RecoveryAttempt, RecoveryPolicy, RunError, RunReport, Supervisor};
 pub use run::{Checkpoint, CheckpointPolicy, StateBackend};

@@ -36,7 +36,7 @@
 //! re-prime wholesale, so the drivers never depend on the lane.
 //!
 //! The lane contract: [`Lane::lane`] builds one level's `⊥` vector with
-//! the engine's change log on; [`Lane::import`] / [`Lane::export`] /
+//! its schedule's change log on; [`Lane::import`] / [`Lane::export`] /
 //! [`Lane::into_export`] convert the aggregate to and from owned states;
 //! [`Lane::project`]
 //! compare-and-assigns one slot of the projection `y_λ[v] ← P_λ x[v]`
@@ -201,8 +201,8 @@ pub trait Lane<A: MbfAlgorithm<S = MinPlus>>:
     /// [`Lane::commit`].
     type Folded: Send;
 
-    /// One level's lane over `n` vertices: every slot `⊥`, with the
-    /// engine's change log on.
+    /// One level's lane over `n` vertices: every slot `⊥`, with its
+    /// schedule's change log on.
     fn lane(n: usize) -> Self;
     /// The aggregate holding `states` (the initial `r^V x⁽⁰⁾` or a
     /// checkpoint's). A state naming a vertex `≥ states.len()` is

@@ -7,9 +7,10 @@
 //! the engine that hops over it. Three backends implement it —
 //! [`crate::engine::LiteralBackend`] (`Vec<A::M>` advanced by the
 //! one-shot `iterate` kernel; every state type),
-//! [`crate::arena::ArenaBackend`] (epoch-arena pool + `ArenaEngine`;
-//! distance maps) and [`crate::dense::DenseBackend`] (dense block +
-//! `DenseEngine`, with its memory budget; APSP) — and the
+//! [`crate::arena::ArenaBackend`] (an epoch-arena pool hopped by the
+//! frontier schedule; distance maps) and [`crate::dense::DenseBackend`]
+//! (a dense block hopped by the same schedule, with its memory budget;
+//! APSP) — and the
 //! hop-until-fixpoint loop is written once, here, over the trait:
 //!
 //! * [`run_to_fixpoint_on`] — the plain run,

@@ -62,8 +62,9 @@ pub const FAULT_PLAN_ENV: &str = "MTE_FAULT_PLAN";
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// Every hop's commit, once per hop: after the commit of
-    /// `LiteralBackend`'s and `DenseEngine`'s `step` (`panic`,
-    /// `poison_nan`), before the commit of `ArenaEngine::step` (`panic`).
+    /// `LiteralBackend`'s and `DenseBackend`'s `step` (`panic`,
+    /// `poison_nan`), before the commit of `ArenaBackend`'s `step`
+    /// (`panic`).
     EngineHopCommit,
     /// `EpochStore::get`: a borrowed span view handed to a recompute.
     ArenaSpanRead,

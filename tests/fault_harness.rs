@@ -233,14 +233,21 @@ fn every_injected_fault_errors_typed_or_leaves_output_bit_identical() {
         );
 
         for (site, kind) in pipeline.wired_faults() {
-            // nth 0 fires on the first arrival (always reached); a large
-            // nth is never reached, exercising the armed-but-silent path.
+            // nth 0 fires on the first arrival (always reached, so the
+            // fire must be on record); a large nth is never reached,
+            // exercising the armed-but-silent path.
             for nth in [0u64, 3, 1_000_000] {
                 for (ti, threads) in [1usize, 4].into_iter().enumerate() {
                     faults::install(FaultPlan::single(site, kind, nth));
+                    let since = faults::fired_serial();
                     let (g, sim) = (&g, &sim);
                     let outcome = with_threads(threads, move || pipeline.run(g, sim));
+                    let fired = faults::fired_since(since);
                     faults::clear();
+                    assert!(
+                        nth != 0 || fired.iter().any(|f| (f.site, f.kind) == (site, kind)),
+                        "{pipeline:?}/{site}/{kind}/nth=0/t={threads}: the fault never fired"
+                    );
                     match outcome {
                         Err(RunError::InjectedFault { .. })
                         | Err(RunError::Panicked { .. })

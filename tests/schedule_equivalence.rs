@@ -14,17 +14,17 @@ use common::{literal_fixpoint, literal_oracle};
 use metric_tree_embedding::algebra::store::{EpochStore, SpanOut};
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::{
-    initial_store, ArenaBackend, ArenaEngine, ArenaMbfAlgorithm, DeltaFloor, ReceiverSummary,
-    RecomputeCtx, SpanRecompute,
+    initial_store, ArenaBackend, ArenaMbfAlgorithm, DeltaFloor, ReceiverSummary, RecomputeCtx,
+    SpanRecompute,
 };
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::{initial_states, iterate, LiteralBackend, MbfAlgorithm};
 use metric_tree_embedding::core::frt::le_list::{le_lists_oracle, LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::frt::LeList;
-use metric_tree_embedding::core::oracle::{oracle_run_on, OracleRun};
+use metric_tree_embedding::core::oracle::{oracle_run_on, Lane, OracleRun};
 use metric_tree_embedding::core::run::{
-    run_to_fixpoint_on, try_resume_on, try_run_on, Checkpoint, CheckpointPolicy,
+    run_to_fixpoint_on, try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
 };
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::work::WorkStats;
@@ -119,36 +119,45 @@ fn mark_dirty_carry_over_matches_all_dirty_restart() {
     let g = gnm_graph(90, 260, 1.0..8.0, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 4);
 
-    // Run a few hops so the continuing engine holds a genuine residual
+    // Run a few hops so the continuing backend holds a genuine residual
     // frontier (the run is not yet at its fixpoint).
-    let mut states = initial_store(&alg, g.n());
-    let mut carry_engine = ArenaEngine::new();
-    carry_engine.mark_all_dirty(&g);
+    let mut carry = ArenaBackend::new();
+    carry.start(&alg, &g).unwrap();
     for _ in 0..3 {
-        carry_engine.step(&alg, &g, &mut states, 1.0);
+        carry.step(&alg, &g, 1.0);
     }
 
-    // External sparse edit: re-seed a few vertices, as the oracle's
-    // projection diff does between simulated rounds.
+    // External sparse edit: re-seed a few vertices through the lane's
+    // projection, as the oracle's projection diff does between
+    // simulated rounds.
     let edited: Vec<NodeId> = vec![3, 41, 77];
+    let mut states = StateBackend::<SourceDetection>::export_states(&carry);
     for &v in &edited {
-        let edit = alg.init((v + 1) % g.n() as NodeId);
-        states.assign(v, edit.entries(), |u| alg.entry_aux(u));
+        states[v as usize] = alg.init((v + 1) % g.n() as NodeId);
+        assert!(
+            carry.project(&alg, &states, v, true),
+            "edit of {v} rewrote nothing"
+        );
     }
-    let mut restart_states = states.clone();
 
-    // Carry-over: seed only the edited vertices on the live engine.
-    carry_engine.mark_dirty(&g, edited.iter().copied());
-    // Reference: a fresh engine restarted all-dirty on the same vector.
-    let mut restart_engine = ArenaEngine::new();
-    restart_engine.mark_all_dirty(&g);
+    // Carry-over: seed only the edited vertices on the live backend.
+    Lane::<SourceDetection>::mark_dirty(&mut carry, &g, &edited);
+    // Reference: a fresh backend restarted all-dirty on the same vector.
+    let mut restart = ArenaBackend::new();
+    let loaded = Checkpoint {
+        hop: 0,
+        frontier: Vec::new(),
+        states,
+    };
+    restart.resume(&alg, &g, &loaded).unwrap();
+    Lane::<SourceDetection>::mark_all_dirty(&mut restart, &g);
 
     for hop in 0..g.n() + 1 {
-        let (_, carry_changed) = carry_engine.step(&alg, &g, &mut states, 1.0);
-        let (_, restart_changed) = restart_engine.step(&alg, &g, &mut restart_states, 1.0);
+        let (_, carry_changed) = carry.step(&alg, &g, 1.0);
+        let (_, restart_changed) = restart.step(&alg, &g, 1.0);
         assert_eq!(
-            states.export(),
-            restart_states.export(),
+            StateBackend::<SourceDetection>::export_states(&carry),
+            StateBackend::<SourceDetection>::export_states(&restart),
             "hop {hop}: carry-over schedule diverged from all-dirty restart"
         );
         if !carry_changed && !restart_changed {
@@ -433,7 +442,7 @@ fn touched_entries(work: &WorkStats) -> (u64, u64) {
 }
 
 #[test]
-fn arena_engine_bit_identical_to_owned_reference() {
+fn arena_backend_bit_identical_to_literal_loop() {
     // The arena runs' `(touched_vertices, entries_processed)` per graph:
     // LE lists, 4-SSP, SSSP. The arena LE runs before the delta floors
     // read gnm (381, 2_031), grid (520, 2_289), path (623, 2_483).
@@ -565,47 +574,62 @@ fn arena_engine_bit_identical_across_thread_counts() {
     assert_eq!(r1.iterations, r4.iterations);
 }
 
-/// `mark_all_dirty` and `prime` declare the states rewritten outside the
-/// engine, so a live arena engine must drop everything it cached about
-/// the old ones (deltas and receiver summaries). Restarting one
-/// mid-run from `r^V x⁽⁰⁾`, or resuming it from an earlier capture,
-/// must land on the literal fixpoint.
+/// Runs `alg` on the live `backend` two hops in, captures it, runs it
+/// three hops further, then restarts it mid-run with `start` and, once
+/// that run reached the fixpoint, resumes it from the capture: both must
+/// land on the literal fixpoint.
+fn restart_and_resume_live<A, B>(mut backend: B, alg: &A, g: &Graph, label: &str)
+where
+    A: MbfAlgorithm,
+    A::M: PartialEq + std::fmt::Debug,
+    B: StateBackend<A>,
+{
+    let literal = literal_fixpoint(alg, g, g.n() + 1);
+    let to_fixpoint = |backend: &mut B| {
+        while backend.step(alg, g, 1.0).1 {}
+        backend.export_states()
+    };
+    backend.start(alg, g).unwrap();
+    backend.step(alg, g, 1.0);
+    backend.step(alg, g, 1.0);
+    let ckpt = Checkpoint {
+        hop: 2,
+        frontier: backend.frontier().to_vec(),
+        states: backend.export_states(),
+    };
+    for _ in 0..3 {
+        backend.step(alg, g, 1.0);
+    }
+    // Restart: the initial states, every vertex dirty.
+    backend.start(alg, g).unwrap();
+    assert_eq!(
+        to_fixpoint(&mut backend),
+        literal.states,
+        "{label}: restart"
+    );
+    // Resume: the capture after hop 2 with its residual frontier.
+    backend.resume(alg, g, &ckpt).unwrap();
+    assert_eq!(to_fixpoint(&mut backend), literal.states, "{label}: resume");
+}
+
+/// A restart (`start`) and a resume declare the states rewritten outside
+/// the hops, so a live backend must drop everything it cached about the
+/// old ones: the arena its deltas and receiver summaries, the arena and
+/// the dense backend their taints. Restarting one mid-run from
+/// `r^V x⁽⁰⁾`, or resuming it from an earlier capture, must land on the
+/// literal fixpoint.
 #[test]
 fn live_arena_engine_restarts_and_resumes_exactly() {
     for (name, g) in workload_graphs() {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F2)));
         let le = LeListAlgorithm::new(ranks);
-        let literal = literal_fixpoint(&le, &g, g.n() + 1);
-        let to_fixpoint = |engine: &mut ArenaEngine, store: &mut EpochStore| {
-            while engine.step(&le, &g, store, 1.0).1 {}
-            store.export()
-        };
-        let mut store = initial_store(&le, g.n());
-        let mut engine = ArenaEngine::new();
-        engine.mark_all_dirty(&g);
-        engine.step(&le, &g, &mut store, 1.0);
-        engine.step(&le, &g, &mut store, 1.0);
-        let (frontier, states) = (engine.frontier().to_vec(), store.export());
-        for _ in 0..3 {
-            engine.step(&le, &g, &mut store, 1.0);
-        }
-        // Restart: the initial states, every vertex dirty.
-        let mut restarted = initial_store(&le, g.n());
-        engine.mark_all_dirty(&g);
-        assert_eq!(
-            to_fixpoint(&mut engine, &mut restarted),
-            literal.states,
-            "{name}: restart"
-        );
-        // Resume: the capture after hop 2 with its residual frontier.
-        let mut resumed = initial_store(&le, g.n());
-        resumed.import(&states, |u| le.entry_aux(u));
-        engine.prime(&g);
-        engine.mark_dirty(&g, frontier);
-        assert_eq!(
-            to_fixpoint(&mut engine, &mut resumed),
-            literal.states,
-            "{name}: resume"
+        restart_and_resume_live(ArenaBackend::new(), &le, &g, &format!("{name}/le/arena"));
+        let apsp = SourceDetection::apsp(g.n());
+        restart_and_resume_live(
+            DenseBackend::new(None),
+            &apsp,
+            &g,
+            &format!("{name}/apsp/dense"),
         );
     }
 }
@@ -848,13 +872,18 @@ fn check_absorption(seed: u64) -> (bool, bool, bool) {
         assert!(echo || dominated, "seed {seed}: ({u}, {d:?}) is admissible");
     }
     let g = Graph::from_edges(n, [(0, 1, s.value())]);
-    // Node 1's delta is forgotten, so node 0 reads all of it entry by
-    // entry.
-    let mut engine = ArenaEngine::new();
-    engine.prime(&g);
-    engine.mark_dirty(&g, [1]);
-    engine.step(&le, &g, &mut store, 1.0);
-    assert_eq!(store.export()[0], receiver, "seed {seed}: arena hop moved");
+    // A resume seeding node 1 records no delta for it, so node 0 reads
+    // all of it entry by entry.
+    let mut backend = ArenaBackend::new();
+    let ckpt = Checkpoint {
+        hop: 0,
+        frontier: vec![1],
+        states,
+    };
+    backend.resume(&le, &g, &ckpt).unwrap();
+    backend.step(&le, &g, 1.0);
+    let hopped = StateBackend::<LeListAlgorithm>::export_states(&backend);
+    assert_eq!(hopped[0], receiver, "seed {seed}: arena hop moved");
 
     match summary {
         Some(r) if !delta.is_empty() => (
@@ -903,7 +932,7 @@ fn delta_floor_absorption_hits_both_boundaries() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn dense_block_backend_bit_identical_to_owned() {
+fn dense_block_backend_bit_identical_to_literal_loop() {
     for (name, g) in workload_graphs() {
         // APSP: the one dense workload.
         let alg = SourceDetection::apsp(g.n());
@@ -1031,9 +1060,9 @@ proptest! {
         prop_assert!(carry.work.touched_vertices <= literal.work.touched_vertices);
     }
 
-    /// Sparse external edits (copy-on-write `assign` + `mark_dirty`
-    /// carry-over) interleaved with forced pool compactions and a
-    /// mid-run checkpoint resume keep the semi-naive arena engine
+    /// Sparse external edits (copy-on-write projection rewrites +
+    /// `mark_dirty` carry-over) interleaved with forced pool compactions
+    /// and a mid-run checkpoint resume keep the semi-naive arena backend
     /// bit-identical to the literal `iterate` on the same edited
     /// vectors, hop for hop, on arbitrary random graphs.
     #[test]
@@ -1049,9 +1078,9 @@ proptest! {
         let alg = LeListAlgorithm::new(Arc::clone(&ranks));
 
         let mut literal_states = initial_states(&alg, g.n());
-        let mut store = initial_store(&alg, g.n());
-        let mut engine = ArenaEngine::new();
-        engine.mark_all_dirty(&g);
+        let mut backend = ArenaBackend::new();
+        backend.start(&alg, &g).unwrap();
+        let export = |b: &ArenaBackend| StateBackend::<LeListAlgorithm>::export_states(b);
 
         let mut salt = seed | 1;
         for round in 0..rounds {
@@ -1061,31 +1090,30 @@ proptest! {
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let v = ((salt >> 33) as usize % g.n()) as NodeId;
-                let edit = alg.init(((v as usize + e + 1) % g.n()) as NodeId);
-                literal_states[v as usize] = edit.clone();
-                store.assign(v, edit.entries(), |u| alg.entry_aux(u));
-                engine.mark_dirty(&g, [v]);
+                literal_states[v as usize] = alg.init(((v as usize + e + 1) % g.n()) as NodeId);
+                backend.project(&alg, &literal_states, v, true);
+                Lane::<LeListAlgorithm>::mark_dirty(&mut backend, &g, &[v]);
             }
             // Interleave forced compactions: spans move, states must
             // not, and the subsequent hops must stay identical.
             if salt.is_multiple_of(2) {
-                store.compact();
+                backend.compact();
             }
             for _ in 0..=(salt % 3) as usize {
                 let c_literal = literal_hop(&alg, &g, &mut literal_states);
-                let (_, c_arena) = engine.step(&alg, &g, &mut store, 1.0);
+                let (_, c_arena) = backend.step(&alg, &g, 1.0);
                 prop_assert_eq!(c_literal, c_arena);
             }
-            prop_assert_eq!(&store.export(), &literal_states);
+            prop_assert_eq!(&export(&backend), &literal_states);
         }
-        // Capture the run mid-flight: a resumed engine starts without
+        // Capture the run mid-flight: a resumed backend starts without
         // deltas (whole spans for its seeded frontier) and must land on
-        // the same fixpoint as both live engines.
+        // the same fixpoint as both live backends.
         let cap = 2 * g.n() + 4;
         let ckpt = Checkpoint {
             hop: 0,
-            frontier: engine.frontier().to_vec(),
-            states: store.export(),
+            frontier: StateBackend::<LeListAlgorithm>::frontier(&backend).to_vec(),
+            states: export(&backend),
         };
         let (resumed, _) =
             try_resume_on(ArenaBackend::new(), &alg, &g, cap, &ckpt)
@@ -1093,13 +1121,13 @@ proptest! {
         // Drive both to the fixpoint and compare once more.
         for _ in 0..cap {
             let c_literal = literal_hop(&alg, &g, &mut literal_states);
-            let (_, c_arena) = engine.step(&alg, &g, &mut store, 1.0);
+            let (_, c_arena) = backend.step(&alg, &g, 1.0);
             prop_assert_eq!(c_literal, c_arena);
             if !c_literal {
                 break;
             }
         }
-        prop_assert_eq!(&store.export(), &literal_states);
+        prop_assert_eq!(&export(&backend), &literal_states);
         prop_assert!(resumed.fixpoint);
         prop_assert_eq!(resumed.states, literal_states);
     }
