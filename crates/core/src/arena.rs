@@ -96,7 +96,7 @@
 //! idle in between — the oracle's levels rely on this across rounds.
 //!
 //! [`ArenaBackend`] is a lane of the oracle's level loop
-//! ([`crate::oracle::oracle_run_on`]): one store per level, `O(Λ)`
+//! ([`crate::oracle::OracleBackend`]): one store per level, `O(Λ)`
 //! buffers total instead of `Θ(Λ·n)` per-vertex maps.
 
 use crate::engine::{initial_states, FrontierSchedule, MbfAlgorithm};
@@ -658,10 +658,9 @@ pub struct ArenaBackend {
     /// Summaries of the current states as receivers (see
     /// [`RecomputeCtx::receiver`]).
     receivers: ReceiverTable,
-    /// The store's counters when the oracle built the lane, the
-    /// baseline [`Lane::finish`] books the lane's storage traffic
-    /// against.
-    created: StoreStats,
+    /// The store's counters when the oracle last booked the lane's
+    /// storage traffic ([`Lane::book`]).
+    booked: StoreStats,
 }
 
 impl ArenaBackend {
@@ -928,7 +927,7 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
     fn lane(n: usize) -> Self {
         let store = EpochStore::with_rank_column(n, A::USES_RANK_COLUMN);
         let mut lane = ArenaBackend {
-            created: store.stats(),
+            booked: store.stats(),
             store,
             ..Self::default()
         };
@@ -1013,21 +1012,23 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
         }
     }
 
-    fn finish<'a>(lanes: impl Iterator<Item = &'a Self>, work: &mut WorkStats)
+    fn book<'a>(lanes: impl Iterator<Item = &'a mut Self>, work: &mut WorkStats)
     where
         Self: 'a,
     {
-        // The stores saw every byte the run copied — the hops tallied
-        // only theirs, not the projection rewrites — so their totals
-        // replace the hop tallies. The Λ+1 level pools are live
-        // *simultaneously*: the run's arena high-water mark is the sum
-        // of the per-level peaks.
+        // The stores saw every byte the round copied — the hops tallied
+        // only theirs, not the projection rewrites — so their growth
+        // replaces the hop tallies. The Λ+1 level pools are live
+        // *simultaneously*: the round's arena high-water mark is the sum
+        // of the per-level peaks (each monotone, so the run's max over
+        // rounds is the last round's sum).
         (work.bytes_copied, work.alloc_count, work.arena_bytes) = (0, 0, 0);
         for lane in lanes {
             let now = lane.store.stats();
-            work.bytes_copied += now.bytes_copied - lane.created.bytes_copied;
-            work.alloc_count += now.alloc_count - lane.created.alloc_count;
+            work.bytes_copied += now.bytes_copied - lane.booked.bytes_copied;
+            work.alloc_count += now.alloc_count - lane.booked.alloc_count;
             work.arena_bytes += now.arena_bytes;
+            lane.booked = now;
         }
     }
 }

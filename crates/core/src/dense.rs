@@ -49,7 +49,7 @@
 //! # Oracle routing
 //!
 //! [`DenseBackend`] is a lane of the oracle's level loop
-//! ([`crate::oracle::oracle_run_on`]): every level vector `y_λ` and the
+//! ([`crate::oracle::OracleBackend`]): every level vector `y_λ` and the
 //! aggregate `x` are dense blocks. `approximate_metric_on` (Theorem 6.1
 //! — the APSP query, whose output *is* an `n × n` matrix) routes
 //! through it.
@@ -575,9 +575,10 @@ mod tests {
         let alg = SourceDetection::apsp(g.n());
         let cap = 4 * g.n();
         let literal = crate::oracle::literal_oracle(&alg, &sim, cap);
-        let dense = crate::oracle::oracle_run_on::<DenseBackend, _>(&alg, &sim, cap);
+        let oracle = crate::oracle::OracleBackend::<_, DenseBackend>::new(&sim);
+        let dense = run_to_fixpoint_on(oracle, &alg, sim.augmented(), cap);
         assert_eq!(literal.states, dense.states);
-        assert_eq!(literal.h_iterations, dense.h_iterations);
+        assert_eq!(literal.iterations, dense.iterations);
         assert_eq!(literal.fixpoint, dense.fixpoint);
     }
 }

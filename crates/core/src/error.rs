@@ -1,6 +1,6 @@
 //! Typed run errors and run reports for the MBF pipeline.
 //!
-//! The `try_*` entry points on the engines and the oracle wrap a run in
+//! The `try_*` drivers of [`crate::run`] wrap every backend's run in
 //! [`run_guarded`]: the closure executes under `catch_unwind`, and after
 //! it returns the fault registry's fired log is audited for injected
 //! faults that no layer absorbed. The contract the differential fault
@@ -129,7 +129,9 @@ impl std::fmt::Display for Degradation {
 pub struct RunReport {
     /// `true` iff the run reached its fixpoint within the hop cap.
     pub converged: bool,
-    /// Hops executed.
+    /// Hops executed, counting those before a resumed checkpoint
+    /// (numbered like `Checkpoint::hop`; for the oracle, simulated
+    /// `H`-iterations).
     pub hops: u64,
     /// Degradations taken to complete (empty for a clean run).
     pub degradations: Vec<Degradation>,

@@ -29,7 +29,7 @@ use crate::arena::{
     RecomputeCtx, SpanRecompute,
 };
 use crate::engine::MbfAlgorithm;
-use crate::oracle::{default_iteration_cap, oracle_run_on};
+use crate::oracle::{default_iteration_cap, OracleBackend};
 use crate::run::run_to_fixpoint_on;
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
@@ -599,8 +599,8 @@ pub fn le_lists_approx_eq(a: &[LeList], b: &[LeList], rel: f64) -> bool {
 /// (one epoch-arena store per level); bit-identical to the literal
 /// oracle loop, asserted by `tests/schedule_equivalence.rs`. The
 /// guarded, checkpointable form of this run is
-/// [`crate::oracle::try_oracle_run_on`] on [`ArenaBackend`] with
-/// [`LeListAlgorithm`]. Returns the lists, the
+/// [`crate::run::try_run_on`] on [`OracleBackend`] over [`ArenaBackend`]
+/// with [`LeListAlgorithm`]. Returns the lists, the
 /// number of simulated `H`-iterations, and the work.
 pub fn le_lists_oracle(
     sim: &SimulatedGraph,
@@ -609,13 +609,14 @@ pub fn le_lists_oracle(
 ) -> (Vec<LeList>, usize, WorkStats) {
     let alg = LeListAlgorithm::new(Arc::clone(ranks));
     let cap = cap.unwrap_or_else(|| default_iteration_cap(sim.base().n()));
-    let run = oracle_run_on::<ArenaBackend, _>(&alg, sim, cap);
+    let oracle = OracleBackend::<_, ArenaBackend>::new(sim);
+    let run = run_to_fixpoint_on(oracle, &alg, sim.augmented(), cap);
     let lists = run
         .states
         .iter()
         .map(|x| LeList::from_distance_map(x, ranks))
         .collect();
-    (lists, run.h_iterations, run.work)
+    (lists, run.iterations, run.work)
 }
 
 /// LE lists by **direct iteration on `G`** (the algorithm of Khan et

@@ -24,9 +24,9 @@
 //!   levels, penalty weights, `SPD(H) ∈ O(log² n)` w.h.p.,
 //! * [`oracle`] — the **oracle for MBF-like queries** on `H`
 //!   (Section 5): simulates iterations of any MBF-like algorithm on the
-//!   complete graph `H` using only the edges of `G'`, through plain,
-//!   guarded and resuming drivers generic over its arena and dense
-//!   lanes,
+//!   complete graph `H` using only the edges of `G'`, as the
+//!   [`OracleBackend`] the drivers of [`run`] hop, over its arena or
+//!   dense lanes,
 //! * [`metric`] — `(1+o(1))`- and `O(1)`-approximate metrics
 //!   (Section 6, Theorems 6.1 and 6.2),
 //! * [`frt`] — **sampling from the FRT distribution** via Least-Element
@@ -35,7 +35,7 @@
 //!   (Section 7.5),
 //! * [`work`] — work/depth accounting used by the experiments,
 //! * [`run`] — the one fixpoint driver: the [`StateBackend`] trait
-//!   (literal, arena and dense backends), plain, guarded and
+//!   (literal, arena, dense and oracle backends), plain, guarded and
 //!   checkpointed runs, and bit-identical resume, with the
 //!   deterministic recovery supervisor in [`error`].
 
@@ -55,6 +55,7 @@ pub use arena::{ArenaBackend, ArenaMbfAlgorithm};
 pub use dense::{DenseBackend, DenseMbfAlgorithm};
 pub use engine::{LiteralBackend, MbfAlgorithm, MbfRun};
 pub use error::{Degradation, RecoveryAttempt, RecoveryPolicy, RunError, RunReport, Supervisor};
+pub use oracle::OracleBackend;
 pub use run::{Checkpoint, CheckpointPolicy, StateBackend};
 pub use simgraph::{LevelAssignment, SimulatedGraph};
 pub use work::WorkStats;

@@ -10,7 +10,8 @@
 use crate::arena::ArenaBackend;
 use crate::catalog::SourceDetection;
 use crate::dense::DenseBackend;
-use crate::oracle::{default_iteration_cap, oracle_run_on};
+use crate::oracle::{default_iteration_cap, OracleBackend};
+use crate::run::run_to_fixpoint_on;
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::{Dist, NodeId};
@@ -103,10 +104,11 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
         .saturating_mul(n)
         .saturating_mul(n)
         .saturating_mul(std::mem::size_of::<f64>());
+    let g = sim.augmented();
     let run = if dense_bytes <= DENSE_ORACLE_BYTE_BUDGET {
-        oracle_run_on::<DenseBackend, _>(&alg, sim, cap)
+        run_to_fixpoint_on(OracleBackend::<_, DenseBackend>::new(sim), &alg, g, cap)
     } else {
-        oracle_run_on::<ArenaBackend, _>(&alg, sim, cap)
+        run_to_fixpoint_on(OracleBackend::<_, ArenaBackend>::new(sim), &alg, g, cap)
     };
     let mut dist = vec![vec![Dist::INF; n]; n];
     for (v, state) in run.states.iter().enumerate() {
@@ -116,7 +118,7 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
     }
     ApproximateMetric {
         dist,
-        h_iterations: run.h_iterations,
+        h_iterations: run.iterations,
         work: run.work,
     }
 }

@@ -14,8 +14,12 @@
 //! using only `G'`'s `O(m)` edges — `Λ·d ∈ polylog n` cheap iterations
 //! instead of one `Ω(n²)` dense product (Theorem 5.2).
 //!
-//! # One level loop, two lanes, three drivers
+//! # One level loop, two lanes, one backend
 //!
+//! One oracle round is one MBF-like iteration on `H`, so the oracle is a
+//! [`StateBackend`], [`OracleBackend`], whose hop is a simulated
+//! `H`-iteration: [`crate::run`]'s drivers run it over `sim.augmented()`
+//! like any other backend, and its hops and checkpoints count rounds.
 //! The simulation is written once, as the level loop of this module,
 //! over the sealed [`Lane`] trait. A lane is a [`StateBackend`] — one
 //! level's vector `y_λ` and the engine hopping over it — plus the
@@ -26,14 +30,6 @@
 //!   epoch-arena store; the production path of the LE lists,
 //! * dense ([`crate::dense::DenseBackend`]) — every level vector and the
 //!   aggregate a dense block; the APSP route of `approximate_metric_on`.
-//!
-//! Three drivers, generic over the lane, mirror [`crate::run`]'s
-//! fixpoint drivers: [`oracle_run_on`] (plain), [`try_oracle_run_on`]
-//! (guarded, capturing a [`Checkpoint`] whenever the
-//! [`CheckpointPolicy`] asks) and [`try_resume_oracle_on`] (guarded
-//! resume). An oracle checkpoint is the aggregate `x` plus the round,
-//! with an empty frontier: [`Lane::import`] loads it, and fresh lanes
-//! re-prime wholesale, so the drivers never depend on the lane.
 //!
 //! The lane contract: [`Lane::lane`] builds one level's `⊥` vector with
 //! its schedule's change log on; [`Lane::import`] / [`Lane::export`] /
@@ -48,7 +44,7 @@
 //! `0..=level(v)` in ascending-`λ` order, filter fused in, and
 //! [`Lane::commit`] writes a changed fold back into `x`; [`Lane::poison`]
 //! corrupts a slot for the `oracle_level_loop` fault site;
-//! [`Lane::finish`] books lane-held counters once the run ends. Both
+//! [`Lane::book`] books lane-held counters once per round. Both
 //! lanes compute the same states, so they are bit-identical in states,
 //! iteration counts and fixpoint flags, and in `work.iterations` (the hop
 //! schedule is shared); the other counters are in each backend's own
@@ -159,29 +155,14 @@
 //! reduction tree.
 
 use crate::engine::{initial_states, MbfAlgorithm};
-use crate::error::{check_states, run_guarded, RunError, RunReport};
-use crate::run::{validate_checkpoint, Checkpoint, CheckpointPolicy, StateBackend};
+use crate::error::RunError;
+use crate::run::{Checkpoint, StateBackend};
 use crate::simgraph::SimulatedGraph;
 use crate::work::WorkStats;
 use mte_algebra::{MinPlus, NodeId};
 use mte_faults::{FaultKind, FaultSite};
 use mte_graph::Graph;
 use rayon::prelude::*;
-
-/// Result of an oracle computation: the states `A^h(H)` and the cost of
-/// simulating them on `G'`.
-#[derive(Clone, Debug)]
-pub struct OracleRun<M> {
-    /// Final states, indexed by node.
-    pub states: Vec<M>,
-    /// Number of simulated `H`-iterations.
-    pub h_iterations: usize,
-    /// Whether a fixpoint on `H` was reached (`h > SPD(H)`).
-    pub fixpoint: bool,
-    /// Work spent, including all inner `G'`-iterations
-    /// (`work.iterations` counts the `G'`-hops).
-    pub work: WorkStats,
-}
 
 pub(crate) mod sealed {
     /// Keeps [`super::Lane`] implemented by this crate's backends only.
@@ -239,9 +220,9 @@ pub trait Lane<A: MbfAlgorithm<S = MinPlus>>:
     fn commit(x: &mut Self::X, v: NodeId, folded: Self::Folded);
     /// Corrupts one slot of `y` (the `oracle_level_loop` fault site).
     fn poison(&mut self, alg: &A);
-    /// Books counters the lanes hold rather than their hops, once the
-    /// run ends.
-    fn finish<'a>(_lanes: impl Iterator<Item = &'a Self>, _work: &mut WorkStats)
+    /// Books the counters the lanes hold rather than their hops into
+    /// one round's `work`, once per round.
+    fn book<'a>(_lanes: impl Iterator<Item = &'a mut Self>, _work: &mut WorkStats)
     where
         Self: 'a,
     {
@@ -416,54 +397,102 @@ fn for_each_sorted_union(a: &[NodeId], b: &[NodeId], mut f: impl FnMut(NodeId)) 
     }
 }
 
-/// The oracle's level loop, shared by every lane and every driver:
-/// builds one lane per level, iterates from `x` (already past `executed`
-/// simulated iterations) up to `h` total, and calls `on_round(round, x)`
-/// after every round that changed something. The iteration map is
-/// deterministic, so a round that changes nothing proves every later
-/// round is the identity: the loop stops there and reports the
-/// fixpoint. Resuming from a recorded `(x, executed)` pair with fresh
-/// lanes is bit-identical to the uninterrupted run: an unprimed level
-/// rewrites wholesale on its first round, which the carry-over schedule
-/// already proves equivalent to the diffing restart.
-fn level_loop<A, L>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    mut x: L::X,
-    mut executed: usize,
-    mut on_round: impl FnMut(usize, &L::X) -> Result<(), RunError>,
-) -> Result<OracleRun<A::M>, RunError>
+/// The oracle as a [`StateBackend`] on lane `L`: one hop is one
+/// simulated `H`-iteration (Theorem 5.2 (1)) over the driver graph
+/// `sim.augmented()` at weight scale `1` (the levels scale their own
+/// hops); `work.iterations` counts the `G'`-hops of every level. W.h.p.
+/// the fixpoint arrives after `SPD(H) ∈ O(log² n)` rounds (Theorems 4.5
+/// and 5.2 (2)); see [`default_iteration_cap`].
+///
+/// `start` and `resume` import the aggregate and build fresh, unprimed
+/// levels, whose first round rewrites wholesale — which the carry-over
+/// schedule proves bit-identical to continuing, so a checkpoint needs
+/// no frontier.
+pub struct OracleBackend<'s, A: MbfAlgorithm<S = MinPlus>, L: Lane<A>> {
+    sim: &'s SimulatedGraph,
+    /// The aggregate `x`, once started or resumed.
+    x: Option<L::X>,
+    levels: Vec<Level<L>>,
+    /// `x`-slots the previous aggregation changed; `None` = unknown (no
+    /// previous round), forcing full diffs.
+    prev_changed: Option<Vec<NodeId>>,
+}
+
+impl<'s, A, L> OracleBackend<'s, A, L>
 where
     A: MbfAlgorithm<S = MinPlus>,
     L: Lane<A>,
 {
-    let n = sim.augmented().n();
-    let mut levels: Vec<Level<L>> = std::iter::repeat_with(|| L::lane(n))
-        .take(sim.levels().lambda() as usize + 1)
-        .map(|lane| Level {
-            lane,
-            primed: false,
-            moved: Vec::new(),
-            moved_all: true,
-            idle: false,
-            settled: false,
-            seeds: Vec::new(),
-        })
-        .collect();
-    let mut work = WorkStats::new();
-    let mut fixpoint = false;
-    // `x`-slots the previous aggregation changed; `None` = unknown (no
-    // previous round), forcing full diffs.
-    let mut prev_changed: Option<Vec<NodeId>> = None;
-    while executed < h {
+    /// The oracle on `sim`, loaded by the driver's `start` or `resume`.
+    pub fn new(sim: &'s SimulatedGraph) -> Self {
+        OracleBackend {
+            sim,
+            x: None,
+            levels: Vec::new(),
+            prev_changed: None,
+        }
+    }
+
+    /// Imports `states` as the aggregate, with fresh levels.
+    fn load(&mut self, alg: &A, g: &Graph, states: &[A::M]) -> Result<WorkStats, RunError> {
+        self.x = Some(L::import(alg, states)?);
+        self.levels = std::iter::repeat_with(|| L::lane(g.n()))
+            .take(self.sim.levels().lambda() as usize + 1)
+            .map(|lane| Level {
+                lane,
+                primed: false,
+                moved: Vec::new(),
+                moved_all: true,
+                idle: false,
+                settled: false,
+                seeds: Vec::new(),
+            })
+            .collect();
+        self.prev_changed = None;
+        Ok(WorkStats::new())
+    }
+}
+
+impl<A, L> StateBackend<A> for OracleBackend<'_, A, L>
+where
+    A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
+{
+    fn start(&mut self, alg: &A, g: &Graph) -> Result<WorkStats, RunError> {
+        self.load(alg, g, &initial_states(alg, g.n()))
+    }
+
+    fn resume(
+        &mut self,
+        alg: &A,
+        g: &Graph,
+        ckpt: &Checkpoint<A::M>,
+    ) -> Result<WorkStats, RunError> {
+        self.load(alg, g, &ckpt.states)
+    }
+
+    /// One simulated `H`-iteration: the parallel level rounds, then the
+    /// frontier-sized aggregation.
+    fn step(&mut self, alg: &A, g: &Graph, scale: f64) -> (WorkStats, bool) {
+        debug_assert!(
+            std::ptr::eq(g, self.sim.augmented()) && scale == 1.0,
+            "the oracle runs on sim.augmented() at scale 1"
+        );
+        let OracleBackend {
+            sim,
+            x,
+            levels,
+            prev_changed,
+        } = self;
+        let sim: &SimulatedGraph = sim;
+        let x = x.as_mut().expect("oracle backend not started");
         // The Λ+1 level contributions are independent: one parallel
         // task per level (`with_min_len(1)`: Λ is small but each task
         // is heavy). Per-level work tallies merge through the
         // fixed-shape reduction tree.
-        let x_ref = &x;
+        let x_ref: &L::X = x;
         let x_changed = prev_changed.as_deref();
-        work += levels
+        let mut work = levels
             .par_iter_mut()
             .with_min_len(1)
             .enumerate()
@@ -472,7 +501,7 @@ where
                 a += b;
                 a
             });
-        executed += 1;
+        L::book(levels.iter_mut().map(|l| &mut l.lane), &mut work);
 
         // Aggregation `x_v ← r(⊕_λ [level(v) ≥ λ] y_λ[v])` can skip
         // every vertex no level moved this round (its fold inputs are
@@ -491,7 +520,7 @@ where
             union.dedup();
             Some(union)
         };
-        let levels_ref: &[Level<L>] = &levels;
+        let levels_ref: &[Level<L>] = levels;
         let fold = |v: NodeId| {
             let lanes = levels_ref.iter().take(sim.levels().level(v) as usize + 1);
             L::fold(alg, lanes.map(|l| &l.lane), x_ref, v).map(|f| (v, f))
@@ -500,124 +529,34 @@ where
         // order (chunk-order concatenation over an ascending input
         // list), independent of the thread count.
         let changed: Vec<(NodeId, L::Folded)> = match recompute.as_deref() {
-            None => (0..n as NodeId)
+            None => (0..g.n() as NodeId)
                 .into_par_iter()
                 .flat_map_iter(fold)
                 .collect(),
             Some(list) => list.par_iter().flat_map_iter(|&v| fold(v)).collect(),
         };
         if changed.is_empty() {
-            fixpoint = true;
-            break;
+            return (work, false);
         }
         let ids: Vec<NodeId> = changed.iter().map(|&(v, _)| v).collect();
         for (v, folded) in changed {
-            L::commit(&mut x, v, folded);
+            L::commit(x, v, folded);
         }
-        prev_changed = Some(ids);
-        on_round(executed, &x)?;
+        *prev_changed = Some(ids);
+        (work, true)
     }
-    L::finish(levels.iter().map(|l| &l.lane), &mut work);
-    Ok(OracleRun {
-        states: L::into_export(x),
-        h_iterations: executed,
-        fixpoint,
-        work,
-    })
-}
 
-/// Runs up to `h` iterations of `alg` on `H` from `r^V x⁽⁰⁾` on lane
-/// `L` (Theorem 5.2 (1)).
-///
-/// The iteration map is deterministic, so a simulated `H`-iteration that
-/// changes nothing proves every later iteration is the identity: the run
-/// stops there, reports `fixpoint: true`, and `h_iterations` counts the
-/// iterations actually executed (including the confirming one) — it may
-/// be less than `h`. The returned states are bit-identical to burning
-/// all `h` iterations, so a capped run *is* the run to the fixpoint.
-/// W.h.p. the fixpoint arrives after `SPD(H) ∈ O(log² n)` iterations
-/// (Theorems 4.5 and 5.2 (2)); see [`default_iteration_cap`]. Panics
-/// where the guarded [`try_oracle_run_on`] returns an error.
-pub fn oracle_run_on<L, A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-    L: Lane<A>,
-{
-    let x0 = initial_states(alg, sim.augmented().n());
-    let run =
-        L::import(alg, &x0).and_then(|x| level_loop::<A, L>(alg, sim, h, x, 0, |_, _| Ok(())));
-    match run {
-        Ok(run) => run,
-        Err(e) => panic!("lane refused the run: {e}"),
+    fn frontier(&self) -> &[NodeId] {
+        &[]
     }
-}
 
-/// Guarded [`oracle_run_on`]: panics become typed errors, injected
-/// faults are audited, and final states are scanned. `sink` receives a
-/// [`Checkpoint`] (the aggregate after the round, empty frontier) after
-/// every round [`CheckpointPolicy::level_due`] marks; a sink failure
-/// aborts the run with its error. An exhausted iteration budget is
-/// reported as `converged: false`, not an error.
-pub fn try_oracle_run_on<L, A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    policy: CheckpointPolicy,
-    mut sink: impl FnMut(&Checkpoint<A::M>) -> Result<(), RunError>,
-) -> Result<(OracleRun<A::M>, RunReport), RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-    L: Lane<A>,
-{
-    guarded::<A>(|| {
-        let x = L::import(alg, &initial_states(alg, sim.augmented().n()))?;
-        level_loop::<A, L>(alg, sim, h, x, 0, |round, x| {
-            if !policy.level_due(round as u64) {
-                return Ok(());
-            }
-            sink(&Checkpoint {
-                hop: round as u64,
-                frontier: Vec::new(),
-                states: L::export(x),
-            })
-        })
-    })
-}
+    fn export_states(&self) -> Vec<A::M> {
+        L::export(self.x.as_ref().expect("oracle backend not started"))
+    }
 
-/// Guarded resume from a checkpoint: validates it, imports its states
-/// as the aggregate, and re-enters the level loop at the recorded round
-/// with fresh lanes. Bit-identical states, round counts and fixpoint
-/// flags to the uninterrupted run.
-pub fn try_resume_oracle_on<L, A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-    ckpt: &Checkpoint<A::M>,
-) -> Result<(OracleRun<A::M>, RunReport), RunError>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-    L: Lane<A>,
-{
-    validate_checkpoint(ckpt, sim.augmented().n())?;
-    guarded::<A>(|| {
-        let x = L::import(alg, &ckpt.states)?;
-        level_loop::<A, L>(alg, sim, h, x, ckpt.hop as usize, |_, _| Ok(()))
-    })
-}
-
-/// Runs `f` under [`run_guarded`], scans the final states, and builds
-/// the report.
-fn guarded<A: MbfAlgorithm>(
-    f: impl FnOnce() -> Result<OracleRun<A::M>, RunError>,
-) -> Result<(OracleRun<A::M>, RunReport), RunError> {
-    let run = run_guarded(f)??;
-    check_states::<A::S, A::M>(&run.states)?;
-    let report = RunReport {
-        converged: run.fixpoint,
-        hops: run.work.iterations,
-        degradations: Vec::new(),
-    };
-    Ok((run, report))
+    fn into_states(self) -> Vec<A::M> {
+        L::into_export(self.x.expect("oracle backend not started"))
+    }
 }
 
 /// Default iteration cap: `SPD(H) ∈ O(log² n)` w.h.p. (Theorem 4.5), with
@@ -635,7 +574,11 @@ pub fn default_iteration_cap(n: usize) -> usize {
 /// schedule or the level loop: the lanes' states, round counts and
 /// fixpoint flags are differential-tested against it.
 #[cfg(test)]
-pub(crate) fn literal_oracle<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
+pub(crate) fn literal_oracle<A>(
+    alg: &A,
+    sim: &SimulatedGraph,
+    h: usize,
+) -> crate::engine::MbfRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
@@ -683,9 +626,9 @@ where
         }
         x = next;
     }
-    OracleRun {
+    crate::engine::MbfRun {
         states: x,
-        h_iterations: rounds,
+        iterations: rounds,
         fixpoint,
         work,
     }
@@ -697,7 +640,8 @@ mod tests {
     use crate::arena::ArenaBackend;
     use crate::catalog::SourceDetection;
     use crate::dense::{DenseBackend, DenseMbfAlgorithm};
-    use crate::engine::run_to_fixpoint;
+    use crate::engine::{run_to_fixpoint, MbfRun};
+    use crate::run::run_to_fixpoint_on;
     use mte_graph::algorithms::shortest_path_diameter;
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
@@ -711,19 +655,30 @@ mod tests {
         alg: &SourceDetection,
         sim: &SimulatedGraph,
         h: usize,
-    ) -> OracleRun<mte_algebra::DistanceMap> {
+    ) -> MbfRun<mte_algebra::DistanceMap> {
         let literal = literal_oracle(alg, sim, h);
-        let check = |run: &OracleRun<mte_algebra::DistanceMap>, lane: &str| {
+        let check = |run: &MbfRun<mte_algebra::DistanceMap>, lane: &str| {
             assert_eq!(run.states, literal.states, "{lane}: diverged");
-            assert_eq!(run.h_iterations, literal.h_iterations, "{lane}");
+            assert_eq!(run.iterations, literal.iterations, "{lane}");
             assert_eq!(run.fixpoint, literal.fixpoint, "{lane}");
         };
-        let arena = oracle_run_on::<ArenaBackend, _>(alg, sim, h);
+        let arena = arena_oracle(alg, sim, h);
         check(&arena, "arena");
         if alg.advertises_dense() {
-            check(&oracle_run_on::<DenseBackend, _>(alg, sim, h), "dense");
+            let dense = OracleBackend::<_, DenseBackend>::new(sim);
+            check(&run_to_fixpoint_on(dense, alg, sim.augmented(), h), "dense");
         }
         arena
+    }
+
+    /// The arena lane's run of `alg`, capped at `h` rounds.
+    fn arena_oracle(
+        alg: &SourceDetection,
+        sim: &SimulatedGraph,
+        h: usize,
+    ) -> MbfRun<mte_algebra::DistanceMap> {
+        let arena = OracleBackend::<_, ArenaBackend>::new(sim);
+        run_to_fixpoint_on(arena, alg, sim.augmented(), h)
     }
 
     /// Theorem 5.2 ground truth: running APSP through the oracle must
@@ -752,45 +707,6 @@ mod tests {
         }
     }
 
-    /// The twin of `run::tests::malformed_checkpoints_are_typed_errors`:
-    /// a checkpoint of the wrong length or with a state naming a vertex
-    /// `≥ n` is [`RunError::SnapshotCorrupt`] on both lanes, never a
-    /// panic.
-    #[test]
-    fn malformed_oracle_checkpoints_are_typed_errors() {
-        let g = path_graph(12, 1.0);
-        let sim = SimulatedGraph::without_hopset(&g, 4, 0.1, &mut StdRng::seed_from_u64(26));
-        let alg = SourceDetection::apsp(g.n());
-        let n = sim.augmented().n();
-        let short = Checkpoint {
-            hop: 1,
-            frontier: Vec::new(),
-            states: initial_states(&alg, n - 1),
-        };
-        let mut states = initial_states(&alg, n);
-        states[2] = mte_algebra::DistanceMap::from_entries(vec![(
-            n as NodeId + 5,
-            mte_algebra::Dist::new(1.0),
-        )]);
-        let out_of_range = Checkpoint {
-            hop: 1,
-            frontier: Vec::new(),
-            states,
-        };
-        for ckpt in [short, out_of_range] {
-            let errors = [
-                try_resume_oracle_on::<ArenaBackend, _>(&alg, &sim, 8, &ckpt).unwrap_err(),
-                try_resume_oracle_on::<DenseBackend, _>(&alg, &sim, 8, &ckpt).unwrap_err(),
-            ];
-            for err in errors {
-                assert!(
-                    matches!(err, RunError::SnapshotCorrupt { .. }),
-                    "wrong error: {err:?}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn sorted_union_visits_every_vertex_once_in_order() {
         let union = |a: &[NodeId], b: &[NodeId]| {
@@ -815,7 +731,7 @@ mod tests {
         let alg = SourceDetection::apsp(g.n());
 
         let o1 = lanes_equal_literal(&alg, &sim, 1);
-        assert_eq!(o1.h_iterations, 1);
+        assert_eq!(o1.iterations, 1);
         let d1 = crate::engine::run(&alg, &h_explicit, 1);
         for v in 0..g.n() {
             assert!(
@@ -833,7 +749,7 @@ mod tests {
         let g = path_graph(64, 1.0);
         let sim = SimulatedGraph::without_hopset(&g, 63, 0.1, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
-        let run = oracle_run_on::<ArenaBackend, _>(&alg, &sim, default_iteration_cap(g.n()));
+        let run = arena_oracle(&alg, &sim, default_iteration_cap(g.n()));
         assert!(
             run.fixpoint,
             "no fixpoint within {} iterations",
@@ -841,14 +757,10 @@ mod tests {
         );
         // SPD(H) ∈ O(log² n): far fewer than the 64 iterations plain MBF
         // would need on this path.
-        assert!(
-            run.h_iterations < 40,
-            "took {} iterations",
-            run.h_iterations
-        );
+        assert!(run.iterations < 40, "took {} iterations", run.iterations);
         // Each H-iteration drives Λ+1 inner level loops, so the total
         // G'-hop count dominates the H-iteration count.
-        assert!(run.work.iterations >= run.h_iterations as u64);
+        assert!(run.work.iterations >= run.iterations as u64);
     }
 
     #[test]
@@ -865,16 +777,16 @@ mod tests {
         let run = lanes_equal_literal(&alg, &sim, budget);
         assert!(run.fixpoint, "fixpoint not reported");
         assert!(
-            run.h_iterations < budget,
+            run.iterations < budget,
             "burned all {budget} iterations past the fixpoint"
         );
-        let fix = oracle_run_on::<ArenaBackend, _>(&alg, &sim, 2 * budget);
+        let fix = arena_oracle(&alg, &sim, 2 * budget);
         assert_eq!(run.states, fix.states);
-        assert_eq!(run.h_iterations, fix.h_iterations);
+        assert_eq!(run.iterations, fix.iterations);
         assert_eq!(run.work.iterations, fix.work.iterations);
         // A budget too small to converge reports honestly.
         let short = lanes_equal_literal(&alg, &sim, 1);
         assert!(!short.fixpoint);
-        assert_eq!(short.h_iterations, 1);
+        assert_eq!(short.iterations, 1);
     }
 }

@@ -4,13 +4,15 @@
 //! iterated until `x⁽ⁱ⁺¹⁾ = x⁽ⁱ⁾` (Definition 2.11, Eq. (2.17)); how
 //! the state vector `x ∈ M^V` is stored does not enter the definition.
 //! [`StateBackend`] is that storage question: a state vector paired with
-//! the engine that hops over it. Three backends implement it —
+//! the engine that hops over it. Four backends implement it —
 //! [`crate::engine::LiteralBackend`] (`Vec<A::M>` advanced by the
 //! one-shot `iterate` kernel; every state type),
 //! [`crate::arena::ArenaBackend`] (an epoch-arena pool hopped by the
-//! frontier schedule; distance maps) and [`crate::dense::DenseBackend`]
+//! frontier schedule; distance maps), [`crate::dense::DenseBackend`]
 //! (a dense block hopped by the same schedule, with its memory budget;
-//! APSP) — and the
+//! APSP) and [`crate::oracle::OracleBackend`] (the aggregate of the
+//! oracle on `H`, one simulated `H`-iteration per hop, over an arena or
+//! dense lane per level) — and the
 //! hop-until-fixpoint loop is written once, here, over the trait:
 //!
 //! * [`run_to_fixpoint_on`] — the plain run,
@@ -35,7 +37,8 @@
 //! exact recorded frontier reproduces the uninterrupted run's schedule.
 //! The literal backend records the vertices its last hop changed, the
 //! same set, so a checkpoint resumes on any backend that runs the
-//! algorithm.
+//! algorithm. The oracle records an empty frontier: its resume re-primes
+//! every level wholesale.
 //! Resumed runs are therefore **bit-identical** to uninterrupted ones —
 //! same states, same hop counts, same fixpoint flags — on every backend
 //! and every `MTE_THREADS` (asserted by `tests/checkpoint_resume.rs`).
@@ -52,12 +55,6 @@
 //! [`RunError::SnapshotCorrupt`], never a panic. The
 //! [`crate::error::Supervisor`] composes these drivers into the
 //! recovery ladder.
-//!
-//! The oracle's three drivers ([`crate::oracle::oracle_run_on`],
-//! [`crate::oracle::try_oracle_run_on`] and
-//! [`crate::oracle::try_resume_oracle_on`]) mirror these over its level
-//! loop, generic over its two lanes (arena and dense), and share the
-//! [`Checkpoint`] type, the [`CheckpointPolicy`] and the validation.
 //!
 //! The reference every backend is differential-tested against is the
 //! literal loop: [`crate::engine::iterate`] from `r^V x⁽⁰⁾` until the
@@ -102,17 +99,13 @@ pub trait StateBackend<A: MbfAlgorithm> {
     }
 }
 
-/// When the checkpointed drivers capture. `0` disables a trigger; the
-/// default is fully disabled.
+/// When the checkpointed driver captures. The default, `0`, never does.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CheckpointPolicy {
-    /// Engine drivers: capture after every `n`-th hop (never after the
-    /// confirming fixpoint hop — a checkpoint always carries the
-    /// frontier of a run still in flight).
+    /// Capture after every `n`-th hop — for the oracle, every `n`-th
+    /// simulated `H`-iteration — never after the confirming fixpoint
+    /// hop: a checkpoint always carries a run still in flight.
     pub every_n_hops: u64,
-    /// Oracle drivers: capture after every `n`-th simulated
-    /// `H`-iteration (the oracle's "level rounds").
-    pub every_n_levels: u64,
 }
 
 impl CheckpointPolicy {
@@ -121,32 +114,14 @@ impl CheckpointPolicy {
         CheckpointPolicy::default()
     }
 
-    /// Capture after every `n`-th engine hop.
+    /// Capture after every `n`-th hop.
     pub fn every_hops(n: u64) -> Self {
-        CheckpointPolicy {
-            every_n_hops: n,
-            every_n_levels: 0,
-        }
+        CheckpointPolicy { every_n_hops: n }
     }
 
-    /// Capture after every `n`-th simulated oracle round.
-    pub fn every_levels(n: u64) -> Self {
-        CheckpointPolicy {
-            every_n_hops: 0,
-            every_n_levels: n,
-        }
-    }
-
-    /// `true` iff an engine hop numbered `hop` (1-based) is a capture
-    /// point.
+    /// `true` iff the hop numbered `hop` (1-based) is a capture point.
     pub fn hop_due(&self, hop: u64) -> bool {
         self.every_n_hops != 0 && hop.is_multiple_of(self.every_n_hops)
-    }
-
-    /// `true` iff an oracle round numbered `round` (1-based) is a
-    /// capture point.
-    pub fn level_due(&self, round: u64) -> bool {
-        self.every_n_levels != 0 && round.is_multiple_of(self.every_n_levels)
     }
 }
 
@@ -155,7 +130,7 @@ impl CheckpointPolicy {
 /// carry-over schedule proves bit-identical to continuing.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint<M> {
-    /// Hops (engine) or simulated rounds (oracle) already executed.
+    /// Hops already executed (for the oracle, simulated rounds).
     pub hop: u64,
     /// The residual frontier at capture time: ascending, no duplicates.
     pub frontier: Vec<NodeId>,
@@ -209,11 +184,11 @@ where
     }
 }
 
-/// The hop-until-fixpoint loop, the only one outside the oracle's
-/// level loop: hops from `iterations` already executed up to `cap`
-/// total, calling `on_hop(hop, backend)` after every hop that changed
-/// something. The confirming hop (the one that changes nothing) is
-/// counted, matching the literal loop's semantics.
+/// The hop-until-fixpoint loop, the only one: hops from `iterations`
+/// already executed up to `cap` total, calling `on_hop(hop, backend)`
+/// after every hop that changed something. The confirming hop (the one
+/// that changes nothing) is counted, matching the literal loop's
+/// semantics.
 fn fixpoint_loop<A, B>(
     mut backend: B,
     alg: &A,
@@ -342,7 +317,11 @@ mod tests {
     use crate::catalog::SourceDetection;
     use crate::dense::DenseBackend;
     use crate::engine::{initial_states, LiteralBackend};
+    use crate::oracle::OracleBackend;
+    use crate::simgraph::SimulatedGraph;
     use mte_algebra::{Dist, DistanceMap};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn fixture() -> Graph {
         // Deterministic small graph with enough hops to checkpoint
@@ -358,10 +337,7 @@ mod tests {
     fn policy_triggers() {
         let p = CheckpointPolicy::every_hops(3);
         assert!(!p.hop_due(1) && !p.hop_due(2) && p.hop_due(3) && p.hop_due(6));
-        assert!(!p.level_due(3));
         assert!(!CheckpointPolicy::disabled().hop_due(1));
-        let l = CheckpointPolicy::every_levels(2);
-        assert!(l.level_due(2) && !l.level_due(3) && !l.hop_due(2));
     }
 
     #[test]
@@ -389,16 +365,16 @@ mod tests {
         }
     }
 
-    /// Resuming `alg` on a fresh `backend()` from each checkpoint fails
-    /// with [`RunError::SnapshotCorrupt`].
+    /// Resuming `alg` over `g` on a fresh `backend()` from each checkpoint
+    /// fails with [`RunError::SnapshotCorrupt`].
     fn assert_corrupt<B: StateBackend<SourceDetection>>(
         backend: impl Fn() -> B,
         alg: &SourceDetection,
+        g: &Graph,
         ckpts: &[Checkpoint<DistanceMap>],
     ) {
-        let g = fixture();
         for ckpt in ckpts {
-            let err = try_resume_on(backend(), alg, &g, g.n(), ckpt).unwrap_err();
+            let err = try_resume_on(backend(), alg, g, g.n(), ckpt).unwrap_err();
             assert!(
                 matches!(err, RunError::SnapshotCorrupt { .. }),
                 "wrong error: {err:?}"
@@ -433,11 +409,25 @@ mod tests {
             states,
         };
         let ckpts = [short, wild, unsorted, out_of_range];
-        assert_corrupt(literal, &alg, &ckpts);
-        assert_corrupt(ArenaBackend::new, &alg, &ckpts);
-        // The dense backend runs APSP only.
+        assert_corrupt(literal, &alg, &g, &ckpts);
+        assert_corrupt(ArenaBackend::new, &alg, &g, &ckpts);
+        // The dense backend and lane run APSP only.
         let apsp = SourceDetection::apsp(g.n());
-        assert_corrupt(|| DenseBackend::new(None), &apsp, &ckpts);
+        assert_corrupt(|| DenseBackend::new(None), &apsp, &g, &ckpts);
+        let sim = SimulatedGraph::without_hopset(&g, 4, 0.1, &mut StdRng::seed_from_u64(26));
+        let h = sim.augmented();
+        assert_corrupt(
+            || OracleBackend::<_, ArenaBackend>::new(&sim),
+            &apsp,
+            h,
+            &ckpts,
+        );
+        assert_corrupt(
+            || OracleBackend::<_, DenseBackend>::new(&sim),
+            &apsp,
+            h,
+            &ckpts,
+        );
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Checkpoint/resume differential suite (PR 8 tentpole): a run
 //! interrupted at *any* hop and resumed from its checkpoint is
 //! **bit-identical** to the uninterrupted run — same states, same hop
-//! counts, same fixpoint flags — on every backend (literal, arena, dense)
-//! and both oracle lanes (arena LE lists, dense APSP), at every thread
-//! count, and whether the checkpoint stayed in memory or roundtripped
-//! through the crash-safe snapshot store; a checkpoint also resumes
+//! counts, same fixpoint flags — on every backend (literal, arena, dense,
+//! and the oracle over its arena LE-list and dense APSP lanes), at every
+//! thread count, and whether the checkpoint stayed in memory or
+//! roundtripped through the crash-safe snapshot store; a checkpoint also resumes
 //! across the literal and arena backends, both ways. The
 //! recovery-ladder variants of these assertions
 //! (resume after an injected fault) live in `tests/fault_harness.rs`.
@@ -14,9 +14,7 @@ use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::{LiteralBackend, MbfAlgorithm};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::oracle::{
-    oracle_run_on, try_oracle_run_on, try_resume_oracle_on, Lane,
-};
+use metric_tree_embedding::core::oracle::OracleBackend;
 use metric_tree_embedding::core::run::{
     run_to_fixpoint_on, try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
 };
@@ -54,27 +52,28 @@ fn capture_all<M, R>(run: impl FnOnce(&Mutex<Vec<Checkpoint<M>>>) -> R) -> (R, V
 }
 
 /// The backend-generic resume check, at every thread count: the run
-/// from `backend()` to the fixpoint is the reference; a checkpointed run
-/// capturing every `every`-th hop reproduces it, and resuming a fresh
-/// `backend()` from each capture reproduces its states, iteration count
-/// and fixpoint flag. Returns the reference states per thread count
-/// after asserting they agree.
+/// from `backend()` to the fixpoint (within `cap` hops) is the
+/// reference; a checkpointed run capturing every `every`-th hop
+/// reproduces it, and resuming a fresh `backend()` from each capture
+/// (one of them through the snapshot store) reproduces its states,
+/// iteration count and fixpoint flag. Asserts the reference states
+/// agree across thread counts.
 fn assert_every_checkpoint_resumes<A, B>(
     backend: impl Fn() -> B + Sync,
     alg: &A,
     g: &Graph,
+    cap: usize,
     every: u64,
 ) where
-    A: MbfAlgorithm,
-    A::M: Send,
+    A: MbfAlgorithm<M = DistanceMap> + Sync,
     B: StateBackend<A>,
 {
-    let cap = g.n() + 1;
-    let per_thread_states: Vec<Vec<A::M>> = THREADS
+    let per_thread_states: Vec<Vec<DistanceMap>> = THREADS
         .iter()
         .map(|&threads| {
             with_threads(threads, || {
                 let reference = run_to_fixpoint_on(backend(), alg, g, cap);
+                assert!(reference.fixpoint);
                 let policy = CheckpointPolicy::every_hops(every);
                 let ((run, _), checkpoints) = capture_all(|sink| {
                     try_run_on(backend(), alg, g, cap, policy, |c| {
@@ -84,8 +83,16 @@ fn assert_every_checkpoint_resumes<A, B>(
                     .unwrap()
                 });
                 assert_eq!(run.states, reference.states);
-                assert!(!checkpoints.is_empty(), "run too short to checkpoint");
-                for ckpt in &checkpoints {
+                assert!(checkpoints.len() >= 2, "run too short to checkpoint");
+                let on_disk = checkpoints.len() / 2;
+                for (i, ckpt) in checkpoints.iter().enumerate() {
+                    let decoded;
+                    let ckpt = if i == on_disk {
+                        decoded = through_snapshot(ckpt);
+                        &decoded
+                    } else {
+                        ckpt
+                    };
                     let (resumed, report) = try_resume_on(backend(), alg, g, cap, ckpt).unwrap();
                     assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
                     assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);
@@ -102,12 +109,23 @@ fn assert_every_checkpoint_resumes<A, B>(
     );
 }
 
+/// A checkpoint after its round trip through the snapshot store.
+fn through_snapshot(ckpt: &Checkpoint<DistanceMap>) -> Checkpoint<DistanceMap> {
+    let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
+    let decoded = SnapshotReader::decode(&image)
+        .expect("snapshot decodes")
+        .checkpoint()
+        .expect("checkpoint section decodes");
+    assert_eq!(&decoded, ckpt, "roundtrip changed the checkpoint");
+    decoded
+}
+
 #[test]
 fn literal_every_checkpoint_resumes_bit_identically_across_threads() {
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
     let backend = || LiteralBackend::new();
-    assert_every_checkpoint_resumes(backend, &alg, &g, 1);
+    assert_every_checkpoint_resumes(backend, &alg, &g, g.n() + 1, 1);
 }
 
 #[test]
@@ -116,8 +134,12 @@ fn arena_every_checkpoint_resumes_bit_identically_across_threads() {
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xC4E1)));
     let backend = || ArenaBackend::new();
     // k-SSP exercises the unranked pool, the LE lists the rank column.
-    assert_every_checkpoint_resumes(backend, &SourceDetection::k_ssp(g.n(), 4), &g, 1);
-    assert_every_checkpoint_resumes(backend, &LeListAlgorithm::new(ranks), &g, 2);
+    let (kssp, le) = (
+        SourceDetection::k_ssp(g.n(), 4),
+        LeListAlgorithm::new(ranks),
+    );
+    assert_every_checkpoint_resumes(backend, &kssp, &g, g.n() + 1, 1);
+    assert_every_checkpoint_resumes(backend, &le, &g, g.n() + 1, 2);
 }
 
 /// Every checkpoint captured on backend `from` resumes on backend `to`
@@ -178,78 +200,7 @@ fn dense_every_checkpoint_resumes_bit_identically_across_threads() {
     let g = gnm_graph(40, 100, 1.0..7.0, &mut rng);
     let alg = SourceDetection::apsp(g.n());
     let backend = || DenseBackend::new(None);
-    assert_every_checkpoint_resumes(backend, &alg, &g, 1);
-}
-
-// ---------------------------------------------------------------------
-// Oracle.
-// ---------------------------------------------------------------------
-
-/// A checkpoint after its round trip through the snapshot store.
-fn through_snapshot(ckpt: &Checkpoint<DistanceMap>) -> Checkpoint<DistanceMap> {
-    let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
-    let decoded = SnapshotReader::decode(&image)
-        .expect("snapshot decodes")
-        .checkpoint()
-        .expect("checkpoint section decodes");
-    assert_eq!(&decoded, ckpt, "roundtrip changed the checkpoint");
-    decoded
-}
-
-/// The oracle twin of [`assert_every_checkpoint_resumes`] on lane `L`:
-/// at every thread count, a run capturing every round reproduces the
-/// plain run, and resuming from each capture (one of them through the
-/// snapshot store) reproduces its states, round count and fixpoint flag.
-fn assert_every_oracle_round_resumes<L, A>(alg: &A, sim: &SimulatedGraph, cap: usize)
-where
-    A: MbfAlgorithm<S = MinPlus, M = DistanceMap> + Sync,
-    L: Lane<A>,
-{
-    let per_thread_states: Vec<Vec<DistanceMap>> = THREADS
-        .iter()
-        .map(|&threads| {
-            with_threads(threads, || {
-                let reference = oracle_run_on::<L, _>(alg, sim, cap);
-                assert!(reference.fixpoint);
-                let policy = CheckpointPolicy::every_levels(1);
-                let ((run, report), checkpoints) = capture_all(|sink| {
-                    try_oracle_run_on::<L, _>(alg, sim, cap, policy, |c| {
-                        sink.lock().unwrap().push(c.clone());
-                        Ok(())
-                    })
-                    .unwrap()
-                });
-                assert_eq!(run.states, reference.states);
-                assert!(report.converged);
-                assert!(checkpoints.len() >= 2, "oracle run too short to checkpoint");
-                let on_disk = checkpoints.len() / 2;
-                for (i, ckpt) in checkpoints.iter().enumerate() {
-                    let decoded;
-                    let ckpt = if i == on_disk {
-                        decoded = through_snapshot(ckpt);
-                        &decoded
-                    } else {
-                        ckpt
-                    };
-                    let (resumed, report) =
-                        try_resume_oracle_on::<L, _>(alg, sim, cap, ckpt).unwrap();
-                    let round = ckpt.hop;
-                    assert_eq!(resumed.states, reference.states, "round {round}");
-                    assert_eq!(
-                        resumed.h_iterations, reference.h_iterations,
-                        "round {round}"
-                    );
-                    assert_eq!(resumed.fixpoint, reference.fixpoint, "round {round}");
-                    assert!(report.converged, "round {round}");
-                }
-                reference.states
-            })
-        })
-        .collect();
-    assert_eq!(
-        per_thread_states[0], per_thread_states[1],
-        "thread counts disagree"
-    );
+    assert_every_checkpoint_resumes(backend, &alg, &g, g.n() + 1, 1);
 }
 
 #[test]
@@ -261,9 +212,12 @@ fn oracle_every_checkpoint_resumes_bit_identically_across_threads() {
     // The production lanes: LE lists on the arena lane, APSP on the
     // dense one.
     let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
-    assert_every_oracle_round_resumes::<ArenaBackend, _>(&le, &sim, cap);
+    let h = sim.augmented();
+    let arena = || OracleBackend::<_, ArenaBackend>::new(&sim);
+    assert_every_checkpoint_resumes(arena, &le, h, cap, 1);
     let apsp = SourceDetection::apsp(g.n());
-    assert_every_oracle_round_resumes::<DenseBackend, _>(&apsp, &sim, cap);
+    let dense = || OracleBackend::<_, DenseBackend>::new(&sim);
+    assert_every_checkpoint_resumes(dense, &apsp, h, cap, 1);
 }
 
 // ---------------------------------------------------------------------
@@ -293,12 +247,7 @@ fn persist_roundtripped_checkpoints_resume_bit_identically() {
     });
     assert!(!checkpoints.is_empty());
     for ckpt in &checkpoints {
-        let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
-        let decoded = SnapshotReader::decode(&image)
-            .expect("snapshot decodes")
-            .checkpoint()
-            .expect("checkpoint section decodes");
-        assert_eq!(&decoded, ckpt, "roundtrip changed the checkpoint");
+        let decoded = through_snapshot(ckpt);
         let (resumed, _) = try_resume_on(LiteralBackend::new(), &alg, &g, cap, &decoded).unwrap();
         assert_eq!(resumed.states, reference.states, "hop {}", ckpt.hop);
         assert_eq!(resumed.iterations, reference.iterations, "hop {}", ckpt.hop);

@@ -5,7 +5,8 @@
 use metric_tree_embedding::core::engine::{
     initial_states, iterate, iterate_scaled, MbfAlgorithm, MbfRun,
 };
-use metric_tree_embedding::core::oracle::OracleRun;
+use metric_tree_embedding::core::oracle::{Lane, OracleBackend};
+use metric_tree_embedding::core::run::run_to_fixpoint_on;
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::work::WorkStats;
 use metric_tree_embedding::prelude::*;
@@ -45,7 +46,7 @@ pub fn literal_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfR
 /// shares no code with the lanes, the carry-over schedule or the level
 /// loop, so both lanes' states, round counts and fixpoint flags are
 /// asserted against it.
-pub fn literal_oracle<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> OracleRun<A::M>
+pub fn literal_oracle<A>(alg: &A, sim: &SimulatedGraph, h: usize) -> MbfRun<A::M>
 where
     A: MbfAlgorithm<S = MinPlus>,
 {
@@ -91,10 +92,19 @@ where
         }
         x = next;
     }
-    OracleRun {
+    MbfRun {
         states: x,
-        h_iterations: rounds,
+        iterations: rounds,
         fixpoint,
         work,
     }
+}
+
+/// The oracle on lane `L`, run to its fixpoint or `cap` rounds.
+pub fn oracle_run<L, A>(alg: &A, sim: &SimulatedGraph, cap: usize) -> MbfRun<A::M>
+where
+    A: MbfAlgorithm<S = MinPlus>,
+    L: Lane<A>,
+{
+    run_to_fixpoint_on(OracleBackend::<_, L>::new(sim), alg, sim.augmented(), cap)
 }

@@ -182,26 +182,26 @@ fn engine_outputs_bit_identical_across_thread_counts() {
 
 #[test]
 fn oracle_outputs_bit_identical_across_thread_counts() {
+    use common::oracle_run;
     use metric_tree_embedding::core::arena::ArenaBackend;
-    use metric_tree_embedding::core::oracle::oracle_run_on;
     use metric_tree_embedding::core::simgraph::SimulatedGraph;
     let mut rng = StdRng::seed_from_u64(0xD372);
     let g = gnm_graph(160, 420, 1.0..6.0, &mut rng);
     let sim = SimulatedGraph::without_hopset(&g, 24, 0.15, &mut rng);
     let alg = SourceDetection::k_ssp(g.n(), 5);
-    let run = || oracle_run_on::<ArenaBackend, _>(&alg, &sim, 4 * g.n());
+    let run = || oracle_run::<ArenaBackend, _>(&alg, &sim, 4 * g.n());
     let r1 = with_threads(1, run);
     let r4 = with_threads(4, run);
     assert_eq!(r1.states, r4.states, "states differ");
     assert_eq!(r1.work, r4.work, "work counters differ");
-    assert_eq!(r1.h_iterations, r4.h_iterations);
+    assert_eq!(r1.iterations, r4.iterations);
     assert_eq!(r1.fixpoint, r4.fixpoint);
     let literal = common::literal_oracle(&alg, &sim, 4 * g.n());
     assert_eq!(
         r1.states, literal.states,
         "diverged from the literal oracle loop"
     );
-    assert_eq!(r1.h_iterations, literal.h_iterations);
+    assert_eq!(r1.iterations, literal.iterations);
     assert_eq!(r1.fixpoint, literal.fixpoint);
 }
 

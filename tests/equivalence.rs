@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::literal_oracle;
+use common::{literal_oracle, oracle_run};
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
@@ -12,7 +12,6 @@ use metric_tree_embedding::core::engine::run_to_fixpoint;
 use metric_tree_embedding::core::frt::le_list::{
     le_lists_approx_eq, le_lists_direct, le_lists_oracle, Ranks,
 };
-use metric_tree_embedding::core::oracle::oracle_run_on;
 use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::graph::algorithms::{apsp_by_squaring, shortest_path_diameter, sssp};
 use metric_tree_embedding::prelude::*;
@@ -47,14 +46,14 @@ proptest! {
         let apsp_ref = (literal_oracle(&apsp, &sim, cap), run_to_fixpoint(&apsp, &h, cap));
         let kssp_ref = (literal_oracle(&kssp, &sim, cap), run_to_fixpoint(&kssp, &h, cap));
         let lanes = [
-            (oracle_run_on::<ArenaBackend, _>(&apsp, &sim, cap), &apsp_ref),
-            (oracle_run_on::<DenseBackend, _>(&apsp, &sim, cap), &apsp_ref),
-            (oracle_run_on::<ArenaBackend, _>(&kssp, &sim, cap), &kssp_ref),
+            (oracle_run::<ArenaBackend, _>(&apsp, &sim, cap), &apsp_ref),
+            (oracle_run::<DenseBackend, _>(&apsp, &sim, cap), &apsp_ref),
+            (oracle_run::<ArenaBackend, _>(&kssp, &sim, cap), &kssp_ref),
         ];
         for (via_oracle, (literal, via_h)) in lanes {
             prop_assert!(via_oracle.fixpoint);
             prop_assert_eq!(&via_oracle.states, &literal.states);
-            prop_assert_eq!(via_oracle.h_iterations, literal.h_iterations);
+            prop_assert_eq!(via_oracle.iterations, literal.iterations);
             for v in 0..g.n() {
                 prop_assert!(via_oracle.states[v].approx_eq(&via_h.states[v], 1e-9));
             }

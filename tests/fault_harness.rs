@@ -16,7 +16,7 @@ use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::{LiteralBackend, MbfAlgorithm, MbfRun};
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::oracle::{try_oracle_run_on, Lane};
+use metric_tree_embedding::core::oracle::OracleBackend;
 use metric_tree_embedding::core::run::{
     try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
 };
@@ -68,20 +68,6 @@ fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
         .build()
         .expect("pool build cannot fail")
         .install(f)
-}
-
-/// A guarded oracle run on lane `L` that captures nothing.
-fn try_oracle<L, A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-) -> Result<(Vec<DistanceMap>, RunReport), RunError>
-where
-    A: MbfAlgorithm<S = MinPlus, M = DistanceMap>,
-    L: Lane<A>,
-{
-    try_oracle_run_on::<L, _>(alg, sim, h, CheckpointPolicy::disabled(), |_| Ok(()))
-        .map(|(run, report)| (run.states, report))
 }
 
 /// A guarded run of `backend` to the fixpoint that captures nothing.
@@ -166,37 +152,38 @@ impl Pipeline {
         g: &Graph,
         sim: &SimulatedGraph,
     ) -> Result<(Vec<DistanceMap>, RunReport), RunError> {
-        let cap = g.n() + 1;
-        match self {
-            Pipeline::Literal => {
-                let alg = SourceDetection::k_ssp(g.n(), 4);
-                try_run(LiteralBackend::new(), &alg, g, cap)
-                    .map(|(run, report)| (run.states, report))
-            }
-            Pipeline::Arena => {
-                let alg = metric_tree_embedding::core::catalog::SourceDetection::k_ssp(g.n(), 4);
-                try_run(ArenaBackend::new(), &alg, g, cap).map(|(run, report)| (run.states, report))
-            }
-            Pipeline::Dense => {
-                let alg = SourceDetection::apsp(g.n());
-                try_run(DenseBackend::new(None), &alg, g, cap)
-                    .map(|(run, report)| (run.states, report))
-            }
-            Pipeline::ArenaOracle => {
-                let alg = SourceDetection::k_ssp(g.n(), 4);
-                try_oracle::<ArenaBackend, _>(&alg, sim, 4 * g.n())
-            }
+        let (cap, h, oracle_cap) = (g.n() + 1, sim.augmented(), 4 * g.n());
+        let kssp = SourceDetection::k_ssp(g.n(), 4);
+        let apsp = SourceDetection::apsp(g.n());
+        let run = match self {
+            Pipeline::Literal => try_run(LiteralBackend::new(), &kssp, g, cap),
+            Pipeline::Arena => try_run(ArenaBackend::new(), &kssp, g, cap),
+            Pipeline::Dense => try_run(DenseBackend::new(None), &apsp, g, cap),
+            Pipeline::ArenaOracle => try_run(
+                OracleBackend::<_, ArenaBackend>::new(sim),
+                &kssp,
+                h,
+                oracle_cap,
+            ),
             Pipeline::LeOracle => {
-                let ranks = Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xFA03));
-                let alg = LeListAlgorithm::new(std::sync::Arc::new(ranks));
-                try_oracle::<ArenaBackend, _>(&alg, sim, 4 * g.n())
+                let oracle = OracleBackend::<_, ArenaBackend>::new(sim);
+                try_run(oracle, &le_lists(g), h, oracle_cap)
             }
-            Pipeline::DenseOracle => {
-                let alg = SourceDetection::apsp(g.n());
-                try_oracle::<DenseBackend, _>(&alg, sim, 4 * g.n())
-            }
-        }
+            Pipeline::DenseOracle => try_run(
+                OracleBackend::<_, DenseBackend>::new(sim),
+                &apsp,
+                h,
+                oracle_cap,
+            ),
+        };
+        run.map(|(run, report)| (run.states, report))
     }
+}
+
+/// The LE-list algorithm of the `LeOracle` pipeline.
+fn le_lists(g: &Graph) -> LeListAlgorithm {
+    let ranks = Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xFA03));
+    LeListAlgorithm::new(std::sync::Arc::new(ranks))
 }
 
 const PIPELINES: [Pipeline; 6] = [
@@ -434,21 +421,35 @@ fn injected_alloc_failure_at_the_dense_load_is_a_typed_error() {
 }
 
 /// A run that exhausts its iteration cap is not an error — it reports
-/// `converged: false` with the hops it used.
+/// `converged: false` with the hops it used — on the literal backend and
+/// on the oracle, whose hops are rounds.
 #[test]
 fn cap_exhaustion_reports_converged_false() {
     let _guard = FaultGuard::acquire();
     let g = path_graph(40, 1.0);
     let alg = SourceDetection::sssp(g.n(), 0);
-    let (run, report) =
-        try_run(LiteralBackend::new(), &alg, &g, 3).expect("cap exhaustion is not an error");
+    assert_cap_exhausts(LiteralBackend::new, &alg, &g, 3, g.n() + 1);
+    let (og, sim) = oracle_fixture();
+    let oracle = || OracleBackend::<_, ArenaBackend>::new(&sim);
+    assert_cap_exhausts(oracle, &le_lists(&og), sim.augmented(), 2, 4 * og.n());
+}
+
+/// A run of `backend()` capped at `cap` hops reports `converged: false`
+/// and `cap` hops; the run capped at `full` converges, and says so.
+fn assert_cap_exhausts<A: MbfAlgorithm, B: StateBackend<A>>(
+    backend: impl Fn() -> B,
+    alg: &A,
+    g: &Graph,
+    cap: usize,
+    full: usize,
+) {
+    let (run, report) = try_run(backend(), alg, g, cap).expect("cap exhaustion is not an error");
     assert!(!report.converged);
-    assert_eq!(report.hops, 3);
+    assert_eq!(report.hops, cap as u64);
     assert!(!run.fixpoint);
-    // The full run converges and says so.
-    let (_, full) = try_run(LiteralBackend::new(), &alg, &g, g.n() + 1).expect("full run");
+    let (_, full) = try_run(backend(), alg, g, full).expect("full run");
     assert!(full.converged);
-    assert!(full.hops > 3);
+    assert!(full.hops > cap as u64);
 }
 
 /// The injected parser I/O fault surfaces as the typed
@@ -584,35 +585,54 @@ fn snapshot_faults_error_typed_or_leave_output_bit_identical() {
     }
 }
 
-/// The supervisor's retry rung: a one-shot engine fault kills the
-/// primary attempt after checkpoints were captured; the retry resumes
-/// from the last good checkpoint and must reproduce the clean run bit
-/// for bit, within the policy's attempt budget, with the ladder
-/// recorded.
+/// The supervisor's retry rung: a one-shot fault kills the primary
+/// attempt after checkpoints were captured; the retry resumes from the
+/// last good checkpoint and must reproduce the clean run bit for bit,
+/// within the policy's attempt budget, with the ladder recorded — on the
+/// literal backend and on the oracle's production LE-list lane.
 #[test]
 fn supervisor_recovers_from_checkpoint_within_budget() {
     let _guard = FaultGuard::acquire();
     let g = fixture_graph();
     let alg = SourceDetection::k_ssp(g.n(), 4);
-    let cap = g.n() + 1;
-    let clean = try_run(LiteralBackend::new(), &alg, &g, cap).expect("clean run");
+    // The 4th hop commit: the primary attempt has checkpoints from hops
+    // 1–3 in hand when it dies.
+    let plan = FaultPlan::single(FaultSite::EngineHopCommit, FaultKind::Panic, 3);
+    assert_supervisor_recovers(LiteralBackend::new, &alg, &g, g.n() + 1, plan);
+    // A level task of round 3 (every round checks each of the Λ+1
+    // levels once): rounds 1 and 2 are captured.
+    let (og, sim) = oracle_fixture();
+    let round_3 = 2 * (u64::from(sim.levels().lambda()) + 1);
+    let plan = FaultPlan::single(FaultSite::OracleLevelLoop, FaultKind::Panic, round_3);
+    let oracle = || OracleBackend::<_, ArenaBackend>::new(&sim);
+    assert_supervisor_recovers(oracle, &le_lists(&og), sim.augmented(), 4 * og.n(), plan);
+}
 
+/// Runs `backend()` behind the supervisor with `plan` armed, at every
+/// thread count, capturing every hop through the snapshot codec, and
+/// requires the clean run's states with `RecoveredFromCheckpoint`
+/// recorded.
+fn assert_supervisor_recovers<A, B>(
+    backend: impl Fn() -> B + Sync,
+    alg: &A,
+    g: &Graph,
+    cap: usize,
+    plan: FaultPlan,
+) where
+    A: MbfAlgorithm<M = DistanceMap> + Sync,
+    B: StateBackend<A>,
+{
+    let clean = try_run(backend(), alg, g, cap).expect("clean run");
     for threads in [1usize, 4] {
-        // One-shot fault on the 4th hop commit: the primary attempt has
-        // checkpoints from hops 1–3 in hand when it dies.
-        faults::install(FaultPlan::single(
-            FaultSite::EngineHopCommit,
-            FaultKind::Panic,
-            3,
-        ));
+        faults::install(plan.clone());
         let last_good: Mutex<Option<Checkpoint<DistanceMap>>> = Mutex::new(None);
-        let (g, alg, last_good) = (&g, &alg, &last_good);
+        let (backend, last_good) = (&backend, &last_good);
         let outcome = with_threads(threads, move || {
             Supervisor::new(RecoveryPolicy::default()).run(|attempt| {
                 use metric_tree_embedding::core::RecoveryAttempt;
                 match attempt {
                     RecoveryAttempt::Primary => try_run_on(
-                        LiteralBackend::new(),
+                        backend(),
                         alg,
                         g,
                         cap,
@@ -632,11 +652,12 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
                     RecoveryAttempt::RetryFromCheckpoint { .. } => {
                         let ckpt = last_good.lock().unwrap();
                         let ckpt = ckpt.as_ref().expect("primary captured checkpoints");
-                        try_resume_on(LiteralBackend::new(), alg, g, cap, ckpt)
+                        try_resume_on(backend(), alg, g, cap, ckpt)
                             .map(|(run, report)| (run.states, report))
                     }
-                    RecoveryAttempt::Scratch => try_run(LiteralBackend::new(), alg, g, cap)
-                        .map(|(run, report)| (run.states, report)),
+                    RecoveryAttempt::Scratch => {
+                        try_run(backend(), alg, g, cap).map(|(run, report)| (run.states, report))
+                    }
                 }
             })
         });

@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{literal_fixpoint, literal_oracle};
+use common::{literal_fixpoint, literal_oracle, oracle_run};
 use metric_tree_embedding::algebra::store::{EpochStore, SpanOut};
 use metric_tree_embedding::algebra::NodeId;
 use metric_tree_embedding::core::arena::{
@@ -19,10 +19,12 @@ use metric_tree_embedding::core::arena::{
 };
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
-use metric_tree_embedding::core::engine::{initial_states, iterate, LiteralBackend, MbfAlgorithm};
+use metric_tree_embedding::core::engine::{
+    initial_states, iterate, LiteralBackend, MbfAlgorithm, MbfRun,
+};
 use metric_tree_embedding::core::frt::le_list::{le_lists_oracle, LeListAlgorithm, Ranks};
 use metric_tree_embedding::core::frt::LeList;
-use metric_tree_embedding::core::oracle::{oracle_run_on, Lane, OracleRun};
+use metric_tree_embedding::core::oracle::{Lane, OracleBackend};
 use metric_tree_embedding::core::run::{
     run_to_fixpoint_on, try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
 };
@@ -183,15 +185,15 @@ fn oracle_fixture() -> (Graph, SimulatedGraph) {
 /// states, round counts and fixpoint flags, and the carry-over touched
 /// no more vertices than the all-dirty restarts.
 fn assert_oracle_runs_agree<M: PartialEq + std::fmt::Debug>(
-    carry: &OracleRun<M>,
-    literal: &OracleRun<M>,
+    carry: &MbfRun<M>,
+    literal: &MbfRun<M>,
     label: &str,
 ) {
     assert_eq!(
         carry.states, literal.states,
         "{label}: carry-over diverged from the literal oracle loop"
     );
-    assert_eq!(carry.h_iterations, literal.h_iterations, "{label}");
+    assert_eq!(carry.iterations, literal.iterations, "{label}");
     assert_eq!(carry.fixpoint, literal.fixpoint, "{label}");
     assert!(
         carry.work.touched_vertices <= literal.work.touched_vertices,
@@ -206,12 +208,12 @@ fn oracle_carry_over_bit_identical_to_all_dirty_restart() {
     let (g, sim) = oracle_fixture();
     let cap = 4 * g.n();
     let kssp = SourceDetection::k_ssp(g.n(), 5);
-    let carry = oracle_run_on::<ArenaBackend, _>(&kssp, &sim, cap);
+    let carry = oracle_run::<ArenaBackend, _>(&kssp, &sim, cap);
     assert_oracle_runs_agree(&carry, &literal_oracle(&kssp, &sim, cap), "k-ssp");
 
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53E6)));
     let le = LeListAlgorithm::new(ranks);
-    let carry = oracle_run_on::<ArenaBackend, _>(&le, &sim, cap);
+    let carry = oracle_run::<ArenaBackend, _>(&le, &sim, cap);
     let restart = literal_oracle(&le, &sim, cap);
     assert_oracle_runs_agree(&carry, &restart, "le-lists");
     // Multi-round oracle runs must see the savings the carry-over exists
@@ -238,7 +240,7 @@ fn oracle_carry_over_reprojects_slots_the_aggregation_changed() {
         let sim = SimulatedGraph::without_hopset(&g, 1, 0.2, &mut rng);
         let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
         let cap = 4 * g.n();
-        let arena = oracle_run_on::<ArenaBackend, _>(&le, &sim, cap);
+        let arena = oracle_run::<ArenaBackend, _>(&le, &sim, cap);
         let literal = literal_oracle(&le, &sim, cap);
         assert_oracle_runs_agree(&arena, &literal, &format!("arena seed {seed}"));
     }
@@ -253,14 +255,12 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
     let reference = literal_oracle(&le, &sim, cap);
     let (le, sim) = (&le, &sim);
     for threads in [1, 4] {
-        let r = with_threads(threads, move || {
-            oracle_run_on::<ArenaBackend, _>(le, sim, cap)
-        });
+        let r = with_threads(threads, move || oracle_run::<ArenaBackend, _>(le, sim, cap));
         assert_eq!(
             r.states, reference.states,
             "{threads} threads: states diverged"
         );
-        assert_eq!(r.h_iterations, reference.h_iterations);
+        assert_eq!(r.iterations, reference.iterations);
         assert_eq!(r.fixpoint, reference.fixpoint);
     }
 }
@@ -268,7 +268,7 @@ fn oracle_carry_over_bit_identical_across_thread_counts() {
 /// Runs the arena LE lane and the dense APSP lane under pools of 1 and
 /// 4 threads, asserts each equals the literal oracle loop, and returns
 /// the arena LE run for the caller's work pins.
-fn lanes_equal_literal(g: &Graph, sim: &SimulatedGraph, rank_seed: u64) -> OracleRun<DistanceMap> {
+fn lanes_equal_literal(g: &Graph, sim: &SimulatedGraph, rank_seed: u64) -> MbfRun<DistanceMap> {
     let cap = 4 * g.n();
     let le = LeListAlgorithm::new(Arc::new(Ranks::sample(
         g.n(),
@@ -279,20 +279,18 @@ fn lanes_equal_literal(g: &Graph, sim: &SimulatedGraph, rank_seed: u64) -> Oracl
 
     let literal = literal_oracle(le, sim, cap);
     assert!(literal.fixpoint);
-    let arena = thread_invariant("le/arena", || {
-        oracle_run_on::<ArenaBackend, _>(le, sim, cap)
-    });
+    let arena = thread_invariant("le/arena", || oracle_run::<ArenaBackend, _>(le, sim, cap));
     assert_oracle_runs_agree(&arena, &literal, "le/arena");
 
     let dense = thread_invariant("apsp/dense", || {
-        oracle_run_on::<DenseBackend, _>(apsp, sim, cap)
+        oracle_run::<DenseBackend, _>(apsp, sim, cap)
     });
     assert_oracle_runs_agree(&dense, &literal_oracle(apsp, sim, cap), "apsp/dense");
     arena
 }
 
 /// `(hops, touched_vertices, entries_processed)` of a run.
-fn work_pin<M>(run: &OracleRun<M>) -> (u64, u64, u64) {
+fn work_pin<M>(run: &MbfRun<M>) -> (u64, u64, u64) {
     (
         run.work.iterations,
         run.work.touched_vertices,
@@ -370,7 +368,7 @@ fn frt_le_list_pipeline_matches_unpruned_all_dirty_reference() {
         let sim = &sim;
         let (lists, h_iterations, _) =
             with_threads(threads, move || le_lists_oracle(sim, &ranks, Some(cap)));
-        assert_eq!(h_iterations, reference.h_iterations, "{threads} threads");
+        assert_eq!(h_iterations, reference.iterations, "{threads} threads");
         for (v, (got, want)) in lists.iter().zip(&reference_lists).enumerate() {
             assert_eq!(
                 got.entries(),
@@ -577,18 +575,25 @@ fn arena_engine_bit_identical_across_thread_counts() {
 /// Runs `alg` on the live `backend` two hops in, captures it, runs it
 /// three hops further, then restarts it mid-run with `start` and, once
 /// that run reached the fixpoint, resumes it from the capture: both must
-/// land on the literal fixpoint.
-fn restart_and_resume_live<A, B>(mut backend: B, alg: &A, g: &Graph, label: &str)
-where
+/// land on the `reference` fixpoint after the reference's hop count.
+fn restart_and_resume_live<A, B>(
+    mut backend: B,
+    alg: &A,
+    g: &Graph,
+    reference: &MbfRun<A::M>,
+    label: &str,
+) where
     A: MbfAlgorithm,
     A::M: PartialEq + std::fmt::Debug,
     B: StateBackend<A>,
 {
-    let literal = literal_fixpoint(alg, g, g.n() + 1);
-    let to_fixpoint = |backend: &mut B| {
-        while backend.step(alg, g, 1.0).1 {}
-        backend.export_states()
+    let to_fixpoint = |backend: &mut B, mut hops: usize| loop {
+        hops += 1;
+        if !backend.step(alg, g, 1.0).1 {
+            return (backend.export_states(), hops);
+        }
     };
+    let want = (reference.states.clone(), reference.iterations);
     backend.start(alg, g).unwrap();
     backend.step(alg, g, 1.0);
     backend.step(alg, g, 1.0);
@@ -602,49 +607,55 @@ where
     }
     // Restart: the initial states, every vertex dirty.
     backend.start(alg, g).unwrap();
-    assert_eq!(
-        to_fixpoint(&mut backend),
-        literal.states,
-        "{label}: restart"
-    );
+    assert_eq!(to_fixpoint(&mut backend, 0), want, "{label}: restart");
     // Resume: the capture after hop 2 with its residual frontier.
     backend.resume(alg, g, &ckpt).unwrap();
-    assert_eq!(to_fixpoint(&mut backend), literal.states, "{label}: resume");
+    assert_eq!(to_fixpoint(&mut backend, 2), want, "{label}: resume");
 }
 
 /// A restart (`start`) and a resume declare the states rewritten outside
 /// the hops, so a live backend must drop everything it cached about the
 /// old ones: the arena its deltas and receiver summaries, the arena and
-/// the dense backend their taints. Restarting one mid-run from
-/// `r^V x⁽⁰⁾`, or resuming it from an earlier capture, must land on the
-/// literal fixpoint.
+/// the dense backend their taints, the oracle its primed levels.
+/// Restarting one mid-run from `r^V x⁽⁰⁾`, or resuming it from an
+/// earlier capture, must land on the literal fixpoint.
 #[test]
 fn live_arena_engine_restarts_and_resumes_exactly() {
     for (name, g) in workload_graphs() {
         let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F2)));
         let le = LeListAlgorithm::new(ranks);
-        restart_and_resume_live(ArenaBackend::new(), &le, &g, &format!("{name}/le/arena"));
-        let apsp = SourceDetection::apsp(g.n());
+        let literal = literal_fixpoint(&le, &g, g.n() + 1);
         restart_and_resume_live(
-            DenseBackend::new(None),
-            &apsp,
+            ArenaBackend::new(),
+            &le,
             &g,
-            &format!("{name}/apsp/dense"),
+            &literal,
+            &format!("{name}/le"),
         );
+        let apsp = SourceDetection::apsp(g.n());
+        let literal = literal_fixpoint(&apsp, &g, g.n() + 1);
+        let label = format!("{name}/apsp");
+        restart_and_resume_live(DenseBackend::new(None), &apsp, &g, &literal, &label);
     }
+    // The oracle over a highway, whose waves need a dozen rounds at d = 8.
+    let g = highway_graph(64, 400.0);
+    let sim = SimulatedGraph::without_hopset(&g, 8, 0.15, &mut StdRng::seed_from_u64(0x53F3));
+    let le = LeListAlgorithm::new(Arc::new(Ranks::sample(
+        g.n(),
+        &mut StdRng::seed_from_u64(0x53F4),
+    )));
+    let literal = literal_oracle(&le, &sim, 4 * g.n());
+    let oracle = OracleBackend::<_, ArenaBackend>::new(&sim);
+    restart_and_resume_live(oracle, &le, sim.augmented(), &literal, "oracle");
 }
 
 /// Two lanes of the oracle's level loop ran the same schedule: equal
 /// states, round counts and fixpoint flags, and — since every lane hops
 /// the same frontier — equal hop and touched-vertex counts. The other
 /// counters are in each backend's own currency.
-fn assert_lanes_agree<M: PartialEq + std::fmt::Debug>(
-    a: &OracleRun<M>,
-    b: &OracleRun<M>,
-    label: &str,
-) {
+fn assert_lanes_agree<M: PartialEq + std::fmt::Debug>(a: &MbfRun<M>, b: &MbfRun<M>, label: &str) {
     assert_eq!(a.states, b.states, "{label}: lanes diverged");
-    assert_eq!(a.h_iterations, b.h_iterations, "{label}");
+    assert_eq!(a.iterations, b.iterations, "{label}");
     assert_eq!(a.fixpoint, b.fixpoint, "{label}");
     assert_eq!(a.work.iterations, b.work.iterations, "{label}: hops");
     assert_eq!(
@@ -657,12 +668,12 @@ fn assert_lanes_agree<M: PartialEq + std::fmt::Debug>(
 /// identical down to every work counter.
 fn thread_invariant<M: PartialEq + std::fmt::Debug + Send>(
     label: &str,
-    f: impl Fn() -> OracleRun<M> + Send + Copy,
-) -> OracleRun<M> {
+    f: impl Fn() -> MbfRun<M> + Send + Copy,
+) -> MbfRun<M> {
     let r1 = with_threads(1, f);
     let r4 = with_threads(4, f);
     assert_eq!(r1.states, r4.states, "{label}: thread divergence");
-    assert_eq!(r1.h_iterations, r4.h_iterations, "{label}");
+    assert_eq!(r1.iterations, r4.iterations, "{label}");
     assert_eq!(r1.work, r4.work, "{label}: work differs across threads");
     r1
 }
@@ -675,9 +686,7 @@ fn arena_oracle_bit_identical_to_literal_oracle() {
     let le = LeListAlgorithm::new(Arc::clone(&ranks));
     let kssp = SourceDetection::k_ssp(g.n(), 5);
     let (le, kssp, sim) = (&le, &kssp, &sim);
-    let arena = thread_invariant("oracle/le", || {
-        oracle_run_on::<ArenaBackend, _>(le, sim, cap)
-    });
+    let arena = thread_invariant("oracle/le", || oracle_run::<ArenaBackend, _>(le, sim, cap));
     assert_oracle_runs_agree(&arena, &literal_oracle(le, sim, cap), "oracle/le");
     // The arena LE lane's `(touched_vertices, entries_processed)`: the
     // semi-naive handover reads deltas, never a different admitted set,
@@ -690,7 +699,7 @@ fn arena_oracle_bit_identical_to_literal_oracle() {
     );
 
     let arena = thread_invariant("oracle/kssp", || {
-        oracle_run_on::<ArenaBackend, _>(kssp, sim, cap)
+        oracle_run::<ArenaBackend, _>(kssp, sim, cap)
     });
     assert_oracle_runs_agree(&arena, &literal_oracle(kssp, sim, cap), "oracle/kssp");
 }
@@ -809,12 +818,12 @@ fn semi_naive_handover_admits_exactly_what_the_full_handover_admits() {
     let cap = 4 * g.n();
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0x53F1)));
     let le = LeListAlgorithm::new(ranks);
-    let semi = oracle_run_on::<ArenaBackend, _>(&le, &sim, cap);
-    let full = oracle_run_on::<ArenaBackend, _>(&FullHandover(le.clone()), &sim, cap);
+    let semi = oracle_run::<ArenaBackend, _>(&le, &sim, cap);
+    let full = oracle_run::<ArenaBackend, _>(&FullHandover(le.clone()), &sim, cap);
     assert_eq!(semi.fixpoint, full.fixpoint);
     let got = assert_same_but_smaller_handover(
-        (&semi.states, semi.h_iterations, semi.work),
-        (&full.states, full.h_iterations, full.work),
+        (&semi.states, semi.iterations, semi.work),
+        (&full.states, full.iterations, full.work),
         "oracle",
     );
     assert_eq!(got, (14_180, 108_995), "oracle: touched, entries");
@@ -990,11 +999,11 @@ fn dense_oracle_bit_identical_to_literal_oracle_across_threads() {
     let literal = literal_oracle(alg, sim, cap);
     assert!(literal.fixpoint);
     let dense = thread_invariant("apsp/dense", || {
-        oracle_run_on::<DenseBackend, _>(alg, sim, cap)
+        oracle_run::<DenseBackend, _>(alg, sim, cap)
     });
     assert_oracle_runs_agree(&dense, &literal, "apsp/dense");
     let arena = thread_invariant("apsp/arena", || {
-        oracle_run_on::<ArenaBackend, _>(alg, sim, cap)
+        oracle_run::<ArenaBackend, _>(alg, sim, cap)
     });
     assert_lanes_agree(&dense, &arena, "apsp");
 }
@@ -1052,10 +1061,10 @@ proptest! {
 
         // Oracle: the carry-over arena lane vs the literal oracle loop.
         let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
-        let carry = oracle_run_on::<ArenaBackend, _>(&le, &sim, 3 * g.n());
+        let carry = oracle_run::<ArenaBackend, _>(&le, &sim, 3 * g.n());
         let literal = literal_oracle(&le, &sim, 3 * g.n());
         prop_assert_eq!(&carry.states, &literal.states);
-        prop_assert_eq!(carry.h_iterations, literal.h_iterations);
+        prop_assert_eq!(carry.iterations, literal.iterations);
         prop_assert_eq!(carry.fixpoint, literal.fixpoint);
         prop_assert!(carry.work.touched_vertices <= literal.work.touched_vertices);
     }
