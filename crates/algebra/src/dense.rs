@@ -40,9 +40,9 @@
 //! over `f64` is idempotent, commutative, and associative —
 //! order-independent — so dense results are **bit-identical to the
 //! literal and arena paths by construction**, which makes differential testing
-//! exact (asserted by `tests/schedule_equivalence.rs`). The tiled kernel
-//! visits, per element, the source rows in exactly the same order as the
-//! untiled loop.
+//! exact (asserted by the conformance matrix, `tests/conformance.rs`). The
+//! tiled kernel visits, per element, the source rows in exactly the same
+//! order as the untiled loop.
 //!
 //! [`DenseBlock::from_states`] and [`DenseBlock::export`] bridge the
 //! sparse [`crate::DistanceMap`] and its dense row: the non-`∞`

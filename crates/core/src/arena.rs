@@ -22,7 +22,7 @@
 //! — the frontier, the closed-neighborhood touched list, the
 //! degree-balanced chunks — which the dense backend shares; its outputs
 //! are bit-identical to the literal loop (differential-tested by
-//! `tests/schedule_equivalence.rs`), and semi-naive algorithms drop the
+//! `tests/conformance.rs`), and semi-naive algorithms drop the
 //! touched vertices their delta floors prove idle (see below). During a
 //! hop, each scheduling chunk writes its recomputed states into its own
 //! **chunk append region** (plain `Vec`s owned by the chunk slot — no
@@ -1037,28 +1037,12 @@ impl<A: ArenaMbfAlgorithm> Lane<A> for ArenaBackend {
 mod tests {
     use super::*;
     use crate::catalog::SourceDetection;
-    use crate::engine::{iterate, literal_fixpoint};
+    use crate::engine::{iterate, run_to_fixpoint};
     use crate::run::run_to_fixpoint_on;
     use mte_algebra::store::ENTRY_BYTES_UNRANKED;
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn arena_sssp_matches_literal_loop() {
-        let mut rng = StdRng::seed_from_u64(71);
-        let g = gnm_graph(60, 150, 1.0..9.0, &mut rng);
-        let alg = SourceDetection::sssp(g.n(), 3);
-        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
-        assert_eq!(literal.states, arena.states);
-        assert_eq!(literal.iterations, arena.iterations);
-        assert_eq!(literal.fixpoint, arena.fixpoint);
-        // The frontier skip and the absorbed-merge skip only ever drop
-        // work from the literal sweep.
-        assert!(arena.work.edge_relaxations < literal.work.edge_relaxations);
-        assert!(arena.work.touched_vertices < literal.work.touched_vertices);
-    }
 
     #[test]
     fn arena_copy_on_write_beats_per_vertex_rewrite_traffic() {
@@ -1068,7 +1052,7 @@ mod tests {
         // the arena appends only the wave into a few pool chunks.
         let g = path_graph(256, 1.0);
         let alg = SourceDetection::sssp(g.n(), 0);
-        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let literal = run_to_fixpoint(&alg, &g, g.n() + 1);
         let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
         assert_eq!(literal.states, arena.states);
         let rewrite = arena.work.touched_vertices * ENTRY_BYTES_UNRANKED;
@@ -1099,7 +1083,7 @@ mod tests {
         assert!(!store.is_ranked());
         assert_eq!(store.entry_bytes(), ENTRY_BYTES_UNRANKED);
         let run = run_to_fixpoint_on(ArenaBackend::new(), &sssp, &g, g.n() + 1);
-        assert_eq!(run.states, literal_fixpoint(&sssp, &g, g.n() + 1).states);
+        assert_eq!(run.states, run_to_fixpoint(&sssp, &g, g.n() + 1).states);
 
         // The LE lists opt in; their probe needs the pool ranks.
         const { assert!(LeListAlgorithm::USES_RANK_COLUMN) };

@@ -29,7 +29,7 @@
 //! computes the same single `x + w` the sparse merge kernels compute,
 //! so dense states are **bit-identical to the literal and arena paths
 //! by construction** — differential testing is exact, not approximate
-//! (asserted by `tests/schedule_equivalence.rs` across
+//! (asserted by `tests/conformance.rs` across
 //! `MTE_THREADS ∈ {1, 4}`). The contract an algorithm must uphold is
 //! that [`DenseMbfAlgorithm::advertises_dense`] returns `true` only when
 //! [`MbfAlgorithm::filter`] is the identity on every state the instance
@@ -490,30 +490,9 @@ mod tests {
     use super::*;
     use crate::arena::ArenaBackend;
     use crate::catalog::SourceDetection;
-    use crate::engine::literal_fixpoint;
+    use crate::engine::run_to_fixpoint;
     use crate::run::run_to_fixpoint_on;
-    use mte_graph::generators::{gnm_graph, path_graph};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn dense_apsp_matches_literal_loop() {
-        let mut rng = StdRng::seed_from_u64(81);
-        let g = gnm_graph(50, 130, 1.0..9.0, &mut rng);
-        let alg = SourceDetection::apsp(g.n());
-        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
-        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
-        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
-        assert_eq!(literal.states, dense.states);
-        assert_eq!(literal.iterations, dense.iterations);
-        assert_eq!(literal.fixpoint, dense.fixpoint);
-        // Same schedule as the arena, same hops: the scheduling and
-        // relaxation counters agree (both skip exactly the clean
-        // neighbors).
-        assert_eq!(arena.work.edge_relaxations, dense.work.edge_relaxations);
-        assert_eq!(arena.work.touched_vertices, dense.work.touched_vertices);
-        assert!(dense.work.dense_hops > 0);
-    }
+    use mte_graph::generators::path_graph;
 
     #[test]
     fn fresh_engine_step_sizes_schedule_and_taint_together() {
@@ -528,7 +507,7 @@ mod tests {
         let (_, changed) = backend.step(&alg, &g, 1.0);
         assert!(changed);
         while backend.step(&alg, &g, 1.0).1 {}
-        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let literal = run_to_fixpoint(&alg, &g, g.n() + 1);
         assert_eq!(backend.block.export(), literal.states);
     }
 
@@ -554,7 +533,7 @@ mod tests {
             "expected a typed refusal, got {:?}",
             refused.map(|_| ())
         );
-        let literal = literal_fixpoint(&alg, &g, g.n() + 1);
+        let literal = run_to_fixpoint(&alg, &g, g.n() + 1);
         let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
         assert_eq!(literal.states, arena.states);
     }
@@ -565,20 +544,5 @@ mod tests {
         assert!(!alg.advertises_dense());
         let apsp = SourceDetection::apsp(10);
         assert!(apsp.advertises_dense());
-    }
-
-    #[test]
-    fn dense_oracle_matches_literal_oracle() {
-        let mut rng = StdRng::seed_from_u64(86);
-        let g = gnm_graph(30, 70, 1.0..6.0, &mut rng);
-        let sim = crate::simgraph::SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
-        let alg = SourceDetection::apsp(g.n());
-        let cap = 4 * g.n();
-        let literal = crate::oracle::literal_oracle(&alg, &sim, cap);
-        let oracle = crate::oracle::OracleBackend::<_, DenseBackend>::new(&sim);
-        let dense = run_to_fixpoint_on(oracle, &alg, sim.augmented(), cap);
-        assert_eq!(literal.states, dense.states);
-        assert_eq!(literal.iterations, dense.iterations);
-        assert_eq!(literal.fixpoint, dense.fixpoint);
     }
 }

@@ -72,8 +72,8 @@
 //! degrees, and per-chunk `WorkStats`/changed-flags merge through the
 //! fixed-shape reduction tree of the rayon shim, so every output —
 //! states, work counters, frontier bookkeeping — is bit-identical across
-//! thread counts (`MTE_THREADS`; asserted by the determinism suite in
-//! `tests/engine_equivalence.rs`).
+//! thread counts (`MTE_THREADS`; asserted for every backend by the
+//! conformance matrix, `tests/conformance.rs`).
 
 use crate::error::RunError;
 use crate::run::{check_vertices, run_to_fixpoint_on, Checkpoint, StateBackend};
@@ -578,33 +578,6 @@ pub fn run_to_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRu
     run_to_fixpoint_on(LiteralBackend::new(), alg, g, cap)
 }
 
-/// The literal fixpoint loop: [`iterate`] from `r^V x⁽⁰⁾` until the
-/// first hop that changes nothing, or `cap` hops, counted like
-/// [`run_to_fixpoint_on`]. The backends' states, iteration counts and
-/// fixpoint flags are differential-tested against it.
-#[cfg(test)]
-pub(crate) fn literal_fixpoint<A: MbfAlgorithm>(alg: &A, g: &Graph, cap: usize) -> MbfRun<A::M> {
-    let mut states = initial_states(alg, g.n());
-    let mut work = WorkStats::new();
-    let (mut iterations, mut fixpoint) = (0, false);
-    while iterations < cap {
-        let (next, w) = iterate(alg, g, &states);
-        work += w;
-        iterations += 1;
-        if next == states {
-            fixpoint = true;
-            break;
-        }
-        states = next;
-    }
-    MbfRun {
-        states,
-        iterations,
-        fixpoint,
-        work,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -670,7 +643,7 @@ mod tests {
         let g = path_graph(64, 1.0);
         let alg = SourceDetection::sssp(g.n(), 0);
         let cap = g.n() + 1;
-        let literal = literal_fixpoint(&alg, &g, cap);
+        let literal = run_to_fixpoint(&alg, &g, cap);
         let frontier = run_to_fixpoint_on(crate::arena::ArenaBackend::new(), &alg, &g, cap);
         assert!(literal.fixpoint && frontier.fixpoint);
         assert_eq!(literal.states, frontier.states);

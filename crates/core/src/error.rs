@@ -200,12 +200,6 @@ pub struct RecoveryPolicy {
     /// Retries from the last good checkpoint before falling back (0 =
     /// skip straight to the scratch rung).
     pub max_retries: u32,
-    /// Base of the deterministic backoff: retry `a` spins
-    /// `backoff_base · 2^{a−1}` iterations of [`std::hint::spin_loop`]
-    /// before re-entering. Attempt-count-based, never wall-clock-based —
-    /// the hygiene rule bans clocks in engine crates, and a
-    /// deterministic run must not observe time.
-    pub backoff_base: u32,
     /// Whether the final rung — recompute from scratch, ignoring all
     /// checkpoints — is allowed.
     pub allow_scratch: bool,
@@ -216,7 +210,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_retries: 2,
-            backoff_base: 64,
             allow_scratch: true,
         }
     }
@@ -237,11 +230,11 @@ pub enum RecoveryAttempt {
 }
 
 /// The deterministic recovery supervisor: walks a failed guarded run
-/// down the recovery ladder — primary → bounded checkpoint retries
-/// (with attempt-count backoff) → recompute-from-scratch — and records
-/// every rung taken as [`Degradation`]s in the successful rung's
-/// [`RunReport`]. Deterministic end to end: the ladder is a pure
-/// function of the entry closure's results, no clocks, no randomness.
+/// down the recovery ladder — primary → bounded checkpoint retries →
+/// recompute-from-scratch — and records every rung taken as
+/// [`Degradation`]s in the successful rung's [`RunReport`].
+/// Deterministic end to end: the ladder is a pure function of the entry
+/// closure's results, no clocks, no randomness.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct Supervisor {
     policy: RecoveryPolicy,
@@ -251,21 +244,6 @@ impl Supervisor {
     /// A supervisor with the given ladder bounds.
     pub fn new(policy: RecoveryPolicy) -> Self {
         Supervisor { policy }
-    }
-
-    /// The ladder bounds.
-    pub fn policy(&self) -> RecoveryPolicy {
-        self.policy
-    }
-
-    /// Spins for `backoff_base · 2^{attempt−1}` iterations — the
-    /// deterministic stand-in for a retry backoff (see
-    /// [`RecoveryPolicy::backoff_base`]).
-    fn backoff(&self, attempt: u32) {
-        let spins = (self.policy.backoff_base as u64) << (attempt.saturating_sub(1)).min(16);
-        for _ in 0..spins {
-            std::hint::spin_loop();
-        }
     }
 
     /// Runs `entry` down the recovery ladder until a rung succeeds.
@@ -295,7 +273,6 @@ impl Supervisor {
             if checkpoint_unusable {
                 break;
             }
-            self.backoff(attempt);
             let cause = last.to_string();
             match entry(RecoveryAttempt::RetryFromCheckpoint { attempt }) {
                 Ok((value, mut report)) => {
@@ -442,7 +419,6 @@ mod tests {
     fn supervisor_falls_back_to_scratch() {
         let sup = Supervisor::new(RecoveryPolicy {
             max_retries: 1,
-            backoff_base: 1,
             allow_scratch: true,
         });
         let (_, report) = sup
@@ -468,7 +444,6 @@ mod tests {
     fn supervisor_reports_exhaustion_with_the_last_error() {
         let sup = Supervisor::new(RecoveryPolicy {
             max_retries: 2,
-            backoff_base: 1,
             allow_scratch: false,
         });
         let err = sup.run(|_| -> Result<((), RunReport), _> { Err(boom()) });

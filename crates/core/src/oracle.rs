@@ -51,12 +51,13 @@
 //! currency.
 //!
 //! The reference is the **literal oracle loop** of the test suites
-//! (`literal_oracle`): each round projects `x` for every `λ`, applies
-//! the one-shot [`crate::engine::iterate_scaled`] kernel `d` times, folds
-//! the levels in ascending order and filters, and stops at the first
-//! round that changes nothing. It shares no code with the lanes, the
-//! carry-over schedule below or the level loop, and both lanes are
-//! asserted bit-identical to it.
+//! (`tests/common/mod.rs::literal_oracle`): each round projects `x` for
+//! every `λ`, applies the one-shot [`crate::engine::iterate_scaled`]
+//! kernel `d` times, folds the levels in ascending order and filters,
+//! and stops at the first round that changes nothing. It shares no code
+//! with the lanes, the carry-over schedule below or the level loop, and
+//! both lanes are asserted bit-identical to it by the conformance matrix
+//! (`tests/conformance.rs`).
 //!
 //! # Carry-over
 //!
@@ -566,74 +567,6 @@ pub fn default_iteration_cap(n: usize) -> usize {
     (6.0 * log * log) as usize + 8
 }
 
-/// The literal oracle loop (Section 5): each round projects `x` for
-/// every level, applies the one-shot [`crate::engine::iterate_scaled`]
-/// kernel `d` times, folds the levels `0..=level(v)` in ascending order
-/// and filters; it stops at the first round that changes nothing, or
-/// after `h` rounds. It shares no code with the lanes, the carry-over
-/// schedule or the level loop: the lanes' states, round counts and
-/// fixpoint flags are differential-tested against it.
-#[cfg(test)]
-pub(crate) fn literal_oracle<A>(
-    alg: &A,
-    sim: &SimulatedGraph,
-    h: usize,
-) -> crate::engine::MbfRun<A::M>
-where
-    A: MbfAlgorithm<S = MinPlus>,
-{
-    use mte_algebra::Semimodule;
-    let (g, levels) = (sim.augmented(), sim.levels());
-    let level = |v: usize| levels.level(v as NodeId);
-    let mut x = initial_states(alg, g.n());
-    let mut work = WorkStats::new();
-    let (mut rounds, mut fixpoint) = (0, false);
-    while rounds < h {
-        let ys: Vec<Vec<A::M>> = (0..=levels.lambda())
-            .map(|lambda| {
-                let mut y: Vec<A::M> = (0..g.n())
-                    .map(|v| {
-                        if level(v) >= lambda {
-                            x[v].clone()
-                        } else {
-                            A::M::zero()
-                        }
-                    })
-                    .collect();
-                for _ in 0..sim.d() {
-                    let (next, w) =
-                        crate::engine::iterate_scaled(alg, g, &y, sim.level_scale(lambda));
-                    work += w;
-                    y = next;
-                }
-                y
-            })
-            .collect();
-        let next: Vec<A::M> = (0..g.n())
-            .map(|v| {
-                let mut acc = A::M::zero();
-                for y in &ys[..=level(v) as usize] {
-                    acc.add_assign(&y[v]);
-                }
-                alg.filter(&mut acc);
-                acc
-            })
-            .collect();
-        rounds += 1;
-        if next == x {
-            fixpoint = true;
-            break;
-        }
-        x = next;
-    }
-    crate::engine::MbfRun {
-        states: x,
-        iterations: rounds,
-        fixpoint,
-        work,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -647,26 +580,21 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The arena lane on `alg`, and the dense lane when `alg` advertises
-    /// dense states, each asserted bit-identical to the literal oracle
-    /// loop in states, round counts and fixpoint flags. Returns the arena
-    /// run.
-    fn lanes_equal_literal(
+    /// The arena lane's run of `alg`, and the dense lane's asserted equal
+    /// to it in states, round counts and fixpoint flags when `alg`
+    /// advertises dense states. Returns the arena run.
+    fn lanes_agree(
         alg: &SourceDetection,
         sim: &SimulatedGraph,
         h: usize,
     ) -> MbfRun<mte_algebra::DistanceMap> {
-        let literal = literal_oracle(alg, sim, h);
-        let check = |run: &MbfRun<mte_algebra::DistanceMap>, lane: &str| {
-            assert_eq!(run.states, literal.states, "{lane}: diverged");
-            assert_eq!(run.iterations, literal.iterations, "{lane}");
-            assert_eq!(run.fixpoint, literal.fixpoint, "{lane}");
-        };
         let arena = arena_oracle(alg, sim, h);
-        check(&arena, "arena");
         if alg.advertises_dense() {
             let dense = OracleBackend::<_, DenseBackend>::new(sim);
-            check(&run_to_fixpoint_on(dense, alg, sim.augmented(), h), "dense");
+            let dense = run_to_fixpoint_on(dense, alg, sim.augmented(), h);
+            assert_eq!(dense.states, arena.states, "the lanes diverged");
+            assert_eq!(dense.iterations, arena.iterations);
+            assert_eq!(dense.fixpoint, arena.fixpoint);
         }
         arena
     }
@@ -692,7 +620,7 @@ mod tests {
         let h_explicit = sim.explicit_h();
 
         let alg = SourceDetection::apsp(g.n());
-        let via_oracle = lanes_equal_literal(&alg, &sim, 4 * g.n());
+        let via_oracle = lanes_agree(&alg, &sim, 4 * g.n());
         assert!(via_oracle.fixpoint);
         let via_h = run_to_fixpoint(&alg, &h_explicit, 4 * g.n());
         assert!(via_h.fixpoint);
@@ -705,6 +633,29 @@ mod tests {
                 via_h.states[v]
             );
         }
+    }
+
+    /// `resume` builds fresh, unprimed levels, on a live backend too.
+    /// Flagging them primed is invisible in states and in every work
+    /// counter (an unsized lane turns `mark_dirty` into
+    /// `mark_all_dirty`), so the flags themselves are checked.
+    #[test]
+    fn resume_builds_fresh_unprimed_levels() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let g = gnm_graph(30, 70, 1.0..6.0, &mut rng);
+        let sim = SimulatedGraph::without_hopset(&g, 4, 0.2, &mut rng);
+        let (alg, h) = (SourceDetection::k_ssp(g.n(), 3), sim.augmented());
+        let mut oracle = OracleBackend::<_, ArenaBackend>::new(&sim);
+        oracle.start(&alg, h).unwrap();
+        assert!(oracle.step(&alg, h, 1.0).1);
+        assert!(oracle.levels.iter().all(|l| l.primed));
+        let ckpt = Checkpoint {
+            hop: 1,
+            frontier: Vec::new(),
+            states: oracle.export_states(),
+        };
+        oracle.resume(&alg, h, &ckpt).unwrap();
+        assert!(oracle.levels.iter().all(|l| !l.primed && l.moved_all));
     }
 
     #[test]
@@ -730,7 +681,7 @@ mod tests {
         let h_explicit = sim.explicit_h();
         let alg = SourceDetection::apsp(g.n());
 
-        let o1 = lanes_equal_literal(&alg, &sim, 1);
+        let o1 = lanes_agree(&alg, &sim, 1);
         assert_eq!(o1.iterations, 1);
         let d1 = crate::engine::run(&alg, &h_explicit, 1);
         for v in 0..g.n() {
@@ -774,7 +725,7 @@ mod tests {
         let sim = SimulatedGraph::without_hopset(&g, 31, 0.1, &mut rng);
         let alg = SourceDetection::sssp(g.n(), 0);
         let budget = 10_000;
-        let run = lanes_equal_literal(&alg, &sim, budget);
+        let run = lanes_agree(&alg, &sim, budget);
         assert!(run.fixpoint, "fixpoint not reported");
         assert!(
             run.iterations < budget,
@@ -785,7 +736,7 @@ mod tests {
         assert_eq!(run.iterations, fix.iterations);
         assert_eq!(run.work.iterations, fix.work.iterations);
         // A budget too small to converge reports honestly.
-        let short = lanes_equal_literal(&alg, &sim, 1);
+        let short = lanes_agree(&alg, &sim, 1);
         assert!(!short.fixpoint);
         assert_eq!(short.iterations, 1);
     }

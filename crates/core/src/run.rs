@@ -41,7 +41,8 @@
 //! every level wholesale.
 //! Resumed runs are therefore **bit-identical** to uninterrupted ones —
 //! same states, same hop counts, same fixpoint flags — on every backend
-//! and every `MTE_THREADS` (asserted by `tests/checkpoint_resume.rs`).
+//! and every `MTE_THREADS` (asserted by the resume check of the
+//! conformance matrix, `tests/conformance.rs`).
 //!
 //! The drivers are *sink-generic*: a [`CheckpointPolicy`] decides
 //! **when** to capture, and a caller-supplied closure decides **where**

@@ -1,134 +1,41 @@
-//! Differential tests for the engine: the frontier-driven sparse
-//! schedule (run here on the arena backend) must be **bit-identical**
-//! to the literal Eq. (2.17) loop (`iterate` until the first unchanged
-//! hop) on every workload — the skip rule ("no input of `v` changed, so
-//! `x_v` cannot change") is exact, not approximate — while doing
-//! strictly less relaxation work whenever convergence leaves vertices
-//! quiescent before the run ends. The non-distance-map catalog runs on
-//! the literal backend through the same driver.
+//! Differential tests for the engine beyond the conformance matrix
+//! (`tests/conformance.rs`): runs capped short of convergence against
+//! the exact-`h` literal `run`, the FRT pipeline across thread counts,
+//! and random (possibly disconnected) graphs, where the frontier-driven
+//! sparse schedule on the arena must stay **bit-identical** to the
+//! literal Eq. (2.17) loop (`iterate` until the first unchanged hop)
+//! while never relaxing more edges.
 
 mod common;
 
-use common::literal_fixpoint;
+use common::{assert_narrowed_work, literal_fixpoint, literal_oracle, oracle_run, with_threads};
 use metric_tree_embedding::algebra::NodeId;
-use metric_tree_embedding::core::arena::ArenaBackend;
-use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};
-use metric_tree_embedding::core::engine::{run, LiteralBackend, MbfAlgorithm, MbfRun};
+use metric_tree_embedding::core::arena::{ArenaBackend, ArenaMbfAlgorithm};
+use metric_tree_embedding::core::catalog::SourceDetection;
+use metric_tree_embedding::core::engine::run;
 use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
-use metric_tree_embedding::core::run::{run_to_fixpoint_on, StateBackend};
+use metric_tree_embedding::core::run::run_to_fixpoint_on;
+use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
 
-/// Runs `alg` to the fixpoint on `backend` and asserts exact state
+/// Runs `alg` to the fixpoint on the arena and asserts exact state
 /// equality, identical iteration counts and fixpoint flags against the
-/// literal loop. Returns (literal, backend) runs for work assertions.
-fn assert_matches_literal<A, B>(
-    backend: B,
-    alg: &A,
-    g: &Graph,
-    cap: usize,
-) -> (
-    MbfRun<<A as MbfAlgorithm>::M>,
-    MbfRun<<A as MbfAlgorithm>::M>,
-)
-where
-    A: MbfAlgorithm,
-    A::M: PartialEq + std::fmt::Debug,
-    B: StateBackend<A>,
-{
+/// literal loop, with no more work.
+fn assert_matches_literal<A: ArenaMbfAlgorithm>(alg: &A, g: &Graph) {
+    let cap = g.n() + 1;
     let literal = literal_fixpoint(alg, g, cap);
-    let frontier = run_to_fixpoint_on(backend, alg, g, cap);
+    let frontier = run_to_fixpoint_on(ArenaBackend::new(), alg, g, cap);
     assert_eq!(
         frontier.states, literal.states,
         "the frontier schedule diverged from the literal loop"
     );
     assert_eq!(frontier.iterations, literal.iterations, "iteration count");
     assert_eq!(frontier.fixpoint, literal.fixpoint, "fixpoint flag");
-    (literal, frontier)
-}
-
-/// The workload families named by the engine issue: sparse random
-/// graphs, grids, and disconnected graphs.
-fn workload_graphs() -> Vec<(&'static str, Graph)> {
-    let mut rng = StdRng::seed_from_u64(0xEF11);
-    let mut disconnected: Vec<(NodeId, NodeId, f64)> =
-        gnm_graph(20, 40, 1.0..8.0, &mut rng).edges().collect();
-    // A second component, offset by 20, plus two isolated vertices.
-    disconnected.extend(
-        gnm_graph(14, 25, 1.0..8.0, &mut rng)
-            .edges()
-            .map(|(u, v, w)| (u + 20, v + 20, w)),
-    );
-    vec![
-        ("gnm sparse", gnm_graph(60, 140, 1.0..10.0, &mut rng)),
-        ("grid 8x8", grid_graph(8, 8, 1.0..5.0, &mut rng)),
-        ("path", path_graph(48, 1.0)),
-        ("disconnected", Graph::from_edges(36, disconnected)),
-    ]
-}
-
-#[test]
-fn sssp_strategies_bit_identical_on_workloads() {
-    for (name, g) in workload_graphs() {
-        let alg = SourceDetection::sssp(g.n(), 0);
-        let (literal, frontier) = assert_matches_literal(ArenaBackend::new(), &alg, &g, g.n() + 1);
-        // Convergent instances must see strictly fewer relaxations.
-        assert!(
-            frontier.work.edge_relaxations < literal.work.edge_relaxations,
-            "{name}: frontier {} !< literal {}",
-            frontier.work.edge_relaxations,
-            literal.work.edge_relaxations
-        );
-    }
-}
-
-#[test]
-fn apsp_restricted_strategies_bit_identical_on_workloads() {
-    for (name, g) in workload_graphs() {
-        // k-SSP: APSP restricted to the 4 closest sources per node.
-        let alg = SourceDetection::k_ssp(g.n(), 4);
-        let (literal, frontier) = assert_matches_literal(ArenaBackend::new(), &alg, &g, g.n() + 1);
-        assert!(
-            frontier.work.edge_relaxations < literal.work.edge_relaxations,
-            "{name}: frontier {} !< literal {}",
-            frontier.work.edge_relaxations,
-            literal.work.edge_relaxations
-        );
-    }
-}
-
-#[test]
-fn le_list_strategies_bit_identical_on_workloads() {
-    let mut rng = StdRng::seed_from_u64(0xEF12);
-    for (name, g) in workload_graphs() {
-        let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
-        let alg = LeListAlgorithm::new(ranks);
-        let (literal, frontier) = assert_matches_literal(ArenaBackend::new(), &alg, &g, g.n() + 1);
-        assert!(
-            frontier.work.edge_relaxations < literal.work.edge_relaxations,
-            "{name}: frontier {} !< literal {}",
-            frontier.work.edge_relaxations,
-            literal.work.edge_relaxations
-        );
-    }
-}
-
-#[test]
-fn widest_paths_and_connectivity_strategies_agree() {
-    // Non-min-plus semirings run on the literal backend.
-    for (_, g) in workload_graphs() {
-        let cap = g.n() + 1;
-        assert_matches_literal(LiteralBackend::new(), &WidestPaths::apwp(g.n()), &g, cap);
-        assert_matches_literal(
-            LiteralBackend::new(),
-            &Connectivity::all_pairs(g.n()),
-            &g,
-            cap,
-        );
-    }
+    assert_narrowed_work(&literal.work, &frontier.work, "arena");
 }
 
 #[test]
@@ -145,66 +52,11 @@ fn fixed_iteration_runs_agree_before_convergence() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Thread-count determinism: under the real thread-parallel rayon
-// backend, every output must be bit-identical across `MTE_THREADS`
-// values. The shim guarantees this by construction (fixed-shape
-// reduction trees, thread-count-independent chunk layout); these tests
-// pin the guarantee end to end for the engine, the oracle, and the FRT
-// pipeline. Graphs are sized ≥ 2 × the chunking granularity so the
-// multi-threaded runs genuinely split work across chunks.
-// ---------------------------------------------------------------------
-
-/// Runs `f` on a dedicated pool of the given total parallelism.
-fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool build cannot fail")
-        .install(f)
-}
-
-#[test]
-fn engine_outputs_bit_identical_across_thread_counts() {
-    let mut rng = StdRng::seed_from_u64(0xD371);
-    let g = gnm_graph(400, 1200, 1.0..9.0, &mut rng);
-    let alg = SourceDetection::k_ssp(g.n(), 6);
-    let fixpoint = || run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
-    let r1 = with_threads(1, fixpoint);
-    for threads in [2, 4] {
-        let r = with_threads(threads, fixpoint);
-        assert_eq!(r1.states, r.states, "states differ on {threads} threads");
-        assert_eq!(r1.work, r.work, "work counters differ on {threads} threads");
-        assert_eq!(r1.iterations, r.iterations);
-        assert_eq!(r1.fixpoint, r.fixpoint);
-    }
-}
-
-#[test]
-fn oracle_outputs_bit_identical_across_thread_counts() {
-    use common::oracle_run;
-    use metric_tree_embedding::core::arena::ArenaBackend;
-    use metric_tree_embedding::core::simgraph::SimulatedGraph;
-    let mut rng = StdRng::seed_from_u64(0xD372);
-    let g = gnm_graph(160, 420, 1.0..6.0, &mut rng);
-    let sim = SimulatedGraph::without_hopset(&g, 24, 0.15, &mut rng);
-    let alg = SourceDetection::k_ssp(g.n(), 5);
-    let run = || oracle_run::<ArenaBackend, _>(&alg, &sim, 4 * g.n());
-    let r1 = with_threads(1, run);
-    let r4 = with_threads(4, run);
-    assert_eq!(r1.states, r4.states, "states differ");
-    assert_eq!(r1.work, r4.work, "work counters differ");
-    assert_eq!(r1.iterations, r4.iterations);
-    assert_eq!(r1.fixpoint, r4.fixpoint);
-    let literal = common::literal_oracle(&alg, &sim, 4 * g.n());
-    assert_eq!(
-        r1.states, literal.states,
-        "diverged from the literal oracle loop"
-    );
-    assert_eq!(r1.iterations, literal.iterations);
-    assert_eq!(r1.fixpoint, literal.fixpoint);
-}
-
+/// Thread-count determinism end to end: the shim's fixed-shape
+/// reduction trees and thread-count-independent chunk layout make the
+/// whole FRT pipeline bit-identical across pool sizes. The graph is
+/// sized ≥ 2 × the chunking granularity so the multi-threaded runs
+/// genuinely split work across chunks.
 #[test]
 fn frt_pipeline_bit_identical_across_thread_counts() {
     use metric_tree_embedding::core::frt::{FrtConfig, FrtEmbedding};
@@ -244,11 +96,13 @@ fn frt_pipeline_bit_identical_across_thread_counts() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Random-graph differential fuzz: SSSP, 3-SSP, and LE lists against
-    /// the literal loop on arbitrary (possibly disconnected) graphs.
+    /// Random-graph differential fuzz: SSSP, 3-SSP, and LE lists on the
+    /// arena against the literal loop, and the LE lists on the oracle's
+    /// carry-over arena lane against the literal oracle loop, on
+    /// arbitrary (possibly disconnected) graphs.
     #[test]
     fn random_graphs_all_strategies_agree(
-        n in 2usize..28,
+        n in 3usize..28,
         extra in 0usize..40,
         seed in any::<u64>(),
     ) {
@@ -269,16 +123,19 @@ proptest! {
             );
         }
         let g = Graph::from_edges(n + n2, edges);
-        let cap = g.n() + 1;
 
-        let sssp = SourceDetection::sssp(g.n(), (seed % n as u64) as NodeId);
-        assert_matches_literal(ArenaBackend::new(), &sssp, &g, cap);
+        assert_matches_literal(&SourceDetection::sssp(g.n(), (seed % n as u64) as NodeId), &g);
+        assert_matches_literal(&SourceDetection::k_ssp(g.n(), 3), &g);
+        let le = LeListAlgorithm::new(Arc::new(Ranks::sample(g.n(), &mut rng)));
+        assert_matches_literal(&le, &g);
 
-        let kssp = SourceDetection::k_ssp(g.n(), 3);
-        assert_matches_literal(ArenaBackend::new(), &kssp, &g, cap);
-
-        let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
-        assert_matches_literal(ArenaBackend::new(), &LeListAlgorithm::new(ranks), &g, cap);
+        let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
+        let carry = oracle_run::<ArenaBackend, _>(&le, &sim, 3 * g.n());
+        let literal = literal_oracle(&le, &sim, 3 * g.n());
+        prop_assert_eq!(&carry.states, &literal.states);
+        prop_assert_eq!(carry.iterations, literal.iterations);
+        prop_assert_eq!(carry.fixpoint, literal.fixpoint);
+        prop_assert!(carry.work.touched_vertices <= literal.work.touched_vertices);
     }
 
     /// The frontier engine's relaxation count never exceeds the literal

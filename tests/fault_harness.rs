@@ -6,69 +6,34 @@
 //! wired injection site × fault kind × thread count in {1, 4}. No third
 //! outcome (silent corruption, torn state, hung pool) is acceptable.
 //!
-//! The fault registry is process-global, so every test that installs a
-//! plan serializes on [`FAULT_LOCK`] and clears the registry before
-//! releasing it. Expected injected panics are silenced with a no-op
-//! panic hook for the duration of the sweep.
+//! The engine sweep runs over the conformance table (`common::CELLS`),
+//! each cell on a graph of its own with algorithms sized for it. The
+//! fault registry is process-global, so every test that installs a plan
+//! holds `common::FaultGuard`, which serializes the tests, clears the
+//! registry and silences the expected injected panics.
 
+mod common;
+
+use common::{
+    through_snapshot, with_threads, Case, Cell, FaultGuard, Fixture, State, Visit, CELLS,
+};
 use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
 use metric_tree_embedding::core::engine::{LiteralBackend, MbfAlgorithm, MbfRun};
-use metric_tree_embedding::core::frt::le_list::{LeListAlgorithm, Ranks};
+use metric_tree_embedding::core::frt::le_list::LeListAlgorithm;
 use metric_tree_embedding::core::oracle::OracleBackend;
 use metric_tree_embedding::core::run::{
     try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
 };
-use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::{Degradation, RunError, RunReport};
 use metric_tree_embedding::faults::{self, FaultKind, FaultPlan, FaultSite};
 use metric_tree_embedding::graph::io::{read_gr, GraphParseError};
 use metric_tree_embedding::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Debug;
 use std::sync::Mutex;
-
-/// Serializes every test that touches the global fault registry.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the registry lock, silences the default panic hook (injected
-/// panics are expected noise here), and guarantees `faults::clear()` +
-/// hook restoration on drop — even when an assertion fails mid-sweep.
-struct FaultGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-impl FaultGuard {
-    fn acquire() -> FaultGuard {
-        let lock = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        faults::clear();
-        std::panic::set_hook(Box::new(|_| {}));
-        FaultGuard { _lock: lock }
-    }
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        faults::clear();
-        // The hook registry cannot be touched from a panicking thread
-        // (it would abort the process, masking the assertion failure);
-        // a failing test then leaves the no-op hook for the next guard
-        // to replace, losing nothing but one backtrace.
-        if !std::thread::panicking() {
-            let _ = std::panic::take_hook();
-        }
-    }
-}
-
-/// Runs `f` on a dedicated pool of the given total parallelism.
-fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool build cannot fail")
-        .install(f)
-}
 
 /// A guarded run of `backend` to the fixpoint that captures nothing.
 fn try_run<A: MbfAlgorithm, B: StateBackend<A>>(
@@ -82,6 +47,13 @@ fn try_run<A: MbfAlgorithm, B: StateBackend<A>>(
     })
 }
 
+/// The guarded run of a conformance cell, returning its states.
+fn try_case<A: MbfAlgorithm, B: StateBackend<A>>(
+    case: &Case<'_, A, B>,
+) -> Result<(Vec<A::M>, RunReport), RunError> {
+    try_run((case.backend)(), case.alg, case.g, case.cap).map(|(run, report)| (run.states, report))
+}
+
 /// Large enough (`n > 2 × min_chunk_len`) that per-vertex parallel
 /// operations decompose into multiple chunks and actually enter the
 /// worker pool; the single-chunk inline regime is covered by the
@@ -91,166 +63,154 @@ fn fixture_graph() -> Graph {
     gnm_graph(150, 430, 1.0..9.0, &mut rng)
 }
 
-fn oracle_fixture() -> (Graph, SimulatedGraph) {
+/// The oracle cells' `H`, over a 40-vertex graph; its LE lists are
+/// ranked by the seed `0xFA03`.
+fn oracle_fixture() -> Fixture {
     let mut rng = StdRng::seed_from_u64(0xFA02);
     let g = gnm_graph(40, 110, 1.0..8.0, &mut rng);
     let sim = SimulatedGraph::without_hopset(&g, 16, 0.2, &mut rng);
-    (g, sim)
+    Fixture::oracle("gnm 40", (g, sim), 0xFA03)
 }
 
-/// The pipelines a fault plan can be pointed at, each pairing a guarded
-/// entry point with the sites it exercises.
-#[derive(Clone, Copy, Debug)]
-enum Pipeline {
-    /// k-SSP on the literal backend.
-    Literal,
-    Arena,
-    Dense,
-    /// k-SSP on the arena lane.
-    ArenaOracle,
-    /// LE lists on the arena lane: the production FRT path.
-    LeOracle,
-    /// APSP on the dense lane.
-    DenseOracle,
+/// Hands every conformance cell to `v` on its fault fixture: the
+/// 150-vertex graph for the fixpoint backends, the oracle fixture's `H`
+/// for the oracle, each with algorithms sized for its own graph.
+fn for_every_cell(v: &mut impl Visit) {
+    let graph = Fixture::graph("gnm 150", fixture_graph(), 0xFA03);
+    let oracle = oracle_fixture();
+    for cell in CELLS {
+        cell.visit(if cell.is_oracle() { &oracle } else { &graph }, v);
+    }
 }
 
-impl Pipeline {
-    /// The (site, kind) pairs wired into this pipeline's hop loop.
-    fn wired_faults(self) -> Vec<(FaultSite, FaultKind)> {
-        match self {
-            Pipeline::Literal => vec![
-                (FaultSite::EngineHopCommit, FaultKind::Panic),
-                (FaultSite::EngineHopCommit, FaultKind::PoisonNan),
-                (FaultSite::WorkerChunk, FaultKind::Panic),
-            ],
-            Pipeline::Arena => vec![
-                (FaultSite::EngineHopCommit, FaultKind::Panic),
-                (FaultSite::ArenaSpanRead, FaultKind::Panic),
-                (FaultSite::ArenaSpanRead, FaultKind::TruncateSpan),
-                (FaultSite::WorkerChunk, FaultKind::Panic),
-            ],
-            Pipeline::Dense => vec![
-                (FaultSite::EngineHopCommit, FaultKind::Panic),
-                (FaultSite::EngineHopCommit, FaultKind::PoisonNan),
-                (FaultSite::DenseRowKernel, FaultKind::Panic),
-                (FaultSite::DenseRowKernel, FaultKind::PoisonNan),
-                (FaultSite::WorkerChunk, FaultKind::Panic),
-            ],
-            Pipeline::ArenaOracle | Pipeline::LeOracle | Pipeline::DenseOracle => vec![
-                (FaultSite::OracleLevelLoop, FaultKind::Panic),
-                (FaultSite::OracleLevelLoop, FaultKind::PoisonNan),
-                (FaultSite::WorkerChunk, FaultKind::Panic),
-            ],
+/// The (site, kind) pairs wired into the hop loop of a cell's backend.
+fn wired_faults(cell: Cell) -> Vec<(FaultSite, FaultKind)> {
+    match cell {
+        Cell::LiteralWidestPaths | Cell::LiteralConnectivity | Cell::LiteralKSsp => vec![
+            (FaultSite::EngineHopCommit, FaultKind::Panic),
+            (FaultSite::EngineHopCommit, FaultKind::PoisonNan),
+            (FaultSite::WorkerChunk, FaultKind::Panic),
+        ],
+        Cell::ArenaSssp | Cell::ArenaKSsp | Cell::ArenaLe | Cell::ArenaMaskedLe(_) => vec![
+            (FaultSite::EngineHopCommit, FaultKind::Panic),
+            (FaultSite::ArenaSpanRead, FaultKind::Panic),
+            (FaultSite::ArenaSpanRead, FaultKind::TruncateSpan),
+            (FaultSite::WorkerChunk, FaultKind::Panic),
+        ],
+        Cell::DenseApsp => vec![
+            (FaultSite::EngineHopCommit, FaultKind::Panic),
+            (FaultSite::EngineHopCommit, FaultKind::PoisonNan),
+            (FaultSite::DenseRowKernel, FaultKind::Panic),
+            (FaultSite::DenseRowKernel, FaultKind::PoisonNan),
+            (FaultSite::WorkerChunk, FaultKind::Panic),
+        ],
+        Cell::OracleArenaLe | Cell::OracleArenaKSsp | Cell::OracleDenseApsp => vec![
+            (FaultSite::OracleLevelLoop, FaultKind::Panic),
+            (FaultSite::OracleLevelLoop, FaultKind::PoisonNan),
+            (FaultSite::WorkerChunk, FaultKind::Panic),
+        ],
+    }
+}
+
+/// Every wired (site, kind) × arrival index × thread count on one cell
+/// either errors typed or matches the clean run bit for bit.
+/// Every `(site, kind)` of `wired` × arrival index × thread count:
+/// `run` either fails with an error `typed` accepts or returns the clean
+/// run's output bit for bit. At `nth = 0` the fault fires on the first
+/// arrival, which every run reaches, so the fire must be on record; a
+/// large `nth` is never reached, exercising the armed-but-silent path.
+fn sweep<T: PartialEq + Debug + Send>(
+    label: &str,
+    wired: &[(FaultSite, FaultKind)],
+    typed: fn(&RunError) -> bool,
+    run: impl Fn() -> Result<(T, RunReport), RunError> + Sync,
+) {
+    // Clean baseline per thread count (they must agree anyway, but
+    // compare like with like).
+    let baselines = [1, 4].map(|threads| {
+        with_threads(threads, &run)
+            .unwrap_or_else(|e| panic!("clean {label} run failed: {e}"))
+            .0
+    });
+    assert_eq!(
+        baselines[0], baselines[1],
+        "{label}: clean thread divergence"
+    );
+    for &(site, kind) in wired {
+        for nth in [0u64, 3, 1_000_000] {
+            for (ti, threads) in [1usize, 4].into_iter().enumerate() {
+                let at = format!("{label}/{site}/{kind}/nth={nth}/t={threads}");
+                faults::install(FaultPlan::single(site, kind, nth));
+                let since = faults::fired_serial();
+                let outcome = with_threads(threads, &run);
+                let fired = faults::fired_since(since);
+                faults::clear();
+                assert!(
+                    nth != 0 || fired.iter().any(|f| (f.site, f.kind) == (site, kind)),
+                    "{at}: the fault never fired"
+                );
+                match outcome {
+                    Err(e) => assert!(typed(&e), "{at}: unexpected error class {e:?}"),
+                    Ok((out, _)) => assert_eq!(
+                        out, baselines[ti],
+                        "{at}: Ok run diverged from clean baseline"
+                    ),
+                }
+            }
         }
     }
+}
 
-    /// Runs the pipeline guarded, returning the state vector on success.
-    /// Every pipeline funnels into `Result<(states, report), RunError>`
-    /// so one sweep loop covers all of them.
-    fn run(
-        self,
-        g: &Graph,
-        sim: &SimulatedGraph,
-    ) -> Result<(Vec<DistanceMap>, RunReport), RunError> {
-        let (cap, h, oracle_cap) = (g.n() + 1, sim.augmented(), 4 * g.n());
-        let kssp = SourceDetection::k_ssp(g.n(), 4);
-        let apsp = SourceDetection::apsp(g.n());
-        let run = match self {
-            Pipeline::Literal => try_run(LiteralBackend::new(), &kssp, g, cap),
-            Pipeline::Arena => try_run(ArenaBackend::new(), &kssp, g, cap),
-            Pipeline::Dense => try_run(DenseBackend::new(None), &apsp, g, cap),
-            Pipeline::ArenaOracle => try_run(
-                OracleBackend::<_, ArenaBackend>::new(sim),
-                &kssp,
-                h,
-                oracle_cap,
-            ),
-            Pipeline::LeOracle => {
-                let oracle = OracleBackend::<_, ArenaBackend>::new(sim);
-                try_run(oracle, &le_lists(g), h, oracle_cap)
-            }
-            Pipeline::DenseOracle => try_run(
-                OracleBackend::<_, DenseBackend>::new(sim),
-                &apsp,
-                h,
-                oracle_cap,
-            ),
+/// Runs [`sweep`] over a cell's wired engine faults.
+struct Sweep;
+
+impl Visit for Sweep {
+    fn visit<A: MbfAlgorithm<M: State> + Sync, B: StateBackend<A>>(
+        &mut self,
+        case: &Case<'_, A, B>,
+    ) {
+        let wired = wired_faults(case.cell);
+        let typed = |e: &RunError| {
+            matches!(
+                e,
+                RunError::InjectedFault { .. }
+                    | RunError::Panicked { .. }
+                    | RunError::CorruptState { .. }
+            )
         };
-        run.map(|(run, report)| (run.states, report))
+        sweep(&case.label, &wired, typed, || try_case(case));
     }
 }
 
-/// The LE-list algorithm of the `LeOracle` pipeline.
-fn le_lists(g: &Graph) -> LeListAlgorithm {
-    let ranks = Ranks::sample(g.n(), &mut StdRng::seed_from_u64(0xFA03));
-    LeListAlgorithm::new(std::sync::Arc::new(ranks))
-}
-
-const PIPELINES: [Pipeline; 6] = [
-    Pipeline::Literal,
-    Pipeline::Arena,
-    Pipeline::Dense,
-    Pipeline::ArenaOracle,
-    Pipeline::LeOracle,
-    Pipeline::DenseOracle,
-];
-
-/// The tentpole sweep: every pipeline × wired (site, kind) × arrival
-/// index × thread count either errors typed or matches the clean run
-/// bit for bit.
+/// The tentpole sweep: every conformance cell × wired (site, kind) ×
+/// arrival index × thread count either errors typed or matches the
+/// clean run bit for bit.
 #[test]
 fn every_injected_fault_errors_typed_or_leaves_output_bit_identical() {
     let _guard = FaultGuard::acquire();
-    let g = fixture_graph();
-    let (_og, sim) = oracle_fixture();
+    for_every_cell(&mut Sweep);
+}
 
-    for pipeline in PIPELINES {
-        // Clean baseline per thread count (they must agree anyway, but
-        // compare like with like).
-        let mut baselines = Vec::new();
-        for threads in [1usize, 4] {
-            let (g, sim) = (&g, &sim);
-            let clean = with_threads(threads, move || pipeline.run(g, sim))
-                .unwrap_or_else(|e| panic!("clean {pipeline:?} run failed: {e}"));
-            baselines.push(clean.0);
+/// A first-arrival panic at the level-loop site stops the oracle cell.
+struct LevelLoopPanic;
+
+impl Visit for LevelLoopPanic {
+    fn visit<A: MbfAlgorithm<M: State> + Sync, B: StateBackend<A>>(
+        &mut self,
+        case: &Case<'_, A, B>,
+    ) {
+        if !case.cell.is_oracle() {
+            return;
         }
-        assert_eq!(
-            baselines[0], baselines[1],
-            "{pipeline:?}: clean thread divergence"
-        );
-
-        for (site, kind) in pipeline.wired_faults() {
-            // nth 0 fires on the first arrival (always reached, so the
-            // fire must be on record); a large nth is never reached,
-            // exercising the armed-but-silent path.
-            for nth in [0u64, 3, 1_000_000] {
-                for (ti, threads) in [1usize, 4].into_iter().enumerate() {
-                    faults::install(FaultPlan::single(site, kind, nth));
-                    let since = faults::fired_serial();
-                    let (g, sim) = (&g, &sim);
-                    let outcome = with_threads(threads, move || pipeline.run(g, sim));
-                    let fired = faults::fired_since(since);
-                    faults::clear();
-                    assert!(
-                        nth != 0 || fired.iter().any(|f| (f.site, f.kind) == (site, kind)),
-                        "{pipeline:?}/{site}/{kind}/nth=0/t={threads}: the fault never fired"
-                    );
-                    match outcome {
-                        Err(RunError::InjectedFault { .. })
-                        | Err(RunError::Panicked { .. })
-                        | Err(RunError::CorruptState { .. }) => {}
-                        Err(other) => panic!(
-                            "{pipeline:?}/{site}/{kind}/nth={nth}/t={threads}: \
-                             unexpected error class {other:?}"
-                        ),
-                        Ok((states, _)) => assert_eq!(
-                            states, baselines[ti],
-                            "{pipeline:?}/{site}/{kind}/nth={nth}/t={threads}: \
-                             Ok run diverged from clean baseline"
-                        ),
-                    }
-                }
+        let site = FaultSite::OracleLevelLoop;
+        faults::install(FaultPlan::single(site, FaultKind::Panic, 0));
+        let out = try_case(case);
+        faults::clear();
+        match out {
+            Err(RunError::InjectedFault { site: fired, .. }) => {
+                assert_eq!(fired, site, "{}", case.label)
             }
+            other => panic!("{}: expected InjectedFault, got {other:?}", case.label),
         }
     }
 }
@@ -260,26 +220,7 @@ fn every_injected_fault_errors_typed_or_leaves_output_bit_identical() {
 #[test]
 fn oracle_level_loop_site_fires_on_every_lane() {
     let _guard = FaultGuard::acquire();
-    let (g, sim) = oracle_fixture();
-    for pipeline in [
-        Pipeline::ArenaOracle,
-        Pipeline::LeOracle,
-        Pipeline::DenseOracle,
-    ] {
-        faults::install(FaultPlan::single(
-            FaultSite::OracleLevelLoop,
-            FaultKind::Panic,
-            0,
-        ));
-        let out = pipeline.run(&g, &sim);
-        faults::clear();
-        match out {
-            Err(RunError::InjectedFault { site, .. }) => {
-                assert_eq!(site, FaultSite::OracleLevelLoop, "{pipeline:?}")
-            }
-            other => panic!("{pipeline:?}: expected InjectedFault, got {other:?}"),
-        }
-    }
+    for_every_cell(&mut LevelLoopPanic);
 }
 
 /// An injected panic at a specific arrival index maps to the
@@ -334,23 +275,14 @@ fn worker_pool_survives_a_chunk_panic() {
 /// The first checkpoint of an unbudgeted dense run (the resume input of
 /// the budget tests below).
 fn first_dense_checkpoint(alg: &SourceDetection, g: &Graph, cap: usize) -> Checkpoint<DistanceMap> {
-    let mut checkpoints = Vec::new();
-    try_run_on(
-        DenseBackend::new(None),
-        alg,
-        g,
-        cap,
-        CheckpointPolicy::every_hops(1),
-        |c| {
-            checkpoints.push(c.clone());
-            Ok(())
-        },
-    )
+    let mut first = None;
+    let policy = CheckpointPolicy::every_hops(1);
+    try_run_on(DenseBackend::new(None), alg, g, cap, policy, |c| {
+        first.get_or_insert_with(|| c.clone());
+        Ok(())
+    })
     .expect("unbudgeted run");
-    checkpoints
-        .into_iter()
-        .next()
-        .expect("run too short to checkpoint")
+    first.expect("run too short to checkpoint")
 }
 
 /// A dense run has no sparse fallback: the budget violation is the
@@ -429,9 +361,11 @@ fn cap_exhaustion_reports_converged_false() {
     let g = path_graph(40, 1.0);
     let alg = SourceDetection::sssp(g.n(), 0);
     assert_cap_exhausts(LiteralBackend::new, &alg, &g, 3, g.n() + 1);
-    let (og, sim) = oracle_fixture();
-    let oracle = || OracleBackend::<_, ArenaBackend>::new(&sim);
-    assert_cap_exhausts(oracle, &le_lists(&og), sim.augmented(), 2, 4 * og.n());
+    let fx = oracle_fixture();
+    let sim = fx.sim.as_ref().unwrap();
+    let oracle = || OracleBackend::<_, ArenaBackend>::new(sim);
+    let le = LeListAlgorithm::new(fx.ranks());
+    assert_cap_exhausts(oracle, &le, sim.augmented(), 2, 4 * fx.g.n());
 }
 
 /// A run of `backend()` capped at `cap` hops reports `converged: false`
@@ -500,7 +434,6 @@ fn fault_plan_spec_round_trip() {
 // ---------------------------------------------------------------------
 
 use metric_tree_embedding::core::{RecoveryPolicy, Supervisor};
-use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
 use std::cell::RefCell;
 
 /// A run that round-trips every checkpoint through the full persistence
@@ -517,13 +450,7 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
         cap,
         CheckpointPolicy::every_hops(1),
         |ckpt| {
-            let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
-            let decoded = SnapshotReader::decode(&image)
-                .and_then(|r| r.checkpoint())
-                .map_err(|e| RunError::SnapshotCorrupt {
-                    detail: e.to_string(),
-                })?;
-            *last_good.borrow_mut() = Some(decoded);
+            *last_good.borrow_mut() = Some(through_snapshot(ckpt)?);
             Ok(())
         },
     )?;
@@ -545,44 +472,23 @@ fn checkpointed_roundtrip_run(g: &Graph) -> Result<(Vec<DistanceMap>, RunReport)
 fn snapshot_faults_error_typed_or_leave_output_bit_identical() {
     let _guard = FaultGuard::acquire();
     let g = fixture_graph();
-
-    let mut baselines = Vec::new();
-    for threads in [1usize, 4] {
-        let g = &g;
-        let clean = with_threads(threads, move || checkpointed_roundtrip_run(g))
-            .unwrap_or_else(|e| panic!("clean checkpointed run failed: {e}"));
-        baselines.push(clean.0);
-    }
-    assert_eq!(baselines[0], baselines[1], "clean thread divergence");
-
     let wired = [
         (FaultSite::SnapshotWrite, FaultKind::Panic),
         (FaultSite::SnapshotWrite, FaultKind::Io),
         (FaultSite::SnapshotRead, FaultKind::Panic),
         (FaultSite::SnapshotRead, FaultKind::Io),
     ];
-    for (site, kind) in wired {
-        for nth in [0u64, 3, 1_000_000] {
-            for (ti, threads) in [1usize, 4].into_iter().enumerate() {
-                faults::install(FaultPlan::single(site, kind, nth));
-                let g = &g;
-                let outcome = with_threads(threads, move || checkpointed_roundtrip_run(g));
-                faults::clear();
-                match outcome {
-                    Err(RunError::InjectedFault { .. })
-                    | Err(RunError::Panicked { .. })
-                    | Err(RunError::SnapshotCorrupt { .. }) => {}
-                    Err(other) => panic!(
-                        "{site}/{kind}/nth={nth}/t={threads}: unexpected error class {other:?}"
-                    ),
-                    Ok((states, _)) => assert_eq!(
-                        states, baselines[ti],
-                        "{site}/{kind}/nth={nth}/t={threads}: Ok run diverged"
-                    ),
-                }
-            }
-        }
-    }
+    let typed = |e: &RunError| {
+        matches!(
+            e,
+            RunError::InjectedFault { .. }
+                | RunError::Panicked { .. }
+                | RunError::SnapshotCorrupt { .. }
+        )
+    };
+    sweep("checkpointed", &wired, typed, || {
+        checkpointed_roundtrip_run(&g)
+    });
 }
 
 /// The supervisor's retry rung: a one-shot fault kills the primary
@@ -601,11 +507,13 @@ fn supervisor_recovers_from_checkpoint_within_budget() {
     assert_supervisor_recovers(LiteralBackend::new, &alg, &g, g.n() + 1, plan);
     // A level task of round 3 (every round checks each of the Λ+1
     // levels once): rounds 1 and 2 are captured.
-    let (og, sim) = oracle_fixture();
+    let fx = oracle_fixture();
+    let sim = fx.sim.as_ref().unwrap();
     let round_3 = 2 * (u64::from(sim.levels().lambda()) + 1);
     let plan = FaultPlan::single(FaultSite::OracleLevelLoop, FaultKind::Panic, round_3);
-    let oracle = || OracleBackend::<_, ArenaBackend>::new(&sim);
-    assert_supervisor_recovers(oracle, &le_lists(&og), sim.augmented(), 4 * og.n(), plan);
+    let oracle = || OracleBackend::<_, ArenaBackend>::new(sim);
+    let le = LeListAlgorithm::new(fx.ranks());
+    assert_supervisor_recovers(oracle, &le, sim.augmented(), 4 * fx.g.n(), plan);
 }
 
 /// Runs `backend()` behind the supervisor with `plan` armed, at every
@@ -638,13 +546,7 @@ fn assert_supervisor_recovers<A, B>(
                         cap,
                         CheckpointPolicy::every_hops(1),
                         |ckpt| {
-                            let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
-                            let decoded = SnapshotReader::decode(&image)
-                                .and_then(|r| r.checkpoint())
-                                .map_err(|e| RunError::SnapshotCorrupt {
-                                    detail: e.to_string(),
-                                })?;
-                            *last_good.lock().unwrap() = Some(decoded);
+                            *last_good.lock().unwrap() = Some(through_snapshot(ckpt)?);
                             Ok(())
                         },
                     )
@@ -697,15 +599,7 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
                 &g,
                 cap,
                 CheckpointPolicy::every_hops(1),
-                |ckpt| {
-                    let image = SnapshotWriter::new().put_checkpoint(ckpt).encode();
-                    SnapshotReader::decode(&image)
-                        .and_then(|r| r.checkpoint())
-                        .map_err(|e| RunError::SnapshotCorrupt {
-                            detail: e.to_string(),
-                        })?;
-                    Ok(())
-                },
+                |ckpt| through_snapshot(ckpt).map(drop),
             )
             .map(|(run, report)| (run.states, report)),
             RecoveryAttempt::RetryFromCheckpoint { .. } => {
@@ -729,37 +623,27 @@ fn supervisor_falls_back_to_scratch_on_snapshot_corruption() {
     );
 }
 
-/// The operator-armed entry point: when `MTE_FAULT_PLAN` is set, run
-/// the literal and arena backends and the production oracle lanes (LE
-/// lists on the arena lane, APSP on the dense lane) under it, each
-/// behind the recovery supervisor, and require the absorb-or-typed-error
-/// contract. Without the variable this is a no-op (the sweeps above
-/// cover the in-process plans).
-#[test]
-fn pre_armed_env_plan_is_absorbed_or_typed() {
-    let Some(plan) = FaultPlan::from_env() else {
-        return;
-    };
-    let _guard = FaultGuard::acquire();
-    let g = fixture_graph();
-    let (og, sim) = oracle_fixture();
-    let supervisor = Supervisor::new(RecoveryPolicy::default());
-    for (pipeline, g) in [
-        (Pipeline::Literal, &g),
-        (Pipeline::Arena, &g),
-        (Pipeline::LeOracle, &og),
-        (Pipeline::DenseOracle, &og),
-    ] {
-        let clean = pipeline
-            .run(g, &sim)
-            .unwrap_or_else(|e| panic!("clean {pipeline:?} run failed: {e}"));
-        faults::install(plan.clone());
-        let out = supervisor.run(|_| pipeline.run(g, &sim));
+/// Runs a cell behind the recovery supervisor with `plan` armed and
+/// requires the clean run's states or a typed error.
+struct PreArmed {
+    plan: FaultPlan,
+}
+
+impl Visit for PreArmed {
+    fn visit<A: MbfAlgorithm<M: State> + Sync, B: StateBackend<A>>(
+        &mut self,
+        case: &Case<'_, A, B>,
+    ) {
+        let label = &case.label;
+        let clean = try_case(case).unwrap_or_else(|e| panic!("clean {label} run failed: {e}"));
+        faults::install(self.plan.clone());
+        let supervisor = Supervisor::new(RecoveryPolicy::default());
+        let out = supervisor.run(|_| try_case(case));
         faults::clear();
         match out {
             Ok((states, _)) => assert_eq!(
                 states, clean.0,
-                "{pipeline:?}: pre-armed run diverged from the clean run"
+                "{label}: pre-armed run diverged from the clean run"
             ),
             Err(
                 RunError::InjectedFault { .. }
@@ -767,7 +651,21 @@ fn pre_armed_env_plan_is_absorbed_or_typed() {
                 | RunError::CorruptState { .. }
                 | RunError::RetriesExhausted { .. },
             ) => {}
-            Err(other) => panic!("{pipeline:?}: unexpected error class {other:?}"),
+            Err(other) => panic!("{label}: unexpected error class {other:?}"),
         }
     }
+}
+
+/// The operator-armed entry point: when `MTE_FAULT_PLAN` is set, run
+/// every conformance cell (the literal, arena and dense backends and
+/// both oracle lanes) under it, each behind the recovery supervisor,
+/// and require the absorb-or-typed-error contract. Without the variable
+/// this is a no-op (the sweeps above cover the in-process plans).
+#[test]
+fn pre_armed_env_plan_is_absorbed_or_typed() {
+    let Some(plan) = FaultPlan::from_env() else {
+        return;
+    };
+    let _guard = FaultGuard::acquire();
+    for_every_cell(&mut PreArmed { plan });
 }

@@ -7,6 +7,9 @@
 //! answers must still be sound upper bounds on the graph metric, with
 //! every ladder fall recorded.
 
+mod common;
+
+use common::{with_threads, workload_graphs};
 use metric_tree_embedding::core::frt::{le_lists_direct, FrtTree, LeList, Ranks};
 use metric_tree_embedding::prelude::*;
 use metric_tree_embedding::serving::{
@@ -15,25 +18,6 @@ use metric_tree_embedding::serving::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::Arc;
-
-/// Runs `f` on a dedicated pool of the given total parallelism.
-fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool build cannot fail")
-        .install(f)
-}
-
-/// The same workload catalog the schedule-equivalence suite pins.
-fn workload_graphs() -> Vec<(&'static str, Graph)> {
-    let mut rng = StdRng::seed_from_u64(0x53E1);
-    vec![
-        ("gnm sparse", gnm_graph(70, 180, 1.0..10.0, &mut rng)),
-        ("grid 9x9", grid_graph(9, 9, 1.0..5.0, &mut rng)),
-        ("path", path_graph(56, 1.0)),
-    ]
-}
 
 fn artifact_for(g: &Graph, seed: u64) -> OracleArtifact {
     let ranks = Arc::new(Ranks::sample(g.n(), &mut StdRng::seed_from_u64(seed)));

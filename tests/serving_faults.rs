@@ -6,6 +6,9 @@
 //! mechanics themselves: admission shedding under saturation and
 //! cooperative batch cancellation.
 
+mod common;
+
+use common::{with_threads, FaultGuard};
 use metric_tree_embedding::core::frt::{le_lists_direct, FrtTree, Ranks};
 use metric_tree_embedding::faults::{self, FaultKind, FaultPlan, FaultSite};
 use metric_tree_embedding::prelude::*;
@@ -14,44 +17,6 @@ use metric_tree_embedding::serving::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::Mutex;
-
-/// Serializes every test that touches the global fault registry.
-static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-/// Holds the registry lock, silences the default panic hook (injected
-/// panics are expected noise here), and guarantees `faults::clear()` +
-/// hook restoration on drop — even when an assertion fails mid-sweep.
-struct FaultGuard {
-    _lock: std::sync::MutexGuard<'static, ()>,
-}
-
-impl FaultGuard {
-    fn acquire() -> FaultGuard {
-        let lock = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        faults::clear();
-        std::panic::set_hook(Box::new(|_| {}));
-        FaultGuard { _lock: lock }
-    }
-}
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        faults::clear();
-        if !std::thread::panicking() {
-            let _ = std::panic::take_hook();
-        }
-    }
-}
-
-/// Runs `f` on a dedicated pool of the given total parallelism.
-fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("pool build cannot fail")
-        .install(f)
-}
 
 /// A 150-vertex gnm artifact: a tree of several levels, and enough
 /// vertices for the point and batch queries below.
