@@ -40,7 +40,7 @@
 //! over `f64` is idempotent, commutative, and associative —
 //! order-independent — so dense results are **bit-identical to the
 //! literal and arena paths by construction**, which makes differential testing
-//! exact (asserted by the conformance matrix, `tests/conformance.rs`). The
+//! exact (asserted by the conformance matrix, `tests/common/matrix.rs`). The
 //! tiled kernel visits, per element, the source rows in exactly the same
 //! order as the untiled loop.
 //!

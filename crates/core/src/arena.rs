@@ -22,7 +22,7 @@
 //! — the frontier, the closed-neighborhood touched list, the
 //! degree-balanced chunks — which the dense backend shares; its outputs
 //! are bit-identical to the literal loop (differential-tested by
-//! `tests/conformance.rs`), and semi-naive algorithms drop the
+//! `tests/common/matrix.rs`), and semi-naive algorithms drop the
 //! touched vertices their delta floors prove idle (see below). During a
 //! hop, each scheduling chunk writes its recomputed states into its own
 //! **chunk append region** (plain `Vec`s owned by the chunk slot — no
@@ -1043,6 +1043,22 @@ mod tests {
     use mte_graph::generators::{gnm_graph, path_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn arena_sssp_matches_literal_loop() {
+        let mut rng = StdRng::seed_from_u64(71);
+        let g = gnm_graph(60, 150, 1.0..9.0, &mut rng);
+        let alg = SourceDetection::sssp(g.n(), 3);
+        let literal = run_to_fixpoint(&alg, &g, g.n() + 1);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, arena.states);
+        assert_eq!(literal.iterations, arena.iterations);
+        assert_eq!(literal.fixpoint, arena.fixpoint);
+        // The frontier skip and the absorbed-merge skip only ever drop
+        // work from the literal sweep.
+        assert!(arena.work.edge_relaxations < literal.work.edge_relaxations);
+        assert!(arena.work.touched_vertices < literal.work.touched_vertices);
+    }
 
     #[test]
     fn arena_copy_on_write_beats_per_vertex_rewrite_traffic() {

@@ -29,7 +29,7 @@
 //! computes the same single `x + w` the sparse merge kernels compute,
 //! so dense states are **bit-identical to the literal and arena paths
 //! by construction** — differential testing is exact, not approximate
-//! (asserted by `tests/conformance.rs` across
+//! (asserted by `tests/common/matrix.rs` across
 //! `MTE_THREADS ∈ {1, 4}`). The contract an algorithm must uphold is
 //! that [`DenseMbfAlgorithm::advertises_dense`] returns `true` only when
 //! [`MbfAlgorithm::filter`] is the identity on every state the instance
@@ -491,8 +491,57 @@ mod tests {
     use crate::arena::ArenaBackend;
     use crate::catalog::SourceDetection;
     use crate::engine::run_to_fixpoint;
+    use crate::oracle::OracleBackend;
     use crate::run::run_to_fixpoint_on;
-    use mte_graph::generators::path_graph;
+    use crate::simgraph::SimulatedGraph;
+    use mte_graph::generators::{gnm_graph, path_graph};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    #[test]
+    fn dense_apsp_matches_literal_loop() {
+        let mut rng = StdRng::seed_from_u64(81);
+        let g = gnm_graph(50, 130, 1.0..9.0, &mut rng);
+        let alg = SourceDetection::apsp(g.n());
+        let literal = run_to_fixpoint(&alg, &g, g.n() + 1);
+        let arena = run_to_fixpoint_on(ArenaBackend::new(), &alg, &g, g.n() + 1);
+        let dense = run_to_fixpoint_on(DenseBackend::new(None), &alg, &g, g.n() + 1);
+        assert_eq!(literal.states, dense.states);
+        assert_eq!(literal.iterations, dense.iterations);
+        assert_eq!(literal.fixpoint, dense.fixpoint);
+        // Same schedule as the arena, same hops: the scheduling and
+        // relaxation counters agree (both skip exactly the clean
+        // neighbors).
+        assert_eq!(arena.work.edge_relaxations, dense.work.edge_relaxations);
+        assert_eq!(arena.work.touched_vertices, dense.work.touched_vertices);
+        assert!(dense.work.dense_hops > 0);
+    }
+
+    /// The literal oracle is the MBF iteration on the explicit `H`, one
+    /// round per iteration (Lemma 5.1): the dense lane agrees with it
+    /// after every round up to its fixpoint.
+    #[test]
+    fn dense_oracle_matches_literal_oracle() {
+        let mut rng = StdRng::seed_from_u64(86);
+        let g = gnm_graph(30, 70, 1.0..6.0, &mut rng);
+        let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
+        let (alg, h) = (SourceDetection::apsp(g.n()), sim.explicit_h());
+        let dense = |cap| {
+            let oracle = OracleBackend::<_, DenseBackend>::new(&sim);
+            run_to_fixpoint_on(oracle, &alg, sim.augmented(), cap)
+        };
+        let done = dense(4 * g.n());
+        assert!(done.fixpoint && done.iterations > 2);
+        for rounds in 1..=done.iterations {
+            let (oracle, literal) = (dense(rounds), crate::engine::run(&alg, &h, rounds));
+            for v in 0..g.n() {
+                assert!(
+                    oracle.states[v].approx_eq(&literal.states[v], 1e-9),
+                    "round {rounds}, node {v}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn fresh_engine_step_sizes_schedule_and_taint_together() {

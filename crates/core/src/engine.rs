@@ -73,7 +73,7 @@
 //! fixed-shape reduction tree of the rayon shim, so every output —
 //! states, work counters, frontier bookkeeping — is bit-identical across
 //! thread counts (`MTE_THREADS`; asserted for every backend by the
-//! conformance matrix, `tests/conformance.rs`).
+//! conformance matrix, `tests/common/matrix.rs`).
 
 use crate::error::RunError;
 use crate::run::{check_vertices, run_to_fixpoint_on, Checkpoint, StateBackend};

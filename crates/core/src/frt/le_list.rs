@@ -597,7 +597,7 @@ pub fn le_lists_approx_eq(a: &[LeList], b: &[LeList], rel: f64) -> bool {
 /// LE lists via the **oracle on `H`** — the paper's main pipeline
 /// (Section 7.3/7.4). Runs on the arena lane of the oracle's level loop
 /// (one epoch-arena store per level); bit-identical to the literal
-/// oracle loop, asserted by `tests/conformance.rs`. The
+/// oracle loop, asserted by `tests/common/matrix.rs`. The
 /// guarded, checkpointable form of this run is
 /// [`crate::run::try_run_on`] on [`OracleBackend`] over [`ArenaBackend`]
 /// with [`LeListAlgorithm`]. Returns the lists, the

@@ -93,7 +93,7 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
     // APSP advertises dense states and its output *is* an n × n matrix:
     // route the oracle levels through the dense lane (bit-identical to
     // the arena lane and the literal oracle loop, differential-tested by
-    // `tests/conformance.rs`). The dense oracle keeps ~2(Λ+2)
+    // `tests/common/matrix.rs`). The dense oracle keeps ~2(Λ+2)
     // full n×n blocks live (per-level vector + engine shadow, the
     // aggregate, and the changed rows staged for it) — a Λ× footprint
     // over the arena lane's per-level stores — so large instances stay

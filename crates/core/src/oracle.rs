@@ -57,7 +57,7 @@
 //! and stops at the first round that changes nothing. It shares no code
 //! with the lanes, the carry-over schedule below or the level loop, and
 //! both lanes are asserted bit-identical to it by the conformance matrix
-//! (`tests/conformance.rs`).
+//! (`tests/common/matrix.rs`).
 //!
 //! # Carry-over
 //!

@@ -42,7 +42,7 @@
 //! Resumed runs are therefore **bit-identical** to uninterrupted ones —
 //! same states, same hop counts, same fixpoint flags — on every backend
 //! and every `MTE_THREADS` (asserted by the resume check of the
-//! conformance matrix, `tests/conformance.rs`).
+//! conformance matrix, `tests/common/matrix.rs`).
 //!
 //! The drivers are *sink-generic*: a [`CheckpointPolicy`] decides
 //! **when** to capture, and a caller-supplied closure decides **where**

@@ -1,10 +1,16 @@
-//! Recovery from the snapshot file alone: a run that wrote its
-//! checkpoint to disk and then crashed resumes from nothing but that
-//! file, bit-identically to the uninterrupted run. Resume from every
-//! capture, on every backend, in memory and through the snapshot codec,
-//! is the resume check of the conformance matrix
-//! (`tests/conformance.rs`); the recovery-ladder variants (resume after
-//! an injected fault) live in `tests/fault_harness.rs`.
+//! Checkpoint/resume differential suite: a run interrupted at *any* hop
+//! and resumed from its checkpoint is **bit-identical** to the
+//! uninterrupted run — same states, same hop counts, same fixpoint flags
+//! — on every backend (literal, arena, dense, and the oracle over its
+//! arena and dense lanes), resumed on another thread count than the run
+//! was captured on, with the distance-map checkpoints roundtripped
+//! through the snapshot codec. Those tests run their slices of the
+//! conformance matrix (`tests/common/matrix.rs`); the last one resumes
+//! from the snapshot file alone after a simulated crash. The
+//! recovery-ladder variants (resume after an injected fault) live in
+//! `tests/fault_harness.rs`.
+
+mod common;
 
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::engine::LiteralBackend;
@@ -15,6 +21,14 @@ use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
 use metric_tree_embedding::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+crate::slice_tests! {
+    literal_every_checkpoint_resumes_bit_identically_across_threads,
+    arena_every_checkpoint_resumes_bit_identically_across_threads,
+    dense_every_checkpoint_resumes_bit_identically_across_threads,
+    oracle_every_checkpoint_resumes_bit_identically_across_threads,
+    persist_roundtripped_checkpoints_resume_bit_identically,
+}
 
 /// A crash after *writing* but before the run finished: the snapshot on
 /// disk is the only artifact. Resume from the file alone.

@@ -2,10 +2,13 @@
 //! workload family, `with_threads`, the fault-registry guard, the
 //! snapshot round trip, and the conformance table — every
 //! backend × algorithm cell the run drivers serve, with its graph family.
-//! `tests/conformance.rs` checks each cell against its literal reference;
-//! `tests/fault_harness.rs` sweeps the same cells under injected faults.
-//! Each suite uses a subset of this module.
+//! [`matrix`] checks each cell against its literal reference, in slices
+//! run by the differential suites; `tests/fault_harness.rs` sweeps the
+//! same cells under injected faults. Each suite uses a subset of this
+//! module.
 #![allow(dead_code)]
+
+pub mod matrix;
 
 use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::{Connectivity, SourceDetection, WidestPaths};

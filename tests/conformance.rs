@@ -1,241 +1,84 @@
 //! The conformance matrix: every cell of `common::CELLS` — a backend and
 //! an algorithm — on every fixture of its graph family must reproduce
-//! the literal reference (`literal_fixpoint`, or `literal_oracle` for
-//! the oracle on `H`) bit for bit, through all three run drivers:
-//!
-//! * **plain** — `run_to_fixpoint_on` equals the reference in states,
-//!   iterations and fixpoint flag, at the full cap and at caps 1 and 2
-//!   (which must report `fixpoint: false`); the literal backend does the
-//!   reference's work exactly, every other backend no more of it, and
-//!   the pinned counters hold;
-//! * **threads** — runs on pools of 1 and 4 threads are equal, down to
-//!   the whole `WorkStats`;
-//! * **guarded** — `try_run_on` capturing every hop equals the plain
-//!   run, down to its work and its report;
-//! * **resume** — `try_resume_on` from every one of those captures
-//!   reproduces the run, one capture through the snapshot codec;
-//!   literal and arena checkpoints also resume on each other.
+//! the literal reference bit for bit under three checks (plain runs at
+//! full and short caps, 1 vs 4 threads, guarded runs and resumes from
+//! every capture), with its work pinned where `PINS` says. The checks
+//! live in `tests/common/matrix.rs` and run in slices, each under the
+//! differential suite test it names (`engine_equivalence`,
+//! `schedule_equivalence`, `checkpoint_resume`). This suite asserts that
+//! the slices run every case under every check exactly once, and holds
+//! the checks that span two backends.
 //!
 //! Runs on the ambient pool are sized by `MTE_THREADS`; CI runs the
 //! matrix at 1 and 4.
 
 mod common;
 
-use common::{
-    assert_narrowed_work, fixpoint_family, literal_fixpoint, oracle_run, through_snapshot,
-    with_threads, Case, Cell, Mask, State, Visit, CELLS,
-};
+use common::matrix::{assert_same_run, Check, PINS, RESUMED, SLICES};
+use common::{fixpoint_family, literal_fixpoint, oracle_run, Cell, Mask, CELLS};
 use metric_tree_embedding::core::arena::ArenaBackend;
 use metric_tree_embedding::core::catalog::SourceDetection;
 use metric_tree_embedding::core::dense::DenseBackend;
-use metric_tree_embedding::core::engine::{LiteralBackend, MbfAlgorithm, MbfRun};
+use metric_tree_embedding::core::engine::{LiteralBackend, MbfAlgorithm};
 use metric_tree_embedding::core::frt::le_list::LeListAlgorithm;
 use metric_tree_embedding::core::run::{
-    run_to_fixpoint_on, try_resume_on, try_run_on, Checkpoint, CheckpointPolicy, StateBackend,
+    run_to_fixpoint_on, try_resume_on, try_run_on, CheckpointPolicy, StateBackend,
 };
 use metric_tree_embedding::core::work::WorkStats;
 use metric_tree_embedding::prelude::*;
-use std::any::Any;
-use std::fmt::Debug;
 
-/// The pinned `(hops, touched_vertices, entries_processed)` of the plain
-/// runs (and of one resumed run), keyed by case label. The arena's
-/// semi-naive LE lists, its k-SSP and SSSP (source 1) on the workload
-/// graphs; the oracle's LE lists on its arena lane. Before the delta
-/// floors the arena LE runs read gnm (381, 2_031), grid (520, 2_289),
-/// path (623, 2_483); the oracle LE run on the fixture (21_019,
-/// 124_972). On the highway, without the idle-level skip the oracle
-/// read 846 / 29,261 / 160,134 (566 / 20,796 / 118,561 with the skip
-/// but without kept relays; 557 / 20,608 / 116,677 without the delta
-/// floors). Under the settled draw, resetting the relays read 305 /
-/// 28,602 / 206,005 (258 / 19,744 / 130,683 keeping them, without the
-/// delta floors). The resumed run starts from fresh, unprimed levels:
-/// its first round re-primes every level wholesale.
-const PINS: [(&str, (u64, u64, u64)); 13] = [
-    ("ArenaLe/gnm sparse", (8, 259, 1_452)),
-    ("ArenaKSsp/gnm sparse", (4, 217, 1_093)),
-    ("ArenaSssp/gnm sparse", (8, 344, 413)),
-    ("ArenaLe/grid 9x9", (10, 276, 1_301)),
-    ("ArenaKSsp/grid 9x9", (3, 238, 1_056)),
-    ("ArenaSssp/grid 9x9", (17, 379, 459)),
-    ("ArenaLe/path", (48, 241, 924)),
-    ("ArenaKSsp/path", (4, 172, 680)),
-    ("ArenaSssp/path", (55, 218, 273)),
-    ("OracleArenaLe/gnm 140", (266, 13_206, 86_698)),
-    ("OracleArenaLe/idle", (557, 14_985, 91_022)),
-    ("OracleArenaLe/settled", (258, 14_180, 108_995)),
-    (
-        "OracleArenaLe/gnm 140/resumed at hop 1",
-        (172, 9_100, 78_400),
-    ),
-];
-
-/// Asserts `work` against the pin of `label`, if there is one; returns
-/// whether there was.
-fn check_pin(label: &str, work: &WorkStats) -> bool {
-    let pin = PINS.iter().find(|(l, _)| *l == label);
-    if let Some((_, want)) = pin {
-        let got = (
-            work.iterations,
-            work.touched_vertices,
-            work.entries_processed,
-        );
-        assert_eq!(got, *want, "{label}: hops, touched, entries");
-    }
-    pin.is_some()
+/// The tests a suite declares with `slice_tests!`.
+fn slice_tests(suite: &str) -> Vec<&'static str> {
+    let source = match suite {
+        "engine_equivalence" => include_str!("engine_equivalence.rs"),
+        "schedule_equivalence" => include_str!("schedule_equivalence.rs"),
+        "checkpoint_resume" => include_str!("checkpoint_resume.rs"),
+        _ => panic!("no suite {suite}"),
+    };
+    let (_, block) = source
+        .split_once("slice_tests! {")
+        .expect("a slice_tests! block");
+    let (block, _) = block.split_once('}').unwrap();
+    block
+        .split(',')
+        .map(str::trim)
+        .filter(|t| !t.is_empty())
+        .collect()
 }
 
-/// Runs `check` over every cell on every fixture of its family.
-fn for_every_case(check: &mut impl Visit) {
+/// Every case runs under every check in exactly one slice, every slice
+/// names fixtures its cells have and is run by the test it names, and
+/// every pin names a case.
+#[test]
+fn slices_run_every_case_under_every_check_once() {
+    let mut labels = Vec::new();
     for cell in CELLS {
-        for fx in cell.family() {
-            cell.visit(&fx, check);
-        }
-    }
-}
-
-/// `run` has `want`'s states, iteration count and fixpoint flag.
-fn assert_same_run<M: PartialEq + Debug>(run: &MbfRun<M>, want: &MbfRun<M>, label: &str) {
-    assert_eq!(run.states, want.states, "{label}: states diverged");
-    assert_eq!(run.iterations, want.iterations, "{label}: iterations");
-    assert_eq!(run.fixpoint, want.fixpoint, "{label}: fixpoint flag");
-}
-
-/// The plain run from a fresh backend.
-fn plain<A: MbfAlgorithm, B: StateBackend<A>>(case: &Case<'_, A, B>, cap: usize) -> MbfRun<A::M> {
-    run_to_fixpoint_on((case.backend)(), case.alg, case.g, cap)
-}
-
-/// A distance-map checkpoint after its round trip through the snapshot
-/// codec; `None` for the state types the codec does not carry.
-fn codec_round_trip<M: 'static>(ckpt: &Checkpoint<M>) -> Option<Checkpoint<M>> {
-    let ckpt = (ckpt as &dyn Any).downcast_ref::<Checkpoint<DistanceMap>>()?;
-    let decoded = through_snapshot(ckpt).expect("the snapshot decodes");
-    assert_eq!(&decoded, ckpt, "the round trip changed the checkpoint");
-    let decoded: Box<dyn Any> = Box::new(decoded);
-    Some(*decoded.downcast().expect("the same type"))
-}
-
-struct Plain {
-    pinned: usize,
-}
-
-impl Visit for Plain {
-    fn visit<A: MbfAlgorithm<M: State> + Sync, B: StateBackend<A>>(
-        &mut self,
-        case: &Case<'_, A, B>,
-    ) {
-        let label = &case.label;
-        for cap in [1, 2] {
-            let run = plain(case, cap);
-            assert_same_run(&run, &(case.reference)(cap), &format!("{label}/cap {cap}"));
-            assert!(!run.fixpoint, "{label}/cap {cap}: fixpoint reported");
-        }
-        let literal = (case.reference)(case.cap);
-        assert!(
-            literal.fixpoint && literal.iterations > 2,
-            "{label}: too short"
-        );
-        let run = plain(case, case.cap);
-        assert_same_run(&run, &literal, label);
-        match case.cell {
-            Cell::LiteralWidestPaths | Cell::LiteralConnectivity | Cell::LiteralKSsp => {
-                assert_eq!(run.work, literal.work, "{label}: work")
+        let family = cell.family();
+        for fx in &family {
+            labels.push(format!("{cell:?}/{}", fx.name));
+            for check in [Check::Plain, Check::Threads, Check::Resume] {
+                let runs = SLICES
+                    .iter()
+                    .filter(|s| s.covers(check, cell, fx.name))
+                    .count();
+                assert_eq!(runs, 1, "{cell:?}/{}: {check:?} runs {runs} times", fx.name);
             }
-            // The dense lane counts its entries in block coordinates.
-            Cell::DenseApsp | Cell::OracleDenseApsp => {
-                let (want, got) = (&literal.work, &run.work);
-                assert!(got.touched_vertices <= want.touched_vertices, "{label}");
-                assert!(got.edge_relaxations <= want.edge_relaxations, "{label}");
+        }
+        for s in SLICES.iter().filter(|s| s.cells.contains(&cell)) {
+            for name in s.fixtures {
+                let known = family.iter().any(|fx| fx.name == *name);
+                assert!(known, "{}: {cell:?} has no fixture {name}", s.test);
             }
-            _ => assert_narrowed_work(&literal.work, &run.work, label),
-        }
-        self.pinned += usize::from(check_pin(label, &run.work));
-    }
-}
-
-#[test]
-fn plain_runs_equal_the_literal_reference() {
-    let mut check = Plain { pinned: 0 };
-    for_every_case(&mut check);
-    assert_eq!(check.pinned, PINS.len() - 1, "a plain pin matched no case");
-}
-
-struct Threads;
-
-impl Visit for Threads {
-    fn visit<A: MbfAlgorithm<M: State> + Sync, B: StateBackend<A>>(
-        &mut self,
-        case: &Case<'_, A, B>,
-    ) {
-        let [r1, r4] = [1, 4].map(|threads| with_threads(threads, || plain(case, case.cap)));
-        assert_same_run(&r4, &r1, &case.label);
-        assert_eq!(r4.work, r1.work, "{}: work differs", case.label);
-    }
-}
-
-#[test]
-fn runs_are_equal_across_thread_counts() {
-    for_every_case(&mut Threads);
-}
-
-struct GuardedAndResumed {
-    pinned: usize,
-}
-
-impl Visit for GuardedAndResumed {
-    fn visit<A: MbfAlgorithm<M: State> + Sync, B: StateBackend<A>>(
-        &mut self,
-        case: &Case<'_, A, B>,
-    ) {
-        let label = &case.label;
-        let want = plain(case, case.cap);
-        let mut captures = Vec::new();
-        let policy = CheckpointPolicy::every_hops(1);
-        let (run, report) = try_run_on((case.backend)(), case.alg, case.g, case.cap, policy, |c| {
-            captures.push(c.clone());
-            Ok(())
-        })
-        .unwrap_or_else(|e| panic!("{label}: guarded run failed: {e}"));
-        assert_same_run(&run, &want, label);
-        assert_eq!(run.work, want.work, "{label}: work");
-        assert_eq!(
-            (report.converged, report.hops),
-            (run.fixpoint, run.iterations as u64),
-            "{label}: report"
-        );
-        // Every hop but the confirming one is captured, in order.
-        let hops: Vec<u64> = captures.iter().map(|c| c.hop).collect();
-        assert_eq!(
-            hops,
-            (1..run.iterations as u64).collect::<Vec<_>>(),
-            "{label}"
-        );
-
-        let through_codec = captures.len() / 2;
-        for (i, ckpt) in captures.iter().enumerate() {
-            let decoded = if i == through_codec {
-                codec_round_trip(ckpt)
-            } else {
-                None
-            };
-            let ckpt = decoded.as_ref().unwrap_or(ckpt);
-            let at = format!("{label}/resumed at hop {}", ckpt.hop);
-            let (resumed, report) =
-                try_resume_on((case.backend)(), case.alg, case.g, case.cap, ckpt)
-                    .unwrap_or_else(|e| panic!("{at}: {e}"));
-            assert_same_run(&resumed, &run, &at);
-            assert!(report.converged, "{at}");
-            self.pinned += usize::from(check_pin(&at, &resumed.work));
         }
     }
-}
-
-#[test]
-fn guarded_runs_and_resumes_from_every_capture_equal_the_plain_run() {
-    let mut check = GuardedAndResumed { pinned: 0 };
-    for_every_case(&mut check);
-    assert_eq!(check.pinned, 1, "the resumed pin matched no case");
+    for s in SLICES {
+        let declared = slice_tests(s.suite).contains(&s.test);
+        assert!(declared, "no test {}::{} runs its slice", s.suite, s.test);
+    }
+    for (label, _) in PINS {
+        let case = label.split(RESUMED).next().unwrap();
+        assert!(labels.iter().any(|l| l == case), "{label} names no case");
+    }
 }
 
 /// Every capture of `from` resumes on `to` to `from`'s plain run.

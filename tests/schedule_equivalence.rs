@@ -1,12 +1,18 @@
-//! Differential tests for what is specific to the hot-path schedules:
-//! the oracle's carry-over (a `mark_dirty` seed against an all-dirty
-//! restart, the re-projection of slots the aggregation changed), the
-//! live restart and resume of a backend mid-run, the semi-naive delta
-//! handover and its absorption rule, random edits and compactions, and
-//! the FRT pipeline against the unpruned literal oracle loop. Pruning
-//! and carry-over may only change *work counters*, never states,
-//! iteration counts, or fixpoint flags. That every backend equals its
-//! literal reference is the conformance matrix (`tests/conformance.rs`).
+//! Differential tests for the hot-path schedules: the rank-pruned merge
+//! kernels, the frontier-list schedule, the dense block and the oracle's
+//! carry-over seeding must all be **bit-identical** to their references
+//! (merge-everything-then-filter, the literal `iterate` loop, and the
+//! literal oracle loop, which restarts every level all-dirty from its
+//! projection each round) — pruning and carry-over may only change
+//! *work counters*, never states, iteration counts, or fixpoint flags.
+//! The backend-against-reference tests run their slices of the
+//! conformance matrix (`tests/common/matrix.rs`, with the work pins);
+//! the rest check what is specific to a schedule: a `mark_dirty` seed
+//! against an all-dirty restart, the re-projection of slots the
+//! aggregation changed, the live restart and resume of a backend
+//! mid-run, the semi-naive delta handover and its absorption rule,
+//! random graphs, edits and compactions, and the FRT pipeline against
+//! the unpruned literal oracle loop.
 
 mod common;
 
@@ -36,6 +42,29 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
+
+// ---------------------------------------------------------------------
+// Each backend against its literal reference: slices of the matrix.
+// The idle and settled slices run the oracle's LE lists on the
+// fixtures whose work pins rise without the idle-level skip and when
+// settled levels reset their relays.
+// ---------------------------------------------------------------------
+
+crate::slice_tests! {
+    pruned_le_merge_bit_identical_to_reference_and_cheaper,
+    pruned_le_merge_bit_identical_across_thread_counts,
+    arena_backend_bit_identical_to_literal_loop,
+    source_masked_le_lists_on_arena_match_literal_and_resume,
+    arena_engine_bit_identical_across_thread_counts,
+    dense_block_backend_bit_identical_to_literal_loop,
+    dense_block_bit_identical_across_thread_counts,
+    oracle_carry_over_bit_identical_to_all_dirty_restart,
+    oracle_carry_over_bit_identical_across_thread_counts,
+    arena_oracle_bit_identical_to_literal_oracle,
+    oracle_idle_levels_skip_bit_identically,
+    oracle_settled_levels_keep_relays_bit_identically,
+    dense_oracle_bit_identical_to_literal_oracle_across_threads,
+}
 
 // ---------------------------------------------------------------------
 // Engine level: `mark_dirty` carry-over vs all-dirty restart.
@@ -477,11 +506,56 @@ fn literal_hop<A: MbfAlgorithm>(alg: &A, g: &Graph, states: &mut Vec<A::M>) -> b
 }
 
 // ---------------------------------------------------------------------
-// Property fuzz: random edits on random graphs.
+// Property fuzz: random (possibly disconnected) graphs, random edits.
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Pruned merges and the carry-over oracle schedule agree with their
+    /// references on arbitrary random graphs (two components keep the
+    /// disconnected case in every batch).
+    #[test]
+    fn random_graphs_pruned_and_carry_over_match_reference(
+        n in 3usize..26,
+        extra in 0usize..36,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n2 = 1 + n / 3;
+        let mut edges: Vec<(NodeId, NodeId, f64)> =
+            gnm_graph(n, (n - 1 + extra).min(n * (n - 1) / 2), 1.0..9.0, &mut rng)
+                .edges()
+                .collect();
+        if n2 >= 2 {
+            edges.extend(
+                gnm_graph(n2, n2 - 1, 1.0..9.0, &mut rng)
+                    .edges()
+                    .map(|(u, v, w)| (u + n as NodeId, v + n as NodeId, w)),
+            );
+        }
+        let g = Graph::from_edges(n + n2, edges);
+        let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
+
+        // Engine: the arena's pruned merge vs the literal loop's
+        // merge-then-filter.
+        let le = LeListAlgorithm::new(Arc::clone(&ranks));
+        let pruned = run_to_fixpoint_on(ArenaBackend::new(), &le, &g, g.n() + 1);
+        let literal = literal_fixpoint(&le, &g, g.n() + 1);
+        prop_assert!(pruned.work.entries_processed <= literal.work.entries_processed);
+        prop_assert_eq!(&pruned.states, &literal.states);
+        prop_assert_eq!(pruned.iterations, literal.iterations);
+        prop_assert_eq!(pruned.fixpoint, literal.fixpoint);
+
+        // Oracle: the carry-over arena lane vs the literal oracle loop.
+        let sim = SimulatedGraph::without_hopset(&g, 12, 0.2, &mut rng);
+        let carry = oracle_run::<ArenaBackend, _>(&le, &sim, 3 * g.n());
+        let literal = literal_oracle(&le, &sim, 3 * g.n());
+        prop_assert_eq!(&carry.states, &literal.states);
+        prop_assert_eq!(carry.iterations, literal.iterations);
+        prop_assert_eq!(carry.fixpoint, literal.fixpoint);
+        prop_assert!(carry.work.touched_vertices <= literal.work.touched_vertices);
+    }
 
     /// Sparse external edits (copy-on-write projection rewrites +
     /// `mark_dirty` carry-over) interleaved with forced pool compactions
