@@ -122,7 +122,8 @@ impl AllPaths {
     }
 
     /// Weight assigned to `π` (`∞` when not contained).
-    pub fn weight_of(&self, p: &Path) -> Dist {
+    #[cfg(test)]
+    fn weight_of(&self, p: &Path) -> Dist {
         if self.has_identity && p.hops() == 0 {
             return Dist::ZERO;
         }

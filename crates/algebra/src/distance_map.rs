@@ -70,21 +70,6 @@ impl DistanceMap {
         }
     }
 
-    /// Inserts `v ↦ min(current, d)`.
-    pub fn merge_entry(&mut self, v: NodeId, d: Dist) {
-        if !d.is_finite() {
-            return;
-        }
-        match self.entries.binary_search_by_key(&v, |&(w, _)| w) {
-            Ok(i) => {
-                if d < self.entries[i].1 {
-                    self.entries[i].1 = d;
-                }
-            }
-            Err(i) => self.entries.insert(i, (v, d)),
-        }
-    }
-
     /// Iterates over the non-`∞` entries in node-id order.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Dist)> + '_ {
@@ -138,14 +123,6 @@ impl DistanceMap {
         });
     }
 
-    /// [`DistanceMap::merge_scaled`] over a borrowed entry slice (a
-    /// span-backed state read straight out of an
-    /// [`crate::store::EpochStore`]): same kernel, no owned map on the
-    /// right-hand side.
-    pub fn merge_scaled_entries(&mut self, other: &[(NodeId, Dist)], s: Dist) {
-        merge::with_dist_scratch(|scratch| self.merge_scaled_entries_with(other, s, scratch));
-    }
-
     /// The borrowed-view, explicit-scratch kernel every `merge_scaled*`
     /// variant bottoms out in — owned maps and arena spans share one
     /// code path, which is what makes the two storage backends
@@ -175,7 +152,7 @@ impl DistanceMap {
         std::mem::swap(&mut self.entries, scratch);
     }
 
-    /// [`DistanceMap::merge_scaled_entries`] with an admission
+    /// [`DistanceMap::merge_scaled_entries_with`] with an admission
     /// predicate: `admit(v, x_v + s)` is consulted for every entry of
     /// `other` whose node is **absent** from `self`; rejected entries are
     /// never inserted, collisions always take the minimum. See
@@ -184,7 +161,7 @@ impl DistanceMap {
     /// top-k threshold of source detection's arena recompute is the
     /// instance; the LE lists batch their admitted entries and combine
     /// them with one [`DistanceMap::assign_merged_min_entries`]
-    /// instead). Unpruned [`DistanceMap::merge_scaled_entries`] stays the
+    /// instead). Unpruned [`DistanceMap::merge_scaled_entries_with`] stays the
     /// semantics reference.
     pub fn merge_scaled_pruned_entries(
         &mut self,
@@ -256,7 +233,7 @@ impl DistanceMap {
     }
 
     /// [`DistanceMap::merge_min`] over a borrowed entry slice (cf.
-    /// [`DistanceMap::merge_scaled_entries`]).
+    /// [`DistanceMap::merge_scaled_entries_with`]).
     pub fn merge_min_entries(&mut self, other: &[(NodeId, Dist)]) {
         if other.is_empty() {
             return;
@@ -381,17 +358,6 @@ mod tests {
         let b = dm(&[(1, 3.0), (2, 1.0), (3, 4.0)]);
         a.merge_min(&b);
         assert_eq!(a, dm(&[(1, 2.0), (2, 1.0), (3, 4.0)]));
-    }
-
-    #[test]
-    fn merge_entry_keeps_minimum() {
-        let mut a = dm(&[(1, 2.0)]);
-        a.merge_entry(1, Dist::new(3.0));
-        assert_eq!(a.get(1), Dist::new(2.0));
-        a.merge_entry(1, Dist::new(1.0));
-        assert_eq!(a.get(1), Dist::new(1.0));
-        a.merge_entry(0, Dist::new(9.0));
-        assert_eq!(a.get(0), Dist::new(9.0));
     }
 
     #[test]

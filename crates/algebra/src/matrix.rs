@@ -38,7 +38,8 @@ impl<S: Semiring> SemiringMatrix<S> {
     }
 
     /// Builds from a row-major element vector.
-    pub fn from_rows(n: usize, data: Vec<S>) -> Self {
+    #[cfg(test)]
+    fn from_rows(n: usize, data: Vec<S>) -> Self {
         assert_eq!(data.len(), n * n);
         SemiringMatrix { n, data }
     }

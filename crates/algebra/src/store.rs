@@ -325,14 +325,14 @@ impl EpochStore {
     }
 
     /// Live entries across all spans (`Σ_v |x_v|`).
-    #[inline]
-    pub fn live_entries(&self) -> usize {
+    #[cfg(test)]
+    fn live_entries(&self) -> usize {
         self.live
     }
 
     /// Pool length including garbage from superseded epochs.
-    #[inline]
-    pub fn pool_entries(&self) -> usize {
+    #[cfg(test)]
+    fn pool_entries(&self) -> usize {
         self.entries.len()
     }
 

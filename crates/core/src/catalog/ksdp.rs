@@ -148,12 +148,8 @@ impl Filter<AllPaths, AllPaths> for KsdpFilter {
 /// Reference implementation: the weights of the `k` shortest `v`→`target`
 /// walks, by the classic pop-at-most-k-times-per-node heap search
 /// (for validating the MBF-like formulation on small graphs).
-pub fn k_shortest_walk_weights(
-    g: &mte_graph::Graph,
-    v: NodeId,
-    target: NodeId,
-    k: usize,
-) -> Vec<f64> {
+#[cfg(test)]
+fn k_shortest_walk_weights(g: &mte_graph::Graph, v: NodeId, target: NodeId, k: usize) -> Vec<f64> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let mut counts = vec![0usize; g.n()];

@@ -71,7 +71,8 @@ impl MbfAlgorithm for WidestPaths {
 
 /// Reference implementation: widest path from `s` by a max-bottleneck
 /// Dijkstra variant (used only for testing the MBF-like formulation).
-pub fn widest_path_reference(g: &mte_graph::Graph, s: NodeId) -> Vec<Width> {
+#[cfg(test)]
+fn widest_path_reference(g: &mte_graph::Graph, s: NodeId) -> Vec<Width> {
     use std::collections::BinaryHeap;
     let n = g.n();
     let mut width = vec![Width::new(0.0); n];

@@ -107,6 +107,33 @@ mod tests {
     }
 
     #[test]
+    fn forest_mean_distance_estimates_expected_stretch() {
+        // Definition 7.1: every tree dominates the metric, and the mean
+        // over independent samples estimates the expected tree distance,
+        // which is within O(log n) of the graph distance for every pair.
+        let mut rng = StdRng::seed_from_u64(501);
+        let g = gnm_graph(40, 100, 1.0..10.0, &mut rng);
+        let exact = apsp(&g);
+        let trees: Vec<FrtTree> = (0..16).map(|_| sample_direct(&g, &mut rng).tree).collect();
+        let mut worst: f64 = 0.0;
+        for u in 0..g.n() as u32 {
+            for v in (u + 1)..g.n() as u32 {
+                let dg = exact[u as usize][v as usize].value();
+                for t in &trees {
+                    assert!(t.leaf_distance(u, v) >= dg - 1e-9, "dominance ({u},{v})");
+                }
+                let mean = trees.iter().map(|t| t.leaf_distance(u, v)).sum::<f64>() / 16.0;
+                worst = worst.max(mean / dg);
+            }
+        }
+        // Expected stretch O(log n); 16 samples tame the variance.
+        assert!(
+            worst <= 10.0 * (g.n() as f64).log2(),
+            "worst mean stretch {worst}"
+        );
+    }
+
+    #[test]
     fn direct_iterations_bounded_by_spd_plus_one() {
         // Definition 2.11 guarantees a fixpoint after ≤ SPD(G) + 1
         // iterations; the LE filter typically converges even earlier

@@ -15,20 +15,16 @@
 //! ```
 
 pub mod baseline;
-pub mod forest;
 pub mod le_list;
 pub mod paths;
-pub mod traced;
 pub mod tree;
 
 pub use baseline::{sample_direct, sample_from_metric, BaselineSample};
-pub use forest::FrtForest;
 pub use le_list::{
     le_filter_entries, le_lists_direct, le_lists_from_metric, le_lists_oracle, LeFilter, LeList,
     LeListAlgorithm, Ranks,
 };
 pub use paths::{embed_all_tree_edges, embed_tree_edge, EmbeddedTreeEdge};
-pub use traced::{trace_le_path, traced_le_lists, TracedEntry, TracedLeList};
 pub use tree::{FrtNode, FrtTree};
 
 use crate::simgraph::SimulatedGraph;
@@ -94,10 +90,8 @@ impl FrtEmbedding {
         Self::sample_on(&sim, config, rng)
     }
 
-    /// Samples one tree on a pre-built simulated graph (lets callers
-    /// amortize the hop-set construction across samples; only the cheap
-    /// randomness — permutation, `β`, levels baked into `sim` — varies).
-    pub fn sample_on(sim: &SimulatedGraph, config: &FrtConfig, rng: &mut impl Rng) -> FrtEmbedding {
+    /// Samples one tree on a pre-built simulated graph.
+    fn sample_on(sim: &SimulatedGraph, config: &FrtConfig, rng: &mut impl Rng) -> FrtEmbedding {
         let n = sim.base().n();
         let ranks = Arc::new(Ranks::sample(n, rng));
         let beta = rng.gen_range(1.0..2.0);

@@ -68,8 +68,9 @@ impl LevelAssignment {
         LevelAssignment { levels, lambda }
     }
 
-    /// A fixed assignment (for tests).
-    pub fn from_levels(levels: Vec<u32>) -> LevelAssignment {
+    /// A fixed assignment.
+    #[cfg(test)]
+    fn from_levels(levels: Vec<u32>) -> LevelAssignment {
         let lambda = levels.iter().copied().max().unwrap_or(0);
         LevelAssignment { levels, lambda }
     }
@@ -93,7 +94,8 @@ impl LevelAssignment {
     }
 
     /// Number of vertices with level `≥ λ` (the paper's `V_λ`).
-    pub fn count_at_least(&self, lambda: u32) -> usize {
+    #[cfg(test)]
+    fn count_at_least(&self, lambda: u32) -> usize {
         self.levels.iter().filter(|&&l| l >= lambda).count()
     }
 }

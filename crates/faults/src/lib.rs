@@ -432,11 +432,6 @@ pub fn clear() {
     STATUS.store(STATUS_DISARMED, Ordering::SeqCst);
 }
 
-/// `true` iff a non-empty plan is installed.
-pub fn is_armed() -> bool {
-    STATUS.load(Ordering::Relaxed) == STATUS_ARMED
-}
-
 #[cold]
 fn init_from_env() {
     match FaultPlan::from_env() {
@@ -795,9 +790,12 @@ mod tests {
     fn clear_disarms() {
         let _guard = serial_test();
         install(FaultPlan::single(FaultSite::GrParser, FaultKind::Io, 1));
-        assert!(is_armed());
+        assert_eq!(
+            check_for(FaultSite::GrParser, &[FaultKind::Io]),
+            Some(FaultKind::Io)
+        );
+        install(FaultPlan::single(FaultSite::GrParser, FaultKind::Io, 1));
         clear();
-        assert!(!is_armed());
         assert_eq!(check_for(FaultSite::GrParser, &[FaultKind::Io]), None);
     }
 }

@@ -103,6 +103,7 @@ pub fn star_graph(n: usize, weights: Range<f64>, rng: &mut impl Rng) -> Graph {
 }
 
 /// Uniformly random recursive tree with random weights.
+// analyze: dead-pub-ok(a graph family of the crate prelude, beside the other generators)
 pub fn tree_graph(n: usize, weights: Range<f64>, rng: &mut impl Rng) -> Graph {
     let edges: Vec<_> = random_attachment_edges(n, rng)
         .into_iter()

@@ -164,18 +164,6 @@ impl Hopset {
     }
 }
 
-/// The trivial hop set for graphs whose SPD is already small: adds no
-/// edges and sets `d = SPD(G)` supplied by the caller. Useful for tests
-/// and for dense inputs that are "metric-like" already.
-pub fn trivial_hopset(d: usize) -> Hopset {
-    Hopset {
-        edges: Vec::new(),
-        d,
-        epsilon: 0.0,
-        hubs: Vec::new(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,14 +273,6 @@ mod tests {
     #[should_panic(expected = "epsilon must be finite and non-negative")]
     fn infinite_epsilon_rejected() {
         build_with(2.0, f64::INFINITY);
-    }
-
-    #[test]
-    fn trivial_hopset_adds_nothing() {
-        let hs = trivial_hopset(5);
-        assert!(hs.is_empty());
-        let g = path_graph(4, 1.0);
-        assert_eq!(hs.augment(&g).m(), g.m());
     }
 
     /// Hop-set digests per `(family, ε)`, recorded on the `BinaryHeap`

@@ -11,7 +11,6 @@
 
 use crate::graph::Graph;
 use mte_algebra::NodeId;
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read};
 
 /// Errors raised while parsing a `.gr` file.
@@ -133,30 +132,21 @@ pub fn read_gr(reader: impl Read) -> Result<Graph, GraphParseError> {
     Graph::try_from_edges(n, edges).map_err(|e| GraphParseError::InvalidGraph(e.to_string()))
 }
 
-/// Serializes a graph in the `.gr` dialect.
-pub fn write_gr(g: &Graph) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "c generated by metric-tree-embedding");
-    let _ = writeln!(out, "p sp {} {}", g.n(), g.m());
-    for (u, v, w) in g.edges() {
-        let _ = writeln!(out, "a {} {} {}", u + 1, v + 1, w);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn roundtrip() {
-        let g = crate::generators::path_graph(5, 2.5);
-        let text = write_gr(&g);
-        let back = read_gr(text.as_bytes()).unwrap();
-        assert_eq!(back.n(), g.n());
-        let a: Vec<_> = g.edges().collect();
-        let b: Vec<_> = back.edges().collect();
-        assert_eq!(a, b);
+        // A path written as `.gr` text with fractional weights parses
+        // back to its edges, in order and with 0-based ids.
+        let text = "c path\np sp 5 4\na 1 2 2.5\na 2 3 0.75\na 3 4 4\na 4 5 1.25\n";
+        let g = read_gr(text.as_bytes()).unwrap();
+        assert_eq!(g.n(), 5);
+        assert_eq!(
+            g.edges().collect::<Vec<_>>(),
+            vec![(0, 1, 2.5), (1, 2, 0.75), (2, 3, 4.0), (3, 4, 1.25)]
+        );
     }
 
     #[test]

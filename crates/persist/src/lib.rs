@@ -58,7 +58,6 @@ pub const MAGIC: [u8; 8] = *b"MTESNAP1";
 pub const VERSION: u32 = 1;
 
 const HEADER_BYTES: usize = 8 + 4 + 4 + 4;
-const SECTION_HEADER_BYTES: usize = 4 + 8 + 4;
 
 /// Section tags. One snapshot holds at most one section per tag. Tag 2
 /// (a retired max-min state-vector section) stays unassigned, so a
@@ -310,11 +309,6 @@ impl SnapshotReader {
         SnapshotReader::decode(&bytes)
     }
 
-    /// Tags present in this snapshot, in file order.
-    pub fn tags(&self) -> impl Iterator<Item = SectionTag> + '_ {
-        self.sections.iter().map(|(t, _)| *t)
-    }
-
     fn payload(&self, tag: SectionTag) -> Result<&[u8], SnapshotError> {
         self.sections
             .iter()
@@ -345,20 +339,6 @@ impl SnapshotReader {
 
     pub fn checkpoint(&self) -> Result<Checkpoint<DistanceMap>, SnapshotError> {
         codec::decode_checkpoint(self.payload(SectionTag::Checkpoint)?)
-    }
-}
-
-/// Expected on-disk size of the current writer contents (header plus
-/// section headers plus payloads) — the overhead number
-/// `exp_baseline` reports.
-impl SnapshotWriter {
-    pub fn encoded_len(&self) -> usize {
-        HEADER_BYTES
-            + self
-                .sections
-                .iter()
-                .map(|(_, p)| SECTION_HEADER_BYTES + p.len())
-                .sum::<usize>()
     }
 }
 
@@ -488,18 +468,6 @@ mod tests {
             "temp file left behind"
         );
         fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn encoded_len_matches_encode() {
-        let mut w = SnapshotWriter::new();
-        w.put_distance_maps(&sample_maps());
-        w.put_checkpoint(&Checkpoint {
-            hop: 1,
-            frontier: vec![0],
-            states: sample_maps(),
-        });
-        assert_eq!(w.encoded_len(), w.encode().len());
     }
 
     #[test]

@@ -22,7 +22,10 @@
 //! 6. **serving-no-panic** — no `unwrap()`/`expect()` in
 //!    `crates/serving/src`: the serving layer's contract is typed
 //!    `ServeError`s, never panics (waiver:
-//!    `// analyze: serve-ok(reason)`).
+//!    `// analyze: serve-ok(reason)`);
+//! 7. **dead-pub** — no `pub fn` in a library crate that nothing names
+//!    outside its definition and its own file's tests (waiver:
+//!    `// analyze: dead-pub-ok(reason)`).
 
 pub mod lexer;
 pub mod rules;

@@ -143,6 +143,7 @@ fn analyze() -> i32 {
         )),
     }
 
+    rules::dead_pub::check(&scans, &mut findings);
     rules::unsafe_safety::check_manifests(&root, &member_manifests(&root), &mut findings);
     rules::hygiene::check_allowlist(&relaxed_allowlist, &scans, &mut findings);
 

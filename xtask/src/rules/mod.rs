@@ -1,6 +1,7 @@
-//! The six rule families of `cargo xtask analyze`.
+//! The seven rule families of `cargo xtask analyze`.
 
 pub mod atomic_write;
+pub mod dead_pub;
 pub mod fault_registry;
 pub mod hygiene;
 pub mod nondet_iter;

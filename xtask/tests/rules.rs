@@ -5,7 +5,7 @@ use std::path::Path;
 
 use xtask::lexer::{self, Scan};
 use xtask::rules::{
-    atomic_write, fault_registry, hygiene, nondet_iter, serving, unsafe_safety, Finding,
+    atomic_write, dead_pub, fault_registry, hygiene, nondet_iter, serving, unsafe_safety, Finding,
 };
 
 fn fixture(name: &str) -> Scan {
@@ -337,4 +337,66 @@ fn hygiene_flags_stale_allowlist_entries() {
         &mut findings,
     );
     assert_eq!(findings.len(), 2, "got: {findings:?}");
+}
+
+/// The dead-pub fixture as a library file, plus a second file that
+/// calls one of its functions.
+fn dead_pub_scans(fixture_path: &str, fixture_scan: Scan) -> Vec<(String, Scan)> {
+    let user = lexer::scan("fn main() { fixture::called_elsewhere(); }\n");
+    vec![
+        (fixture_path.to_owned(), fixture_scan),
+        ("tests/user.rs".to_owned(), user),
+    ]
+}
+
+#[test]
+fn dead_pub_fires_on_unreached_fns_and_respects_waiver() {
+    let mut findings: Vec<Finding> = Vec::new();
+    dead_pub::check(
+        &dead_pub_scans(AS_IF, fixture("dead_pub_bad.rs")),
+        &mut findings,
+    );
+    // Exactly the uncalled fn and the one only this file's tests call;
+    // the reached, waived, `pub(crate)` and `#[cfg(test)]` fns stay
+    // silent, and neither the doc mention nor the `pub use` counts.
+    assert_eq!(findings.len(), 2, "got: {findings:?}");
+    assert!(findings[0].msg.contains("`pub fn never_called`"));
+    assert!(findings[1].msg.contains("`pub fn only_own_tests`"));
+
+    // Without its waiver the deliberate-API fn fires too.
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dead_pub_bad.rs");
+    let unwaived: String = std::fs::read_to_string(path)
+        .unwrap()
+        .lines()
+        .filter(|l| !l.contains("analyze: dead-pub-ok("))
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let mut findings: Vec<Finding> = Vec::new();
+    dead_pub::check(
+        &dead_pub_scans(AS_IF, lexer::scan(&unwaived)),
+        &mut findings,
+    );
+    assert_eq!(findings.len(), 3, "got: {findings:?}");
+    assert!(findings
+        .iter()
+        .any(|f| f.msg.contains("`pub fn waived_api`")));
+}
+
+#[test]
+fn dead_pub_scoped_to_library_crates() {
+    // Binaries, the API-mirroring shims and code outside `crates/*/src`
+    // define no candidates.
+    for out_of_scope in [
+        "crates/bench/src/bin/exp_fixture.rs",
+        "crates/shims/rayon/src/lib.rs",
+        "tests/fixture.rs",
+        "perfbench/src/fixture.rs",
+    ] {
+        let mut findings: Vec<Finding> = Vec::new();
+        dead_pub::check(
+            &dead_pub_scans(out_of_scope, fixture("dead_pub_bad.rs")),
+            &mut findings,
+        );
+        assert!(findings.is_empty(), "{out_of_scope} tripped: {findings:?}");
+    }
 }
