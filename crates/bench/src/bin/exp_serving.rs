@@ -2,7 +2,7 @@
 //!
 //! Freezes an oracle artifact per catalog graph and measures the query
 //! side: point queries through the full answer ladder (admission →
-//! cache → tree LCA) on uniform and on Zipf(1) pairs, and batched
+//! tree LCA) on uniform and on Zipf(1) pairs, and batched
 //! sweeps that fill one row per source over the artifact's leaf-DFS
 //! vertex order, plus a hostile segment counting typed sheds and
 //! recorded degradations. Writes the machine-readable

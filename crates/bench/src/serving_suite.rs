@@ -2,15 +2,15 @@
 //! against the frozen distance oracle, with machine-readable output.
 //!
 //! Each catalog graph gets three rows: `point` draws uniform pairs over
-//! all `n²` (nearly every probe misses the cache, so it times the tree
-//! climb), `point-zipf` draws Zipf(1) ranks over a fixed universe of
-//! pairs (most probes hit, as in skewed real traffic), and `batch`
-//! sweeps `k` sources to every vertex.
+//! all `n²`, `point-zipf` draws Zipf(1) ranks over a fixed universe of
+//! pairs (skewed traffic that revisits a few pairs often), and `batch`
+//! sweeps `k` sources to every vertex. Both point rows time the exact
+//! tree climb every query takes.
 //!
 //! Run via `exp_serving`; emits `BENCH_serving.json` so successive
 //! changes can track the serving layer's trajectory: queries per second, the
 //! p99 of per-query *work units* (the deterministic deadline currency —
-//! stable across machines, unlike wall time), the cache hit rate, and
+//! stable across machines, unlike wall time), and
 //! the shed/degraded counts from a deliberately hostile segment
 //! (zero-capacity admission, floor-budget deadlines). Every measured
 //! answer is cross-checked against [`FrtTree::leaf_distance`] before a
@@ -18,9 +18,9 @@
 //!
 //! The shed and degraded counts are not measurements: the hostile
 //! segment is the first 512 point pairs, every one of which a
-//! zero-capacity oracle sheds and a 3-unit oracle answers from a
-//! non-exact rung (the probe's one unit leaves two, too few for the
-//! exact tree climb on the catalog trees), so every row reads
+//! zero-capacity oracle sheds and a 2-unit oracle answers from a
+//! non-exact rung (two units are too few for the exact tree climb on
+//! the catalog trees), so every row reads
 //! `shed = degraded = 512` by construction. They pin that the typed
 //! paths stay typed, nothing more.
 
@@ -47,6 +47,9 @@ pub struct ServingCase {
     pub mode: String,
     /// Distance answers served.
     pub answers: usize,
+    /// Answers flagged exact (every batch answer is). Not written to
+    /// the JSON: the suite's own test requires it to equal `answers`.
+    pub exact: usize,
     /// Wall time of the serving run, in milliseconds.
     pub wall_ms: f64,
     /// Answers per second.
@@ -54,9 +57,6 @@ pub struct ServingCase {
     /// 99th percentile of per-query work units (per-source units for
     /// batch sweeps).
     pub p99_work: u64,
-    /// Cache hits / probes over the run (0 for batch mode: sweeps
-    /// bypass the point cache).
-    pub cache_hit_rate: f64,
     /// Queries shed typed by the zero-capacity admission segment.
     pub shed: u64,
     /// Non-exact answers produced by the floor-budget segment, each
@@ -113,7 +113,7 @@ fn stress_counts(artifact: &OracleArtifact, pairs: &[(u32, u32)]) -> (u64, u64) 
     let floor = Oracle::with_config(
         artifact.clone(),
         ServeConfig {
-            query_budget: 3,
+            query_budget: 2,
             ..ServeConfig::default()
         },
     );
@@ -121,7 +121,7 @@ fn stress_counts(artifact: &OracleArtifact, pairs: &[(u32, u32)]) -> (u64, u64) 
     for &(u, v) in pairs {
         match floor.distance(u, v) {
             Ok(answer) => {
-                assert!(!answer.exact, "3 work units cannot buy an exact answer");
+                assert!(!answer.exact, "2 work units cannot buy an exact answer");
                 assert!(!answer.degradations.is_empty(), "ladder falls unrecorded");
                 degraded += 1;
             }
@@ -170,14 +170,14 @@ fn point_case(
 ) -> ServingCase {
     let oracle = Oracle::new(artifact.clone());
     let mut work = Vec::with_capacity(pairs.len());
+    let mut exact = 0;
     let start = Instant::now();
     for &(u, v) in pairs {
         let answer = oracle.distance(u, v).expect("default budget serves");
         work.push(answer.work);
+        exact += usize::from(answer.exact);
     }
     let wall = start.elapsed().as_secs_f64() * 1e3;
-    // Read the counters before the spot check adds probes of its own.
-    let stats = oracle.cache_stats();
     for &(u, v) in &pairs[..pairs.len().min(256)] {
         let served = oracle.distance(u, v).expect("recheck").value;
         assert!(
@@ -185,21 +185,16 @@ fn point_case(
             "point answer diverged from leaf_distance"
         );
     }
-    let probes = stats.hits + stats.misses;
     ServingCase {
         graph: label.to_string(),
         n: g.n(),
         m: g.m(),
         mode: mode.into(),
         answers: pairs.len(),
+        exact,
         wall_ms: wall,
         qps: pairs.len() as f64 / (wall / 1e3),
         p99_work: p99(work),
-        cache_hit_rate: if probes == 0 {
-            0.0
-        } else {
-            stats.hits as f64 / probes as f64
-        },
         shed,
         degraded,
     }
@@ -264,10 +259,10 @@ pub fn serving_suite_sized(point_queries: usize, batch_sources: usize) -> Vec<Se
             m: g.m(),
             mode: "batch".into(),
             answers,
+            exact: answers,
             wall_ms: wall,
             qps: answers as f64 / (wall / 1e3),
             p99_work: batch.work / sources.len().max(1) as u64,
-            cache_hit_rate: 0.0,
             shed,
             degraded,
         });
@@ -280,8 +275,7 @@ pub fn serving_suite_table(cases: &[ServingCase]) -> Table {
     let mut table = Table::new(
         "serving suite: frozen-oracle queries (point ladder, uniform and Zipf; batch rows)",
         &[
-            "graph", "n", "m", "mode", "answers", "wall ms", "qps", "p99 work", "hit rate", "shed",
-            "degraded",
+            "graph", "n", "m", "mode", "answers", "wall ms", "qps", "p99 work", "shed", "degraded",
         ],
     );
     for c in cases {
@@ -294,7 +288,6 @@ pub fn serving_suite_table(cases: &[ServingCase]) -> Table {
             f(c.wall_ms, 2),
             f(c.qps, 0),
             c.p99_work.to_string(),
-            f(c.cache_hit_rate, 3),
             c.shed.to_string(),
             c.degraded.to_string(),
         ]);
@@ -312,7 +305,7 @@ pub fn serving_suite_json(cases: &[ServingCase]) -> String {
             concat!(
                 "    {{\"graph\": \"{}\", \"n\": {}, \"m\": {}, \"mode\": \"{}\", ",
                 "\"answers\": {}, \"wall_ms\": {:.3}, \"qps\": {:.1}, ",
-                "\"p99_work\": {}, \"cache_hit_rate\": {:.4}, ",
+                "\"p99_work\": {}, ",
                 "\"shed\": {}, \"degraded\": {}}}{}\n"
             ),
             json_escape(&c.graph),
@@ -323,7 +316,6 @@ pub fn serving_suite_json(cases: &[ServingCase]) -> String {
             c.wall_ms,
             c.qps,
             c.p99_work,
-            c.cache_hit_rate,
             c.shed,
             c.degraded,
             if i + 1 == cases.len() { "" } else { "," },
@@ -355,14 +347,13 @@ mod tests {
         }
         let point = cases.iter().find(|c| c.mode == "point").expect("point row");
         assert!(point.p99_work > 0);
-        let zipf = cases
-            .iter()
-            .find(|c| c.mode == "point-zipf")
-            .expect("Zipf point row");
-        assert!(
-            zipf.cache_hit_rate > point.cache_hit_rate,
-            "skewed traffic must hit the cache more often than uniform pairs"
-        );
+        for c in cases.iter().filter(|c| c.mode.starts_with("point")) {
+            assert_eq!(
+                c.exact, c.answers,
+                "{} {}: a default-budget point answer was not exact",
+                c.graph, c.mode
+            );
+        }
         let json = serving_suite_json(&cases);
         assert!(json.contains("\"suite\": \"serving\""));
         assert!(json.contains("\"mode\": \"batch\""));

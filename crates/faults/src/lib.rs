@@ -93,10 +93,6 @@ pub enum FaultSite {
     /// decoded — an injected `io` fault surfaces as a typed
     /// `ServeError::Artifact`, absorbed like `snapshot_read`'s.
     ServeArtifactRead,
-    /// `mte_serving` distance-cache read, on every cache probe — an
-    /// injected `poison_nan` fault corrupts the probed entry, which the
-    /// poisoned-entry scan must detect and absorb as a cache miss.
-    ServeCacheEntry,
     /// `mte_serving` per-query budget checkpoint, charged once per
     /// work-unit batch — an injected panic aborts the query mid-ladder
     /// (absorbed into a typed `ServeError` by the guarded front-end).
@@ -110,7 +106,7 @@ pub enum FaultSite {
 /// spelling. The `fault-site-registry` rule of `cargo xtask analyze`
 /// parses this table and cross-checks every `FaultSite::…` reference and
 /// every plan-spec string literal in the workspace against it.
-pub const SITE_NAMES: [(FaultSite, &str); 11] = [
+pub const SITE_NAMES: [(FaultSite, &str); 10] = [
     (FaultSite::EngineHopCommit, "engine_hop_commit"),
     (FaultSite::ArenaSpanRead, "arena_span_read"),
     (FaultSite::DenseRowKernel, "dense_row_kernel"),
@@ -120,7 +116,6 @@ pub const SITE_NAMES: [(FaultSite, &str); 11] = [
     (FaultSite::SnapshotWrite, "snapshot_write"),
     (FaultSite::SnapshotRead, "snapshot_read"),
     (FaultSite::ServeArtifactRead, "serve_artifact_read"),
-    (FaultSite::ServeCacheEntry, "serve_cache_entry"),
     (FaultSite::ServeQueryBudget, "serve_query_budget"),
 ];
 
@@ -148,7 +143,7 @@ const fn site_row(site: FaultSite, i: usize) -> usize {
 impl FaultSite {
     /// Every site, for exhaustive harness sweeps (derived from
     /// [`SITE_NAMES`]).
-    pub const ALL: [FaultSite; 11] = [
+    pub const ALL: [FaultSite; 10] = [
         SITE_NAMES[0].0,
         SITE_NAMES[1].0,
         SITE_NAMES[2].0,
@@ -159,7 +154,6 @@ impl FaultSite {
         SITE_NAMES[7].0,
         SITE_NAMES[8].0,
         SITE_NAMES[9].0,
-        SITE_NAMES[10].0,
     ];
 
     /// The spec name used by [`FaultPlan::parse`], read from

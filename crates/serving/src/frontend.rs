@@ -20,7 +20,6 @@
 
 use crate::artifact::OracleArtifact;
 use crate::batch::{batch_tree_distances, CancelToken};
-use crate::cache::{pair_key, CacheStats, Probe, ShardedCache};
 use crate::error::ServeError;
 use crate::query::{
     intersection_cost, list_intersection_metered, tree_climb_bound, tree_distance_metered,
@@ -41,10 +40,6 @@ pub struct ServeConfig {
     pub batch_budget_per_query: u64,
     /// LE-list prefix length the degraded rung may inspect.
     pub truncate_len: usize,
-    /// Cache shard count.
-    pub cache_shards: usize,
-    /// LRU capacity per shard.
-    pub cache_per_shard: usize,
     /// Admission capacity: maximum queries in flight at once.
     pub max_in_flight: u32,
 }
@@ -55,16 +50,15 @@ impl Default for ServeConfig {
             query_budget: 4096,
             batch_budget_per_query: 4096,
             truncate_len: 8,
-            cache_shards: 8,
-            cache_per_shard: 512,
             max_in_flight: 256,
         }
     }
 }
 
-/// Bounded in-flight admission counter. Every query writes it, so it
-/// sits on its own cache-line pair: no field another query only reads
-/// shares a line with it.
+/// Bounded in-flight admission counter. Every query writes it — it is
+/// the only shared write on the point path — so it sits on its own
+/// cache-line pair: no field another query only reads shares a line
+/// with it.
 #[derive(Debug)]
 #[repr(align(128))]
 struct Admission {
@@ -154,7 +148,6 @@ pub struct BatchAnswer {
 #[derive(Debug)]
 pub struct Oracle {
     artifact: OracleArtifact,
-    cache: ShardedCache,
     admission: Admission,
     config: ServeConfig,
 }
@@ -176,7 +169,6 @@ impl Oracle {
     /// Wraps a validated artifact with explicit knobs.
     pub fn with_config(artifact: OracleArtifact, config: ServeConfig) -> Oracle {
         Oracle {
-            cache: ShardedCache::new(config.cache_shards, config.cache_per_shard),
             admission: Admission::new(config.max_in_flight),
             artifact,
             config,
@@ -187,11 +179,6 @@ impl Oracle {
     #[inline]
     pub fn artifact(&self) -> &OracleArtifact {
         &self.artifact
-    }
-
-    /// Aggregated cache counters.
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Queries currently in flight (racy snapshot, for telemetry).
@@ -222,33 +209,12 @@ impl Oracle {
         let budget = self.config.query_budget;
         let mut meter = Meter::new(budget);
         let mut degradations = Vec::new();
-        let deadline = |meter: &Meter| ServeError::DeadlineExceeded {
-            budget: meter.budget(),
-        };
 
-        // Rung 1: cache. One unit per probe.
-        let key = pair_key(u, v, self.artifact.n());
-        meter.charge(1).map_err(|_| deadline(&meter))?;
-        match self.cache.probe(key) {
-            Probe::Hit(value) => {
-                return Ok(Answer {
-                    value,
-                    rung: Rung::CacheHit,
-                    exact: true,
-                    work: meter.spent(),
-                    degradations,
-                });
-            }
-            Probe::PoisonEvicted => degradations.push(ServeDegradation::CachePoisonEvicted),
-            Probe::Miss => {}
-        }
-
-        // Rung 2: exact leaf-LCA climb — only if the worst case fits,
+        // Rung 1: exact leaf-LCA climb — only if the worst case fits,
         // so a mid-rung abandonment can't strand the lower rungs.
         let tree = self.artifact.tree();
         if meter.remaining() >= tree_climb_bound(tree) {
             if let Ok(value) = tree_distance_metered(tree, u, v, &mut meter) {
-                self.cache.insert(key, value);
                 return Ok(Answer {
                     value,
                     rung: Rung::TreeLca,
@@ -261,7 +227,7 @@ impl Oracle {
             degradations.push(ServeDegradation::TreeLcaSkipped);
         }
 
-        // Rung 3: full LE-list intersection (upper bound on d_G).
+        // Rung 2: full LE-list intersection (upper bound on d_G).
         let lu = &self.artifact.le_lists()[u as usize];
         let lv = &self.artifact.le_lists()[v as usize];
         if meter.remaining() >= intersection_cost(lu, lv) {
@@ -278,7 +244,7 @@ impl Oracle {
             degradations.push(ServeDegradation::IntersectionSkipped);
         }
 
-        // Rung 4: degraded truncated-list bound (two-unit floor).
+        // Rung 3: degraded truncated-list bound (two-unit floor).
         if meter.remaining() >= 2 {
             if let Ok(value) = truncated_upper_bound(lu, lv, self.config.truncate_len, &mut meter) {
                 return Ok(Answer {
@@ -290,7 +256,7 @@ impl Oracle {
                 });
             }
         }
-        Err(deadline(&meter))
+        Err(ServeError::DeadlineExceeded { budget })
     }
 
     /// Serves a batched sweep: exact tree distances from every source
@@ -381,6 +347,50 @@ mod tests {
                 kind: FaultKind::Io
             })
         );
+    }
+
+    /// Four clients share one oracle and each queries every pair: every
+    /// answer is the exact climb, bit-identical to `leaf_distance`, and
+    /// no permit leaks. Under TSan this races the admission counter,
+    /// the one shared write on the point path, against the tree reads.
+    #[test]
+    fn concurrent_clients_get_exact_climbs() {
+        use mte_core::frt::{le_lists_direct, FrtTree, Ranks};
+        use mte_graph::generators::gnm_graph;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        use std::sync::Arc;
+
+        let mut rng = StdRng::seed_from_u64(0xC11E);
+        let g = gnm_graph(60, 150, 1.0..9.0, &mut rng);
+        let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
+        let (lists, _, _) = le_lists_direct(&g, &ranks);
+        let tree = FrtTree::from_le_lists(&lists, &ranks, 1.3, g.min_weight());
+        let artifact = match OracleArtifact::from_parts(lists, Ranks::clone(&ranks), tree) {
+            Ok(a) => a,
+            Err(e) => panic!("valid parts rejected: {e}"),
+        };
+        let oracle = Oracle::new(artifact);
+        let n = g.n() as u32;
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for u in 0..n {
+                        for v in 0..n {
+                            let answer = match oracle.distance(u, v) {
+                                Ok(a) => a,
+                                Err(e) => panic!("({u},{v}) failed: {e}"),
+                            };
+                            let want = oracle.artifact().tree().leaf_distance(u, v);
+                            assert_eq!(answer.rung, Rung::TreeLca, "({u},{v})");
+                            assert!(answer.exact, "({u},{v})");
+                            assert_eq!(answer.value.to_bits(), want.to_bits(), "({u},{v})");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(oracle.in_flight(), 0);
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! - **admission control** — a bounded in-flight counter that sheds
 //!   excess arrivals with a typed `Overloaded` instead of queueing
 //!   unboundedly;
-//! - **a degradation ladder** — cache hit → exact tree LCA → LE-list
-//!   intersection → truncated-list upper bound, each fall recorded in
-//!   the [`Answer`];
+//! - **a degradation ladder** — exact tree LCA → LE-list intersection
+//!   → truncated-list upper bound, each fall recorded in the
+//!   [`Answer`];
 //! - **cooperative cancellation** — batched sweeps, one row per source
 //!   filled by range writes over a leaf-DFS vertex order, poll a
 //!   [`CancelToken`] between rows;
@@ -32,14 +32,12 @@
 
 pub mod artifact;
 pub mod batch;
-pub mod cache;
 pub mod error;
 pub mod frontend;
 pub mod query;
 
 pub use artifact::OracleArtifact;
 pub use batch::CancelToken;
-pub use cache::CacheStats;
 pub use error::ServeError;
 pub use frontend::{BatchAnswer, Oracle, ServeConfig};
 pub use query::{Answer, Rung, ServeDegradation};

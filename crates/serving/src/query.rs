@@ -1,30 +1,29 @@
 //! The per-query answer ladder and its deterministic deadline.
 //!
 //! A deadline is a **work-unit budget**, never a wall clock: one unit
-//! per tree-climb step, one per LE-list entry touched, one per cache
-//! probe; a batch sweep pays per source one unit per chain node on the
-//! source's leaf-to-root path plus one per 64 row writes
-//! (`num_levels + ⌈n/64⌉`). Identical queries therefore take
-//! identical ladder paths on every run and every thread count — which
-//! is what lets the fault sweep and the differential suite pin the
-//! ladder bit for bit.
+//! per tree-climb step, one per LE-list entry touched; a batch sweep
+//! pays per source one unit per chain node on the source's leaf-to-root
+//! path plus one per 64 row writes (`num_levels + ⌈n/64⌉`). Identical
+//! queries therefore take identical ladder paths on every run and every
+//! thread count — which is what lets the fault sweep and the
+//! differential suite pin the ladder bit for bit.
 //!
 //! The ladder (cheapest first, each rung *skipped* when the remaining
 //! budget cannot cover its worst-case cost, the fall recorded in the
 //! response):
 //!
-//! 1. **cache hit** — a previously computed exact tree distance;
-//! 2. **tree LCA** — leaf-to-leaf climb, bit-identical to
-//!    [`FrtTree::leaf_distance`]; the canonical exact answer;
-//! 3. **LE-list intersection** — `min_w (d_u(w) + d_v(w))` over common
+//! 1. **tree LCA** — leaf-to-leaf climb, bit-identical to
+//!    [`FrtTree::leaf_distance`]; the canonical exact answer, at most
+//!    `num_levels − 1` steps;
+//! 2. **LE-list intersection** — `min_w (d_u(w) + d_v(w))` over common
 //!    list nodes, a certified upper bound on the graph distance (both
 //!    lists always contain the global minimum-rank node, so the
 //!    intersection is never empty);
-//! 4. **truncated-list upper bound** — the `Degraded` rung: the shared
+//! 3. **truncated-list upper bound** — the `Degraded` rung: the shared
 //!    tail node plus a budget-capped list prefix, `O(1)` in the worst
 //!    case.
 //!
-//! Only when even rung 4's two-unit floor is unaffordable does the
+//! Only when even rung 3's two-unit floor is unaffordable does the
 //! query fail, with [`crate::error::ServeError::DeadlineExceeded`].
 
 use mte_core::frt::{FrtTree, LeList};
@@ -87,7 +86,9 @@ impl Meter {
 /// Which rung of the answer ladder produced a response.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Rung {
-    /// Served from the sharded cache (an earlier rung-2 answer).
+    /// Never produced: point queries have no cache, so every exact
+    /// answer is [`Rung::TreeLca`]. Kept because the pipeline benchmark
+    /// matches every variant of this enum.
     CacheHit,
     /// Leaf-LCA tree distance — the canonical exact answer.
     TreeLca,
@@ -101,10 +102,6 @@ pub enum Rung {
 /// `RunReport.degradations`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServeDegradation {
-    /// A cache hit carried a non-finite value (bit rot or an injected
-    /// `serve_cache_entry` poison); the entry was evicted and the
-    /// ladder continued as a miss.
-    CachePoisonEvicted,
     /// The remaining budget could not cover a worst-case leaf-LCA
     /// climb; fell to the intersection rung.
     TreeLcaSkipped,
@@ -116,8 +113,8 @@ pub enum ServeDegradation {
 /// A served distance answer with its full ladder provenance.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Answer {
-    /// The distance. Exact tree distance for rungs 1–2; a certified
-    /// upper bound on the graph distance for rungs 3–4.
+    /// The distance. Exact tree distance for the tree-LCA rung; a
+    /// certified upper bound on the graph distance for the list rungs.
     pub value: f64,
     /// The rung that produced `value`.
     pub rung: Rung,

@@ -26,9 +26,10 @@
 //! * [`serving`] — resilient query-serving layer: a deadline-governed,
 //!   load-shedding distance oracle ([`serving::Oracle`]) over frozen,
 //!   zero-trust-validated artifacts ([`serving::OracleArtifact`]), with
-//!   a recorded degradation ladder (cache → tree LCA → LE-list
-//!   intersection → truncated upper bound), batched dense-block sweeps
-//!   with cooperative cancellation, and typed shedding under overload.
+//!   a recorded degradation ladder (tree LCA → LE-list intersection →
+//!   truncated upper bound), batched sweeps over leaf-order vertex
+//!   ranges with cooperative cancellation, and typed shedding under
+//!   overload.
 //!
 //! ## Engine architecture
 //!

@@ -53,6 +53,7 @@ pub struct FaultGuard {
 
 impl FaultGuard {
     pub fn acquire() -> FaultGuard {
+        assert_env_plan_parses();
         let lock = FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         faults::clear();
         std::panic::set_hook(Box::new(|_| {}));
@@ -69,6 +70,18 @@ impl Drop for FaultGuard {
         // to replace, losing nothing but one backtrace.
         if !std::thread::panicking() {
             let _ = std::panic::take_hook();
+        }
+    }
+}
+
+/// Fails when `MTE_FAULT_PLAN` is set to a spec `FaultPlan::parse`
+/// rejects. `FaultPlan::from_env` only warns on stderr and runs
+/// unarmed, so a stale site name would turn a pre-armed run into a
+/// clean one that still passes. Every [`FaultGuard`] checks it.
+pub fn assert_env_plan_parses() {
+    if let Ok(spec) = std::env::var(faults::FAULT_PLAN_ENV) {
+        if let Err(err) = faults::FaultPlan::parse(&spec) {
+            panic!("{}={spec:?} does not parse: {err}", faults::FAULT_PLAN_ENV);
         }
     }
 }

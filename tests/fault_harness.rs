@@ -660,9 +660,11 @@ impl Visit for PreArmed {
 /// every conformance cell (the literal, arena and dense backends and
 /// both oracle lanes) under it, each behind the recovery supervisor,
 /// and require the absorb-or-typed-error contract. Without the variable
-/// this is a no-op (the sweeps above cover the in-process plans).
+/// this is a no-op (the sweeps above cover the in-process plans); with
+/// a variable `FaultPlan::parse` rejects it fails.
 #[test]
 fn pre_armed_env_plan_is_absorbed_or_typed() {
+    common::assert_env_plan_parses();
     let Some(plan) = FaultPlan::from_env() else {
         return;
     };

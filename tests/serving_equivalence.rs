@@ -40,6 +40,22 @@ fn direct_intersection(lu: &LeList, lv: &LeList) -> f64 {
     best
 }
 
+/// Steps of the leaf-to-LCA climb between `u` and `v`, counted straight
+/// from the tree's parent links: both leaves sit on one level, and each
+/// step lifts both climbers one level.
+fn climb_steps(tree: &FrtTree, u: u32, v: u32) -> u64 {
+    let nodes = tree.nodes();
+    let (mut a, mut b) = (tree.leaf(u), tree.leaf(v));
+    assert_eq!(nodes[a].level, nodes[b].level, "leaves on different levels");
+    let mut steps = 0;
+    while a != b {
+        a = nodes[a].parent;
+        b = nodes[b].parent;
+        steps += 1;
+    }
+    steps
+}
+
 #[test]
 fn point_queries_match_leaf_distance_bit_for_bit() {
     for (name, g) in workload_graphs() {
@@ -52,7 +68,12 @@ fn point_queries_match_leaf_distance_bit_for_bit() {
                     .distance(u, v)
                     .unwrap_or_else(|e| panic!("{name}: ({u},{v}) failed: {e}"));
                 assert!(answer.exact, "{name}: default budget must serve exact");
-                assert!(matches!(answer.rung, Rung::TreeLca | Rung::CacheHit));
+                assert_eq!(answer.rung, Rung::TreeLca, "{name}: ({u},{v})");
+                assert_eq!(
+                    answer.work,
+                    climb_steps(oracle.artifact().tree(), u, v),
+                    "{name}: ({u},{v}) work is not the climb"
+                );
                 let reference = oracle.artifact().tree().leaf_distance(u, v);
                 assert!(
                     answer.value == reference,
@@ -61,9 +82,6 @@ fn point_queries_match_leaf_distance_bit_for_bit() {
                 );
             }
         }
-        // The symmetric sweep revisits every pair: the cache must have
-        // served some of it, and hits are exact too (checked above).
-        assert!(oracle.cache_stats().hits > 0, "{name}: cache never hit");
     }
 }
 
@@ -107,17 +125,15 @@ fn intersection_rung_matches_direct_recompute() {
                 let lu = &artifact.le_lists()[u as usize];
                 let lv = &artifact.le_lists()[v as usize];
                 let cost = (lu.len() + lv.len()) as u64;
-                // A budget that affords the probe + the intersection but
-                // not a worst-case climb pins the ladder on rung 3.
+                // A budget that affords the intersection but not a
+                // worst-case climb pins the ladder on rung 2.
                 if cost >= climb_bound {
                     continue;
                 }
                 let config = ServeConfig {
-                    query_budget: 1 + cost,
+                    query_budget: cost,
                     ..ServeConfig::default()
                 };
-                // Fresh oracle per pair: an empty cache keeps the probe
-                // a miss and the ladder path deterministic.
                 let oracle = Oracle::with_config(artifact.clone(), config);
                 let answer = oracle
                     .distance(u, v)
@@ -151,10 +167,10 @@ fn intersection_rung_matches_direct_recompute() {
 fn degraded_answers_are_upper_bounds_on_the_graph_metric() {
     for (name, g) in workload_graphs() {
         let artifact = artifact_for(&g, 0x53E5);
-        // Three work units: a cache probe plus the degraded rung's
-        // two-unit floor — nothing else is affordable.
+        // Two work units: the degraded rung's floor, and too few for
+        // the exact climb on these trees.
         let config = ServeConfig {
-            query_budget: 3,
+            query_budget: 2,
             ..ServeConfig::default()
         };
         let oracle = Oracle::with_config(artifact, config);
@@ -168,7 +184,7 @@ fn degraded_answers_are_upper_bounds_on_the_graph_metric() {
                 let answer = oracle
                     .distance(u, v)
                     .unwrap_or_else(|e| panic!("{name}: ({u},{v}) failed under floor budget: {e}"));
-                assert!(!answer.exact, "{name}: 3 units cannot buy an exact answer");
+                assert!(!answer.exact, "{name}: 2 units cannot buy an exact answer");
                 assert!(
                     answer.value.is_finite(),
                     "{name}: degraded bound not finite"

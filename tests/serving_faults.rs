@@ -13,7 +13,7 @@ use metric_tree_embedding::core::frt::{le_lists_direct, FrtTree, Ranks};
 use metric_tree_embedding::faults::{self, FaultKind, FaultPlan, FaultSite};
 use metric_tree_embedding::prelude::*;
 use metric_tree_embedding::serving::{
-    CancelToken, Oracle, OracleArtifact, ServeConfig, ServeDegradation, ServeError,
+    CancelToken, Oracle, OracleArtifact, ServeConfig, ServeError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -31,10 +31,9 @@ fn fixture_image() -> Vec<u8> {
         .encode()
 }
 
-/// One guarded serving workload: load the artifact, serve a pair twice
-/// (second probe hits cache), then one small batch. Exercises all three
-/// serve sites: `serve_artifact_read` on load, `serve_cache_entry` on
-/// every probe, `serve_query_budget` on every charge.
+/// One guarded serving workload: load the artifact, serve a pair twice,
+/// then one small batch. Exercises both serve sites:
+/// `serve_artifact_read` on load, `serve_query_budget` on every charge.
 fn serving_workload(image: &[u8]) -> Result<Vec<f64>, ServeError> {
     let oracle = Oracle::load(image, ServeConfig::default())?;
     let mut values = Vec::new();
@@ -46,8 +45,6 @@ fn serving_workload(image: &[u8]) -> Result<Vec<f64>, ServeError> {
             answer.degradations
         );
         let reference = oracle.artifact().tree().leaf_distance(3, 77);
-        // A poisoned cache entry may add a recorded fall, but the value
-        // an exact answer carries is non-negotiable.
         assert!(
             answer.value == reference,
             "exact answer {} != leaf distance {reference}",
@@ -92,8 +89,6 @@ fn serve_faults_error_typed_or_answer_bit_identical() {
     let wired = [
         (FaultSite::ServeArtifactRead, FaultKind::Panic),
         (FaultSite::ServeArtifactRead, FaultKind::Io),
-        (FaultSite::ServeCacheEntry, FaultKind::Panic),
-        (FaultSite::ServeCacheEntry, FaultKind::PoisonNan),
         (FaultSite::ServeQueryBudget, FaultKind::Panic),
     ];
     for (site, kind) in wired {
@@ -125,45 +120,6 @@ fn serve_faults_error_typed_or_answer_bit_identical() {
             }
         }
     }
-}
-
-/// A poisoned cache entry is detected, evicted, recomputed — and the
-/// whole episode is visible: the fall recorded on the answer, the
-/// eviction counted in the cache stats, and the recomputed value exact.
-#[test]
-fn poisoned_cache_entry_degrades_to_a_correct_recompute() {
-    let _guard = FaultGuard::acquire();
-    let image = fixture_image();
-    let oracle = Oracle::load(&image, ServeConfig::default()).expect("clean load");
-    let reference = oracle.artifact().tree().leaf_distance(5, 99);
-
-    let first = oracle.distance(5, 99).expect("warm the cache");
-    assert!(first.value == reference);
-
-    // Poison the next probe that finds an entry: the warmed pair.
-    faults::install(FaultPlan::single(
-        FaultSite::ServeCacheEntry,
-        FaultKind::PoisonNan,
-        0,
-    ));
-    let answer = oracle.distance(5, 99).expect("poison must be absorbed");
-    faults::clear();
-    assert!(
-        answer
-            .degradations
-            .contains(&ServeDegradation::CachePoisonEvicted),
-        "fall unrecorded: {:?}",
-        answer.degradations
-    );
-    assert!(answer.exact, "recompute is exact");
-    assert!(answer.value == reference, "recompute diverged");
-    assert!(
-        oracle.cache_stats().poison_evicted >= 1,
-        "eviction uncounted"
-    );
-    // The evicted slot was re-warmed by the recompute: next probe hits.
-    let again = oracle.distance(5, 99).expect("rewarmed");
-    assert!(again.value == reference);
 }
 
 /// Admission control sheds typed once the bounded in-flight count is
@@ -227,15 +183,15 @@ fn cancellation_stops_a_batch_sweep_typed() {
 fn exhausted_deadline_is_typed_and_transient() {
     let _guard = FaultGuard::acquire();
     let image = fixture_image();
-    // Two units: the cache probe leaves one — below even the degraded
-    // rung's floor.
+    // One unit: below the climb's worst case, the intersection's cost
+    // and even the degraded rung's two-unit floor.
     let config = ServeConfig {
-        query_budget: 2,
+        query_budget: 1,
         ..ServeConfig::default()
     };
     let oracle = Oracle::load(&image, config).expect("clean load");
     match oracle.distance(2, 3) {
-        Err(ServeError::DeadlineExceeded { budget }) => assert_eq!(budget, 2),
+        Err(ServeError::DeadlineExceeded { budget }) => assert_eq!(budget, 1),
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
     let generous = Oracle::load(&image, ServeConfig::default()).expect("clean load");
