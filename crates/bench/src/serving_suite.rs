@@ -4,15 +4,18 @@
 //! Each catalog graph gets three rows: `point` draws uniform pairs over
 //! all `n²`, `point-zipf` draws Zipf(1) ranks over a fixed universe of
 //! pairs (skewed traffic that revisits a few pairs often), and `batch`
-//! sweeps `k` sources to every vertex. Both point rows time the exact
-//! tree climb every query takes.
+//! sweeps `k` sources to every vertex. Both point rows take the exact
+//! tree climb on every query.
 //!
 //! Run via `exp_serving`; emits `BENCH_serving.json` so successive
-//! changes can track the serving layer's trajectory: queries per second, the
-//! p99 of per-query *work units* (the deterministic deadline currency —
-//! stable across machines, unlike wall time), and
-//! the shed/degraded counts from a deliberately hostile segment
-//! (zero-capacity admission, floor-budget deadlines). Every measured
+//! changes can track the serving layer's deterministic record: answers,
+//! the p99 of per-query *work units* (the deadline currency — stable
+//! across machines, unlike wall time), and the shed/degraded counts
+//! from a deliberately hostile segment (zero-capacity admission,
+//! floor-budget deadlines). Every field is deterministic, so CI diffs
+//! all of them. Nothing here is timed: one pass of 20,000 point queries
+//! takes about a millisecond, too short to resolve a change, so point
+//! throughput is measured by perfbench's repeated rounds. Every
 //! answer is cross-checked against [`FrtTree::leaf_distance`] before a
 //! number is recorded — a benchmark of a wrong answer is worthless.
 //!
@@ -24,7 +27,7 @@
 //! `shed = degraded = 512` by construction. They pin that the typed
 //! paths stay typed, nothing more.
 
-use crate::tables::{f, Table};
+use crate::tables::Table;
 use mte_core::frt::{le_lists_direct, FrtTree, Ranks};
 use mte_graph::generators::{gnm_graph, grid_graph};
 use mte_graph::Graph;
@@ -32,7 +35,6 @@ use mte_serving::{CancelToken, Oracle, OracleArtifact, ServeConfig, ServeError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// One measured (graph, mode) cell.
 #[derive(Clone, Debug)]
@@ -50,10 +52,6 @@ pub struct ServingCase {
     /// Answers flagged exact (every batch answer is). Not written to
     /// the JSON: the suite's own test requires it to equal `answers`.
     pub exact: usize,
-    /// Wall time of the serving run, in milliseconds.
-    pub wall_ms: f64,
-    /// Answers per second.
-    pub qps: f64,
     /// 99th percentile of per-query work units (per-source units for
     /// batch sweeps).
     pub p99_work: u64,
@@ -158,8 +156,8 @@ fn zipf_pairs(n: u32, count: usize, rng: &mut StdRng) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// One point-mode row: `pairs` through a fresh default oracle, timed,
-/// then spot-checked against the reference.
+/// One point-mode row: `pairs` through a fresh default oracle, then
+/// spot-checked against the reference.
 fn point_case(
     label: &str,
     g: &Graph,
@@ -171,13 +169,11 @@ fn point_case(
     let oracle = Oracle::new(artifact.clone());
     let mut work = Vec::with_capacity(pairs.len());
     let mut exact = 0;
-    let start = Instant::now();
     for &(u, v) in pairs {
         let answer = oracle.distance(u, v).expect("default budget serves");
         work.push(answer.work);
         exact += usize::from(answer.exact);
     }
-    let wall = start.elapsed().as_secs_f64() * 1e3;
     for &(u, v) in &pairs[..pairs.len().min(256)] {
         let served = oracle.distance(u, v).expect("recheck").value;
         assert!(
@@ -192,8 +188,6 @@ fn point_case(
         mode: mode.into(),
         answers: pairs.len(),
         exact,
-        wall_ms: wall,
-        qps: pairs.len() as f64 / (wall / 1e3),
         p99_work: p99(work),
         shed,
         degraded,
@@ -239,11 +233,9 @@ pub fn serving_suite_sized(point_queries: usize, batch_sources: usize) -> Vec<Se
         // Batch mode: k sources × all n targets, one row per source.
         let sources: Vec<u32> = (0..batch_sources as u32).map(|i| (i * 37) % n).collect();
         let oracle = Oracle::new(artifact.clone());
-        let start = Instant::now();
         let batch = oracle
             .batch_distances(&sources, &CancelToken::new())
             .expect("batch budget serves");
-        let wall = start.elapsed().as_secs_f64() * 1e3;
         for (i, &s) in sources.iter().enumerate().take(8) {
             for v in (0..n).step_by(97) {
                 assert!(
@@ -260,8 +252,6 @@ pub fn serving_suite_sized(point_queries: usize, batch_sources: usize) -> Vec<Se
             mode: "batch".into(),
             answers,
             exact: answers,
-            wall_ms: wall,
-            qps: answers as f64 / (wall / 1e3),
             p99_work: batch.work / sources.len().max(1) as u64,
             shed,
             degraded,
@@ -275,7 +265,7 @@ pub fn serving_suite_table(cases: &[ServingCase]) -> Table {
     let mut table = Table::new(
         "serving suite: frozen-oracle queries (point ladder, uniform and Zipf; batch rows)",
         &[
-            "graph", "n", "m", "mode", "answers", "wall ms", "qps", "p99 work", "shed", "degraded",
+            "graph", "n", "m", "mode", "answers", "p99 work", "shed", "degraded",
         ],
     );
     for c in cases {
@@ -285,8 +275,6 @@ pub fn serving_suite_table(cases: &[ServingCase]) -> Table {
             c.m.to_string(),
             c.mode.clone(),
             c.answers.to_string(),
-            f(c.wall_ms, 2),
-            f(c.qps, 0),
             c.p99_work.to_string(),
             c.shed.to_string(),
             c.degraded.to_string(),
@@ -304,8 +292,7 @@ pub fn serving_suite_json(cases: &[ServingCase]) -> String {
         out.push_str(&format!(
             concat!(
                 "    {{\"graph\": \"{}\", \"n\": {}, \"m\": {}, \"mode\": \"{}\", ",
-                "\"answers\": {}, \"wall_ms\": {:.3}, \"qps\": {:.1}, ",
-                "\"p99_work\": {}, ",
+                "\"answers\": {}, \"p99_work\": {}, ",
                 "\"shed\": {}, \"degraded\": {}}}{}\n"
             ),
             json_escape(&c.graph),
@@ -313,8 +300,6 @@ pub fn serving_suite_json(cases: &[ServingCase]) -> String {
             c.m,
             json_escape(&c.mode),
             c.answers,
-            c.wall_ms,
-            c.qps,
             c.p99_work,
             c.shed,
             c.degraded,
@@ -337,7 +322,6 @@ mod tests {
         assert_eq!(cases.len(), 3 * serving_catalog().len());
         for c in &cases {
             assert!(c.answers > 0);
-            assert!(c.qps > 0.0);
             assert!(c.shed > 0, "{}: stress segment shed nothing", c.graph);
             assert!(
                 c.degraded > 0,
@@ -358,6 +342,6 @@ mod tests {
         assert!(json.contains("\"suite\": \"serving\""));
         assert!(json.contains("\"mode\": \"batch\""));
         let table = serving_suite_table(&cases).render();
-        assert!(table.contains("qps"));
+        assert!(table.contains("p99 work"));
     }
 }

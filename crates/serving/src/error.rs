@@ -39,7 +39,8 @@ pub enum ServeError {
     /// Admission control shed the query: the bounded in-flight queue
     /// was full.
     Overloaded {
-        /// Queries in flight when this one arrived.
+        /// Queries in flight when this one was shed: a racy sum of the
+        /// admission shards' loads, at most `capacity`.
         in_flight: u32,
         /// The admission capacity.
         capacity: u32,

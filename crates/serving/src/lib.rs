@@ -14,9 +14,10 @@
 //! - **deterministic deadlines** — per-query *work-unit* budgets, not
 //!   wall clocks, so behaviour replays identically under any load or
 //!   thread count;
-//! - **admission control** — a bounded in-flight counter that sheds
-//!   excess arrivals with a typed `Overloaded` instead of queueing
-//!   unboundedly;
+//! - **admission control** — a bounded in-flight count, sharded so
+//!   that clients on different threads write different cache lines,
+//!   that sheds excess arrivals with a typed `Overloaded` instead of
+//!   queueing unboundedly;
 //! - **a degradation ladder** — exact tree LCA → LE-list intersection
 //!   → truncated-list upper bound, each fall recorded in the
 //!   [`Answer`];
