@@ -13,7 +13,7 @@ use metric_tree_embedding::prelude::*;
 use metric_tree_embedding::serving::{OracleArtifact, ServeError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 fn sample_parts() -> (Vec<LeList>, Ranks, FrtTree) {
@@ -76,6 +76,37 @@ fn every_sampled_bit_flip_is_a_typed_error() {
         match OracleArtifact::decode(&mangled) {
             Err(ServeError::Artifact(_)) => {}
             Err(other) => panic!("bit flip at {bit}: wrong error class {other:?}"),
+            Ok(_) => panic!("bit flip at {bit} loaded cleanly"),
+        }
+    }
+}
+
+/// A serving-sized artifact (direct LE lists of a 1500-vertex gnm graph,
+/// over 256 KiB) with 1024 sampled single-bit flips plus every flip in
+/// the header. The 4.8 KB fixture above takes the checksum's 64-byte
+/// fold about 75 steps per pass; this one takes it thousands, closer to
+/// what a served artifact sees. Past the magic, version and section
+/// count, every flip is the file checksum's.
+#[test]
+fn a_large_artifact_catches_sampled_bit_flips_by_checksum() {
+    let mut rng = StdRng::seed_from_u64(0x1A26E);
+    let g = gnm_graph(1500, 4500, 1.0..9.0, &mut rng);
+    let ranks = Arc::new(Ranks::sample(g.n(), &mut rng));
+    let (lists, _, _) = le_lists_direct(&g, &ranks);
+    let tree = FrtTree::from_le_lists(&lists, &ranks, 1.3, g.min_weight());
+    let image = OracleArtifact::from_parts(lists, Ranks::clone(&ranks), tree)
+        .expect("sampled parts are valid")
+        .encode();
+    assert!(image.len() >= 256 << 10, "{} bytes", image.len());
+    OracleArtifact::decode(&image).expect("uncorrupted artifact must load");
+    let bits = (0..1024).map(|_| rng.gen_range(0..image.len() * 8));
+    for bit in (0..20 * 8).chain(bits) {
+        let mut mangled = image.clone();
+        mangled[bit / 8] ^= 1 << (bit % 8);
+        match OracleArtifact::decode(&mangled) {
+            Err(ServeError::Artifact(SnapshotError::CrcMismatch { section: 0 })) => {}
+            Err(ServeError::Artifact(_)) if bit < 16 * 8 => {}
+            Err(other) => panic!("bit flip at {bit}: wrong error {other:?}"),
             Ok(_) => panic!("bit flip at {bit} loaded cleanly"),
         }
     }

@@ -124,17 +124,34 @@ fn header_truncation_is_typed() {
 #[test]
 fn every_single_bit_flip_is_caught_typed() {
     let image = sample_image();
-    // Flipping any single bit anywhere must yield a typed error — the
-    // file CRC catches body flips, the header fields catch their own.
-    // (Every 8th bit keeps the corpus fast while still touching every
-    // byte.)
-    for bit in (0..image.len() * 8).step_by(8) {
+    // Every bit of every byte, so a checksum kernel that loses one bit
+    // lane cannot let a damaged image load. The first three header
+    // fields (magic, version, section count) catch their own flips; the
+    // file CRC catches every other one, its own field included, before
+    // any section is read.
+    for bit in 0..image.len() * 8 {
+        let byte = bit / 8;
         let mut mangled = image.clone();
-        mangled[bit / 8] ^= 1 << (bit % 8);
-        assert!(
-            SnapshotReader::decode(&mangled).is_err(),
-            "bit flip at {bit} decoded cleanly"
-        );
+        mangled[byte] ^= 1 << (bit % 8);
+        let err = SnapshotReader::decode(&mangled).expect_err("a bit flip decoded cleanly");
+        match byte {
+            0..8 => assert_eq!(err, SnapshotError::BadMagic, "bit {bit}"),
+            8..12 => assert_eq!(
+                err,
+                SnapshotError::UnsupportedVersion {
+                    found: VERSION ^ (1 << (bit - 64))
+                },
+                "bit {bit}"
+            ),
+            12..16 => assert!(
+                matches!(
+                    err,
+                    SnapshotError::Truncated { .. } | SnapshotError::Malformed(_)
+                ),
+                "bit {bit}: {err:?}"
+            ),
+            _ => assert_eq!(err, SnapshotError::CrcMismatch { section: 0 }, "bit {bit}"),
+        }
     }
 }
 
