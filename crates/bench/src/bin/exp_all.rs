@@ -1,5 +1,5 @@
-//! Runs every experiment of docs/DESIGN.md §4 but `exp_serving`, in
-//! its order, and prints their tables. Expect a few minutes of wall time in release.
+//! Runs every experiment of docs/DESIGN.md §4, in its order, and prints
+//! their tables. Expect a few minutes of wall time in release.
 use mte_bench::suite::*;
 
 fn main() {

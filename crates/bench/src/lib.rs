@@ -20,10 +20,8 @@
 //! | `exp_kmedian`     | Theorem 9.2 (k-median quality) |
 //! | `exp_buyatbulk`   | Theorem 10.2 (buy-at-bulk quality) |
 //! | `exp_baseline`    | Sec. 1.1 (oracle pipeline vs Ω(n²) metric baseline) |
-//! | `exp_serving`     | serving layer: frozen-oracle point ladder vs dense batch sweeps (`BENCH_serving.json`) |
 
 pub mod checkpoint_suite;
 pub mod engine_suite;
-pub mod serving_suite;
 pub mod suite;
 pub mod tables;

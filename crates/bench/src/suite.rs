@@ -468,7 +468,6 @@ pub fn exp_metric() -> Table {
             oversample: 2.0,
         },
         eps_hat: 0.05,
-        max_iterations: None,
     };
     for (name, k) in [("Thm 6.1 (1+o(1))", 0usize), ("Thm 6.2 spanner k=2", 2)] {
         let mut r = rng(16);

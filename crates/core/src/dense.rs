@@ -43,14 +43,14 @@
 //! `dense_row_kernel` site — is the typed
 //! [`RunError::DenseBudgetExceeded`], raised before any allocation,
 //! never an abort. There is no silent sparse fallback: the one
-//! production caller, `approximate_metric_on`, already routes inputs
+//! production caller, `approximate_metric`, already routes inputs
 //! too large for a dense block to the sparse oracle.
 //!
 //! # Oracle routing
 //!
 //! [`DenseBackend`] is a lane of the oracle's level loop
 //! ([`crate::oracle::OracleBackend`]): every level vector `y_λ` and the
-//! aggregate `x` are dense blocks. `approximate_metric_on` (Theorem 6.1
+//! aggregate `x` are dense blocks. `approximate_metric` (Theorem 6.1
 //! — the APSP query, whose output *is* an `n × n` matrix) routes
 //! through it.
 

@@ -19,7 +19,7 @@
 //! not fail the audit.
 
 use mte_algebra::{NodeId, Semimodule, Semiring};
-use mte_faults::{FaultKind, FaultSite, InjectedPanic};
+use mte_faults::{decode_panic, CaughtPanic, FaultKind, FaultSite};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 /// A guarded run failed. Every variant is a *detected* failure — the
@@ -142,11 +142,14 @@ pub struct RunReport {
 /// no unhandled injected fault fired during the run.
 pub fn run_guarded<T>(f: impl FnOnce() -> T) -> Result<T, RunError> {
     let serial = mte_faults::fired_serial();
-    let outcome = catch_unwind(AssertUnwindSafe(f));
-    let value = match outcome {
-        Ok(value) => value,
-        Err(payload) => return Err(panic_to_error(payload)),
-    };
+    let value =
+        catch_unwind(AssertUnwindSafe(f)).map_err(|payload| match decode_panic(payload) {
+            CaughtPanic::Injected(site) => RunError::InjectedFault {
+                site,
+                kind: FaultKind::Panic,
+            },
+            CaughtPanic::Message(message) => RunError::Panicked { message },
+        })?;
     if let Some(fired) = mte_faults::first_unhandled_since(serial) {
         return Err(RunError::InjectedFault {
             site: fired.site,
@@ -154,25 +157,6 @@ pub fn run_guarded<T>(f: impl FnOnce() -> T) -> Result<T, RunError> {
         });
     }
     Ok(value)
-}
-
-/// Maps a caught panic payload to a [`RunError`], identifying injected
-/// panics by their typed payload.
-fn panic_to_error(payload: Box<dyn std::any::Any + Send>) -> RunError {
-    if let Some(injected) = payload.downcast_ref::<InjectedPanic>() {
-        return RunError::InjectedFault {
-            site: injected.site,
-            kind: FaultKind::Panic,
-        };
-    }
-    let message = if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    };
-    RunError::Panicked { message }
 }
 
 /// Defense-in-depth scan of a final state vector: reports the first

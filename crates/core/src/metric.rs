@@ -27,9 +27,6 @@ pub struct MetricConfig {
     pub hopset: HopsetConfig,
     /// Level penalty base `ε̂` of the simulated graph `H`.
     pub eps_hat: f64,
-    /// Iteration cap for the oracle fixpoint loop (`None` = automatic,
-    /// `O(log² n)`).
-    pub max_iterations: Option<usize>,
 }
 
 impl Default for MetricConfig {
@@ -37,7 +34,6 @@ impl Default for MetricConfig {
         MetricConfig {
             hopset: HopsetConfig::default(),
             eps_hat: 0.05,
-            max_iterations: None,
         }
     }
 }
@@ -73,22 +69,15 @@ impl ApproximateMetric {
 
 /// Theorem 6.1: a `(1+o(1))`-approximate metric on `V` from the oracle
 /// answering the APSP query on `H`. The multiplicative error is at most
-/// `(1+ε̂_{hopset})·(1+ε̂)^{Λ+1}` (Equation (4.14)).
+/// `(1+ε̂_{hopset})·(1+ε̂)^{Λ+1}` (Equation (4.14)). The oracle runs to
+/// its fixpoint under [`default_iteration_cap`] (`O(log² n)`).
 pub fn approximate_metric(
     g: &Graph,
     config: &MetricConfig,
     rng: &mut impl Rng,
 ) -> ApproximateMetric {
     let sim = SimulatedGraph::build(g, &config.hopset, config.eps_hat, rng);
-    approximate_metric_on(&sim, config)
-}
-
-/// As [`approximate_metric`], on a pre-built simulated graph.
-pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> ApproximateMetric {
-    let n = sim.base().n();
-    let cap = config
-        .max_iterations
-        .unwrap_or_else(|| default_iteration_cap(n));
+    let n = g.n();
     let alg = SourceDetection::apsp(n);
     // APSP advertises dense states and its output *is* an n × n matrix:
     // route the oracle levels through the dense lane (bit-identical to
@@ -104,11 +93,12 @@ pub fn approximate_metric_on(sim: &SimulatedGraph, config: &MetricConfig) -> App
         .saturating_mul(n)
         .saturating_mul(n)
         .saturating_mul(std::mem::size_of::<f64>());
-    let g = sim.augmented();
+    let h = sim.augmented();
+    let cap = default_iteration_cap(n);
     let run = if dense_bytes <= DENSE_ORACLE_BYTE_BUDGET {
-        run_to_fixpoint_on(OracleBackend::<_, DenseBackend>::new(sim), &alg, g, cap)
+        run_to_fixpoint_on(OracleBackend::<_, DenseBackend>::new(&sim), &alg, h, cap)
     } else {
-        run_to_fixpoint_on(OracleBackend::<_, ArenaBackend>::new(sim), &alg, g, cap)
+        run_to_fixpoint_on(OracleBackend::<_, ArenaBackend>::new(&sim), &alg, h, cap)
     };
     let mut dist = vec![vec![Dist::INF; n]; n];
     for (v, state) in run.states.iter().enumerate() {
@@ -173,7 +163,6 @@ mod tests {
                 oversample: 3.0,
             },
             eps_hat: 0.02,
-            max_iterations: None,
         };
         let metric = approximate_metric(&g, &config, &mut rng);
         let ratio = max_ratio(&g, &metric);
@@ -194,7 +183,6 @@ mod tests {
                 oversample: 3.0,
             },
             eps_hat: 0.1,
-            max_iterations: None,
         };
         let metric = approximate_metric(&g, &config, &mut rng);
         for u in 0..g.n() as NodeId {
@@ -224,7 +212,6 @@ mod tests {
                 oversample: 3.0,
             },
             eps_hat: 0.02,
-            max_iterations: None,
         };
         let metric = approximate_metric_with_spanner(&g, k, &config, &mut rng);
         let ratio = max_ratio(&g, &metric);

@@ -29,7 +29,7 @@
 //! * arena ([`crate::arena::ArenaBackend`]) — every level vector an
 //!   epoch-arena store; the production path of the LE lists,
 //! * dense ([`crate::dense::DenseBackend`]) — every level vector and the
-//!   aggregate a dense block; the APSP route of `approximate_metric_on`.
+//!   aggregate a dense block; the APSP route of `approximate_metric`.
 //!
 //! The lane contract: [`Lane::lane`] builds one level's `⊥` vector with
 //! its schedule's change log on; [`Lane::import`] / [`Lane::export`] /

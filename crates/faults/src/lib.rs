@@ -342,11 +342,35 @@ pub struct FiredFault {
     pub thread: ThreadId,
 }
 
-/// The panic payload of [`trigger_panic`]; the typed run API downcasts
-/// caught payloads to this to map an injected panic back to its site.
+/// The panic payload of [`trigger_panic`]; [`decode_panic`] maps it
+/// back to its site.
 #[derive(Clone, Copy, Debug)]
 pub struct InjectedPanic {
     pub site: FaultSite,
+}
+
+/// A caught panic payload, decoded by [`decode_panic`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CaughtPanic {
+    /// An [`InjectedPanic`] fired at this site.
+    Injected(FaultSite),
+    /// Any other panic: its `&str` or `String` message, or
+    /// `"non-string panic payload"`.
+    Message(String),
+}
+
+/// Decodes the payload a `catch_unwind` returned, for the typed guards
+/// of the pipeline and of serving.
+pub fn decode_panic(payload: Box<dyn std::any::Any + Send>) -> CaughtPanic {
+    if let Some(injected) = payload.downcast_ref::<InjectedPanic>() {
+        CaughtPanic::Injected(injected.site)
+    } else if let Some(s) = payload.downcast_ref::<&str>() {
+        CaughtPanic::Message((*s).to_string())
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        CaughtPanic::Message(s.clone())
+    } else {
+        CaughtPanic::Message("non-string panic payload".to_string())
+    }
 }
 
 struct ArmedInjection {
@@ -791,5 +815,21 @@ mod tests {
         install(FaultPlan::single(FaultSite::GrParser, FaultKind::Io, 1));
         clear();
         assert_eq!(check_for(FaultSite::GrParser, &[FaultKind::Io]), None);
+    }
+
+    #[test]
+    fn decode_panic_covers_every_payload_shape() {
+        let site = FaultSite::GrParser;
+        assert_eq!(
+            decode_panic(Box::new(InjectedPanic { site })),
+            CaughtPanic::Injected(site)
+        );
+        let message = |m: &str| CaughtPanic::Message(m.to_string());
+        assert_eq!(decode_panic(Box::new("boom")), message("boom"));
+        assert_eq!(decode_panic(Box::new("boom".to_string())), message("boom"));
+        assert_eq!(
+            decode_panic(Box::new(7u32)),
+            message("non-string panic payload")
+        );
     }
 }

@@ -32,6 +32,10 @@ use std::sync::Arc;
 /// `⌈n / WRITES_PER_UNIT⌉` units on top of its chain steps.
 pub(crate) const WRITES_PER_UNIT: usize = 64;
 
+/// Work-unit budget per source in a batch sweep; a batch of `k`
+/// sources may spend `k` times this.
+pub(crate) const BATCH_BUDGET_PER_SOURCE: u64 = 4096;
+
 /// A cooperative cancellation token: cloned into a batch sweep, which
 /// polls it between rows and abandons with a typed
 /// [`ServeError::Cancelled`] when set.
@@ -124,7 +128,7 @@ fn fill_row(
 mod tests {
     use super::*;
     use crate::artifact::OracleArtifact;
-    use crate::frontend::{Oracle, ServeConfig};
+    use crate::frontend::Oracle;
     use mte_core::frt::{le_lists_direct, le_lists_from_metric, Ranks};
     use mte_graph::algorithms::apsp;
     use mte_graph::generators::{gnm_graph, grid_graph, path_graph};
@@ -237,7 +241,7 @@ mod tests {
         let tree = artifact.tree().clone();
         assert!(artifact.n() >= 2000);
         assert!(
-            tree.len() as u64 > ServeConfig::default().batch_budget_per_query,
+            tree.len() as u64 > BATCH_BUDGET_PER_SOURCE,
             "the tree must outgrow the per-source budget"
         );
         let oracle = Oracle::new(artifact);

@@ -20,27 +20,23 @@
 //!   [`crate::query`].
 
 use crate::artifact::OracleArtifact;
-use crate::batch::{batch_tree_distances, CancelToken};
+use crate::batch::{batch_tree_distances, CancelToken, BATCH_BUDGET_PER_SOURCE};
 use crate::error::ServeError;
 use crate::query::{
     intersection_cost, list_intersection_metered, tree_climb_bound, tree_distance_metered,
     truncated_upper_bound, Answer, Meter, Rung, ServeDegradation,
 };
-use mte_faults::{fired_serial, first_unhandled_on_thread_since, InjectedPanic};
+use mte_faults::{decode_panic, fired_serial, first_unhandled_on_thread_since, CaughtPanic};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 /// Serving knobs. The defaults are generous enough that every rung is
 /// affordable on the benchmark graphs; tests shrink them to force
-/// ladder falls deterministically.
+/// ladder falls and shedding deterministically.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeConfig {
     /// Work-unit budget per point query.
     pub query_budget: u64,
-    /// Work-unit budget per source in a batch sweep.
-    pub batch_budget_per_query: u64,
-    /// LE-list prefix length the degraded rung may inspect.
-    pub truncate_len: usize,
     /// Admission capacity: maximum queries in flight at once. It is
     /// split across the admission shards; the total bound is unchanged.
     pub max_in_flight: u32,
@@ -50,8 +46,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             query_budget: 4096,
-            batch_budget_per_query: 4096,
-            truncate_len: 8,
             max_in_flight: 256,
         }
     }
@@ -166,22 +160,13 @@ fn guarded<T>(body: impl FnOnce() -> Result<T, ServeError>) -> Result<T, ServeEr
             None => Ok(value),
         },
         Ok(Err(e)) => Err(e),
-        Err(payload) => {
-            if let Some(injected) = payload.downcast_ref::<InjectedPanic>() {
-                return Err(ServeError::InjectedFault {
-                    site: injected.site,
-                    kind: mte_faults::FaultKind::Panic,
-                });
-            }
-            let message = if let Some(s) = payload.downcast_ref::<&str>() {
-                (*s).to_string()
-            } else if let Some(s) = payload.downcast_ref::<String>() {
-                s.clone()
-            } else {
-                "non-string panic payload".to_string()
-            };
-            Err(ServeError::Panicked { message })
-        }
+        Err(payload) => Err(match decode_panic(payload) {
+            CaughtPanic::Injected(site) => ServeError::InjectedFault {
+                site,
+                kind: mte_faults::FaultKind::Panic,
+            },
+            CaughtPanic::Message(message) => ServeError::Panicked { message },
+        }),
     }
 }
 
@@ -298,7 +283,7 @@ impl Oracle {
 
         // Rung 3: degraded truncated-list bound (two-unit floor).
         if meter.remaining() >= 2 {
-            if let Ok(value) = truncated_upper_bound(lu, lv, self.config.truncate_len, &mut meter) {
+            if let Ok(value) = truncated_upper_bound(lu, lv, &mut meter) {
                 return Ok(Answer {
                     value,
                     rung: Rung::Truncated,
@@ -314,7 +299,7 @@ impl Oracle {
     /// Serves a batched sweep: exact tree distances from every source
     /// to every vertex, one row per source filled over the artifact's
     /// leaf-DFS vertex order (see [`crate::batch`]). The budget scales
-    /// with the batch (`batch_budget_per_query × sources`); a row costs
+    /// with the batch (`BATCH_BUDGET_PER_SOURCE × sources`); a row costs
     /// `num_levels + ⌈n/64⌉` units.
     pub fn batch_distances(
         &self,
@@ -325,10 +310,7 @@ impl Oracle {
             self.validate_vertex(s)?;
         }
         let _permit = self.admission.admit()?;
-        let budget = self
-            .config
-            .batch_budget_per_query
-            .saturating_mul(sources.len() as u64);
+        let budget = BATCH_BUDGET_PER_SOURCE.saturating_mul(sources.len() as u64);
         guarded(|| {
             let mut meter = Meter::new(budget);
             let distances = batch_tree_distances(

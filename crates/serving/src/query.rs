@@ -207,15 +207,18 @@ pub(crate) fn list_intersection_metered(
     Ok(best)
 }
 
+/// LE-list prefix length the degraded rung may inspect.
+const TRUNCATE_LEN: usize = 8;
+
 /// The degraded rung: an upper bound from *truncated* lists. The
 /// guaranteed two-unit floor reads the shared tail node (the global
 /// minimum-rank node closes every LE list, so `d_u(z) + d_v(z)` is
 /// always available in `O(1)`); whatever prefix the remaining budget
-/// affords — at most `take` entries per list — can only tighten it.
+/// affords — at most [`TRUNCATE_LEN`] entries per list — can only
+/// tighten it.
 pub(crate) fn truncated_upper_bound(
     lu: &LeList,
     lv: &LeList,
-    take: usize,
     meter: &mut Meter,
 ) -> Result<f64, BudgetExhausted> {
     meter.charge(2)?;
@@ -225,8 +228,8 @@ pub(crate) fn truncated_upper_bound(
         // bound sound rather than guessing.
         _ => f64::INFINITY,
     };
-    let tu = take.min(lu.len());
-    let tv = take.min(lv.len());
+    let tu = TRUNCATE_LEN.min(lu.len());
+    let tv = TRUNCATE_LEN.min(lv.len());
     if tu > 0 && tv > 0 && meter.charge((tu + tv) as u64).is_ok() {
         let mut probe: Vec<(u32, f64)> = lu.entries()[..tu]
             .iter()

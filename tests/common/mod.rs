@@ -1,6 +1,6 @@
 //! What the differential suites share: the literal references, the one
 //! workload family, `with_threads`, the fault-registry guard, the
-//! snapshot round trip, and the conformance table — every
+//! snapshot round trip and framer, and the conformance table — every
 //! backend × algorithm cell the run drivers serve, with its graph family.
 //! [`matrix`] checks each cell against its literal reference, in slices
 //! run by the differential suites; `tests/fault_harness.rs` sweeps the
@@ -23,7 +23,7 @@ use metric_tree_embedding::core::simgraph::SimulatedGraph;
 use metric_tree_embedding::core::work::WorkStats;
 use metric_tree_embedding::core::RunError;
 use metric_tree_embedding::faults;
-use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter};
+use metric_tree_embedding::persist::{SnapshotReader, SnapshotWriter, MAGIC, VERSION};
 use metric_tree_embedding::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -97,6 +97,61 @@ pub fn through_snapshot(
         .map_err(|e| RunError::SnapshotCorrupt {
             detail: e.to_string(),
         })
+}
+
+/// Reference CRC-32 (IEEE, reflected `0xEDB88320`), one table lookup per
+/// byte. It shares no code with the snapshot codec's kernels, so the
+/// corpora's hand-framed images check those kernels rather than reuse
+/// them.
+pub fn crc32(bytes: &[u8]) -> u32 {
+    const TABLE: [u32; 256] = {
+        let mut table = [0u32; 256];
+        let mut i = 0;
+        while i < 256 {
+            let mut crc = i as u32;
+            let mut bit = 0;
+            while bit < 8 {
+                crc = if crc & 1 != 0 {
+                    (crc >> 1) ^ 0xEDB8_8320
+                } else {
+                    crc >> 1
+                };
+                bit += 1;
+            }
+            table[i] = crc;
+            i += 1;
+        }
+        table
+    };
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLE[((crc ^ u32::from(b)) & 0xFF) as usize];
+    }
+    crc ^ 0xFFFF_FFFF
+}
+
+/// Bytes of a snapshot header: magic, version, section count, body CRC.
+pub const SNAPSHOT_HEADER: usize = MAGIC.len() + 4 + 4 + 4;
+
+/// Appends one snapshot section to `body`: tag, payload length,
+/// payload CRC, payload.
+pub fn push_section(body: &mut Vec<u8>, tag: u32, payload: &[u8]) {
+    body.extend_from_slice(&tag.to_le_bytes());
+    body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    body.extend_from_slice(&crc32(payload).to_le_bytes());
+    body.extend_from_slice(payload);
+}
+
+/// A snapshot image around a body of `sections` framed sections: the
+/// header with the body's CRC, then the body.
+pub fn snapshot_image(sections: u32, body: &[u8]) -> Vec<u8> {
+    let mut image = Vec::with_capacity(SNAPSHOT_HEADER + body.len());
+    image.extend_from_slice(&MAGIC);
+    image.extend_from_slice(&VERSION.to_le_bytes());
+    image.extend_from_slice(&sections.to_le_bytes());
+    image.extend_from_slice(&crc32(body).to_le_bytes());
+    image.extend_from_slice(body);
+    image
 }
 
 /// The literal fixpoint loop: the one-shot `iterate` kernel from

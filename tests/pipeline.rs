@@ -82,7 +82,6 @@ fn approximate_metric_pipeline() {
     let cfg = MetricConfig {
         hopset: small_hopset(),
         eps_hat: 0.03,
-        max_iterations: None,
     };
     let metric = approximate_metric(&g, &cfg, &mut rng);
     for u in 0..g.n() {
@@ -255,7 +254,6 @@ fn frt_from_approximate_metric_composes() {
     let cfg = MetricConfig {
         hopset: small_hopset(),
         eps_hat: 0.03,
-        max_iterations: None,
     };
     let metric = approximate_metric_with_spanner(&g, 2, &cfg, &mut rng);
     let sample = sample_from_metric(metric.matrix(), g.min_weight(), &mut rng);

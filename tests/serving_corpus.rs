@@ -7,8 +7,11 @@
 //! the snapshot container this artifact rides in; this suite owns the
 //! *cross-section* (semantic) layer on top.
 
+mod common;
+
+use common::{push_section, snapshot_image, SNAPSHOT_HEADER};
 use metric_tree_embedding::core::frt::{le_lists_direct, FrtNode, FrtTree, LeList, Ranks};
-use metric_tree_embedding::persist::{SectionTag, SnapshotError, SnapshotWriter, MAGIC, VERSION};
+use metric_tree_embedding::persist::{SectionTag, SnapshotError, SnapshotWriter};
 use metric_tree_embedding::prelude::*;
 use metric_tree_embedding::serving::{OracleArtifact, ServeError};
 use proptest::prelude::*;
@@ -266,22 +269,6 @@ fn tree_payload(tree: &FrtTree, nodes: &[FrtNode], leaf: &[usize]) -> Vec<u8> {
     out
 }
 
-/// Bytewise CRC-32 (IEEE), to checksum a hand-built section.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-        }
-    }
-    crc ^ 0xFFFF_FFFF
-}
-
 /// Regression: a tree whose non-root nodes are stored in reverse order
 /// keeps every level, weight and leaf, and passes every CRC, but a
 /// child now precedes its parent. Such an image used to load, and every
@@ -324,20 +311,10 @@ fn a_tree_stored_children_first_fails_the_load_typed() {
 /// `image` with one more section appended and the header's section
 /// count and file CRC rewritten to match.
 fn append_section(image: &[u8], tag: SectionTag, payload: &[u8]) -> Vec<u8> {
-    const HEADER: usize = 8 + 4 + 4 + 4;
     let count = u32::from_le_bytes([image[12], image[13], image[14], image[15]]);
-    let mut body = image[HEADER..].to_vec();
-    body.extend_from_slice(&(tag as u32).to_le_bytes());
-    body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    body.extend_from_slice(&crc32(payload).to_le_bytes());
-    body.extend_from_slice(payload);
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&VERSION.to_le_bytes());
-    out.extend_from_slice(&(count + 1).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    let mut body = image[SNAPSHOT_HEADER..].to_vec();
+    push_section(&mut body, tag as u32, payload);
+    snapshot_image(count + 1, &body)
 }
 
 #[test]

@@ -5,6 +5,9 @@
 //! whatever the input. Companion to `tests/malformed_inputs.rs`, which
 //! makes the same promise for the `.gr` parser.
 
+mod common;
+
+use common::{push_section, snapshot_image};
 use metric_tree_embedding::core::frt::{le_lists_direct, FrtTree, Ranks};
 use metric_tree_embedding::core::run::Checkpoint;
 use metric_tree_embedding::persist::{
@@ -206,39 +209,11 @@ fn container(tag: u32, payload: &[u8]) -> Vec<u8> {
 
 /// [`container`] with any number of `(tag, payload)` sections.
 fn container_of(sections: &[(u32, &[u8])]) -> Vec<u8> {
-    fn crc32(bytes: &[u8]) -> u32 {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut crc = i as u32;
-            for _ in 0..8 {
-                crc = if crc & 1 != 0 {
-                    (crc >> 1) ^ 0xEDB8_8320
-                } else {
-                    crc >> 1
-                };
-            }
-            *slot = crc;
-        }
-        let mut crc = 0xFFFF_FFFFu32;
-        for &b in bytes {
-            crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
-        }
-        crc ^ 0xFFFF_FFFF
-    }
     let mut body = Vec::new();
     for &(tag, payload) in sections {
-        body.extend_from_slice(&tag.to_le_bytes());
-        body.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        body.extend_from_slice(&crc32(payload).to_le_bytes());
-        body.extend_from_slice(payload);
+        push_section(&mut body, tag, payload);
     }
-    let mut image = Vec::new();
-    image.extend_from_slice(&MAGIC);
-    image.extend_from_slice(&VERSION.to_le_bytes());
-    image.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    image.extend_from_slice(&crc32(&body).to_le_bytes());
-    image.extend_from_slice(&body);
-    image
+    snapshot_image(sections.len() as u32, &body)
 }
 
 #[test]

@@ -281,7 +281,7 @@ fn serving_no_panic_scoped_to_serving_library_code() {
     for out_of_scope in [
         "crates/core/src/fixture.rs",
         "tests/serving_corpus.rs",
-        "crates/bench/src/serving_suite.rs",
+        "crates/bench/src/suite.rs",
     ] {
         let mut findings: Vec<Finding> = Vec::new();
         serving::check(out_of_scope, &scan, &mut findings);
