@@ -19,7 +19,7 @@
 
 use mte_algebra::NodeId;
 use mte_core::frt::paths::embed_tree_edge;
-use mte_core::frt::{sample_direct, BaselineSample};
+use mte_core::frt::{sample_direct, FrtTree};
 use mte_graph::algorithms::sssp;
 use mte_graph::Graph;
 use rand::Rng;
@@ -101,24 +101,19 @@ pub struct BuyAtBulkSolution {
 /// Solves buy-at-bulk via a random FRT tree (Theorem 10.2). The tree is
 /// sampled from the exact metric of `G` (the `Õ(SPD)`-depth sampler);
 /// callers wanting the polylog-depth pipeline can pre-sample with
-/// [`mte_core::frt::FrtEmbedding`] and use [`solve_on_tree`].
+/// [`mte_core::frt::FrtEmbedding`] and pass its `tree()` to
+/// [`solve_on_tree`].
 pub fn solve_buy_at_bulk(
     g: &Graph,
     instance: &BuyAtBulkInstance,
     rng: &mut impl Rng,
 ) -> BuyAtBulkSolution {
-    let sample = sample_direct(g, rng);
-    solve_on_tree(g, instance, &sample)
+    solve_on_tree(g, instance, &sample_direct(g, rng).tree)
 }
 
 /// Steps (2)–(3) on an already-sampled tree.
-pub fn solve_on_tree(
-    g: &Graph,
-    instance: &BuyAtBulkInstance,
-    sample: &BaselineSample,
-) -> BuyAtBulkSolution {
+pub fn solve_on_tree(g: &Graph, instance: &BuyAtBulkInstance, tree: &FrtTree) -> BuyAtBulkSolution {
     assert!(!instance.cables.is_empty(), "need at least one cable type");
-    let tree = &sample.tree;
 
     // (2) Aggregate per-tree-edge flow: climb both endpoints to the LCA.
     // tree_flow[child node index] = flow over the edge (child → parent).
@@ -222,6 +217,7 @@ pub fn is_feasible(instance: &BuyAtBulkInstance, solution: &BuyAtBulkSolution) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mte_core::frt::{FrtConfig, FrtEmbedding};
     use mte_graph::generators::{gnm_graph, grid_graph, path_graph};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -241,6 +237,21 @@ mod tests {
                 cost: 12.0,
             },
         ]
+    }
+
+    /// Twelve demands `i → i + 13` of growing amount, for graphs of at
+    /// least 25 nodes.
+    fn staggered_instance() -> BuyAtBulkInstance {
+        BuyAtBulkInstance {
+            cables: economies_of_scale_cables(),
+            demands: (0..12)
+                .map(|i| Demand {
+                    s: i as NodeId,
+                    t: (i + 13) as NodeId,
+                    amount: 1.0 + i as f64,
+                })
+                .collect(),
+        }
     }
 
     #[test]
@@ -272,17 +283,7 @@ mod tests {
     fn solution_is_feasible_and_above_lower_bound() {
         let mut rng = StdRng::seed_from_u64(122);
         let g = gnm_graph(40, 90, 1.0..6.0, &mut rng);
-        let demands: Vec<Demand> = (0..12)
-            .map(|i| Demand {
-                s: i as NodeId,
-                t: (i + 13) as NodeId,
-                amount: 1.0 + i as f64,
-            })
-            .collect();
-        let inst = BuyAtBulkInstance {
-            cables: economies_of_scale_cables(),
-            demands,
-        };
+        let inst = staggered_instance();
         let sol = solve_buy_at_bulk(&g, &inst, &mut rng);
         assert!(is_feasible(&inst, &sol));
         let lb = lower_bound(&g, &inst);
@@ -293,6 +294,19 @@ mod tests {
             "cost {} vs lower bound {lb}",
             sol.total_cost
         );
+    }
+
+    #[test]
+    fn solve_on_tree_accepts_a_pipeline_tree() {
+        // The polylog-depth route of `solve_buy_at_bulk`'s doc: sample
+        // through the oracle pipeline, then route on its tree.
+        let mut rng = StdRng::seed_from_u64(125);
+        let g = gnm_graph(40, 90, 1.0..6.0, &mut rng);
+        let inst = staggered_instance();
+        let emb = FrtEmbedding::sample(&g, &FrtConfig::default(), &mut rng);
+        let sol = solve_on_tree(&g, &inst, emb.tree());
+        assert!(is_feasible(&inst, &sol));
+        assert!(sol.total_cost >= lower_bound(&g, &inst) - 1e-9);
     }
 
     #[test]

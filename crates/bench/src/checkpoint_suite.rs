@@ -185,7 +185,7 @@ pub fn checkpoint_suite_table(cases: &[CheckpointCase]) -> Table {
 }
 
 /// The `"checkpoint"` JSON array (rows only, no enclosing object).
-pub fn checkpoint_suite_json_rows(cases: &[CheckpointCase]) -> String {
+fn checkpoint_suite_json_rows(cases: &[CheckpointCase]) -> String {
     let mut out = String::new();
     for (i, c) in cases.iter().enumerate() {
         out.push_str(&format!(

@@ -67,7 +67,7 @@ pub struct EngineCase {
 /// The standard catalog the engine suite runs on. The first two are the
 /// sparse-convergence workloads the engine issue names as acceptance
 /// targets; the path is the extreme SPD = n − 1 regime.
-pub fn engine_catalog() -> Vec<(String, Graph)> {
+fn engine_catalog() -> Vec<(String, Graph)> {
     let mut rng = StdRng::seed_from_u64(0xE16E);
     vec![
         (
@@ -81,7 +81,7 @@ pub fn engine_catalog() -> Vec<(String, Graph)> {
 
 /// The APSP-class dense catalog: smaller graphs (the workload's state
 /// volume is Θ(n²)) on which the dense-block backend is measured.
-pub fn dense_catalog() -> Vec<(String, Graph)> {
+fn dense_catalog() -> Vec<(String, Graph)> {
     let mut rng = StdRng::seed_from_u64(0xDE45);
     vec![
         (

@@ -1,8 +1,6 @@
-//! Experiment implementations, one per reproduced claim (docs/DESIGN.md
-//! §4).
-//!
-//! Each function returns a [`Table`] that the corresponding `exp_*`
-//! binary prints.
+//! Experiment implementations, one per reproduced claim, and the
+//! [`CLAIMS`] table that names them (docs/DESIGN.md §4 is its
+//! human-readable map).
 
 use crate::tables::{f, Table};
 use mte_algebra::{Dist, NodeId};
@@ -10,6 +8,7 @@ use mte_core::frt::le_list::{le_lists_direct, le_lists_oracle, Ranks};
 use mte_core::frt::{sample_direct, sample_from_metric, FrtConfig, FrtEmbedding};
 use mte_core::metric::{approximate_metric, approximate_metric_with_spanner, MetricConfig};
 use mte_core::simgraph::{LevelAssignment, SimulatedGraph};
+use mte_core::MbfRun;
 use mte_graph::algorithms::{apsp, hop_diameter, shortest_path_diameter, sssp_hop_limited};
 use mte_graph::generators::*;
 use mte_graph::hopset::{Hopset, HopsetConfig};
@@ -19,12 +18,54 @@ use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
+/// A reproduced claim: its id in docs/DESIGN.md §4 and the experiment
+/// that builds its table. The paper reference is in the table's title.
+pub type Claim = (&'static str, fn() -> Table);
+
+/// Every reproduced claim, in docs/DESIGN.md §4's order.
+pub const CLAIMS: &[Claim] = &[
+    ("E1", exp_levels),
+    ("E2", exp_spd),
+    ("E3", exp_h_stretch),
+    ("E4", exp_triangle),
+    ("E5", exp_oracle_work),
+    ("E6", exp_hopset),
+    ("E7", exp_le_lists),
+    ("E8", exp_frt_stretch),
+    ("E9", exp_spanner_frt),
+    ("E10", exp_metric),
+    ("E11/E12", exp_congest),
+    ("E13", exp_kmedian),
+    ("E14", exp_buyatbulk),
+    ("E15", exp_catalog),
+    ("E16", exp_baseline),
+    ("ablation", exp_ablation),
+];
+
+/// The [`CLAIMS`] rows that `ids` name, in argument order; every row
+/// when `ids` is empty. An unknown id is an error that lists the valid
+/// ones.
+pub fn select<S: AsRef<str>>(ids: &[S]) -> Result<Vec<Claim>, String> {
+    if ids.is_empty() {
+        return Ok(CLAIMS.to_vec());
+    }
+    ids.iter()
+        .map(|id| {
+            let id = id.as_ref();
+            CLAIMS.iter().find(|c| c.0 == id).copied().ok_or_else(|| {
+                let valid: Vec<&str> = CLAIMS.iter().map(|c| c.0).collect();
+                format!("unknown claim id `{id}`; valid ids: {}", valid.join(" "))
+            })
+        })
+        .collect()
+}
+
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
 /// E1 — Lemma 4.1: the maximum sampled level Λ is O(log n) w.h.p.
-pub fn exp_levels() -> Table {
+fn exp_levels() -> Table {
     let mut t = Table::new(
         "E1 (Lemma 4.1): level sampling, Λ vs log₂ n over 200 trials",
         &["n", "log2(n)", "mean Λ", "max Λ"],
@@ -50,7 +91,7 @@ pub fn exp_levels() -> Table {
 }
 
 /// E2 — Theorem 4.5: SPD(H) ∈ O(log² n) even when SPD(G) = n − 1.
-pub fn exp_spd() -> Table {
+fn exp_spd() -> Table {
     let mut t = Table::new(
         "E2 (Theorem 4.5): SPD(H) vs SPD(G), ε̂ = 0.1 (mean over 5 level samples)",
         &[
@@ -99,7 +140,7 @@ pub fn exp_spd() -> Table {
 }
 
 /// E3 — Theorem 4.5 / Eq. (4.16): H's distances sandwich G's.
-pub fn exp_h_stretch() -> Table {
+fn exp_h_stretch() -> Table {
     let mut t = Table::new(
         "E3 (Theorem 4.5): stretch of H over G vs the (1+ε̂)^{Λ+1} bound",
         &["ε̂", "Λ", "max stretch", "mean stretch", "bound (1+ε̂)^{Λ+1}"],
@@ -134,7 +175,7 @@ pub fn exp_h_stretch() -> Table {
 
 /// E4 — Observation 1.1: hop-set d-hop "distances" violate the triangle
 /// inequality (unless exact); H's metric never does.
-pub fn exp_triangle() -> Table {
+fn exp_triangle() -> Table {
     let mut t = Table::new(
         "E4 (Observation 1.1): triangle-inequality violations, sampled triples",
         &["metric", "d", "violated triples", "of", "max violation"],
@@ -189,7 +230,7 @@ pub fn exp_triangle() -> Table {
 
 /// E5 — Theorem 5.2: the oracle reproduces explicit-H results at sparse
 /// cost.
-pub fn exp_oracle_work() -> Table {
+fn exp_oracle_work() -> Table {
     let mut t = Table::new(
         "E5 (Theorem 5.2): oracle vs explicit H — identical LE lists, sparse work",
         &[
@@ -226,7 +267,7 @@ pub fn exp_oracle_work() -> Table {
 }
 
 /// E6 — the hop-set property (Equation (1.3)) of the Cohen substitute.
-pub fn exp_hopset() -> Table {
+fn exp_hopset() -> Table {
     let mut t = Table::new(
         "E6 (hop sets, Eq. 1.3): dist^d(G+E') vs (1+ε̂)·dist(G)",
         &["n", "d", "ε̂", "hubs", "added edges", "max ratio", "ok"],
@@ -270,7 +311,7 @@ pub fn exp_hopset() -> Table {
 }
 
 /// E7 — Lemma 7.6: LE lists have length O(log n) w.h.p.
-pub fn exp_le_lists() -> Table {
+fn exp_le_lists() -> Table {
     let mut t = Table::new(
         "E7 (Lemma 7.6): LE-list lengths vs ln n (direct computation, exact metric)",
         &["n", "m", "mean |LE|", "max |LE|", "ln n", "H_n"],
@@ -338,7 +379,7 @@ fn tree_distance_matrix(tree: &mte_core::frt::FrtTree, n: usize) -> Vec<Vec<f64>
 }
 
 /// E8 — Theorem 7.9 / Corollary 7.10: expected stretch O(log n).
-pub fn exp_frt_stretch() -> Table {
+fn exp_frt_stretch() -> Table {
     let mut t = Table::new(
         "E8 (Thm 7.9/Cor 7.10): per-pair expected stretch vs log₂ n (32 trees; \
          'pipeline' = hop set + H + oracle, 8 trees)",
@@ -407,7 +448,7 @@ pub fn exp_frt_stretch() -> Table {
 }
 
 /// E9 — Corollary 7.11: spanner preprocessing trades stretch for work.
-pub fn exp_spanner_frt() -> Table {
+fn exp_spanner_frt() -> Table {
     let mut t = Table::new(
         "E9 (Cor 7.11): Baswana–Sen preprocessing — edges & work down, stretch ×(2k−1)",
         &[
@@ -447,7 +488,7 @@ pub fn exp_spanner_frt() -> Table {
 }
 
 /// E10 — Theorems 6.1/6.2: approximate metrics.
-pub fn exp_metric() -> Table {
+fn exp_metric() -> Table {
     let mut t = Table::new(
         "E10 (Thm 6.1/6.2): approximate metric quality and work",
         &[
@@ -512,7 +553,7 @@ pub fn exp_metric() -> Table {
 }
 
 /// E11/E12 — Section 8: Congest round complexity, Khan vs skeleton.
-pub fn exp_congest() -> Table {
+fn exp_congest() -> Table {
     let mut t = Table::new(
         "E11/E12 (Sec. 8): simulated Congest rounds — Khan et al. vs skeleton",
         &[
@@ -570,7 +611,7 @@ pub fn exp_congest() -> Table {
 }
 
 /// E13 — Theorem 9.2: k-median quality vs baselines.
-pub fn exp_kmedian() -> Table {
+fn exp_kmedian() -> Table {
     use mte_apps::kmedian::*;
     let mut t = Table::new(
         "E13 (Thm 9.2): k-median — FRT+DP vs local search and random centers",
@@ -614,7 +655,7 @@ pub fn exp_kmedian() -> Table {
 
 /// E14 — Theorem 10.2: buy-at-bulk quality vs lower bound and direct
 /// routing.
-pub fn exp_buyatbulk() -> Table {
+fn exp_buyatbulk() -> Table {
     use mte_apps::buyatbulk::*;
     let mut t = Table::new(
         "E14 (Thm 10.2): buy-at-bulk — tree aggregation vs per-demand routing",
@@ -765,7 +806,7 @@ pub fn exp_baseline() -> Table {
 /// Ablation — the level promotion probability `p` (the paper fixes 1/2):
 /// small `p` means fewer levels (cheaper oracle iterations) but larger
 /// SPD(H); large `p` the reverse. `p = 1/2` balances the product.
-pub fn exp_ablation() -> Table {
+fn exp_ablation() -> Table {
     let mut t = Table::new(
         "Ablation (Sec. 4 design choice): level promotion probability p",
         &["p", "mean Λ", "mean SPD(H)", "Λ·SPD(H)", "max stretch of H"],
@@ -805,7 +846,7 @@ pub fn exp_ablation() -> Table {
 
 /// E15 — Section 3 catalog: per-iteration work of each MBF-like algorithm
 /// (correctness is covered by the test suite; this tabulates cost).
-pub fn exp_catalog() -> Table {
+fn exp_catalog() -> Table {
     use mte_core::catalog::*;
     use mte_core::engine::run_to_fixpoint;
     let mut t = Table::new(
@@ -817,63 +858,77 @@ pub fn exp_catalog() -> Table {
     let n = g.n();
     let cap = n + 1;
 
-    let run1 = run_to_fixpoint(&SourceDetection::sssp(n, 0), &g, cap);
-    t.push(vec![
-        "SSSP (Ex. 3.3)".into(),
-        "min-plus".into(),
-        run1.iterations.to_string(),
-        run1.work.entries_processed.to_string(),
-    ]);
-    let run2 = run_to_fixpoint(&SourceDetection::k_ssp(n, 4), &g, cap);
-    t.push(vec![
-        "4-SSP (Ex. 3.4)".into(),
-        "min-plus".into(),
-        run2.iterations.to_string(),
-        run2.work.entries_processed.to_string(),
-    ]);
-    let run3 = run_to_fixpoint(&SourceDetection::apsp(n), &g, cap);
-    t.push(vec![
-        "APSP (Ex. 3.5)".into(),
-        "min-plus".into(),
-        run3.iterations.to_string(),
-        run3.work.entries_processed.to_string(),
-    ]);
-    let run4 = run_to_fixpoint(&ForestFire::new(n, &[0, 1, 2], Dist::new(8.0)), &g, cap);
-    t.push(vec![
-        "forest fire (Ex. 3.7)".into(),
-        "min-plus".into(),
-        run4.iterations.to_string(),
-        run4.work.entries_processed.to_string(),
-    ]);
-    let run5 = run_to_fixpoint(&WidestPaths::apwp(n), &g, cap);
-    t.push(vec![
-        "APWP (Ex. 3.14)".into(),
-        "max-min".into(),
-        run5.iterations.to_string(),
-        run5.work.entries_processed.to_string(),
-    ]);
-    let run6 = run_to_fixpoint(&Connectivity::all_pairs(n), &g, cap);
-    t.push(vec![
-        "connectivity (Ex. 3.25)".into(),
-        "boolean".into(),
-        run6.iterations.to_string(),
-        run6.work.entries_processed.to_string(),
-    ]);
+    let run = run_to_fixpoint(&SourceDetection::sssp(n, 0), &g, cap);
+    catalog_row(&mut t, "SSSP (Ex. 3.3)", "min-plus", run);
+    let run = run_to_fixpoint(&SourceDetection::k_ssp(n, 4), &g, cap);
+    catalog_row(&mut t, "4-SSP (Ex. 3.4)", "min-plus", run);
+    let run = run_to_fixpoint(&SourceDetection::apsp(n), &g, cap);
+    catalog_row(&mut t, "APSP (Ex. 3.5)", "min-plus", run);
+    let run = run_to_fixpoint(&ForestFire::new(n, &[0, 1, 2], Dist::new(8.0)), &g, cap);
+    catalog_row(&mut t, "forest fire (Ex. 3.7)", "min-plus", run);
+    let run = run_to_fixpoint(&WidestPaths::apwp(n), &g, cap);
+    catalog_row(&mut t, "APWP (Ex. 3.14)", "max-min", run);
+    let run = run_to_fixpoint(&Connectivity::all_pairs(n), &g, cap);
+    catalog_row(&mut t, "connectivity (Ex. 3.25)", "boolean", run);
     let small = gnm_graph(32, 64, 1.0..5.0, &mut r);
-    let run7 = run_to_fixpoint(&KShortestDistances::new(0, 3), &small, 4 * small.n());
-    t.push(vec![
-        "3-SDP on n=32 (Ex. 3.23)".into(),
-        "all-paths".into(),
-        run7.iterations.to_string(),
-        run7.work.entries_processed.to_string(),
-    ]);
+    let run = run_to_fixpoint(&KShortestDistances::new(0, 3), &small, 4 * small.n());
+    catalog_row(&mut t, "3-SDP on n=32 (Ex. 3.23)", "all-paths", run);
     let ranks = Arc::new(Ranks::sample(n, &mut r));
-    let run8 = run_to_fixpoint(&mte_core::frt::LeListAlgorithm::new(ranks), &g, cap);
-    t.push(vec![
-        "LE lists (Def. 7.3)".into(),
-        "min-plus".into(),
-        run8.iterations.to_string(),
-        run8.work.entries_processed.to_string(),
-    ]);
+    let run = run_to_fixpoint(&mte_core::frt::LeListAlgorithm::new(ranks), &g, cap);
+    catalog_row(&mut t, "LE lists (Def. 7.3)", "min-plus", run);
     t
+}
+
+/// One E15 row: an algorithm's iterations to fixpoint and its work.
+fn catalog_row<M>(t: &mut Table, name: &str, semiring: &str, run: MbfRun<M>) {
+    t.push(vec![
+        name.into(),
+        semiring.into(),
+        run.iterations.to_string(),
+        run.work.entries_processed.to_string(),
+    ]);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ids(claims: &[Claim]) -> Vec<&str> {
+        claims.iter().map(|c| c.0).collect()
+    }
+
+    #[test]
+    fn select_returns_known_ids_in_argument_order() {
+        assert_eq!(ids(&select(&["E16", "E5"]).unwrap()), ["E16", "E5"]);
+    }
+
+    #[test]
+    fn select_rejects_an_unknown_id_and_names_the_valid_ones() {
+        let err = select(&["E5", "E99"]).unwrap_err();
+        assert!(err.contains("`E99`"), "{err}");
+        assert!(err.ends_with(&ids(CLAIMS).join(" ")), "{err}");
+    }
+
+    #[test]
+    fn select_without_ids_returns_every_claim() {
+        assert_eq!(ids(&select::<&str>(&[]).unwrap()), ids(CLAIMS));
+    }
+
+    #[test]
+    fn design_doc_lists_the_claims_in_order() {
+        // docs/DESIGN.md §4 is the human-readable map of CLAIMS: the Id
+        // column of its table, row by row.
+        let design = include_str!("../../../docs/DESIGN.md");
+        let section = design
+            .split("\n## ")
+            .find(|s| s.starts_with("4. Experiments"))
+            .expect("DESIGN.md has a section 4. Experiments");
+        let doc_ids: Vec<&str> = section
+            .lines()
+            .filter(|l| l.starts_with('|'))
+            .skip(2) // header and separator
+            .map(|l| l.split('|').nth(1).unwrap().trim())
+            .collect();
+        assert_eq!(doc_ids, ids(CLAIMS));
+    }
 }

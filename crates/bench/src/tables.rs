@@ -69,11 +69,6 @@ pub fn f(x: f64, prec: usize) -> String {
     format!("{x:.prec$}")
 }
 
-/// Formats an integer-ish count.
-pub fn n(x: u64) -> String {
-    x.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

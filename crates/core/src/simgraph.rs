@@ -40,7 +40,7 @@ impl LevelAssignment {
     }
 
     /// Samples levels with promotion probability `p ∈ (0, 1)`. The paper
-    /// fixes `p = 1/2`; the ablation experiment `exp_ablation` varies `p`
+    /// fixes `p = 1/2`; the `ablation` experiment (`exp_all ablation`) varies `p`
     /// to expose the trade-off it balances: small `p` gives few levels
     /// (cheaper oracle) but weaker shortcutting (larger SPD(H)); large
     /// `p` the reverse.
